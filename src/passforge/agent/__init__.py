@@ -5,20 +5,20 @@ from .nets import (
     value,
 )
 from .ppo import (
-    AdamOpt, CurvePoint, DivergenceError, Trajectory, gae_advantages, infer,
-    ppo_update, rollout_episode, train,
+    CurvePoint, Trajectory, gae_advantages, infer, ppo_update,
+    rollout_episode, train,
 )
 from .baselines import (
     SearchResult, search_baseline, search_genetic, search_greedy,
-    search_random, search_random_evals,
+    search_random,
 )
 
 __all__ = [
     "ACTIONS", "EnvState", "N_ACTIONS", "PassEnv", "STOP_ACTION", "reward",
     "PpoConfig", "init_actor_critic", "policy_logits", "policy_probs",
     "ppo_loss_grad", "value",
-    "AdamOpt", "CurvePoint", "DivergenceError", "Trajectory",
-    "gae_advantages", "infer", "ppo_update", "rollout_episode", "train",
+    "CurvePoint", "Trajectory", "gae_advantages", "infer", "ppo_update",
+    "rollout_episode", "train",
     "SearchResult", "search_baseline", "search_genetic", "search_greedy",
-    "search_random", "search_random_evals",
+    "search_random",
 ]

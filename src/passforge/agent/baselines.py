@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..ir import IrModule
-from ..passes import PassError, PassId, apply_pragma_passes, apply_sequence, general_passes
+from ..passes import PassId, apply_pragma_passes, apply_sequence, general_passes
 from ..qor import EstimateError, OpCostTable, estimate
 
 
@@ -36,20 +36,21 @@ class _Evaluator:
         self.costs = costs or OpCostTable()
         self.baseline = float(estimate(self.base, self.costs).cycles)
         self.evaluations = 0
-        self._cache: dict[tuple, tuple[float, bool]] = {}
+        self._cache: dict[tuple, float] = {}
 
     def run(self, seq: list[PassId]) -> float:
-        """Estimated cycles after the sequence (inf when a pass fails)."""
+        """Estimated cycles after the sequence (inf when it cannot be
+        estimated)."""
         key = tuple(p.value for p in seq)
         if key in self._cache:
-            return self._cache[key][0]
+            return self._cache[key]
         self.evaluations += len(seq)
+        out, _ = apply_sequence(self.base, seq)
         try:
-            out, _ = apply_sequence(self.base, seq)
             cycles = float(estimate(out, self.costs).cycles)
-        except (PassError, EstimateError, Exception):  # noqa: BLE001
+        except EstimateError:
             cycles = float("inf")
-        self._cache[key] = (cycles, True)
+        self._cache[key] = cycles
         return cycles
 
 
@@ -63,24 +64,6 @@ def search_random(design: IrModule, budget_sequences: int, seed: int,
     best = ev.baseline
     for _ in range(budget_sequences):
         length = int(rng.integers(1, max_len + 1))
-        seq = [catalog[int(rng.integers(0, len(catalog)))] for _ in range(length)]
-        cycles = ev.run(seq)
-        if cycles < best:
-            best, best_seq = cycles, seq
-    return SearchResult(best_seq, best, ev.baseline, ev.evaluations, "random")
-
-
-def search_random_evals(design: IrModule, eval_budget: int, seed: int,
-                        max_len: int = 16, costs=None) -> SearchResult:
-    """Random search stopped at a pass-evaluation budget (for parity runs)."""
-    rng = np.random.default_rng(seed)
-    ev = _Evaluator(design, costs)
-    catalog = general_passes()
-    best_seq: list[PassId] = []
-    best = ev.baseline
-    while ev.evaluations < eval_budget:
-        room = eval_budget - ev.evaluations
-        length = int(rng.integers(1, min(max_len, room) + 1))
         seq = [catalog[int(rng.integers(0, len(catalog)))] for _ in range(length)]
         cycles = ev.run(seq)
         if cycles < best:

@@ -13,9 +13,7 @@ import numpy as np
 
 from ..graphs import build_het_graph
 from ..ir import IrModule
-from ..passes import (
-    PassError, PassId, apply_pass, apply_pragma_passes, general_passes,
-)
+from ..passes import PassId, apply_pass, apply_pragma_passes, general_passes
 from ..qor import EstimateError, OpCostTable, estimate
 
 ACTIONS: tuple[PassId, ...] = tuple(general_passes())
@@ -45,10 +43,9 @@ class PassEnv:
     obs_fn: object                      # HetGraph -> np.ndarray
     costs: OpCostTable = field(default_factory=OpCostTable)
     max_steps: int = 16
-    rerun_pragmas_each_step: bool = False
     incidents: list[str] = field(default_factory=list)
-    _cycle_cache: dict[str, float] = field(default_factory=dict)
-    _obs_cache: dict[str, np.ndarray] = field(default_factory=dict)
+    _cycle_cache: dict[str, float] = field(default_factory=dict, init=False)
+    _obs_cache: dict[str, np.ndarray] = field(default_factory=dict, init=False)
 
     def _cycles(self, module: IrModule) -> float:
         key = module.digest()
@@ -77,13 +74,10 @@ class PassEnv:
         pass_id = ACTIONS[action]
         l_prev = state.cycles_history[-1]
         l_best = state.best_cycles
+        module = apply_pass(state.module, pass_id).module
         try:
-            result = apply_pass(state.module, pass_id)
-            module = result.module
-            if self.rerun_pragmas_each_step:
-                module = apply_pragma_passes(module)
             l_new = self._cycles(module)
-        except (PassError, EstimateError, Exception) as e:  # noqa: BLE001
+        except EstimateError as e:
             self.incidents.append(
                 f"{self.design_name} t={state.t} {pass_id.value}: {e}")
             return state, 0.0, True

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..optim import glorot
+
 
 @dataclass
 class PpoConfig:
@@ -31,19 +33,14 @@ class PpoConfig:
 def init_actor_critic(obs_dim: int, n_actions: int, hidden: tuple[int, int],
                       seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
-
-    def glorot(shape):
-        bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-        return rng.uniform(-bound, bound, size=shape)
-
     h1, h2 = hidden
     params = {
-        "actor/w1": glorot((obs_dim, h1)), "actor/b1": np.zeros(h1),
-        "actor/w2": glorot((h1, h2)), "actor/b2": np.zeros(h2),
-        "actor/w3": glorot((h2, n_actions)) * 0.01, "actor/b3": np.zeros(n_actions),
-        "critic/w1": glorot((obs_dim, h1)), "critic/b1": np.zeros(h1),
-        "critic/w2": glorot((h1, h2)), "critic/b2": np.zeros(h2),
-        "critic/w3": glorot((h2, 1)), "critic/b3": np.zeros(1),
+        "actor/w1": glorot(rng, (obs_dim, h1)), "actor/b1": np.zeros(h1),
+        "actor/w2": glorot(rng, (h1, h2)), "actor/b2": np.zeros(h2),
+        "actor/w3": glorot(rng, (h2, n_actions)) * 0.01, "actor/b3": np.zeros(n_actions),
+        "critic/w1": glorot(rng, (obs_dim, h1)), "critic/b1": np.zeros(h1),
+        "critic/w2": glorot(rng, (h1, h2)), "critic/b2": np.zeros(h2),
+        "critic/w3": glorot(rng, (h2, 1)), "critic/b3": np.zeros(1),
     }
     return params
 

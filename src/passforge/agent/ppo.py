@@ -6,15 +6,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..ir import IrModule
+from ..optim import Adam, DivergenceError
 from ..qor import OpCostTable
-from .env import N_ACTIONS, PassEnv, STOP_ACTION
+from .env import ACTIONS, N_ACTIONS, PassEnv
 from .nets import (
     PpoConfig, init_actor_critic, policy_probs, ppo_loss_grad, value,
 )
-
-
-class DivergenceError(Exception):
-    pass
 
 
 @dataclass
@@ -24,22 +21,12 @@ class Trajectory:
     rewards: list[float] = field(default_factory=list)
     values: list[float] = field(default_factory=list)
     log_probs: list[float] = field(default_factory=list)
-    terminal: bool = False
     design: str = ""
     cycles_ratio: float = 1.0
 
     @property
     def total_return(self) -> float:
         return float(sum(self.rewards))
-
-    def pass_sequence(self, actions=None):
-        from .env import ACTIONS
-        out = []
-        for a in (actions if actions is not None else self.actions):
-            if a == STOP_ACTION:
-                break
-            out.append(ACTIONS[a])
-        return out
 
 
 def gae_advantages(rewards: list[float], values: list[float], gamma: float,
@@ -58,18 +45,15 @@ def gae_advantages(rewards: list[float], values: list[float], gamma: float,
     return adv, returns
 
 
-def rollout_episode(env: PassEnv, params: dict, rng: np.random.Generator,
-                    greedy: bool = False) -> Trajectory:
+def rollout_episode(env: PassEnv, params: dict,
+                    rng: np.random.Generator) -> Trajectory:
     traj = Trajectory(design=env.design_name)
     state = env.reset()
     l0 = state.cycles_history[0]
     done = False
     while not done:
         probs = policy_probs(params, state.obs)
-        if greedy:
-            action = int(np.argmax(probs))
-        else:
-            action = int(rng.choice(len(probs), p=probs))
+        action = int(rng.choice(len(probs), p=probs))
         v = value(params, state.obs)
         traj.obs.append(state.obs)
         traj.actions.append(action)
@@ -77,13 +61,12 @@ def rollout_episode(env: PassEnv, params: dict, rng: np.random.Generator,
         traj.log_probs.append(float(np.log(max(probs[action], 1e-300))))
         state, r, done = env.step(state, action)
         traj.rewards.append(r)
-    traj.terminal = True
     traj.cycles_ratio = state.best_cycles / l0 if l0 > 0 else 1.0
     return traj
 
 
 def ppo_update(params: dict, trajectories: list[Trajectory],
-               config: PpoConfig, opt: "AdamOpt") -> float:
+               config: PpoConfig, opt: Adam) -> float:
     obs, actions, old_logp, advs, rets = [], [], [], [], []
     for traj in trajectories:
         a, r = gae_advantages(traj.rewards, traj.values, config.gamma,
@@ -119,24 +102,6 @@ def ppo_update(params: dict, trajectories: list[Trajectory],
     return last_loss
 
 
-class AdamOpt:
-    def __init__(self, params: dict, lr: float):
-        self.lr = lr
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.t = 0
-
-    def step(self, params: dict, grads: dict) -> None:
-        self.t += 1
-        for k in sorted(params):
-            g = grads[k]
-            self.m[k] = 0.9 * self.m[k] + 0.1 * g
-            self.v[k] = 0.999 * self.v[k] + 0.001 * (g * g)
-            m_hat = self.m[k] / (1 - 0.9 ** self.t)
-            v_hat = self.v[k] / (1 - 0.999 ** self.t)
-            params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-
-
 @dataclass
 class CurvePoint:
     iteration: int
@@ -154,7 +119,7 @@ def train(designs: list[tuple[str, IrModule]], obs_fn, config: PpoConfig,
                     max_steps=config.max_episode_len)
             for name, module in designs]
     params = init_actor_critic(obs_dim, N_ACTIONS, config.hidden, seed)
-    opt = AdamOpt(params, config.lr)
+    opt = Adam(params, config.lr)
     curve: list[CurvePoint] = []
     env_cursor = 0
     for it in range(config.iterations):
@@ -181,21 +146,15 @@ def infer(design: IrModule, params: dict, obs_fn, costs=None,
     env = PassEnv("infer", design, obs_fn,
                   costs=costs if costs is not None else OpCostTable(),
                   max_steps=max_steps)
-    rng = np.random.default_rng(0)
-    traj = rollout_episode(env, params, rng, greedy=True)
     state = env.reset()
-    cycles = [state.cycles_history[0]]
-    seq_actions: list[int] = []
-    for action in traj.actions:
-        if action == STOP_ACTION:
-            break
+    applied = []
+    done = False
+    while not done:
+        action = int(np.argmax(policy_probs(params, state.obs)))
         prev_t = state.t
         state, _r, done = env.step(state, action)
         if state.t == prev_t + 1:  # the pass actually applied
-            cycles.append(state.cycles_history[-1])
-            seq_actions.append(action)
-        if done:
-            break
+            applied.append(ACTIONS[action])
+    cycles = state.cycles_history
     best_idx = int(np.argmin(cycles))
-    best_prefix = seq_actions[:best_idx]
-    return traj.pass_sequence(best_prefix), cycles, best_idx
+    return applied[:best_idx], cycles, best_idx

@@ -17,7 +17,9 @@ import numpy as np
 from .graphs import HetGraph, build_het_graph, from_json, to_json
 from .hged import EditCostModel, hged
 from .ir import IrModule, parse_module, print_module
-from .passes import PassError, apply_sequence, general_passes
+from .passes import (
+    PragmaError, apply_pragma_passes, apply_sequence, general_passes,
+)
 from .embedder import TrainPair
 
 
@@ -71,24 +73,16 @@ def dataset_gen(designs: list[tuple[str, str]], k_sequences: int,
                                 build_het_graph(base), split))
         candidates = []
         try:
-            from .passes import apply_pragma_passes
             candidates.append(apply_pragma_passes(base))
-        except Exception as e:  # noqa: BLE001 - logged skip
+        except PragmaError as e:
             skipped += 1
             if log_fn:
                 log_fn(f"skip {name} pragma expansion: {e}")
-        for s in range(k_sequences - 1):
+        for _ in range(k_sequences - 1):
             length = int(rng.integers(min(2, max_len), max_len + 1))
             seq = [catalog[int(rng.integers(0, len(catalog)))]
                    for _ in range(length)]
-            try:
-                out, _ = apply_sequence(base, seq)
-            except (PassError, Exception) as e:  # noqa: BLE001 - logged skip
-                skipped += 1
-                if log_fn:
-                    log_fn(f"skip {name} seq {s}: {e}")
-                continue
-            candidates.append(out)
+            candidates.append(apply_sequence(base, seq)[0])
         for out in candidates:
             digest = out.digest()
             if digest in seen:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graphs import HetGraph, NodeKind, Relation
+from ..optim import glorot
 
 #: Input feature width: instruction class (9) | block depth bucket (4) | func.
 INPUT_DIM = 14
@@ -112,22 +113,17 @@ def graph_data(g: HetGraph, config: RgcnConfig | None = None) -> GraphData:
 
 def init_params(config: RgcnConfig, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
-
-    def glorot(shape):
-        bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-        return rng.uniform(-bound, bound, size=shape)
-
     params: dict[str, np.ndarray] = {}
     for k in range(config.layers):
         d_in = config.input_dim if k == 0 else config.hidden_dim
         for rel in config.relations:
-            params[f"conv{k}/{rel}"] = glorot((d_in, config.hidden_dim))
-        params[f"conv{k}/self"] = glorot((d_in, config.hidden_dim))
+            params[f"conv{k}/{rel}"] = glorot(rng, (d_in, config.hidden_dim))
+        params[f"conv{k}/self"] = glorot(rng, (d_in, config.hidden_dim))
     for gname in GROUPS:
         params[f"att/{gname}"] = rng.uniform(-0.5, 0.5, size=config.hidden_dim)
-    params["mlp/w1"] = glorot((config.hidden_dim, config.hidden_dim))
+    params["mlp/w1"] = glorot(rng, (config.hidden_dim, config.hidden_dim))
     params["mlp/b1"] = np.zeros(config.hidden_dim)
-    params["mlp/w2"] = glorot((config.hidden_dim, config.embed_dim))
+    params["mlp/w2"] = glorot(rng, (config.hidden_dim, config.embed_dim))
     params["mlp/b2"] = np.zeros(config.embed_dim)
     return params
 

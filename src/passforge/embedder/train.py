@@ -1,19 +1,15 @@
 """Contrastive pretraining against normalized edit-distance labels."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..graphs import HetGraph
+from ..optim import Adam, DivergenceError
 from .model import (
     GraphData, RgcnConfig, graph_data, init_params, pair_loss, pair_loss_grad,
-    zero_grads,
 )
-
-
-class DivergenceError(Exception):
-    pass
 
 
 @dataclass
@@ -27,9 +23,6 @@ class TrainPair:
 @dataclass
 class PretrainConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 64
     max_epochs: int = 200
     patience: int = 20
@@ -41,29 +34,6 @@ class TrainLogEntry:
     epoch: int
     train_loss: float
     val_loss: float
-
-
-class Adam:
-    """Per-parameter adaptive steps; update order is fixed (sorted keys) so
-    training is bitwise reproducible."""
-
-    def __init__(self, params: dict[str, np.ndarray], cfg: PretrainConfig):
-        self.cfg = cfg
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.t = 0
-
-    def step(self, params: dict[str, np.ndarray],
-             grads: dict[str, np.ndarray]) -> None:
-        c = self.cfg
-        self.t += 1
-        for k in sorted(params):
-            g = grads[k]
-            self.m[k] = c.beta1 * self.m[k] + (1 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1 - c.beta2) * (g * g)
-            m_hat = self.m[k] / (1 - c.beta1 ** self.t)
-            v_hat = self.v[k] / (1 - c.beta2 ** self.t)
-            params[k] -= c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
 
 
 def pretrain(graphs: list[HetGraph] | list[GraphData],
@@ -88,7 +58,7 @@ def pretrain(graphs: list[HetGraph] | list[GraphData],
         val_pairs = train_pairs
 
     params = init_params(model_config, train_config.seed)
-    opt = Adam(params, train_config)
+    opt = Adam(params, train_config.lr)
     best_val = float("inf")
     best_params = {k: v.copy() for k, v in params.items()}
     log: list[TrainLogEntry] = []

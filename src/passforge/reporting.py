@@ -1,11 +1,9 @@
-"""Result tables, geometric means, and the experiment manifest."""
+"""Result tables, geometric means, folds, and content digests."""
 from __future__ import annotations
 
 import csv
 import hashlib
 import io
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,49 +82,6 @@ def report(results: list[MethodResult]) -> tuple[str, str]:
         lines.append(f"{method:15s} {len(rs):3d}   {gm_c:14.4f}  "
                      f"{gm_l:12.4f}  {gm_d:12.4f}")
     return buf.getvalue(), "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Experiment manifest
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ExperimentManifest:
-    corpus_dir: str
-    seeds: list[int]
-    folds: list[list[str]]          # partition of design names
-    checkpoints: dict[str, str] = field(default_factory=dict)
-    tool_version: str = ""
-    cost_digest: str = ""
-
-    def to_dict(self) -> dict:
-        return {"corpus_dir": self.corpus_dir, "seeds": self.seeds,
-                "folds": self.folds, "checkpoints": self.checkpoints,
-                "tool_version": self.tool_version,
-                "cost_digest": self.cost_digest}
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, sort_keys=True, indent=1)
-            f.write("\n")
-
-    @staticmethod
-    def load(path: str) -> "ExperimentManifest":
-        with open(path) as f:
-            d = json.load(f)
-        return ExperimentManifest(d["corpus_dir"], d["seeds"], d["folds"],
-                                  d.get("checkpoints", {}),
-                                  d.get("tool_version", ""),
-                                  d.get("cost_digest", ""))
-
-    def validate_files(self) -> list[str]:
-        missing = []
-        if not os.path.isdir(self.corpus_dir):
-            missing.append(self.corpus_dir)
-        for path in self.checkpoints.values():
-            if not os.path.exists(path):
-                missing.append(path)
-        return missing
 
 
 def make_folds(names: list[str], k: int) -> list[list[str]]:

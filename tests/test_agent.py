@@ -2,14 +2,16 @@
 import numpy as np
 import pytest
 
+from passforge import passes
 from passforge.agent import (
     ACTIONS, N_ACTIONS, PassEnv, PpoConfig, STOP_ACTION, gae_advantages,
-    init_actor_critic, policy_probs, ppo_loss_grad, reward, rollout_episode,
-    search_baseline, search_greedy, search_random, train,
+    infer, init_actor_critic, policy_probs, ppo_loss_grad, reward,
+    rollout_episode, search_baseline, search_greedy, search_random, train,
 )
+from passforge.dataset import dataset_gen
 from passforge.embedder import featurize_baseline
-from passforge.ir import parse_module
-from passforge.passes import PassId
+from passforge.ir import parse_module, print_module
+from passforge.passes import PassError, PassId
 
 
 def test_reward_formula_instances():
@@ -231,3 +233,50 @@ def test_search_baseline_dispatch(small_corpus):
         r = search_baseline(m, method, seed=1, budget=4)
         assert r.method == method
         assert r.cycles <= r.baseline_cycles
+
+
+def _scripted(script):
+    """Identity actor over one-hot observations, so the greedy action is the
+    observed index; each new module observed shows the next scripted action,
+    then Stop.  Returns (params, obs_fn)."""
+    params = init_actor_critic(N_ACTIONS, N_ACTIONS, (N_ACTIONS, N_ACTIONS), 0)
+    params.update({f"actor/w{i}": 4.0 * np.eye(N_ACTIONS) for i in (1, 2, 3)})
+    actions = iter([ACTIONS.index(p) for p in script] + [STOP_ACTION])
+    return params, lambda _graph: np.eye(N_ACTIONS)[next(actions)]
+
+
+def test_infer_returns_best_prefix_and_trace(dot_module, case2):
+    lup, cfg = PassId.LOOP_UNROLL_PARTIAL, PassId.SIMPLIFYCFG
+    # The last pass regresses (34 -> 36), so the best prefix drops it.
+    out = infer(dot_module, *_scripted([lup, cfg, lup, PassId.REASSOCIATE]))
+    assert out == ([lup, cfg, lup], [72.0, 60.0, 40.0, 34.0, 36.0], 3)
+    # simplifycfg loses the pipelined loop's static trip count: the episode
+    # ends in an incident and the trace stops at the last priced module.
+    out = infer(case2, *_scripted([lup, PassId.INSTCOMBINE, cfg]))
+    assert out == ([lup, PassId.INSTCOMBINE], [11608.0, 9208.0, 9207.0], 2)
+
+
+def test_pass_error_propagates_estimate_error_recovers(monkeypatch, case2,
+                                                       dot_module):
+    # simplifycfg's result on ``case2`` cannot be estimated (UnknownTrip):
+    # search prices it inf, the environment records an incident.
+    greedy = search_greedy(case2, max_len=1)
+    assert greedy.sequence == [PassId.LOOP_UNROLL_PARTIAL]
+    env = PassEnv("case2", case2, _obs_fn())
+    state = env.reset()
+    assert env.step(state, ACTIONS.index(PassId.SIMPLIFYCFG)) == \
+        (state, 0.0, True)
+    assert len(env.incidents) == 1 and "UnknownTrip" in env.incidents[0]
+
+    def broken(_module):
+        raise PassError(PassId.ADCE, ["injected"])
+
+    for p in ACTIONS:
+        monkeypatch.setitem(passes._IMPLS, p, broken)
+    env = PassEnv("dot", dot_module, _obs_fn())
+    with pytest.raises(PassError):
+        env.step(env.reset(), 0)
+    with pytest.raises(PassError):
+        search_greedy(dot_module, max_len=1)
+    with pytest.raises(PassError):
+        dataset_gen([("dot", print_module(dot_module))], 2, 2, seed=0)

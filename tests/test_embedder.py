@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from passforge.embedder import (
-    Adam, DEFAULT_RELATIONS, PretrainConfig, RgcnConfig, TrainPair, embed,
+    DEFAULT_RELATIONS, PretrainConfig, RgcnConfig, TrainPair, embed,
     featurize_baseline, graph_data, init_params, pair_loss, pair_loss_grad,
     pretrain, save_checkpoint, load_checkpoint, zero_grads,
 )
