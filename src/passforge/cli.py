@@ -1,10 +1,16 @@
 """passforge command-line interface.
 
 Subcommands: parse, verify, graph, run, estimate, interp, hged, corpus-gen,
-dataset-gen, pretrain, rl-train, search, infer, report.  Every subcommand
-honors --seed and writes byte-identical primary outputs across repeated runs;
-generative stages stamp their outputs with an input digest and re-running a
-completed stage is a no-op.
+dataset-gen, pretrain, rl-train, search, report, catalog.  Each takes only the
+shared options (--seed, --costs, --json, --quiet) its handler reads; --seed
+goes to interp, corpus-gen, dataset-gen, pretrain, rl-train and search, and
+fixes their outputs byte for byte.
+
+The generative stages (corpus-gen, dataset-gen, pretrain, rl-train) stamp
+their primary output with a digest of the version and every option but
+--quiet, where an option naming an input file or directory counts by the
+bytes it holds (stamps and the stage's own outputs excluded), not by its
+path.  Re-running a stage whose stamp matches is a no-op.
 
 Exit codes: 0 ok, 1 user error (bad input, failed verification), 2 internal
 error.
@@ -27,41 +33,70 @@ from .dataset import dataset_gen, load_dataset, save_dataset
 from .graphs import build_het_graph, to_dot, to_json
 from .hged import DEFAULT_BEAM_WIDTH, EditCostModel, hged
 from .ir import (
-    FuelExhausted, IrSyntaxError, TrapError, VerifyError, interpret,
-    parse_module, print_module, verify_module,
+    FuelExhausted, InstrClass, IrSyntaxError, TrapError, VerifyError,
+    interpret, parse_module, print_module, verify_module,
 )
 from .passes import (
     PassError, PassId, PragmaError, apply_pragma_passes, apply_sequence,
     pass_catalog,
 )
 from .qor import EstimateError, OpCostTable, dynamic_cycle_oracle, estimate
-from .reporting import MethodResult, geomean, make_folds, report
+from .reporting import MethodResult, content_digest, report
 
 
 class UserError(Exception):
     pass
 
 
-def _read_module(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path) as f:
-            text = f.read()
+            return f.read()
     except OSError as e:
         raise UserError(f"cannot read {path}: {e}")
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
+
+
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def _read_module(path: str, verify: bool = True):
     try:
-        return parse_module(text)
+        return parse_module(_read_text(path), verify=verify)
     except (IrSyntaxError, VerifyError) as e:
         raise UserError(f"{path}: {e}")
+
+
+def _load_json(path: str, what: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise UserError(f"bad {what} {path}: {e}")
 
 
 def _load_costs(path: str | None) -> OpCostTable:
     if path is None:
         return OpCostTable()
+    return OpCostTable.from_dict(_load_json(path, "cost table"))
+
+
+def _load_checkpoint(path: str, kind: str) -> tuple[dict, dict]:
+    """(params, config) of a 'policy' or 'embedder' checkpoint."""
+    from .embedder import load_checkpoint
     try:
-        with open(path) as f:
-            return OpCostTable.from_dict(json.load(f))
-    except (OSError, json.JSONDecodeError, KeyError) as e:
-        raise UserError(f"bad cost table {path}: {e}")
+        params, config, _ = load_checkpoint(path)
+    except (OSError, ValueError, KeyError) as e:
+        raise UserError(f"bad checkpoint {path}: {e}")
+    found = config.get("kind", "embedder")
+    if found != kind:
+        raise UserError(f"{path} holds a {found!r} checkpoint, "
+                        f"expected {kind!r}")
+    return params, config
 
 
 def _say(args, *message):
@@ -69,12 +104,8 @@ def _say(args, *message):
         print(*message)
 
 
-def _stamp_path(primary_out: str) -> str:
-    return primary_out + ".stamp"
-
-
 def _up_to_date(args, primary_out: str, digest: str, extra_outputs=()) -> bool:
-    stamp = _stamp_path(primary_out)
+    stamp = primary_out + ".stamp"
     outputs = [primary_out, *extra_outputs]
     if os.path.exists(stamp) and all(os.path.exists(o) for o in outputs):
         with open(stamp) as f:
@@ -85,16 +116,42 @@ def _up_to_date(args, primary_out: str, digest: str, extra_outputs=()) -> bool:
 
 
 def _write_stamp(primary_out: str, digest: str) -> None:
-    with open(_stamp_path(primary_out), "w") as f:
-        f.write(digest + "\n")
+    _write(primary_out + ".stamp", digest + "\n")
 
 
-def _input_digest(*items) -> str:
-    h = hashlib.sha256()
-    h.update(__version__.encode())
-    for item in items:
-        h.update(b"\x00")
-        h.update(str(item).encode())
+def _contents_digest(path: str, skip: list[str]) -> str:
+    """Digest of a file's bytes, or of a directory's file names and bytes
+    but for stamps and the files at or under a `skip` path."""
+    if not os.path.isdir(path):
+        return content_digest(path)
+    items: list = []
+    for root, dirs, files in os.walk(path):
+        dirs.sort()
+        for name in sorted(files):
+            full = os.path.join(root, name)
+            if not name.endswith(".stamp") and not any(
+                    full == p or full.startswith(p + os.sep) for p in skip):
+                items += [os.path.relpath(full, path).encode() + b"\x00", full]
+    return content_digest(*items)
+
+
+def _stage_digest(args, inputs=(), outputs=("out",)) -> str:
+    """Stamp key of a generative stage: the version and every parsed option
+    but --quiet, with the options named in `inputs` (input files or
+    directories) standing for the bytes they hold instead of their path.
+    The stage's own `outputs` never count as input bytes, so a stage may
+    write into its input directory and still be up to date on a re-run."""
+    h = hashlib.sha256(__version__.encode())
+    skip = [os.path.abspath(getattr(args, o)) for o in outputs if getattr(args, o)]
+    for name, value in sorted(vars(args).items()):
+        if name in ("quiet", "handler"):
+            continue
+        if name in inputs and value is not None:
+            try:
+                value = _contents_digest(os.path.abspath(value), skip)
+            except OSError as e:
+                raise UserError(f"cannot read {value}: {e}")
+        h.update(f"\x00{name}={value}".encode())
     return h.hexdigest()[:16]
 
 
@@ -106,8 +163,7 @@ def cmd_parse(args) -> int:
     m = _read_module(args.file)
     text = print_module(m)
     if args.emit:
-        with open(args.emit, "w") as f:
-            f.write(text)
+        _write(args.emit, text)
         _say(args, f"wrote {args.emit}")
     else:
         sys.stdout.write(text)
@@ -115,16 +171,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.file) as f:
-            text = f.read()
-    except OSError as e:
-        raise UserError(f"cannot read {args.file}: {e}")
-    try:
-        m = parse_module(text, verify=False)
-    except IrSyntaxError as e:
-        raise UserError(f"{args.file}: {e}")
-    violations = verify_module(m)
+    violations = verify_module(_read_module(args.file, verify=False))
     if not violations:
         _say(args, "ok")
         return 0
@@ -137,12 +184,10 @@ def cmd_graph(args) -> int:
     m = _read_module(args.file)
     g = build_het_graph(m, args.fn)
     if args.dot:
-        with open(args.dot, "w") as f:
-            f.write(to_dot(g))
+        _write(args.dot, to_dot(g))
         _say(args, f"wrote {args.dot}")
     if args.json_out:
-        with open(args.json_out, "w") as f:
-            f.write(to_json(g) + "\n")
+        _write(args.json_out, to_json(g) + "\n")
         _say(args, f"wrote {args.json_out}")
     if args.json or (not args.dot and not args.json_out):
         print(to_json(g))
@@ -161,8 +206,7 @@ def cmd_run(args) -> int:
         print(f"pass failure: {e}", file=sys.stderr)
         return 2
     if args.emit:
-        with open(args.emit, "w") as f:
-            f.write(print_module(out))
+        _write(args.emit, print_module(out))
         _say(args, f"wrote {args.emit}")
     else:
         sys.stdout.write(print_module(out))
@@ -171,9 +215,7 @@ def cmd_run(args) -> int:
                   "instructions_removed": r.instructions_removed,
                   "instructions_added": r.instructions_added,
                   "blocks_removed": r.blocks_removed} for r in results]
-        with open(args.stats, "w") as f:
-            json.dump(stats, f, indent=1, sort_keys=True)
-            f.write("\n")
+        _write(args.stats, _json_text(stats))
     return 0
 
 
@@ -188,9 +230,7 @@ def cmd_estimate(args) -> int:
         raise UserError(str(e))
     doc = rep.to_dict()
     if args.json_out:
-        with open(args.json_out, "w") as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
-            f.write("\n")
+        _write(args.json_out, _json_text(doc))
         _say(args, f"wrote {args.json_out}")
     if args.json or not args.json_out:
         print(json.dumps(doc, sort_keys=True))
@@ -200,14 +240,9 @@ def cmd_estimate(args) -> int:
 def cmd_interp(args) -> int:
     m = _read_module(args.file)
     if args.inputs:
-        try:
-            with open(args.inputs) as f:
-                inputs = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            raise UserError(f"bad inputs file: {e}")
+        inputs = _load_json(args.inputs, "inputs file")
     else:
-        rng = np.random.default_rng(args.seed)
-        inputs = random_inputs(m, rng)
+        inputs = random_inputs(m, np.random.default_rng(args.seed))
     try:
         res = interpret(m, inputs, fuel=args.fuel)
     except (TrapError, FuelExhausted) as e:
@@ -233,8 +268,7 @@ def cmd_hged(args) -> int:
         mode, width = "beam", int(mode.split(":", 1)[1])
     costs = EditCostModel()
     if args.costs:
-        with open(args.costs) as f:
-            costs = EditCostModel.from_dict(json.load(f))
+        costs = EditCostModel.from_dict(_load_json(args.costs, "edit costs"))
     result = hged(g1, g2, costs, mode=mode, beam_width=width)
     doc = {"stage1_cost": result.stage1_cost, "stage2_cost": result.stage2_cost,
            "total": result.total, "normalized": result.normalized,
@@ -250,7 +284,7 @@ def cmd_hged(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_corpus_gen(args) -> int:
-    digest = _input_digest("corpus", args.n, args.seed)
+    digest = _stage_digest(args)
     manifest_path = os.path.join(args.out, "manifest.json")
     if _up_to_date(args, manifest_path, digest):
         return 0
@@ -258,15 +292,11 @@ def cmd_corpus_gen(args) -> int:
     designs = corpus_gen(args.n, args.seed)
     index = []
     for name, text in designs:
-        path = os.path.join(args.out, name + ".ir")
-        with open(path, "w") as f:
-            f.write(text)
+        _write(os.path.join(args.out, name + ".ir"), text)
         index.append({"name": name, "file": name + ".ir",
                       "digest": parse_module(text).digest()})
-    with open(manifest_path, "w") as f:
-        json.dump({"seed": args.seed, "n": args.n, "designs": index},
-                  f, indent=1, sort_keys=True)
-        f.write("\n")
+    _write(manifest_path,
+           _json_text({"seed": args.seed, "n": args.n, "designs": index}))
     _write_stamp(manifest_path, digest)
     _say(args, f"wrote {len(designs)} designs to {args.out}")
     return 0
@@ -274,30 +304,25 @@ def cmd_corpus_gen(args) -> int:
 
 def _load_corpus_dir(path: str) -> list[tuple[str, str]]:
     manifest = os.path.join(path, "manifest.json")
-    out = []
     if os.path.exists(manifest):
-        with open(manifest) as f:
-            doc = json.load(f)
-        for rec in doc["designs"]:
-            with open(os.path.join(path, rec["file"])) as f:
-                out.append((rec["name"], f.read()))
-        return out
-    for fname in sorted(os.listdir(path)):
-        if fname.endswith(".ir"):
-            with open(os.path.join(path, fname)) as f:
-                out.append((fname[:-3], f.read()))
-    if not out:
+        files = [(rec["name"], rec["file"])
+                 for rec in _load_json(manifest, "manifest")["designs"]]
+    elif os.path.isdir(path):
+        files = [(f[:-3], f) for f in sorted(os.listdir(path)) if f.endswith(".ir")]
+    else:
+        raise UserError(f"{path} is not a corpus directory")
+    if not files:
         raise UserError(f"no .ir designs found in {path}")
-    return out
+    return [(name, _read_text(os.path.join(path, fname)))
+            for name, fname in files]
 
 
 def cmd_dataset_gen(args) -> int:
-    designs = _load_corpus_dir(args.corpus)
-    digest = _input_digest("dataset", args.seqs, args.max_len, args.seed,
-                           *(d for d, _ in designs))
+    digest = _stage_digest(args, inputs=("corpus",))
     pairs_path = os.path.join(args.out, "pairs.json")
     if _up_to_date(args, pairs_path, digest):
         return 0
+    designs = _load_corpus_dir(args.corpus)
     log = (lambda msg: print(msg, file=sys.stderr)) if not args.quiet else None
     ds = dataset_gen(designs, args.seqs, args.max_len, args.seed,
                      intra_pair_cap=args.intra_cap,
@@ -312,28 +337,28 @@ def cmd_dataset_gen(args) -> int:
 
 def cmd_pretrain(args) -> int:
     from .embedder import (
-        PretrainConfig, RgcnConfig, graph_data, pretrain, save_checkpoint,
+        DEFAULT_RELATIONS, PretrainConfig, RgcnConfig, TrainPair, pretrain,
+        save_checkpoint,
     )
     from .graphs import homogenize
 
-    digest = _input_digest("pretrain", args.corpus, args.pairs or "",
-                           args.seed, args.epochs, args.hidden,
-                           args.embed_dim, args.homogenize)
+    digest = _stage_digest(args, inputs=("corpus", "pairs"))
     if _up_to_date(args, args.out, digest):
         return 0
-    ds = load_dataset(args.corpus)
+    try:
+        ds = load_dataset(args.corpus)
+    except (OSError, json.JSONDecodeError, KeyError) as e:
+        raise UserError(f"bad dataset {args.corpus}: {e}")
     if args.pairs:
-        from .embedder import TrainPair
-        with open(args.pairs) as f:
-            doc = json.load(f)
         ds.pairs = [TrainPair(p["i"], p["j"], p["label"], p["split"])
-                    for p in doc["pairs"]]
+                    for p in _load_json(args.pairs, "pairs file")["pairs"]]
+    if not any(p.split == "train" for p in ds.pairs):
+        raise UserError(f"no training pairs in {args.pairs or args.corpus}")
     graphs = ds.graphs()
     if args.homogenize:
         graphs = [homogenize(g) for g in graphs]
         relations = ("data:fwd", "data:rev")
     else:
-        from .embedder import DEFAULT_RELATIONS
         relations = DEFAULT_RELATIONS
     model_cfg = RgcnConfig(hidden_dim=args.hidden, embed_dim=args.embed_dim,
                            relations=relations)
@@ -353,79 +378,74 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _obs_fn_from(args, obs_dim_holder: dict):
-    """Observation function per --obs / --embed; sets obs_dim_holder['dim']."""
-    from .embedder import RgcnConfig, embed as embed_fn, featurize_baseline, load_checkpoint
+def _obs_fn(obs: str, obs_dim: int, embed: str | None):
+    """(observation function, its dimension) for an observation mode; an
+    rgcn observation takes its dimension from the embedder checkpoint."""
+    from .embedder import RgcnConfig, embed as embed_fn, featurize_baseline
 
-    if args.obs == "rgcn":
-        if not args.embed:
-            raise UserError("--obs rgcn requires --embed CKPT")
-        params, cfg_doc, _ = load_checkpoint(args.embed)
+    if obs == "rgcn":
+        if not embed:
+            raise UserError("an rgcn observation requires --embed CKPT")
+        params, cfg_doc = _load_checkpoint(embed, "embedder")
         cfg = RgcnConfig.from_dict(cfg_doc)
-        obs_dim_holder["dim"] = cfg.embed_dim
-        return lambda g: embed_fn(g, params, cfg)
-    if args.obs == "histogram":
-        obs_dim_holder["dim"] = args.obs_dim
-        return lambda g: featurize_baseline(g, "opcode_histogram", args.obs_dim)
-    if args.obs == "zero":
-        obs_dim_holder["dim"] = args.obs_dim
-        return lambda g: featurize_baseline(g, "all_zero", args.obs_dim)
-    raise UserError(f"unknown observation mode {args.obs!r}")
+        return (lambda g: embed_fn(g, params, cfg)), cfg.embed_dim
+    mode = {"histogram": "opcode_histogram", "zero": "all_zero"}[obs]
+    return (lambda g: featurize_baseline(g, mode, obs_dim)), obs_dim
 
 
 def cmd_rl_train(args) -> int:
     from .agent import N_ACTIONS, PpoConfig, train
     from .embedder import save_checkpoint
 
-    ppo_doc = {}
-    if args.config:
-        with open(args.config) as f:
-            ppo_doc = json.load(f)
-    digest = _input_digest("rl", args.corpus, args.seed, args.obs,
-                           args.embed or "", json.dumps(ppo_doc, sort_keys=True))
+    if args.obs != "rgcn" and args.obs_dim < len(InstrClass):
+        raise UserError(f"--obs {args.obs} needs --obs-dim >= "
+                        f"{len(InstrClass)}, one per instruction class")
+    digest = _stage_digest(args, inputs=("corpus", "embed", "config", "costs"),
+                           outputs=("out", "log"))
     if _up_to_date(args, args.out, digest, extra_outputs=[args.log] if args.log else ()):
         return 0
-    designs_text = _load_corpus_dir(args.corpus)
-    designs = [(n, parse_module(t)) for n, t in designs_text]
-    holder: dict = {}
-    obs_fn = _obs_fn_from(args, holder)
-    config = PpoConfig(seed=args.seed, **ppo_doc)
+    ppo_doc = _load_json(args.config, "PPO config") if args.config else {}
+    try:
+        config = PpoConfig(seed=args.seed, **ppo_doc)
+    except TypeError as e:
+        raise UserError(f"bad PPO config {args.config}: {e}")
+    designs = [(n, parse_module(t)) for n, t in _load_corpus_dir(args.corpus)]
+    obs_fn, obs_dim = _obs_fn(args.obs, args.obs_dim, args.embed)
     log = None
     if not args.quiet:
         log = lambda p: print(f"iter {p.iteration}: return {p.mean_return:.4f} "
                               f"ratio {p.mean_cycles_ratio:.4f}", file=sys.stderr)
-    params, curve = train(designs, obs_fn, config, args.seed, holder["dim"],
-                          log_fn=log)
+    params, curve = train(designs, obs_fn, config, args.seed, obs_dim,
+                          costs=_load_costs(args.costs), log_fn=log)
     save_checkpoint(args.out, params,
-                    {"kind": "policy", "obs_dim": holder["dim"],
+                    {"kind": "policy", "obs_dim": obs_dim,
                      "n_actions": N_ACTIONS, "obs": args.obs,
                      "ppo": {"hidden": list(config.hidden)}},
                     args.seed)
     if args.log:
-        with open(args.log, "w") as f:
-            f.write("iteration,mean_return,mean_cycles_ratio\n")
-            for p in curve:
-                f.write(f"{p.iteration},{p.mean_return:.6f},"
-                        f"{p.mean_cycles_ratio:.6f}\n")
+        _write(args.log, "iteration,mean_return,mean_cycles_ratio\n" + "".join(
+            f"{p.iteration},{p.mean_return:.6f},{p.mean_cycles_ratio:.6f}\n"
+            for p in curve))
     _write_stamp(args.out, digest)
     _say(args, f"wrote {args.out}")
     return 0
 
 
 def cmd_search(args) -> int:
-    from .agent import infer as rl_infer, search_baseline
-    from .embedder import load_checkpoint
+    from .agent import infer, search_baseline
 
     m = _read_module(args.design)
     costs = _load_costs(args.costs)
     t0 = time.time()
     if args.method == "rl":
-        if not (args.policy and (args.embed or args.obs != "rgcn")):
-            raise UserError("--method rl requires --policy (and --embed for rgcn)")
-        holder: dict = {}
-        obs_fn = _obs_fn_from(args, holder)
-        policy_params, _, _ = load_checkpoint(args.policy)
-        seq, cycles, best_idx = rl_infer(m, policy_params, obs_fn, costs)
+        if not args.policy:
+            raise UserError("--method rl requires --policy CKPT")
+        policy, cfg = _load_checkpoint(args.policy, "policy")
+        obs_fn, obs_dim = _obs_fn(cfg["obs"], cfg["obs_dim"], args.embed)
+        if obs_dim != cfg["obs_dim"]:
+            raise UserError(f"{args.embed} embeds into {obs_dim} dimensions; "
+                            f"the policy observes {cfg['obs_dim']}")
+        seq, cycles, best_idx = infer(m, policy, obs_fn, costs)
         result = {"method": "rl", "sequence": [p.value for p in seq],
                   "cycles": cycles[best_idx], "baseline_cycles": cycles[0],
                   "trace": cycles}
@@ -436,46 +456,22 @@ def cmd_search(args) -> int:
                   "sequence": [p.value for p in sr.sequence],
                   "cycles": sr.cycles, "baseline_cycles": sr.baseline_cycles,
                   "evaluations": sr.evaluations}
-    result["wall_time_s"] = round(time.time() - t0, 3)
-    text = json.dumps(result, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as f:
-            deterministic = dict(result)
-            deterministic.pop("wall_time_s", None)
-            json.dump(deterministic, f, sort_keys=True, indent=1)
-            f.write("\n")
-    print(text)
-    return 0
-
-
-def cmd_infer(args) -> int:
-    from .agent import infer as rl_infer
-    from .embedder import load_checkpoint
-
-    m = _read_module(args.design)
-    holder: dict = {}
-    obs_fn = _obs_fn_from(args, holder)
-    policy_params, _, _ = load_checkpoint(args.policy)
-    seq, cycles, best_idx = rl_infer(m, policy_params, obs_fn,
-                                     _load_costs(args.costs))
-    doc = {"sequence": [p.value for p in seq], "cycles": cycles[best_idx],
-           "baseline_cycles": cycles[0], "trace": cycles}
-    print(json.dumps(doc, sort_keys=True))
+        _write(args.out, _json_text(result))
+    print(json.dumps({**result, "wall_time_s": round(time.time() - t0, 3)},
+                     sort_keys=True))
     return 0
 
 
 def cmd_report(args) -> int:
     results = []
     for path in args.results:
-        with open(path) as f:
-            doc = json.load(f)
-        records = doc if isinstance(doc, list) else [doc]
-        for rec in records:
+        doc = _load_json(path, "results file")
+        for rec in doc if isinstance(doc, list) else [doc]:
             results.append(MethodResult.from_dict(rec))
     csv_text, summary = report(results)
     if args.out_csv:
-        with open(args.out_csv, "w") as f:
-            f.write(csv_text)
+        _write(args.out_csv, csv_text)
         _say(args, f"wrote {args.out_csv}")
     else:
         sys.stdout.write(csv_text)
@@ -485,97 +481,97 @@ def cmd_report(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    rows = []
-    for i, entry in enumerate(pass_catalog()):
-        rows.append({"index": i, "pass": entry.pass_id.value,
-                     "category": entry.category,
-                     "pragma_anchored": entry.pragma_anchored,
-                     "description": entry.description})
+    rows = [{"index": i, "pass": e.pass_id.value, "category": e.category,
+             "pragma_anchored": e.pragma_anchored, "description": e.description}
+            for i, e in enumerate(pass_catalog())]
     print(json.dumps(rows, indent=1, sort_keys=True))
     return 0
 
 
 # ---------------------------------------------------------------------------
 
+#: Options several subcommands share; each subcommand takes only those its
+#: handler reads.
+_SHARED = {
+    "seed": dict(type=int, default=0),
+    "costs": dict(default=None, help="cost-table JSON overriding the defaults"),
+    "json": dict(action="store_true", help="prefer JSON on stdout"),
+    "quiet": dict(action="store_true"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="passforge",
         description="Structure-aware compiler pass ordering on a mini SSA IR.")
     parser.add_argument("--version", action="version", version=__version__)
-
-    def common(sub):
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--costs", default=None,
-                         help="cost-table JSON overriding the defaults")
-        sub.add_argument("--json", action="store_true",
-                         help="prefer JSON on stdout")
-        sub.add_argument("--quiet", action="store_true")
-        return sub
-
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = common(subs.add_parser("parse", help="parse, verify, and reprint"))
+    def command(name, handler, help, *shared):
+        p = subs.add_parser(name, help=help)
+        for opt in shared:
+            p.add_argument("--" + opt, **_SHARED[opt])
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("parse", cmd_parse, "parse, verify, and reprint", "quiet")
     p.add_argument("file")
     p.add_argument("--emit")
-    p.set_defaults(handler=cmd_parse)
 
-    p = common(subs.add_parser("verify", help="report structural violations"))
+    p = command("verify", cmd_verify, "report structural violations", "quiet")
     p.add_argument("file")
-    p.set_defaults(handler=cmd_verify)
 
-    p = common(subs.add_parser("graph", help="emit the heterogeneous graph"))
+    p = command("graph", cmd_graph, "emit the heterogeneous graph",
+                "json", "quiet")
     p.add_argument("file")
     p.add_argument("--fn", default=None)
     p.add_argument("--dot")
     p.add_argument("--json-out", dest="json_out")
-    p.set_defaults(handler=cmd_graph)
 
-    p = common(subs.add_parser("run", help="apply a pass sequence"))
+    p = command("run", cmd_run, "apply a pass sequence", "quiet")
     p.add_argument("file")
     p.add_argument("-p", "--passes", required=True,
                    help='comma-separated, e.g. "sccp,simplifycfg,adce"')
     p.add_argument("--emit")
     p.add_argument("--stats")
-    p.set_defaults(handler=cmd_run)
 
-    p = common(subs.add_parser("estimate", help="latency/resource estimate"))
+    p = command("estimate", cmd_estimate, "latency/resource estimate",
+                "costs", "json", "quiet")
     p.add_argument("file")
     p.add_argument("--raw", action="store_true",
                    help="skip pragma expansion before estimating")
     p.add_argument("--json-out", dest="json_out")
-    p.set_defaults(handler=cmd_estimate)
 
-    p = common(subs.add_parser("interp", help="run the reference interpreter"))
+    p = command("interp", cmd_interp, "run the reference interpreter",
+                "seed", "costs")
     p.add_argument("file")
     p.add_argument("--inputs", help="JSON list matching the top signature")
     p.add_argument("--fuel", type=int, default=10**8)
     p.add_argument("--oracle", action="store_true",
                    help="also report latency-weighted dynamic cycles")
-    p.set_defaults(handler=cmd_interp)
 
-    p = common(subs.add_parser("hged", help="heterogeneous graph edit distance"))
+    p = command("hged", cmd_hged, "heterogeneous graph edit distance", "costs")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--fn", default=None)
     p.add_argument("--mode", default="beam:32", help="exact | beam:WIDTH")
-    p.set_defaults(handler=cmd_hged)
 
-    p = common(subs.add_parser("corpus-gen", help="generate synthetic kernels"))
+    p = command("corpus-gen", cmd_corpus_gen, "generate synthetic kernels",
+                "seed", "quiet")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=24)
-    p.set_defaults(handler=cmd_corpus_gen)
 
-    p = common(subs.add_parser("dataset-gen",
-                               help="pass-sequence variants + pair labels"))
+    p = command("dataset-gen", cmd_dataset_gen,
+                "pass-sequence variants + pair labels", "seed", "quiet")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seqs", type=int, default=20)
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--intra-cap", type=int, default=40)
     p.add_argument("--cross-pairs", type=int, default=300)
-    p.set_defaults(handler=cmd_dataset_gen)
 
-    p = common(subs.add_parser("pretrain", help="contrastive embedder training"))
+    p = command("pretrain", cmd_pretrain, "contrastive embedder training",
+                "seed", "quiet")
     p.add_argument("--corpus", required=True,
                    help="dataset directory from dataset-gen")
     p.add_argument("--pairs", default=None,
@@ -587,9 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed-dim", type=int, default=32)
     p.add_argument("--homogenize", action="store_true",
                    help="single-relation ablation model")
-    p.set_defaults(handler=cmd_pretrain)
 
-    p = common(subs.add_parser("rl-train", help="train the PPO policy"))
+    p = command("rl-train", cmd_rl_train, "train the PPO policy",
+                "seed", "costs", "quiet")
     p.add_argument("--corpus", required=True)
     p.add_argument("--embed", default=None)
     p.add_argument("--obs", default="rgcn", choices=["rgcn", "histogram", "zero"])
@@ -597,36 +593,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="PPO config JSON")
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None, help="reward curve CSV")
-    p.set_defaults(handler=cmd_rl_train)
 
-    p = common(subs.add_parser("search", help="search for a pass sequence"))
+    p = command("search", cmd_search, "search for a pass sequence",
+                "seed", "costs")
     p.add_argument("--method", required=True,
                    choices=["rl", "greedy", "genetic", "random"])
     p.add_argument("--design", required=True)
     p.add_argument("--budget", type=int, default=64)
-    p.add_argument("--embed", default=None)
-    p.add_argument("--policy", default=None)
-    p.add_argument("--obs", default="rgcn", choices=["rgcn", "histogram", "zero"])
-    p.add_argument("--obs-dim", type=int, default=32)
+    p.add_argument("--policy", default=None,
+                   help="rl-train checkpoint; its observation mode applies")
+    p.add_argument("--embed", default=None,
+                   help="embedder checkpoint for an rgcn policy")
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_search)
 
-    p = common(subs.add_parser("infer", help="policy inference on one design"))
-    p.add_argument("--design", required=True)
-    p.add_argument("--embed", default=None)
-    p.add_argument("--policy", required=True)
-    p.add_argument("--obs", default="rgcn", choices=["rgcn", "histogram", "zero"])
-    p.add_argument("--obs-dim", type=int, default=32)
-    p.set_defaults(handler=cmd_infer)
-
-    p = common(subs.add_parser("report", help="tabulate method results"))
+    p = command("report", cmd_report, "tabulate method results", "quiet")
     p.add_argument("--results", nargs="+", required=True)
     p.add_argument("--out-csv")
-    p.set_defaults(handler=cmd_report)
 
-    p = common(subs.add_parser("catalog", help="list the pass catalog"))
-    p.set_defaults(handler=cmd_catalog)
-
+    command("catalog", cmd_catalog, "list the pass catalog")
     return parser
 
 

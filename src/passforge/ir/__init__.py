@@ -12,9 +12,9 @@ from .interp import (
     interpret, wrap32,
 )
 from .analysis import (
-    DomTree, Loop, LoopForest, natural_loops, predecessor_map, preheader_of,
-    reachable_blocks, refresh_loop_annotations, reverse_postorder,
-    successor_map,
+    DomTree, Loop, LoopForest, natural_loops, pointer_target, predecessor_map,
+    preheader_of, reachable_blocks, refresh_loop_annotations,
+    reverse_postorder, successor_map,
 )
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "Violation", "verify_module",
     "DEFAULT_FUEL", "ExecResult", "FuelExhausted", "TrapError",
     "fold_constant", "interpret", "wrap32",
-    "DomTree", "Loop", "LoopForest", "natural_loops", "predecessor_map",
-    "preheader_of", "reachable_blocks", "refresh_loop_annotations",
-    "reverse_postorder", "successor_map",
+    "DomTree", "Loop", "LoopForest", "natural_loops", "pointer_target",
+    "predecessor_map", "preheader_of", "reachable_blocks",
+    "refresh_loop_annotations", "reverse_postorder", "successor_map",
 ]

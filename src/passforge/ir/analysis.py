@@ -4,13 +4,31 @@ Everything here is derived from the block structure alone: predecessor and
 successor maps, dominators (iterative Cooper-Harvey-Kennedy), and the natural
 loop forest.  Loop identities come from the ``loop(id, ...)`` annotations on
 header blocks; membership and nesting are always recomputed from back edges so
-they stay correct as passes rewrite the CFG.
+they stay correct as passes rewrite the CFG.  One dataflow helper rides
+along: `pointer_target` decodes the array and index a pointer addresses.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .types import IrBlock, IrFunction, LoopInfo
+from .types import (
+    GlobalRef, IrBlock, IrFunction, IrInstruction, LoopInfo, Opcode, Operand,
+    ValueRef,
+)
+
+
+def pointer_target(defs: dict[str, IrInstruction],
+                   op: Operand) -> tuple[str, Operand] | None:
+    """(array, index operand) a pointer addresses when it is a getelementptr
+    result: the array is "@name" for a global, "%id" for a parameter.  None
+    when the pointer's provenance is unknown."""
+    if isinstance(op, ValueRef):
+        src = defs.get(op.id)
+        if src is not None and src.opcode is Opcode.GETELEMENTPTR:
+            base, idx = src.operands
+            arr = "@" + base.name if isinstance(base, GlobalRef) else "%" + base.id
+            return arr, idx
+    return None
 
 
 def successor_map(fn: IrFunction) -> dict[str, list[str]]:

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from ..ir import (
     Const, DomTree, IrFunction, IrInstruction, IrModule, Opcode, ValueRef,
-    fold_constant,
+    fold_constant, pointer_target,
 )
-from ..ir.types import GlobalRef, I1, Operand
+from ..ir.types import I1, Operand
 from .rewrite import (
     FreshNames, PURE_OPS, PURE_OR_DIV, erase_dead_pure, replace_all_uses,
     uses_of,
@@ -316,13 +316,8 @@ def _scoped_value_numbering(fn: IrFunction, commutative_sort: bool) -> None:
 
     def gep_array(op: Operand) -> str | None:
         """Array a pointer refers to, or None when provenance is unknown."""
-        if isinstance(op, ValueRef):
-            src = defs.get(op.id)
-            if src is not None and src.opcode is Opcode.GETELEMENTPTR:
-                base = src.operands[0]
-                return ("@" + base.name if isinstance(base, GlobalRef)
-                        else "%" + base.id)
-        return None
+        target = pointer_target(defs, op)
+        return None if target is None else target[0]
 
     defs = fn.defined_values()
 

@@ -8,19 +8,14 @@ same array as potential aliases.
 """
 from __future__ import annotations
 
-from ..ir import GlobalRef, IrFunction, IrModule, Opcode, ValueRef
+from ..ir import IrModule, Opcode, pointer_target
 from ..ir.types import Operand
 
 
 def _ptr_key(fn_defs, op: Operand) -> tuple[str, str] | None:
     """(array, index-repr) for a pointer, or None when unresolvable."""
-    if isinstance(op, ValueRef):
-        src = fn_defs.get(op.id)
-        if src is not None and src.opcode is Opcode.GETELEMENTPTR:
-            base, idx = src.operands
-            arr = "@" + base.name if isinstance(base, GlobalRef) else "%" + base.id
-            return arr, str(idx)
-    return None
+    target = pointer_target(fn_defs, op)
+    return None if target is None else (target[0], str(target[1]))
 
 
 def run_mem2reg(m: IrModule) -> None:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ir import (
-    GlobalRef, IrFunction, IrModule, Loop, Opcode, PragmaKind, ValueRef,
-    interpret, natural_loops, reverse_postorder,
+    Const, IrFunction, IrModule, Loop, Opcode, PragmaKind, ValueRef,
+    interpret, natural_loops, pointer_target, reverse_postorder,
 )
 from .ir.types import Operand
 from .passes.loop_passes import loop_trip_count
@@ -104,29 +104,23 @@ class QoRReport:
         }
 
 
-def _array_of(defs, op: Operand) -> str | None:
-    """Identity of the array a pointer operand addresses ('?' if unknown)."""
-    if isinstance(op, ValueRef):
-        src = defs.get(op.id)
-        if src is not None and src.opcode is Opcode.GETELEMENTPTR:
-            base = src.operands[0]
-            return "@" + base.name if isinstance(base, GlobalRef) else "%" + base.id
-        return "?"
-    return "?"
-
-
 def _access_key(defs, op: Operand) -> tuple[str, str | None]:
-    """(array, constant-index-or-None); a None index may alias anything in
-    the array."""
-    arr = _array_of(defs, op)
-    if isinstance(op, ValueRef):
-        src = defs.get(op.id)
-        if src is not None and src.opcode is Opcode.GETELEMENTPTR:
-            from .ir import Const
-            idx = src.operands[1]
-            if isinstance(idx, Const):
-                return arr, str(idx.value)
-    return arr, None
+    """(array, constant-index-or-None) of a pointer; the array is '?' when
+    unknown, and a None index may alias anything in the array."""
+    target = pointer_target(defs, op)
+    if target is None:
+        return "?", None
+    arr, idx = target
+    return arr, (str(idx.value) if isinstance(idx, Const) else None)
+
+
+def _mem_op(defs, ins) -> tuple[str, tuple[str, str | None]] | None:
+    """('r' or 'w', access key) of a load or store; None for any other op."""
+    if ins.opcode is Opcode.LOAD:
+        return "r", _access_key(defs, ins.operands[0])
+    if ins.opcode is Opcode.STORE:
+        return "w", _access_key(defs, ins.operands[1])
+    return None
 
 
 def _keys_alias(a: tuple[str, str | None], b: tuple[str, str | None]) -> bool:
@@ -172,25 +166,20 @@ class _FunctionModel:
             for vid in ins.value_uses():
                 if vid in by_result:
                     start = max(start, finish[by_result[vid]])
-            kind = None
-            key = ("?", None)
-            if ins.opcode is Opcode.LOAD:
-                kind, key = "r", _access_key(self.defs, ins.operands[0])
-            elif ins.opcode is Opcode.STORE:
-                kind, key = "w", _access_key(self.defs, ins.operands[1])
-            elif ins.opcode is Opcode.CALL:
-                kind = "w"  # orders against every prior access
-            if kind is not None:
+            access = _mem_op(self.defs, ins)
+            if ins.opcode is Opcode.CALL:
+                access = ("w", ("?", None))  # orders against every access
+            if access is not None:
+                kind, key = access
                 for ekind, ekey, j in events:
                     if (ekind == "w" or kind == "w") and _keys_alias(ekey, key):
                         start = max(start, finish[j])
+                events.append((kind, key, idx))
             f = start + self._op_latency(ins)
             finish[idx] = f
             latest = max(latest, f)
             if ins.result is not None:
                 by_result[ins.result] = idx
-            if kind is not None:
-                events.append((kind, key, idx))
         return latest
 
     # -- region composition -------------------------------------------------
@@ -281,11 +270,9 @@ class _FunctionModel:
         bmap = self.fn.block_map()
         for lab in sorted(loop.blocks - inner):
             for ins in bmap[lab].all_instructions():
-                if ins.opcode is Opcode.LOAD:
-                    arr = _array_of(self.defs, ins.operands[0])
-                    counts[arr] = counts.get(arr, 0) + 1
-                elif ins.opcode is Opcode.STORE:
-                    arr = _array_of(self.defs, ins.operands[1])
+                access = _mem_op(self.defs, ins)
+                if access is not None:
+                    arr = access[1][0]
                     counts[arr] = counts.get(arr, 0) + 1
                 elif ins.opcode is Opcode.CALL:
                     for arr, n in self.model.function_mem_counts(
@@ -357,12 +344,9 @@ class _FunctionModel:
                 nodes.append(("ins", ins))
                 lat.append(self._op_latency(ins))
                 position.append(pos)
-                acc: list[tuple[str, tuple[str, str | None]]] = []
-                if ins.opcode is Opcode.LOAD:
-                    acc.append(("r", _access_key(defs, ins.operands[0])))
-                elif ins.opcode is Opcode.STORE:
-                    acc.append(("w", _access_key(defs, ins.operands[1])))
-                elif ins.opcode is Opcode.CALL:
+                access = _mem_op(defs, ins)
+                acc = [access] if access is not None else []
+                if ins.opcode is Opcode.CALL:
                     for arr in self.model.function_mem_counts(ins.callee):
                         acc.append(("r", (arr, None)))
                         acc.append(("w", (arr, None)))
@@ -440,10 +424,10 @@ class _FunctionModel:
         bmap = self.fn.block_map()
         for lab in loop.blocks:
             for ins in bmap[lab].all_instructions():
-                if reads and ins.opcode is Opcode.LOAD:
-                    out.add(_array_of(self.defs, ins.operands[0]))
-                elif not reads and ins.opcode is Opcode.STORE:
-                    out.add(_array_of(self.defs, ins.operands[1]))
+                access = _mem_op(self.defs, ins)
+                if access is not None:
+                    if (access[0] == "r") == reads:
+                        out.add(access[1][0])
                 elif ins.opcode is Opcode.CALL:
                     out.update(self.model.function_mem_counts(ins.callee))
         return sorted(out)
@@ -516,13 +500,10 @@ class _ModuleModel:
                 weight *= eff
                 l = l.parent
             for ins in b.all_instructions():
-                if ins.opcode is Opcode.LOAD:
-                    arr = _array_of(model.defs, ins.operands[0])
-                elif ins.opcode is Opcode.STORE:
-                    arr = _array_of(model.defs, ins.operands[1])
-                else:
-                    continue
-                counts[arr] = counts.get(arr, 0) + weight
+                access = _mem_op(model.defs, ins)
+                if access is not None:
+                    arr = access[1][0]
+                    counts[arr] = counts.get(arr, 0) + weight
         return counts
 
 

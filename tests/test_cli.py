@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, reproducibility stamps."""
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -123,7 +124,7 @@ def test_corpus_gen_byte_identical(tmp_path):
 
 
 def test_catalog_lists_action_indexing(capsys):
-    assert main(["catalog", "--quiet"]) == 0
+    assert main(["catalog"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["pass"] == "simplifycfg" and rows[0]["index"] == 0
     assert sum(1 for r in rows if not r["pragma_anchored"]) == 17
@@ -155,3 +156,188 @@ def test_make_folds_partition():
     assert [len(f) for f in folds] == [5, 5, 1]
     flat = [n for f in folds for n in f]
     assert flat == names
+
+
+# ---------------------------------------------------------------------------
+# Stage stamps, policy search, user errors, per-command options
+# ---------------------------------------------------------------------------
+
+PPO = {"iterations": 1, "episodes_per_iteration": 2, "max_episode_len": 3,
+       "minibatch_size": 8}
+
+
+def _ran(capsys, argv) -> bool:
+    """Run a stage; True when it ran, False when its stamp matched."""
+    assert main(argv) == 0
+    return "up to date" not in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def stages(workdir):
+    """A three-design corpus, its dataset, an embedder and a PPO config."""
+    d = workdir / "stages"
+    (d / "corpus").mkdir(parents=True)
+    for name in ("dot_01", "vec_combine_00", "stencil_02"):
+        shutil.copy(workdir / "corpus" / f"{name}.ir", d / "corpus")
+    assert main(["dataset-gen", "--corpus", str(d / "corpus"),
+                 "--out", str(d / "ds"), "--seqs", "2", "--max-len", "2",
+                 "--intra-cap", "3", "--cross-pairs", "3", "--quiet"]) == 0
+    assert main(["pretrain", "--corpus", str(d / "ds"),
+                 "--out", str(d / "emb.ckpt"), "--epochs", "2", "--hidden", "8",
+                 "--embed-dim", "12", "--quiet"]) == 0
+    (d / "ppo.json").write_text(json.dumps(PPO))
+    return d
+
+
+def test_dataset_gen_stamp_covers_options_and_design_texts(stages, tmp_path,
+                                                            capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(stages / "corpus", corpus)
+    out = tmp_path / "ds"
+    argv = ["dataset-gen", "--corpus", str(corpus), "--out", str(out),
+            "--seqs", "2", "--max-len", "2"]
+    assert _ran(capsys, argv + ["--intra-cap", "3", "--cross-pairs", "3"])
+    assert not _ran(capsys, argv + ["--intra-cap", "3", "--cross-pairs", "3"])
+    assert _ran(capsys, argv + ["--intra-cap", "3", "--cross-pairs", "0"])
+    assert _ran(capsys, argv + ["--intra-cap", "0", "--cross-pairs", "0"])
+    assert json.loads((out / "pairs.json").read_text())["pairs"] == []
+    design = corpus / "dot_01.ir"
+    design.write_text(design.read_text() + "; edited\n")
+    assert _ran(capsys, argv + ["--intra-cap", "0", "--cross-pairs", "0"])
+    assert not _ran(capsys, argv + ["--intra-cap", "0", "--cross-pairs", "0"])
+
+
+def test_pretrain_stamp_covers_patience(stages, tmp_path, capsys):
+    # The checkpoint lands inside the dataset directory: a stage's own
+    # output is not one of its inputs.
+    ds = tmp_path / "ds"
+    shutil.copytree(stages / "ds", ds)
+    argv = ["pretrain", "--corpus", str(ds), "--out", str(ds / "emb.ckpt"),
+            "--epochs", "2", "--hidden", "8", "--embed-dim", "12"]
+    assert _ran(capsys, argv + ["--patience", "1"])
+    assert not _ran(capsys, argv + ["--patience", "1"])
+    assert _ran(capsys, argv + ["--patience", "2"])
+
+
+def test_rl_train_stamp_covers_obs_dim_and_embedder_bytes(stages, tmp_path,
+                                                          capsys):
+    from passforge.embedder import load_checkpoint, save_checkpoint
+
+    policy = tmp_path / "policy.ckpt"
+    argv = ["rl-train", "--corpus", str(stages / "corpus"),
+            "--config", str(stages / "ppo.json"), "--out", str(policy),
+            "--obs", "histogram"]
+    assert _ran(capsys, argv + ["--obs-dim", "16"])
+    assert _ran(capsys, argv + ["--obs-dim", "32"])
+    assert load_checkpoint(str(policy))[1]["obs_dim"] == 32
+    assert main(["search", "--method", "rl", "--policy", str(policy),
+                 "--design", str(stages / "corpus" / "dot_01.ir")]) == 0
+
+    embed = tmp_path / "emb.ckpt"
+    shutil.copy(stages / "emb.ckpt", embed)
+    argv = ["rl-train", "--corpus", str(stages / "corpus"),
+            "--config", str(stages / "ppo.json"), "--out", str(policy),
+            "--embed", str(embed)]
+    assert _ran(capsys, argv)
+    assert not _ran(capsys, argv)
+    params, config, _ = load_checkpoint(str(embed))
+    save_checkpoint(str(embed), {k: v * 0.5 for k, v in params.items()},
+                    config, seed=1)
+    assert _ran(capsys, argv)
+
+
+def _search_rl(capsys, *extra) -> dict:
+    capsys.readouterr()
+    assert main(["search", "--method", "rl", *extra]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("obs", ["histogram", "rgcn"])
+def test_search_rl_reads_observation_from_policy(stages, tmp_path, capsys,
+                                                 obs):
+    from passforge.agent import infer
+    from passforge.embedder import (
+        RgcnConfig, embed, featurize_baseline, load_checkpoint,
+    )
+    from passforge.ir import parse_module
+
+    embed_ckpt = str(stages / "emb.ckpt")
+    policy = tmp_path / "policy.ckpt"
+    assert main(["rl-train", "--corpus", str(stages / "corpus"),
+                 "--config", str(stages / "ppo.json"), "--quiet",
+                 "--out", str(policy), "--obs", obs, "--obs-dim", "12",
+                 "--embed", embed_ckpt]) == 0
+    if obs == "rgcn":
+        emb_params, emb_doc, _ = load_checkpoint(embed_ckpt)
+        emb_cfg = RgcnConfig.from_dict(emb_doc)
+        obs_fn = lambda g: embed(g, emb_params, emb_cfg)
+        extra = ["--embed", embed_ckpt]
+    else:
+        obs_fn = lambda g: featurize_baseline(g, "opcode_histogram", 12)
+        extra = []
+    design = stages / "corpus" / "vec_combine_00.ir"
+    doc = _search_rl(capsys, "--design", str(design), "--policy", str(policy),
+                     *extra)
+    seq, cycles, best = infer(parse_module(design.read_text()),
+                              load_checkpoint(str(policy))[0], obs_fn)
+    assert doc["sequence"] == [p.value for p in seq]
+    assert doc["trace"] == cycles and doc["cycles"] == cycles[best]
+
+
+@pytest.mark.parametrize("obs", ["histogram", "zero"])
+def test_rl_train_rejects_small_obs_dim(stages, tmp_path, obs):
+    assert main(["rl-train", "--corpus", str(stages / "corpus"),
+                 "--out", str(tmp_path / "p.ckpt"), "--obs", obs,
+                 "--obs-dim", "8", "--quiet"]) == 1
+
+
+def test_bad_input_files_are_user_errors(stages, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    missing = str(tmp_path / "missing.json")
+    rl = ["rl-train", "--corpus", str(stages / "corpus"), "--obs",
+          "histogram", "--out", str(tmp_path / "p.ckpt"), "--quiet"]
+    pre = ["pretrain", "--corpus", str(stages / "ds"), "--quiet",
+           "--out", str(tmp_path / "e.ckpt")]
+    for path in (str(bad), missing):
+        assert main(rl + ["--config", path]) == 1
+        assert main(pre + ["--pairs", path]) == 1
+
+
+def test_bad_or_mismatched_checkpoints_are_user_errors(stages, tmp_path):
+    policy = tmp_path / "policy.ckpt"
+    assert main(["rl-train", "--corpus", str(stages / "corpus"), "--quiet",
+                 "--config", str(stages / "ppo.json"), "--out", str(policy),
+                 "--obs", "histogram", "--obs-dim", "12"]) == 0
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text(json.dumps({"format": "other"}))
+    design = str(stages / "corpus" / "dot_01.ir")
+    embed = str(stages / "emb.ckpt")
+    rl = ["rl-train", "--corpus", str(stages / "corpus"), "--quiet",
+          "--config", str(stages / "ppo.json"), "--out", str(tmp_path / "p")]
+    assert main(rl + ["--embed", str(bad)]) == 1
+    assert main(rl + ["--embed", str(policy)]) == 1
+    search = ["search", "--method", "rl", "--design", design]
+    assert main(search + ["--policy", str(bad)]) == 1
+    assert main(search + ["--policy", embed]) == 1
+    assert main(search + ["--policy", str(policy), "--embed", embed]) == 0
+
+
+def test_pretrain_without_training_pairs_is_user_error(stages, tmp_path):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"pairs": [
+        {"i": 0, "j": 1, "label": 0.5, "split": "val"}]}))
+    assert main(["pretrain", "--corpus", str(stages / "ds"), "--quiet",
+                 "--pairs", str(pairs), "--out", str(tmp_path / "e.ckpt")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--seed", "0"],
+    ["parse", "x.ir", "--seed", "0"],
+    ["search", "--method", "rl", "--design", "x.ir", "--obs", "histogram"],
+    ["infer", "--design", "x.ir", "--policy", "p.ckpt"],
+])
+def test_unread_options_and_removed_commands_are_rejected(argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2

@@ -112,8 +112,8 @@ def test_changed_false_means_structurally_equal(dot_module):
     assert print_module(r2.module) == print_module(r.module)
 
 
-@pytest.mark.parametrize("pass_id", [PassId.ADCE, PassId.DSE, PassId.MEM2REG,
-                                     PassId.LOOP_SIMPLIFY])
+@pytest.mark.parametrize("pass_id", [e.pass_id for e in pass_catalog()
+                                     if e.idempotent])
 def test_idempotent_passes(pass_id, small_corpus):
     for _name, m in small_corpus[:6]:
         once = apply_pass(m, pass_id).module
