@@ -31,7 +31,7 @@ from . import __version__
 from .corpus import corpus_gen, random_inputs
 from .dataset import dataset_gen, load_dataset, save_dataset
 from .graphs import build_het_graph, to_dot, to_json
-from .hged import DEFAULT_BEAM_WIDTH, EditCostModel, hged
+from .hged import DEFAULT_BEAM_WIDTH, EditCostModel, SizeError, hged
 from .ir import (
     FuelExhausted, InstrClass, IrSyntaxError, TrapError, VerifyError,
     interpret, parse_module, print_module, verify_module,
@@ -265,11 +265,21 @@ def cmd_hged(args) -> int:
     g2 = build_het_graph(m2, args.fn)
     mode, width = args.mode, DEFAULT_BEAM_WIDTH
     if mode.startswith("beam:"):
-        mode, width = "beam", int(mode.split(":", 1)[1])
+        digits = mode[len("beam:"):]
+        mode, width = "beam", int(digits) if digits.isdigit() else 0
+    if mode not in ("exact", "beam") or width < 1:
+        raise UserError(f"bad --mode {args.mode!r}: use exact or beam:WIDTH")
     costs = EditCostModel()
     if args.costs:
-        costs = EditCostModel.from_dict(_load_json(args.costs, "edit costs"))
-    result = hged(g1, g2, costs, mode=mode, beam_width=width)
+        try:
+            costs = EditCostModel.from_dict(_load_json(args.costs,
+                                                       "edit costs"))
+        except ValueError as e:
+            raise UserError(f"bad edit costs {args.costs}: {e}")
+    try:
+        result = hged(g1, g2, costs, mode=mode, beam_width=width)
+    except SizeError as e:
+        raise UserError(f"{e}; use --mode beam:N for graphs this large")
     doc = {"stage1_cost": result.stage1_cost, "stage2_cost": result.stage2_cost,
            "total": result.total, "normalized": result.normalized,
            "exact": result.exact,

@@ -130,9 +130,10 @@ def dataset_gen(designs: list[tuple[str, str]], k_sequences: int,
         cross_budget -= 1
 
     pairs: list[TrainPair] = []
+    memo: dict = {}     # stage results, shared by this call's pairs only
     for (i, j) in pair_keys:
         result = hged(variants[i].graph, variants[j].graph, costs,
-                      mode="beam", beam_width=beam_width)
+                      mode="beam", beam_width=beam_width, memo=memo)
         pairs.append(TrainPair(i, j, result.normalized, variants[i].split))
 
     return Dataset(variants, pairs, seed,

@@ -10,13 +10,41 @@ crossing block pairs are priced under the composed instruction mapping.
 Substitutions never cross node kinds, all costs are symmetric by default, and
 the normalized distance divides by the delete-everything-plus-insert-
 everything path so labels land in [0, 1].
+
+Each stage pair is one search over edit paths, best-first (``ged_exact``) or
+a beam (``ged_beam``): level i maps G1's node i to an unused G2 node of its
+kind or deletes it, in a fixed candidate order.  A search state carries what
+its bound needs, besides its cost and mapping: G2's unused nodes counted per
+label and per kind, its unused-to-unused edges counted per relation, and the
+label term of the bound.  A child updates these from per-node label ids and
+incident-edge lists; G1's side is tabulated per level once per search.  An
+assignment prices only the earlier nodes adjacent to the pair, in ascending
+order, so every float sum keeps the order of the plain definition.
+
+``ged_beam`` answers a pair of stage graphs that are equal up to node ids
+(``StageGraph.key``) at once: cost 0 and the positional identity, which is
+exactly what the search returns when no cost is negative or non-finite and
+every deletion costs at least 1 (``_beam_keeps_identity``; the default costs
+qualify, ``EditCostModel.from_dict`` rejects negative ones).  ``ged_exact``
+pops newest-first and may end on another zero-cost mapping of an automorphic
+graph, so it always searches.
+
+``hged(..., memo=dict)`` caches beam stage results by both stage keys, the
+beam width, the affiliation extras and the cost model, with the mapping
+stored by position; a search result is a function of exactly these, so a hit
+returns what a fresh search would.  The memo belongs to its caller:
+``dataset_gen`` makes one per call, whose pairs repeat many block pairs.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 
 from .graphs import HetGraph, NodeKind, Relation
 
@@ -66,11 +94,39 @@ class EditCostModel:
                 "edge_sub_mismatch": self.edge_sub_mismatch,
                 "w1": self.w1, "w2": self.w2}
 
+    def bad_costs(self) -> list[str]:
+        """The costs that are not finite non-negative numbers."""
+        bad = []
+        for name, value in self.to_dict().items():
+            items = ({f"{name}.{k}": v for k, v in value.items()}
+                     if isinstance(value, dict) else {name: value})
+            bad += [f"{k}={v!r}" for k, v in items.items()
+                    if isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not 0 <= v < math.inf]
+        return bad
+
     @staticmethod
     def from_dict(doc: dict) -> "EditCostModel":
+        """Raises ValueError on an unknown field, node kind or relation, and
+        on a cost that is not a finite non-negative number."""
+        if not isinstance(doc, dict):
+            raise ValueError("edit costs must be a JSON object")
         m = EditCostModel()
+        defaults = m.to_dict()
         for k, v in doc.items():
+            if k not in defaults:
+                raise ValueError(f"unknown edit cost {k!r}")
+            if isinstance(defaults[k], dict):
+                if not isinstance(v, dict):
+                    raise ValueError(f"{k} must be an object of costs")
+                unknown = sorted(set(v) - set(defaults[k]))
+                if unknown:
+                    raise ValueError(f"unknown {k} keys {unknown}")
             setattr(m, k, v)
+        bad = m.bad_costs()
+        if bad:
+            raise ValueError(f"costs must be finite and non-negative: "
+                             f"{', '.join(bad)}")
         return m
 
 
@@ -100,6 +156,15 @@ class StageGraph:
         for rels in self.between.values():
             rels.sort()
 
+    @cached_property
+    def key(self) -> tuple:
+        """The graph up to node ids: (kind, label) of each node, and (source
+        position, target position, relation) of each edge, in order.  A
+        search result is a function of the two keys, its costs and widths."""
+        pos = {n.nid: i for i, n in enumerate(self.nodes)}
+        return (tuple((n.kind, n.label) for n in self.nodes),
+                tuple((pos[e.src], pos[e.dst], e.rel) for e in self.edges))
+
 
 @dataclass
 class HgedResult:
@@ -111,16 +176,23 @@ class HgedResult:
     exact: bool
 
 
-def _edge_pair_cost(rels1: list[str], rels2: list[str],
-                    costs: EditCostModel) -> float:
-    """Cost of reconciling parallel edge multisets between two node pairs."""
-    if not rels1 and not rels2:
+def _edge_pair_cost(rels1: tuple, rels2: tuple, costs: EditCostModel) -> float:
+    """Cost of reconciling parallel edge multisets (sorted) between two node
+    pairs."""
+    if rels1 == rels2:
         return 0.0
+    cost = 0.0
+    if not rels2:
+        for rel in rels1:
+            cost += costs.e_del(rel)
+        return cost
+    if not rels1:
+        for rel in rels2:
+            cost += costs.e_ins(rel)
+        return cost
     c1, c2 = Counter(rels1), Counter(rels2)
-    common = sum((c1 & c2).values())
     extra1 = list((c1 - c2).elements())
     extra2 = list((c2 - c1).elements())
-    cost = 0.0
     subs = min(len(extra1), len(extra2))
     cost += subs * costs.edge_sub_mismatch
     for rel in extra1[subs:]:
@@ -144,119 +216,239 @@ def _insert_all_cost(g: StageGraph, costs: EditCostModel,
     return c
 
 
+_NO_EDGES = ((), ())
+
+
+def _edge_bound(e1: list[int], e2: list[int]) -> int:
+    """Relation-count mismatch between two remaining edge sets."""
+    surplus = deficit = 0
+    for x, y in zip(e1, e2):
+        if x > y:
+            surplus += x - y
+        else:
+            deficit += y - x
+    return max(surplus, deficit)
+
+
+def _neighbours(g: StageGraph) -> list[dict[int, tuple]]:
+    """For each node position, every other node position adjacent to it,
+    with the sorted relations of the edges (from it, to it)."""
+    pos = {n.nid: i for i, n in enumerate(g.nodes)}
+    near: list[dict[int, tuple]] = [{} for _ in g.nodes]
+    for (src, dst), rels in g.between.items():
+        i, j = pos[src], pos[dst]
+        if i != j:
+            near[i][j] = (tuple(rels), near[i].get(j, _NO_EDGES)[1])
+            near[j][i] = (near[j].get(i, _NO_EDGES)[0], tuple(rels))
+    return near
+
+
 class _Search:
-    """Shared machinery for exact (A*) and beam searches over edit paths."""
+    """Shared machinery for exact (A*) and beam searches over edit paths.
+
+    Level i decides G1's node i.  A state is ``(g, mapping, inv, r2, t2, e2,
+    lab)``: the path cost; the G2 position (or None) of each decided G1 node;
+    the G1 position of each G2 node, None while unused; G2's unused nodes
+    counted per label id and per kind id; its unused-to-unused edges counted
+    per relation id; and the label-multiset mismatch between G1's nodes i..
+    and G2's unused nodes.  States share these lists with their children and
+    are never mutated."""
 
     def __init__(self, g1: StageGraph, g2: StageGraph, costs: EditCostModel,
                  del_extra: float = 0.0, ins_extra: float = 0.0):
-        self.g1, self.g2, self.costs = g1, g2, costs
-        self.del_extra, self.ins_extra = del_extra, ins_extra
-        self.n1 = len(g1.nodes)
-        self.n2 = len(g2.nodes)
-        # Remaining-label multiset tails for the heuristic, per level.
-        self.tail_labels: list[Counter] = []
-        acc = Counter()
-        for node in reversed(g1.nodes):
-            acc = acc.copy()
-            acc[(node.kind, node.label)] += 1
-            self.tail_labels.append(acc)
-        self.tail_labels.append(Counter())
-        self.tail_labels.reverse()
-        # Remaining-to-remaining edge relation counts per level (G1 side).
-        idx_of = {n.nid: i for i, n in enumerate(g1.nodes)}
-        self.tail_edges: list[Counter] = [Counter() for _ in range(self.n1 + 1)]
-        for level in range(self.n1, -1, -1):
-            c = Counter()
-            for e in g1.edges:
-                if idx_of[e.src] >= level and idx_of[e.dst] >= level:
-                    c[e.rel] += 1
-            self.tail_edges[level] = c
+        self.costs = costs
+        self.n1, self.n2 = n1, n2 = len(g1.nodes), len(g2.nodes)
+        labels: dict[tuple, int] = {}
+        kinds: dict[str, int] = {}
+        rels: dict[str, int] = {}
+        self.lid1 = [labels.setdefault((n.kind, n.label), len(labels))
+                     for n in g1.nodes]
+        self.lid2 = [labels.setdefault((n.kind, n.label), len(labels))
+                     for n in g2.nodes]
+        self.kid1 = [kinds.setdefault(n.kind, len(kinds)) for n in g1.nodes]
+        self.kid2 = [kinds.setdefault(n.kind, len(kinds)) for n in g2.nodes]
+        for e in g1.edges + g2.edges:
+            rels.setdefault(e.rel, len(rels))
+        pos1 = {n.nid: i for i, n in enumerate(g1.nodes)}
+        pos2 = {n.nid: j for j, n in enumerate(g2.nodes)}
 
-    def assign_cost(self, mapping: tuple, i: int, target: int | None) -> float:
-        """Incremental cost of mapping g1.nodes[i] to g2.nodes[target]
-        (or deleting it when target is None)."""
-        g1, g2, costs = self.g1, self.g2, self.costs
-        u1 = g1.nodes[i]
+        # G1 side of the heuristic: label occurrences by position, and per
+        # level the kind and remaining-to-remaining relation counts.
+        self.where1: list[list[int]] = [[] for _ in labels]
+        for i, lid in enumerate(self.lid1):
+            self.where1[lid].append(i)
+        self.kinds1 = [[0] * len(kinds) for _ in range(n1 + 1)]
+        self.edges1 = [[0] * len(rels) for _ in range(n1 + 1)]
+        for e in g1.edges:
+            self.edges1[min(pos1[e.src], pos1[e.dst])][rels[e.rel]] += 1
+        for i in range(n1 - 1, -1, -1):
+            self.kinds1[i] = self.kinds1[i + 1].copy()
+            self.kinds1[i][self.kid1[i]] += 1
+            self.edges1[i] = [x + y for x, y in
+                              zip(self.edges1[i], self.edges1[i + 1])]
+
+        # Edge pricing: G1's earlier neighbours of each node, in ascending
+        # order, and G2's neighbours.  A G1 self-loop is never priced by an
+        # assignment.
+        self.near1 = [{j: rs for j, rs in sorted(near.items()) if j < i}
+                      for i, near in enumerate(_neighbours(g1))]
+        self.near2 = _neighbours(g2)
+        self.rel2 = [rels[e.rel] for e in g2.edges]
+        self.inc2: list[list[tuple[int, int]]] = [[] for _ in range(n2)]
+        for e, r in zip(g2.edges, self.rel2):
+            i, j = pos2[e.src], pos2[e.dst]
+            self.inc2[i].append((j, r))
+            if i != j:
+                self.inc2[j].append((i, r))
+        self.by_kind2: list[list[int]] = [[] for _ in kinds]
+        for j, k in enumerate(self.kid2):
+            self.by_kind2[k].append(j)
+
+        # Fixed costs, each summed in the same order on every path.
+        self.del_node = [costs.n_del(n.kind) + del_extra for n in g1.nodes]
+        self.del_edges = [[costs.e_del(rel) for pair in near.values()
+                           for rels in pair for rel in rels]
+                          for near in self.near1]
+        self.ins_node = [costs.n_ins(n.kind) + ins_extra for n in g2.nodes]
+        self.ins_edges = [(pos2[e.src], pos2[e.dst], costs.e_ins(e.rel))
+                          for e in g2.edges]
+        self.nid1 = [n.nid for n in g1.nodes]
+        self.nid2 = [n.nid for n in g2.nodes]
+        self.n_rels = len(rels)
+        self.n_kinds = len(kinds)
+        self.n_labels = len(labels)
+
+    def start(self) -> tuple:
+        r2 = [0] * self.n_labels
+        for lid in self.lid2:
+            r2[lid] += 1
+        t2 = [0] * self.n_kinds
+        for k in self.kid2:
+            t2[k] += 1
+        e2 = [0] * self.n_rels
+        for r in self.rel2:
+            e2[r] += 1
+        lab = sum(max(x, y) for x, y in zip(self.kinds1[0], t2))
+        lab -= sum(min(len(w), n) for w, n in zip(self.where1, r2))
+        return (0.0, (), [None] * self.n2, r2, t2, e2, lab)
+
+    def remaining1(self, lid: int, i: int) -> int:
+        """Occurrences of label ``lid`` among G1's nodes i.. (undecided)."""
+        where = self.where1[lid]
+        return len(where) - bisect_left(where, i)
+
+    def assign_cost(self, mapping: tuple, inv: list, i: int,
+                    target: int | None) -> float:
+        """Incremental cost of mapping G1's node i to G2's node ``target``
+        (or deleting it when target is None).  Only earlier nodes adjacent
+        to node i, or whose images are adjacent to ``target``, can add a
+        cost; they are priced in ascending order."""
         if target is None:
-            cost = costs.n_del(u1.kind) + self.del_extra
-            for j in range(i):
-                v1 = g1.nodes[j]
-                for rels in (g1.between.get((u1.nid, v1.nid), ()),
-                             g1.between.get((v1.nid, u1.nid), ())):
-                    for rel in rels:
-                        cost += costs.e_del(rel)
+            cost = self.del_node[i]
+            for c in self.del_edges[i]:
+                cost += c
             return cost
-        u2 = g2.nodes[target]
-        cost = costs.n_sub(u1.label, u2.label)
-        for j in range(i):
-            v1 = g1.nodes[j]
-            t = mapping[j]
-            v2 = g2.nodes[t] if t is not None else None
-            for a, b in (((u1.nid, v1.nid), (u2.nid, v2.nid if v2 else None)),
-                         ((v1.nid, u1.nid), (v2.nid if v2 else None, u2.nid))):
-                rels1 = g1.between.get(a, [])
-                rels2 = g2.between.get(b, []) if v2 is not None else []
-                cost += _edge_pair_cost(rels1, rels2, self.costs)
-        return cost
-
-    def heuristic(self, i: int, used: frozenset) -> float:
-        """Admissible: label-multiset mismatch over remaining nodes plus
-        relation-count mismatch over remaining-to-remaining edges."""
         costs = self.costs
-        rem1 = self.tail_labels[i]
-        rem2 = Counter()
-        for j, node in enumerate(self.g2.nodes):
-            if j not in used:
-                rem2[(node.kind, node.label)] += 1
-        h = 0.0
-        kinds = {k for k, _ in rem1} | {k for k, _ in rem2}
-        for kind in kinds:
-            c1 = Counter({lab: n for (k, lab), n in rem1.items() if k == kind})
-            c2 = Counter({lab: n for (k, lab), n in rem2.items() if k == kind})
-            t1, t2 = sum(c1.values()), sum(c2.values())
-            common = sum((c1 & c2).values())
-            h += max(t1, t2) - common
-        e1 = self.tail_edges[i]
-        e2 = Counter()
-        for e in self.g2.edges:
-            su = self._g2_index[e.src]
-            du = self._g2_index[e.dst]
-            if su not in used and du not in used:
-                e2[e.rel] += 1
-        surplus = sum((e1 - e2).values())
-        deficit = sum((e2 - e1).values())
-        h += max(surplus, deficit)
-        return h
-
-    @property
-    def _g2_index(self) -> dict[int, int]:
-        if not hasattr(self, "_g2_index_cache"):
-            self._g2_index_cache = {n.nid: j for j, n in enumerate(self.g2.nodes)}
-        return self._g2_index_cache
-
-    def finish_cost(self, used: frozenset) -> float:
-        """Insert every unused G2 node and all its incident edges."""
-        g2, costs = self.g2, self.costs
-        cost = 0.0
-        unused = [j for j in range(self.n2) if j not in used]
-        unused_ids = {g2.nodes[j].nid for j in unused}
-        for j in unused:
-            cost += costs.n_ins(g2.nodes[j].kind) + self.ins_extra
-        for e in g2.edges:
-            if e.src in unused_ids or e.dst in unused_ids:
-                cost += costs.e_ins(e.rel)
+        cost = 0.0 if self.lid1[i] == self.lid2[target] \
+            else costs.node_sub_mismatch
+        near1, near2 = self.near1[i], self.near2[target]
+        order = [j for t in near2 if (j := inv[t]) is not None
+                 and j not in near1]
+        if order:
+            order.extend(near1)
+            order.sort()
+        else:
+            order = near1
+        for j in order:
+            out1, in1 = near1.get(j, _NO_EDGES)
+            t = mapping[j]
+            out2, in2 = _NO_EDGES if t is None else near2.get(t, _NO_EDGES)
+            cost += _edge_pair_cost(out1, out2, costs)
+            cost += _edge_pair_cost(in1, in2, costs)
         return cost
 
-    def candidates(self, i: int, used: frozenset) -> list[int | None]:
-        u1 = self.g1.nodes[i]
-        out: list[int | None] = []
-        for j, node in enumerate(self.g2.nodes):
-            if j not in used and node.kind == u1.kind:
-                out.append(j)
-        out.append(None)
-        # Identity-friendly tie order: same index first, then by index.
-        out.sort(key=lambda j: (0 if j == i else 1, -1 if j is None else j))
+    def finish_cost(self, inv: list, also_used: int | None = None) -> float:
+        """Insert every unused G2 node and all its incident edges."""
+        cost = 0.0
+        for j, c in enumerate(self.ins_node):
+            if inv[j] is None and j != also_used:
+                cost += c
+        for src, dst, c in self.ins_edges:
+            if (inv[src] is None and src != also_used) or \
+                    (inv[dst] is None and dst != also_used):
+                cost += c
+        return cost
+
+    def candidates(self, i: int, inv: list) -> list[int | None]:
+        """Unused G2 nodes of node i's kind, in identity-friendly tie order:
+        the same index first, then deletion, then by index."""
+        same = self.by_kind2[self.kid1[i]]
+        if i < self.n2 and self.kid2[i] == self.kid1[i] and inv[i] is None:
+            return [i, None] + [j for j in same if inv[j] is None and j != i]
+        return [None] + [j for j in same if inv[j] is None]
+
+    def expand(self, state: tuple, i: int) -> list[tuple]:
+        """Children of ``state`` at level i, in candidate order, as ``(f, g,
+        state, cand, lab, e2)``; ``settle`` makes one a state.
+
+        f adds a bound to g: label-multiset mismatch between G1's nodes i..
+        (the node just decided included) and G2's unused nodes, plus
+        relation-count mismatch over remaining-to-remaining edges, both
+        updated from the parent's counts; on the last level, the exact cost
+        of inserting what is left of G2.  ``lab`` is the child's own label
+        term, over G1's nodes i+1.."""
+        g, mapping, inv, r2, t2, e2, lab = state
+        last = i + 1 == self.n1
+        a, k = self.lid1[i], self.kid1[i]
+        t1k, t2k = self.kinds1[i][k], t2[k]
+        ra = self.remaining1(a, i)
+        # Deciding node i removes it from G1's side: max(t1k, .) and
+        # min(ra, r2[a]) each drop by one or not at all.
+        nlab_del = lab - max(t1k, t2k) + max(t1k - 1, t2k) + (ra <= r2[a])
+        edges1 = self.edges1[i + 1]
+        out = []
+        for cand in self.candidates(i, inv):
+            ng = g + self.assign_cost(mapping, inv, i, cand)
+            if last:
+                out.append((ng + self.finish_cost(inv, cand), ng, state, cand,
+                            0, e2))
+            elif cand is None:
+                out.append((ng + (lab + _edge_bound(edges1, e2)), ng, state,
+                            None, nlab_del, e2))
+            else:
+                b = self.lid2[cand]
+                hlab = lab - max(t1k, t2k) + max(t1k, t2k - 1) \
+                    + (r2[b] <= self.remaining1(b, i))
+                nlab = hlab - max(t1k, t2k - 1) + max(t1k - 1, t2k - 1) \
+                    + (ra <= r2[a] - (a == b))
+                ne2 = e2
+                for t, r in self.inc2[cand]:
+                    if inv[t] is None:
+                        if ne2 is e2:
+                            ne2 = e2.copy()
+                        ne2[r] -= 1
+                out.append((ng + (hlab + _edge_bound(edges1, ne2)), ng, state,
+                            cand, nlab, ne2))
         return out
+
+    def settle(self, child: tuple, i: int) -> tuple:
+        _f, ng, state, cand, lab, e2 = child
+        _g, mapping, inv, r2, t2, _e2, _lab = state
+        if cand is not None:
+            inv = inv.copy()
+            inv[cand] = i
+            r2 = r2.copy()
+            r2[self.lid2[cand]] -= 1
+            t2 = t2.copy()
+            t2[self.kid2[cand]] -= 1
+        return (ng, mapping + (cand,), inv, r2, t2, e2, lab)
+
+    def total(self, state: tuple) -> tuple[float, dict[int, int]]:
+        """Cost and node-id mapping of a complete state."""
+        g, mapping, inv = state[:3]
+        return g + self.finish_cost(inv), {
+            self.nid1[k]: self.nid2[t] for k, t in enumerate(mapping)
+            if t is not None}
 
 
 #: Ceiling on best-first expansions; A*-GED is exponential in the worst case
@@ -267,7 +459,9 @@ EXACT_EXPANSION_BUDGET = 400_000
 def ged_exact(g1: StageGraph, g2: StageGraph, costs: EditCostModel,
               node_limit: int = EXACT_NODE_LIMIT, del_extra: float = 0.0,
               ins_extra: float = 0.0) -> tuple[float, dict[int, int]]:
-    """Optimal edit distance via best-first search with an admissible bound."""
+    """Edit distance via best-first search.  The bound's label term counts
+    the node just decided, so it is not admissible and the result can exceed
+    the optimum: [A, B] against [A], no edges, unit costs, returns 2, not 1."""
     if len(g1.nodes) + len(g2.nodes) > node_limit:
         raise SizeError(
             f"{len(g1.nodes)}+{len(g2.nodes)} nodes exceeds the exact-mode "
@@ -276,76 +470,59 @@ def ged_exact(g1: StageGraph, g2: StageGraph, costs: EditCostModel,
     counter = itertools.count()
     # Ties on f pop newest-first (depth-first), so a zero-cost identity path
     # dives straight to the goal instead of flooding the frontier.
-    start = (search.heuristic(0, frozenset()), -next(counter), 0.0, (), frozenset())
-    heap = [start]
-    best_g: dict[tuple, float] = {}
+    heap = [(0.0, -next(counter), search.start())]
     expansions = 0
     while heap:
         expansions += 1
         if expansions > EXACT_EXPANSION_BUDGET:
             raise SizeError(
                 f"exact search exceeded {EXACT_EXPANSION_BUDGET} expansions")
-        f, _, g, mapping, used = heapq.heappop(heap)
-        i = len(mapping)
+        _f, _, state = heapq.heappop(heap)
+        i = len(state[1])
         if i == search.n1:
-            total = g + search.finish_cost(used)
-            # finish_cost is part of h at the last level, so this is optimal.
-            out = {}
-            for k, t in enumerate(mapping):
-                if t is not None:
-                    out[g1.nodes[k].nid] = g2.nodes[t].nid
-            return total, out
-        for cand in search.candidates(i, used):
-            ng = g + search.assign_cost(mapping, i, cand)
-            nmapping = mapping + (cand,)
-            nused = used | {cand} if cand is not None else used
-            key = (i + 1, nmapping)
-            if best_g.get(key, float("inf")) <= ng:
-                continue
-            best_g[key] = ng
-            if i + 1 == search.n1:
-                nf = ng + search.finish_cost(nused)
-            else:
-                nf = ng + search.heuristic(i + 1, nused)
-            heapq.heappush(heap, (nf, -next(counter), ng, nmapping, nused))
+            # f is the full cost of a complete state.
+            return search.total(state)
+        for child in search.expand(state, i):
+            heapq.heappush(heap, (child[0], -next(counter),
+                                  search.settle(child, i)))
     raise RuntimeError("search exhausted without a complete edit path")
+
+
+def _beam_keeps_identity(g: StageGraph, costs: EditCostModel,
+                         del_extra: float, ins_extra: float) -> bool:
+    """Whether beam search of ``g`` against a copy equal up to node ids
+    returns the positional identity at cost 0.
+
+    The identity child is generated first at every level, with f = 1 (the
+    label bound still counts the node just decided) and f = 0 on the last.
+    No child is cheaper, so the stable sort keeps it first, when no cost is
+    negative or non-finite and every deletion costs at least 1: a path with
+    a deletion has g >= 1, and one without has a label bound >= 1."""
+    return not costs.bad_costs() and all(
+        costs.n_del(kind) + del_extra >= 1 and costs.n_ins(kind) + ins_extra >= 0
+        for kind in {n.kind for n in g.nodes})
 
 
 def ged_beam(g1: StageGraph, g2: StageGraph, costs: EditCostModel,
              width: int = DEFAULT_BEAM_WIDTH, del_extra: float = 0.0,
              ins_extra: float = 0.0) -> tuple[float, dict[int, int]]:
     """Beam search over the same state space; returns a valid (upper-bound)
-    edit path cost and its mapping."""
+    edit path cost and its mapping.  Graphs equal up to node ids return 0
+    and the positional identity at once (see the module docstring)."""
     if width < 1:
         raise ValueError("beam width must be >= 1")
+    if g1.key == g2.key and _beam_keeps_identity(g1, costs, del_extra,
+                                                 ins_extra):
+        return 0.0, {a.nid: b.nid for a, b in zip(g1.nodes, g2.nodes)}
     search = _Search(g1, g2, costs, del_extra, ins_extra)
-    level: list[tuple[float, float, tuple, frozenset]] = [
-        (search.heuristic(0, frozenset()), 0.0, (), frozenset())]
+    level = [search.start()]
     for i in range(search.n1):
-        nxt: list[tuple[float, float, tuple, frozenset]] = []
-        for _f, g, mapping, used in level:
-            for cand in search.candidates(i, used):
-                ng = g + search.assign_cost(mapping, i, cand)
-                nused = used | {cand} if cand is not None else used
-                if i + 1 == search.n1:
-                    nf = ng + search.finish_cost(nused)
-                else:
-                    nf = ng + search.heuristic(i + 1, nused)
-                nxt.append((nf, ng, mapping + (cand,), nused))
-        nxt.sort(key=lambda s: s[0])
-        level = nxt[:width]
-    best = None
-    for _f, g, mapping, used in level:
-        total = g + search.finish_cost(used)
-        if best is None or total < best[0]:
-            best = (total, mapping, used)
-    assert best is not None
-    total, mapping, _ = best
-    out = {}
-    for k, t in enumerate(mapping):
-        if t is not None:
-            out[g1.nodes[k].nid] = g2.nodes[t].nid
-    return total, out
+        children = [c for state in level for c in search.expand(state, i)]
+        children.sort(key=itemgetter(0))
+        level = [search.settle(c, i) for c in children[:width]]
+    # The sort is stable and f is the full cost on the last level, so the
+    # first state is the cheapest path, the earliest one on ties.
+    return search.total(level[0])
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +558,14 @@ def _instr_info(g: HetGraph):
 def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
          mode: str = "exact", beam_width: int = DEFAULT_BEAM_WIDTH,
          exact_node_limit: int = EXACT_NODE_LIMIT,
-         skeleton_limit: int = EXACT_SKELETON_LIMIT) -> HgedResult:
+         skeleton_limit: int = EXACT_SKELETON_LIMIT,
+         memo: dict | None = None) -> HgedResult:
     """Two-stage edit distance between two program graphs.
 
     mode "exact" uses best-first search everywhere and enforces the skeleton
-    and node-count limits; "beam" never errors and yields an upper bound."""
+    and node-count limits; "beam" never errors and yields an upper bound.
+    ``memo``, a dict the caller owns and passes to each call, caches beam
+    stage results (see the module docstring)."""
     costs = costs or EditCostModel()
     exact_mode = mode == "exact"
     if mode not in ("exact", "beam"):
@@ -400,6 +580,7 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
             f"{skeleton_limit}")
 
     exact = True
+    cost_key = repr(costs)
 
     def run_stage(a: StageGraph, b: StageGraph, del_extra=0.0, ins_extra=0.0):
         nonlocal exact
@@ -410,12 +591,22 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
             limit = max(exact_node_limit, len(a.nodes) + len(b.nodes))
             return ged_exact(a, b, costs, limit, del_extra, ins_extra)
         exact = False
-        return ged_beam(a, b, costs, beam_width, del_extra, ins_extra)
+        if memo is None:
+            return ged_beam(a, b, costs, beam_width, del_extra, ins_extra)
+        key = (a.key, b.key, beam_width, del_extra, ins_extra, cost_key)
+        if key not in memo:
+            cost, mapping = ged_beam(a, b, costs, beam_width, del_extra,
+                                     ins_extra)
+            pos = {n.nid: j for j, n in enumerate(b.nodes)}
+            memo[key] = (cost, [pos.get(mapping.get(n.nid)) for n in a.nodes])
+        cost, targets = memo[key]
+        return cost, {n.nid: b.nodes[t].nid for n, t in zip(a.nodes, targets)
+                      if t is not None}
 
     stage1_cost, sk_mapping = run_stage(sk1, sk2)
-    block_mapping = {
-        src: dst for src, dst in sk_mapping.items()
-        if any(n.node_id == src and n.kind is NodeKind.BLOCK for n in g1.nodes)}
+    blocks = {n.node_id for n in g1.nodes if n.kind is NodeKind.BLOCK}
+    block_mapping = {src: dst for src, dst in sk_mapping.items()
+                     if src in blocks}
 
     # Stage 2: instructions conditioned on the block mapping.
     _, per_block1, data1 = _instr_info(g1)

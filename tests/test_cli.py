@@ -103,6 +103,27 @@ def test_hged_cli(workdir, capsys):
     assert doc["total"] == 0.0 and doc["exact"] is True
 
 
+def test_hged_cli_user_errors(workdir, tmp_path, capsys):
+    blocks = "\n".join(f"block b{i}:\n  br b{i + 1}" for i in range(14))
+    big = tmp_path / "big.ir"
+    big.write_text(f"top func @f(%a: i32) -> i32 {{\n{blocks}\n"
+                   f"block b14:\n  ret i32 %a\n}}\n")
+    assert main(["hged", str(big), str(big), "--mode", "exact"]) == 1
+    assert "--mode beam:N" in capsys.readouterr().err
+    assert main(["hged", str(big), str(big), "--mode", "beam:4"]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] == 0.0
+    design = str(workdir / "corpus" / "dot_01.ir")
+    for mode in ("beam:x", "beam:0", "greedy"):
+        assert main(["hged", design, design, "--mode", mode]) == 1
+    costs = tmp_path / "costs.json"
+    for doc in ({"node_insertt": {"instr": 2.0}}, {"w1": -1.0}, [1]):
+        costs.write_text(json.dumps(doc))
+        assert main(["hged", design, design, "--costs", str(costs)]) == 1
+    assert "bad edit costs" in capsys.readouterr().err
+    costs.write_text(json.dumps({"node_delete": {"block": 2.0}}))
+    assert main(["hged", design, design, "--costs", str(costs)]) == 0
+
+
 def test_corpus_gen_resumable(workdir, capsys):
     # Re-running the completed stage is a no-op (stamp digest matches).
     code = main(["corpus-gen", "--out", str(workdir / "corpus"), "--n", "6",

@@ -4,8 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
+from passforge import hged as hged_module
 from passforge.corpus import corpus_gen
-from passforge.graphs import build_het_graph
+from passforge.dataset import dataset_gen
+from passforge.graphs import EdgeRecord, HetGraph, NodeRecord, build_het_graph
 from passforge.hged import (
     EditCostModel, SizeError, StageEdge, StageGraph, StageNode, ged_beam,
     ged_exact, hged,
@@ -205,3 +207,112 @@ def test_block_mapping_comes_from_stage1(dot_module):
     # identity mapping over the block nodes
     assert all(k == v for k, v in r.block_mapping.items())
     assert len(r.block_mapping) == len(dot_module.top.blocks)
+
+
+#: ``float.hex`` of every label of a small ``dataset_gen`` call, pinned from
+#: the earlier search that rebuilt its bound for every child.  The incremental
+#: bound, the identity short-circuit and the memo must leave each bit as is.
+PINNED_LABELS = [
+    "0x1.19d5b98a919d6p-1", "0x1.3a8fe53a8fe54p-1", "0x1.2323232323232p-1",
+    "0x1.267bd1267bd12p-4", "0x1.231188c462312p-1", "0x1.1000000000000p-2",
+    "0x1.3400000000000p-1", "0x1.2138abf82ee6ap-2", "0x1.1e9131abf0b76p-1",
+    "0x1.1111111111111p-3", "0x1.1f81f81f81f82p-1",
+]
+
+
+def test_dataset_labels_are_bit_identical_to_pinned():
+    ds = dataset_gen(corpus_gen(3, 0, include_cases=False), 3, 3, 0,
+                     cross_pairs=6)
+    assert [p.label.hex() for p in ds.pairs] == PINNED_LABELS
+
+
+def _stage_graphs(module) -> list[StageGraph]:
+    """The skeleton and every block's instruction graph of a module."""
+    g = build_het_graph(module)
+    _, per_block, data = hged_module._instr_info(g)
+    return [hged_module._skeleton(g)] + [
+        StageGraph(instrs, hged_module._internal_edges(data, instrs))
+        for instrs in per_block.values()]
+
+
+def _renumbered(g: StageGraph) -> StageGraph:
+    ids = {n.nid: 1000 + 7 * k for k, n in enumerate(reversed(g.nodes))}
+    return StageGraph([StageNode(ids[n.nid], n.kind, n.label) for n in g.nodes],
+                      [StageEdge(ids[e.src], ids[e.dst], e.rel) for e in g.edges])
+
+
+def test_beam_returns_identity_on_renumbered_copy(monkeypatch):
+    """Equal up to node ids: cost 0 and the positional identity, at once and
+    also when the search runs in full."""
+    costs = EditCostModel()
+    graphs = [g for _n, t in corpus_gen(6, 3, include_cases=False)
+              for g in _stage_graphs(parse_module(t))]
+    expected = []
+    for g in graphs:
+        h = _renumbered(g)
+        identity = {a.nid: b.nid for a, b in zip(g.nodes, h.nodes)}
+        expected.append((g, h, identity))
+        for width in (1, 16):
+            assert ged_beam(g, h, costs, width, 1.0, 1.0) == (0.0, identity)
+    monkeypatch.setattr(hged_module, "_beam_keeps_identity",
+                        lambda *_args: False)
+    for g, h, identity in expected:
+        for width in (1, 16):
+            assert ged_beam(g, h, costs, width, 1.0, 1.0) == (0.0, identity)
+
+
+def test_identity_shortcut_needs_deletions_of_at_least_one():
+    """The label bound counts whole nodes, the one just decided included, so
+    a free deletion undercuts the identity: width-1 search of this graph
+    against itself deletes node 0 and pays to insert it back."""
+    g = StageGraph([StageNode(0, "block", (1.0,)), StageNode(1, "block", (1.0,))],
+                   [])
+    costs = EditCostModel(node_delete={"block": 0.0})
+    assert ged_beam(g, g, costs, width=1) == (1.0, {1: 1})
+    assert ged_beam(g, g, EditCostModel(), width=1) == (0.0, {0: 0, 1: 1})
+
+
+def _renumbered_het(g: HetGraph) -> HetGraph:
+    """Node ids moved but kept in order, so blocks are visited alike."""
+    return HetGraph([NodeRecord(1000 + 3 * n.node_id, n.kind, n.attr)
+                     for n in g.nodes],
+                    [EdgeRecord(1000 + 3 * e.src, 1000 + 3 * e.dst, e.relation)
+                     for e in g.edges], g.function, g.module_digest)
+
+
+def test_memo_hit_returns_the_fresh_result(monkeypatch):
+    designs = corpus_gen(4, seed=3, include_cases=False)
+    a, b = (build_het_graph(parse_module(t)) for _n, t in designs[:2])
+    a2 = _renumbered_het(a)
+    fresh, fresh2 = (hged(x, b, mode="beam", beam_width=8) for x in (a, a2))
+    memo: dict = {}
+    assert hged(a, b, mode="beam", beam_width=8, memo=memo) == fresh
+    assert memo
+
+    def no_search(*_args):
+        raise AssertionError("a memo hit must not search")
+    monkeypatch.setattr(hged_module, "ged_beam", no_search)
+    assert hged(a2, b, mode="beam", beam_width=8, memo=memo) == fresh2
+    assert hged(a, b, mode="beam", beam_width=8, memo=memo) == fresh
+
+
+@pytest.mark.parametrize("doc", [
+    {"node_insertt": {"instr": 2.0}},
+    {"node_delete": {"instrr": 2.0}},
+    {"node_delete": 2.0},
+    {"w1": -1.0},
+    {"edge_delete": {"data": float("nan")}},
+    {"edge_sub_mismatch": float("inf")},
+    {"w2": "1"},
+    {"node_sub_mismatch": True},
+    [1.0],
+])
+def test_edit_costs_reject_bad_input(doc):
+    with pytest.raises(ValueError):
+        EditCostModel.from_dict(doc)
+
+
+def test_edit_costs_from_dict():
+    m = EditCostModel.from_dict({"node_delete": {"block": 2.0}, "w2": 0.5})
+    assert (m.n_del("block"), m.n_del("instr"), m.w2) == (2.0, 1.0, 0.5)
+    assert EditCostModel.from_dict(EditCostModel().to_dict()) == EditCostModel()

@@ -3,11 +3,14 @@ as written or after pragma expansion, leaves what the reference interpreter
 observes unchanged: the return value and memory digest, or the trap class, or
 fuel exhaustion (Csmith-style differential testing)."""
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from passforge.corpus import corpus_gen, random_inputs
 from passforge.ir import FuelExhausted, TrapError, interpret, parse_module
-from passforge.passes import apply_pragma_passes, apply_sequence, general_passes
+from passforge.passes import (
+    PassId, apply_pragma_passes, apply_sequence, general_passes,
+)
 
 #: case1 is left out: one interpreter run of it takes about half a second.
 DESIGNS = [parse_module(text) for name, text in corpus_gen(24, 3)
@@ -37,3 +40,59 @@ def test_pass_sequences_preserve_interpreter_semantics(design, expand,
     out, _ = apply_sequence(start, sequence)
     assert _outcome(out, inputs) == _outcome(design, inputs), \
         [p.value for p in sequence]
+
+
+#: Hand-written blocks whose outcome depends on one alias rule of a memory
+#: pass: two pointers into ``%a`` whose indices differ by name but are equal
+#: when ``%i == %j``.  No corpus design makes an outcome depend on these.
+ALIAS_CASES = {
+    # dse: the load of %q reads the first store, so a load of the same array
+    # between two stores to %p keeps the first one.
+    PassId.DSE: """
+top func @f(%a: i32[4], %i: i32, %j: i32) -> i32 {
+block entry:
+  %p = getelementptr %a, %i
+  %q = getelementptr %a, %j
+  store i32 5, %p
+  %v = load i32 %q
+  store i32 6, %p
+  ret i32 %v
+}
+""",
+    # mem2reg: the store to %q may overwrite a[%i], so it ends forwarding of
+    # the value stored to %p.
+    PassId.MEM2REG: """
+top func @f(%a: i32[4], %i: i32, %j: i32) -> i32 {
+block entry:
+  %p = getelementptr %a, %i
+  %q = getelementptr %a, %j
+  store i32 5, %p
+  store i32 6, %q
+  %v = load i32 %p
+  ret i32 %v
+}
+""",
+    # early_cse: the store to %q may change a[%i], so the second load of %p
+    # is not the first one.
+    PassId.EARLY_CSE: """
+top func @f(%a: i32[4], %i: i32, %j: i32) -> i32 {
+block entry:
+  %p = getelementptr %a, %i
+  %q = getelementptr %a, %j
+  %v = load i32 %p
+  store i32 6, %q
+  %w = load i32 %p
+  %s = sub i32 %w, %v
+  ret i32 %s
+}
+""",
+}
+
+
+@pytest.mark.parametrize("pass_id", list(ALIAS_CASES), ids=lambda p: p.value)
+@pytest.mark.parametrize("i, j", [(1, 1), (1, 2)])
+def test_memory_pass_alias_rules(pass_id, i, j):
+    design = parse_module(ALIAS_CASES[pass_id])
+    inputs = [[0, 1, 2, 3], i, j]
+    out, _ = apply_sequence(design, [pass_id])
+    assert _outcome(out, inputs) == _outcome(design, inputs)
