@@ -36,9 +36,6 @@ class Relation(enum.Enum):
     AFFIL_BLOCK_FUNC = "affil_bf"
 
 
-RELATIONS = (Relation.DATA_FLOW, Relation.CONTROL_FLOW,
-             Relation.AFFIL_INSTR_BLOCK, Relation.AFFIL_BLOCK_FUNC)
-
 #: Single relation used by the homogenized (GCN-ablation) variant.
 HOMOGENEOUS_RELATION = Relation.DATA_FLOW
 
@@ -67,12 +64,6 @@ class HetGraph:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    def edges_by_relation(self) -> dict[Relation, list[EdgeRecord]]:
-        out: dict[Relation, list[EdgeRecord]] = {r: [] for r in RELATIONS}
-        for e in self.edges:
-            out.setdefault(e.relation, []).append(e)
-        return out
 
     def canonical_hash(self) -> str:
         """Label-free structural hash: equal for graphs that differ only in

@@ -34,15 +34,17 @@ _ARITY = {
 }
 
 
-def _check_function(m: IrModule, fn: IrFunction, out: list[Violation]) -> None:
+def verify_function(m: IrModule, fn: IrFunction) -> list[Violation]:
+    """Violations of one function of ``m``; empty means ok."""
+    out: list[Violation] = []
     where = fn.name
     labels = [b.label for b in fn.blocks]
     if len(set(labels)) != len(labels):
         out.append(Violation("dup-label", "duplicate block labels", where))
-        return
+        return out
     if not fn.blocks:
         out.append(Violation("empty-fn", "function has no blocks", where))
-        return
+        return out
 
     bmap = fn.block_map()
 
@@ -51,7 +53,7 @@ def _check_function(m: IrModule, fn: IrFunction, out: list[Violation]) -> None:
         loc = f"{where}:{b.label}"
         if b.terminator is None:
             out.append(Violation("no-term", "block has no terminator", loc))
-            return
+            return out
         if not b.terminator.is_terminator:
             out.append(Violation("bad-term", "terminator is not br/condbr/ret", loc))
         seen_non_phi = False
@@ -72,7 +74,7 @@ def _check_function(m: IrModule, fn: IrFunction, out: list[Violation]) -> None:
                                      f"branch to unknown block {s!r}",
                                      f"{where}:{b.label}"))
     if any(v.code == "bad-target" for v in out):
-        return
+        return out
 
     preds = predecessor_map(fn)
     if preds[fn.entry.label]:
@@ -83,7 +85,7 @@ def _check_function(m: IrModule, fn: IrFunction, out: list[Violation]) -> None:
             out.append(Violation("unreachable",
                                  f"block {b.label!r} unreachable from entry", where))
     if any(v.code == "unreachable" for v in out):
-        return
+        return out
 
     # Definitions: unique; collect def site per value.
     defs: dict[str, tuple[str, int]] = {}
@@ -237,6 +239,7 @@ def _check_function(m: IrModule, fn: IrFunction, out: list[Violation]) -> None:
                 out.append(Violation("pragma-target",
                                      f"inline pragma targets unknown function "
                                      f"@{p.target}", where))
+    return out
 
 
 def verify_module(m: IrModule) -> list[Violation]:
@@ -262,7 +265,7 @@ def verify_module(m: IrModule) -> list[Violation]:
                                  "module"))
 
     for fn in m.functions:
-        _check_function(m, fn, out)
+        out += verify_function(m, fn)
 
     # Call graph must be acyclic.
     if not any(v.code == "bad-callee" for v in out):

@@ -6,7 +6,7 @@ from ..ir import (
     fold_constant, predecessor_map, refresh_loop_annotations,
 )
 from ..ir.types import IrInstruction, Operand, I1
-from ..ir.verify import _check_function
+from ..ir.verify import verify_function
 from .rewrite import (
     PURE_OPS, collapse_trivial_phis, drop_unreachable_blocks,
     remove_phi_entries, rename_phi_pred, replace_all_uses,
@@ -669,9 +669,7 @@ def _apply_thread(m: IrModule, fn: IrFunction, p: IrBlock, slot: int,
     drop_unreachable_blocks(fn)
     collapse_trivial_phis(fn)
     refresh_loop_annotations(fn)
-    violations: list = []
-    _check_function(m, fn, violations)
-    if violations:
+    if verify_function(m, fn):
         fn.blocks = snapshot
         return False
     return True

@@ -1,6 +1,13 @@
 """Loop passes: loop_simplify, loop_rotate, licm, indvars, loop_deletion,
 loop_unroll_partial — plus the induction-variable and trip-count analysis the
 QoR estimator builds on.
+
+One set of loop-rewrite helpers serves loop_rotate, loop_unroll_partial and
+the unroll pragma: the top-test matcher (``top_test``), the header phis'
+values on one edge (``edge_values``, ``set_edge_values``), the body copier
+(``copy_body``, ``peel_iterations``), the cloned loop test
+(``branch_on_test``), exit-phi routing (``used_outside``,
+``route_through_exit_phi``) and preheader repair (``repair_preheader``).
 """
 from __future__ import annotations
 
@@ -8,14 +15,12 @@ from dataclasses import dataclass
 
 from ..ir import (
     Const, IrBlock, IrFunction, IrInstruction, IrModule, LabelRef, Loop,
-    Opcode, ValueRef, natural_loops, predecessor_map, preheader_of,
+    LoopInfo, Opcode, ValueRef, natural_loops, predecessor_map, preheader_of,
     refresh_loop_annotations,
 )
-from ..ir.types import Operand, VOID, I1
+from ..ir.types import Operand, VOID
 from .rewrite import (
-    FreshNames, PURE_OPS, clone_with_map, collapse_trivial_phis,
-    drop_unreachable_blocks, replace_all_uses, retarget_terminator,
-    subst_operand,
+    FreshNames, PURE_OPS, clone_with_map, retarget_terminator, subst_operand,
 )
 
 
@@ -165,94 +170,32 @@ def _count_trips(s: int, step: int, pred: str, k: int, bottom_test: bool):
 
 
 # ---------------------------------------------------------------------------
-# loop_simplify
+# Loop-rewrite helpers shared by rotation, partial unrolling and the pragma
 # ---------------------------------------------------------------------------
 
-def _insert_preheader(fn: IrFunction, loop: Loop, fresh: FreshNames) -> bool:
-    preds = predecessor_map(fn)
-    header = fn.block_map()[loop.header]
-    outside = [p for p in preds[loop.header] if p not in loop.blocks]
-    if len(outside) == 1:
-        p = fn.block_map()[outside[0]]
-        if p.successors() == [loop.header]:
-            return False
-    pre = IrBlock(fresh.label(f"{loop.header}.pre"))
-    pre.terminator = IrInstruction(None, Opcode.BR, [LabelRef(loop.header)], VOID)
-    bmap = fn.block_map()
-    for phi in header.phis():
-        entries = phi.phi_incoming()
-        outside_entries = [(v, lab) for v, lab in entries if lab in outside]
-        inside_entries = [(v, lab) for v, lab in entries if lab not in outside]
-        if len(outside_entries) == 1:
-            merged: Operand = outside_entries[0][0]
-        else:
-            merged_phi = IrInstruction(
-                fresh.value(phi.result), Opcode.PHI,
-                [x for v, lab in outside_entries for x in (v, LabelRef(lab))],
-                phi.ir_type)
-            pre.instructions.insert(0, merged_phi)
-            merged = ValueRef(merged_phi.result)
-        phi.operands = [x for v, lab in inside_entries
-                        for x in (v, LabelRef(lab))] + [merged, LabelRef(pre.label)]
-    for p_label in outside:
-        retarget_terminator(bmap[p_label], loop.header, pre.label)
-    fn.blocks.insert(fn.blocks.index(header), pre)
-    return True
+@dataclass
+class TopTest:
+    """A loop tested at the top, with one latch ending in ``br``.
+
+    The header holds only its phis and the exit compare, whose result feeds
+    nothing but the header's branch.  One edge of that branch enters
+    ``body``, whose only predecessor is the header and which has no phis;
+    the other leaves for ``exit_label``.  ``pre`` is a dedicated preheader."""
+    header: IrBlock
+    pre: IrBlock
+    body: IrBlock
+    latch: IrBlock
+    exit_label: str
+    cmp: IrInstruction
+    body_first: bool          # the compare's true edge enters the body
 
 
-def _merge_latches(fn: IrFunction, loop: Loop, fresh: FreshNames) -> bool:
-    if len(loop.latches) <= 1:
-        return False
-    header = fn.block_map()[loop.header]
-    bmap = fn.block_map()
-    latch = IrBlock(fresh.label(f"{loop.header}.latch"))
-    latch.terminator = IrInstruction(None, Opcode.BR, [LabelRef(loop.header)], VOID)
-    for phi in header.phis():
-        entries = phi.phi_incoming()
-        latch_entries = [(v, lab) for v, lab in entries if lab in loop.latches]
-        other = [(v, lab) for v, lab in entries if lab not in loop.latches]
-        merged_phi = IrInstruction(
-            fresh.value(phi.result), Opcode.PHI,
-            [x for v, lab in latch_entries for x in (v, LabelRef(lab))],
-            phi.ir_type)
-        latch.instructions.insert(0, merged_phi)
-        phi.operands = [x for v, lab in other for x in (v, LabelRef(lab))] + \
-            [ValueRef(merged_phi.result), LabelRef(latch.label)]
-    for l_label in loop.latches:
-        retarget_terminator(bmap[l_label], loop.header, latch.label)
-    last_idx = max(fn.blocks.index(bmap[lab]) for lab in sorted(loop.blocks))
-    fn.blocks.insert(last_idx + 1, latch)
-    return True
-
-
-def run_loop_simplify(m: IrModule) -> None:
-    """Give every loop a dedicated preheader and a single latch; idempotent."""
-    for fn in m.functions:
-        fresh = FreshNames(fn)
-        for _ in range(64):
-            forest = natural_loops(fn)
-            changed = False
-            for loop in sorted(forest.loops, key=lambda l: (l.depth, l.header)):
-                if _insert_preheader(fn, loop, fresh):
-                    changed = True
-                    break
-                if _merge_latches(fn, loop, fresh):
-                    changed = True
-                    break
-            if not changed:
-                break
-        refresh_loop_annotations(fn)
-
-
-# ---------------------------------------------------------------------------
-# loop_rotate
-# ---------------------------------------------------------------------------
-
-def _rotatable(fn: IrFunction, loop: Loop):
-    header = fn.block_map()[loop.header]
+def top_test(fn: IrFunction, loop: Loop) -> TopTest | None:
+    """Match ``loop`` as a ``TopTest``; None when it has another shape."""
     if len(loop.latches) != 1:
         return None
-    latch = fn.block_map()[loop.latches[0]]
+    bmap = fn.block_map()
+    header, latch = bmap[loop.header], bmap[loop.latches[0]]
     if latch.terminator is None or latch.terminator.opcode is not Opcode.BR:
         return None
     non_phis = header.non_phis()
@@ -268,46 +211,204 @@ def _rotatable(fn: IrFunction, loop: Loop):
     # The compare result must have no other users.
     for b in fn.blocks:
         for ins in b.all_instructions():
-            if ins is term or ins is cmp:
-                continue
-            if cmp.result in ins.value_uses():
+            if ins is not term and ins is not cmp \
+                    and cmp.result in ins.value_uses():
                 return None
     t_lab = term.operands[1].label
     f_lab = term.operands[2].label
-    if (t_lab in loop.blocks) == (f_lab in loop.blocks):
-        return None
-    body_lab = t_lab if t_lab in loop.blocks else f_lab
-    exit_lab = f_lab if t_lab in loop.blocks else t_lab
     body_first = t_lab in loop.blocks
-    if body_lab == loop.header:
-        return None  # already a self-looping bottom-test loop
-    preds = predecessor_map(fn)
-    if preds[body_lab] != [loop.header]:
+    if body_first == (f_lab in loop.blocks):
         return None
-    if fn.block_map()[body_lab].phis():
+    body_lab, exit_label = (t_lab, f_lab) if body_first else (f_lab, t_lab)
+    # The header also has a predecessor outside the loop, so this rules out
+    # a header that is its own body.
+    preds = predecessor_map(fn)
+    if preds[body_lab] != [loop.header] or bmap[body_lab].phis():
         return None
     outside = [p for p in preds[loop.header] if p not in loop.blocks]
-    if len(outside) != 1:
+    if len(outside) != 1 or bmap[outside[0]].successors() != [loop.header]:
         return None
-    p_out = fn.block_map()[outside[0]]
-    if p_out.successors() != [loop.header]:
+    return TopTest(header, bmap[outside[0]], bmap[body_lab], latch,
+                   exit_label, cmp, body_first)
+
+
+def edge_values(header: IrBlock, pred: str) -> dict[str, Operand]:
+    """Each header phi's incoming value on the edge from ``pred``."""
+    return {phi.result: v for phi in header.phis()
+            for v, lab in phi.phi_incoming() if lab == pred}
+
+
+def set_edge_values(header: IrBlock, pred: str, values: dict[str, Operand],
+                    new_pred: str | None = None) -> None:
+    """Give each header phi ``values[phi]`` on the edge from ``pred``; that
+    edge comes from ``new_pred`` instead when one is given."""
+    for phi in header.phis():
+        ops: list[Operand | LabelRef] = []
+        for v, lab in phi.phi_incoming():
+            if lab == pred:
+                v, lab = values[phi.result], new_pred or pred
+            ops.extend([v, LabelRef(lab)])
+        phi.operands = ops
+
+
+def copy_body(target: IrBlock, source: list[IrInstruction],
+              latch: dict[str, Operand], state: dict[str, Operand],
+              fresh: FreshNames) -> dict[str, Operand]:
+    """Append one iteration of ``source`` to ``target`` with the header phis
+    bound to ``state``; returns their values for the next iteration, the
+    back-edge values ``latch`` remapped.  Instructions that fold to a
+    constant are not emitted."""
+    mapping = dict(state)
+    for ins in source:
+        new, res = clone_with_map(ins, mapping, fresh)
+        if new is not None:
+            target.instructions.append(new)
+        if ins.result is not None:
+            mapping[ins.result] = res
+    return {pid: subst_operand(v, mapping) for pid, v in latch.items()}
+
+
+def branch_on_test(t: TopTest, block: IrBlock, state: dict[str, Operand],
+                   into: str, fresh: FreshNames) -> None:
+    """End ``block`` with the loop's test under ``state``: on to ``into``
+    while it holds, else to the exit.  A test that folds to a constant
+    leaves a constant branch, which simplifycfg folds."""
+    ins, cond = clone_with_map(t.cmp, state, fresh)
+    if ins is not None:
+        block.instructions.append(ins)
+    on, off = (into, t.exit_label) if t.body_first else (t.exit_label, into)
+    block.terminator = IrInstruction(
+        None, Opcode.CONDBR, [cond, LabelRef(on), LabelRef(off)], VOID)
+
+
+def used_outside(fn: IrFunction, inside: set[str], value_id: str) -> bool:
+    """Whether a block not in ``inside`` uses ``value_id``."""
+    return any(value_id in ins.value_uses() for b in fn.blocks
+               if b.label not in inside for ins in b.all_instructions())
+
+
+def route_through_exit_phi(fn: IrFunction, inside: set[str],
+                           exit_blk: IrBlock, phi: IrInstruction,
+                           entries: list, fresh: FreshNames) -> None:
+    """Point the uses of ``phi`` outside ``inside`` at a new phi of
+    ``entries`` at the top of ``exit_blk``; the exit's own phis keep it."""
+    exit_phi = IrInstruction(fresh.value(phi.result), Opcode.PHI, entries,
+                             phi.ir_type)
+    for b in fn.blocks:
+        if b.label in inside:
+            continue
+        for ins in b.all_instructions():
+            if b is exit_blk and ins.opcode is Opcode.PHI:
+                continue
+            for i, op in enumerate(ins.operands):
+                if isinstance(op, ValueRef) and op.id == phi.result:
+                    ins.operands[i] = ValueRef(exit_phi.result)
+    exit_blk.instructions.insert(0, exit_phi)
+
+
+def repair_preheader(fn: IrFunction, loop: Loop, fresh: FreshNames) -> None:
+    """Give a two-block innermost loop, the shape unrolling takes, the
+    dedicated preheader it may lack."""
+    if not loop.children and len(loop.blocks) == 2:
+        insert_preheader(fn, loop, fresh)
+
+
+# ---------------------------------------------------------------------------
+# loop_simplify
+# ---------------------------------------------------------------------------
+
+def _funnel(fn: IrFunction, loop: Loop, preds: list[str], suffix: str,
+            fresh: FreshNames) -> IrBlock:
+    """A new block ``<header>.<suffix>`` that the edges from ``preds`` take
+    into the header instead; each header phi gets their values through it,
+    merged by a new phi there when there are several."""
+    header = fn.block_map()[loop.header]
+    blk = IrBlock(fresh.label(f"{loop.header}.{suffix}"))
+    blk.terminator = IrInstruction(None, Opcode.BR, [LabelRef(loop.header)],
+                                   VOID)
+    for phi in header.phis():
+        entries = phi.phi_incoming()
+        through = [x for v, lab in entries if lab in preds
+                   for x in (v, LabelRef(lab))]
+        if len(through) == 2:
+            merged: Operand = through[0]
+        else:
+            merged_phi = IrInstruction(fresh.value(phi.result), Opcode.PHI,
+                                       through, phi.ir_type)
+            blk.instructions.insert(0, merged_phi)
+            merged = ValueRef(merged_phi.result)
+        phi.operands = [x for v, lab in entries if lab not in preds
+                        for x in (v, LabelRef(lab))] + \
+            [merged, LabelRef(blk.label)]
+    bmap = fn.block_map()
+    for lab in preds:
+        retarget_terminator(bmap[lab], loop.header, blk.label)
+    return blk
+
+
+def insert_preheader(fn: IrFunction, loop: Loop, fresh: FreshNames) -> bool:
+    """Route the edges entering the loop through a new dedicated preheader,
+    unless there is one already."""
+    outside = [p for p in predecessor_map(fn)[loop.header]
+               if p not in loop.blocks]
+    if len(outside) == 1 and \
+            fn.block_map()[outside[0]].successors() == [loop.header]:
+        return False
+    pre = _funnel(fn, loop, outside, "pre", fresh)
+    fn.blocks.insert(fn.blocks.index(fn.block_map()[loop.header]), pre)
+    return True
+
+
+def _merge_latches(fn: IrFunction, loop: Loop, fresh: FreshNames) -> bool:
+    if len(loop.latches) <= 1:
+        return False
+    latch = _funnel(fn, loop, loop.latches, "latch", fresh)
+    bmap = fn.block_map()
+    last_idx = max(fn.blocks.index(bmap[lab]) for lab in sorted(loop.blocks))
+    fn.blocks.insert(last_idx + 1, latch)
+    return True
+
+
+def run_loop_simplify(m: IrModule) -> None:
+    """Give every loop a dedicated preheader and a single latch; idempotent."""
+    for fn in m.functions:
+        fresh = FreshNames(fn)
+        for _ in range(64):
+            forest = natural_loops(fn)
+            changed = False
+            for loop in sorted(forest.loops, key=lambda l: (l.depth, l.header)):
+                if insert_preheader(fn, loop, fresh):
+                    changed = True
+                    break
+                if _merge_latches(fn, loop, fresh):
+                    changed = True
+                    break
+            if not changed:
+                break
+        refresh_loop_annotations(fn)
+
+
+# ---------------------------------------------------------------------------
+# loop_rotate
+# ---------------------------------------------------------------------------
+
+def _rotatable(fn: IrFunction, loop: Loop) -> TopTest | None:
+    t = top_test(fn, loop)
+    if t is None:
         return None
-    if any(p != loop.header for p in preds[exit_lab]):
+    if any(p != loop.header for p in predecessor_map(fn)[t.exit_label]):
         return None
-    if loop.exits(fn) != [(loop.header, exit_lab)]:
+    if loop.exits(fn) != [(loop.header, t.exit_label)]:
         return None  # header must be the only exiting block
     # Compare operands must be loop-invariant or header phis.
-    phi_ids = {phi.result for phi in header.phis()}
-    def_block = {}
-    for b in fn.blocks:
-        for ins in b.all_instructions():
-            if ins.result is not None:
-                def_block[ins.result] = b.label
-    for op in cmp.operands:
-        if isinstance(op, ValueRef) and op.id not in phi_ids:
-            if def_block.get(op.id) in loop.blocks:
-                return None
-    return header, latch, p_out, body_lab, exit_lab, cmp, body_first
+    bmap = fn.block_map()
+    in_loop = {ins.result for lab in loop.blocks
+               for ins in bmap[lab].all_instructions()}
+    in_loop -= {phi.result for phi in t.header.phis()}
+    if any(isinstance(op, ValueRef) and op.id in in_loop
+           for op in t.cmp.operands):
+        return None
+    return t
 
 
 def run_loop_rotate(m: IrModule) -> None:
@@ -322,85 +423,39 @@ def run_loop_rotate(m: IrModule) -> None:
             rounds += 1
             forest = natural_loops(fn)
             for loop in sorted(forest.loops, key=lambda l: (l.depth, l.header)):
-                cand = _rotatable(fn, loop)
-                if cand is None:
+                t = _rotatable(fn, loop)
+                if t is None:
                     continue
-                _rotate(fn, loop, *cand)
+                _rotate(fn, loop, t)
                 changed = True
                 break
         refresh_loop_annotations(fn)
 
 
-def _rotate(fn: IrFunction, loop: Loop, header: IrBlock, latch: IrBlock,
-            p_out: IrBlock, body_lab: str, exit_lab: str,
-            cmp: IrInstruction, body_first: bool) -> None:
+def _rotate(fn: IrFunction, loop: Loop, t: TopTest) -> None:
     fresh = FreshNames(fn)
-    bmap = fn.block_map()
-    body = bmap[body_lab]
-    exit_blk = bmap[exit_lab]
+    header, latch, pre, body = t.header, t.latch, t.pre, t.body
+    exit_blk = fn.block_map()[t.exit_label]
     phis = header.phis()
-    init_map: dict[str, Operand] = {}
-    next_map: dict[str, Operand] = {}
-    for phi in phis:
-        inc = {lab: v for v, lab in phi.phi_incoming()}
-        init_map[phi.result] = inc[p_out.label]
-        next_map[phi.result] = inc[latch.label]
-
-    def guard_operand(mapping: dict[str, Operand], block: IrBlock) -> Operand:
-        ins, folded = clone_with_map(cmp, mapping, fresh)
-        if ins is None:
-            return folded  # constant guard; simplifycfg folds the branch
-        block.instructions.append(ins)
-        return ValueRef(ins.result)
-
-    g_pre = guard_operand(init_map, p_out)
-    t0, f0 = (body_lab, exit_lab) if body_first else (exit_lab, body_lab)
-    p_out.terminator = IrInstruction(
-        None, Opcode.CONDBR, [g_pre, LabelRef(t0), LabelRef(f0)], VOID)
-
-    g_latch = guard_operand(next_map, latch)
-    latch.terminator = IrInstruction(
-        None, Opcode.CONDBR, [g_latch, LabelRef(t0), LabelRef(f0)], VOID)
+    init_map = edge_values(header, pre.label)
+    next_map = edge_values(header, latch.label)
+    branch_on_test(t, pre, init_map, body.label, fresh)
+    branch_on_test(t, latch, next_map, body.label, fresh)
 
     # Phis move into the body block, which becomes the new header.
+    def entries(phi_id: str) -> list:
+        return [init_map[phi_id], LabelRef(pre.label),
+                next_map[phi_id], LabelRef(latch.label)]
+
     for phi in reversed(phis):
-        phi.operands = [init_map[phi.result], LabelRef(p_out.label),
-                        next_map[phi.result], LabelRef(latch.label)]
+        phi.operands = entries(phi.result)
         header.instructions.remove(phi)
         body.instructions.insert(0, phi)
 
     # Loop values used past the exit flow through dedicated exit phis.
-    outside_use_fix: list[tuple[str, IrInstruction]] = []
-    for phi in phis:
-        used_outside = False
-        for b in fn.blocks:
-            if b.label in loop.blocks or b is header:
-                continue
-            for ins in b.all_instructions():
-                if phi.result in ins.value_uses():
-                    used_outside = True
-        if used_outside:
-            exit_phi = IrInstruction(
-                fresh.value(phi.result), Opcode.PHI,
-                [init_map[phi.result], LabelRef(p_out.label),
-                 next_map[phi.result], LabelRef(latch.label)],
-                phi.ir_type)
-            outside_use_fix.append((phi.result, exit_phi))
-    for old_id, exit_phi in outside_use_fix:
-        for b in fn.blocks:
-            if b.label in loop.blocks or b is header or b is exit_blk:
-                continue
-            for ins in b.all_instructions():
-                for i, op in enumerate(ins.operands):
-                    if isinstance(op, ValueRef) and op.id == old_id:
-                        ins.operands[i] = ValueRef(exit_phi.result)
-        for ins in exit_blk.all_instructions():
-            if ins.opcode is Opcode.PHI:
-                continue
-            for i, op in enumerate(ins.operands):
-                if isinstance(op, ValueRef) and op.id == old_id:
-                    ins.operands[i] = ValueRef(exit_phi.result)
-        exit_blk.instructions.insert(0, exit_phi)
+    for phi in [p for p in phis if used_outside(fn, loop.blocks, p.result)]:
+        route_through_exit_phi(fn, loop.blocks, exit_blk, phi,
+                               entries(phi.result), fresh)
 
     # Pre-existing exit phis: the edge from the old header becomes two edges.
     for phi in exit_blk.phis():
@@ -409,18 +464,13 @@ def _rotate(fn: IrFunction, loop: Loop, header: IrBlock, latch: IrBlock,
             if lab != header.label:
                 ops.extend([v, LabelRef(lab)])
                 continue
-            v_init = init_map.get(v.id, v) if isinstance(v, ValueRef) else v
-            v_next = next_map.get(v.id, v) if isinstance(v, ValueRef) else v
-            ops.extend([v_init, LabelRef(p_out.label)])
-            ops.extend([v_next, LabelRef(latch.label)])
+            ops.extend([subst_operand(v, init_map), LabelRef(pre.label)])
+            ops.extend([subst_operand(v, next_map), LabelRef(latch.label)])
         phi.operands = ops
 
-    body.loop_info = None
     fn.blocks.remove(header)
-    if header.loop_info is not None:
-        from ..ir.types import LoopInfo
-        body.loop_info = LoopInfo(header.loop_info.loop_id,
-                                  header.loop_info.depth, True)
+    body.loop_info = None if header.loop_info is None else LoopInfo(
+        header.loop_info.loop_id, header.loop_info.depth, True)
     refresh_loop_annotations(fn)
 
 
@@ -590,17 +640,12 @@ def _delete_loop(fn: IrFunction, loop: Loop) -> bool:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class UnrollShape:
-    """Canonical countable loop: top-test header plus one body block."""
+class UnrollShape(TopTest):
+    """Canonical countable loop: top-test header plus one body block, which
+    is the latch."""
     loop: Loop
-    header: IrBlock
-    body: IrBlock
-    pre: IrBlock
-    exit_label: str
-    cmp: IrInstruction
     iv: IvInfo
     trip: int
-    body_first: bool
 
 
 def unrollable_shape(fn: IrFunction, loop: Loop,
@@ -610,50 +655,20 @@ def unrollable_shape(fn: IrFunction, loop: Loop,
     ``require_exact`` additionally demands the bound minus start divide the
     step, which header-test-per-group unrolling needs; the pragma expander's
     checked mode re-tests after every copy and can take any slt trip."""
-    if loop.children:
+    if loop.children or len(loop.blocks) != 2:
         return None
-    if len(loop.blocks) != 2 or len(loop.latches) != 1:
-        return None
-    header = fn.block_map()[loop.header]
-    body_lab = loop.latches[0]
-    body = fn.block_map()[body_lab]
-    if body.phis() or body.terminator is None \
-            or body.terminator.opcode is not Opcode.BR:
-        return None
-    preds = predecessor_map(fn)
-    if preds[body_lab] != [loop.header]:
-        return None
-    non_phis = header.non_phis()
-    term = header.terminator
-    if term is None or term.opcode is not Opcode.CONDBR:
-        return None
-    if len(non_phis) != 1 or non_phis[0].opcode is not Opcode.ICMP:
-        return None
-    cmp = non_phis[0]
-    cond = term.operands[0]
-    if not (isinstance(cond, ValueRef) and cond.id == cmp.result):
-        return None
-    for b in fn.blocks:
-        for ins in b.all_instructions():
-            if ins is not term and ins is not cmp \
-                    and cmp.result in ins.value_uses():
-                return None
-    t_lab = term.operands[1].label
-    f_lab = term.operands[2].label
-    if (t_lab in loop.blocks) == (f_lab in loop.blocks):
-        return None
-    body_first = t_lab == body_lab
-    exit_label = f_lab if body_first else t_lab
-    if (t_lab if body_first else f_lab) != body_lab:
+    t = top_test(fn, loop)
+    if t is None:
         return None
     iv = find_basic_iv(fn, loop)
     if iv is None or not isinstance(iv.start, Const) or iv.step <= 0:
         return None
+    cmp = t.cmp
     if not (isinstance(cmp.operands[0], ValueRef)
             and cmp.operands[0].id == iv.phi.result
             and isinstance(cmp.operands[1], Const)):
         return None
-    pred = cmp.pred if body_first else _negate_pred(cmp.pred)
+    pred = cmp.pred if t.body_first else _negate_pred(cmp.pred)
     if pred not in ("slt", "ne"):
         return None
     k = cmp.operands[1].value
@@ -666,77 +681,34 @@ def unrollable_shape(fn: IrFunction, loop: Loop,
     trip = _count_trips(s, iv.step, pred, k, bottom_test=False)
     if trip is None:
         return None
-    outside = [p for p in preds[loop.header] if p not in loop.blocks]
-    if len(outside) != 1:
-        return None
-    pre = fn.block_map()[outside[0]]
-    if pre.successors() != [loop.header]:
-        return None
-    return UnrollShape(loop, header, body, pre, exit_label, cmp, iv, trip,
-                       body_first)
+    return UnrollShape(**vars(t), loop=loop, iv=iv, trip=trip)
 
 
-def _peel_iterations(fn: IrFunction, shape: UnrollShape, count: int,
-                     fresh: FreshNames) -> None:
-    """Copy the first ``count`` iterations straight-line into the preheader
-    and advance the header phis' initial values."""
+def peel_iterations(shape: UnrollShape, count: int,
+                    fresh: FreshNames) -> dict[str, Operand]:
+    """Copy the first ``count`` iterations straight-line into the preheader;
+    the header phis start from their values after them, which are returned."""
     header, body, pre = shape.header, shape.body, shape.pre
-    state: dict[str, Operand] = {}
-    for phi in header.phis():
-        inc = {lab: v for v, lab in phi.phi_incoming()}
-        state[phi.result] = inc[pre.label]
+    latch = edge_values(header, body.label)
+    state = edge_values(header, pre.label)
     for _ in range(count):
-        mapping = dict(state)
-        for ins in body.instructions:
-            new, res = clone_with_map(ins, mapping, fresh)
-            if new is not None:
-                pre.instructions.append(new)
-            if ins.result is not None:
-                mapping[ins.result] = res if res is not None else ValueRef(ins.result)
-        for phi in header.phis():
-            inc = {lab: v for v, lab in phi.phi_incoming()}
-            state[phi.result] = subst_operand(inc[body.label], mapping)
-    for phi in header.phis():
-        ops = []
-        for v, lab in phi.phi_incoming():
-            if lab == pre.label:
-                v = state[phi.result]
-            ops.extend([v, LabelRef(lab)])
-        phi.operands = ops
+        state = copy_body(pre, body.instructions, latch, state, fresh)
+    set_edge_values(header, pre.label, state)
+    return state
 
 
 def _append_replica(fn: IrFunction, shape: UnrollShape,
-                    fresh: FreshNames) -> IrBlock:
+                    fresh: FreshNames) -> None:
     """Add one more body replica as a new chained block; the loop afterwards
     performs two original iterations per trip."""
     header, body = shape.header, shape.body
-    mapping: dict[str, Operand] = {}
-    for phi in header.phis():
-        inc = {lab: v for v, lab in phi.phi_incoming()}
-        mapping[phi.result] = inc[body.label]
+    latch = edge_values(header, body.label)
     b2 = IrBlock(fresh.label(f"{body.label}.u"))
-    for ins in body.instructions:
-        new, res = clone_with_map(ins, mapping, fresh)
-        if new is not None:
-            b2.instructions.append(new)
-        if ins.result is not None:
-            mapping[ins.result] = res if res is not None else ValueRef(ins.result)
+    state = copy_body(b2, body.instructions, latch, latch, fresh)
     b2.terminator = IrInstruction(None, Opcode.BR, [LabelRef(header.label)], VOID)
     body.terminator = IrInstruction(None, Opcode.BR, [LabelRef(b2.label)], VOID)
-    for phi in header.phis():
-        ops = []
-        for v, lab in phi.phi_incoming():
-            if lab == body.label:
-                v = subst_operand(v, mapping)
-                lab = b2.label
-            ops.extend([v, LabelRef(lab)])
-        phi.operands = ops
+    set_edge_values(header, body.label, state, b2.label)
     fn.blocks.insert(fn.blocks.index(body) + 1, b2)
-    if body.loop_info is not None:
-        from ..ir.types import LoopInfo
-        b2.loop_info = LoopInfo(body.loop_info.loop_id, body.loop_info.depth,
-                                False)
-    return b2
 
 
 def run_loop_unroll_partial(m: IrModule) -> None:
@@ -749,15 +721,11 @@ def run_loop_unroll_partial(m: IrModule) -> None:
         fresh = FreshNames(fn)
         forest = natural_loops(fn)
         for loop in sorted(forest.loops, key=lambda l: l.header):
-            if unrollable_shape(fn, loop) is None and not loop.children \
-                    and len(loop.blocks) == 2:
-                # A missing dedicated preheader is repairable in place.
-                _insert_preheader(fn, loop, fresh)
+            repair_preheader(fn, loop, fresh)
             shape = unrollable_shape(fn, loop)
             if shape is None or shape.trip < 2:
                 continue
-            r = shape.trip % 2
-            if r:
-                _peel_iterations(fn, shape, r, fresh)
+            if shape.trip % 2:
+                peel_iterations(shape, 1, fresh)
             _append_replica(fn, shape, fresh)
         refresh_loop_annotations(fn)

@@ -7,17 +7,19 @@ pipeline and array_partition pragmas stay as metadata for the estimator.
 from __future__ import annotations
 
 from ..ir import (
-    Const, IrBlock, IrFunction, IrInstruction, IrModule, LabelRef, Loop,
-    Opcode, PragmaKind, ValueRef, natural_loops, predecessor_map,
+    IrBlock, IrFunction, IrInstruction, IrModule, LabelRef, LoopInfo, Opcode,
+    PragmaKind, ValueRef, natural_loops, predecessor_map,
     refresh_loop_annotations,
 )
-from ..ir.types import LoopInfo, Operand, VOID
+from ..ir.types import Operand, VOID
 from .loop_passes import (
-    UnrollShape, _insert_preheader, _peel_iterations, unrollable_shape,
+    UnrollShape, branch_on_test, copy_body, edge_values, peel_iterations,
+    repair_preheader, route_through_exit_phi, set_edge_values,
+    unrollable_shape, used_outside,
 )
 from .rewrite import (
-    FreshNames, clone_with_map, collapse_trivial_phis, rename_phi_pred,
-    replace_all_uses, retarget_terminator, subst_operand,
+    FreshNames, collapse_trivial_phis, rename_phi_pred, replace_all_uses,
+    retarget_terminator, subst_operand,
 )
 
 UNROLL_INSTRUCTION_BUDGET = 50_000
@@ -27,28 +29,10 @@ class PragmaError(Exception):
     pass
 
 
-def _run_body_clone(target: IrBlock, source_insts: list[IrInstruction],
-                    latch_incoming: dict[str, Operand],
-                    state: dict[str, Operand],
-                    fresh: FreshNames) -> dict[str, Operand]:
-    """Append one body copy to ``target`` under the phi assignment ``state``;
-    returns the state after the copy (the latch-incoming values, remapped)."""
-    mapping = dict(state)
-    for ins in source_insts:
-        new, res = clone_with_map(ins, mapping, fresh)
-        if new is not None:
-            target.instructions.append(new)
-        if ins.result is not None:
-            mapping[ins.result] = res
-    return {pid: subst_operand(v, mapping) for pid, v in latch_incoming.items()}
-
-
-def _apply_unroll(m: IrModule, fn: IrFunction, shape: UnrollShape,
-                  factor: int) -> None:
-    header, body, pre = shape.header, shape.body, shape.pre
+def _apply_unroll(fn: IrFunction, shape: UnrollShape, factor: int) -> None:
     trip = shape.trip
     fresh = FreshNames(fn)
-    body_size = len(body.instructions)
+    body_size = len(shape.body.instructions)
     projected = body_size * (trip if factor >= trip else factor)
     if projected > UNROLL_INSTRUCTION_BUDGET:
         raise PragmaError(
@@ -56,24 +40,19 @@ def _apply_unroll(m: IrModule, fn: IrFunction, shape: UnrollShape,
             f"instructions (budget {UNROLL_INSTRUCTION_BUDGET})")
 
     if factor >= trip:
-        _full_unroll(m, fn, shape, fresh)
+        _full_unroll(fn, shape, fresh)
         return
     if trip % factor == 0:
-        _clean_unroll(fn, shape, factor, fresh)
+        _clean_unroll(shape, factor, fresh)
         return
     _checked_unroll(fn, shape, factor, fresh)
 
 
-def _full_unroll(m: IrModule, fn: IrFunction, shape: UnrollShape,
+def _full_unroll(fn: IrFunction, shape: UnrollShape,
                  fresh: FreshNames) -> None:
     """Replicate every iteration straight-line and delete the loop."""
     header, body, pre = shape.header, shape.body, shape.pre
-    phis = header.phis()
-    _peel_iterations(fn, shape, shape.trip, fresh)
-    final: dict[str, Operand] = {}
-    for phi in phis:
-        inc = {lab: v for v, lab in phi.phi_incoming()}
-        final[phi.result] = inc[pre.label]
+    final = peel_iterations(shape, shape.trip, fresh)
     retarget_terminator(pre, header.label, shape.exit_label)
     exit_blk = fn.block_map()[shape.exit_label]
     rename_phi_pred(exit_blk, header.label, pre.label)
@@ -84,34 +63,23 @@ def _full_unroll(m: IrModule, fn: IrFunction, shape: UnrollShape,
     collapse_trivial_phis(fn)
 
 
-def _clean_unroll(fn: IrFunction, shape: UnrollShape, factor: int,
+def _clean_unroll(shape: UnrollShape, factor: int,
                   fresh: FreshNames) -> None:
     """Divisible trip: body copies merge into the single body block."""
     header, body = shape.header, shape.body
-    phis = header.phis()
     source = list(body.instructions)
-    latch_incoming: dict[str, Operand] = {}
-    for phi in phis:
-        inc = {lab: v for v, lab in phi.phi_incoming()}
-        latch_incoming[phi.result] = inc[body.label]
-    state = dict(latch_incoming)
+    latch = edge_values(header, body.label)
+    state = latch
     for _ in range(factor - 1):
-        state = _run_body_clone(body, source, latch_incoming, state, fresh)
-    for phi in phis:
-        ops = []
-        for v, lab in phi.phi_incoming():
-            if lab == body.label:
-                v = state[phi.result]
-            ops.extend([v, LabelRef(lab)])
-        phi.operands = ops
+        state = copy_body(body, source, latch, state, fresh)
+    set_edge_values(header, body.label, state)
 
 
 def _checked_unroll(fn: IrFunction, shape: UnrollShape, factor: int,
                     fresh: FreshNames) -> None:
     """Non-divisible trip: replicate with an exit test between copies, the
     classic fragmented lowering with a termination-check block per replica."""
-    header, body, pre = shape.header, shape.body, shape.pre
-    phis = header.phis()
+    header, body = shape.header, shape.body
     exit_blk = fn.block_map()[shape.exit_label]
     preds = predecessor_map(fn)
     if exit_blk.phis() or preds[shape.exit_label] != [header.label]:
@@ -119,85 +87,35 @@ def _checked_unroll(fn: IrFunction, shape: UnrollShape, factor: int,
             f"loop {shape.loop.loop_id}: unsupported exit shape for a "
             f"remainder-checked unroll")
 
-    # Values of header phis observable at each exit edge, for outside uses.
-    outside_users: list[str] = []
-    for phi in phis:
-        for b in fn.blocks:
-            if b.label in shape.loop.blocks:
-                continue
-            for ins in b.all_instructions():
-                if phi.result in ins.value_uses():
-                    outside_users.append(phi.result)
-                    break
-    outside_users = sorted(set(outside_users))
+    # Header phis used past the loop see a different value at each exit edge.
+    routed = sorted((phi for phi in header.phis()
+                     if used_outside(fn, shape.loop.blocks, phi.result)),
+                    key=lambda phi: phi.result)
 
     source = list(body.instructions)
-    latch_incoming: dict[str, Operand] = {
-        phi.result: {lab: v for v, lab in phi.phi_incoming()}[body.label]
-        for phi in phis}
-    state = dict(latch_incoming)
+    latch = edge_values(header, body.label)
+    state = latch
     exit_states: list[tuple[str, dict[str, Operand]]] = []
-    blocks: list[IrBlock] = [body]
+    inside = set(shape.loop.blocks)
     current = body
     for k in range(1, factor):
-        exit_states.append((current.label, dict(state)))
+        exit_states.append((current.label, state))
         # Termination check between replica k-1 and replica k.
-        chk_cmp, folded = clone_with_map(shape.cmp, state, fresh)
         nxt = IrBlock(fresh.label(f"{body.label}.r{k}"))
-        cond: Operand
-        if chk_cmp is None:
-            cond = folded
-        else:
-            current.instructions.append(chk_cmp)
-            cond = ValueRef(chk_cmp.result)
-        t, f = ((nxt.label, shape.exit_label) if shape.body_first
-                else (shape.exit_label, nxt.label))
-        current.terminator = IrInstruction(
-            None, Opcode.CONDBR, [cond, LabelRef(t), LabelRef(f)], VOID)
-        state = _run_body_clone(nxt, source, latch_incoming, state, fresh)
+        branch_on_test(shape, current, state, nxt.label, fresh)
+        state = copy_body(nxt, source, latch, state, fresh)
         nxt.terminator = IrInstruction(None, Opcode.BR,
                                        [LabelRef(header.label)], VOID)
-        if body.loop_info is not None:
-            nxt.loop_info = LoopInfo(body.loop_info.loop_id,
-                                     body.loop_info.depth, False)
         fn.blocks.insert(fn.blocks.index(current) + 1, nxt)
-        blocks.append(nxt)
+        inside.add(nxt.label)
         current = nxt
+    set_edge_values(header, body.label, state, current.label)
 
-    last = blocks[-1]
-    for phi in phis:
-        ops = []
-        for v, lab in phi.phi_incoming():
-            if lab == body.label:
-                v = state[phi.result]
-                lab = last.label
-            ops.extend([v, LabelRef(lab)])
-        phi.operands = ops
-
-    # Exit phis merge per-edge values for anything used past the loop.
-    for phi_id in outside_users:
-        entries: list = [ValueRef(phi_id), LabelRef(header.label)]
+    for phi in routed:
+        entries: list = [ValueRef(phi.result), LabelRef(header.label)]
         for blk_label, st in exit_states:
-            entries.extend([st[phi_id], LabelRef(blk_label)])
-        out_phi = IrInstruction(fresh.value(phi_id), Opcode.PHI, entries,
-                                next(p for p in phis
-                                     if p.result == phi_id).ir_type)
-        for b in fn.blocks:
-            if b.label in shape.loop.blocks or b.label in {x.label for x in blocks}:
-                continue
-            if b is exit_blk:
-                continue
-            for ins in b.all_instructions():
-                for i, op in enumerate(ins.operands):
-                    if isinstance(op, ValueRef) and op.id == phi_id:
-                        ins.operands[i] = ValueRef(out_phi.result)
-        for ins in exit_blk.all_instructions():
-            if ins.opcode is Opcode.PHI:
-                continue
-            for i, op in enumerate(ins.operands):
-                if isinstance(op, ValueRef) and op.id == phi_id:
-                    ins.operands[i] = ValueRef(out_phi.result)
-        exit_blk.instructions.insert(0, out_phi)
+            entries.extend([st[phi.result], LabelRef(blk_label)])
+        route_through_exit_phi(fn, inside, exit_blk, phi, entries, fresh)
 
 
 def apply_unroll_pragmas(m: IrModule) -> None:
@@ -207,15 +125,15 @@ def apply_unroll_pragmas(m: IrModule) -> None:
             loop = forest.by_id(pragma.target)  # type: ignore[arg-type]
             if loop is None:
                 raise PragmaError(f"unroll target loop {pragma.target} not found")
-            if unrollable_shape(fn, loop, require_exact=False) is None \
-                    and not loop.children and len(loop.blocks) == 2:
-                _insert_preheader(fn, loop, FreshNames(fn))
+            # The repair names with its own FreshNames: sharing the one
+            # _apply_unroll starts afterwards would renumber unrolled values.
+            repair_preheader(fn, loop, FreshNames(fn))
             shape = unrollable_shape(fn, loop, require_exact=False)
             if shape is None:
                 raise PragmaError(
                     f"loop {pragma.target} in @{fn.name} is not in canonical "
                     f"countable form; cannot expand its unroll pragma")
-            _apply_unroll(m, fn, shape, pragma.factor)  # type: ignore[arg-type]
+            _apply_unroll(fn, shape, pragma.factor)  # type: ignore[arg-type]
             fn.pragmas.remove(pragma)
         refresh_loop_annotations(fn)
 
@@ -237,8 +155,6 @@ def _inline_one_call(m: IrModule, caller: IrFunction, block: IrBlock,
     cont = IrBlock(fresh.label(f"{block.label}.split"))
     cont.instructions = block.instructions[at + 1:]
     cont.terminator = block.terminator
-    cont.loop_info = (LoopInfo(block.loop_info.loop_id, block.loop_info.depth,
-                               False) if block.loop_info is not None else None)
     block.instructions = block.instructions[:at]
     for succ in cont.successors():
         rename_phi_pred(_must(caller, succ), block.label, cont.label)

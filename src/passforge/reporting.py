@@ -84,13 +84,6 @@ def report(results: list[MethodResult]) -> tuple[str, str]:
     return buf.getvalue(), "\n".join(lines)
 
 
-def make_folds(names: list[str], k: int) -> list[list[str]]:
-    """Leave-k-out folds: consecutive groups of k designs, partitioning the
-    whole set (the final fold may be smaller)."""
-    ordered = list(names)
-    return [ordered[i:i + k] for i in range(0, len(ordered), k)]
-
-
 def content_digest(*paths_or_bytes) -> str:
     h = hashlib.sha256()
     for item in paths_or_bytes:

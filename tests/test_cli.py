@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from passforge.cli import main
-from passforge.reporting import MethodResult, geomean, make_folds, report
+from passforge.reporting import MethodResult, geomean, report
 
 
 @pytest.fixture(scope="module")
@@ -169,14 +169,6 @@ def test_report_geomean(tmp_path, capsys):
 def test_geomean_arithmetic():
     assert geomean([0.5, 2.0]) == pytest.approx(1.0)
     assert geomean([1.0, 1.0, 1.0]) == pytest.approx(1.0)
-
-
-def test_make_folds_partition():
-    names = [f"d{i}" for i in range(11)]
-    folds = make_folds(names, 5)
-    assert [len(f) for f in folds] == [5, 5, 1]
-    flat = [n for f in folds for n in f]
-    assert flat == names
 
 
 # ---------------------------------------------------------------------------

@@ -27,3 +27,22 @@ def test_no_broad_except_outside_cli_boundary():
                   if isinstance(h, ast.ExceptHandler) and _catches_everything(h)
                   and not any(a <= h.lineno <= b for a, b in allowed)]
     assert found == []
+
+
+def _private_imports(tree: ast.AST) -> list[ast.ImportFrom]:
+    """``from <passforge module> import _name`` statements, relative or
+    absolute; dunder names such as ``__version__`` are public."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "passforge")
+            and any(a.name.startswith("_") and not a.name.startswith("__")
+                    for a in node.names)]
+
+
+def test_no_private_name_imported_from_another_module():
+    """A leading underscore keeps a name to its own module."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        found += [f"{rel}:{node.lineno}"
+                  for node in _private_imports(ast.parse(path.read_text()))]
+    assert found == []

@@ -1,12 +1,17 @@
 """Per-pass behavior, idempotence, and the catalog contract."""
+import hashlib
+
 import numpy as np
 import pytest
 
-from passforge.corpus import random_inputs
-from passforge.ir import Opcode, interpret, parse_module, print_module
+from passforge.corpus import corpus_gen, random_inputs
+from passforge.ir import (
+    Opcode, interpret, natural_loops, parse_module, print_module,
+    verify_module,
+)
 from passforge.passes import (
-    PassId, TABLE_CATEGORIES, apply_pass, apply_pragma_passes, apply_sequence,
-    general_passes, pass_catalog,
+    PassId, PragmaError, TABLE_CATEGORIES, apply_pass, apply_pragma_passes,
+    apply_sequence, general_passes, pass_catalog,
 )
 from passforge.qor import trip_count
 
@@ -419,3 +424,161 @@ def test_pass_sequence_repeats_allowed(case1):
     out, results = apply_sequence(case1, seq)
     assert len(results) == 4
     assert trip_count(out, "case1", 2) == 370
+
+
+# ---------------------------------------------------------------------------
+# Loop rewrites: unroll-pragma paths, peeling, rotation with outside uses
+# ---------------------------------------------------------------------------
+
+UNROLL_FACTORS = [2, 3, 4, 8, 16]
+#: (start, step, bound) of the counted loop; trips 8, 9, 6, 6, 1 and 0.
+UNROLL_TRIPS = [(0, 1, 8), (0, 1, 9), (1, 2, 12), (0, 3, 16), (2, 1, 3),
+                (3, 1, 3)]
+#: Header compare predicate, then its true and false targets.
+POLARITIES = {"slt": ("slt", "body", "done"), "sge": ("sge", "done", "body"),
+              "ne": ("ne", "body", "done")}
+UNROLL_MATRIX = [(factor, trip, polarity) for factor in UNROLL_FACTORS
+                 for trip in UNROLL_TRIPS for polarity in POLARITIES]
+
+
+def _counted_loop(trip, polarity, factor=None):
+    """A top-test loop whose IV and accumulator are both used past the exit,
+    with an unroll pragma of ``factor`` when one is given."""
+    start, step, bound = trip
+    pred, t, f = POLARITIES[polarity]
+    pragma = f"#pragma unroll(factor={factor}) loop=1" if factor else ""
+    return parse_module(f"""
+{pragma}
+top func @f(%a: i32[16], %b: i32[16]) -> i32 {{
+block entry:
+  br hd
+block hd loop(1, depth=1, header):
+  %i = phi i32 [{start}, entry], [%i.next, body]
+  %acc = phi i32 [0, entry], [%acc.next, body]
+  %c = icmp {pred} i32 %i, {bound}
+  condbr %c, {t}, {f}
+block body loop(1, depth=1):
+  %p = getelementptr %a, %i
+  %v = load i32 %p
+  %w = mul i32 %v, %i
+  %acc.next = add i32 %acc, %w
+  %q = getelementptr %b, %i
+  store i32 %acc.next, %q
+  %i.next = add i32 %i, {step}
+  br hd
+block done:
+  %r = mul i32 %acc, 7
+  %s = add i32 %r, %i
+  ret i32 %s
+}}
+""")
+
+
+def _observed(m, seed=0):
+    inputs = random_inputs(m, np.random.default_rng(seed))
+    r = interpret(m, inputs)
+    return r.return_value, r.memory_digest
+
+
+@pytest.mark.parametrize("factor,trip,polarity", UNROLL_MATRIX)
+def test_unroll_pragma_matrix_preserves_semantics(factor, trip, polarity):
+    m = _counted_loop(trip, polarity, factor)
+    start, step, bound = trip
+    if polarity == "ne" and (bound - start) % step:
+        # An `ne` bound the IV steps over is not a countable shape.
+        with pytest.raises(PragmaError):
+            apply_pragma_passes(m)
+        return
+    out = apply_pragma_passes(m)
+    assert verify_module(out) == []
+    assert out.top.pragmas == []
+    n_trips = len(range(start, bound, step))
+    # Full unroll when the factor covers the trip; one loop otherwise.
+    assert len(natural_loops(out.top).loops) == (0 if factor >= n_trips else 1)
+    assert _observed(out) == _observed(m)
+
+
+def test_unroll_partial_odd_trip_peels_one_iteration():
+    m = _counted_loop((0, 1, 9), "sge")
+    r = apply_pass(m, PassId.LOOP_UNROLL_PARTIAL)
+    assert r.changed
+    assert trip_count(r.module, "f", 1) == 4
+    entry = r.module.top.block_map()["entry"]
+    assert [i.opcode for i in entry.instructions].count(Opcode.STORE) == 1
+    assert _observed(r.module) == _observed(m)
+
+
+def test_loop_rotate_routes_header_phis_used_past_exit():
+    m = parse_module("""
+top func @f(%a: i32[8], %n: i32) -> i32 {
+block entry:
+  br hd
+block hd loop(1, depth=1, header):
+  %i = phi i32 [0, entry], [%i.next, body]
+  %acc = phi i32 [0, entry], [%acc.next, body]
+  %c = icmp slt i32 %i, %n
+  condbr %c, body, done
+block body loop(1, depth=1):
+  %p = getelementptr %a, %i
+  %v = load i32 %p
+  %acc.next = add i32 %acc, %v
+  %i.next = add i32 %i, 1
+  br hd
+block done:
+  %last = phi i32 [%acc, hd]
+  %t = mul i32 %i, %last
+  br tail
+block tail:
+  %u = add i32 %t, %i
+  ret i32 %u
+}
+""")
+    r = apply_pass(m, PassId.LOOP_ROTATE)
+    assert r.changed
+    fn = r.module.top
+    assert "hd" not in fn.block_map()
+    # The exit now has two predecessors, the entry guard and the latch.
+    assert all(len(phi.phi_incoming()) == 2
+               for phi in fn.block_map()["done"].phis())
+    for n in (0, 1, 5, 8):
+        inputs = [list(range(10, 18)), n]
+        assert interpret(r.module, inputs).return_value == \
+            interpret(m, inputs).return_value
+
+
+def _sha(texts) -> str:
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
+LOOP_PASSES = [PassId.LOOP_SIMPLIFY, PassId.LOOP_ROTATE, PassId.LICM,
+               PassId.INDVARS, PassId.LOOP_DELETION,
+               PassId.LOOP_UNROLL_PARTIAL]
+#: sha256 of printed outputs, taken before the loop-rewrite helpers were
+#: shared by the loop passes and the unroll pragma; a refactoring of those
+#: helpers must print the same bytes.
+PINNED_UNROLL_MATRIX = \
+    "b9878ec1dcaeacec6aa92f8d2b2b2deb53efbf8a8ce2db578f50b7e3dac67d52"
+PINNED_LOOP_PASSES = \
+    "4ecd137fdd4d059e136903241c4d92f2ae5d0f879db3c244ca6a924f4b1bca10"
+
+
+def test_unroll_matrix_output_is_pinned():
+    texts = []
+    for case in UNROLL_MATRIX:
+        try:
+            texts.append(print_module(apply_pragma_passes(_counted_loop(
+                case[1], case[2], case[0]))))
+        except PragmaError as e:
+            texts.append(f"PragmaError: {e}")
+    assert _sha(texts) == PINNED_UNROLL_MATRIX
+
+
+def test_loop_pass_outputs_are_pinned():
+    starts = [_counted_loop(trip, polarity) for trip in UNROLL_TRIPS
+              for polarity in POLARITIES]
+    for _name, text in corpus_gen(6, 0):
+        m = parse_module(text)
+        starts += [m, apply_pragma_passes(m)]
+    texts = [print_module(apply_pass(m, p).module)
+             for m in starts for p in LOOP_PASSES]
+    assert _sha(texts) == PINNED_LOOP_PASSES
