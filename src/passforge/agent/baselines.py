@@ -2,16 +2,21 @@
 
 All of them charge one unit of budget per pass evaluation (an apply +
 estimate), so comparisons against the policy can hold evaluation counts
-equal.
+equal.  The budget counts every pass of every sequence evaluated; the work
+actually done is smaller, because a search reuses the modules of shared
+prefixes and prices each distinct module once (``SearchResult.passes_run``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .. import passes
 from ..ir import IrModule
-from ..passes import PassId, apply_pragma_passes, apply_sequence, general_passes
+from ..passes import (
+    PassError, PassId, apply_pragma_passes, apply_sequence, general_passes,
+)
 from ..qor import EstimateError, OpCostTable, estimate
 
 
@@ -22,6 +27,7 @@ class SearchResult:
     baseline_cycles: float
     evaluations: int
     method: str
+    passes_run: int = 0
 
     @property
     def ratio(self) -> float:
@@ -29,29 +35,50 @@ class SearchResult:
 
 
 class _Evaluator:
-    """Applies sequences to the pragma-expanded module with memoization."""
+    """Prices sequences applied to the pragma-expanded module.
+
+    ``evaluations`` is the budget: ``len(seq)`` for each sequence not seen
+    before.  ``passes_run`` is the work: all but the last pass of a sequence
+    go through a transition memo that lives as long as the evaluator, so a
+    shared prefix runs once; the last pass always runs, and is not kept,
+    because most candidates are never extended.  Cycles are memoized by
+    module digest.
+    """
 
     def __init__(self, design: IrModule, costs: OpCostTable | None = None):
         self.base = apply_pragma_passes(design)
         self.costs = costs or OpCostTable()
         self.baseline = float(estimate(self.base, self.costs).cycles)
         self.evaluations = 0
+        self.passes_run = 0
         self._cache: dict[tuple, float] = {}
+        self._transitions: dict = {}
+        self._cycles: dict[str, float] = {self.base.digest(): self.baseline}
 
     def run(self, seq: list[PassId]) -> float:
-        """Estimated cycles after the sequence (inf when it cannot be
-        estimated)."""
+        """Estimated cycles after a non-empty sequence (inf when it cannot
+        be estimated)."""
         key = tuple(p.value for p in seq)
         if key in self._cache:
             return self._cache[key]
         self.evaluations += len(seq)
-        out, _ = apply_sequence(self.base, seq)
+        known = len(self._transitions)
+        out, _ = apply_sequence(self.base, seq[:-1], self._transitions)
+        # Called through the module, as apply_sequence calls it, so each pass
+        # charged to the budget is one call of ``passes.apply_pass``.
         try:
-            cycles = float(estimate(out, self.costs).cycles)
-        except EstimateError:
-            cycles = float("inf")
-        self._cache[key] = cycles
-        return cycles
+            out = passes.apply_pass(out, seq[-1]).module
+        except PassError as e:
+            raise e.at_step(len(seq) - 1)
+        self.passes_run += len(self._transitions) - known + 1
+        digest = out.digest()
+        if digest not in self._cycles:
+            try:
+                self._cycles[digest] = float(estimate(out, self.costs).cycles)
+            except EstimateError:
+                self._cycles[digest] = float("inf")
+        self._cache[key] = self._cycles[digest]
+        return self._cache[key]
 
 
 def search_random(design: IrModule, budget_sequences: int, seed: int,
@@ -68,7 +95,8 @@ def search_random(design: IrModule, budget_sequences: int, seed: int,
         cycles = ev.run(seq)
         if cycles < best:
             best, best_seq = cycles, seq
-    return SearchResult(best_seq, best, ev.baseline, ev.evaluations, "random")
+    return SearchResult(best_seq, best, ev.baseline, ev.evaluations, "random",
+                        ev.passes_run)
 
 
 def search_greedy(design: IrModule, max_len: int = 16, costs=None) -> SearchResult:
@@ -89,7 +117,8 @@ def search_greedy(design: IrModule, max_len: int = 16, costs=None) -> SearchResu
             break
         seq.append(best_pass)
         current = best_cycles
-    return SearchResult(seq, current, ev.baseline, ev.evaluations, "greedy")
+    return SearchResult(seq, current, ev.baseline, ev.evaluations, "greedy",
+                        ev.passes_run)
 
 
 def search_genetic(design: IrModule, population: int = 12, generations: int = 8,
@@ -133,7 +162,8 @@ def search_genetic(design: IrModule, population: int = 12, generations: int = 8,
 
     final = min(best_fit, ev.baseline)
     seq = [catalog[g] for g in best_genome] if best_fit < ev.baseline else []
-    return SearchResult(seq, final, ev.baseline, ev.evaluations, "genetic")
+    return SearchResult(seq, final, ev.baseline, ev.evaluations, "genetic",
+                        ev.passes_run)
 
 
 def search_baseline(design: IrModule, method: str, seed: int = 0,

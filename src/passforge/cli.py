@@ -465,7 +465,8 @@ def cmd_search(args) -> int:
         result = {"method": sr.method,
                   "sequence": [p.value for p in sr.sequence],
                   "cycles": sr.cycles, "baseline_cycles": sr.baseline_cycles,
-                  "evaluations": sr.evaluations}
+                  "evaluations": sr.evaluations,
+                  "passes_run": sr.passes_run}
     if args.out:
         _write(args.out, _json_text(result))
     print(json.dumps({**result, "wall_time_s": round(time.time() - t0, 3)},

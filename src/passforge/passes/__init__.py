@@ -1,8 +1,8 @@
 """Transform pass catalog and sequence application.
 
-Sixteen general passes form the search agent's action space; the two
+Seventeen general passes form the search agent's action space; the two
 pragma-anchored passes run at a fixed pipeline position and are flagged so the
-agent never schedules them.  Every pass application re-verifies the module and
+agent never schedules them.  Every executed pass re-verifies the module and
 reports whether the printed canonical form changed.
 """
 from __future__ import annotations
@@ -37,6 +37,10 @@ class PassError(Exception):
         super().__init__(f"{pass_id.value}: {msg}")
         self.pass_id = pass_id
         self.violations = violations
+
+    def at_step(self, i: int) -> "PassError":
+        """The same error, located at step ``i`` of a sequence."""
+        return PassError(self.pass_id, [f"at step {i}"] + list(self.violations))
 
 
 class PassId(enum.Enum):
@@ -178,18 +182,14 @@ class PassResult:
     blocks_removed: int = 0
 
 
-def apply_pass(m: IrModule, p: PassId | str) -> PassResult:
-    """Run one pass on a copy of the module; the result always re-verifies."""
-    if isinstance(p, str):
-        p = PassId(p)
-    if p in (PassId.APPLY_UNROLL_PRAGMA, PassId.APPLY_INLINE_PRAGMA):
-        out = m.clone()
-        if p is PassId.APPLY_UNROLL_PRAGMA:
-            apply_unroll_pragmas(out)
-        else:
-            apply_inline_pragmas(out)
+def _run_pass(m: IrModule, p: PassId) -> PassResult:
+    """Run one pass on a copy of the module and re-verify the result."""
+    out = m.clone()
+    if p is PassId.APPLY_UNROLL_PRAGMA:
+        apply_unroll_pragmas(out)
+    elif p is PassId.APPLY_INLINE_PRAGMA:
+        apply_inline_pragmas(out)
     else:
-        out = m.clone()
         _IMPLS[p](out)
     violations = verify_module(out)
     if violations:
@@ -208,15 +208,39 @@ def apply_pass(m: IrModule, p: PassId | str) -> PassResult:
     )
 
 
-def apply_sequence(m: IrModule, seq) -> tuple[IrModule, list[PassResult]]:
-    """Left-fold of apply_pass over the sequence; per-step results returned."""
+def apply_pass(m: IrModule, p: PassId | str, memo: dict | None = None
+               ) -> PassResult:
+    """Run one pass on a copy of the module; the result always re-verifies.
+
+    ``memo`` is a transition table the caller owns and drops: it maps
+    ``(id(m), pass)`` to ``(m, result)``, and keeping ``m`` alive keeps its
+    id from being reused.  A hit returns the stored result without running
+    the pass, so neither ``m`` nor any returned module may be mutated while
+    the memo lives.  A pass that raises stores nothing.
+    """
+    if isinstance(p, str):
+        p = PassId(p)
+    if memo is None:
+        return _run_pass(m, p)
+    key = (id(m), p)
+    if key not in memo:
+        memo[key] = (m, _run_pass(m, p))
+    return memo[key][1]
+
+
+def apply_sequence(m: IrModule, seq, memo: dict | None = None
+                   ) -> tuple[IrModule, list[PassResult]]:
+    """Left-fold of apply_pass over the sequence; per-step results returned.
+
+    Every step goes through ``apply_pass`` with the same ``memo`` (see
+    there); a ``PassError`` names the step that raised it."""
     results: list[PassResult] = []
     cur = m
     for i, p in enumerate(seq):
         try:
-            r = apply_pass(cur, p)
+            r = apply_pass(cur, p, memo)
         except PassError as e:
-            raise PassError(e.pass_id, [f"at step {i}"] + list(e.violations))
+            raise e.at_step(i)
         results.append(r)
         cur = r.module
     return cur, results

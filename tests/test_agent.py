@@ -1,4 +1,6 @@
 """Environment semantics, PPO math, and the search baselines."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from passforge import passes
 from passforge.agent import (
     ACTIONS, N_ACTIONS, PassEnv, PpoConfig, STOP_ACTION, gae_advantages,
     infer, init_actor_critic, policy_probs, ppo_loss_grad, reward,
-    rollout_episode, search_baseline, search_greedy, search_random, train,
+    rollout_episode, search_baseline, search_genetic, search_greedy,
+    search_random, train,
 )
+from passforge.corpus import corpus_gen
 from passforge.dataset import dataset_gen
 from passforge.embedder import featurize_baseline
 from passforge.ir import parse_module, print_module
@@ -220,9 +224,68 @@ def test_random_reproducible(small_corpus):
 
 def test_genetic_elitism_monotone(small_corpus):
     _name, m = small_corpus[1]
-    from passforge.agent.baselines import _Evaluator, search_genetic
     r = search_genetic(m, population=6, generations=4, seed=7, genome_len=5)
     assert r.cycles <= r.baseline_cycles
+
+
+#: sha256 of (sequence, cycles, baseline_cycles, evaluations) per design of
+#: ``corpus_gen(6, 0)``, taken before searches reused shared prefixes; a
+#: search may save work, never change what it finds or what it charges.
+PINNED_SEARCH = {
+    "random": "408678aeb09f5270428dae021573f61602f7df91e2e6965c33c51b3acb922f25",
+    "greedy": "a1880faae7722c1f763dd55d73b36d9e80f466d8ea59fe999db4a09645759790",
+    "genetic": "3b195adcab7df28110747c450ba1449979e83d0e6b9b1d28c9db993b57ebafaf",
+}
+SEARCHES = {
+    "random": lambda m: search_random(m, budget_sequences=8, seed=0),
+    "greedy": search_greedy,
+    "genetic": lambda m: search_genetic(m, population=6, generations=3,
+                                        seed=0),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_searches():
+    """method -> [(SearchResult, apply_pass calls it made)] over
+    ``corpus_gen(6, 0)``."""
+    calls = [0]
+    apply_pass = passes.apply_pass
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return apply_pass(*args, **kwargs)
+
+    designs = [parse_module(text) for _name, text in corpus_gen(6, 0)]
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(passes, "apply_pass", counted)
+        for method, search in SEARCHES.items():
+            out[method] = []
+            for m in designs:
+                calls[0] = 0
+                out[method].append((search(m), calls[0]))
+    return out
+
+
+@pytest.mark.parametrize("method", SEARCHES)
+def test_search_results_are_pinned(corpus_searches, method):
+    h = hashlib.sha256()
+    for r, _calls in corpus_searches[method]:
+        h.update(repr(([p.value for p in r.sequence], r.cycles,
+                       r.baseline_cycles, r.evaluations)).encode())
+    assert h.hexdigest() == PINNED_SEARCH[method]
+
+
+@pytest.mark.parametrize("method", SEARCHES)
+def test_search_budget_counts_every_pass_application(corpus_searches, method):
+    # One ``apply_pass`` call per pass of each sequence evaluated, memo hits
+    # included, is what the budget charges; the passes really run are fewer.
+    for r, calls in corpus_searches[method]:
+        assert calls == r.evaluations
+        assert 0 < r.passes_run <= r.evaluations
+    if method == "greedy":
+        assert sum(r.passes_run for r, _ in corpus_searches[method]) < \
+            sum(r.evaluations for r, _ in corpus_searches[method]) / 2
 
 
 def test_search_baseline_dispatch(small_corpus):

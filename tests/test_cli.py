@@ -75,6 +75,13 @@ def test_estimate_json(workdir, capsys):
     assert any(l["achieved_ii"] is not None for l in doc["loops"])
 
 
+def test_search_reports_budget_and_passes_run(workdir, capsys):
+    design = str(workdir / "corpus" / "dot_01.ir")
+    assert main(["search", "--method", "greedy", "--design", design]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert 0 < doc["passes_run"] < doc["evaluations"]
+
+
 def test_interp_with_inputs_file(workdir, tmp_path, capsys):
     design = str(workdir / "corpus" / "dot_01.ir")
     m_doc = json.loads(subprocess.run(

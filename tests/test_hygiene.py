@@ -46,3 +46,43 @@ def test_no_private_name_imported_from_another_module():
         found += [f"{rel}:{node.lineno}"
                   for node in _private_imports(ast.parse(path.read_text()))]
     assert found == []
+
+
+
+#: ``functools`` caches that live as long as the process.  ``cached_property``
+#: is not one: it stores its value on the instance and dies with it.
+PROCESS_CACHES = {"cache", "lru_cache"}
+
+
+def _process_caches(tree: ast.AST) -> list[ast.AST]:
+    """Uses of ``functools``' process-lifetime caches, imported by name or
+    reached as an attribute of ``functools`` under any alias."""
+    aliases = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names
+               if a.name == "functools"}
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            and any(a.name in PROCESS_CACHES for a in node.names)
+            or isinstance(node, ast.Attribute) and node.attr in PROCESS_CACHES
+            and isinstance(node.value, ast.Name) and node.value.id in aliases]
+
+
+def test_no_process_lifetime_cache():
+    """A ``functools`` cache is shared by every caller in the process and
+    keeps its arguments alive; each cache in the package belongs to a caller
+    and dies with it (the search evaluator's memos, ``hged``'s ``memo``)."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        found += [f"{rel}:{node.lineno}"
+                  for node in _process_caches(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_process_cache_detector_sees_each_spelling():
+    sources = ["from functools import lru_cache",
+               "import functools\n@functools.cache\ndef f(): pass",
+               "import functools as ft\nx = ft.lru_cache(maxsize=8)"]
+    assert [len(_process_caches(ast.parse(s))) for s in sources] == [1, 1, 1]
+    assert _process_caches(ast.parse(
+        "from functools import cached_property, reduce")) == []

@@ -4,14 +4,15 @@ import hashlib
 import numpy as np
 import pytest
 
+from passforge import passes
 from passforge.corpus import corpus_gen, random_inputs
 from passforge.ir import (
     Opcode, interpret, natural_loops, parse_module, print_module,
     verify_module,
 )
 from passforge.passes import (
-    PassId, PragmaError, TABLE_CATEGORIES, apply_pass, apply_pragma_passes,
-    apply_sequence, general_passes, pass_catalog,
+    PassError, PassId, PragmaError, TABLE_CATEGORIES, apply_pass,
+    apply_pragma_passes, apply_sequence, general_passes, pass_catalog,
 )
 from passforge.qor import trip_count
 
@@ -582,3 +583,82 @@ def test_loop_pass_outputs_are_pinned():
     texts = [print_module(apply_pass(m, p).module)
              for m in starts for p in LOOP_PASSES]
     assert _sha(texts) == PINNED_LOOP_PASSES
+
+
+# ---------------------------------------------------------------------------
+# Transition memo
+
+
+def _step_facts(results) -> list[tuple]:
+    return [(r.pass_id, r.changed, r.instructions_removed,
+             r.instructions_added, r.blocks_removed) for r in results]
+
+
+def _prefix_sharing_sequences(rng) -> list[list[PassId]]:
+    """Three random roots of four passes, each followed by three sequences
+    that keep a random prefix of it and add three random passes."""
+    catalog = general_passes()
+
+    def draw(n):
+        return [catalog[int(i)] for i in rng.integers(0, len(catalog), n)]
+
+    seqs = []
+    for _ in range(3):
+        root = draw(4)
+        seqs.append(root)
+        seqs += [root[:int(rng.integers(0, 5))] + draw(3) for _ in range(3)]
+    return seqs
+
+
+def test_memo_replays_match_fresh_runs():
+    rng = np.random.default_rng(0)
+    for _name, text in corpus_gen(6, 0):
+        raw = parse_module(text)
+        for m in (raw, apply_pragma_passes(raw)):
+            memo: dict = {}
+            seqs = _prefix_sharing_sequences(rng)
+            for seq in seqs:
+                fresh, fresh_steps = apply_sequence(m, seq)
+                out, steps = apply_sequence(m, seq, memo)
+                assert print_module(out) == print_module(fresh)
+                assert _step_facts(steps) == _step_facts(fresh_steps)
+                assert len(steps) == len(seq)
+            # Shared prefixes ran once: fewer entries than steps applied.
+            assert len(memo) < sum(map(len, seqs))
+
+
+def test_memo_hit_runs_no_pass(monkeypatch, dot_module):
+    seq = [PassId.LOOP_UNROLL_PARTIAL, PassId.SIMPLIFYCFG, PassId.ADCE]
+    memo: dict = {}
+    warm, warm_steps = apply_sequence(dot_module, seq, memo)
+
+    def broken(_module):
+        raise AssertionError("a memo hit ran a pass")
+
+    for p in general_passes():
+        monkeypatch.setitem(passes._IMPLS, p, broken)
+    out, steps = apply_sequence(dot_module, seq, memo)
+    assert out is warm
+    assert all(r is w for r, w in zip(steps, warm_steps))
+    assert len(memo) == len(seq)
+
+
+def test_memo_stores_no_failed_transition(monkeypatch, dot_module):
+    def corrupting(module):
+        module.top.blocks[0].terminator = None
+
+    monkeypatch.setitem(passes._IMPLS, PassId.ADCE, corrupting)
+    memo: dict = {}
+    with pytest.raises(PassError) as err:
+        apply_sequence(dot_module, [PassId.LOOP_SIMPLIFY, PassId.ADCE], memo)
+    assert err.value.pass_id is PassId.ADCE
+    assert err.value.violations[0] == "at step 1"
+    assert "no-term" in str(err.value)
+    assert [p for _id, p in memo] == [PassId.LOOP_SIMPLIFY]
+
+
+def test_memo_keys_str_and_pass_id_alike(dot_module):
+    memo: dict = {}
+    by_name = apply_pass(dot_module, "loop_rotate", memo)
+    assert apply_pass(dot_module, PassId.LOOP_ROTATE, memo) is by_name
+    assert list(memo) == [(id(dot_module), PassId.LOOP_ROTATE)]
