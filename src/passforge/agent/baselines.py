@@ -19,6 +19,10 @@ from ..passes import (
 )
 from ..qor import EstimateError, OpCostTable, estimate
 
+#: Genetic search: per-gene mutation probability and tournament size.
+MUTATION_RATE = 0.1
+TOURNAMENT_SIZE = 3
+
 
 @dataclass
 class SearchResult:
@@ -122,8 +126,8 @@ def search_greedy(design: IrModule, max_len: int = 16, costs=None) -> SearchResu
 
 
 def search_genetic(design: IrModule, population: int = 12, generations: int = 8,
-                   seed: int = 0, genome_len: int = 8, mutation: float = 0.1,
-                   tournament: int = 3, costs=None) -> SearchResult:
+                   seed: int = 0, genome_len: int = 8,
+                   costs=None) -> SearchResult:
     """Sequence-genome GA: one-point crossover, per-gene mutation, tournament
     selection, elitism of one."""
     rng = np.random.default_rng(seed)
@@ -144,13 +148,13 @@ def search_genetic(design: IrModule, population: int = 12, generations: int = 8,
         new_pop = [list(best_genome)]  # elitism
         while len(new_pop) < population:
             def pick():
-                cand = rng.integers(0, population, size=tournament)
+                cand = rng.integers(0, population, size=TOURNAMENT_SIZE)
                 return pop[int(min(cand, key=lambda c: fits[int(c)]))]
             a, b = pick(), pick()
             cut = int(rng.integers(1, genome_len))
             child = a[:cut] + b[cut:]
             for gi in range(genome_len):
-                if rng.random() < mutation:
+                if rng.random() < MUTATION_RATE:
                     child[gi] = int(rng.integers(0, n_genes))
             new_pop.append(child)
         pop = new_pop
@@ -167,13 +171,13 @@ def search_genetic(design: IrModule, population: int = 12, generations: int = 8,
 
 
 def search_baseline(design: IrModule, method: str, seed: int = 0,
-                    costs=None, **kwargs) -> SearchResult:
+                    costs=None, budget: int = 64) -> SearchResult:
+    """Runs one baseline; ``budget`` is the number of random sequences,
+    and greedy and genetic ignore it."""
     if method == "random":
-        return search_random(design, kwargs.get("budget", 64), seed, costs=costs)
+        return search_random(design, budget, seed, costs=costs)
     if method == "greedy":
         return search_greedy(design, costs=costs)
     if method == "genetic":
-        return search_genetic(design, seed=seed, costs=costs,
-                              population=kwargs.get("population", 12),
-                              generations=kwargs.get("generations", 8))
+        return search_genetic(design, seed=seed, costs=costs)
     raise ValueError(f"unknown search method {method!r}")

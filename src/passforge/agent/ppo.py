@@ -139,13 +139,11 @@ def train(designs: list[tuple[str, IrModule]], obs_fn, config: PpoConfig,
     return params, curve
 
 
-def infer(design: IrModule, params: dict, obs_fn, costs=None,
-          max_steps: int = 16):
+def infer(design: IrModule, params: dict, obs_fn, costs=None):
     """Greedy rollout; returns the best-prefix pass sequence and the cycle
     trace, so the caller never receives a regressing suffix."""
     env = PassEnv("infer", design, obs_fn,
-                  costs=costs if costs is not None else OpCostTable(),
-                  max_steps=max_steps)
+                  costs=costs if costs is not None else OpCostTable())
     state = env.reset()
     applied = []
     done = False

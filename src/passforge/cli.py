@@ -41,7 +41,7 @@ from .passes import (
     pass_catalog,
 )
 from .qor import EstimateError, OpCostTable, dynamic_cycle_oracle, estimate
-from .reporting import MethodResult, content_digest, report
+from .reporting import RECORD_TYPES, content_digest, report
 
 
 class UserError(Exception):
@@ -357,7 +357,8 @@ def cmd_pretrain(args) -> int:
         return 0
     try:
         ds = load_dataset(args.corpus)
-    except (OSError, json.JSONDecodeError, KeyError) as e:
+    except (OSError, json.JSONDecodeError, KeyError, IrSyntaxError,
+            VerifyError) as e:
         raise UserError(f"bad dataset {args.corpus}: {e}")
     if args.pairs:
         ds.pairs = [TrainPair(p["i"], p["j"], p["label"], p["split"])
@@ -447,6 +448,7 @@ def cmd_search(args) -> int:
     m = _read_module(args.design)
     costs = _load_costs(args.costs)
     t0 = time.time()
+    result = {"design": os.path.splitext(os.path.basename(args.design))[0]}
     if args.method == "rl":
         if not args.policy:
             raise UserError("--method rl requires --policy CKPT")
@@ -456,17 +458,17 @@ def cmd_search(args) -> int:
             raise UserError(f"{args.embed} embeds into {obs_dim} dimensions; "
                             f"the policy observes {cfg['obs_dim']}")
         seq, cycles, best_idx = infer(m, policy, obs_fn, costs)
-        result = {"method": "rl", "sequence": [p.value for p in seq],
-                  "cycles": cycles[best_idx], "baseline_cycles": cycles[0],
-                  "trace": cycles}
+        # Each applied pass is one apply + estimate, as a baseline charges.
+        result.update(method="rl", sequence=[p.value for p in seq],
+                      cycles=cycles[best_idx], baseline_cycles=cycles[0],
+                      evaluations=len(cycles) - 1, trace=cycles)
     else:
         sr = search_baseline(m, args.method, seed=args.seed, costs=costs,
                              budget=args.budget)
-        result = {"method": sr.method,
-                  "sequence": [p.value for p in sr.sequence],
-                  "cycles": sr.cycles, "baseline_cycles": sr.baseline_cycles,
-                  "evaluations": sr.evaluations,
-                  "passes_run": sr.passes_run}
+        result.update(method=sr.method,
+                      sequence=[p.value for p in sr.sequence],
+                      cycles=sr.cycles, baseline_cycles=sr.baseline_cycles,
+                      evaluations=sr.evaluations, passes_run=sr.passes_run)
     if args.out:
         _write(args.out, _json_text(result))
     print(json.dumps({**result, "wall_time_s": round(time.time() - t0, 3)},
@@ -474,13 +476,24 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _read_records(path: str) -> list[dict]:
+    """The search records in a results file: one record, or a list of them."""
+    doc = _load_json(path, "results file")
+    records = doc if isinstance(doc, list) else [doc]
+    if not all(isinstance(r, dict) for r in records):
+        raise UserError(f"{path}: expected a search record or a list of them")
+    for i, rec in enumerate(records):
+        bad = [k for k, t in RECORD_TYPES.items()
+               if not isinstance(rec.get(k), t)]
+        if bad:
+            raise UserError(f"{path}: record {i}: missing or malformed "
+                            f"{', '.join(bad)}")
+    return records
+
+
 def cmd_report(args) -> int:
-    results = []
-    for path in args.results:
-        doc = _load_json(path, "results file")
-        for rec in doc if isinstance(doc, list) else [doc]:
-            results.append(MethodResult.from_dict(rec))
-    csv_text, summary = report(results)
+    csv_text, summary = report([rec for path in args.results
+                                for rec in _read_records(path)])
     if args.out_csv:
         _write(args.out_csv, csv_text)
         _say(args, f"wrote {args.out_csv}")
@@ -581,8 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intra-cap", type=int, default=40)
     p.add_argument("--cross-pairs", type=int, default=300)
 
-    p = command("pretrain", cmd_pretrain, "contrastive embedder training",
-                "seed", "quiet")
+    p = command("pretrain", cmd_pretrain,
+                "siamese embedder regression onto HGED labels", "seed", "quiet")
     p.add_argument("--corpus", required=True,
                    help="dataset directory from dataset-gen")
     p.add_argument("--pairs", default=None,

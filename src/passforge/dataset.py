@@ -14,13 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import HetGraph, build_het_graph, from_json, to_json
+from .graphs import HetGraph, build_het_graph
 from .hged import EditCostModel, hged
-from .ir import IrModule, parse_module, print_module
+from .ir import parse_module, print_module
 from .passes import (
     PragmaError, apply_pragma_passes, apply_sequence, general_passes,
 )
 from .embedder import TrainPair
+
+#: Beam width of the pair labels.
+LABEL_BEAM_WIDTH = 16
 
 
 @dataclass
@@ -56,11 +59,9 @@ def split_of(design_index: int) -> str:
 def dataset_gen(designs: list[tuple[str, str]], k_sequences: int,
                 max_len: int, seed: int,
                 intra_pair_cap: int = 40, cross_pairs: int = 300,
-                costs: EditCostModel | None = None,
-                beam_width: int = 16,
                 log_fn=None) -> Dataset:
     rng = np.random.default_rng(seed)
-    costs = costs or EditCostModel()
+    costs = EditCostModel()
     catalog = general_passes()
     variants: list[Variant] = []
     skipped = 0
@@ -133,7 +134,7 @@ def dataset_gen(designs: list[tuple[str, str]], k_sequences: int,
     memo: dict = {}     # stage results, shared by this call's pairs only
     for (i, j) in pair_keys:
         result = hged(variants[i].graph, variants[j].graph, costs,
-                      mode="beam", beam_width=beam_width, memo=memo)
+                      mode="beam", beam_width=LABEL_BEAM_WIDTH, memo=memo)
         pairs.append(TrainPair(i, j, result.normalized, variants[i].split))
 
     return Dataset(variants, pairs, seed,
@@ -146,14 +147,13 @@ def dataset_gen(designs: list[tuple[str, str]], k_sequences: int,
 # ---------------------------------------------------------------------------
 
 def save_dataset(ds: Dataset, out_dir: str) -> None:
+    """Writes ``variants/<name>.ir`` and ``pairs.json``; graphs are not
+    stored, because ``load_dataset`` rebuilds them from the IR text."""
     os.makedirs(os.path.join(out_dir, "variants"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "graphs"), exist_ok=True)
     index = []
     for v in ds.variants:
         with open(os.path.join(out_dir, "variants", v.name + ".ir"), "w") as f:
             f.write(v.text)
-        with open(os.path.join(out_dir, "graphs", v.name + ".json"), "w") as f:
-            f.write(to_json(v.graph))
         index.append({"design": v.design, "name": v.name, "split": v.split})
     doc = {
         "seed": ds.seed,
@@ -174,9 +174,8 @@ def load_dataset(dir_path: str) -> Dataset:
     for rec in doc["variants"]:
         with open(os.path.join(dir_path, "variants", rec["name"] + ".ir")) as f:
             text = f.read()
-        with open(os.path.join(dir_path, "graphs", rec["name"] + ".json")) as f:
-            graph = from_json(f.read())
-        variants.append(Variant(rec["design"], rec["name"], text, graph,
+        variants.append(Variant(rec["design"], rec["name"], text,
+                                build_het_graph(parse_module(text)),
                                 rec["split"]))
     pairs = [TrainPair(p["i"], p["j"], p["label"], p["split"])
              for p in doc["pairs"]]

@@ -1,4 +1,4 @@
-"""Graph embedding model, contrastive pretraining, and baselines."""
+"""Graph embedding model, siamese HGED-regression training, and baselines."""
 from .model import (
     DEFAULT_RELATIONS, GROUPS, INPUT_DIM, GraphData, RgcnConfig, backward,
     embed, featurize_baseline, forward, graph_data, init_params, pair_loss,

@@ -234,7 +234,8 @@ def embed(g: HetGraph | GraphData, params: dict[str, np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# Contrastive objective: cosine distance regresses the normalized HGED label.
+# Siamese regression: (1 - cos)/2 of two embeddings regresses the normalized
+# HGED label.
 # ---------------------------------------------------------------------------
 
 def pair_loss(params: dict[str, np.ndarray], config: RgcnConfig,

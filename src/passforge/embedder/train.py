@@ -1,4 +1,5 @@
-"""Contrastive pretraining against normalized edit-distance labels."""
+"""Siamese pretraining: (1 - cos)/2 of a pair's embeddings regresses its
+normalized edit-distance label."""
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -11,12 +11,12 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .ir import IrModule, Opcode, ValueRef, natural_loops
-from .ir.types import instr_class_one_hot, INSTR_CLASS_WIDTH
+from .ir import IrModule, ValueRef, natural_loops
+from .ir.types import instr_class_one_hot
 
-SCHEMA_VERSION = "hetgraph_v1"
+SCHEMA_VERSION = "hetgraph_v2"
 
 #: Loop-depth buckets for block attributes: 0, 1, 2, >=3.
 BLOCK_DEPTH_BUCKETS = 4
@@ -59,7 +59,6 @@ class HetGraph:
     nodes: list[NodeRecord]
     edges: list[EdgeRecord]
     function: str
-    module_digest: str
 
     @property
     def num_nodes(self) -> int:
@@ -131,13 +130,13 @@ def build_het_graph(module: IrModule, fn_name: str | None = None) -> HetGraph:
         edges.append(EdgeRecord(block_node[b.label], func_node,
                                 Relation.AFFIL_BLOCK_FUNC))
 
-    return HetGraph(nodes, edges, fn.name, module.digest())
+    return HetGraph(nodes, edges, fn.name)
 
 
 def homogenize(g: HetGraph) -> HetGraph:
     """Collapse all relations to one kind (GCN-style ablation input)."""
     edges = [EdgeRecord(e.src, e.dst, HOMOGENEOUS_RELATION) for e in g.edges]
-    return HetGraph(list(g.nodes), edges, g.function, g.module_digest)
+    return HetGraph(list(g.nodes), edges, g.function)
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +176,9 @@ def to_json(g: HetGraph) -> str:
     doc = {
         "schema": SCHEMA_VERSION,
         "function": g.function,
-        "module_digest": g.module_digest,
         "nodes": [{"id": n.node_id, "kind": n.kind.value, "attr": list(n.attr)}
                   for n in g.nodes],
         "edges": [{"src": e.src, "dst": e.dst, "rel": e.relation.value}
                   for e in g.edges],
     }
     return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
-
-
-def from_json(text: str) -> HetGraph:
-    doc = json.loads(text)
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported graph schema {doc.get('schema')!r}")
-    nodes = [NodeRecord(n["id"], NodeKind(n["kind"]), tuple(n["attr"]))
-             for n in doc["nodes"]]
-    edges = [EdgeRecord(e["src"], e["dst"], Relation(e["rel"]))
-             for e in doc["edges"]]
-    return HetGraph(nodes, edges, doc["function"], doc["module_digest"])

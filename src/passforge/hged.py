@@ -557,8 +557,6 @@ def _instr_info(g: HetGraph):
 
 def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
          mode: str = "exact", beam_width: int = DEFAULT_BEAM_WIDTH,
-         exact_node_limit: int = EXACT_NODE_LIMIT,
-         skeleton_limit: int = EXACT_SKELETON_LIMIT,
          memo: dict | None = None) -> HgedResult:
     """Two-stage edit distance between two program graphs.
 
@@ -574,10 +572,10 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
     sk1, sk2 = _skeleton(g1), _skeleton(g2)
     blocks1 = sum(1 for n in sk1.nodes if n.kind == "block")
     blocks2 = sum(1 for n in sk2.nodes if n.kind == "block")
-    if exact_mode and max(blocks1, blocks2) > skeleton_limit:
+    if exact_mode and max(blocks1, blocks2) > EXACT_SKELETON_LIMIT:
         raise SizeError(
             f"skeletons have {blocks1}/{blocks2} blocks; exact mode allows "
-            f"{skeleton_limit}")
+            f"{EXACT_SKELETON_LIMIT}")
 
     exact = True
     cost_key = repr(costs)
@@ -588,7 +586,7 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
             # Inside the staged decomposition the per-pair searches are kept
             # honest by the expansion budget; the standalone node limit would
             # reject identity pairs of larger blocks that search instantly.
-            limit = max(exact_node_limit, len(a.nodes) + len(b.nodes))
+            limit = max(EXACT_NODE_LIMIT, len(a.nodes) + len(b.nodes))
             return ged_exact(a, b, costs, limit, del_extra, ins_extra)
         exact = False
         if memo is None:

@@ -161,11 +161,9 @@ _IMPLS = {
 }
 
 
-def pass_catalog(include_pragma_anchored: bool = True) -> list[CatalogEntry]:
+def pass_catalog() -> list[CatalogEntry]:
     """Stable catalog; index order defines the agent's action numbering."""
-    if include_pragma_anchored:
-        return list(_CATALOG)
-    return [e for e in _CATALOG if not e.pragma_anchored]
+    return list(_CATALOG)
 
 
 def general_passes() -> list[PassId]:

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, reproducibility stamps."""
+import csv
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from passforge.cli import main
-from passforge.reporting import MethodResult, geomean, report
+from passforge.reporting import geomean
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +53,7 @@ def test_graph_outputs(workdir):
                  "--quiet"]) == 0
     assert open(dot).read().startswith("digraph")
     doc = json.loads(open(js).read())
-    assert doc["schema"] == "hetgraph_v1"
+    assert doc["schema"] == "hetgraph_v2"
 
 
 def test_run_with_stats(workdir, capsys):
@@ -156,21 +157,6 @@ def test_catalog_lists_action_indexing(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["pass"] == "simplifycfg" and rows[0]["index"] == 0
     assert sum(1 for r in rows if not r["pragma_anchored"]) == 17
-
-
-def test_report_geomean(tmp_path, capsys):
-    results = [
-        MethodResult("d1", "rl", 50, 100, 1, 100, 100, 1).to_dict(),
-        MethodResult("d2", "rl", 200, 100, 1, 100, 100, 1).to_dict(),
-    ]
-    path = tmp_path / "res.json"
-    path.write_text(json.dumps(results))
-    out_csv = tmp_path / "table.csv"
-    assert main(["report", "--results", str(path),
-                 "--out-csv", str(out_csv)]) == 0
-    text = out_csv.read_text()
-    # ratios 0.5 and 2.0 -> geometric mean exactly 1.0
-    assert "geomean[rl]" in text and "1.0000" in text
 
 
 def test_geomean_arithmetic():
@@ -322,6 +308,11 @@ def test_bad_input_files_are_user_errors(stages, tmp_path):
     for path in (str(bad), missing):
         assert main(rl + ["--config", path]) == 1
         assert main(pre + ["--pairs", path]) == 1
+    ds = tmp_path / "ds"
+    shutil.copytree(stages / "ds", ds)
+    next((ds / "variants").iterdir()).write_text("not ir\n")
+    assert main(["pretrain", "--corpus", str(ds), "--quiet",
+                 "--out", str(tmp_path / "e.ckpt")]) == 1
 
 
 def test_bad_or_mismatched_checkpoints_are_user_errors(stages, tmp_path):
@@ -361,3 +352,66 @@ def test_unread_options_and_removed_commands_are_rejected(argv):
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert exit_.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# search -> report
+# ---------------------------------------------------------------------------
+
+METHODS = ("greedy", "random", "genetic", "rl")
+
+
+def test_report_tabulates_search_outputs(stages, tmp_path):
+    policy = str(tmp_path / "policy.ckpt")
+    assert main(["rl-train", "--corpus", str(stages / "corpus"), "--quiet",
+                 "--config", str(stages / "ppo.json"), "--out", policy,
+                 "--obs", "histogram", "--obs-dim", "12"]) == 0
+    files = []
+    for design in ("dot_01", "vec_combine_00"):
+        for method in METHODS:
+            files.append(tmp_path / f"{design}.{method}.json")
+            assert main(["search", "--method", method, "--budget", "4",
+                         "--design", str(stages / "corpus" / f"{design}.ir"),
+                         "--policy", policy, "--out", str(files[-1])]) == 0
+    records = [json.loads(f.read_text()) for f in files]
+    rl = [r for r in records if r["method"] == "rl"]
+    assert all(r["evaluations"] == len(r["trace"]) - 1 for r in rl)
+
+    table = tmp_path / "table.csv"
+    assert main(["report", "--results", *map(str, files), "--out-csv",
+                 str(table), "--quiet"]) == 0
+    rows = list(csv.DictReader(table.read_text().splitlines()))
+    means = {r["design"]: r for r in rows if r["design"].startswith("geomean")}
+    rows = [r for r in rows if not r["design"].startswith("geomean")]
+    assert sorted((r["design"], r["method"]) for r in rows) == \
+        sorted((r["design"], r["method"]) for r in records)
+    for method in METHODS:
+        mine = [r for r in records if r["method"] == method]
+        mean = means.pop(f"geomean[{method}]")
+        assert float(mean["cycles_ratio"]) == pytest.approx(geomean(
+            r["cycles"] / r["baseline_cycles"] for r in mine), abs=1e-4)
+        assert int(mean["evaluations"]) == sum(r["evaluations"] for r in mine)
+    assert means == {}
+
+
+def test_report_rejects_unreadable_records(stages, tmp_path, capsys):
+    good = tmp_path / "good.json"
+    assert main(["search", "--method", "random", "--budget", "2", "--design",
+                 str(stages / "corpus" / "dot_01.ir"), "--out",
+                 str(good)]) == 0
+    record = json.loads(good.read_text())
+    bad = tmp_path / "bad.json"
+    for doc in ({k: v for k, v in record.items() if k != "cycles"},
+                [record, {**record, "evaluations": "many"}],
+                {"design": "d1", "method": "rl", "cycles": 50, "lut_proxy": 1,
+                 "dsp": 1, "baseline_cycles": 100, "baseline_lut": 1,
+                 "baseline_dsp": 1},
+                [record, 3], "record"):
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--results", str(good), str(bad)]) == 1
+        assert str(bad) in capsys.readouterr().err
+    bad.write_text(json.dumps({k: v for k, v in record.items()
+                               if k not in ("cycles", "sequence")}))
+    assert main(["report", "--results", str(bad)]) == 1
+    assert "sequence, cycles" in capsys.readouterr().err

@@ -1,4 +1,6 @@
 """Corpus generator contract and dataset construction."""
+import os
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,7 @@ def test_dataset_deterministic_and_roundtrips(tmp_path):
         [(p.i, p.j, p.label) for p in ds2.pairs]
 
     save_dataset(ds1, str(tmp_path / "ds"))
+    assert sorted(os.listdir(tmp_path / "ds")) == ["pairs.json", "variants"]
     loaded = load_dataset(str(tmp_path / "ds"))
     assert len(loaded.variants) == len(ds1.variants)
     assert [(p.i, p.j, p.label) for p in loaded.pairs] == \

@@ -153,8 +153,7 @@ def test_relation_sensitivity(fixtures):
             flipped_one = True
         else:
             flipped_edges.append(e)
-    g_flip = HetGraph(list(g1.nodes), flipped_edges, g1.function,
-                      g1.module_digest)
+    g_flip = HetGraph(list(g1.nodes), flipped_edges, g1.function)
     other = embed(graph_data(g_flip, cfg), params, cfg)
     assert not np.array_equal(base, other)
 

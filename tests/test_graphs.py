@@ -1,7 +1,6 @@
 """Heterogeneous graph construction, serialization, and invariants."""
 from passforge.graphs import (
-    NodeKind, Relation, build_het_graph, from_json, homogenize, to_dot,
-    to_json,
+    NodeKind, Relation, build_het_graph, homogenize, to_dot, to_json,
 )
 from passforge.ir import parse_module
 
@@ -107,12 +106,6 @@ def test_block_relabeling_yields_identical_structure(dot_module):
     g1 = build_het_graph(dot_module)
     g2 = build_het_graph(parse_module(renamed))
     assert g1.canonical_hash() == g2.canonical_hash()
-
-
-def test_json_roundtrip(dot_module):
-    g = build_het_graph(dot_module)
-    g2 = from_json(to_json(g))
-    assert to_json(g2) == to_json(g)
 
 
 def test_dot_output_styles_loops(case1):

@@ -277,7 +277,7 @@ def _renumbered_het(g: HetGraph) -> HetGraph:
     return HetGraph([NodeRecord(1000 + 3 * n.node_id, n.kind, n.attr)
                      for n in g.nodes],
                     [EdgeRecord(1000 + 3 * e.src, 1000 + 3 * e.dst, e.relation)
-                     for e in g.edges], g.function, g.module_digest)
+                     for e in g.edges], g.function)
 
 
 def test_memo_hit_returns_the_fresh_result(monkeypatch):
