@@ -1,5 +1,7 @@
 """PPO policy, pass-ordering environment, and search baselines."""
-from .env import ACTIONS, EnvState, N_ACTIONS, PassEnv, STOP_ACTION, reward
+from .env import (
+    ACTIONS, EnvState, Evaluator, N_ACTIONS, PassEnv, STOP_ACTION, reward,
+)
 from .nets import (
     PpoConfig, init_actor_critic, policy_logits, policy_probs, ppo_loss_grad,
     value,
@@ -14,7 +16,8 @@ from .baselines import (
 )
 
 __all__ = [
-    "ACTIONS", "EnvState", "N_ACTIONS", "PassEnv", "STOP_ACTION", "reward",
+    "ACTIONS", "EnvState", "Evaluator", "N_ACTIONS", "PassEnv", "STOP_ACTION",
+    "reward",
     "PpoConfig", "init_actor_critic", "policy_logits", "policy_probs",
     "ppo_loss_grad", "value",
     "CurvePoint", "Trajectory", "gae_advantages", "infer", "ppo_update",

@@ -3,8 +3,10 @@
 Subcommands: parse, verify, graph, run, estimate, interp, hged, corpus-gen,
 dataset-gen, pretrain, rl-train, search, report, catalog.  Each takes only the
 shared options (--seed, --costs, --json, --quiet) its handler reads; --seed
-goes to interp, corpus-gen, dataset-gen, pretrain, rl-train and search, and
-fixes their outputs byte for byte.
+goes to interp, corpus-gen, dataset-gen, pretrain and rl-train, and fixes
+their outputs byte for byte.  search rejects an option its --method does not
+read: --seed is for random and genetic, --budget for random, and --policy
+and --embed for rl.
 
 The generative stages (corpus-gen, dataset-gen, pretrain, rl-train) stamp
 their primary output with a digest of the version and every option but
@@ -442,9 +444,19 @@ def cmd_rl_train(args) -> int:
     return 0
 
 
+#: The ``search`` options only some methods read, with those methods.
+_METHOD_OPTIONS = {"policy": ("rl",), "embed": ("rl",), "budget": ("random",),
+                   "seed": ("random", "genetic")}
+
+
 def cmd_search(args) -> int:
     from .agent import infer, search_baseline
 
+    unread = [f"--{opt}" for opt, methods in _METHOD_OPTIONS.items()
+              if getattr(args, opt) is not None and args.method not in methods]
+    if unread:
+        raise UserError(f"--method {args.method} does not read "
+                        f"{', '.join(unread)}")
     m = _read_module(args.design)
     costs = _load_costs(args.costs)
     t0 = time.time()
@@ -463,12 +475,16 @@ def cmd_search(args) -> int:
                       cycles=cycles[best_idx], baseline_cycles=cycles[0],
                       evaluations=len(cycles) - 1, trace=cycles)
     else:
-        sr = search_baseline(m, args.method, seed=args.seed, costs=costs,
-                             budget=args.budget)
+        seed = 0 if args.seed is None else args.seed
+        budget = 64 if args.budget is None else args.budget
+        sr = search_baseline(m, args.method, seed=seed, costs=costs,
+                             budget=budget)
         result.update(method=sr.method,
                       sequence=[p.value for p in sr.sequence],
                       cycles=sr.cycles, baseline_cycles=sr.baseline_cycles,
                       evaluations=sr.evaluations, passes_run=sr.passes_run)
+        if args.method in _METHOD_OPTIONS["seed"]:
+            result["seed"] = seed
     if args.out:
         _write(args.out, _json_text(result))
     print(json.dumps({**result, "wall_time_s": round(time.time() - t0, 3)},
@@ -485,6 +501,8 @@ def _read_records(path: str) -> list[dict]:
     for i, rec in enumerate(records):
         bad = [k for k, t in RECORD_TYPES.items()
                if not isinstance(rec.get(k), t)]
+        if not isinstance(rec.get("seed", 0), int):
+            bad.append("seed")
         if bad:
             raise UserError(f"{path}: record {i}: missing or malformed "
                             f"{', '.join(bad)}")
@@ -618,16 +636,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None, help="reward curve CSV")
 
-    p = command("search", cmd_search, "search for a pass sequence",
-                "seed", "costs")
+    p = command("search", cmd_search, "search for a pass sequence", "costs")
     p.add_argument("--method", required=True,
                    choices=["rl", "greedy", "genetic", "random"])
     p.add_argument("--design", required=True)
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--seed", type=int, default=None,
+                   help="random and genetic only (default 0)")
+    p.add_argument("--budget", type=int, default=None,
+                   help="random only: sequences to try (default 64)")
     p.add_argument("--policy", default=None,
-                   help="rl-train checkpoint; its observation mode applies")
+                   help="rl only: rl-train checkpoint; its observation mode "
+                        "applies")
     p.add_argument("--embed", default=None,
-                   help="embedder checkpoint for an rgcn policy")
+                   help="rl only: embedder checkpoint for an rgcn policy")
     p.add_argument("--out", default=None)
 
     p = command("report", cmd_report, "tabulate method results", "quiet")

@@ -3,6 +3,7 @@ from .types import (
     Const, GlobalArray, GlobalRef, I1, I32, PTR, VOID, InstrClass, IrBlock,
     IrFunction, IrInstruction, IrModule, IrType, LabelRef, LoopInfo, Opcode,
     OPCODE_CLASS, PragmaDirective, PragmaKind, ValueRef, array_type,
+    text_digest,
 )
 from .parser import IrSyntaxError, VerifyError, parse_module
 from .printer import print_function, print_instruction, print_module
@@ -22,6 +23,7 @@ __all__ = [
     "InstrClass", "IrBlock", "IrFunction", "IrInstruction", "IrModule",
     "IrType", "LabelRef", "LoopInfo", "Opcode", "OPCODE_CLASS",
     "PragmaDirective", "PragmaKind", "ValueRef", "array_type",
+    "text_digest",
     "IrSyntaxError", "VerifyError", "parse_module",
     "print_function", "print_instruction", "print_module",
     "Violation", "verify_module",

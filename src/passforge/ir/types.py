@@ -343,6 +343,11 @@ class GlobalArray:
                            list(self.init) if self.init is not None else None)
 
 
+def text_digest(text: str) -> str:
+    """Digest of a printed module; equal for modules that print alike."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 @dataclass
 class IrModule:
     functions: list[IrFunction] = field(default_factory=list)
@@ -370,4 +375,4 @@ class IrModule:
 
     def digest(self) -> str:
         from .printer import print_module
-        return hashlib.sha256(print_module(self).encode()).hexdigest()[:16]
+        return text_digest(print_module(self))

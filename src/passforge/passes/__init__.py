@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..ir import IrModule, print_module, verify_module
+from ..ir import IrModule, print_module, text_digest, verify_module
 from .cfg_passes import run_jump_threading, run_sccp, run_simplifycfg
 from .inst_passes import (
     run_adce, run_early_cse, run_gvn, run_instcombine, run_instsimplify,
@@ -175,6 +175,7 @@ class PassResult:
     module: IrModule
     changed: bool
     pass_id: PassId
+    digest: str                 # of the output module, as ``IrModule.digest``
     instructions_removed: int = 0
     instructions_added: int = 0
     blocks_removed: int = 0
@@ -200,6 +201,7 @@ def _run_pass(m: IrModule, p: PassId) -> PassResult:
         module=out,
         changed=before != after,
         pass_id=p,
+        digest=text_digest(after),
         instructions_removed=max(0, n_before - n_after),
         instructions_added=max(0, n_after - n_before),
         blocks_removed=max(0, block_count(m) - block_count(out)),

@@ -6,16 +6,18 @@ import pytest
 
 from passforge import passes
 from passforge.agent import (
-    ACTIONS, N_ACTIONS, PassEnv, PpoConfig, STOP_ACTION, gae_advantages,
-    infer, init_actor_critic, policy_probs, ppo_loss_grad, reward,
-    rollout_episode, search_baseline, search_genetic, search_greedy,
+    ACTIONS, Evaluator, N_ACTIONS, PassEnv, PpoConfig, STOP_ACTION,
+    gae_advantages, infer, init_actor_critic, policy_probs, ppo_loss_grad,
+    reward, rollout_episode, search_baseline, search_genetic, search_greedy,
     search_random, train,
 )
+from passforge.agent import baselines, env as env_module
 from passforge.corpus import corpus_gen
 from passforge.dataset import dataset_gen
 from passforge.embedder import featurize_baseline
 from passforge.ir import parse_module, print_module
-from passforge.passes import PassError, PassId
+from passforge.passes import PassError, PassId, apply_pass
+from passforge.qor import EstimateError
 
 
 def test_reward_formula_instances():
@@ -178,6 +180,63 @@ block entry:
     assert state.t == 3 and state.cycles_history == [state.best_cycles] * 4
 
 
+def test_env_expands_pragmas_once_over_many_resets(monkeypatch, dot_module):
+    calls = [0]
+    expand = env_module.apply_pragma_passes
+
+    def counted(module):
+        calls[0] += 1
+        return expand(module)
+
+    monkeypatch.setattr(env_module, "apply_pragma_passes", counted)
+    env = PassEnv("dot", dot_module, _obs_fn(), max_steps=2)
+    for _ in range(4):
+        state, done = env.reset(), False
+        while not done:
+            state, _r, done = env.step(state, 0)
+    assert calls[0] == 1
+
+
+def test_evaluator_raises_a_memoized_estimate_error_every_time(monkeypatch,
+                                                               case2):
+    # simplifycfg's result on ``case2`` cannot be estimated (UnknownTrip).
+    calls = [0]
+    price = env_module.estimate
+
+    def counted(*args):
+        calls[0] += 1
+        return price(*args)
+
+    ev = Evaluator(case2)
+    monkeypatch.setattr(env_module, "estimate", counted)
+    result = apply_pass(ev.base, PassId.SIMPLIFYCFG)
+    for _ in range(3):
+        with pytest.raises(EstimateError, match="UnknownTrip"):
+            ev.cycles(result)
+    assert calls[0] == 1
+
+
+#: sha256 of ``train``'s parameters and curve on three small designs and
+#: ``case2``, whose episodes hit estimate errors; taken before ``PassEnv``
+#: priced through the shared ``Evaluator``.
+PINNED_TRAIN = \
+    "ed93bd284620832c1a73f71c7ae3355f72bacaaed860a5a7d2508c6318afd5ab"
+
+
+def test_train_is_pinned(small_corpus, case2):
+    cfg = PpoConfig(iterations=4, episodes_per_iteration=8,
+                    max_episode_len=6, minibatch_size=16, seed=0)
+    params, curve = train(small_corpus[:3] + [("case2", case2)], _obs_fn(),
+                          cfg, seed=0, obs_dim=16)
+    h = hashlib.sha256()
+    for k in sorted(params):
+        h.update(k.encode())
+        h.update(np.ascontiguousarray(params[k]).tobytes())
+    h.update(repr([(p.iteration, p.mean_return, p.mean_cycles_ratio)
+                   for p in curve]).encode())
+    assert h.hexdigest() == PINNED_TRAIN
+
+
 def test_rollout_and_train_deterministic(small_corpus):
     designs = small_corpus[:3]
     cfg = PpoConfig(iterations=3, episodes_per_iteration=3,
@@ -286,6 +345,22 @@ def test_search_budget_counts_every_pass_application(corpus_searches, method):
     if method == "greedy":
         assert sum(r.passes_run for r, _ in corpus_searches[method]) < \
             sum(r.evaluations for r, _ in corpus_searches[method]) / 2
+
+
+def test_random_search_memo_holds_only_the_last_path(monkeypatch,
+                                                     small_corpus):
+    # Each sequence starts from a memo that holds the previous sequence's
+    # transitions only, at most ``max_len`` of them.
+    sizes = []
+    run = baselines.apply_sequence
+
+    def recorded(module, seq, memo):
+        sizes.append(len(memo))
+        return run(module, seq, memo)
+
+    monkeypatch.setattr(baselines, "apply_sequence", recorded)
+    search_random(small_corpus[0][1], budget_sequences=30, seed=0, max_len=4)
+    assert 0 < max(sizes) <= 4
 
 
 def test_search_baseline_dispatch(small_corpus):

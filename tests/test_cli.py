@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,8 +52,8 @@ def test_graph_outputs(workdir):
     js = str(workdir / "g.json")
     assert main(["graph", design, "--dot", dot, "--json-out", js,
                  "--quiet"]) == 0
-    assert open(dot).read().startswith("digraph")
-    doc = json.loads(open(js).read())
+    assert Path(dot).read_text().startswith("digraph")
+    doc = json.loads(Path(js).read_text())
     assert doc["schema"] == "hetgraph_v2"
 
 
@@ -63,7 +64,7 @@ def test_run_with_stats(workdir, capsys):
     code = main(["run", design, "-p", "adce,dse,simplifycfg",
                  "--stats", stats, "--emit", emit, "--quiet"])
     assert code == 0
-    recs = json.loads(open(stats).read())
+    recs = json.loads(Path(stats).read_text())
     assert [r["pass"] for r in recs] == ["adce", "dse", "simplifycfg"]
     assert main(["verify", emit, "--quiet"]) == 0
 
@@ -359,6 +360,22 @@ def test_unread_options_and_removed_commands_are_rejected(argv):
 # ---------------------------------------------------------------------------
 
 METHODS = ("greedy", "random", "genetic", "rl")
+#: The search methods that read each method-specific option.
+READERS = {"--seed": ("random", "genetic"), "--budget": ("random",),
+           "--policy": ("rl",), "--embed": ("rl",)}
+
+
+@pytest.mark.parametrize("method,option", [
+    (method, option) for option, readers in READERS.items()
+    for method in METHODS if method not in readers])
+def test_search_rejects_options_its_method_does_not_read(workdir, capsys,
+                                                          method, option):
+    design = str(workdir / "corpus" / "dot_01.ir")
+    capsys.readouterr()
+    assert main(["search", "--method", method, "--design", design,
+                 option, "1"]) == 1
+    assert f"--method {method} does not read {option}" in \
+        capsys.readouterr().err
 
 
 def test_report_tabulates_search_outputs(stages, tmp_path):
@@ -366,16 +383,21 @@ def test_report_tabulates_search_outputs(stages, tmp_path):
     assert main(["rl-train", "--corpus", str(stages / "corpus"), "--quiet",
                  "--config", str(stages / "ppo.json"), "--out", policy,
                  "--obs", "histogram", "--obs-dim", "12"]) == 0
+    # Each method gets only the options it reads.
+    options = {"greedy": [], "random": ["--budget", "4", "--seed", "2"],
+               "genetic": ["--seed", "3"], "rl": ["--policy", policy]}
     files = []
     for design in ("dot_01", "vec_combine_00"):
         for method in METHODS:
             files.append(tmp_path / f"{design}.{method}.json")
-            assert main(["search", "--method", method, "--budget", "4",
+            assert main(["search", "--method", method, *options[method],
                          "--design", str(stages / "corpus" / f"{design}.ir"),
-                         "--policy", policy, "--out", str(files[-1])]) == 0
+                         "--out", str(files[-1])]) == 0
     records = [json.loads(f.read_text()) for f in files]
     rl = [r for r in records if r["method"] == "rl"]
     assert all(r["evaluations"] == len(r["trace"]) - 1 for r in rl)
+    assert {r["method"]: r.get("seed") for r in records} == \
+        {"greedy": None, "random": 2, "genetic": 3, "rl": None}
 
     table = tmp_path / "table.csv"
     assert main(["report", "--results", *map(str, files), "--out-csv",
@@ -383,8 +405,9 @@ def test_report_tabulates_search_outputs(stages, tmp_path):
     rows = list(csv.DictReader(table.read_text().splitlines()))
     means = {r["design"]: r for r in rows if r["design"].startswith("geomean")}
     rows = [r for r in rows if not r["design"].startswith("geomean")]
-    assert sorted((r["design"], r["method"]) for r in rows) == \
-        sorted((r["design"], r["method"]) for r in records)
+    assert sorted((r["design"], r["method"], r["seed"]) for r in rows) == \
+        sorted((r["design"], r["method"], str(r.get("seed", "")))
+               for r in records)
     for method in METHODS:
         mine = [r for r in records if r["method"] == method]
         mean = means.pop(f"geomean[{method}]")
@@ -406,7 +429,7 @@ def test_report_rejects_unreadable_records(stages, tmp_path, capsys):
                 {"design": "d1", "method": "rl", "cycles": 50, "lut_proxy": 1,
                  "dsp": 1, "baseline_cycles": 100, "baseline_lut": 1,
                  "baseline_dsp": 1},
-                [record, 3], "record"):
+                {**record, "seed": "zero"}, [record, 3], "record"):
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["report", "--results", str(good), str(bad)]) == 1

@@ -116,6 +116,7 @@ def test_changed_false_means_structurally_equal(dot_module):
     r2 = apply_pass(r.module, PassId.LOOP_SIMPLIFY)
     assert not r2.changed
     assert print_module(r2.module) == print_module(r.module)
+    assert r2.digest == r.digest == r.module.digest()
 
 
 @pytest.mark.parametrize("pass_id", [e.pass_id for e in pass_catalog()
