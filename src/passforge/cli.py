@@ -84,21 +84,24 @@ def _load_json(path: str, what: str):
 def _load_costs(path: str | None) -> OpCostTable:
     if path is None:
         return OpCostTable()
-    return OpCostTable.from_dict(_load_json(path, "cost table"))
+    try:
+        return OpCostTable.from_dict(_load_json(path, "cost table"))
+    except ValueError as e:
+        raise UserError(f"bad cost table {path}: {e}")
 
 
-def _load_checkpoint(path: str, kind: str) -> tuple[dict, dict]:
-    """(params, config) of a 'policy' or 'embedder' checkpoint."""
+def _load_checkpoint(path: str, kind: str) -> tuple[dict, dict, dict]:
+    """(params, config, extra) of a 'policy' or 'embedder' checkpoint."""
     from .embedder import load_checkpoint
     try:
-        params, config, _ = load_checkpoint(path)
+        params, config, doc = load_checkpoint(path)
     except (OSError, ValueError, KeyError) as e:
         raise UserError(f"bad checkpoint {path}: {e}")
     found = config.get("kind", "embedder")
     if found != kind:
         raise UserError(f"{path} holds a {found!r} checkpoint, "
                         f"expected {kind!r}")
-    return params, config
+    return params, config, doc.get("extra", {})
 
 
 def _say(args, *message):
@@ -393,14 +396,19 @@ def cmd_pretrain(args) -> int:
 
 def _obs_fn(obs: str, obs_dim: int, embed: str | None):
     """(observation function, its dimension) for an observation mode; an
-    rgcn observation takes its dimension from the embedder checkpoint."""
+    rgcn observation takes its dimension from the embedder checkpoint, and
+    homogenizes each graph when the embedder was pretrained on homogenized
+    graphs."""
     from .embedder import RgcnConfig, embed as embed_fn, featurize_baseline
+    from .graphs import homogenize
 
     if obs == "rgcn":
         if not embed:
             raise UserError("an rgcn observation requires --embed CKPT")
-        params, cfg_doc = _load_checkpoint(embed, "embedder")
+        params, cfg_doc, extra = _load_checkpoint(embed, "embedder")
         cfg = RgcnConfig.from_dict(cfg_doc)
+        if extra.get("homogenized"):
+            return (lambda g: embed_fn(homogenize(g), params, cfg)), cfg.embed_dim
         return (lambda g: embed_fn(g, params, cfg)), cfg.embed_dim
     mode = {"histogram": "opcode_histogram", "zero": "all_zero"}[obs]
     return (lambda g: featurize_baseline(g, mode, obs_dim)), obs_dim
@@ -464,7 +472,7 @@ def cmd_search(args) -> int:
     if args.method == "rl":
         if not args.policy:
             raise UserError("--method rl requires --policy CKPT")
-        policy, cfg = _load_checkpoint(args.policy, "policy")
+        policy, cfg, _ = _load_checkpoint(args.policy, "policy")
         obs_fn, obs_dim = _obs_fn(cfg["obs"], cfg["obs_dim"], args.embed)
         if obs_dim != cfg["obs_dim"]:
             raise UserError(f"{args.embed} embeds into {obs_dim} dimensions; "

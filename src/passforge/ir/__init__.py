@@ -13,8 +13,8 @@ from .interp import (
     interpret, wrap32,
 )
 from .analysis import (
-    DomTree, Loop, LoopForest, natural_loops, pointer_target, predecessor_map,
-    preheader_of, reachable_blocks, refresh_loop_annotations,
+    DomTree, Loop, LoopForest, natural_loops, pointer_target, postorder,
+    predecessor_map, preheader_of, reachable_blocks, refresh_loop_annotations,
     reverse_postorder, successor_map,
 )
 
@@ -30,6 +30,6 @@ __all__ = [
     "DEFAULT_FUEL", "ExecResult", "FuelExhausted", "TrapError",
     "fold_constant", "interpret", "wrap32",
     "DomTree", "Loop", "LoopForest", "natural_loops", "pointer_target",
-    "predecessor_map", "preheader_of", "reachable_blocks",
+    "postorder", "predecessor_map", "preheader_of", "reachable_blocks",
     "refresh_loop_annotations", "reverse_postorder", "successor_map",
 ]

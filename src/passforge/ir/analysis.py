@@ -1,14 +1,16 @@
 """CFG utilities shared by the verifier, transform passes, and the QoR model.
 
 Everything here is derived from the block structure alone: predecessor and
-successor maps, dominators (iterative Cooper-Harvey-Kennedy), and the natural
-loop forest.  Loop identities come from the ``loop(id, ...)`` annotations on
-header blocks; membership and nesting are always recomputed from back edges so
-they stay correct as passes rewrite the CFG.  One dataflow helper rides
-along: `pointer_target` decodes the array and index a pointer addresses.
+successor maps, depth-first postorder, dominators (iterative
+Cooper-Harvey-Kennedy), and the natural loop forest.  Loop identities come
+from the ``loop(id, ...)`` annotations on header blocks; membership and
+nesting are always recomputed from back edges so they stay correct as passes
+rewrite the CFG.  One dataflow helper rides along: `pointer_target` decodes
+the array and index a pointer addresses.
 """
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .types import (
@@ -44,42 +46,34 @@ def predecessor_map(fn: IrFunction) -> dict[str, list[str]]:
     return preds
 
 
-def reachable_blocks(fn: IrFunction) -> set[str]:
-    succs = successor_map(fn)
-    seen = {fn.entry.label}
-    stack = [fn.entry.label]
+def postorder(root: Hashable, succs: Mapping[Hashable, Iterable]) -> list:
+    """Depth-first postorder of the nodes reachable from ``root``.
+
+    Each node's successors are visited in the order ``succs`` lists them; a
+    successor that is not a key of ``succs`` is skipped.  Iterative, so deep
+    graphs cannot exhaust the recursion limit."""
+    seen = {root}
+    order = []
+    stack = [(root, iter(succs[root]))]
     while stack:
-        for s in succs.get(stack.pop(), []):
+        node, it = stack[-1]
+        for s in it:
             if s in succs and s not in seen:
                 seen.add(s)
-                stack.append(s)
-    return seen
+                stack.append((s, iter(succs[s])))
+                break
+        else:
+            order.append(node)
+            stack.pop()
+    return order
+
+
+def reachable_blocks(fn: IrFunction) -> set[str]:
+    return set(postorder(fn.entry.label, successor_map(fn)))
 
 
 def reverse_postorder(fn: IrFunction) -> list[str]:
-    succs = successor_map(fn)
-    seen: set[str] = set()
-    order: list[str] = []
-
-    def visit(label: str):
-        stack = [(label, iter(succs.get(label, [])))]
-        seen.add(label)
-        while stack:
-            lab, it = stack[-1]
-            advanced = False
-            for s in it:
-                if s in succs and s not in seen:
-                    seen.add(s)
-                    stack.append((s, iter(succs.get(s, []))))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(lab)
-                stack.pop()
-
-    visit(fn.entry.label)
-    order.reverse()
-    return order
+    return postorder(fn.entry.label, successor_map(fn))[::-1]
 
 
 def dominators(fn: IrFunction) -> dict[str, str | None]:

@@ -8,14 +8,21 @@ below by memory-port pressure (res_mii) and loop-carried dependence cycles
 operations, which deliberately reproduces the conservative behavior of fixed
 HLS pipelines: a guarded inner loop inflates the recurrence bound until passes
 restructure it away.
+
+Each function is modelled once per `estimate` call, and each fact about it
+is worked out once: its loop forest and reverse postorder, one trip count
+per loop, block latencies, each loop's memory access counts and total
+cycles (innermost loops first, so a parent reads its children's), and, the
+first time a caller needs it, the function's memory summary as a callee.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 from .ir import (
     Const, IrFunction, IrModule, Loop, Opcode, PragmaKind, ValueRef,
-    interpret, natural_loops, pointer_target, reverse_postorder,
+    interpret, natural_loops, pointer_target, postorder, reverse_postorder,
 )
 from .ir.types import Operand
 from .passes.loop_passes import loop_trip_count
@@ -50,6 +57,12 @@ _DEFAULT_LUT = {
     "call": 16, "br": 1, "condbr": 4, "ret": 1,
 }
 
+_OPCODES = {op.value for op in Opcode}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
 
 @dataclass
 class OpCostTable:
@@ -63,16 +76,34 @@ class OpCostTable:
 
     @staticmethod
     def from_dict(doc: dict) -> "OpCostTable":
+        """Raises ValueError on an unknown key or opcode, on a latency, DSP or
+        LUT cost that is not a non-negative integer, and on fewer than one
+        memory port."""
+        if not isinstance(doc, dict):
+            raise ValueError("a cost table must be a JSON object")
         t = OpCostTable()
-        t.latency.update(doc.get("latency", {}))
-        t.dsp.update(doc.get("dsp", {}))
-        t.lut.update(doc.get("lut", {}))
-        t.memory_ports = doc.get("memory_ports", t.memory_ports)
+        for key, value in doc.items():
+            if key == "memory_ports":
+                if not _is_int(value) or value < 1:
+                    raise ValueError(f"memory_ports must be an integer >= 1, "
+                                     f"not {value!r}")
+                t.memory_ports = value
+            elif key in ("latency", "dsp", "lut"):
+                if not isinstance(value, dict):
+                    raise ValueError(f"{key} must be an object of costs")
+                for op, cost in value.items():
+                    if op not in _OPCODES:
+                        raise ValueError(f"unknown opcode {op!r} in {key}")
+                    if not _is_int(cost) or cost < 0:
+                        raise ValueError(f"{key} of {op} must be a "
+                                         f"non-negative integer, not {cost!r}")
+                getattr(t, key).update(value)
+            else:
+                raise ValueError(f"unknown cost table key {key!r}")
         return t
 
     def to_dict(self) -> dict:
-        return {"latency": dict(self.latency), "dsp": dict(self.dsp),
-                "lut": dict(self.lut), "memory_ports": self.memory_ports}
+        return asdict(self)
 
 
 @dataclass
@@ -94,14 +125,7 @@ class QoRReport:
     loops: list[LoopReport]
 
     def to_dict(self) -> dict:
-        return {
-            "cycles": self.cycles, "dsp": self.dsp, "lut_proxy": self.lut_proxy,
-            "loops": [{"loop_id": l.loop_id, "trip": l.trip,
-                       "depth_cycles": l.depth_cycles,
-                       "achieved_ii": l.achieved_ii, "res_mii": l.res_mii,
-                       "rec_mii": l.rec_mii, "total_cycles": l.total_cycles}
-                      for l in self.loops],
-        }
+        return asdict(self)
 
 
 def _access_key(defs, op: Operand) -> tuple[str, str | None]:
@@ -139,22 +163,43 @@ class _FunctionModel:
     def __init__(self, model: "_ModuleModel", fn: IrFunction):
         self.model = model
         self.fn = fn
-        self.costs = model.costs
         self.forest = natural_loops(fn)
         self.defs = fn.defined_values()
+        self.bmap = fn.block_map()
+        self.rpo = reverse_postorder(fn)
+        self.trip = {l.loop_id: loop_trip_count(fn, l) for l in self.forest.loops}
+        self.eff_trip = {lid: DEFAULT_UNKNOWN_TRIP if t is None else t
+                         for lid, t in self.trip.items()}
         self.block_lat: dict[str, int] = {}
         self.loop_total: dict[int, int] = {}
         self.loop_reports: list[LoopReport] = []
         self._mem_counts: dict[int, dict[str, int]] = {}
-        self.latency = 0
         self._build()
+
+    @cached_property
+    def mem_summary(self) -> dict[str, int]:
+        """Trip-weighted accesses per array, as a caller charges a call to
+        this function; its own calls are not followed."""
+        counts: dict[str, int] = {}
+        for b in self.fn.blocks:
+            weight = 1
+            l = self.forest.innermost.get(b.label)
+            while l is not None:
+                weight *= self.eff_trip[l.loop_id]
+                l = l.parent
+            for ins in b.all_instructions():
+                access = _mem_op(self.defs, ins)
+                if access is not None:
+                    arr = access[1][0]
+                    counts[arr] = counts.get(arr, 0) + weight
+        return counts
 
     # -- block scheduling ---------------------------------------------------
 
     def _op_latency(self, ins) -> int:
         if ins.opcode is Opcode.CALL:
-            return self.model.function_latency(ins.callee)
-        return self.costs.lat(ins.opcode)
+            return self.model.fn_model(ins.callee).latency
+        return self.model.costs.lat(ins.opcode)
 
     def _schedule_block(self, b) -> int:
         finish: dict[int, int] = {}
@@ -188,170 +233,96 @@ class _FunctionModel:
                      loops: list[Loop]) -> int:
         """Longest node-weighted path through the acyclic region DAG formed by
         the given blocks with the given loops collapsed to macro nodes."""
-        macro_of: dict[str, Loop] = {}
-        for l in loops:
-            for lab in l.blocks:
-                macro_of[lab] = l
+        macro_of = {lab: ("loop", l.loop_id) for l in loops for lab in l.blocks}
 
-        def node_of(label: str):
-            l = macro_of.get(label)
-            return ("loop", l.loop_id) if l is not None else ("block", label)
+        def node_of(label: str) -> tuple:
+            return macro_of.get(label, ("block", label))
 
-        nodes: dict[tuple, int] = {}
-        edges: dict[tuple, set] = {}
-        order: list[tuple] = []
-        bmap = self.fn.block_map()
-        for label in [b.label for b in self.fn.blocks if b.label in blocks]:
-            n = node_of(label)
-            if n not in nodes:
-                if n[0] == "loop":
-                    nodes[n] = self.loop_total[n[1]]
-                else:
-                    nodes[n] = self.block_lat[label]
-                order.append(n)
-                edges[n] = set()
+        edges: dict[tuple, set] = {node_of(label): set() for label in blocks}
         for label in blocks:
             n = node_of(label)
-            for s in bmap[label].successors():
-                if s not in blocks:
-                    continue
-                ns = node_of(s)
-                if ns != n:
-                    edges[n].add(ns)
-        entry_node = node_of(entry)
+            for s in self.bmap[label].successors():
+                if s in blocks and node_of(s) != n:
+                    edges[n].add(node_of(s))
         # Longest path over the DAG (back edges already collapsed into macros).
         dist: dict[tuple, int] = {}
-        seen: set[tuple] = set()
-        post: list[tuple] = []
+        entry_node = node_of(entry)
+        for n in postorder(entry_node, {n: sorted(e) for n, e in edges.items()}):
+            weight = self.loop_total[n[1]] if n[0] == "loop" \
+                else self.block_lat[n[1]]
+            dist[n] = weight + max([0, *(dist.get(s, 0) for s in edges[n])])
+        return dist[entry_node]
 
-        def dfs(n):
-            stack = [(n, iter(sorted(edges.get(n, ()))))]
-            seen.add(n)
-            on_path = {n}
-            while stack:
-                cur, it = stack[-1]
-                advanced = False
-                for s in it:
-                    if s not in seen:
-                        seen.add(s)
-                        stack.append((s, iter(sorted(edges.get(s, ())))))
-                        advanced = True
-                        break
-                if not advanced:
-                    post.append(cur)
-                    stack.pop()
-
-        dfs(entry_node)
-        for n in post:
-            best = 0
-            for s in edges.get(n, ()):
-                best = max(best, dist.get(s, 0))
-            dist[n] = nodes[n] + best
-        return dist.get(entry_node, 0)
-
-    def _loop_iteration_latency(self, loop: Loop) -> int:
-        inner = set()
-        for c in loop.children:
-            inner |= c.blocks
-        own = loop.blocks - inner
-        return self._region_path(own | inner, loop.header, loop.children)
-
-    def _effective_trip(self, loop: Loop) -> tuple[int | None, int]:
-        trip = loop_trip_count(self.fn, loop)
-        return trip, (trip if trip is not None else DEFAULT_UNKNOWN_TRIP)
+    @staticmethod
+    def _own_blocks(loop: Loop) -> set[str]:
+        """The loop's blocks that no child loop holds."""
+        return loop.blocks.difference(*(c.blocks for c in loop.children))
 
     def _mem_access_counts(self, loop: Loop) -> dict[str, int]:
-        if loop.loop_id in self._mem_counts:
-            return self._mem_counts[loop.loop_id]
+        """Accesses per array in one iteration, child loops weighted by their
+        trips; each child's counts are already in ``_mem_counts``."""
         counts: dict[str, int] = {}
-        inner = set()
-        for c in loop.children:
-            inner |= c.blocks
-        bmap = self.fn.block_map()
-        for lab in sorted(loop.blocks - inner):
-            for ins in bmap[lab].all_instructions():
+        for lab in sorted(self._own_blocks(loop)):
+            for ins in self.bmap[lab].all_instructions():
                 access = _mem_op(self.defs, ins)
                 if access is not None:
                     arr = access[1][0]
                     counts[arr] = counts.get(arr, 0) + 1
                 elif ins.opcode is Opcode.CALL:
-                    for arr, n in self.model.function_mem_counts(
-                            ins.callee).items():
+                    callee = self.model.fn_model(ins.callee).mem_summary
+                    for arr, n in callee.items():
                         counts[arr] = counts.get(arr, 0) + n
         for c in loop.children:
-            _, eff = self._effective_trip(c)
-            for arr, n in self._mem_access_counts(c).items():
-                counts[arr] = counts.get(arr, 0) + n * eff
-        self._mem_counts[loop.loop_id] = counts
+            for arr, n in self._mem_counts[c.loop_id].items():
+                counts[arr] = counts.get(arr, 0) + n * self.eff_trip[c.loop_id]
         return counts
 
     # -- initiation interval ------------------------------------------------
 
-    def compute_ii(self, loop: Loop) -> tuple[int, int]:
-        res_mii = self._res_mii(loop)
-        rec_mii = self._rec_mii(loop)
-        return res_mii, rec_mii
-
-    def _res_mii(self, loop: Loop) -> int:
-        counts = self._mem_access_counts(loop)
+    def _res_mii(self, counts: dict[str, int]) -> int:
         worst = 1
-        for arr, n in sorted(counts.items()):
-            ports = self.model.ports_for(arr)
-            worst = max(worst, -(-n // ports))
+        for arr, n in counts.items():
+            worst = max(worst, -(-n // self.model.ports_for(arr)))
         return worst
 
     def _rec_mii(self, loop: Loop) -> int:
         """Max over distance-1 dependence cycles of their summed latency.
 
-        Nodes are the loop's direct instructions plus child-loop macros; the
-        intra-iteration DAG uses SSA and same-array program order, and carried
-        edges are store->load / store->store pairs plus latch-fed header phis,
-        all at conservative distance 1."""
-        fn, defs = self.fn, self.defs
-        bmap = fn.block_map()
-        inner = set()
-        for c in loop.children:
-            inner |= c.blocks
-
+        Nodes are the loop's direct instructions plus child-loop macros, in
+        reverse postorder; the intra-iteration DAG uses SSA and same-array
+        program order, and carried edges are store->load / store->store pairs
+        plus latch-fed header phis, all at conservative distance 1."""
+        own = self._own_blocks(loop)
         nodes: list[tuple] = []           # ("ins", ins) | ("loop", Loop)
-        macro_ids: dict[int, int] = {}    # loop_id -> node index
+        macro_ids: set[int] = set()
         lat: list[int] = []
-        position: list[int] = []          # program order for memory edges
         touched: list[list[tuple[str, tuple[str, str | None]]]] = []
 
-        rpo = [lab for lab in reverse_postorder(fn) if lab in loop.blocks]
-        pos = 0
-        for lab in rpo:
-            if lab in inner:
-                l = self.forest.innermost[lab]
-                top = l
+        for lab in self.rpo:
+            if lab not in loop.blocks:
+                continue
+            if lab not in own:
+                top = self.forest.innermost[lab]
                 while top.parent is not None and top.parent is not loop:
                     top = top.parent
                 if top.loop_id not in macro_ids:
-                    macro_ids[top.loop_id] = len(nodes)
+                    macro_ids.add(top.loop_id)
                     nodes.append(("loop", top))
                     lat.append(self.loop_total[top.loop_id])
-                    position.append(pos)
-                    accesses: list[tuple[str, tuple[str, str | None]]] = []
-                    for arr in self._loop_arrays(top, reads=True):
-                        accesses.append(("r", (arr, None)))
-                    for arr in self._loop_arrays(top, reads=False):
-                        accesses.append(("w", (arr, None)))
-                    touched.append(accesses)
-                    pos += 1
+                    reads, writes = self._loop_arrays(top)
+                    touched.append([("r", (arr, None)) for arr in reads]
+                                   + [("w", (arr, None)) for arr in writes])
                 continue
-            for ins in bmap[lab].all_instructions():
+            for ins in self.bmap[lab].all_instructions():
                 nodes.append(("ins", ins))
                 lat.append(self._op_latency(ins))
-                position.append(pos)
-                access = _mem_op(defs, ins)
+                access = _mem_op(self.defs, ins)
                 acc = [access] if access is not None else []
                 if ins.opcode is Opcode.CALL:
-                    for arr in self.model.function_mem_counts(ins.callee):
+                    for arr in self.model.fn_model(ins.callee).mem_summary:
                         acc.append(("r", (arr, None)))
                         acc.append(("w", (arr, None)))
                 touched.append(acc)
-                pos += 1
 
         n = len(nodes)
         intra: list[set[int]] = [set() for _ in range(n)]
@@ -362,7 +333,7 @@ class _FunctionModel:
         for i, (kind, obj) in enumerate(nodes):
             if kind == "ins" and obj.result is not None:
                 result_node[obj.result] = i
-        header_phis = {phi.result: phi for phi in bmap[loop.header].phis()}
+        header_phis = {phi.result: phi for phi in self.bmap[loop.header].phis()}
         for i, (kind, obj) in enumerate(nodes):
             if kind != "ins":
                 continue
@@ -383,7 +354,7 @@ class _FunctionModel:
 
         # Memory edges: a write orders against any aliasing later access
         # (distance 0) and against every aliasing access of the next
-        # iteration (distance 1).
+        # iteration (distance 1).  Node index is program order.
         mem_nodes = [i for i in range(n) if touched[i]]
         for a_i in mem_nodes:
             for b_i in mem_nodes:
@@ -395,42 +366,49 @@ class _FunctionModel:
                     for _kb, key_b in touched[b_i]:
                         if not _keys_alias(key_a, key_b):
                             continue
-                        if position[a_i] < position[b_i]:
+                        if a_i < b_i:
                             intra[a_i].add(b_i)
                         carried.append((a_i, b_i))
                         break
 
-        # Longest path in the intra DAG between carried endpoints.
-        topo = sorted(range(n), key=lambda i: position[i])
+        # Longest path in the intra DAG from each carried edge's head back to
+        # its tail: one pass per distinct head.
+        tails: dict[int, list[int]] = {}
+        for u, v in carried:
+            tails.setdefault(v, []).append(u)
         best = 1
-        for (u, v) in carried:
-            dist = [None] * n
+        for v, us in tails.items():
+            dist: list[int | None] = [None] * n
             dist[v] = lat[v]
-            for i in topo:
+            for i in range(n):
                 if dist[i] is None:
                     continue
                 for j in intra[i]:
                     cand = dist[i] + lat[j]
                     if dist[j] is None or cand > dist[j]:
                         dist[j] = cand
-            if dist[u] is not None:
-                best = max(best, dist[u])
-            else:
-                best = max(best, lat[v] + lat[u] if u != v else lat[v])
+            for u in us:
+                if dist[u] is not None:
+                    best = max(best, dist[u])
+                else:
+                    best = max(best, lat[v] + lat[u] if u != v else lat[v])
         return best
 
-    def _loop_arrays(self, loop: Loop, reads: bool) -> list[str]:
-        out = set()
-        bmap = self.fn.block_map()
+    def _loop_arrays(self, loop: Loop) -> tuple[list[str], list[str]]:
+        """(arrays read, arrays written) anywhere in the loop; a call reads
+        and writes every array its callee accesses."""
+        reads: set[str] = set()
+        writes: set[str] = set()
         for lab in loop.blocks:
-            for ins in bmap[lab].all_instructions():
+            for ins in self.bmap[lab].all_instructions():
                 access = _mem_op(self.defs, ins)
                 if access is not None:
-                    if (access[0] == "r") == reads:
-                        out.add(access[1][0])
+                    (reads if access[0] == "r" else writes).add(access[1][0])
                 elif ins.opcode is Opcode.CALL:
-                    out.update(self.model.function_mem_counts(ins.callee))
-        return sorted(out)
+                    callee = self.model.fn_model(ins.callee).mem_summary
+                    reads.update(callee)
+                    writes.update(callee)
+        return sorted(reads), sorted(writes)
 
     # -- assembly -----------------------------------------------------------
 
@@ -439,24 +417,29 @@ class _FunctionModel:
             self.block_lat[b.label] = self._schedule_block(b)
         pipelined = {p.target: p.target_ii or 1
                      for p in self.fn.pragmas if p.kind is PragmaKind.PIPELINE}
+        # Deepest first, so each loop's children are priced before it.
         for loop in sorted(self.forest.loops, key=lambda l: -l.depth):
-            depth_cycles = self._loop_iteration_latency(loop)
-            trip, eff = self._effective_trip(loop)
-            res_mii, rec_mii = self.compute_ii(loop)
-            if loop.loop_id in pipelined:
+            lid = loop.loop_id
+            depth_cycles = self._region_path(loop.blocks, loop.header,
+                                             loop.children)
+            trip = self.trip[lid]
+            self._mem_counts[lid] = self._mem_access_counts(loop)
+            res_mii = self._res_mii(self._mem_counts[lid])
+            rec_mii = self._rec_mii(loop)
+            if lid in pipelined:
                 if trip is None:
                     raise EstimateError(
                         "UnknownTrip",
-                        f"pipelined loop {loop.loop_id} in @{self.fn.name} "
+                        f"pipelined loop {lid} in @{self.fn.name} "
                         f"has no static trip count")
-                ii = max(res_mii, rec_mii, pipelined[loop.loop_id])
+                ii = max(res_mii, rec_mii, pipelined[lid])
                 total = ii * (trip - 1) + max(depth_cycles, 1)
             else:
                 ii = None
-                total = eff * (depth_cycles + 1)
-            self.loop_total[loop.loop_id] = total
+                total = self.eff_trip[lid] * (depth_cycles + 1)
+            self.loop_total[lid] = total
             self.loop_reports.append(LoopReport(
-                loop.loop_id, trip, depth_cycles, ii, res_mii, rec_mii, total))
+                lid, trip, depth_cycles, ii, res_mii, rec_mii, total))
 
         top_level = [l for l in self.forest.loops if l.parent is None]
         all_blocks = {b.label for b in self.fn.blocks}
@@ -486,26 +469,6 @@ class _ModuleModel:
             self._fns[name] = _FunctionModel(self, self.module.function(name))
         return self._fns[name]
 
-    def function_latency(self, name: str) -> int:
-        return self.fn_model(name).latency
-
-    def function_mem_counts(self, name: str) -> dict[str, int]:
-        model = self.fn_model(name)
-        counts: dict[str, int] = {}
-        for b in model.fn.blocks:
-            weight = 1
-            l = model.forest.innermost.get(b.label)
-            while l is not None:
-                _, eff = model._effective_trip(l)
-                weight *= eff
-                l = l.parent
-            for ins in b.all_instructions():
-                access = _mem_op(model.defs, ins)
-                if access is not None:
-                    arr = access[1][0]
-                    counts[arr] = counts.get(arr, 0) + weight
-        return counts
-
 
 def estimate(module: IrModule, costs: OpCostTable | None = None) -> QoRReport:
     """Estimate the top function's latency and resource proxies.
@@ -513,41 +476,28 @@ def estimate(module: IrModule, costs: OpCostTable | None = None) -> QoRReport:
     Pragma passes (inline/unroll expansion) are expected to have run already;
     pipeline and array_partition pragmas are consumed here as metadata."""
     costs = costs or OpCostTable()
-    model = _ModuleModel(module, costs)
-    top = module.top
-    fm = model.fn_model(top.name)
-
-    dsp = 0
-    lut = 0
-    counted: set[str] = set()
-
-    def add_resources(fn_name: str):
-        if fn_name in counted:
-            return
-        counted.add(fn_name)
-        fn = module.function(fn_name)
-        nonlocal dsp, lut
-        for b in fn.blocks:
+    fm = _ModuleModel(module, costs).fn_model(module.top.name)
+    callees = {fn.name: [ins.callee for b in fn.blocks
+                         for ins in b.all_instructions()
+                         if ins.opcode is Opcode.CALL]
+               for fn in module.functions}
+    dsp = lut = 0
+    for name in postorder(module.top.name, callees):
+        for b in module.function(name).blocks:
             for ins in b.all_instructions():
                 dsp += costs.dsp.get(ins.opcode.value, 0)
                 lut += costs.lut.get(ins.opcode.value, 0)
-                if ins.opcode is Opcode.CALL:
-                    add_resources(ins.callee)
-
-    add_resources(top.name)
     return QoRReport(max(1, fm.latency), dsp, lut, list(fm.loop_reports))
 
 
 def compute_ii(module: IrModule, fn_name: str, loop_id: int,
                costs: OpCostTable | None = None) -> tuple[int, int]:
     """(res_mii, rec_mii) for one loop; exposed for tests and reports."""
-    costs = costs or OpCostTable()
-    model = _ModuleModel(module, costs)
-    fm = model.fn_model(fn_name)
-    loop = fm.forest.by_id(loop_id)
-    if loop is None:
-        raise KeyError(f"loop {loop_id} not found in @{fn_name}")
-    return fm.compute_ii(loop)
+    fm = _ModuleModel(module, costs or OpCostTable()).fn_model(fn_name)
+    for r in fm.loop_reports:
+        if r.loop_id == loop_id:
+            return r.res_mii, r.rec_mii
+    raise KeyError(f"loop {loop_id} not found in @{fn_name}")
 
 
 def trip_count(module: IrModule, fn_name: str, loop_id: int) -> int | None:

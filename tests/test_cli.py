@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from passforge.cli import main
@@ -309,6 +310,12 @@ def test_bad_input_files_are_user_errors(stages, tmp_path):
     for path in (str(bad), missing):
         assert main(rl + ["--config", path]) == 1
         assert main(pre + ["--pairs", path]) == 1
+    design = str(stages / "corpus" / "dot_01.ir")
+    for doc in ({"memory_ports": 0}, {"lattency": {"add": 1}},
+                {"latency": {"add": -1}}):
+        costs = tmp_path / "costs.json"
+        costs.write_text(json.dumps(doc))
+        assert main(["estimate", design, "--costs", str(costs)]) == 1
     ds = tmp_path / "ds"
     shutil.copytree(stages / "ds", ds)
     next((ds / "variants").iterdir()).write_text("not ir\n")
@@ -333,6 +340,28 @@ def test_bad_or_mismatched_checkpoints_are_user_errors(stages, tmp_path):
     assert main(search + ["--policy", str(bad)]) == 1
     assert main(search + ["--policy", embed]) == 1
     assert main(search + ["--policy", str(policy), "--embed", embed]) == 0
+
+
+def test_rgcn_observation_homogenizes_for_a_homogenized_embedder(stages,
+                                                                  tmp_path):
+    from passforge.cli import _obs_fn
+    from passforge.embedder import RgcnConfig, embed, load_checkpoint
+    from passforge.graphs import build_het_graph, homogenize
+    from passforge.ir import parse_module
+
+    ckpt = str(tmp_path / "homog.ckpt")
+    assert main(["pretrain", "--corpus", str(stages / "ds"), "--out", ckpt,
+                 "--epochs", "1", "--hidden", "8", "--embed-dim", "12",
+                 "--homogenize", "--quiet"]) == 0
+    params, cfg_doc, _ = load_checkpoint(ckpt)
+    cfg = RgcnConfig.from_dict(cfg_doc)
+    g = build_het_graph(parse_module(
+        (stages / "corpus" / "dot_01.ir").read_text()))
+    obs_fn, obs_dim = _obs_fn("rgcn", 0, ckpt)
+    assert obs_dim == 12
+    obs = obs_fn(g)
+    assert np.array_equal(obs, embed(homogenize(g), params, cfg))
+    assert not np.array_equal(obs, embed(g, params, cfg))
 
 
 def test_pretrain_without_training_pairs_is_user_error(stages, tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from passforge.corpus import case1_text, random_inputs
 from passforge.ir import (
     FuelExhausted, IrSyntaxError, Opcode, TrapError, VerifyError, interpret,
-    natural_loops, parse_module, print_module, verify_module, wrap32,
+    natural_loops, parse_module, postorder, print_module, verify_module,
+    wrap32,
 )
 
 
@@ -195,3 +196,12 @@ block out:
     # After 1 iteration x,y swap to 2,1; after 2 back to 1,2.
     assert interpret(m, [1]).return_value == 21
     assert interpret(m, [2]).return_value == 12
+
+
+def test_postorder_visits_successors_in_listed_order():
+    # Sorted order would visit "b" before "c"; "x" is not a node, and the
+    # edge c -> a closes a cycle.
+    succs = {"a": ["c", "b", "x"], "b": ["d"], "c": ["d", "a"], "d": []}
+    assert postorder("a", succs) == ["d", "c", "b", "a"]
+    chain = {i: [i + 1] for i in range(5000)} | {5000: []}
+    assert postorder(0, chain) == list(range(5000, -1, -1))

@@ -1,10 +1,14 @@
 """Analytical estimator: schedules, II computation, trip counts, oracle."""
+import hashlib
+
 import numpy as np
 import pytest
 
-from passforge.corpus import random_inputs
-from passforge.ir import parse_module
-from passforge.passes import PassId, apply_pass
+from passforge.corpus import corpus_gen, random_inputs
+from passforge.ir import natural_loops, parse_module
+from passforge.passes import (
+    PassId, apply_pass, apply_pragma_passes, apply_sequence, general_passes,
+)
 from passforge.qor import (
     EstimateError, OpCostTable, dynamic_cycle_oracle, estimate, compute_ii,
     trip_count,
@@ -308,3 +312,126 @@ def test_cost_table_roundtrip():
     t2 = OpCostTable.from_dict(t.to_dict())
     assert t2.to_dict() == t.to_dict()
     assert t.lat(__import__("passforge.ir", fromlist=["Opcode"]).Opcode.MUL) == 3
+    partial = OpCostTable.from_dict({"latency": {"mul": 2}, "memory_ports": 1})
+    assert partial.latency == {**t.latency, "mul": 2}
+    assert (partial.dsp, partial.lut, partial.memory_ports) == (t.dsp, t.lut, 1)
+
+
+@pytest.mark.parametrize("doc", [
+    {"lattency": {"add": 1}},
+    {"latency": {"fma": 1}},
+    {"latency": {"add": -1}},
+    {"dsp": {"mul": 1.5}},
+    {"lut": {"add": True}},
+    {"lut": {"add": "8"}},
+    {"latency": [1]},
+    {"memory_ports": 0},
+    {"memory_ports": True},
+    {"memory_ports": 2.0},
+    [],
+])
+def test_cost_table_rejects_unknown_keys_and_bad_costs(doc):
+    with pytest.raises(ValueError):
+        OpCostTable.from_dict(doc)
+
+
+#: Calls into a looping callee, from a pipelined loop's body and from its
+#: inner loop; the callee calls a leaf, and all three touch memory.
+CALLS_SRC = """
+global @g : i32[8]
+global @h : i32[8]
+
+func @leaf(%x: i32) -> i32 {
+block entry:
+  %p = getelementptr @h, %x
+  %v = load i32 %p
+  store i32 %x, %p
+  ret i32 %v
+}
+
+func @mid(%x: i32) -> i32 {
+block entry:
+  br hd
+block hd loop(1, depth=1, header):
+  %j = phi i32 [0, entry], [%j.next, body]
+  %c = icmp slt i32 %j, 4
+  condbr %c, body, out
+block body loop(1, depth=1):
+  %p = getelementptr @g, %j
+  %v = load i32 %p
+  %w = add i32 %v, %x
+  store i32 %w, %p
+  %l = call i32 @leaf(%j)
+  %j.next = add i32 %j, 1
+  br hd
+block out:
+  ret i32 %x
+}
+
+#pragma pipeline(ii=1) loop=1
+top func @f(%a: i32[8]) -> i32 {
+block entry:
+  br hd
+block hd loop(1, depth=1, header):
+  %i = phi i32 [0, entry], [%i.next, latch]
+  %c = icmp slt i32 %i, 8
+  condbr %c, body, out
+block body loop(1, depth=1):
+  %pa = getelementptr %a, %i
+  %va = load i32 %pa
+  %r = call i32 @mid(%va)
+  store i32 %r, %pa
+  br ihd
+block ihd loop(2, depth=2, header):
+  %k = phi i32 [0, body], [%k.next, ibody]
+  %ck = icmp slt i32 %k, 3
+  condbr %ck, ibody, latch
+block ibody loop(2, depth=2):
+  %s = call i32 @leaf(%k)
+  %pg = getelementptr @g, %k
+  store i32 %s, %pg
+  %k.next = add i32 %k, 1
+  br ihd
+block latch loop(1, depth=1):
+  %i.next = add i32 %i, 1
+  br hd
+block out:
+  %p0 = getelementptr %a, 0
+  %r0 = load i32 %p0
+  ret i32 %r0
+}
+"""
+
+
+#: sha256 of every ``estimate`` report (or its ``EstimateError``) and every
+#: loop's ``compute_ii`` over ``corpus_gen(6, 0)`` and ``CALLS_SRC``, raw and
+#: pragma-expanded, each after six seeded random general-pass sequences
+#: (lengths 0-5), under the default and a one-port cost table; taken before the model worked out
+#: each loop and callee fact once.  A refactoring must price the same.
+PINNED_ESTIMATES = \
+    "1e41161a5c00de3f71b969c8e84ae0e7622b0e1cdef7b752f4c471dcd3bff4d9"
+
+
+def test_estimates_are_pinned():
+    passes = general_passes()
+    rng = np.random.default_rng(0)
+    h = hashlib.sha256()
+
+    def record(f, *args):
+        try:
+            h.update(repr(f(*args)).encode())
+        except EstimateError as e:
+            h.update(f"EstimateError {e}".encode())
+
+    for _name, text in corpus_gen(6, 0) + [("calls", CALLS_SRC)]:
+        raw = parse_module(text)
+        for base in (raw, apply_pragma_passes(raw)):
+            for length in range(6):
+                seq = [passes[i] for i in rng.integers(len(passes), size=length)]
+                m, _ = apply_sequence(base, seq)
+                for costs in (OpCostTable(), OpCostTable(memory_ports=1)):
+                    record(lambda: estimate(m, costs).to_dict())
+                    for fn in m.functions:
+                        for loop in natural_loops(fn).loops:
+                            record(compute_ii, m, fn.name, loop.loop_id, costs)
+    assert h.hexdigest() == PINNED_ESTIMATES
