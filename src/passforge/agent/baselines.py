@@ -4,8 +4,9 @@ All of them charge one unit of budget per pass evaluation (an apply +
 estimate), so comparisons against the policy can hold evaluation counts
 equal.  The budget counts every pass of every sequence evaluated; the work
 actually done is smaller (``SearchResult.passes_run``), because a search
-reuses the modules along the last sequence it ran, and its ``Evaluator``
-(shared with ``PassEnv``) prices each distinct module once.
+keeps one ``(digest, pass)`` transition table for its whole call and runs
+each transition once, and its ``Evaluator`` (shared with ``PassEnv``) prices
+each distinct module once.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ class _Sequences:
     """Cycles of pass sequences run on an ``Evaluator``'s base module; a
     module the model cannot price costs ``inf``.  ``evaluations`` is the
     budget: ``len(seq)`` per new sequence, one ``passes.apply_pass`` call per
-    pass.  ``passes_run`` is the work: the transition memo keeps the path of
-    the last sequence run, so a prefix shared with it runs once."""
+    pass.  ``passes_run`` is the work: one pass per entry of the transition
+    table, which lives as long as this object."""
 
     def __init__(self, ev: Evaluator):
         self.ev = ev
@@ -51,12 +52,9 @@ class _Sequences:
         key = tuple(p.value for p in seq)
         if key not in self._seen:
             self.evaluations += len(seq)
-            known = len(self._memo)
-            _out, results = apply_sequence(self.ev.base, seq, self._memo)
-            self.passes_run += len(self._memo) - known
-            path = {id(r) for r in results}
-            self._memo = {k: (m, r) for k, (m, r) in self._memo.items()
-                          if id(r) in path}
+            _out, results = apply_sequence(self.ev.base, seq, self._memo,
+                                           self.ev.base_digest)
+            self.passes_run = len(self._memo)
             try:
                 self._seen[key] = self.ev.cycles(results[-1])
             except EstimateError:

@@ -5,7 +5,9 @@ with the analytical QoR model, memoized by digest; ``PassEnv`` and the search
 baselines both price through it.  One environment wraps one design: the
 observation is the (frozen) embedding of the current program graph, actions
 are the general passes plus an explicit Stop, and the reward is the latency
-improvement normalized by the running best.
+improvement normalized by the running best.  Each state carries its module's
+digest, and the environment keeps one ``(digest, pass)`` transition table
+for its lifetime, so a step seen before runs no pass.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ class Evaluator:
     """Estimated cycles of one design's modules.  ``base`` is the design with
     its pragmas expanded, ``baseline`` its cycles.  Cycles are memoized by
     module digest; a digest the model cannot price keeps its
-    ``EstimateError``, and every call on it raises that error again."""
+    ``EstimateError``, and every call on it raises a copy of that error."""
 
     def __init__(self, design: IrModule, costs: OpCostTable | None = None):
         self.base = apply_pragma_passes(design)
@@ -52,16 +54,25 @@ class Evaluator:
             try:
                 self._memo[digest] = float(estimate(module, self.costs).cycles)
             except EstimateError as e:
-                self._memo[digest] = e
+                self._memo[digest] = _copy(e)   # without its traceback
         got = self._memo[digest]
         if isinstance(got, EstimateError):
-            raise got.with_traceback(None)
+            raise _copy(got)
         return got
+
+
+def _copy(err: EstimateError) -> EstimateError:
+    """A new, never-raised instance of ``err``.  Storing a raised error,
+    raising the stored one, or binding a raised one to a local of the raising
+    frame would each make a reference cycle through the frames that hold the
+    evaluator, keeping it alive until a full collection."""
+    return EstimateError(err.kind, err.message)
 
 
 @dataclass
 class EnvState:
     module: IrModule
+    digest: str                         # of ``module``, as ``IrModule.digest``
     obs: np.ndarray
     t: int
     cycles_history: list[float]
@@ -83,6 +94,7 @@ class PassEnv:
         # benchmark wraps it to count estimate errors).
         self._cycles = self.ev.cycles
         self._obs_memo: dict[str, np.ndarray] = {}
+        self._memo: dict = {}           # transition table, see ``apply_pass``
 
     def _obs(self, module: IrModule, digest: str) -> np.ndarray:
         if digest not in self._obs_memo:
@@ -92,14 +104,15 @@ class PassEnv:
 
     def reset(self) -> EnvState:
         ev = self.ev
-        return EnvState(ev.base, self._obs(ev.base, ev.base_digest), 0,
-                        [ev.baseline], ev.baseline)
+        return EnvState(ev.base, ev.base_digest,
+                        self._obs(ev.base, ev.base_digest), 0, [ev.baseline],
+                        ev.baseline)
 
     def step(self, state: EnvState, action: int) -> tuple[EnvState, float, bool]:
         if action == STOP_ACTION or state.t >= self.max_steps:
             return state, 0.0, True
         pass_id = ACTIONS[action]
-        result = apply_pass(state.module, pass_id)
+        result = apply_pass(state.module, pass_id, self._memo, state.digest)
         try:
             l_new = self._cycles(result)
         except EstimateError as e:
@@ -107,7 +120,7 @@ class PassEnv:
                 f"{self.design_name} t={state.t} {pass_id.value}: {e}")
             return state, 0.0, True
         r = reward(state.cycles_history[-1], l_new, state.best_cycles)
-        new_state = EnvState(result.module,
+        new_state = EnvState(result.module, result.digest,
                              self._obs(result.module, result.digest),
                              state.t + 1, state.cycles_history + [l_new],
                              min(state.best_cycles, l_new))

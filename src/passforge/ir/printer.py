@@ -1,7 +1,9 @@
 """Canonical text form of a module.
 
-print -> parse -> print is a fixpoint; passes compare printed forms to decide
-whether they changed anything.
+print -> parse -> print is a fixpoint, and a pass's output depends only on
+its input's printed form; so a pass compares the digest of its printed output
+with its input's to decide whether it changed anything, and a transition
+table may key a module by that digest.
 """
 from __future__ import annotations
 

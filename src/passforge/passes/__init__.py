@@ -3,7 +3,8 @@
 Seventeen general passes form the search agent's action space; the two
 pragma-anchored passes run at a fixed pipeline position and are flagged so the
 agent never schedules them.  Every executed pass re-verifies the module and
-reports whether the printed canonical form changed.
+reports whether it changed, by comparing the digest of its printed output
+with the input's.  A pass that changes nothing returns its input module.
 """
 from __future__ import annotations
 
@@ -181,8 +182,9 @@ class PassResult:
     blocks_removed: int = 0
 
 
-def _run_pass(m: IrModule, p: PassId) -> PassResult:
-    """Run one pass on a copy of the module and re-verify the result."""
+def _run_pass(m: IrModule, p: PassId, digest: str) -> PassResult:
+    """Run one pass on a copy of the module and re-verify the result; a pass
+    that changes nothing (``digest`` is ``m``'s) returns ``m`` itself."""
     out = m.clone()
     if p is PassId.APPLY_UNROLL_PRAGMA:
         apply_unroll_pragmas(out)
@@ -193,56 +195,65 @@ def _run_pass(m: IrModule, p: PassId) -> PassResult:
     violations = verify_module(out)
     if violations:
         raise PassError(p, violations)
-    before = print_module(m)
-    after = print_module(out)
+    after = text_digest(print_module(out))
+    if after == digest:
+        return PassResult(module=m, changed=False, pass_id=p, digest=digest)
     n_before = instruction_count(m)
     n_after = instruction_count(out)
     return PassResult(
         module=out,
-        changed=before != after,
+        changed=True,
         pass_id=p,
-        digest=text_digest(after),
+        digest=after,
         instructions_removed=max(0, n_before - n_after),
         instructions_added=max(0, n_after - n_before),
         blocks_removed=max(0, block_count(m) - block_count(out)),
     )
 
 
-def apply_pass(m: IrModule, p: PassId | str, memo: dict | None = None
-               ) -> PassResult:
+def apply_pass(m: IrModule, p: PassId | str, memo: dict | None = None,
+               digest: str | None = None) -> PassResult:
     """Run one pass on a copy of the module; the result always re-verifies.
 
-    ``memo`` is a transition table the caller owns and drops: it maps
-    ``(id(m), pass)`` to ``(m, result)``, and keeping ``m`` alive keeps its
-    id from being reused.  A hit returns the stored result without running
-    the pass, so neither ``m`` nor any returned module may be mutated while
-    the memo lives.  A pass that raises stores nothing.
+    ``digest`` is ``m.digest()`` when the caller holds it, which spares
+    printing ``m``.  ``memo`` is a transition table the caller owns and
+    drops: it maps ``(digest, pass)`` to the pass's result, whose module is
+    the child, or ``m`` itself when the pass changed nothing.  A hit
+    returns the stored result without running the pass, for any module
+    that prints as ``m`` does, so no module passed in or returned may be
+    mutated while the memo lives.  A pass that raises stores nothing.
     """
     if isinstance(p, str):
         p = PassId(p)
+    if digest is None:
+        digest = text_digest(print_module(m))
     if memo is None:
-        return _run_pass(m, p)
-    key = (id(m), p)
+        return _run_pass(m, p, digest)
+    key = (digest, p)
     if key not in memo:
-        memo[key] = (m, _run_pass(m, p))
-    return memo[key][1]
+        memo[key] = _run_pass(m, p, digest)
+    return memo[key]
 
 
-def apply_sequence(m: IrModule, seq, memo: dict | None = None
+def apply_sequence(m: IrModule, seq, memo: dict | None = None,
+                   digest: str | None = None
                    ) -> tuple[IrModule, list[PassResult]]:
     """Left-fold of apply_pass over the sequence; per-step results returned.
 
-    Every step goes through ``apply_pass`` with the same ``memo`` (see
-    there); a ``PassError`` names the step that raised it."""
+    Every step goes through ``apply_pass`` with the same ``memo`` and the
+    digest of its input: ``digest`` (``m``'s, when the caller holds it) for
+    the first step, the previous result's for the others, so each executed
+    pass prints only its output.  A ``PassError`` names the step that raised
+    it."""
     results: list[PassResult] = []
     cur = m
     for i, p in enumerate(seq):
         try:
-            r = apply_pass(cur, p, memo)
+            r = apply_pass(cur, p, memo, digest)
         except PassError as e:
             raise e.at_step(i)
         results.append(r)
-        cur = r.module
+        cur, digest = r.module, r.digest
     return cur, results
 
 

@@ -35,6 +35,7 @@ class EstimateError(Exception):
     def __init__(self, kind: str, message: str):
         super().__init__(f"{kind}: {message}")
         self.kind = kind
+        self.message = message
 
 
 _DEFAULT_LATENCY = {
@@ -175,6 +176,10 @@ class _FunctionModel:
         self.loop_reports: list[LoopReport] = []
         self._mem_counts: dict[int, dict[str, int]] = {}
         self._build()
+        # Only the build reads the module model, and keeping it would make a
+        # cycle through ``model._fns`` that holds the module until a full
+        # collection.
+        del self.model
 
     @cached_property
     def mem_summary(self) -> dict[str, int]:

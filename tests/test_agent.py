@@ -197,6 +197,21 @@ def test_env_expands_pragmas_once_over_many_resets(monkeypatch, dot_module):
     assert calls[0] == 1
 
 
+def test_env_step_on_a_seen_transition_runs_no_pass(monkeypatch, dot_module):
+    env = PassEnv("dot", dot_module, _obs_fn())
+    action = ACTIONS.index(PassId.LOOP_UNROLL_PARTIAL)
+    first, r1, _done = env.step(env.reset(), action)
+
+    def broken(_module):
+        raise AssertionError("a seen transition ran a pass")
+
+    for p in ACTIONS:
+        monkeypatch.setitem(passes._IMPLS, p, broken)
+    again, r2, _done = env.step(env.reset(), action)
+    assert again.module is first.module and again.digest == first.digest
+    assert r2 == r1
+
+
 def test_evaluator_raises_a_memoized_estimate_error_every_time(monkeypatch,
                                                                case2):
     # simplifycfg's result on ``case2`` cannot be estimated (UnknownTrip).
@@ -347,20 +362,45 @@ def test_search_budget_counts_every_pass_application(corpus_searches, method):
             sum(r.evaluations for r, _ in corpus_searches[method]) / 2
 
 
-def test_random_search_memo_holds_only_the_last_path(monkeypatch,
-                                                     small_corpus):
-    # Each sequence starts from a memo that holds the previous sequence's
-    # transitions only, at most ``max_len`` of them.
-    sizes = []
+def test_search_table_holds_one_entry_per_pass_run(monkeypatch,
+                                                   small_corpus):
+    # Each search call runs every sequence against one transition table that
+    # starts empty and ends with one entry per pass run, fewer than charged.
+    calls = []
     run = baselines.apply_sequence
 
-    def recorded(module, seq, memo):
-        sizes.append(len(memo))
-        return run(module, seq, memo)
+    def recorded(module, seq, memo, digest):
+        calls.append((memo, len(memo)))
+        return run(module, seq, memo, digest)
 
     monkeypatch.setattr(baselines, "apply_sequence", recorded)
-    search_random(small_corpus[0][1], budget_sequences=30, seed=0, max_len=4)
-    assert 0 < max(sizes) <= 4
+    tables = []
+    for _ in range(2):
+        calls.clear()
+        r = search_random(small_corpus[0][1], budget_sequences=30, seed=0,
+                          max_len=4)
+        table = calls[0][0]
+        assert calls[0][1] == 0
+        assert all(memo is table for memo, _size in calls)
+        assert len(table) == r.passes_run < r.evaluations
+        tables.append(table)
+    assert tables[0] is not tables[1]
+
+
+def test_search_prints_each_executed_pass_once(monkeypatch):
+    # Each executed pass prints its output only; a design's pragma-expanded
+    # base may print once more.
+    prints = [0]
+    print_module = passes.print_module
+
+    def counted(m):
+        prints[0] += 1
+        return print_module(m)
+
+    monkeypatch.setattr(passes, "print_module", counted)
+    designs = [parse_module(text) for _name, text in corpus_gen(6, 0)]
+    ran = sum(search_greedy(m).passes_run for m in designs)
+    assert prints[0] <= ran + len(designs)
 
 
 def test_search_baseline_dispatch(small_corpus):

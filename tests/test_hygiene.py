@@ -1,9 +1,18 @@
 """No handler in the package may catch every exception: a ``PassError`` is a
-bug and must propagate.  The CLI's internal-error boundary is the exception."""
+bug and must propagate.  The CLI's internal-error boundary is the exception.
+No process-lifetime cache and no reference cycle keeps a caller's state
+alive."""
 import ast
+import gc
 from pathlib import Path
 
 import passforge
+from passforge.agent import (
+    Evaluator, PassEnv, PpoConfig, search_baseline, train,
+)
+from passforge.dataset import dataset_gen
+from passforge.embedder import featurize_baseline
+from passforge.ir import IrModule, print_module
 
 PACKAGE = Path(passforge.__file__).resolve().parent
 ALLOWED = {("cli.py", "main")}
@@ -86,3 +95,40 @@ def test_process_cache_detector_sees_each_spelling():
     assert [len(_process_caches(ast.parse(s))) for s in sources] == [1, 1, 1]
     assert _process_caches(ast.parse(
         "from functools import cached_property, reduce")) == []
+
+
+def _unreachable(kinds: tuple[type, ...]) -> list[str]:
+    """Names of the objects of ``kinds`` that only a full collection frees."""
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        found = sorted(type(o).__name__ for o in gc.garbage
+                       if isinstance(o, kinds))
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(flags)
+    return found
+
+
+def test_no_reference_cycle_keeps_environments_alive(small_corpus, case2):
+    """Environments, evaluators and modules die with their last reference:
+    a cycle through them (a stored ``EstimateError``'s traceback, say) would
+    keep every module they hold until a full collection.  ``case2``'s
+    episodes and searches hit estimate errors."""
+    designs = small_corpus[:2] + [("case2", case2)]
+    config = PpoConfig(iterations=2, episodes_per_iteration=6,
+                       max_episode_len=6, minibatch_size=16, seed=0)
+    gc.collect()
+    gc.disable()
+    try:
+        train(designs, lambda g: featurize_baseline(g, "opcode_histogram", 16),
+              config, seed=0, obs_dim=16)
+        for method in ("random", "greedy", "genetic"):
+            search_baseline(case2, method, budget=8)
+        dataset_gen([(name, print_module(m)) for name, m in designs], 3, 3,
+                    seed=0, intra_pair_cap=2, cross_pairs=2)
+        found = _unreachable((PassEnv, Evaluator, IrModule))
+    finally:
+        gc.enable()
+    assert found == []

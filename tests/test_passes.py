@@ -662,4 +662,39 @@ def test_memo_keys_str_and_pass_id_alike(dot_module):
     memo: dict = {}
     by_name = apply_pass(dot_module, "loop_rotate", memo)
     assert apply_pass(dot_module, PassId.LOOP_ROTATE, memo) is by_name
-    assert list(memo) == [(id(dot_module), PassId.LOOP_ROTATE)]
+    assert list(memo) == [(dot_module.digest(), PassId.LOOP_ROTATE)]
+
+
+def test_noop_entry_is_the_parent_module(dot_module):
+    memo: dict = {}
+    parent = apply_pass(dot_module, PassId.LOOP_SIMPLIFY, memo)
+    noop = apply_pass(parent.module, PassId.LOOP_SIMPLIFY, memo)
+    assert not noop.changed and noop.digest == parent.digest
+    assert noop.module is parent.module
+    # A module that prints alike hits the same entry.
+    twin = parse_module(print_module(parent.module))
+    assert apply_pass(twin, PassId.LOOP_SIMPLIFY, memo) is noop
+
+
+def test_digest_keys_are_sound():
+    """A pass's output depends only on its input's printed form, so a
+    ``(digest, pass)`` key names one transition; and ``changed`` from
+    digests agrees with comparing the printed input and output."""
+    catalog = general_passes()
+    rng = np.random.default_rng(0)
+    checks = 0
+    for seed in (0, 1):
+        for _name, text in corpus_gen(12, seed):
+            raw = parse_module(text)
+            for m in (raw, apply_pragma_passes(raw)):
+                for i in rng.integers(0, len(catalog), 10):
+                    p = catalog[int(i)]
+                    r = apply_pass(m, p)
+                    twin = apply_pass(parse_module(print_module(m)), p)
+                    assert print_module(twin.module) == print_module(r.module)
+                    out = m.clone()
+                    passes._IMPLS[p](out)
+                    assert r.changed == (print_module(out) != print_module(m))
+                    m = r.module
+                    checks += 1
+    assert checks == 480
