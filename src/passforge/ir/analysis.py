@@ -151,7 +151,6 @@ class Loop:
     blocks: set[str] = field(default_factory=set)
     latches: list[str] = field(default_factory=list)
     depth: int = 1
-    parent: "Loop | None" = None
     children: list["Loop"] = field(default_factory=list)
 
     def exits(self, fn: IrFunction) -> list[tuple[str, str]]:
@@ -167,9 +166,16 @@ class Loop:
 
 @dataclass
 class LoopForest:
+    """A function's loops.  Each loop lists its children; the forest, not
+    the loop, answers for the parent, so no loop refers back up the tree."""
     loops: list[Loop]
     by_header: dict[str, Loop]
     innermost: dict[str, Loop | None]
+    parents: dict[str, Loop | None]     # by header label
+
+    def parent(self, loop: Loop) -> Loop | None:
+        """The smallest loop strictly containing ``loop``, if any."""
+        return self.parents[loop.header]
 
     def by_id(self, loop_id: int) -> Loop | None:
         for l in self.loops:
@@ -190,8 +196,8 @@ def natural_loops(fn: IrFunction) -> LoopForest:
     """
     dom = DomTree(fn)
     preds = predecessor_map(fn)
-    reach = reachable_blocks(fn)
     rpo = reverse_postorder(fn)
+    reach = set(rpo)
     bmap = fn.block_map()
 
     back_edges: dict[str, list[str]] = {}
@@ -229,34 +235,30 @@ def natural_loops(fn: IrFunction) -> LoopForest:
             for p in preds[lab]:
                 if p in reach and p != header:
                     worklist.append(p)
-                elif p == header:
-                    pass
         loops.append(loop)
 
     # Nesting: parent is the smallest strictly-containing loop.
+    parents: dict[str, Loop | None] = {}
     for l in loops:
         candidates = [o for o in loops
                       if o is not l and l.header in o.blocks
                       and l.blocks <= o.blocks]
-        if candidates:
-            l.parent = min(candidates, key=lambda o: len(o.blocks))
+        parent = min(candidates, key=lambda o: len(o.blocks), default=None)
+        parents[l.header] = parent
+        if parent is not None:
+            parent.children.append(l)
     for l in loops:
-        if l.parent is not None:
-            l.parent.children.append(l)
-    for l in loops:
-        d = 1
-        p = l.parent
+        p = parents[l.header]
         while p is not None:
-            d += 1
-            p = p.parent
-        l.depth = d
+            l.depth += 1
+            p = parents[p.header]
 
     innermost: dict[str, Loop | None] = {b.label: None for b in fn.blocks}
     for l in sorted(loops, key=lambda l: l.depth):
         for lab in l.blocks:
             innermost[lab] = l
 
-    return LoopForest(loops, {l.header: l for l in loops}, innermost)
+    return LoopForest(loops, {l.header: l for l in loops}, innermost, parents)
 
 
 def preheader_of(fn: IrFunction, loop: Loop) -> str | None:
@@ -268,11 +270,15 @@ def preheader_of(fn: IrFunction, loop: Loop) -> str | None:
     return None
 
 
-def refresh_loop_annotations(fn: IrFunction) -> None:
-    """Recompute block loop annotations from the CFG.
+def refresh_loop_annotations(fn: IrFunction) -> LoopForest:
+    """Recompute block loop annotations from the CFG; returns the forest they
+    were taken from.
 
     Header ids are preserved; depths and non-header memberships follow the
     derived forest.  Blocks no longer inside any loop lose their annotation.
+    ``passes._transform`` calls this on every function after every pass, so
+    no pass keeps annotations up to date itself; jump threading also calls
+    it before it verifies a tentative thread.
     """
     forest = natural_loops(fn)
     for b in fn.blocks:
@@ -281,3 +287,4 @@ def refresh_loop_annotations(fn: IrFunction) -> None:
             b.loop_info = None
         else:
             b.loop_info = LoopInfo(l.loop_id, l.depth, b.label == l.header)
+    return forest

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import DomTree, natural_loops, predecessor_map, reachable_blocks
+from .analysis import (
+    DomTree, natural_loops, postorder, predecessor_map, reachable_blocks,
+)
 from .types import (
     Const, GlobalRef, IrFunction, IrModule, LabelRef, Opcode, PragmaKind,
     ValueRef, OPCODE_CLASS,
@@ -275,22 +277,15 @@ def verify_module(m: IrModule) -> list[Violation]:
                 for ins in b.all_instructions():
                     if ins.opcode is Opcode.CALL and ins.callee in edges:
                         edges[fn.name].add(ins.callee)
-        state: dict[str, int] = {}
-
-        def cyclic(n: str) -> bool:
-            state[n] = 1
-            for s in sorted(edges[n]):
-                if state.get(s) == 1:
-                    return True
-                if state.get(s, 0) == 0 and cyclic(s):
-                    return True
-            state[n] = 2
-            return False
-
-        for f in m.functions:
-            if state.get(f.name, 0) == 0 and cyclic(f.name):
-                out.append(Violation("call-cycle",
-                                     "call graph contains a cycle", "module"))
-                break
+        # A depth-first postorder finishes each callee before its caller,
+        # except across a call that closes a cycle.
+        succs: dict[str | None, list[str]] = {
+            f: sorted(c) for f, c in edges.items()}
+        succs[None] = sorted(edges)     # a root that calls every function
+        post = {f: i for i, f in enumerate(postorder(None, succs))}
+        if any(post[c] >= post[f] for f, callees in edges.items()
+               for c in callees):
+            out.append(Violation("call-cycle",
+                                 "call graph contains a cycle", "module"))
 
     return out

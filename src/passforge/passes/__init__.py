@@ -5,13 +5,18 @@ pragma-anchored passes run at a fixed pipeline position and are flagged so the
 agent never schedules them.  Every executed pass re-verifies the module and
 reports whether it changed, by comparing the digest of its printed output
 with the input's.  A pass that changes nothing returns its input module.
+No pass keeps loop annotations: they are refreshed after every pass, and a
+loop that a pass deletes takes its unroll and pipeline pragmas along.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
 
-from ..ir import IrModule, print_module, text_digest, verify_module
+from ..ir import (
+    IrModule, PragmaKind, print_module, refresh_loop_annotations, text_digest,
+    verify_module,
+)
 from .cfg_passes import run_jump_threading, run_sccp, run_simplifycfg
 from .inst_passes import (
     run_adce, run_early_cse, run_gvn, run_instcombine, run_instsimplify,
@@ -24,8 +29,7 @@ from .loop_passes import (
 )
 from .mem_passes import run_dse, run_mem2reg
 from .pragma_passes import (
-    PragmaError, apply_inline_pragmas, apply_pragma_passes,
-    apply_unroll_pragmas,
+    PragmaError, apply_inline_pragmas, apply_unroll_pragmas,
 )
 from .rewrite import block_count, instruction_count
 
@@ -159,6 +163,8 @@ _IMPLS = {
     PassId.LOOP_UNROLL_PARTIAL: run_loop_unroll_partial,
     PassId.MEM2REG: run_mem2reg,
     PassId.DSE: run_dse,
+    PassId.APPLY_UNROLL_PRAGMA: apply_unroll_pragmas,
+    PassId.APPLY_INLINE_PRAGMA: apply_inline_pragmas,
 }
 
 
@@ -182,19 +188,33 @@ class PassResult:
     blocks_removed: int = 0
 
 
-def _run_pass(m: IrModule, p: PassId, digest: str) -> PassResult:
-    """Run one pass on a copy of the module and re-verify the result; a pass
-    that changes nothing (``digest`` is ``m``'s) returns ``m`` itself."""
+def _transform(m: IrModule, p: PassId) -> IrModule:
+    """Run one pass on a copy of the module, refresh each function's loop
+    annotations and verify the copy.  Where the pass deleted loops and
+    created none, their unroll and pipeline pragmas go too; a loop that
+    survives under a new id (its header annotation lost) keeps them, and
+    verification reports them."""
     out = m.clone()
-    if p is PassId.APPLY_UNROLL_PRAGMA:
-        apply_unroll_pragmas(out)
-    elif p is PassId.APPLY_INLINE_PRAGMA:
-        apply_inline_pragmas(out)
-    else:
-        _IMPLS[p](out)
+    before = {fn.name: {b.loop_info.loop_id for b in fn.blocks
+                        if b.loop_info is not None and b.loop_info.is_header}
+              for fn in out.functions}
+    _IMPLS[p](out)
+    for fn in out.functions:
+        ids = {l.loop_id for l in refresh_loop_annotations(fn).loops}
+        gone = before[fn.name] - ids
+        if gone and ids <= before[fn.name]:
+            fn.pragmas = [q for q in fn.pragmas if q.target not in gone or
+                          q.kind not in (PragmaKind.UNROLL, PragmaKind.PIPELINE)]
     violations = verify_module(out)
     if violations:
         raise PassError(p, violations)
+    return out
+
+
+def _run_pass(m: IrModule, p: PassId, digest: str) -> PassResult:
+    """Run one pass through ``_transform``; a pass that changes nothing
+    (``digest`` is ``m``'s) returns ``m`` itself."""
+    out = _transform(m, p)
     after = text_digest(print_module(out))
     if after == digest:
         return PassResult(module=m, changed=False, pass_id=p, digest=digest)
@@ -235,6 +255,14 @@ def apply_pass(m: IrModule, p: PassId | str, memo: dict | None = None,
     return memo[key]
 
 
+def apply_pragma_passes(m: IrModule) -> IrModule:
+    """Expand inline, then unroll pragmas into a new module, each through
+    ``_transform`` like every other pass; pipeline and array_partition
+    pragmas remain as estimator metadata."""
+    return _transform(_transform(m, PassId.APPLY_INLINE_PRAGMA),
+                      PassId.APPLY_UNROLL_PRAGMA)
+
+
 def apply_sequence(m: IrModule, seq, memo: dict | None = None,
                    digest: str | None = None
                    ) -> tuple[IrModule, list[PassResult]]:
@@ -259,8 +287,7 @@ def apply_sequence(m: IrModule, seq, memo: dict | None = None,
 
 __all__ = [
     "CatalogEntry", "PassError", "PassId", "PassResult", "PragmaError",
-    "apply_inline_pragmas", "apply_pass", "apply_pragma_passes",
-    "apply_sequence", "apply_unroll_pragmas", "find_basic_iv",
+    "apply_pass", "apply_pragma_passes", "apply_sequence", "find_basic_iv",
     "general_passes", "loop_trip_count", "pass_catalog", "unrollable_shape",
     "TABLE_CATEGORIES",
 ]

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from ..ir import (
     Const, DomTree, IrBlock, IrFunction, IrModule, LabelRef, Opcode, ValueRef,
-    fold_constant, predecessor_map, refresh_loop_annotations,
+    fold_constant, natural_loops, predecessor_map, refresh_loop_annotations,
 )
 from ..ir.types import IrInstruction, Operand, I1
 from ..ir.verify import verify_function
@@ -79,7 +79,6 @@ def _remove_forwarding_blocks(fn: IrFunction) -> bool:
 
     Dedicated loop preheaders are kept: removing them would denormalize loops
     that rotation and unrolling expect in canonical form."""
-    from ..ir.analysis import natural_loops
     changed = False
     while True:
         preds = predecessor_map(fn)
@@ -154,7 +153,6 @@ def run_simplifycfg(m: IrModule) -> None:
             changed |= bool(collapse_trivial_phis(fn))
             changed |= _merge_straight_line(fn)
             changed |= _remove_forwarding_blocks(fn)
-        refresh_loop_annotations(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +176,6 @@ def _meet(a, b):
 def run_sccp(m: IrModule) -> None:
     for fn in m.functions:
         _sccp_function(fn)
-        refresh_loop_annotations(fn)
 
 
 def _sccp_function(fn: IrFunction) -> None:
@@ -583,7 +580,6 @@ def run_jump_threading(m: IrModule) -> None:
         drop_unreachable_blocks(fn)
         collapse_trivial_phis(fn)
         erase_dead_pure(fn)
-        refresh_loop_annotations(fn)
 
 
 def _thread_one(m: IrModule, fn: IrFunction,
@@ -668,7 +664,7 @@ def _apply_thread(m: IrModule, fn: IrFunction, p: IrBlock, slot: int,
 
     drop_unreachable_blocks(fn)
     collapse_trivial_phis(fn)
-    refresh_loop_annotations(fn)
+    refresh_loop_annotations(fn)    # the verifier checks the annotations
     if verify_function(m, fn):
         fn.blocks = snapshot
         return False

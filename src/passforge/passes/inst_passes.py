@@ -311,19 +311,23 @@ def _scoped_value_numbering(fn: IrFunction, commutative_sort: bool) -> None:
         if parent is not None and lab != root:
             children[parent].append(lab)
     bmap = fn.block_map()
+    defs = fn.defined_values()
     canon: dict[str, str] = {}
     table: dict[tuple, str] = {}
-
-    def gep_array(op: Operand) -> str | None:
-        """Array a pointer refers to, or None when provenance is unknown."""
-        target = pointer_target(defs, op)
-        return None if target is None else target[0]
-
-    defs = fn.defined_values()
-
-    def visit(label: str):
+    # Depth-first over the dominator tree, children in label order; a
+    # block's entry comes back up the stack with the keys it added once its
+    # subtree is done, and leaves the table with them.
+    stack: list[tuple[str, list[tuple] | None]] = [(root, None)]
+    while stack:
+        label, added = stack.pop()
+        if added is not None:
+            for key in added:
+                del table[key]
+            continue
+        added = []
+        stack.append((label, added))
+        stack.extend((c, None) for c in sorted(children[label], reverse=True))
         b = bmap[label]
-        added: list[tuple] = []
         loads: dict[str, tuple[str, str | None]] = {}  # ptr rep -> (value, array)
         for ins in list(b.instructions):
             op = ins.opcode
@@ -331,7 +335,7 @@ def _scoped_value_numbering(fn: IrFunction, commutative_sort: bool) -> None:
                 loads.clear()
                 continue
             if op is Opcode.STORE:
-                arr = gep_array(ins.operands[1])
+                arr = _array_of(defs, ins.operands[1])
                 for prep in list(loads):
                     larr = loads[prep][1]
                     if arr is None or larr is None or larr == arr:
@@ -347,7 +351,7 @@ def _scoped_value_numbering(fn: IrFunction, commutative_sort: bool) -> None:
                     replace_all_uses(fn, ins.result, ValueRef(leader))
                     b.instructions.remove(ins)
                 else:
-                    loads[prep] = (ins.result, gep_array(ptr))
+                    loads[prep] = (ins.result, _array_of(defs, ptr))
                 continue
             if op is Opcode.PHI or ins.result is None:
                 continue
@@ -362,12 +366,12 @@ def _scoped_value_numbering(fn: IrFunction, commutative_sort: bool) -> None:
             else:
                 table[key] = ins.result
                 added.append(key)
-        for child in sorted(children[label]):
-            visit(child)
-        for key in added:
-            del table[key]
 
-    visit(root)
+
+def _array_of(defs: dict[str, IrInstruction], op: Operand) -> str | None:
+    """Array a pointer refers to, or None when provenance is unknown."""
+    target = pointer_target(defs, op)
+    return None if target is None else target[0]
 
 
 def run_early_cse(m: IrModule) -> None:
@@ -407,24 +411,21 @@ def run_reassociate(m: IrModule) -> None:
                          if ins.result in u.value_uses()]
                 if any(u.opcode is opcode for u in users):
                     continue
-                # Collect leaves across single-use same-opcode links in this block.
+                # Collect leaves across single-use same-opcode links in this
+                # block, left to right.
                 leaves: list[Operand] = []
                 chain: list[IrInstruction] = []
-
-                def collect(op: Operand):
-                    if isinstance(op, ValueRef):
-                        src = defs.get(op.id)
-                        if (src is not None and src.opcode is opcode
-                                and id(src) in pos
-                                and use_counts.get(op.id, 0) == 1):
-                            chain.append(src)
-                            collect(src.operands[0])
-                            collect(src.operands[1])
-                            return
-                    leaves.append(op)
-
-                collect(ins.operands[0])
-                collect(ins.operands[1])
+                todo = ins.operands[::-1]
+                while todo:
+                    op = todo.pop()
+                    src = defs.get(op.id) if isinstance(op, ValueRef) else None
+                    if (src is not None and src.opcode is opcode
+                            and id(src) in pos
+                            and use_counts.get(op.id, 0) == 1):
+                        chain.append(src)
+                        todo += src.operands[::-1]
+                    else:
+                        leaves.append(op)
                 if len(leaves) < 3:
                     continue
                 const_val = 0 if opcode is Opcode.ADD else 1

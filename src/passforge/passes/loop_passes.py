@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from ..ir import (
     Const, IrBlock, IrFunction, IrInstruction, IrModule, LabelRef, Loop,
-    LoopInfo, Opcode, ValueRef, natural_loops, predecessor_map, preheader_of,
-    refresh_loop_annotations,
+    Opcode, ValueRef, natural_loops, predecessor_map, preheader_of,
 )
 from ..ir.types import Operand, VOID
 from .rewrite import (
@@ -385,7 +384,6 @@ def run_loop_simplify(m: IrModule) -> None:
                     break
             if not changed:
                 break
-        refresh_loop_annotations(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +427,6 @@ def run_loop_rotate(m: IrModule) -> None:
                 _rotate(fn, loop, t)
                 changed = True
                 break
-        refresh_loop_annotations(fn)
 
 
 def _rotate(fn: IrFunction, loop: Loop, t: TopTest) -> None:
@@ -469,9 +466,7 @@ def _rotate(fn: IrFunction, loop: Loop, t: TopTest) -> None:
         phi.operands = ops
 
     fn.blocks.remove(header)
-    body.loop_info = None if header.loop_info is None else LoopInfo(
-        header.loop_info.loop_id, header.loop_info.depth, True)
-    refresh_loop_annotations(fn)
+    body.loop_info = header.loop_info
 
 
 # ---------------------------------------------------------------------------
@@ -556,20 +551,16 @@ def run_indvars(m: IrModule) -> None:
                 if len(users) != 1:
                     continue
                 k = cmp.operands[1].value
-                changed = False
                 if cmp.pred == "sle" and k < 2**31 - 1:
                     cmp.pred, cmp.operands[1] = "slt", Const(k + 1)
-                    changed = True
                 elif cmp.pred == "sgt" and k < 2**31 - 1:
                     cmp.pred, cmp.operands[1] = "slt", Const(k + 1)
                     term.operands = [term.operands[0], term.operands[2],
                                      term.operands[1]]
-                    changed = True
                 elif cmp.pred == "sge":
                     cmp.pred = "slt"
                     term.operands = [term.operands[0], term.operands[2],
                                      term.operands[1]]
-                    changed = True
                 elif cmp.pred == "ne" and isinstance(iv.start, Const):
                     # Sound only for continue-while-ne polarity: the tested
                     # value then stays in [start, bound].
@@ -598,7 +589,6 @@ def run_loop_deletion(m: IrModule) -> None:
                 if _delete_loop(fn, loop):
                     changed = True
                     break
-        refresh_loop_annotations(fn)
 
 
 def _delete_loop(fn: IrFunction, loop: Loop) -> bool:
@@ -728,4 +718,3 @@ def run_loop_unroll_partial(m: IrModule) -> None:
             if shape.trip % 2:
                 peel_iterations(shape, 1, fresh)
             _append_replica(fn, shape, fresh)
-        refresh_loop_annotations(fn)

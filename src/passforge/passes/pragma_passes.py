@@ -9,7 +9,6 @@ from __future__ import annotations
 from ..ir import (
     IrBlock, IrFunction, IrInstruction, IrModule, LabelRef, LoopInfo, Opcode,
     PragmaKind, ValueRef, natural_loops, predecessor_map,
-    refresh_loop_annotations,
 )
 from ..ir.types import Operand, VOID
 from .loop_passes import (
@@ -135,7 +134,6 @@ def apply_unroll_pragmas(m: IrModule) -> None:
                     f"countable form; cannot expand its unroll pragma")
             _apply_unroll(fn, shape, pragma.factor)  # type: ignore[arg-type]
             fn.pragmas.remove(pragma)
-        refresh_loop_annotations(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +161,8 @@ def _inline_one_call(m: IrModule, caller: IrFunction, block: IrBlock,
     label_map: dict[str, str] = {}
     value_map: dict[str, Operand] = dict(arg_map)
     loop_id_map: dict[int, int] = {}
-    existing_ids = set()
-    for f in (caller,):
-        for b in f.blocks:
-            if b.loop_info is not None:
-                existing_ids.add(b.loop_info.loop_id)
-    next_loop_id = max(existing_ids, default=0) + 1
+    next_loop_id = 1 + max((b.loop_info.loop_id for b in caller.blocks
+                            if b.loop_info is not None), default=0)
 
     for b in callee.blocks:
         label_map[b.label] = fresh.label(f"{callee.name}.{b.label}")
@@ -267,8 +261,6 @@ def apply_inline_pragmas(m: IrModule) -> None:
                             break
                     if progress:
                         break
-        for fn in m.functions:
-            refresh_loop_annotations(fn)
     # Fully-inlined callees with no remaining callers are dropped.
     for target in set(targets):
         still_called = any(
@@ -279,11 +271,3 @@ def apply_inline_pragmas(m: IrModule) -> None:
         if not still_called and not fn.is_top:
             m.functions.remove(fn)
 
-
-def apply_pragma_passes(m: IrModule) -> IrModule:
-    """Expand inline and unroll pragmas at their fixed pipeline position;
-    pipeline and array_partition pragmas remain as estimator metadata."""
-    out = m.clone()
-    apply_inline_pragmas(out)
-    apply_unroll_pragmas(out)
-    return out

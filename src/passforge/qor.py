@@ -191,7 +191,7 @@ class _FunctionModel:
             l = self.forest.innermost.get(b.label)
             while l is not None:
                 weight *= self.eff_trip[l.loop_id]
-                l = l.parent
+                l = self.forest.parent(l)
             for ins in b.all_instructions():
                 access = _mem_op(self.defs, ins)
                 if access is not None:
@@ -308,8 +308,9 @@ class _FunctionModel:
                 continue
             if lab not in own:
                 top = self.forest.innermost[lab]
-                while top.parent is not None and top.parent is not loop:
-                    top = top.parent
+                while (up := self.forest.parent(top)) is not None \
+                        and up is not loop:
+                    top = up
                 if top.loop_id not in macro_ids:
                     macro_ids.add(top.loop_id)
                     nodes.append(("loop", top))
@@ -446,7 +447,8 @@ class _FunctionModel:
             self.loop_reports.append(LoopReport(
                 lid, trip, depth_cycles, ii, res_mii, rec_mii, total))
 
-        top_level = [l for l in self.forest.loops if l.parent is None]
+        top_level = [l for l in self.forest.loops
+                     if self.forest.parent(l) is None]
         all_blocks = {b.label for b in self.fn.blocks}
         self.latency = self._region_path(all_blocks, self.fn.entry.label,
                                          top_level)

@@ -12,7 +12,9 @@ from passforge.agent import (
 )
 from passforge.dataset import dataset_gen
 from passforge.embedder import featurize_baseline
-from passforge.ir import IrModule, print_module
+from passforge.ir import (
+    IrBlock, IrFunction, IrInstruction, IrModule, Loop, print_module,
+)
 
 PACKAGE = Path(passforge.__file__).resolve().parent
 ALLOWED = {("cli.py", "main")}
@@ -112,10 +114,12 @@ def _unreachable(kinds: tuple[type, ...]) -> list[str]:
 
 
 def test_no_reference_cycle_keeps_environments_alive(small_corpus, case2):
-    """Environments, evaluators and modules die with their last reference:
-    a cycle through them (a stored ``EstimateError``'s traceback, say) would
-    keep every module they hold until a full collection.  ``case2``'s
-    episodes and searches hit estimate errors."""
+    """Environments, evaluators, modules and the loops found in them die
+    with their last reference: a cycle through them (a stored
+    ``EstimateError``'s traceback, a recursive closure over a pass's locals,
+    a loop's link back to its parent, say) would keep everything they hold
+    until a full collection.  ``case2``'s episodes and searches hit estimate
+    errors."""
     designs = small_corpus[:2] + [("case2", case2)]
     config = PpoConfig(iterations=2, episodes_per_iteration=6,
                        max_episode_len=6, minibatch_size=16, seed=0)
@@ -128,7 +132,8 @@ def test_no_reference_cycle_keeps_environments_alive(small_corpus, case2):
             search_baseline(case2, method, budget=8)
         dataset_gen([(name, print_module(m)) for name, m in designs], 3, 3,
                     seed=0, intra_pair_cap=2, cross_pairs=2)
-        found = _unreachable((PassEnv, Evaluator, IrModule))
+        found = _unreachable((PassEnv, Evaluator, IrModule, IrFunction,
+                              IrBlock, IrInstruction, Loop))
     finally:
         gc.enable()
     assert found == []

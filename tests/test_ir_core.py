@@ -205,3 +205,22 @@ def test_postorder_visits_successors_in_listed_order():
     assert postorder("a", succs) == ["d", "c", "b", "a"]
     chain = {i: [i + 1] for i in range(5000)} | {5000: []}
     assert postorder(0, chain) == list(range(5000, -1, -1))
+
+
+@pytest.mark.parametrize("calls, cyclic", [
+    ({"f": [], "g": ["f"], "h": ["g", "f"]}, False),
+    ({"f": ["f"], "h": ["f"]}, True),
+    ({"f": ["g"], "g": ["f"], "h": ["g"]}, True),
+    ({"f": [], "g": ["h"], "h": ["f", "g"]}, True),
+])
+def test_verifier_reports_call_cycles(calls, cyclic):
+    """``h`` is the top function; every function calls its callees in
+    order and returns its argument."""
+    text = ""
+    for name, callees in calls.items():
+        body = "".join(f"  %r{i} = call i32 @{c}(%x)\n"
+                       for i, c in enumerate(callees))
+        text += (f"{'top ' if name == 'h' else ''}func @{name}(%x: i32) -> i32"
+                 f" {{\nblock entry:\n{body}  ret i32 %x\n}}\n")
+    codes = [v.code for v in verify_module(parse_module(text, verify=False))]
+    assert codes == (["call-cycle"] if cyclic else [])

@@ -7,7 +7,7 @@ import pytest
 from passforge import passes
 from passforge.corpus import corpus_gen, random_inputs
 from passforge.ir import (
-    Opcode, interpret, natural_loops, parse_module, print_module,
+    Opcode, PragmaKind, interpret, natural_loops, parse_module, print_module,
     verify_module,
 )
 from passforge.passes import (
@@ -418,6 +418,48 @@ block entry:
     assert not any(i.opcode is Opcode.CALL
                    for b in out.top.blocks for i in b.all_instructions())
     assert interpret(out, [5]).return_value == 16
+
+
+#: Three unrolls cover dot_11's trip of 8; sccp then proves the back edge
+#: dead and deletes loop 1, which carries the design's pipeline pragma.
+DOT_11_LOOP_DELETION = [
+    PassId.LOOP_UNROLL_PARTIAL, PassId.SIMPLIFYCFG,
+    PassId.LOOP_UNROLL_PARTIAL, PassId.SIMPLIFYCFG,
+    PassId.LOOP_UNROLL_PARTIAL, PassId.LOOP_ROTATE, PassId.SCCP]
+
+
+@pytest.mark.parametrize("expand", [False, True], ids=["raw", "expanded"])
+def test_deleted_loop_takes_its_pragma(expand):
+    design = parse_module(dict(corpus_gen(22, 0))["dot_11"])
+    start = apply_pragma_passes(design) if expand else design
+    assert [p.kind for p in start.top.pragmas] == [PragmaKind.PIPELINE]
+    out, _ = apply_sequence(start, DOT_11_LOOP_DELETION)
+    assert verify_module(out) == []
+    assert natural_loops(out.top).loops == []
+    assert out.top.pragmas == []
+    inputs = random_inputs(design, np.random.default_rng(0))
+    before, after = interpret(design, inputs), interpret(out, inputs)
+    assert (after.return_value, after.memory_digest) == \
+        (before.return_value, before.memory_digest)
+
+
+def test_loop_that_loses_its_id_keeps_its_pragma(monkeypatch):
+    """A surviving loop whose header annotation a pass drops comes back under
+    a new id; its pipeline pragma is not dropped but reported."""
+    design = parse_module(dict(corpus_gen(22, 0))["guarded_tail_05"])
+    assert [(p.kind, p.target) for p in design.top.pragmas] == \
+        [(PragmaKind.PIPELINE, 1)]
+
+    def strip_loop_1_header(module):
+        for b in module.top.blocks:
+            if b.loop_info is not None and b.loop_info.loop_id == 1 \
+                    and b.loop_info.is_header:
+                b.loop_info = None
+
+    monkeypatch.setitem(passes._IMPLS, PassId.ADCE, strip_loop_1_header)
+    with pytest.raises(PassError) as err:
+        apply_pass(design, PassId.ADCE)
+    assert [v.code for v in err.value.violations] == ["pragma-target"]
 
 
 def test_pass_sequence_repeats_allowed(case1):

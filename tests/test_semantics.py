@@ -2,10 +2,13 @@
 as written or after pragma expansion, leaves what the reference interpreter
 observes unchanged: the return value and memory digest, or the trap class, or
 fuel exhaustion (Csmith-style differential testing)."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from passforge.agent import PassEnv
 from passforge.corpus import corpus_gen, random_inputs
 from passforge.ir import FuelExhausted, TrapError, interpret, parse_module
 from passforge.passes import (
@@ -13,8 +16,9 @@ from passforge.passes import (
 )
 
 #: case1 is left out: one interpreter run of it takes about half a second.
-DESIGNS = [parse_module(text) for name, text in corpus_gen(24, 3)
-           if name != "case1"]
+NAMED = [(name, parse_module(text)) for name, text in corpus_gen(24, 3)
+         if name != "case1"]
+DESIGNS = [m for _name, m in NAMED]
 FUEL = 10**6
 
 
@@ -31,7 +35,7 @@ def _outcome(module, inputs) -> tuple:
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(design=st.sampled_from(DESIGNS), expand=st.booleans(),
        sequence=st.lists(st.sampled_from(general_passes()), min_size=1,
-                         max_size=8),
+                         max_size=PassEnv.max_steps),
        input_seed=st.integers(0, 2**16))
 def test_pass_sequences_preserve_interpreter_semantics(design, expand,
                                                        sequence, input_seed):
@@ -40,6 +44,32 @@ def test_pass_sequences_preserve_interpreter_semantics(design, expand,
     out, _ = apply_sequence(start, sequence)
     assert _outcome(out, inputs) == _outcome(design, inputs), \
         [p.value for p in sequence]
+
+
+#: The shapes search finds (ROADMAP, Baseline): one to four rounds of
+#: unrolling, each merged by simplifycfg, then an ordered pair of the passes
+#: that restructure what the unrolling left.  Uniform random sequences almost
+#: never build them.
+MOTIFS = [[PassId.LOOP_UNROLL_PARTIAL, PassId.SIMPLIFYCFG] * k + [a, b]
+          for k in range(1, 5)
+          for a, b in itertools.permutations(
+              [PassId.LOOP_ROTATE, PassId.JUMP_THREADING, PassId.SCCP,
+               PassId.SIMPLIFYCFG], 2)]
+
+
+@pytest.mark.parametrize("expand", [False, True], ids=["raw", "expanded"])
+@pytest.mark.parametrize("design", DESIGNS, ids=[n for n, _m in NAMED])
+def test_search_shaped_motifs_preserve_interpreter_semantics(design, expand):
+    inputs = random_inputs(design, np.random.default_rng(0))
+    expected = _outcome(design, inputs)
+    start = apply_pragma_passes(design) if expand else design
+    memo: dict = {}
+    checked: set[str] = set()
+    for seq in MOTIFS:
+        out, steps = apply_sequence(start, seq, memo)
+        if steps[-1].digest not in checked:
+            checked.add(steps[-1].digest)
+            assert _outcome(out, inputs) == expected, [p.value for p in seq]
 
 
 #: Hand-written blocks whose outcome depends on one alias rule of a memory
