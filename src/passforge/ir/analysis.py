@@ -167,11 +167,19 @@ class Loop:
 @dataclass
 class LoopForest:
     """A function's loops.  Each loop lists its children; the forest, not
-    the loop, answers for the parent, so no loop refers back up the tree."""
+    the loop, answers for the parent, so no loop refers back up the tree.
+
+    The CFG analysis the loops were derived from rides along, so a caller
+    that holds the forest need not redo it: ``dom``, the dominator tree;
+    ``preds``, the predecessor map; ``reach``, the blocks reachable from the
+    entry."""
     loops: list[Loop]
     by_header: dict[str, Loop]
     innermost: dict[str, Loop | None]
     parents: dict[str, Loop | None]     # by header label
+    dom: DomTree
+    preds: dict[str, list[str]]
+    reach: set[str]
 
     def parent(self, loop: Loop) -> Loop | None:
         """The smallest loop strictly containing ``loop``, if any."""
@@ -258,7 +266,8 @@ def natural_loops(fn: IrFunction) -> LoopForest:
         for lab in l.blocks:
             innermost[lab] = l
 
-    return LoopForest(loops, {l.header: l for l in loops}, innermost, parents)
+    return LoopForest(loops, {l.header: l for l in loops}, innermost, parents,
+                      dom, preds, reach)
 
 
 def preheader_of(fn: IrFunction, loop: Loop) -> str | None:

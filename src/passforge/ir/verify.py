@@ -2,17 +2,24 @@
 
 Returns a list of violations (empty means ok) and never raises; passes and the
 parser treat a non-empty result as fatal.
+
+A caller that already holds a function's loop forest may hand it in, and the
+verifier takes its predecessors, reachable blocks, dominator tree and loops
+from it instead of analysing the CFG again.  The forest must be one of
+``fn``'s current CFG, taken after its loop annotations were refreshed: the
+forest ``refresh_loop_annotations(fn)`` returns, with neither the blocks nor
+the annotations changed since.  It then equals what ``natural_loops(fn)``
+would return, because the refresh writes back the ids, depths and header
+flags it read.  Without a forest, the verifier computes one itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import (
-    DomTree, natural_loops, postorder, predecessor_map, reachable_blocks,
-)
+from .analysis import LoopForest, natural_loops, postorder
 from .types import (
-    Const, GlobalRef, IrFunction, IrModule, LabelRef, Opcode, PragmaKind,
-    ValueRef, OPCODE_CLASS,
+    GlobalRef, IrFunction, IrInstruction, IrModule, Opcode, PragmaKind,
+    TERMINATOR_OPCODES, ValueRef,
 )
 
 
@@ -35,9 +42,18 @@ _ARITY = {
     Opcode.BR: 1, Opcode.CONDBR: 3,
 }
 
+# The walks compare opcodes against these names: on Python 3.11 each
+# ``Opcode.PHI``-style lookup runs the enum's attribute descriptor.
+_PHI, _CALL, _RET, _GEP = (Opcode.PHI, Opcode.CALL, Opcode.RET,
+                           Opcode.GETELEMENTPTR)
 
-def verify_function(m: IrModule, fn: IrFunction) -> list[Violation]:
-    """Violations of one function of ``m``; empty means ok."""
+
+def verify_function(m: IrModule, fn: IrFunction,
+                    forest: LoopForest | None = None) -> list[Violation]:
+    """Violations of one function of ``m``; empty means ok.
+
+    ``forest`` is ``fn``'s loop forest as the module docstring describes;
+    without one, the function's CFG is analysed here."""
     out: list[Violation] = []
     where = fn.name
     labels = [b.label for b in fn.blocks]
@@ -48,9 +64,21 @@ def verify_function(m: IrModule, fn: IrFunction) -> list[Violation]:
         out.append(Violation("empty-fn", "function has no blocks", where))
         return out
 
-    bmap = fn.block_map()
+    if forest is None:
+        forest = natural_loops(fn)
+    preds = forest.preds
+    params = dict(fn.params)
+    gmap = m.global_map()
+    fnames = {f.name for f in m.functions}
 
-    # Terminators present and phi prefix.
+    # One walk checks each block's shape, records each value's definition
+    # site and checks operand shapes.  Block-shape violations are reported
+    # at once; redefinitions and operand shapes only if the CFG checks
+    # below pass.
+    insts: dict[str, list[IrInstruction]] = {}
+    defs: dict[str, tuple[str, int]] = {}
+    redefs: list[Violation] = []
+    shapes: list[Violation] = []
     for b in fn.blocks:
         loc = f"{where}:{b.label}"
         if b.terminator is None:
@@ -58,145 +86,129 @@ def verify_function(m: IrModule, fn: IrFunction) -> list[Violation]:
             return out
         if not b.terminator.is_terminator:
             out.append(Violation("bad-term", "terminator is not br/condbr/ret", loc))
+        insts[b.label] = body = b.all_instructions()
+        n_body = len(body) - 1
         seen_non_phi = False
-        for ins in b.instructions:
-            if ins.is_terminator:
-                out.append(Violation("term-mid", "terminator before block end", loc))
-            if ins.opcode is Opcode.PHI:
-                if seen_non_phi:
-                    out.append(Violation("phi-order", "phi after non-phi", loc))
+        for i, ins in enumerate(body):
+            op = ins.opcode
+            if i < n_body:
+                if op in TERMINATOR_OPCODES:
+                    out.append(Violation("term-mid", "terminator before block end",
+                                         loc))
+                if op is _PHI:
+                    if seen_non_phi:
+                        out.append(Violation("phi-order", "phi after non-phi", loc))
+                else:
+                    seen_non_phi = True
+            if ins.result is not None:
+                if ins.result in defs or ins.result in params:
+                    redefs.append(Violation("redef",
+                                            f"value %{ins.result} defined twice",
+                                            loc))
+                defs[ins.result] = (b.label, i)
+            if op is _PHI:
+                if len(ins.operands) < 2 or len(ins.operands) % 2 != 0:
+                    shapes.append(Violation("phi-shape", "malformed phi operands", loc))
+                    continue
+                in_labels = [l for _, l in ins.phi_incoming()]
+                if sorted(in_labels) != sorted(preds[b.label]):
+                    shapes.append(Violation(
+                        "phi-preds",
+                        f"phi %{ins.result} incoming {sorted(in_labels)} != "
+                        f"predecessors {sorted(preds[b.label])}", loc))
+            elif op is _CALL:
+                if ins.callee not in fnames:
+                    shapes.append(Violation("bad-callee",
+                                            f"call to unknown function @{ins.callee}",
+                                            loc))
+                else:
+                    callee = m.function(ins.callee)
+                    if len(ins.operands) != len(callee.params):
+                        shapes.append(Violation("call-arity",
+                                                f"call to @{ins.callee} has "
+                                                f"{len(ins.operands)} args, expected "
+                                                f"{len(callee.params)}", loc))
+            elif op is _RET:
+                if len(ins.operands) > 1:
+                    shapes.append(Violation("ret-shape", "ret takes at most one value",
+                                            loc))
             else:
-                seen_non_phi = True
+                if len(ins.operands) != _ARITY[op]:
+                    shapes.append(Violation("arity",
+                                            f"{op.value} expects {_ARITY[op]} "
+                                            f"operands, got {len(ins.operands)}", loc))
+            if op is _GEP and ins.operands:
+                base = ins.operands[0]
+                if isinstance(base, GlobalRef) and base.name not in gmap:
+                    shapes.append(Violation("bad-array",
+                                            f"gep of undeclared array @{base.name}",
+                                            loc))
+                if isinstance(base, ValueRef):
+                    ty = params.get(base.id)
+                    if ty is not None and not ty.is_array:
+                        shapes.append(Violation("bad-array",
+                                                f"gep base %{base.id} is not an array",
+                                                loc))
 
     # Branch targets exist.
     for b in fn.blocks:
         for s in b.successors():
-            if s not in bmap:
+            if s not in insts:
                 out.append(Violation("bad-target",
                                      f"branch to unknown block {s!r}",
                                      f"{where}:{b.label}"))
     if any(v.code == "bad-target" for v in out):
         return out
 
-    preds = predecessor_map(fn)
     if preds[fn.entry.label]:
         out.append(Violation("entry-preds", "entry block has predecessors", where))
-    reach = reachable_blocks(fn)
     for b in fn.blocks:
-        if b.label not in reach:
+        if b.label not in forest.reach:
             out.append(Violation("unreachable",
                                  f"block {b.label!r} unreachable from entry", where))
     if any(v.code == "unreachable" for v in out):
         return out
 
-    # Definitions: unique; collect def site per value.
-    defs: dict[str, tuple[str, int]] = {}
-    params = fn.param_ids()
     if len(params) != len(fn.params):
         out.append(Violation("dup-param", "duplicate parameter ids", where))
-    for b in fn.blocks:
-        for i, ins in enumerate(b.all_instructions()):
-            if ins.result is None:
-                continue
-            if ins.result in defs or ins.result in params:
-                out.append(Violation("redef",
-                                     f"value %{ins.result} defined twice",
-                                     f"{where}:{b.label}"))
-            defs[ins.result] = (b.label, i)
+    out += redefs
+    out += shapes
 
-    # Operand arity / shape checks.
-    gmap = m.global_map()
-    fnames = {f.name for f in m.functions}
+    # SSA dominance: a parameter dominates every use; a definition, the
+    # later instructions of its block and the blocks it dominates.
+    dom = forest.dom
     for b in fn.blocks:
         loc = f"{where}:{b.label}"
-        for ins in b.all_instructions():
-            op = ins.opcode
-            if op is Opcode.PHI:
-                if len(ins.operands) < 2 or len(ins.operands) % 2 != 0:
-                    out.append(Violation("phi-shape", "malformed phi operands", loc))
-                    continue
-                in_labels = [l for _, l in ins.phi_incoming()]
-                if sorted(in_labels) != sorted(preds[b.label]):
-                    out.append(Violation(
-                        "phi-preds",
-                        f"phi %{ins.result} incoming {sorted(in_labels)} != "
-                        f"predecessors {sorted(preds[b.label])}", loc))
-            elif op is Opcode.CALL:
-                if ins.callee not in fnames:
-                    out.append(Violation("bad-callee",
-                                         f"call to unknown function @{ins.callee}", loc))
-                else:
-                    callee = m.function(ins.callee)
-                    if len(ins.operands) != len(callee.params):
-                        out.append(Violation("call-arity",
-                                             f"call to @{ins.callee} has "
-                                             f"{len(ins.operands)} args, expected "
-                                             f"{len(callee.params)}", loc))
-            elif op is Opcode.RET:
-                if len(ins.operands) > 1:
-                    out.append(Violation("ret-shape", "ret takes at most one value", loc))
-            else:
-                if len(ins.operands) != _ARITY[op]:
-                    out.append(Violation("arity",
-                                         f"{op.value} expects {_ARITY[op]} operands, "
-                                         f"got {len(ins.operands)}", loc))
-            if op is Opcode.GETELEMENTPTR and ins.operands:
-                base = ins.operands[0]
-                if isinstance(base, GlobalRef) and base.name not in gmap:
-                    out.append(Violation("bad-array",
-                                         f"gep of undeclared array @{base.name}", loc))
-                if isinstance(base, ValueRef):
-                    ty = dict(fn.params).get(base.id)
-                    if ty is not None and not ty.is_array:
-                        out.append(Violation("bad-array",
-                                             f"gep base %{base.id} is not an array", loc))
-            assert OPCODE_CLASS[op] is not None
-
-    # SSA dominance.
-    dom = DomTree(fn)
-    order_in_block: dict[str, dict[str, int]] = {}
-    for b in fn.blocks:
-        order_in_block[b.label] = {ins.result: i
-                                   for i, ins in enumerate(b.all_instructions())
-                                   if ins.result is not None}
-
-    def def_dominates_use(vid: str, use_block: str, use_index: int) -> bool:
-        if vid in params:
-            return True
-        if vid not in defs:
-            return False
-        dblock, dindex = defs[vid]
-        if dblock == use_block:
-            return dindex < use_index
-        return dom.dominates(dblock, use_block)
-
-    for b in fn.blocks:
-        loc = f"{where}:{b.label}"
-        for i, ins in enumerate(b.all_instructions()):
-            if ins.opcode is Opcode.PHI:
+        for i, ins in enumerate(insts[b.label]):
+            if ins.opcode is _PHI:
                 for val, label in ins.phi_incoming():
-                    if isinstance(val, ValueRef):
-                        vid = val.id
-                        if vid not in defs and vid not in params:
-                            out.append(Violation("use-before-def",
-                                                 f"use of undefined value %{vid}", loc))
-                        elif not def_dominates_use(vid, label,
-                                                   len(bmap[label].all_instructions())):
-                            out.append(Violation("dominance",
-                                                 f"phi incoming %{vid} does not dominate "
-                                                 f"edge from {label}", loc))
-            else:
-                for vid in ins.value_uses():
-                    if vid not in defs and vid not in params:
+                    if not isinstance(val, ValueRef) or val.id in params:
+                        continue
+                    site = defs.get(val.id)
+                    if site is None:
                         out.append(Violation("use-before-def",
-                                             f"use of undefined value %{vid}", loc))
-                    elif not def_dominates_use(vid, b.label, i):
+                                             f"use of undefined value %{val.id}", loc))
+                    elif not (site[1] < len(insts[label]) if site[0] == label
+                              else dom.dominates(site[0], label)):
                         out.append(Violation("dominance",
-                                             f"use of %{vid} not dominated by its "
+                                             f"phi incoming %{val.id} does not "
+                                             f"dominate edge from {label}", loc))
+            else:
+                for val in ins.operands:
+                    if not isinstance(val, ValueRef) or val.id in params:
+                        continue
+                    site = defs.get(val.id)
+                    if site is None:
+                        out.append(Violation("use-before-def",
+                                             f"use of undefined value %{val.id}", loc))
+                    elif not (site[1] < i if site[0] == b.label
+                              else dom.dominates(site[0], b.label)):
+                        out.append(Violation("dominance",
+                                             f"use of %{val.id} not dominated by its "
                                              f"definition", loc))
 
     # Loop annotations: annotated headers must be real headers with the right depth.
-    forest = natural_loops(fn)
+    bmap = fn.block_map()
     ids_seen: dict[int, str] = {}
     for l in forest.loops:
         hdr = bmap[l.header]
@@ -244,7 +256,10 @@ def verify_function(m: IrModule, fn: IrFunction) -> list[Violation]:
     return out
 
 
-def verify_module(m: IrModule) -> list[Violation]:
+def verify_module(m: IrModule,
+                  forests: list[LoopForest] | None = None) -> list[Violation]:
+    """Violations of ``m``; empty means ok.  ``forests``, when given, holds
+    one forest per function of ``m``, in the order of ``m.functions``."""
     out: list[Violation] = []
     names = [f.name for f in m.functions]
     if len(set(names)) != len(names):
@@ -266,8 +281,10 @@ def verify_module(m: IrModule) -> list[Violation]:
                                  f"array @{g.name} initializer length mismatch",
                                  "module"))
 
-    for fn in m.functions:
-        out += verify_function(m, fn)
+    if forests is None:
+        forests = [None] * len(m.functions)
+    for fn, forest in zip(m.functions, forests, strict=True):
+        out += verify_function(m, fn, forest)
 
     # Call graph must be acyclic.
     if not any(v.code == "bad-callee" for v in out):
@@ -275,7 +292,7 @@ def verify_module(m: IrModule) -> list[Violation]:
         for fn in m.functions:
             for b in fn.blocks:
                 for ins in b.all_instructions():
-                    if ins.opcode is Opcode.CALL and ins.callee in edges:
+                    if ins.opcode is _CALL and ins.callee in edges:
                         edges[fn.name].add(ins.callee)
         # A depth-first postorder finishes each callee before its caller,
         # except across a call that closes a cycle.

@@ -193,19 +193,26 @@ def _transform(m: IrModule, p: PassId) -> IrModule:
     annotations and verify the copy.  Where the pass deleted loops and
     created none, their unroll and pipeline pragmas go too; a loop that
     survives under a new id (its header annotation lost) keeps them, and
-    verification reports them."""
+    verification reports them.
+
+    Refresh and verify share one CFG analysis per function: the verifier
+    checks each function against the forest its refresh returned.  Pruning
+    pragmas changes no block, so that forest is still the function's own."""
     out = m.clone()
     before = {fn.name: {b.loop_info.loop_id for b in fn.blocks
                         if b.loop_info is not None and b.loop_info.is_header}
               for fn in out.functions}
     _IMPLS[p](out)
+    forests = []
     for fn in out.functions:
-        ids = {l.loop_id for l in refresh_loop_annotations(fn).loops}
+        forest = refresh_loop_annotations(fn)
+        forests.append(forest)
+        ids = {l.loop_id for l in forest.loops}
         gone = before[fn.name] - ids
         if gone and ids <= before[fn.name]:
             fn.pragmas = [q for q in fn.pragmas if q.target not in gone or
                           q.kind not in (PragmaKind.UNROLL, PragmaKind.PIPELINE)]
-    violations = verify_module(out)
+    violations = verify_module(out, forests)
     if violations:
         raise PassError(p, violations)
     return out

@@ -664,8 +664,8 @@ def _apply_thread(m: IrModule, fn: IrFunction, p: IrBlock, slot: int,
 
     drop_unreachable_blocks(fn)
     collapse_trivial_phis(fn)
-    refresh_loop_annotations(fn)    # the verifier checks the annotations
-    if verify_function(m, fn):
+    # The verifier checks the annotations, against the refreshed forest.
+    if verify_function(m, fn, refresh_loop_annotations(fn)):
         fn.blocks = snapshot
         return False
     return True

@@ -398,6 +398,7 @@ def run_reassociate(m: IrModule) -> None:
                 for vid in ins.value_uses():
                     use_counts[vid] = use_counts.get(vid, 0) + 1
 
+        user_ops = _user_opcodes(fn)
         for b in fn.blocks:
             pos = {id(ins): i for i, ins in enumerate(b.instructions)}
             for ins in list(b.instructions):
@@ -406,10 +407,8 @@ def run_reassociate(m: IrModule) -> None:
                 if id(ins) not in pos:
                     continue
                 opcode = ins.opcode
-                # Is this a chain root? (no same-opcode single-use user in block)
-                users = [u for bb in fn.blocks for u in bb.all_instructions()
-                         if ins.result in u.value_uses()]
-                if any(u.opcode is opcode for u in users):
+                # Is this a chain root? (no user of the same opcode)
+                if opcode in user_ops.get(ins.result, ()):
                     continue
                 # Collect leaves across single-use same-opcode links in this
                 # block, left to right.
@@ -451,6 +450,7 @@ def run_reassociate(m: IrModule) -> None:
                     for c in chain:
                         if c in b.instructions:
                             b.instructions.remove(c)
+                    user_ops = _user_opcodes(fn)
                     continue
                 # Rebuild a left-leaning chain ending in this instruction.
                 insert_at = b.instructions.index(ins)
@@ -466,5 +466,16 @@ def run_reassociate(m: IrModule) -> None:
                     if c in b.instructions:
                         b.instructions.remove(c)
                 defs = fn.defined_values()
+                user_ops = _user_opcodes(fn)
                 pos = {id(i2): i2i for i2i, i2 in enumerate(b.instructions)}
         erase_dead_pure(fn)
+
+
+def _user_opcodes(fn: IrFunction) -> dict[str, set[Opcode]]:
+    """The opcodes of the instructions that read each value."""
+    out: dict[str, set[Opcode]] = {}
+    for b in fn.blocks:
+        for ins in b.all_instructions():
+            for vid in ins.value_uses():
+                out.setdefault(vid, set()).add(ins.opcode)
+    return out

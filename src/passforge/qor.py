@@ -171,6 +171,7 @@ class _FunctionModel:
         self.trip = {l.loop_id: loop_trip_count(fn, l) for l in self.forest.loops}
         self.eff_trip = {lid: DEFAULT_UNKNOWN_TRIP if t is None else t
                          for lid, t in self.trip.items()}
+        self.callees: dict[str, _FunctionModel] = {}
         self.block_lat: dict[str, int] = {}
         self.loop_total: dict[int, int] = {}
         self.loop_reports: list[LoopReport] = []
@@ -184,7 +185,8 @@ class _FunctionModel:
     @cached_property
     def mem_summary(self) -> dict[str, int]:
         """Trip-weighted accesses per array, as a caller charges a call to
-        this function; its own calls are not followed."""
+        this function; each call it makes adds its callee's summary, weighted
+        like the call site.  The call graph is acyclic, so this ends."""
         counts: dict[str, int] = {}
         for b in self.fn.blocks:
             weight = 1
@@ -197,13 +199,24 @@ class _FunctionModel:
                 if access is not None:
                     arr = access[1][0]
                     counts[arr] = counts.get(arr, 0) + weight
+                elif ins.opcode is Opcode.CALL:
+                    for arr, n in self.callees[ins.callee].mem_summary.items():
+                        counts[arr] = counts.get(arr, 0) + n * weight
         return counts
+
+    def _callee(self, name: str) -> "_FunctionModel":
+        """The model of a function this one calls.  Every call is scheduled
+        during the build, so ``callees`` then holds each one for
+        ``mem_summary``, which may run after the module model is dropped."""
+        if name not in self.callees:
+            self.callees[name] = self.model.fn_model(name)
+        return self.callees[name]
 
     # -- block scheduling ---------------------------------------------------
 
     def _op_latency(self, ins) -> int:
         if ins.opcode is Opcode.CALL:
-            return self.model.fn_model(ins.callee).latency
+            return self._callee(ins.callee).latency
         return self.model.costs.lat(ins.opcode)
 
     def _schedule_block(self, b) -> int:
@@ -274,7 +287,7 @@ class _FunctionModel:
                     arr = access[1][0]
                     counts[arr] = counts.get(arr, 0) + 1
                 elif ins.opcode is Opcode.CALL:
-                    callee = self.model.fn_model(ins.callee).mem_summary
+                    callee = self._callee(ins.callee).mem_summary
                     for arr, n in callee.items():
                         counts[arr] = counts.get(arr, 0) + n
         for c in loop.children:
@@ -325,7 +338,7 @@ class _FunctionModel:
                 access = _mem_op(self.defs, ins)
                 acc = [access] if access is not None else []
                 if ins.opcode is Opcode.CALL:
-                    for arr in self.model.fn_model(ins.callee).mem_summary:
+                    for arr in self._callee(ins.callee).mem_summary:
                         acc.append(("r", (arr, None)))
                         acc.append(("w", (arr, None)))
                 touched.append(acc)
@@ -411,7 +424,7 @@ class _FunctionModel:
                 if access is not None:
                     (reads if access[0] == "r" else writes).add(access[1][0])
                 elif ins.opcode is Opcode.CALL:
-                    callee = self.model.fn_model(ins.callee).mem_summary
+                    callee = self._callee(ins.callee).mem_summary
                     reads.update(callee)
                     writes.update(callee)
         return sorted(reads), sorted(writes)

@@ -7,9 +7,10 @@ import pytest
 from passforge import passes
 from passforge.corpus import corpus_gen, random_inputs
 from passforge.ir import (
-    Opcode, PragmaKind, interpret, natural_loops, parse_module, print_module,
-    verify_module,
+    Opcode, PragmaKind, analysis, interpret, natural_loops, parse_module,
+    print_module, verify_module,
 )
+from passforge.ir.verify import verify_function
 from passforge.passes import (
     PassError, PassId, PragmaError, TABLE_CATEGORIES, apply_pass,
     apply_pragma_passes, apply_sequence, general_passes, pass_catalog,
@@ -740,3 +741,85 @@ def test_digest_keys_are_sound():
                     m = r.module
                     checks += 1
     assert checks == 480
+
+
+def _forest_facts(forest):
+    """Everything a forest tells the verifier, in comparable form."""
+    return ([(l.loop_id, l.header, l.blocks, l.latches, l.depth)
+             for l in forest.loops],
+            forest.dom.idom, forest.preds, forest.reach)
+
+
+def test_refreshed_forest_is_the_one_a_fresh_analysis_finds(monkeypatch):
+    """Each forest ``_transform`` hands the verifier equals
+    ``natural_loops`` of the verified function, and gives the same
+    verdict."""
+    checked = []
+
+    def checking_verify_module(m, forests):
+        for fn, forest in zip(m.functions, forests, strict=True):
+            assert _forest_facts(forest) == _forest_facts(natural_loops(fn))
+            assert verify_function(m, fn, forest) == verify_function(m, fn)
+            checked.append(fn.name)
+        return verify_module(m, forests)
+
+    monkeypatch.setattr(passes, "verify_module", checking_verify_module)
+    rng = np.random.default_rng(12)
+    general = general_passes()
+    for seed in (0, 1):
+        for _name, text in corpus_gen(12, seed):
+            raw = parse_module(text)
+            for m in (raw, apply_pragma_passes(raw)):
+                memo: dict = {}
+                for _ in range(6):
+                    seq = [general[i] for i in rng.integers(
+                        len(general), size=rng.integers(1, 17))]
+                    apply_sequence(m, seq, memo)
+    assert len(checked) > 1500
+
+
+DOM_COUNT_SRC = """
+func @inc(%x: i32) -> i32 {
+block entry:
+  %dead = mul i32 %x, 3
+  %z = add i32 %x, 0
+  %r = add i32 %z, 1
+  ret i32 %r
+}
+
+top func @f(%a: i32[8]) -> i32 {
+block entry:
+  br hd
+block hd loop(1, depth=1, header):
+  %i = phi i32 [0, entry], [%i.next, body]
+  %c = icmp slt i32 %i, 8
+  condbr %c, body, out
+block body loop(1, depth=1):
+  %v = call i32 @inc(%i)
+  %p = getelementptr %a, %i
+  store i32 %i, %p
+  store i32 %v, %p
+  %i.next = add i32 %i, 1
+  br hd
+block out:
+  ret i32 0
+}
+"""
+
+
+@pytest.mark.parametrize("p", [PassId.ADCE, PassId.DSE, PassId.INSTSIMPLIFY])
+def test_executed_pass_builds_one_dominator_tree_per_function(monkeypatch, p):
+    """Refresh and verify share one analysis; the pass itself needs
+    none."""
+    m = parse_module(DOM_COUNT_SRC)
+    calls = []
+    dominators = analysis.dominators
+
+    def counting(fn):
+        calls.append(fn.name)
+        return dominators(fn)
+
+    monkeypatch.setattr(analysis, "dominators", counting)
+    r = apply_pass(m, p)
+    assert r.changed
+    assert sorted(calls) == ["f", "inc"]

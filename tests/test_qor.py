@@ -403,35 +403,55 @@ block out:
 """
 
 
+def test_call_is_charged_its_callees_nested_accesses():
+    """Loop 1 of ``f`` reaches ``@h`` only through calls.  Loop 2 (trip 3)
+    calls ``@leaf``, which loads and stores ``@h`` once each: 6 accesses.
+    The call to ``@mid`` adds 8 more, since ``@mid``'s loop (trip 4) calls
+    ``@leaf`` too.  With one port the 14 bind (``@g`` has 11); with two,
+    14 / 2."""
+    m = parse_module(CALLS_SRC)
+    assert compute_ii(m, "f", 1, OpCostTable(memory_ports=1)) == (14, 61)
+    assert compute_ii(m, "f", 1) == (7, 61)
+    assert estimate(m).loops[1].res_mii == 7
+
+
 #: sha256 of every ``estimate`` report (or its ``EstimateError``) and every
 #: loop's ``compute_ii`` over ``corpus_gen(6, 0)`` and ``CALLS_SRC``, raw and
 #: pragma-expanded, each after six seeded random general-pass sequences
-#: (lengths 0-5), under the default and a one-port cost table; taken before the model worked out
-#: each loop and callee fact once.  A refactoring must price the same.
-PINNED_ESTIMATES = \
-    "1e41161a5c00de3f71b969c8e84ae0e7622b0e1cdef7b752f4c471dcd3bff4d9"
+#: (lengths 0-5), under the default and a one-port cost table; one digest
+#: for the corpus and one for ``CALLS_SRC``, which draw from one seeded
+#: stream.  The corpus digest was taken before the model worked out each
+#: loop and callee fact once; the ``CALLS_SRC`` one since a callee's memory
+#: summary follows its own calls.  A refactoring must price the same.
+PINNED_ESTIMATES = {
+    "corpus": "4b69a462e350f29f403f1569455959346af5d94582be105868ee80c95fb0451c",
+    "calls": "d01a9f4b81d4a8c7443e23dc43610351aa127a3a82b9c41613ffa290cec79c26",
+}
 
 
 def test_estimates_are_pinned():
     passes = general_passes()
     rng = np.random.default_rng(0)
-    h = hashlib.sha256()
+    hashes = {group: hashlib.sha256() for group in PINNED_ESTIMATES}
 
-    def record(f, *args):
+    def record(h, f, *args):
         try:
             h.update(repr(f(*args)).encode())
         except EstimateError as e:
             h.update(f"EstimateError {e}".encode())
 
-    for _name, text in corpus_gen(6, 0) + [("calls", CALLS_SRC)]:
+    for name, text in corpus_gen(6, 0) + [("calls", CALLS_SRC)]:
+        h = hashes["calls" if name == "calls" else "corpus"]
         raw = parse_module(text)
         for base in (raw, apply_pragma_passes(raw)):
             for length in range(6):
                 seq = [passes[i] for i in rng.integers(len(passes), size=length)]
                 m, _ = apply_sequence(base, seq)
                 for costs in (OpCostTable(), OpCostTable(memory_ports=1)):
-                    record(lambda: estimate(m, costs).to_dict())
+                    record(h, lambda: estimate(m, costs).to_dict())
                     for fn in m.functions:
                         for loop in natural_loops(fn).loops:
-                            record(compute_ii, m, fn.name, loop.loop_id, costs)
-    assert h.hexdigest() == PINNED_ESTIMATES
+                            record(h, compute_ii, m, fn.name, loop.loop_id,
+                                   costs)
+    assert {group: h.hexdigest() for group, h in hashes.items()} \
+        == PINNED_ESTIMATES
