@@ -1,9 +1,11 @@
 """Canonical text form of a module.
 
 print -> parse -> print is a fixpoint, and a pass's output depends only on
-its input's printed form; so a pass compares the digest of its printed output
-with its input's to decide whether it changed anything, and a transition
-table may key a module by that digest.
+its input's printed form, so a transition table may key a module by the
+digest of that form.  The printer reads only fields that dataclass equality
+compares, so modules that are equal print alike: a pass whose output equals
+its input changed nothing.  Any other output is printed, and its digest
+compared with the input's, to decide whether the pass changed anything.
 """
 from __future__ import annotations
 

@@ -54,15 +54,23 @@ def verify_function(m: IrModule, fn: IrFunction,
 
     ``forest`` is ``fn``'s loop forest as the module docstring describes;
     without one, the function's CFG is analysed here."""
+    return _check_function(m, fn, forest)[0]
+
+
+def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
+                    ) -> tuple[list[Violation], set[str] | None]:
+    """``verify_function``'s violations, and the names of the functions
+    ``fn`` calls, collected by the walk over its instructions; ``None``
+    where the checks stopped before that walk finished."""
     out: list[Violation] = []
     where = fn.name
     labels = [b.label for b in fn.blocks]
     if len(set(labels)) != len(labels):
         out.append(Violation("dup-label", "duplicate block labels", where))
-        return out
+        return out, None
     if not fn.blocks:
         out.append(Violation("empty-fn", "function has no blocks", where))
-        return out
+        return out, set()
 
     if forest is None:
         forest = natural_loops(fn)
@@ -77,13 +85,14 @@ def verify_function(m: IrModule, fn: IrFunction,
     # below pass.
     insts: dict[str, list[IrInstruction]] = {}
     defs: dict[str, tuple[str, int]] = {}
+    calls: set[str] = set()
     redefs: list[Violation] = []
     shapes: list[Violation] = []
     for b in fn.blocks:
         loc = f"{where}:{b.label}"
         if b.terminator is None:
             out.append(Violation("no-term", "block has no terminator", loc))
-            return out
+            return out, None
         if not b.terminator.is_terminator:
             out.append(Violation("bad-term", "terminator is not br/condbr/ret", loc))
         insts[b.label] = body = b.all_instructions()
@@ -117,6 +126,7 @@ def verify_function(m: IrModule, fn: IrFunction,
                         f"phi %{ins.result} incoming {sorted(in_labels)} != "
                         f"predecessors {sorted(preds[b.label])}", loc))
             elif op is _CALL:
+                calls.add(ins.callee)
                 if ins.callee not in fnames:
                     shapes.append(Violation("bad-callee",
                                             f"call to unknown function @{ins.callee}",
@@ -158,7 +168,7 @@ def verify_function(m: IrModule, fn: IrFunction,
                                      f"branch to unknown block {s!r}",
                                      f"{where}:{b.label}"))
     if any(v.code == "bad-target" for v in out):
-        return out
+        return out, calls
 
     if preds[fn.entry.label]:
         out.append(Violation("entry-preds", "entry block has predecessors", where))
@@ -167,7 +177,7 @@ def verify_function(m: IrModule, fn: IrFunction,
             out.append(Violation("unreachable",
                                  f"block {b.label!r} unreachable from entry", where))
     if any(v.code == "unreachable" for v in out):
-        return out
+        return out, calls
 
     if len(params) != len(fn.params):
         out.append(Violation("dup-param", "duplicate parameter ids", where))
@@ -253,7 +263,7 @@ def verify_function(m: IrModule, fn: IrFunction,
                 out.append(Violation("pragma-target",
                                      f"inline pragma targets unknown function "
                                      f"@{p.target}", where))
-    return out
+    return out, calls
 
 
 def verify_module(m: IrModule,
@@ -283,17 +293,19 @@ def verify_module(m: IrModule,
 
     if forests is None:
         forests = [None] * len(m.functions)
+    # The call graph, from the calls each function's checks walked past; a
+    # function whose checks stopped early is walked here.
+    edges: dict[str, set[str]] = {f.name: set() for f in m.functions}
     for fn, forest in zip(m.functions, forests, strict=True):
-        out += verify_function(m, fn, forest)
+        found, calls = _check_function(m, fn, forest)
+        out += found
+        if calls is None:
+            calls = {ins.callee for b in fn.blocks
+                     for ins in b.all_instructions() if ins.opcode is _CALL}
+        edges[fn.name] |= calls & edges.keys()
 
     # Call graph must be acyclic.
     if not any(v.code == "bad-callee" for v in out):
-        edges: dict[str, set[str]] = {f.name: set() for f in m.functions}
-        for fn in m.functions:
-            for b in fn.blocks:
-                for ins in b.all_instructions():
-                    if ins.opcode is _CALL and ins.callee in edges:
-                        edges[fn.name].add(ins.callee)
         # A depth-first postorder finishes each callee before its caller,
         # except across a call that closes a cycle.
         succs: dict[str | None, list[str]] = {

@@ -2,9 +2,11 @@
 
 Seventeen general passes form the search agent's action space; the two
 pragma-anchored passes run at a fixed pipeline position and are flagged so the
-agent never schedules them.  Every executed pass re-verifies the module and
-reports whether it changed, by comparing the digest of its printed output
-with the input's.  A pass that changes nothing returns its input module.
+agent never schedules them.  A pass takes a module that verifies.  One
+whose output equals its input, field for field, changed nothing and returns
+its input module without verifying or printing again; any other output is
+re-verified and reports whether it changed by comparing the digest of its
+printed output with the input's.
 No pass keeps loop annotations: they are refreshed after every pass, and a
 loop that a pass deletes takes its unroll and pipeline pragmas along.
 """
@@ -189,11 +191,18 @@ class PassResult:
 
 
 def _transform(m: IrModule, p: PassId) -> IrModule:
-    """Run one pass on a copy of the module, refresh each function's loop
+    """Run one pass on a copy of ``m``, refresh each function's loop
     annotations and verify the copy.  Where the pass deleted loops and
     created none, their unroll and pipeline pragmas go too; a loop that
     survives under a new id (its header annotation lost) keeps them, and
     verification reports them.
+
+    ``m`` must verify.  A copy that equals ``m`` once refreshed and pruned
+    changed nothing: ``m`` itself is returned, unverified, since the
+    printer and the verifier read only fields that equality compares.  The
+    comparison comes after the refresh because the verifier checks only
+    header annotations, so a module that verifies may still gain body-block
+    annotations from a refresh.
 
     Refresh and verify share one CFG analysis per function: the verifier
     checks each function against the forest its refresh returned.  Pruning
@@ -212,6 +221,8 @@ def _transform(m: IrModule, p: PassId) -> IrModule:
         if gone and ids <= before[fn.name]:
             fn.pragmas = [q for q in fn.pragmas if q.target not in gone or
                           q.kind not in (PragmaKind.UNROLL, PragmaKind.PIPELINE)]
+    if out == m:
+        return m
     violations = verify_module(out, forests)
     if violations:
         raise PassError(p, violations)
@@ -219,10 +230,12 @@ def _transform(m: IrModule, p: PassId) -> IrModule:
 
 
 def _run_pass(m: IrModule, p: PassId, digest: str) -> PassResult:
-    """Run one pass through ``_transform``; a pass that changes nothing
-    (``digest`` is ``m``'s) returns ``m`` itself."""
+    """Run one pass through ``_transform`` on ``m``, which verifies and
+    whose digest is ``digest``.  A pass that changes nothing returns ``m``
+    itself: at once when ``_transform`` hands back ``m``, after printing
+    the output when it prints as ``m`` does."""
     out = _transform(m, p)
-    after = text_digest(print_module(out))
+    after = digest if out is m else text_digest(print_module(out))
     if after == digest:
         return PassResult(module=m, changed=False, pass_id=p, digest=digest)
     n_before = instruction_count(m)
@@ -240,7 +253,10 @@ def _run_pass(m: IrModule, p: PassId, digest: str) -> PassResult:
 
 def apply_pass(m: IrModule, p: PassId | str, memo: dict | None = None,
                digest: str | None = None) -> PassResult:
-    """Run one pass on a copy of the module; the result always re-verifies.
+    """Run one pass on a copy of ``m``, which must verify; the result
+    verifies too.  A pass that changes nothing returns ``m`` itself, and
+    one whose output equals ``m`` field for field neither re-verifies nor
+    prints it.
 
     ``digest`` is ``m.digest()`` when the caller holds it, which spares
     printing ``m``.  ``memo`` is a transition table the caller owns and
@@ -263,9 +279,10 @@ def apply_pass(m: IrModule, p: PassId | str, memo: dict | None = None,
 
 
 def apply_pragma_passes(m: IrModule) -> IrModule:
-    """Expand inline, then unroll pragmas into a new module, each through
-    ``_transform`` like every other pass; pipeline and array_partition
-    pragmas remain as estimator metadata."""
+    """Expand inline, then unroll pragmas, each through ``_transform`` like
+    every other pass; pipeline and array_partition pragmas remain as
+    estimator metadata.  A design with nothing to expand comes back as
+    itself, not as a copy."""
     return _transform(_transform(m, PassId.APPLY_INLINE_PRAGMA),
                       PassId.APPLY_UNROLL_PRAGMA)
 

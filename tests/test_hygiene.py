@@ -1,10 +1,14 @@
 """No handler in the package may catch every exception: a ``PassError`` is a
 bug and must propagate.  The CLI's internal-error boundary is the exception.
 No process-lifetime cache and no reference cycle keeps a caller's state
-alive."""
+alive.  Equality of IR objects compares every field."""
 import ast
+import dataclasses
 import gc
+import inspect
 from pathlib import Path
+
+import pytest
 
 import passforge
 from passforge.agent import (
@@ -13,7 +17,9 @@ from passforge.agent import (
 from passforge.dataset import dataset_gen
 from passforge.embedder import featurize_baseline
 from passforge.ir import (
-    IrBlock, IrFunction, IrInstruction, IrModule, Loop, print_module,
+    Const, GlobalArray, GlobalRef, IrBlock, IrFunction, IrInstruction,
+    IrModule, IrType, LabelRef, Loop, LoopInfo, PragmaDirective, ValueRef,
+    print_module,
 )
 
 PACKAGE = Path(passforge.__file__).resolve().parent
@@ -58,6 +64,24 @@ def test_no_private_name_imported_from_another_module():
                   for node in _private_imports(ast.parse(path.read_text()))]
     assert found == []
 
+
+#: Everything a module holds.  The pass driver takes a pass whose output
+#: equals its input for one that changed nothing, and returns the input
+#: without printing or verifying the output: sound only while equality
+#: compares every field the printer and the verifier read.
+IR_CLASSES = [IrModule, IrFunction, IrBlock, IrInstruction, LoopInfo,
+              PragmaDirective, GlobalArray, IrType, ValueRef, Const, GlobalRef,
+              LabelRef]
+
+
+@pytest.mark.parametrize("cls", IR_CLASSES, ids=lambda c: c.__name__)
+def test_ir_equality_compares_every_field(cls):
+    """Each class keeps the ``__eq__`` its dataclass decorator wrote, and
+    that ``__eq__`` leaves no field out."""
+    eq = cls.__dict__.get("__eq__")
+    assert eq is not None and cls.__dataclass_params__.eq
+    assert eq.__code__.co_filename != inspect.getfile(cls)
+    assert [f.name for f in dataclasses.fields(cls) if not f.compare] == []
 
 
 #: ``functools`` caches that live as long as the process.  ``cached_property``

@@ -8,7 +8,7 @@ from passforge import passes
 from passforge.corpus import corpus_gen, random_inputs
 from passforge.ir import (
     Opcode, PragmaKind, analysis, interpret, natural_loops, parse_module,
-    print_module, verify_module,
+    print_module, refresh_loop_annotations, text_digest, verify_module,
 )
 from passforge.ir.verify import verify_function
 from passforge.passes import (
@@ -753,7 +753,8 @@ def _forest_facts(forest):
 def test_refreshed_forest_is_the_one_a_fresh_analysis_finds(monkeypatch):
     """Each forest ``_transform`` hands the verifier equals
     ``natural_loops`` of the verified function, and gives the same
-    verdict."""
+    verdict.  Only passes that change the module verify, so the sweep runs
+    24 sequences per start over four corpus seeds."""
     checked = []
 
     def checking_verify_module(m, forests):
@@ -766,12 +767,12 @@ def test_refreshed_forest_is_the_one_a_fresh_analysis_finds(monkeypatch):
     monkeypatch.setattr(passes, "verify_module", checking_verify_module)
     rng = np.random.default_rng(12)
     general = general_passes()
-    for seed in (0, 1):
+    for seed in (0, 1, 2, 3):
         for _name, text in corpus_gen(12, seed):
             raw = parse_module(text)
             for m in (raw, apply_pragma_passes(raw)):
                 memo: dict = {}
-                for _ in range(6):
+                for _ in range(24):
                     seq = [general[i] for i in rng.integers(
                         len(general), size=rng.integers(1, 17))]
                     apply_sequence(m, seq, memo)
@@ -823,3 +824,83 @@ def test_executed_pass_builds_one_dominator_tree_per_function(monkeypatch, p):
     r = apply_pass(m, p)
     assert r.changed
     assert sorted(calls) == ["f", "inc"]
+
+
+def _step_without_shortcut(m, p):
+    """One pass, every output verified and printed: clone, run, refresh
+    loop annotations, prune the pragmas of deleted loops, verify, print.
+    Returns the output, its violations and its printed form."""
+    out = m.clone()
+    before = {fn.name: {b.loop_info.loop_id for b in fn.blocks
+                        if b.loop_info is not None and b.loop_info.is_header}
+              for fn in out.functions}
+    passes._IMPLS[p](out)
+    forests = []
+    for fn in out.functions:
+        forest = refresh_loop_annotations(fn)
+        forests.append(forest)
+        ids = {l.loop_id for l in forest.loops}
+        gone = before[fn.name] - ids
+        if gone and ids <= before[fn.name]:
+            fn.pragmas = [q for q in fn.pragmas if q.target not in gone or
+                          q.kind not in (PragmaKind.UNROLL, PragmaKind.PIPELINE)]
+    return out, verify_module(out, forests), print_module(out)
+
+
+def test_equality_shortcut_matches_verify_and_print():
+    """A pass whose output equals its input returns the input unverified
+    and unprinted; every step gets the ``changed`` flag, digest and
+    printed module that verifying and printing every output gives."""
+    rng = np.random.default_rng(13)
+    general = general_passes()
+    equal = changed = 0
+    for seed in (0, 1):
+        for _name, text in corpus_gen(12, seed):
+            raw = parse_module(text)
+            for start in (raw, apply_pragma_passes(raw)):
+                seen: set = set()
+                for _ in range(6):
+                    m, digest = start, start.digest()
+                    for i in rng.integers(len(general),
+                                          size=rng.integers(1, 17)):
+                        p = general[i]
+                        r = apply_pass(m, p, digest=digest)
+                        if (digest, p) not in seen:
+                            seen.add((digest, p))
+                            out, violations, text_out = \
+                                _step_without_shortcut(m, p)
+                            assert violations == []
+                            is_change = text_out != print_module(m)
+                            assert r.changed == is_change
+                            assert r.digest == text_digest(text_out)
+                            assert print_module(r.module) == text_out
+                            equal += out == m
+                            changed += is_change
+                        m, digest = r.module, r.digest
+    assert equal > 300 and changed > 300
+
+
+@pytest.mark.parametrize("p, calls", [(PassId.LICM, 0), (PassId.ADCE, 1)],
+                         ids=["noop", "changed"])
+def test_only_a_changed_module_is_verified_and_printed(monkeypatch, p, calls):
+    """``licm`` finds no loop to hoist from; ``adce`` drops ``%dead``."""
+    m = parse_module("""
+top func @f(%a: i32) -> i32 {
+block entry:
+  %dead = add i32 %a, 5
+  %live = add i32 %a, 1
+  ret i32 %live
+}
+""")
+    counts = {"verify_module": 0, "print_module": 0}
+    for name in counts:
+        real = getattr(passes, name)
+
+        def counting(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(passes, name, counting)
+    r = apply_pass(m, p, digest=m.digest())
+    assert r.changed == bool(calls)
+    assert counts == {"verify_module": calls, "print_module": calls}

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from passforge.agent import PassEnv
+from passforge.agent import PassEnv, search_greedy
 from passforge.corpus import corpus_gen, random_inputs
-from passforge.ir import FuelExhausted, TrapError, interpret, parse_module
+from passforge.ir import (
+    FuelExhausted, TrapError, interpret, parse_module, verify_module,
+)
 from passforge.passes import (
     PassId, apply_pragma_passes, apply_sequence, general_passes,
 )
@@ -70,6 +72,43 @@ def test_search_shaped_motifs_preserve_interpreter_semantics(design, expand):
         if steps[-1].digest not in checked:
             checked.add(steps[-1].digest)
             assert _outcome(out, inputs) == expected, [p.value for p in seq]
+
+
+#: The benchmark's corpus, without case1, and the non-empty sequences greedy
+#: search returns over it.
+BENCH = [parse_module(text) for name, text in corpus_gen(12, 0)
+         if name != "case1"]
+GREEDY = [r.sequence for r in map(search_greedy, BENCH) if r.sequence]
+
+
+@st.composite
+def greedy_splices(draw) -> list[PassId]:
+    """One to three prefixes of greedy's sequences, each repeated up to
+    three times, concatenated and cut at ``PassEnv.max_steps``."""
+    seq: list[PassId] = []
+    for _ in range(draw(st.integers(1, 3))):
+        found = draw(st.sampled_from(GREEDY))
+        seq += found[:draw(st.integers(1, len(found)))] * draw(st.integers(1, 3))
+    return seq[:PassEnv.max_steps]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(design=st.sampled_from(BENCH), expand=st.booleans(),
+       sequence=greedy_splices(), input_seed=st.integers(0, 2**16))
+def test_greedy_spliced_sequences_preserve_interpreter_semantics(
+        design, expand, sequence, input_seed):
+    """Every step of a sequence spliced from what greedy search returns
+    verifies and leaves the interpreter's outcome unchanged; a step that
+    changed nothing hands back the module already checked."""
+    inputs = random_inputs(design, np.random.default_rng(input_seed))
+    expected = _outcome(design, inputs)
+    start = apply_pragma_passes(design) if expand else design
+    _, steps = apply_sequence(start, sequence)
+    for i, r in enumerate(steps):
+        assert verify_module(r.module) == []
+        if r.changed:
+            assert _outcome(r.module, inputs) == expected, \
+                [p.value for p in sequence[:i + 1]]
 
 
 #: Hand-written blocks whose outcome depends on one alias rule of a memory
