@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import corpus_gen, random_inputs
-from .dataset import dataset_gen, load_dataset, save_dataset
+from .dataset import dataset_gen, load_dataset, parse_pairs, save_dataset
 from .graphs import build_het_graph, to_dot, to_json
 from .hged import DEFAULT_BEAM_WIDTH, EditCostModel, SizeError, hged
 from .ir import (
@@ -352,7 +352,7 @@ def cmd_dataset_gen(args) -> int:
 
 def cmd_pretrain(args) -> int:
     from .embedder import (
-        DEFAULT_RELATIONS, PretrainConfig, RgcnConfig, TrainPair, pretrain,
+        DEFAULT_RELATIONS, PretrainConfig, RgcnConfig, pretrain,
         save_checkpoint,
     )
     from .graphs import homogenize
@@ -362,12 +362,14 @@ def cmd_pretrain(args) -> int:
         return 0
     try:
         ds = load_dataset(args.corpus)
-    except (OSError, json.JSONDecodeError, KeyError, IrSyntaxError,
-            VerifyError) as e:
+    except (OSError, ValueError, KeyError, IrSyntaxError, VerifyError) as e:
         raise UserError(f"bad dataset {args.corpus}: {e}")
     if args.pairs:
-        ds.pairs = [TrainPair(p["i"], p["j"], p["label"], p["split"])
-                    for p in _load_json(args.pairs, "pairs file")["pairs"]]
+        doc = _load_json(args.pairs, "pairs file")
+        try:
+            ds.pairs = parse_pairs(doc["pairs"], len(ds.variants))
+        except (KeyError, TypeError, ValueError) as e:
+            raise UserError(f"bad pairs file {args.pairs}: {e}")
     if not any(p.split == "train" for p in ds.pairs):
         raise UserError(f"no training pairs in {args.pairs or args.corpus}")
     graphs = ds.graphs()

@@ -46,6 +46,10 @@ class Dataset:
         return [v.graph for v in self.variants]
 
 
+#: The splits a pair can belong to.
+SPLITS = ("train", "val", "test")
+
+
 def split_of(design_index: int) -> str:
     """Deterministic leave-designs-out split: every 5th design validates,
     every 7th tests (validation wins collisions)."""
@@ -177,6 +181,34 @@ def load_dataset(dir_path: str) -> Dataset:
         variants.append(Variant(rec["design"], rec["name"], text,
                                 build_het_graph(parse_module(text)),
                                 rec["split"]))
-    pairs = [TrainPair(p["i"], p["j"], p["label"], p["split"])
-             for p in doc["pairs"]]
+    pairs = parse_pairs(doc["pairs"], len(variants))
     return Dataset(variants, pairs, doc["seed"], doc.get("meta", {}))
+
+
+def parse_pairs(records: list, n_variants: int) -> list[TrainPair]:
+    """Training pairs from their JSON records, as ``pairs.json`` stores
+    them.  ValueError unless each names two variants by an int in
+    ``[0, n_variants)``, has a finite label in [0, 1] and a known split."""
+    if not isinstance(records, list):
+        raise ValueError("pairs must be a list")
+    pairs = []
+    for k, rec in enumerate(records):
+        if not isinstance(rec, dict) or \
+                not {"i", "j", "label", "split"} <= rec.keys():
+            raise ValueError(f"pair {k} needs i, j, label and split")
+        for end in ("i", "j"):
+            idx = rec[end]
+            if type(idx) is not int or not 0 <= idx < n_variants:
+                raise ValueError(f"pair {k}: {end} = {idx!r} is not a "
+                                 f"variant index in [0, {n_variants})")
+        label = rec["label"]
+        # NaN fails the range test too.
+        if type(label) not in (int, float) or not 0.0 <= label <= 1.0:
+            raise ValueError(f"pair {k}: label {label!r} is not a number "
+                             f"in [0, 1]")
+        if rec["split"] not in SPLITS:
+            raise ValueError(f"pair {k}: split {rec['split']!r} is not one "
+                             f"of {', '.join(SPLITS)}")
+        pairs.append(TrainPair(rec["i"], rec["j"], float(label),
+                               rec["split"]))
+    return pairs

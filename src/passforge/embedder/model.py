@@ -5,6 +5,29 @@ and direction, receiver in-degree normalization, ReLU), a readout that mean-
 pools three relation-group summaries (data / control / hierarchy) and mixes
 them with softmax attention, then a two-layer MLP head and L2 normalization.
 
+A call embeds its graphs as one disjoint union (``GraphUnion``): their
+feature rows are stacked in call order, each graph's edge endpoints and
+group members are offset by its first row, and each graph keeps its row
+range and, per relation, its edge range. The convolutions run once over the
+union; the readout and the head run per graph over its row range. ``embed``
+is the same forward over a union of one graph. Scatters are ``np.bincount``
+over flat ``row * width + column`` indices. Three rules make a graph's
+arithmetic in a union the same, bit for bit, as on its own:
+
+- Forward scatter: a bincount from zero adds each receiver's messages in
+  edge order, as sequential adds would.
+- Backward scatter: the ``dz @ W_self.T`` values come first in the bincount
+  weights, so an entry sums ``(a + c1) + c2``, never ``a + (c1 + c2)``.
+- Products: a non-transposed product (``h @ W``, ``h[src] @ W``) gives each
+  row the same bits on the stacked rows as on one graph's rows, so the
+  forward runs it once over the union. A transposed one (``dz @ W.T``,
+  ``h.T @ dz``) need not, so the backward runs those per graph, in call
+  order, on slices of the union's cached arrays, and each weight gradient
+  accumulates the graphs in that order.
+
+The product rule is a property of the BLAS, not of numpy's contract; the
+union and pretraining pins in ``tests/test_embedder.py`` check all three.
+
 Everything is plain float64 numpy with hand-written reverse mode so gradients
 are exact, finite-difference-checkable, and bitwise reproducible.
 """
@@ -100,15 +123,58 @@ def graph_data(g: HetGraph, config: RgcnConfig | None = None) -> GraphData:
         src, dst = by_rel.get(rel, ([], []))
         src_a = np.asarray(src, dtype=np.int64)
         dst_a = np.asarray(dst, dtype=np.int64)
-        deg = np.zeros(n)
-        if len(dst_a):
-            np.add.at(deg, dst_a, 1.0)
         rel_edges[rel] = (src_a, dst_a)
-        rel_deg[rel] = np.maximum(deg, 1.0)
+        rel_deg[rel] = np.maximum(np.bincount(dst_a, minlength=n), 1.0)
 
     groups = {gname: np.asarray(sorted(members), dtype=np.int64)
               for gname, members in group_members.items()}
     return GraphData(x, rel_edges, rel_deg, groups, n)
+
+
+@dataclass
+class GraphUnion:
+    """Disjoint union of graphs: stacked rows and offset node ids."""
+    x: np.ndarray                                  # (N, input_dim)
+    rel_edges: dict[str, tuple[np.ndarray, np.ndarray]]  # rel -> (src, dst)
+    rel_deg: dict[str, np.ndarray]                 # rel -> per-dst in-degree
+    rel_ranges: dict[str, list[tuple[int, int]]]   # rel -> per-graph edges
+    group_nodes: list[dict[str, np.ndarray]]       # per graph: group -> ids
+    rows: list[tuple[int, int]]                    # per-graph row range
+    num_nodes: int
+
+
+def _ranges(sizes: list[int]) -> list[tuple[int, int]]:
+    ends = np.cumsum([0] + sizes).tolist()
+    return list(zip(ends[:-1], ends[1:]))
+
+
+def graph_union(gds: list[GraphData]) -> GraphUnion:
+    """The graphs of ``gds``, in order, as one graph."""
+    rows = _ranges([gd.num_nodes for gd in gds])
+    starts = [start for start, _ in rows]
+    rel_edges, rel_deg, rel_ranges = {}, {}, {}
+    for rel in gds[0].rel_edges:
+        srcs = [gd.rel_edges[rel][0] + s for gd, s in zip(gds, starts)]
+        dsts = [gd.rel_edges[rel][1] + s for gd, s in zip(gds, starts)]
+        rel_edges[rel] = (np.concatenate(srcs), np.concatenate(dsts))
+        rel_deg[rel] = np.concatenate([gd.rel_deg[rel] for gd in gds])
+        rel_ranges[rel] = _ranges([len(src) for src in srcs])
+    groups = [{gname: members + s for gname, members in gd.group_nodes.items()}
+              for gd, s in zip(gds, starts)]
+    return GraphUnion(np.concatenate([gd.x for gd in gds]), rel_edges,
+                      rel_deg, rel_ranges, groups, rows, rows[-1][1])
+
+
+def _flat(rows: np.ndarray, width: int) -> np.ndarray:
+    """Flat indices of every column of ``rows`` in a (N, width) array."""
+    return (rows[:, None] * width + np.arange(width)).ravel()
+
+
+def _scatter(index: np.ndarray, weights: np.ndarray, n: int,
+             width: int) -> np.ndarray:
+    """(n, width) sums of ``weights`` at flat ``index``, each entry added up
+    from zero in the order its weights appear."""
+    return np.bincount(index, weights, minlength=n * width).reshape(n, width)
 
 
 def init_params(config: RgcnConfig, seed: int) -> dict[str, np.ndarray]:
@@ -132,29 +198,13 @@ def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def forward(gd: GraphData, params: dict[str, np.ndarray],
-            config: RgcnConfig) -> tuple[np.ndarray, dict]:
-    """Embedding (L2-normalized, dim E) plus the cache backward needs."""
-    cache: dict = {"h": [gd.x]}
-    h = gd.x
-    for k in range(config.layers):
-        z = h @ params[f"conv{k}/self"]
-        for rel in config.relations:
-            src, dst = gd.rel_edges[rel]
-            if len(src) == 0:
-                continue
-            msg = h[src] @ params[f"conv{k}/{rel}"]
-            agg = np.zeros((gd.num_nodes, config.hidden_dim))
-            np.add.at(agg, dst, msg)
-            z += agg / gd.rel_deg[rel][:, None]
-        h_new = np.maximum(z, 0.0)
-        cache.setdefault("z", []).append(z)
-        cache["h"].append(h_new)
-        h = h_new
-
+def _head(h: np.ndarray, members_of: dict[str, np.ndarray],
+          params: dict[str, np.ndarray],
+          config: RgcnConfig) -> tuple[np.ndarray, dict]:
+    """One graph's readout and MLP head over its rows of ``h``."""
     summaries = np.zeros((len(GROUPS), config.hidden_dim))
     for gi, gname in enumerate(GROUPS):
-        members = gd.group_nodes[gname]
+        members = members_of[gname]
         if len(members):
             summaries[gi] = h[members].mean(axis=0)
     scores = np.array([params[f"att/{g}"] @ summaries[gi]
@@ -169,68 +219,122 @@ def forward(gd: GraphData, params: dict[str, np.ndarray],
     e = h1 @ params["mlp/w2"] + params["mlp/b2"]
     norm = float(np.linalg.norm(e))
     out = e / norm if norm > 1e-12 else np.zeros_like(e)
-
-    cache.update(summaries=summaries, alpha=alpha, z_mix=z_mix, pre1=pre1,
-                 h1=h1, e=e, norm=norm, out=out)
-    return out, cache
+    return out, dict(summaries=summaries, alpha=alpha, z_mix=z_mix,
+                     pre1=pre1, h1=h1, e=e, norm=norm)
 
 
-def backward(gd: GraphData, params: dict[str, np.ndarray],
-             config: RgcnConfig, cache: dict, d_out: np.ndarray,
-             grads: dict[str, np.ndarray]) -> None:
-    """Accumulate dL/dparams into ``grads`` given dL/d(normalized output)."""
-    e, norm = cache["e"], cache["norm"]
+def _head_backward(head: dict, params: dict[str, np.ndarray],
+                   d_out: np.ndarray,
+                   grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Accumulate the head's gradients; returns dL/d(group summaries)."""
+    e, norm = head["e"], head["norm"]
     if norm > 1e-12:
         de = d_out / norm - e * (e @ d_out) / norm**3
     else:
         de = np.zeros_like(e)
 
-    grads["mlp/w2"] += np.outer(cache["h1"], de)
+    grads["mlp/w2"] += np.outer(head["h1"], de)
     grads["mlp/b2"] += de
     dh1 = params["mlp/w2"] @ de
-    dpre1 = dh1 * (cache["pre1"] > 0)
-    grads["mlp/w1"] += np.outer(cache["z_mix"], dpre1)
+    dpre1 = dh1 * (head["pre1"] > 0)
+    grads["mlp/w1"] += np.outer(head["z_mix"], dpre1)
     grads["mlp/b1"] += dpre1
     dz_mix = params["mlp/w1"] @ dpre1
 
-    alpha, summaries = cache["alpha"], cache["summaries"]
+    alpha, summaries = head["alpha"], head["summaries"]
     d_summaries = alpha[:, None] * dz_mix[None, :]
     d_alpha = summaries @ dz_mix
     d_scores = alpha * (d_alpha - float(alpha @ d_alpha))
     for gi, gname in enumerate(GROUPS):
         grads[f"att/{gname}"] += d_scores[gi] * summaries[gi]
         d_summaries[gi] += d_scores[gi] * params[f"att/{gname}"]
+    return d_summaries
 
-    dh = np.zeros((gd.num_nodes, config.hidden_dim))
-    for gi, gname in enumerate(GROUPS):
-        members = gd.group_nodes[gname]
-        if len(members):
-            dh[members] += d_summaries[gi] / len(members)
 
-    for k in range(config.layers - 1, -1, -1):
-        z = cache["z"][k]
-        h_prev = cache["h"][k]
-        dz = dh * (z > 0)
-        grads[f"conv{k}/self"] += h_prev.T @ dz
-        dh_prev = dz @ params[f"conv{k}/self"].T
+def forward(u: GraphUnion, params: dict[str, np.ndarray],
+            config: RgcnConfig) -> tuple[list[np.ndarray], dict]:
+    """Each graph's embedding (L2-normalized, dim E) plus the cache backward
+    needs."""
+    n, width = u.num_nodes, config.hidden_dim
+    flat_dst = {rel: _flat(dst, width)
+                for rel, (_src, dst) in u.rel_edges.items() if len(dst)}
+    cache: dict = {"h": [u.x]}
+    h = u.x
+    for k in range(config.layers):
+        z = h @ params[f"conv{k}/self"]
         for rel in config.relations:
-            src, dst = gd.rel_edges[rel]
+            src, _dst = u.rel_edges[rel]
             if len(src) == 0:
                 continue
-            dagg = dz / gd.rel_deg[rel][:, None]
-            dmsg = dagg[dst]
-            grads[f"conv{k}/{rel}"] += h_prev[src].T @ dmsg
-            contrib = dmsg @ params[f"conv{k}/{rel}"].T
-            np.add.at(dh_prev, src, contrib)
-        dh = dh_prev
+            msg = h[src] @ params[f"conv{k}/{rel}"]
+            z += _scatter(flat_dst[rel], msg.ravel(), n, width) \
+                / u.rel_deg[rel][:, None]
+        h = np.maximum(z, 0.0)
+        cache["h"].append(h)
+
+    outs, cache["heads"] = [], []
+    for members_of in u.group_nodes:
+        out, head = _head(h, members_of, params, config)
+        outs.append(out)
+        cache["heads"].append(head)
+    return outs, cache
+
+
+def backward(u: GraphUnion, params: dict[str, np.ndarray],
+             config: RgcnConfig, cache: dict, d_outs: list[np.ndarray],
+             grads: dict[str, np.ndarray]) -> None:
+    """Accumulate dL/dparams into ``grads`` given dL/d(normalized output) of
+    each graph."""
+    n, width = u.num_nodes, config.hidden_dim
+    dh = np.zeros((n, width))
+    for head, members_of, d_out in zip(cache["heads"], u.group_nodes, d_outs):
+        d_summaries = _head_backward(head, params, d_out, grads)
+        for gi, gname in enumerate(GROUPS):
+            members = members_of[gname]
+            if len(members):
+                dh[members] += d_summaries[gi] / len(members)
+
+    # A layer's scatter adds up each entry of dh from its ``dz @ W_self.T``
+    # value, then each relation's contributions in edge order.
+    rels = [rel for rel in config.relations if len(u.rel_edges[rel][0])]
+    index = _flat(np.concatenate([np.arange(n)] + [
+        u.rel_edges[rel][0] for rel in rels]), width)
+    weights = np.empty(len(index))
+    for k in range(config.layers - 1, -1, -1):
+        h_prev = cache["h"][k]
+        # ReLU: h > 0 exactly where its pre-activation z > 0.
+        dz = dh * (cache["h"][k + 1] > 0)
+        w_self = params[f"conv{k}/self"]
+        own = weights[:n * width].reshape(n, width)
+        for start, end in u.rows:
+            grads[f"conv{k}/self"] += h_prev[start:end].T @ dz[start:end]
+            # The input features need no gradient.
+            if k:
+                own[start:end] = dz[start:end] @ w_self.T
+        offset = n * width
+        for rel in rels:
+            src, dst = u.rel_edges[rel]
+            w_rel = params[f"conv{k}/{rel}"]
+            dmsg = (dz / u.rel_deg[rel][:, None])[dst]
+            h_src = h_prev[src]
+            contrib = weights[offset:offset + len(src) * width].reshape(
+                len(src), width)
+            for a, b in u.rel_ranges[rel]:
+                if a < b:
+                    grads[f"conv{k}/{rel}"] += h_src[a:b].T @ dmsg[a:b]
+                    if k:
+                        contrib[a:b] = dmsg[a:b] @ w_rel.T
+            offset += len(src) * width
+        if k:
+            dh = _scatter(index, weights, n, width)
 
 
 def embed(g: HetGraph | GraphData, params: dict[str, np.ndarray],
           config: RgcnConfig | None = None) -> np.ndarray:
     config = config or RgcnConfig()
     gd = g if isinstance(g, GraphData) else graph_data(g, config)
-    out, _ = forward(gd, params, config)
-    return out
+    outs, _ = forward(graph_union([gd]), params, config)
+    return outs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +354,13 @@ def pair_loss_grad(params: dict[str, np.ndarray], config: RgcnConfig,
                    graph_datas: list[GraphData],
                    pairs: list[tuple[int, int, float]],
                    want_grads: bool = True):
-    """Mean over pairs of ((1 - cos)/2 - label)^2 and its exact gradient."""
+    """Mean over pairs of ((1 - cos)/2 - label)^2 and its exact gradient.
+
+    The graphs the pairs name run as one union, in index order."""
     needed = sorted({i for i, _, _ in pairs} | {j for _, j, _ in pairs})
-    caches: dict[int, dict] = {}
-    outs: dict[int, np.ndarray] = {}
-    for gi in needed:
-        out, cache = forward(graph_datas[gi], params, config)
-        outs[gi] = out
-        caches[gi] = cache
+    union = graph_union([graph_datas[gi] for gi in needed])
+    out_list, cache = forward(union, params, config)
+    outs = dict(zip(needed, out_list))
 
     n = len(pairs)
     loss = 0.0
@@ -275,8 +378,8 @@ def pair_loss_grad(params: dict[str, np.ndarray], config: RgcnConfig,
     if not want_grads:
         return loss, None
     grads = zero_grads(params)
-    for gi in needed:
-        backward(graph_datas[gi], params, config, caches[gi], d_outs[gi], grads)
+    backward(union, params, config, cache, [d_outs[gi] for gi in needed],
+             grads)
     return loss, grads
 
 

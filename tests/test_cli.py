@@ -372,6 +372,48 @@ def test_pretrain_without_training_pairs_is_user_error(stages, tmp_path):
                  "--pairs", str(pairs), "--out", str(tmp_path / "e.ckpt")]) == 1
 
 
+def _variant_count(stages) -> int:
+    return len(json.loads((stages / "ds" / "pairs.json").read_text())
+               ["variants"])
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(lambda n: {"j": n}, id="j-past-last-variant"),
+    pytest.param(lambda n: {"i": -1}, id="negative-i"),
+    pytest.param(lambda n: {"label": float("nan")}, id="nan-label"),
+    pytest.param(lambda n: {"label": 7.0}, id="label-above-one"),
+    pytest.param(lambda n: {"split": "dev"}, id="unknown-split"),
+])
+def test_bad_pairs_are_user_errors(stages, tmp_path, bad):
+    """A bad pair is refused whether it comes in by ``--pairs`` or in the
+    dataset's own ``pairs.json``."""
+    pair = {"i": 0, "j": 1, "label": 0.5, "split": "train"}
+    pair.update(bad(_variant_count(stages)))
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"pairs": [pair]}))
+    pre = ["pretrain", "--quiet", "--epochs", "1", "--hidden", "8",
+           "--embed-dim", "12", "--out", str(tmp_path / "e.ckpt")]
+    assert main(pre + ["--corpus", str(stages / "ds"),
+                       "--pairs", str(pairs)]) == 1
+    ds = tmp_path / "ds"
+    shutil.copytree(stages / "ds", ds)
+    doc = json.loads((ds / "pairs.json").read_text())
+    doc["pairs"].append(pair)
+    (ds / "pairs.json").write_text(json.dumps(doc))
+    assert main(pre + ["--corpus", str(ds)]) == 1
+
+
+def test_good_pairs_file_trains(stages, tmp_path):
+    n = _variant_count(stages)
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"pairs": [
+        {"i": 0, "j": n - 1, "label": 1, "split": "train"},
+        {"i": n - 1, "j": n - 1, "label": 0.0, "split": "val"}]}))
+    assert main(["pretrain", "--corpus", str(stages / "ds"), "--quiet",
+                 "--epochs", "1", "--hidden", "8", "--embed-dim", "12",
+                 "--pairs", str(pairs), "--out", str(tmp_path / "e.ckpt")]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["catalog", "--seed", "0"],
     ["parse", "x.ir", "--seed", "0"],

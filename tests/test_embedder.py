@@ -1,14 +1,20 @@
 """Embedding model: gradients, invariances, loss, baselines, training."""
+import hashlib
+
 import numpy as np
 import pytest
 
+from passforge.corpus import corpus_gen
+from passforge.dataset import dataset_gen
 from passforge.embedder import (
     DEFAULT_RELATIONS, PretrainConfig, RgcnConfig, TrainPair, embed,
-    featurize_baseline, graph_data, init_params, pair_loss, pair_loss_grad,
-    pretrain, save_checkpoint, load_checkpoint, zero_grads,
+    featurize_baseline, forward, graph_data, graph_union, init_params,
+    pair_loss, pair_loss_grad, pretrain, save_checkpoint, load_checkpoint,
+    zero_grads,
 )
 from passforge.graphs import build_het_graph, homogenize
 from passforge.ir import parse_module
+from passforge.passes import apply_pragma_passes
 
 SRC_A = """
 top func @f(%a: i32[8], %b: i32) -> i32 {
@@ -32,6 +38,15 @@ block done:
 """
 
 SRC_B = SRC_A.replace("mul i32 %v, %b", "xor i32 %v, %b")
+
+#: One block, so no control edges.
+TINY = """
+top func @t(%a: i32) -> i32 {
+block entry:
+  %x = add i32 %a, 1
+  ret i32 %x
+}
+"""
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +91,77 @@ def test_gradients_match_finite_differences(fixtures):
     assert worst < 1e-4, worst
 
 
+def test_gradients_match_finite_differences_on_a_union(fixtures):
+    # Three graphs of different sizes, the middle one without control
+    # edges, so every edge and member offset past it is exercised.
+    cfg, _g1, g2, _gds = fixtures
+    two_loops = parse_module(SRC_A.replace("""block done:
+  ret i32 %s""", """block done:
+  br hd2
+block hd2 loop(2, depth=1, header):
+  %k = phi i32 [0, done], [%k.next, body2]
+  %t = phi i32 [%s, done], [%t.next, body2]
+  %d = icmp slt i32 %k, 4
+  condbr %d, body2, out
+block body2 loop(2, depth=1):
+  %t.next = mul i32 %t, 3
+  %k.next = add i32 %k, 1
+  br hd2
+block out:
+  ret i32 %t"""))
+    gds = [graph_data(g, cfg) for g in
+           (build_het_graph(two_loops), build_het_graph(parse_module(TINY)),
+            g2)]
+    sizes = [gd.num_nodes for gd in gds]
+    assert len(set(sizes)) == 3, sizes
+    assert len(gds[1].rel_edges["control:fwd"][0]) == 0
+    params = init_params(cfg, seed=6)
+    es = [embed(gd, params, cfg) for gd in gds]
+    pairs = [(i, j, float((1 - es[i] @ es[j]) / 2) + d)
+             for i, j, d in ((0, 1, 0.04), (1, 2, -0.03), (2, 0, 0.05),
+                             (1, 1, 0.02))]
+    worst = _fd_check(params, cfg, gds, pairs)
+    assert worst < 1e-4, worst
+
+
+def test_union_forward_matches_each_graph_alone():
+    """Each graph's row of one union forward is, bit for bit, its embedding
+    on its own."""
+    cfg = RgcnConfig()
+    params = init_params(cfg, seed=11)
+    gds = []
+    for _name, text in corpus_gen(12, 0):
+        m = parse_module(text)
+        gds += [graph_data(build_het_graph(m), cfg),
+                graph_data(build_het_graph(apply_pragma_passes(m)), cfg)]
+    outs, _cache = forward(graph_union(gds), params, cfg)
+    assert len(outs) == len(gds) == 24
+    for gd, out in zip(gds, outs):
+        assert np.array_equal(embed(gd, params, cfg), out)
+
+
+#: sha256 of ``pretrain``'s parameters and loss log on a small dataset over
+#: ``corpus_gen(4, 0)``; taken while the R-GCN still ran one graph at a
+#: time with ``np.add.at`` scatters.
+PINNED_PRETRAIN = \
+    "11b52a572db3b71470a2f38aac1e96bea7ae7720df0593a391039fc4d3bed6f5"
+
+
+def test_pretrain_is_pinned():
+    ds = dataset_gen(corpus_gen(4, 0), 3, 3, 0, intra_pair_cap=6,
+                     cross_pairs=8)
+    assert {p.split for p in ds.pairs} == {"train", "val"}
+    params, log = pretrain(ds.graphs(), ds.pairs, RgcnConfig(),
+                           PretrainConfig(seed=0, max_epochs=6, patience=6,
+                                          batch_size=4))
+    h = hashlib.sha256()
+    for k in sorted(params):
+        h.update(k.encode())
+        h.update(np.ascontiguousarray(params[k]).tobytes())
+    h.update(repr([(e.epoch, e.train_loss, e.val_loss) for e in log]).encode())
+    assert h.hexdigest() == PINNED_PRETRAIN
+
+
 def test_gradient_zero_at_matched_labels(fixtures):
     cfg, _g1, _g2, gds = fixtures
     params = init_params(cfg, seed=1)
@@ -92,13 +178,7 @@ def test_unused_relation_gradient_exactly_zero(fixtures):
     cfg, g1, _g2, gds = fixtures
     # A graph with no call nodes never exercises some relations? All four
     # relations appear here, so test with a single-block function instead.
-    tiny = build_het_graph(parse_module("""
-top func @t(%a: i32) -> i32 {
-block entry:
-  %x = add i32 %a, 1
-  ret i32 %x
-}
-"""))
+    tiny = build_het_graph(parse_module(TINY))
     cfg2 = RgcnConfig(hidden_dim=5, embed_dim=3)
     gd = graph_data(tiny, cfg2)
     assert len(gd.rel_edges["control:fwd"][0]) == 0

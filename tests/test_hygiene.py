@@ -1,7 +1,8 @@
 """No handler in the package may catch every exception: a ``PassError`` is a
 bug and must propagate.  The CLI's internal-error boundary is the exception.
 No process-lifetime cache and no reference cycle keeps a caller's state
-alive.  Equality of IR objects compares every field."""
+alive.  Equality of IR objects compares every field.  No scatter goes
+through a ufunc's ``at``."""
 import ast
 import dataclasses
 import gc
@@ -121,6 +122,43 @@ def test_process_cache_detector_sees_each_spelling():
     assert [len(_process_caches(ast.parse(s))) for s in sources] == [1, 1, 1]
     assert _process_caches(ast.parse(
         "from functools import cached_property, reduce")) == []
+
+
+def _ufunc_at_uses(tree: ast.AST) -> list[ast.AST]:
+    """``<ufunc>.at`` on a ufunc reached through ``numpy`` under any alias
+    (``np.add.at``) or imported from it by name (``add.at``)."""
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names
+               if a.name == "numpy"}
+    names = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+             for a in node.names}
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "at"
+            and (isinstance(node.value, ast.Name) and node.value.id in names
+                 or isinstance(node.value, ast.Attribute)
+                 and isinstance(node.value.value, ast.Name)
+                 and node.value.value.id in modules)]
+
+
+def test_no_ufunc_at_scatter():
+    """``np.bincount`` over flat indices adds in the same order as
+    ``np.add.at``, so it gives the same bits, about five times faster."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        found += [f"{rel}:{node.lineno}"
+                  for node in _ufunc_at_uses(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_ufunc_at_detector_sees_each_spelling():
+    sources = ["import numpy as np\nnp.add.at(a, i, 1.0)",
+               "import numpy\nnumpy.maximum.at(a, i, b)",
+               "from numpy import add\nf = add.at"]
+    assert [len(_ufunc_at_uses(ast.parse(s))) for s in sources] == [1, 1, 1]
+    assert _ufunc_at_uses(ast.parse(
+        "import numpy as np\nnp.bincount(i, w)\nx.at(0)")) == []
 
 
 def _unreachable(kinds: tuple[type, ...]) -> list[str]:
