@@ -4,9 +4,10 @@ Subcommands: parse, verify, graph, run, estimate, interp, hged, corpus-gen,
 dataset-gen, pretrain, rl-train, search, report, catalog.  Each takes only the
 shared options (--seed, --costs, --json, --quiet) its handler reads; --seed
 goes to interp, corpus-gen, dataset-gen, pretrain and rl-train, and fixes
-their outputs byte for byte.  search rejects an option its --method does not
-read: --seed is for random and genetic, --budget for random, and --policy
-and --embed for rl.
+their outputs byte for byte.  The shared --costs is a QoR cost table; hged
+has its own --costs, which reads edit costs.  search rejects an option its
+--method does not read: --seed is for random and genetic, --budget for
+random, and --policy and --embed for rl.
 
 The generative stages (corpus-gen, dataset-gen, pretrain, rl-train) stamp
 their primary output with a digest of the version and every option but
@@ -72,6 +73,16 @@ def _read_module(path: str, verify: bool = True):
         return parse_module(_read_text(path), verify=verify)
     except (IrSyntaxError, VerifyError) as e:
         raise UserError(f"{path}: {e}")
+
+
+def _read_graph(path: str, fn: str | None):
+    """The program graph of function ``fn`` (default: top) of a module."""
+    m = _read_module(path)
+    names = [f.name for f in m.functions]
+    if fn is not None and fn not in names:
+        raise UserError(f"{path}: no function {fn!r}; it has "
+                        f"{', '.join(names)}")
+    return build_het_graph(m, fn)
 
 
 def _load_json(path: str, what: str):
@@ -186,8 +197,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    m = _read_module(args.file)
-    g = build_het_graph(m, args.fn)
+    g = _read_graph(args.file, args.fn)
     if args.dot:
         _write(args.dot, to_dot(g))
         _say(args, f"wrote {args.dot}")
@@ -264,10 +274,8 @@ def cmd_interp(args) -> int:
 
 
 def cmd_hged(args) -> int:
-    m1 = _read_module(args.file_a)
-    m2 = _read_module(args.file_b)
-    g1 = build_het_graph(m1, args.fn)
-    g2 = build_het_graph(m2, args.fn)
+    g1 = _read_graph(args.file_a, args.fn)
+    g2 = _read_graph(args.file_b, args.fn)
     mode, width = args.mode, DEFAULT_BEAM_WIDTH
     if mode.startswith("beam:"):
         digits = mode[len("beam:"):]
@@ -576,7 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("graph", cmd_graph, "emit the heterogeneous graph",
                 "json", "quiet")
     p.add_argument("file")
-    p.add_argument("--fn", default=None)
+    p.add_argument("--fn", default=None,
+                   help="function to graph (default: top)")
     p.add_argument("--dot")
     p.add_argument("--json-out", dest="json_out")
 
@@ -602,10 +611,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="also report latency-weighted dynamic cycles")
 
-    p = command("hged", cmd_hged, "heterogeneous graph edit distance", "costs")
+    p = command("hged", cmd_hged, "heterogeneous graph edit distance")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--fn", default=None)
+    p.add_argument("--fn", default=None,
+                   help="function compared in both files (default: top)")
+    p.add_argument("--costs", default=None,
+                   help="edit-cost JSON (EditCostModel fields) overriding "
+                        "the unit defaults")
     p.add_argument("--mode", default="beam:32", help="exact | beam:WIDTH")
 
     p = command("corpus-gen", cmd_corpus_gen, "generate synthetic kernels",

@@ -17,9 +17,21 @@ kind or deletes it, in a fixed candidate order.  A search state carries what
 its bound needs, besides its cost and mapping: G2's unused nodes counted per
 label and per kind, its unused-to-unused edges counted per relation, and the
 label term of the bound.  A child updates these from per-node label ids and
-incident-edge lists; G1's side is tabulated per level once per search.  An
-assignment prices only the earlier nodes adjacent to the pair, in ascending
-order, so every float sum keeps the order of the plain definition.
+incident-edge lists.  Each search tabulates what all children at a level
+share: G1's label, kind and relation counts over nodes i.., node i's deletion
+cost, and each adjacency's one-sided edge cost (``_edge_pair_cost`` against no
+edges) on both sides.  A substitution prices only the earlier nodes adjacent
+to the pair, in ascending order: an equal edge multiset adds nothing, a
+one-sided mismatch adds its tabulated value, and only a two-sided one calls
+``_edge_pair_cost``.  The bound's edge surplus and deficit are counted once
+per parent and moved by one per G2 edge a child uses up.  Each float sum keeps
+the operands and order of the plain definition, so every cost keeps its bits:
+
+* a tabulated value comes from the same function on the same inputs;
+* a skipped term adds +0.0 to a sum that starts at +0.0 or at
+  ``node_sub_mismatch``, and the path cost g is never -0.0 (a sum is -0.0
+  only when both operands are), so ``g + cost`` has the same bits;
+* the bound terms are ints.
 
 ``ged_beam`` answers a pair of stage graphs that are equal up to node ids
 (``StageGraph.key``) at once: cost 0 and the positional identity, which is
@@ -34,19 +46,23 @@ beam width, the affiliation extras and the cost model, with the mapping
 stored by position; a search result is a function of exactly these, so a hit
 returns what a fresh search would.  The memo belongs to its caller:
 ``dataset_gen`` makes one per call, whose pairs repeat many block pairs.
+The memo also holds each graph's ``_StageView`` (skeleton, per-block
+instruction graphs with their cached keys, data-flow and cross-block edges),
+keyed by the graph's id.  The entry holds the graph, so the id is not reused,
+and the graph must not be mutated, while the memo lives.  Without a memo,
+nothing is cached.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
-from .graphs import HetGraph, NodeKind, Relation
+from .graphs import EdgeRecord, HetGraph, NodeKind, Relation
 
 DEFAULT_BEAM_WIDTH = 32
 EXACT_NODE_LIMIT = 24      # combined node count per ged_exact call
@@ -202,37 +218,46 @@ def _edge_pair_cost(rels1: tuple, rels2: tuple, costs: EditCostModel) -> float:
     return cost
 
 
-def _delete_all_cost(g: StageGraph, costs: EditCostModel,
-                     node_extra: float = 0.0) -> float:
-    c = sum(costs.n_del(n.kind) + node_extra for n in g.nodes)
-    c += sum(costs.e_del(e.rel) for e in g.edges)
-    return c
+def _serial_sum(values) -> float:
+    """Left-to-right float sum.  The builtin ``sum`` compensates rounding
+    from Python 3.12 on, which would make labels depend on the version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
-def _insert_all_cost(g: StageGraph, costs: EditCostModel,
-                     node_extra: float = 0.0) -> float:
-    c = sum(costs.n_ins(n.kind) + node_extra for n in g.nodes)
-    c += sum(costs.e_ins(e.rel) for e in g.edges)
-    return c
+def _delete_all_cost(g: StageGraph, costs: EditCostModel) -> float:
+    return (_serial_sum(costs.n_del(n.kind) for n in g.nodes)
+            + _serial_sum(costs.e_del(e.rel) for e in g.edges))
+
+
+def _insert_all_cost(g: StageGraph, costs: EditCostModel) -> float:
+    return (_serial_sum(costs.n_ins(n.kind) for n in g.nodes)
+            + _serial_sum(costs.e_ins(e.rel) for e in g.edges))
 
 
 _NO_EDGES = ((), ())
+#: A ``_neighbours`` entry of two nodes that are not adjacent.
+_NO_ADJ = ((), (), 0.0, 0.0)
 
 
-def _edge_bound(e1: list[int], e2: list[int]) -> int:
-    """Relation-count mismatch between two remaining edge sets."""
+def _edge_excess(e1: list[int], e2: list[int]) -> tuple[int, int]:
+    """Relation counts of the first remaining edge set over the second, and
+    of the second over the first; the larger is the edge bound."""
     surplus = deficit = 0
     for x, y in zip(e1, e2):
         if x > y:
             surplus += x - y
         else:
             deficit += y - x
-    return max(surplus, deficit)
+    return surplus, deficit
 
 
-def _neighbours(g: StageGraph) -> list[dict[int, tuple]]:
+def _neighbours(g: StageGraph, one_sided) -> list[dict[int, tuple]]:
     """For each node position, every other node position adjacent to it,
-    with the sorted relations of the edges (from it, to it)."""
+    with the sorted relations of the edges (from it, to it) and what each
+    of the two costs against no edges, ``one_sided(rels)``."""
     pos = {n.nid: i for i, n in enumerate(g.nodes)}
     near: list[dict[int, tuple]] = [{} for _ in g.nodes]
     for (src, dst), rels in g.between.items():
@@ -240,7 +265,8 @@ def _neighbours(g: StageGraph) -> list[dict[int, tuple]]:
         if i != j:
             near[i][j] = (tuple(rels), near[i].get(j, _NO_EDGES)[1])
             near[j][i] = (near[j].get(i, _NO_EDGES)[0], tuple(rels))
-    return near
+    return [{j: (out, into, one_sided(out), one_sided(into))
+             for j, (out, into) in adjacent.items()} for adjacent in near]
 
 
 class _Search:
@@ -272,27 +298,29 @@ class _Search:
         pos1 = {n.nid: i for i, n in enumerate(g1.nodes)}
         pos2 = {n.nid: j for j, n in enumerate(g2.nodes)}
 
-        # G1 side of the heuristic: label occurrences by position, and per
-        # level the kind and remaining-to-remaining relation counts.
-        self.where1: list[list[int]] = [[] for _ in labels]
-        for i, lid in enumerate(self.lid1):
-            self.where1[lid].append(i)
+        # G1 side of the heuristic, per level: the label, kind and
+        # remaining-to-remaining relation counts of nodes i..
+        self.labels1 = [[0] * len(labels) for _ in range(n1 + 1)]
         self.kinds1 = [[0] * len(kinds) for _ in range(n1 + 1)]
         self.edges1 = [[0] * len(rels) for _ in range(n1 + 1)]
         for e in g1.edges:
             self.edges1[min(pos1[e.src], pos1[e.dst])][rels[e.rel]] += 1
         for i in range(n1 - 1, -1, -1):
+            self.labels1[i] = self.labels1[i + 1].copy()
+            self.labels1[i][self.lid1[i]] += 1
             self.kinds1[i] = self.kinds1[i + 1].copy()
             self.kinds1[i][self.kid1[i]] += 1
             self.edges1[i] = [x + y for x, y in
                               zip(self.edges1[i], self.edges1[i + 1])]
 
         # Edge pricing: G1's earlier neighbours of each node, in ascending
-        # order, and G2's neighbours.  A G1 self-loop is never priced by an
-        # assignment.
-        self.near1 = [{j: rs for j, rs in sorted(near.items()) if j < i}
-                      for i, near in enumerate(_neighbours(g1))]
-        self.near2 = _neighbours(g2)
+        # order, and G2's neighbours, each with its one-sided costs.  A G1
+        # self-loop is never priced by an assignment.
+        self.near1 = [{j: adj for j, adj in sorted(near.items()) if j < i}
+                      for i, near in enumerate(_neighbours(
+                          g1, lambda rels: _edge_pair_cost(rels, (), costs)))]
+        self.near2 = _neighbours(
+            g2, lambda rels: _edge_pair_cost((), rels, costs))
         self.rel2 = [rels[e.rel] for e in g2.edges]
         self.inc2: list[list[tuple[int, int]]] = [[] for _ in range(n2)]
         for e, r in zip(g2.edges, self.rel2):
@@ -304,11 +332,15 @@ class _Search:
         for j, k in enumerate(self.kid2):
             self.by_kind2[k].append(j)
 
-        # Fixed costs, each summed in the same order on every path.
-        self.del_node = [costs.n_del(n.kind) + del_extra for n in g1.nodes]
-        self.del_edges = [[costs.e_del(rel) for pair in near.values()
-                           for rels in pair for rel in rels]
-                          for near in self.near1]
+        # Fixed costs, each summed in the same order on every path: deleting
+        # node i with its edges to earlier nodes, and inserting G2's rest.
+        self.del_cost = []
+        for n, near in zip(g1.nodes, self.near1):
+            cost = costs.n_del(n.kind) + del_extra
+            for out, into, _, _ in near.values():
+                for rel in out + into:
+                    cost += costs.e_del(rel)
+            self.del_cost.append(cost)
         self.ins_node = [costs.n_ins(n.kind) + ins_extra for n in g2.nodes]
         self.ins_edges = [(pos2[e.src], pos2[e.dst], costs.e_ins(e.rel))
                           for e in g2.edges]
@@ -329,43 +361,8 @@ class _Search:
         for r in self.rel2:
             e2[r] += 1
         lab = sum(max(x, y) for x, y in zip(self.kinds1[0], t2))
-        lab -= sum(min(len(w), n) for w, n in zip(self.where1, r2))
+        lab -= sum(min(x, y) for x, y in zip(self.labels1[0], r2))
         return (0.0, (), [None] * self.n2, r2, t2, e2, lab)
-
-    def remaining1(self, lid: int, i: int) -> int:
-        """Occurrences of label ``lid`` among G1's nodes i.. (undecided)."""
-        where = self.where1[lid]
-        return len(where) - bisect_left(where, i)
-
-    def assign_cost(self, mapping: tuple, inv: list, i: int,
-                    target: int | None) -> float:
-        """Incremental cost of mapping G1's node i to G2's node ``target``
-        (or deleting it when target is None).  Only earlier nodes adjacent
-        to node i, or whose images are adjacent to ``target``, can add a
-        cost; they are priced in ascending order."""
-        if target is None:
-            cost = self.del_node[i]
-            for c in self.del_edges[i]:
-                cost += c
-            return cost
-        costs = self.costs
-        cost = 0.0 if self.lid1[i] == self.lid2[target] \
-            else costs.node_sub_mismatch
-        near1, near2 = self.near1[i], self.near2[target]
-        order = [j for t in near2 if (j := inv[t]) is not None
-                 and j not in near1]
-        if order:
-            order.extend(near1)
-            order.sort()
-        else:
-            order = near1
-        for j in order:
-            out1, in1 = near1.get(j, _NO_EDGES)
-            t = mapping[j]
-            out2, in2 = _NO_EDGES if t is None else near2.get(t, _NO_EDGES)
-            cost += _edge_pair_cost(out1, out2, costs)
-            cost += _edge_pair_cost(in1, in2, costs)
-        return cost
 
     def finish_cost(self, inv: list, also_used: int | None = None) -> float:
         """Insert every unused G2 node and all its incident edges."""
@@ -391,44 +388,85 @@ class _Search:
         """Children of ``state`` at level i, in candidate order, as ``(f, g,
         state, cand, lab, e2)``; ``settle`` makes one a state.
 
-        f adds a bound to g: label-multiset mismatch between G1's nodes i..
-        (the node just decided included) and G2's unused nodes, plus
-        relation-count mismatch over remaining-to-remaining edges, both
-        updated from the parent's counts; on the last level, the exact cost
-        of inserting what is left of G2.  ``lab`` is the child's own label
-        term, over G1's nodes i+1.."""
+        g adds the cost of deciding node i: deleting it, or substituting it
+        and reconciling the edges to every earlier node adjacent to it or
+        whose image is adjacent to its own, in ascending order.  f adds a
+        bound to g: label-multiset mismatch between G1's nodes i.. (the node
+        just decided included) and G2's unused nodes, plus relation-count
+        mismatch over remaining-to-remaining edges, both updated from the
+        parent's counts; on the last level, the exact cost of inserting what
+        is left of G2.  ``lab`` is the child's own label term, over G1's
+        nodes i+1.."""
         g, mapping, inv, r2, t2, e2, lab = state
+        costs = self.costs
         last = i + 1 == self.n1
         a, k = self.lid1[i], self.kid1[i]
-        t1k, t2k = self.kinds1[i][k], t2[k]
-        ra = self.remaining1(a, i)
+        rest1 = self.labels1[i]
+        t1k, t2k, ra = self.kinds1[i][k], t2[k], rest1[a]
         # Deciding node i removes it from G1's side: max(t1k, .) and
-        # min(ra, r2[a]) each drop by one or not at all.
+        # min(ra, r2[a]) each drop by one or not at all.  A substitution
+        # also removes a G2 node of kind k.
         nlab_del = lab - max(t1k, t2k) + max(t1k - 1, t2k) + (ra <= r2[a])
+        hlab_sub = lab - max(t1k, t2k) + max(t1k, t2k - 1)
+        nlab_sub = max(t1k - 1, t2k - 1) - max(t1k, t2k - 1)
         edges1 = self.edges1[i + 1]
+        surplus, deficit = _edge_excess(edges1, e2)
+        bound = max(surplus, deficit)
+        near1 = self.near1[i]
         out = []
         for cand in self.candidates(i, inv):
-            ng = g + self.assign_cost(mapping, inv, i, cand)
+            if cand is None:
+                ng = g + self.del_cost[i]
+            else:
+                cost = 0.0 if a == self.lid2[cand] else costs.node_sub_mismatch
+                near2 = self.near2[cand]
+                order = [j for t in near2 if (j := inv[t]) is not None
+                         and j not in near1]
+                if order:
+                    order.extend(near1)
+                    order.sort()
+                else:
+                    order = near1
+                for j in order:
+                    t = mapping[j]
+                    out1, in1, del_out, del_in = near1.get(j, _NO_ADJ)
+                    out2, in2, ins_out, ins_in = _NO_ADJ if t is None \
+                        else near2.get(t, _NO_ADJ)
+                    # Equal multisets cost nothing; against no edges, a
+                    # multiset costs its one-sided value.
+                    if out1 != out2:
+                        if out1 and out2:
+                            cost += _edge_pair_cost(out1, out2, costs)
+                        else:
+                            cost += ins_out if out2 else del_out
+                    if in1 != in2:
+                        if in1 and in2:
+                            cost += _edge_pair_cost(in1, in2, costs)
+                        else:
+                            cost += ins_in if in2 else del_in
+                ng = g + cost
             if last:
                 out.append((ng + self.finish_cost(inv, cand), ng, state, cand,
                             0, e2))
             elif cand is None:
-                out.append((ng + (lab + _edge_bound(edges1, e2)), ng, state,
-                            None, nlab_del, e2))
+                out.append((ng + (lab + bound), ng, state, None, nlab_del, e2))
             else:
                 b = self.lid2[cand]
-                hlab = lab - max(t1k, t2k) + max(t1k, t2k - 1) \
-                    + (r2[b] <= self.remaining1(b, i))
-                nlab = hlab - max(t1k, t2k - 1) + max(t1k - 1, t2k - 1) \
-                    + (ra <= r2[a] - (a == b))
-                ne2 = e2
+                hlab = hlab_sub + (r2[b] <= rest1[b])
+                nlab = hlab + nlab_sub + (ra <= r2[a] - (a == b))
+                # Each G2 edge it uses up moves one relation count by one.
+                ne2, more, fewer = e2, surplus, deficit
                 for t, r in self.inc2[cand]:
                     if inv[t] is None:
                         if ne2 is e2:
                             ne2 = e2.copy()
+                        if edges1[r] >= ne2[r]:
+                            more += 1
+                        else:
+                            fewer -= 1
                         ne2[r] -= 1
-                out.append((ng + (hlab + _edge_bound(edges1, ne2)), ng, state,
-                            cand, nlab, ne2))
+                out.append((ng + (hlab + (more if more > fewer else fewer)),
+                            ng, state, cand, nlab, ne2))
         return out
 
     def settle(self, child: tuple, i: int) -> tuple:
@@ -529,30 +567,58 @@ def ged_beam(g1: StageGraph, g2: StageGraph, costs: EditCostModel,
 # Stage extraction from HetGraphs
 # ---------------------------------------------------------------------------
 
-def _skeleton(g: HetGraph) -> StageGraph:
+@dataclass
+class _StageView:
+    """What ``hged`` reads of one graph: its skeleton and block node ids,
+    each block's instruction graph (by block node id, in node order), its
+    data-flow edges, and those between blocks as (src, dst, relation)."""
+    graph: HetGraph
+    skeleton: StageGraph
+    blocks: set[int]
+    per_block: dict[int, StageGraph]
+    data: list[EdgeRecord]
+    cross: set[tuple[int, int, str]]
+
+
+_NO_INSTRS = StageGraph([], [])
+
+
+def _stage_view(g: HetGraph, memo: dict | None = None) -> _StageView:
+    """The view of ``g``, built once per memo (see the module docstring)."""
+    key = ("view", id(g))
+    if memo is not None and key in memo:
+        return memo[key]
     keep = {n.node_id for n in g.nodes
             if n.kind in (NodeKind.BLOCK, NodeKind.FUNC)}
-    nodes = [StageNode(n.node_id, n.kind.value, tuple(n.attr))
-             for n in g.nodes if n.node_id in keep]
-    edges = [StageEdge(e.src, e.dst, e.relation.value) for e in g.edges
-             if e.relation in (Relation.CONTROL_FLOW, Relation.AFFIL_BLOCK_FUNC)
-             and e.src in keep and e.dst in keep]
-    return StageGraph(nodes, edges)
-
-
-def _instr_info(g: HetGraph):
-    """Per-block instruction node lists plus cross-references for stage 2."""
-    block_of: dict[int, int] = {}
-    for e in g.edges:
-        if e.relation is Relation.AFFIL_INSTR_BLOCK:
-            block_of[e.src] = e.dst
-    per_block: dict[int, list[StageNode]] = {}
+    skeleton = StageGraph(
+        [StageNode(n.node_id, n.kind.value, tuple(n.attr))
+         for n in g.nodes if n.node_id in keep],
+        [StageEdge(e.src, e.dst, e.relation.value) for e in g.edges
+         if e.relation in (Relation.CONTROL_FLOW, Relation.AFFIL_BLOCK_FUNC)
+         and e.src in keep and e.dst in keep])
+    block_of = {e.src: e.dst for e in g.edges
+                if e.relation is Relation.AFFIL_INSTR_BLOCK}
+    instrs: dict[int, list[StageNode]] = {}
     for n in g.nodes:
         if n.kind is NodeKind.INSTR:
-            per_block.setdefault(block_of[n.node_id], []).append(
+            instrs.setdefault(block_of[n.node_id], []).append(
                 StageNode(n.node_id, n.kind.value, tuple(n.attr)))
-    data_edges = [e for e in g.edges if e.relation is Relation.DATA_FLOW]
-    return block_of, per_block, data_edges
+    data = [e for e in g.edges if e.relation is Relation.DATA_FLOW]
+    internal: dict[int, list[StageEdge]] = {b: [] for b in instrs}
+    cross = set()
+    for e in data:
+        b = block_of.get(e.src)
+        if b != block_of.get(e.dst):
+            cross.add((e.src, e.dst, e.relation.value))
+        elif b in internal:
+            internal[b].append(StageEdge(e.src, e.dst, e.relation.value))
+    view = _StageView(
+        g, skeleton, {n.nid for n in skeleton.nodes if n.kind == "block"},
+        {b: StageGraph(ns, internal[b]) for b, ns in instrs.items()},
+        data, cross)
+    if memo is not None:
+        memo[key] = view
+    return view
 
 
 def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
@@ -562,16 +628,16 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
 
     mode "exact" uses best-first search everywhere and enforces the skeleton
     and node-count limits; "beam" never errors and yields an upper bound.
-    ``memo``, a dict the caller owns and passes to each call, caches beam
-    stage results (see the module docstring)."""
+    ``memo``, a dict the caller owns and passes to each call, caches each
+    graph's stage view and beam stage results (see the module docstring)."""
     costs = costs or EditCostModel()
     exact_mode = mode == "exact"
     if mode not in ("exact", "beam"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    sk1, sk2 = _skeleton(g1), _skeleton(g2)
-    blocks1 = sum(1 for n in sk1.nodes if n.kind == "block")
-    blocks2 = sum(1 for n in sk2.nodes if n.kind == "block")
+    v1, v2 = _stage_view(g1, memo), _stage_view(g2, memo)
+    sk1, sk2 = v1.skeleton, v2.skeleton
+    blocks1, blocks2 = len(v1.blocks), len(v2.blocks)
     if exact_mode and max(blocks1, blocks2) > EXACT_SKELETON_LIMIT:
         raise SizeError(
             f"skeletons have {blocks1}/{blocks2} blocks; exact mode allows "
@@ -602,44 +668,37 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
                       if t is not None}
 
     stage1_cost, sk_mapping = run_stage(sk1, sk2)
-    blocks = {n.node_id for n in g1.nodes if n.kind is NodeKind.BLOCK}
     block_mapping = {src: dst for src, dst in sk_mapping.items()
-                     if src in blocks}
+                     if src in v1.blocks}
 
     # Stage 2: instructions conditioned on the block mapping.
-    _, per_block1, data1 = _instr_info(g1)
-    block_of2, per_block2, data2 = _instr_info(g2)
     affil = Relation.AFFIL_INSTR_BLOCK.value
     stage2_cost = 0.0
     instr_mapping: dict[int, int] = {}
     mapped_blocks2 = set(block_mapping.values())
 
-    for b1 in sorted(per_block1):
-        instrs1 = per_block1[b1]
+    for b1 in sorted(v1.per_block):
+        sub1 = v1.per_block[b1]
         b2 = block_mapping.get(b1)
         if b2 is None:
-            for n in instrs1:
+            for n in sub1.nodes:
                 stage2_cost += costs.n_del(n.kind) + costs.e_del(affil)
             continue
-        instrs2 = per_block2.get(b2, [])
-        sub1 = StageGraph(instrs1, _internal_edges(data1, instrs1))
-        sub2 = StageGraph(instrs2, _internal_edges(data2, instrs2))
-        cost, mapping = run_stage(sub1, sub2,
+        cost, mapping = run_stage(sub1, v2.per_block.get(b2, _NO_INSTRS),
                                   del_extra=costs.e_del(affil),
                                   ins_extra=costs.e_ins(affil))
         stage2_cost += cost
         instr_mapping.update(mapping)
 
-    for b2 in sorted(per_block2):
+    for b2 in sorted(v2.per_block):
         if b2 not in mapped_blocks2:
-            for n in per_block2[b2]:
+            for n in v2.per_block[b2].nodes:
                 stage2_cost += costs.n_ins(n.kind) + costs.e_ins(affil)
 
     # Cross-block data edges under the composed mapping.
-    paired1 = _cross_edges(data1, g1)
-    paired2 = _cross_edges(data2, g2)
+    paired2 = v2.cross
     matched2: set[tuple[int, int, str]] = set()
-    for (src, dst, rel) in paired1:
+    for (src, dst, rel) in v1.cross:
         ms, md = instr_mapping.get(src), instr_mapping.get(dst)
         if ms is not None and md is not None and (ms, md, rel) in paired2 \
                 and (ms, md, rel) not in matched2:
@@ -652,41 +711,23 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
 
     total = costs.w1 * stage1_cost + costs.w2 * stage2_cost
     denom = (costs.w1 * (_delete_all_cost(sk1, costs) + _insert_all_cost(sk2, costs))
-             + costs.w2 * (_stage2_denom(per_block1, data1, g1, costs, True)
-                           + _stage2_denom(per_block2, data2, g2, costs, False)))
+             + costs.w2 * (_stage2_denom(v1, costs, True)
+                           + _stage2_denom(v2, costs, False)))
     normalized = 0.0 if denom == 0 else min(1.0, total / denom)
     return HgedResult(stage1_cost, stage2_cost, total, normalized,
                       block_mapping, exact)
 
 
-def _internal_edges(data_edges, instrs: list[StageNode]) -> list[StageEdge]:
-    ids = {n.nid for n in instrs}
-    return [StageEdge(e.src, e.dst, e.relation.value) for e in data_edges
-            if e.src in ids and e.dst in ids]
-
-
-def _cross_edges(data_edges, g: HetGraph) -> set[tuple[int, int, str]]:
-    block_of: dict[int, int] = {}
-    for e in g.edges:
-        if e.relation is Relation.AFFIL_INSTR_BLOCK:
-            block_of[e.src] = e.dst
-    out = set()
-    for e in data_edges:
-        if block_of.get(e.src) != block_of.get(e.dst):
-            out.add((e.src, e.dst, e.relation.value))
-    return out
-
-
-def _stage2_denom(per_block, data_edges, g: HetGraph, costs: EditCostModel,
+def _stage2_denom(view: _StageView, costs: EditCostModel,
                   deleting: bool) -> float:
     affil = Relation.AFFIL_INSTR_BLOCK.value
     c = 0.0
-    for instrs in per_block.values():
-        for n in instrs:
+    for sub in view.per_block.values():
+        for n in sub.nodes:
             if deleting:
                 c += costs.n_del(n.kind) + costs.e_del(affil)
             else:
                 c += costs.n_ins(n.kind) + costs.e_ins(affil)
-    for e in data_edges:
+    for e in view.data:
         c += costs.e_del(e.relation.value) if deleting else costs.e_ins(e.relation.value)
     return c

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from passforge.cli import main
+from passforge.ir import parse_module
 from passforge.reporting import geomean
 
 
@@ -132,6 +133,27 @@ def test_hged_cli_user_errors(workdir, tmp_path, capsys):
     assert "bad edit costs" in capsys.readouterr().err
     costs.write_text(json.dumps({"node_delete": {"block": 2.0}}))
     assert main(["hged", design, design, "--costs", str(costs)]) == 0
+
+
+def test_unknown_function_is_a_user_error(workdir, capsys):
+    design = str(workdir / "corpus" / "dot_01.ir")
+    names = [f.name for f in parse_module(Path(design).read_text()).functions]
+    for argv in (["graph", design, "--fn", "nosuch"],
+                 ["hged", design, design, "--fn", "nosuch"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "no function 'nosuch'" in err
+        assert f"it has {', '.join(names)}" in err
+    assert main(["graph", design, "--fn", names[0], "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["function"] == names[0]
+
+
+def test_hged_help_describes_its_own_options(capsys):
+    with pytest.raises(SystemExit):
+        main(["hged", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--costs COSTS edit-cost JSON (EditCostModel fields)" in text
+    assert "--fn FN function compared in both files" in text
 
 
 def test_corpus_gen_resumable(workdir, capsys):

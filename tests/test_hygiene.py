@@ -17,6 +17,8 @@ from passforge.agent import (
 )
 from passforge.dataset import dataset_gen
 from passforge.embedder import featurize_baseline
+from passforge.graphs import HetGraph
+from passforge.hged import StageGraph, _Search, _StageView
 from passforge.ir import (
     Const, GlobalArray, GlobalRef, IrBlock, IrFunction, IrInstruction,
     IrModule, IrType, LabelRef, Loop, LoopInfo, PragmaDirective, ValueRef,
@@ -180,7 +182,8 @@ def test_no_reference_cycle_keeps_environments_alive(small_corpus, case2):
     with their last reference: a cycle through them (a stored
     ``EstimateError``'s traceback, a recursive closure over a pass's locals,
     a loop's link back to its parent, say) would keep everything they hold
-    until a full collection.  ``case2``'s episodes and searches hit estimate
+    until a full collection.  So do the graphs, stage views and searches of
+    ``dataset_gen``'s labels.  ``case2``'s episodes and searches hit estimate
     errors."""
     designs = small_corpus[:2] + [("case2", case2)]
     config = PpoConfig(iterations=2, episodes_per_iteration=6,
@@ -195,7 +198,8 @@ def test_no_reference_cycle_keeps_environments_alive(small_corpus, case2):
         dataset_gen([(name, print_module(m)) for name, m in designs], 3, 3,
                     seed=0, intra_pair_cap=2, cross_pairs=2)
         found = _unreachable((PassEnv, Evaluator, IrModule, IrFunction,
-                              IrBlock, IrInstruction, Loop))
+                              IrBlock, IrInstruction, Loop, HetGraph,
+                              StageGraph, _StageView, _Search))
     finally:
         gc.enable()
     assert found == []
