@@ -13,13 +13,13 @@ the loop entirely.
 
 Run:  python3 demos/02_case_studies.py
 """
-from passforge.corpus import case1_module, case2_module
-from passforge.ir import print_module
+from passforge.corpus import case1_text, case2_text
+from passforge.ir import parse_module, print_module
 from passforge.passes import PassId, apply_pragma_passes, apply_sequence
-from passforge.qor import estimate, trip_count
+from passforge.qor import estimate
 
 print("=== case 1: remainder peeling enables clean unrolling ===")
-m1 = case1_module()
+m1 = parse_module(case1_text())
 pragma_only = apply_pragma_passes(m1)
 q_naive = estimate(pragma_only)
 print(f"pragma-only expansion: {q_naive.cycles} cycles")
@@ -29,15 +29,16 @@ seq1 = [PassId.LOOP_UNROLL_PARTIAL, PassId.SCCP, PassId.SIMPLIFYCFG,
 opt1, steps = apply_sequence(m1, seq1)
 print("sequence:", " -> ".join(p.value for p in seq1))
 print("changed per step:", [s.changed for s in steps])
-print(f"main-loop trip count after restructuring: {trip_count(opt1, 'case1', 2)}"
-      f"  (1482 = 4*370 + 2)")
 q_opt = estimate(opt1)
+main_loop = next(l for l in q_opt.loops if l.loop_id == 2)
+print(f"main-loop trip count after restructuring: {main_loop.trip}"
+      f"  (1482 = 4*370 + 2)")
 print(f"restructured: {q_opt.cycles} cycles "
       f"({100 * (1 - q_opt.cycles / q_naive.cycles):.1f}% better)")
 
 print()
 print("=== case 2: threading the guarded inner loop out of the pipeline ===")
-m2 = case2_module()
+m2 = parse_module(case2_text())
 q_before = estimate(m2)
 loop1 = next(l for l in q_before.loops if l.loop_id == 1)
 print(f"before: {q_before.cycles} cycles, achieved II {loop1.achieved_ii} "

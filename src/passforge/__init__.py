@@ -4,7 +4,7 @@ Subpackages:
   ir        -- SSA IR, parser/printer, verifier, reference interpreter
   graphs    -- heterogeneous program graphs (instruction/block/function nodes)
   passes    -- transform pass catalog and sequence application
-  qor       -- analytical latency/resource estimator
+  qor       -- analytical latency estimator
   hged      -- two-stage heterogeneous graph edit distance
   embedder  -- relational graph-conv embedding model, trained as a siamese
                regression of (1 - cos)/2 onto normalized HGED labels

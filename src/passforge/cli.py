@@ -15,8 +15,8 @@ their primary output with a digest of the version and every option but
 bytes it holds (stamps and the stage's own outputs excluded), not by its
 path.  Re-running a stage whose stamp matches is a no-op.
 
-Exit codes: 0 ok, 1 user error (bad input, failed verification), 2 internal
-error.
+Exit codes: 0 ok, 1 user error (bad input, an option out of range, failed
+verification), 2 internal error.
 """
 from __future__ import annotations
 
@@ -43,6 +43,7 @@ from .passes import (
     PassError, PassId, PragmaError, apply_pragma_passes, apply_sequence,
     pass_catalog,
 )
+from .passes.rewrite import block_count, instruction_count
 from .qor import EstimateError, OpCostTable, dynamic_cycle_oracle, estimate
 from .reporting import RECORD_TYPES, content_digest, report
 
@@ -217,7 +218,9 @@ def cmd_run(args) -> int:
         raise UserError(f"unknown pass: {e}")
     try:
         out, results = apply_sequence(m, seq)
-    except (PassError, PragmaError) as e:
+    except PragmaError as e:
+        raise UserError(str(e))
+    except PassError as e:
         print(f"pass failure: {e}", file=sys.stderr)
         return 2
     if args.emit:
@@ -226,10 +229,15 @@ def cmd_run(args) -> int:
     else:
         sys.stdout.write(print_module(out))
     if args.stats:
-        stats = [{"pass": r.pass_id.value, "changed": r.changed,
-                  "instructions_removed": r.instructions_removed,
-                  "instructions_added": r.instructions_added,
-                  "blocks_removed": r.blocks_removed} for r in results]
+        stats = []
+        for before, r in zip([m, *(s.module for s in results)], results):
+            n_in = instruction_count(before)
+            n_out = instruction_count(r.module)
+            stats.append({"pass": r.pass_id.value, "changed": r.changed,
+                          "instructions_removed": max(0, n_in - n_out),
+                          "instructions_added": max(0, n_out - n_in),
+                          "blocks_removed": max(0, block_count(before)
+                                                - block_count(r.module))})
         _write(args.stats, _json_text(stats))
     return 0
 
@@ -596,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit")
     p.add_argument("--stats")
 
-    p = command("estimate", cmd_estimate, "latency/resource estimate",
+    p = command("estimate", cmd_estimate, "latency estimate",
                 "costs", "json", "quiet")
     p.add_argument("file")
     p.add_argument("--raw", action="store_true",
@@ -682,10 +690,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The least value of each count or size option, whichever subcommand
+#: takes it.
+_MINIMUMS = {"n": 1, "seqs": 1, "max_len": 1, "intra_cap": 0, "cross_pairs": 0,
+             "epochs": 1, "patience": 0, "hidden": 1, "embed_dim": 1,
+             "fuel": 1, "budget": 1}
+
+
+def _check_minimums(args) -> None:
+    for name, least in _MINIMUMS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise UserError(f"--{name.replace('_', '-')} must be >= {least}, "
+                            f"not {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_minimums(args)
         return args.handler(args)
     except UserError as e:
         print(f"error: {e}", file=sys.stderr)

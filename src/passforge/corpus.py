@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ir import IrModule, parse_module
+from .ir import IrModule
 
 CASE1_INNER_TRIP = 1482
 CASE1_UNROLL_FACTOR = 4
@@ -126,14 +126,6 @@ block done:
   ret i32 %r
 }}
 """
-
-
-def case1_module() -> IrModule:
-    return parse_module(case1_text())
-
-
-def case2_module() -> IrModule:
-    return parse_module(case2_text())
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ import json
 
 import numpy as np
 
-from .model import RgcnConfig
-
 FORMAT_VERSION = "passforge_ckpt_v1"
 
 

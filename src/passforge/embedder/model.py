@@ -33,7 +33,7 @@ are exact, finite-difference-checkable, and bitwise reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,7 +9,6 @@ similarity and learning code consumes.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -63,17 +62,6 @@ class HetGraph:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    def canonical_hash(self) -> str:
-        """Label-free structural hash: equal for graphs that differ only in
-        block/value naming (node order is structural, so those coincide)."""
-        h = hashlib.sha256()
-        for n in self.nodes:
-            h.update(n.kind.value.encode())
-            h.update(b"".join(int(a).to_bytes(1, "little") for a in n.attr))
-        for e in sorted(self.edges, key=lambda e: (e.relation.value, e.src, e.dst)):
-            h.update(f"{e.relation.value}:{e.src}>{e.dst}".encode())
-        return h.hexdigest()
 
 
 def _block_attr(depth: int) -> tuple[float, ...]:

@@ -14,7 +14,7 @@ from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .types import (
-    GlobalRef, IrBlock, IrFunction, IrInstruction, LoopInfo, Opcode, Operand,
+    GlobalRef, IrFunction, IrInstruction, LoopInfo, Opcode, Operand,
     ValueRef,
 )
 

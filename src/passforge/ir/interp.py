@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .types import (
-    Const, GlobalRef, IrFunction, IrModule, LabelRef, Opcode, ValueRef,
+    Const, GlobalRef, IrFunction, IrModule, Opcode, ValueRef,
 )
 
 DEFAULT_FUEL = 10**8

@@ -10,8 +10,8 @@ compared with the input's, to decide whether the pass changed anything.
 from __future__ import annotations
 
 from .types import (
-    Const, GlobalRef, IrBlock, IrFunction, IrInstruction, IrModule, LabelRef,
-    Opcode, PragmaDirective, PragmaKind, ValueRef, VOID,
+    IrBlock, IrFunction, IrInstruction, IrModule, Opcode, PragmaDirective,
+    PragmaKind,
 )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ loop that a pass deletes takes its unroll and pipeline pragmas along.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..ir import (
     IrModule, PragmaKind, print_module, refresh_loop_annotations, text_digest,
@@ -33,7 +33,6 @@ from .mem_passes import run_dse, run_mem2reg
 from .pragma_passes import (
     PragmaError, apply_inline_pragmas, apply_unroll_pragmas,
 )
-from .rewrite import block_count, instruction_count
 
 
 class PassError(Exception):
@@ -185,9 +184,6 @@ class PassResult:
     changed: bool
     pass_id: PassId
     digest: str                 # of the output module, as ``IrModule.digest``
-    instructions_removed: int = 0
-    instructions_added: int = 0
-    blocks_removed: int = 0
 
 
 def _transform(m: IrModule, p: PassId) -> IrModule:
@@ -238,17 +234,7 @@ def _run_pass(m: IrModule, p: PassId, digest: str) -> PassResult:
     after = digest if out is m else text_digest(print_module(out))
     if after == digest:
         return PassResult(module=m, changed=False, pass_id=p, digest=digest)
-    n_before = instruction_count(m)
-    n_after = instruction_count(out)
-    return PassResult(
-        module=out,
-        changed=True,
-        pass_id=p,
-        digest=after,
-        instructions_removed=max(0, n_before - n_after),
-        instructions_added=max(0, n_after - n_before),
-        blocks_removed=max(0, block_count(m) - block_count(out)),
-    )
+    return PassResult(module=out, changed=True, pass_id=p, digest=after)
 
 
 def apply_pass(m: IrModule, p: PassId | str, memo: dict | None = None,

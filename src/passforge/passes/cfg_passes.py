@@ -5,7 +5,7 @@ from ..ir import (
     Const, DomTree, IrBlock, IrFunction, IrModule, LabelRef, Opcode, ValueRef,
     fold_constant, natural_loops, predecessor_map, refresh_loop_annotations,
 )
-from ..ir.types import IrInstruction, Operand, I1
+from ..ir.types import IrInstruction, Operand
 from ..ir.verify import verify_function
 from .rewrite import (
     PURE_OPS, collapse_trivial_phis, drop_unreachable_blocks,

@@ -12,8 +12,7 @@ from ..ir import (
 )
 from ..ir.types import I1, Operand
 from .rewrite import (
-    FreshNames, PURE_OPS, PURE_OR_DIV, erase_dead_pure, replace_all_uses,
-    uses_of,
+    FreshNames, PURE_OR_DIV, erase_dead_pure, replace_all_uses,
 )
 
 _COMMUTATIVE = {Opcode.ADD, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR}

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from ..ir import (
-    Const, GlobalRef, IrBlock, IrFunction, IrInstruction, IrModule, LabelRef,
+    Const, IrBlock, IrFunction, IrInstruction, IrModule, LabelRef,
     Opcode, ValueRef, fold_constant,
 )
 from ..ir.types import Operand
@@ -64,10 +64,6 @@ def subst_operand(op: Operand, mapping: dict[str, Operand]) -> Operand:
     return op
 
 
-def substitute(ins: IrInstruction, mapping: dict[str, Operand]) -> None:
-    ins.operands = [subst_operand(op, mapping) for op in ins.operands]
-
-
 def replace_all_uses(fn: IrFunction, old_id: str, new_op: Operand) -> int:
     """Rewrite every use of %old_id to new_op; returns the number of uses."""
     n = 0
@@ -78,15 +74,6 @@ def replace_all_uses(fn: IrFunction, old_id: str, new_op: Operand) -> int:
                     ins.operands[i] = new_op
                     n += 1
     return n
-
-
-def uses_of(fn: IrFunction) -> dict[str, list[IrInstruction]]:
-    out: dict[str, list[IrInstruction]] = {}
-    for b in fn.blocks:
-        for ins in b.all_instructions():
-            for vid in ins.value_uses():
-                out.setdefault(vid, []).append(ins)
-    return out
 
 
 def clone_with_map(ins: IrInstruction, mapping: dict[str, Operand],

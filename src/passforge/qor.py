@@ -1,4 +1,4 @@
-"""Analytical latency and resource model.
+"""Analytical latency model.
 
 Blocks are ASAP-scheduled over their dataflow graphs (no operation chaining
 across non-zero-latency ops); loops compose as trip-weighted macro nodes, and
@@ -47,17 +47,6 @@ _DEFAULT_LATENCY = {
     "call": 0, "br": 0, "condbr": 0, "ret": 0,
 }
 
-_DEFAULT_DSP = {"mul": 3, "sdiv": 8, "srem": 8}
-
-_DEFAULT_LUT = {
-    "add": 32, "sub": 32, "mul": 48, "sdiv": 320, "srem": 320,
-    "and": 8, "or": 8, "xor": 8, "shl": 16, "ashr": 16,
-    "icmp": 12, "select": 16, "phi": 4,
-    "load": 8, "store": 8, "getelementptr": 4,
-    "zext": 1, "sext": 1, "trunc": 1,
-    "call": 16, "br": 1, "condbr": 4, "ret": 1,
-}
-
 _OPCODES = {op.value for op in Opcode}
 
 
@@ -68,8 +57,6 @@ def _is_int(v) -> bool:
 @dataclass
 class OpCostTable:
     latency: dict[str, int] = field(default_factory=lambda: dict(_DEFAULT_LATENCY))
-    dsp: dict[str, int] = field(default_factory=lambda: dict(_DEFAULT_DSP))
-    lut: dict[str, int] = field(default_factory=lambda: dict(_DEFAULT_LUT))
     memory_ports: int = 2
 
     def lat(self, op: Opcode) -> int:
@@ -77,9 +64,8 @@ class OpCostTable:
 
     @staticmethod
     def from_dict(doc: dict) -> "OpCostTable":
-        """Raises ValueError on an unknown key or opcode, on a latency, DSP or
-        LUT cost that is not a non-negative integer, and on fewer than one
-        memory port."""
+        """Raises ValueError on an unknown key or opcode, on a latency that
+        is not a non-negative integer, and on fewer than one memory port."""
         if not isinstance(doc, dict):
             raise ValueError("a cost table must be a JSON object")
         t = OpCostTable()
@@ -89,16 +75,16 @@ class OpCostTable:
                     raise ValueError(f"memory_ports must be an integer >= 1, "
                                      f"not {value!r}")
                 t.memory_ports = value
-            elif key in ("latency", "dsp", "lut"):
+            elif key == "latency":
                 if not isinstance(value, dict):
-                    raise ValueError(f"{key} must be an object of costs")
+                    raise ValueError("latency must be an object of costs")
                 for op, cost in value.items():
                     if op not in _OPCODES:
-                        raise ValueError(f"unknown opcode {op!r} in {key}")
+                        raise ValueError(f"unknown opcode {op!r} in latency")
                     if not _is_int(cost) or cost < 0:
-                        raise ValueError(f"{key} of {op} must be a "
+                        raise ValueError(f"latency of {op} must be a "
                                          f"non-negative integer, not {cost!r}")
-                getattr(t, key).update(value)
+                t.latency.update(value)
             else:
                 raise ValueError(f"unknown cost table key {key!r}")
         return t
@@ -121,8 +107,6 @@ class LoopReport:
 @dataclass
 class QoRReport:
     cycles: int
-    dsp: int
-    lut_proxy: int
     loops: list[LoopReport]
 
     def to_dict(self) -> dict:
@@ -491,42 +475,13 @@ class _ModuleModel:
 
 
 def estimate(module: IrModule, costs: OpCostTable | None = None) -> QoRReport:
-    """Estimate the top function's latency and resource proxies.
+    """Estimate the top function's latency, with a report per loop of it.
 
     Pragma passes (inline/unroll expansion) are expected to have run already;
     pipeline and array_partition pragmas are consumed here as metadata."""
     costs = costs or OpCostTable()
     fm = _ModuleModel(module, costs).fn_model(module.top.name)
-    callees = {fn.name: [ins.callee for b in fn.blocks
-                         for ins in b.all_instructions()
-                         if ins.opcode is Opcode.CALL]
-               for fn in module.functions}
-    dsp = lut = 0
-    for name in postorder(module.top.name, callees):
-        for b in module.function(name).blocks:
-            for ins in b.all_instructions():
-                dsp += costs.dsp.get(ins.opcode.value, 0)
-                lut += costs.lut.get(ins.opcode.value, 0)
-    return QoRReport(max(1, fm.latency), dsp, lut, list(fm.loop_reports))
-
-
-def compute_ii(module: IrModule, fn_name: str, loop_id: int,
-               costs: OpCostTable | None = None) -> tuple[int, int]:
-    """(res_mii, rec_mii) for one loop; exposed for tests and reports."""
-    fm = _ModuleModel(module, costs or OpCostTable()).fn_model(fn_name)
-    for r in fm.loop_reports:
-        if r.loop_id == loop_id:
-            return r.res_mii, r.rec_mii
-    raise KeyError(f"loop {loop_id} not found in @{fn_name}")
-
-
-def trip_count(module: IrModule, fn_name: str, loop_id: int) -> int | None:
-    fn = module.function(fn_name)
-    forest = natural_loops(fn)
-    loop = forest.by_id(loop_id)
-    if loop is None:
-        raise KeyError(f"loop {loop_id} not found in @{fn_name}")
-    return loop_trip_count(fn, loop)
+    return QoRReport(max(1, fm.latency), list(fm.loop_reports))
 
 
 def dynamic_cycle_oracle(module: IrModule, inputs, costs: OpCostTable | None = None,

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from passforge.corpus import case1_module, case2_module, corpus_gen
+from passforge.corpus import case1_text, case2_text, corpus_gen
 from passforge.ir import parse_module
 
 
 @pytest.fixture(scope="session")
 def case1():
-    return case1_module()
+    return parse_module(case1_text())
 
 
 @pytest.fixture(scope="session")
 def case2():
-    return case2_module()
+    return parse_module(case2_text())
 
 
 @pytest.fixture(scope="session")

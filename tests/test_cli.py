@@ -71,6 +71,57 @@ def test_run_with_stats(workdir, capsys):
     assert main(["verify", emit, "--quiet"]) == 0
 
 
+def test_run_stats_count_what_each_pass_removed_and_added(tmp_path):
+    design = tmp_path / "dead.ir"
+    design.write_text("""
+top func @f(%a: i32) -> i32 {
+block entry:
+  %dead = add i32 %a, 5
+  %live = add i32 %a, 1
+  ret i32 %live
+}
+""")
+    stats = tmp_path / "stats.json"
+    assert main(["run", str(design), "-p", "adce,adce", "--stats", str(stats),
+                 "--emit", str(tmp_path / "out.ir"), "--quiet"]) == 0
+    assert json.loads(stats.read_text()) == [
+        {"pass": "adce", "changed": True, "instructions_removed": 1,
+         "instructions_added": 0, "blocks_removed": 0},
+        {"pass": "adce", "changed": False, "instructions_removed": 0,
+         "instructions_added": 0, "blocks_removed": 0}]
+
+
+def test_run_pragma_failure_is_a_user_error(tmp_path, capsys):
+    """An unroll pragma on a loop whose bound is loaded is the input's
+    fault, for ``run`` as for ``estimate``."""
+    design = tmp_path / "loaded.ir"
+    design.write_text("""
+global @n : i32[1]
+#pragma unroll(factor=2) loop=1
+top func @f(%a: i32[64]) -> i32 {
+block entry:
+  %pn = getelementptr @n, 0
+  %n = load i32 %pn
+  br hd
+block hd loop(1, depth=1, header):
+  %i = phi i32 [0, entry], [%i.next, body]
+  %c = icmp slt i32 %i, %n
+  condbr %c, body, out
+block body loop(1, depth=1):
+  %i.next = add i32 %i, 1
+  br hd
+block out:
+  ret i32 0
+}
+""")
+    for argv in (["run", str(design), "-p", "apply_unroll_pragma"],
+                 ["estimate", str(design)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: loop 1 in @f is not in canonical "
+                              "countable form")
+
+
 def test_estimate_json(workdir, capsys):
     design = str(workdir / "corpus" / "case2.ir")
     assert main(["estimate", design, "--quiet"]) == 0
@@ -319,6 +370,46 @@ def test_rl_train_rejects_small_obs_dim(stages, tmp_path, obs):
     assert main(["rl-train", "--corpus", str(stages / "corpus"),
                  "--out", str(tmp_path / "p.ckpt"), "--obs", obs,
                  "--obs-dim", "8", "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["corpus-gen", "--n", "-3"], "--n must be >= 1, not -3"),
+    (["dataset-gen", "--corpus", "{corpus}", "--seqs", "-1"],
+     "--seqs must be >= 1, not -1"),
+    (["dataset-gen", "--corpus", "{corpus}", "--max-len", "0"],
+     "--max-len must be >= 1, not 0"),
+    (["dataset-gen", "--corpus", "{corpus}", "--intra-cap", "-1"],
+     "--intra-cap must be >= 0, not -1"),
+    (["dataset-gen", "--corpus", "{corpus}", "--cross-pairs", "-1"],
+     "--cross-pairs must be >= 0, not -1"),
+    (["search", "--method", "random", "--design", "{design}", "--budget",
+      "-2"], "--budget must be >= 1, not -2"),
+    (["pretrain", "--corpus", "{ds}", "--epochs", "-1"],
+     "--epochs must be >= 1, not -1"),
+    (["pretrain", "--corpus", "{ds}", "--patience", "-1"],
+     "--patience must be >= 0, not -1"),
+    (["pretrain", "--corpus", "{ds}", "--embed-dim", "0"],
+     "--embed-dim must be >= 1, not 0"),
+    (["pretrain", "--corpus", "{ds}", "--hidden", "0"],
+     "--hidden must be >= 1, not 0"),
+    (["pretrain", "--corpus", "{ds}", "--hidden", "-1"],
+     "--hidden must be >= 1, not -1"),
+    (["interp", "{design}", "--fuel", "-5"], "--fuel must be >= 1, not -5"),
+], ids=["n", "seqs", "max-len", "intra-cap", "cross-pairs", "budget", "epochs",
+        "patience", "embed-dim", "hidden-0", "hidden-negative", "fuel"])
+def test_bad_counts_and_sizes_are_user_errors(stages, tmp_path, capsys, argv,
+                                              message):
+    """Each exits 1 before it runs: no output file, no traceback."""
+    out = tmp_path / "out"
+    paths = dict(corpus=stages / "corpus", ds=stages / "ds",
+                 design=stages / "corpus" / "dot_01.ir")
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] != "interp":
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_bad_input_files_are_user_errors(stages, tmp_path):

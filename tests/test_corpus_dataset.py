@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 
 from passforge.corpus import (
-    CASE1_INNER_TRIP, CASE1_UNROLL_FACTOR, case1_module, case2_module,
-    corpus_gen, random_inputs,
+    CASE1_INNER_TRIP, CASE1_UNROLL_FACTOR, corpus_gen, random_inputs,
 )
 from passforge.dataset import dataset_gen, load_dataset, save_dataset, split_of
 from passforge.ir import interpret, natural_loops, parse_module, verify_module
-from passforge.qor import trip_count
+from passforge.passes import loop_trip_count
 
 
 def test_case1_fixture_parameters(case1):
     assert CASE1_INNER_TRIP == 1482
     assert CASE1_UNROLL_FACTOR == 4
-    assert trip_count(case1, "case1", 2) == 1482
+    assert loop_trip_count(case1.top, natural_loops(case1.top).by_id(2)) == 1482
     from passforge.ir import PragmaKind
     pragmas = case1.top.pragmas
     assert any(p.kind is PragmaKind.UNROLL and p.factor == 4 and p.target == 2

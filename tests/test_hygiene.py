@@ -2,11 +2,12 @@
 bug and must propagate.  The CLI's internal-error boundary is the exception.
 No process-lifetime cache and no reference cycle keeps a caller's state
 alive.  Equality of IR objects compares every field.  No scatter goes
-through a ufunc's ``at``."""
+through a ufunc's ``at``.  Nothing is defined that the package never reads."""
 import ast
 import dataclasses
 import gc
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,26 @@ def test_no_private_name_imported_from_another_module():
         found += [f"{rel}:{node.lineno}"
                   for node in _private_imports(ast.parse(path.read_text()))]
     assert found == []
+
+
+def _names_read(node: ast.AST) -> Counter:
+    """How often each name is read in ``node``, bare or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_top_level_definition_is_read_in_the_package():
+    """A function or class that only tests, demos or ``__all__`` name is
+    code the program does not run."""
+    trees = {path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text())
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    read = sum((_names_read(tree) for tree in trees.values()), Counter())
+    unread = [f"{rel}:{d.name}" for rel, tree in trees.items()
+              for d in tree.body
+              if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+              and read[d.name] <= _names_read(d)[d.name]]
+    assert unread == []
 
 
 #: Everything a module holds.  The pass driver takes a pass whose output

@@ -27,8 +27,8 @@ def test_case1_source_has_nested_loops_and_trip_1482():
     assert len(forest.loops) == 2
     inner = forest.by_id(2)
     assert inner is not None and inner.depth == 2
-    from passforge.qor import trip_count
-    assert trip_count(m, "case1", 2) == 1482
+    from passforge.passes import loop_trip_count
+    assert loop_trip_count(m.top, inner) == 1482
 
 
 def test_missing_terminator_is_syntax_error():

@@ -13,9 +13,14 @@ from passforge.ir import (
 from passforge.ir.verify import verify_function
 from passforge.passes import (
     PassError, PassId, PragmaError, TABLE_CATEGORIES, apply_pass,
-    apply_pragma_passes, apply_sequence, general_passes, pass_catalog,
+    apply_pragma_passes, apply_sequence, general_passes, loop_trip_count,
+    pass_catalog,
 )
-from passforge.qor import trip_count
+
+
+def trip_count(m, fn_name: str, loop_id: int):
+    fn = m.function(fn_name)
+    return loop_trip_count(fn, natural_loops(fn).by_id(loop_id))
 
 
 def test_catalog_shape():
@@ -51,7 +56,6 @@ block entry:
 """)
     r = apply_pass(m, PassId.ADCE)
     assert r.changed
-    assert r.instructions_removed == 1
     text = print_module(r.module)
     assert "%dead" not in text
 
@@ -634,8 +638,7 @@ def test_loop_pass_outputs_are_pinned():
 
 
 def _step_facts(results) -> list[tuple]:
-    return [(r.pass_id, r.changed, r.instructions_removed,
-             r.instructions_added, r.blocks_removed) for r in results]
+    return [(r.pass_id, r.changed, r.digest) for r in results]
 
 
 def _prefix_sharing_sequences(rng) -> list[list[PassId]]:
