@@ -6,6 +6,7 @@ embedder applies.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,8 +14,30 @@ import numpy as np
 from ..optim import glorot
 
 
+def _real(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+_COUNT = (lambda v: type(v) is int and v >= 1, "an int >= 1")
+_POSITIVE = (lambda v: _real(v) and v > 0, "a finite number > 0")
+_FRACTION = (lambda v: _real(v) and 0 <= v <= 1, "a number in [0, 1]")
+_COEF = (lambda v: _real(v) and v >= 0, "a finite number >= 0")
+
+#: Each field's test and what it asks for; ``seed`` takes any int.
+_VALID = {
+    "clip_eps": _POSITIVE, "gamma": _FRACTION, "gae_lambda": _FRACTION,
+    "entropy_coef": _COEF, "value_coef": _COEF, "lr": _POSITIVE,
+    "hidden": (lambda v: type(v) in (list, tuple) and len(v) == 2
+               and all(map(_COUNT[0], v)), "a pair of ints >= 1"),
+    **dict.fromkeys(("epochs_per_update", "minibatch_size", "max_episode_len",
+                     "episodes_per_iteration", "iterations"), _COUNT),
+}
+
+
 @dataclass
 class PpoConfig:
+    """PPO settings; construction raises ValueError on a value training
+    cannot use."""
     clip_eps: float = 0.2
     gamma: float = 0.99
     gae_lambda: float = 0.95
@@ -28,6 +51,12 @@ class PpoConfig:
     episodes_per_iteration: int = 8
     iterations: int = 60
     seed: int = 0
+
+    def __post_init__(self):
+        for name, (ok, what) in _VALID.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} must be {what}, not {value!r}")
 
 
 def init_actor_critic(obs_dim: int, n_actions: int, hidden: tuple[int, int],

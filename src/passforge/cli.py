@@ -37,7 +37,7 @@ from .graphs import build_het_graph, to_dot, to_json
 from .hged import DEFAULT_BEAM_WIDTH, EditCostModel, SizeError, hged
 from .ir import (
     FuelExhausted, InstrClass, IrSyntaxError, TrapError, VerifyError,
-    interpret, parse_module, print_module, verify_module,
+    check_inputs, interpret, parse_module, print_module, verify_module,
 )
 from .passes import (
     PassError, PassId, PragmaError, apply_pragma_passes, apply_sequence,
@@ -264,6 +264,10 @@ def cmd_interp(args) -> int:
     m = _read_module(args.file)
     if args.inputs:
         inputs = _load_json(args.inputs, "inputs file")
+        try:
+            check_inputs(m, inputs)
+        except ValueError as e:
+            raise UserError(f"bad inputs file {args.inputs}: {e}")
     else:
         inputs = random_inputs(m, np.random.default_rng(args.seed))
     try:
@@ -446,7 +450,7 @@ def cmd_rl_train(args) -> int:
     ppo_doc = _load_json(args.config, "PPO config") if args.config else {}
     try:
         config = PpoConfig(seed=args.seed, **ppo_doc)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise UserError(f"bad PPO config {args.config}: {e}")
     designs = [(n, parse_module(t)) for n, t in _load_corpus_dir(args.corpus)]
     obs_fn, obs_dim = _obs_fn(args.obs, args.obs_dim, args.embed)

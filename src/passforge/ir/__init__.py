@@ -9,8 +9,8 @@ from .parser import IrSyntaxError, VerifyError, parse_module
 from .printer import print_function, print_instruction, print_module
 from .verify import Violation, verify_module
 from .interp import (
-    DEFAULT_FUEL, ExecResult, FuelExhausted, TrapError, fold_constant,
-    interpret, wrap32,
+    DEFAULT_FUEL, ExecResult, FuelExhausted, TrapError, check_inputs,
+    fold_constant, interpret, wrap32,
 )
 from .analysis import (
     DomTree, Loop, LoopForest, natural_loops, pointer_target, postorder,
@@ -28,7 +28,7 @@ __all__ = [
     "print_function", "print_instruction", "print_module",
     "Violation", "verify_module",
     "DEFAULT_FUEL", "ExecResult", "FuelExhausted", "TrapError",
-    "fold_constant", "interpret", "wrap32",
+    "check_inputs", "fold_constant", "interpret", "wrap32",
     "DomTree", "Loop", "LoopForest", "natural_loops", "pointer_target",
     "postorder", "predecessor_map", "preheader_of", "reachable_blocks",
     "refresh_loop_annotations", "reverse_postorder", "successor_map",

@@ -217,7 +217,7 @@ def natural_loops(fn: IrFunction) -> LoopForest:
                 back_edges.setdefault(s, []).append(b.label)
 
     used_ids = set()
-    for lab, latches in back_edges.items():
+    for lab in back_edges:
         blk = bmap[lab]
         if blk.loop_info is not None and blk.loop_info.is_header:
             used_ids.add(blk.loop_info.loop_id)
@@ -286,8 +286,7 @@ def refresh_loop_annotations(fn: IrFunction) -> LoopForest:
     Header ids are preserved; depths and non-header memberships follow the
     derived forest.  Blocks no longer inside any loop lose their annotation.
     ``passes._transform`` calls this on every function after every pass, so
-    no pass keeps annotations up to date itself; jump threading also calls
-    it before it verifies a tentative thread.
+    no pass keeps annotations up to date itself.
     """
     forest = natural_loops(fn)
     for b in fn.blocks:

@@ -128,7 +128,7 @@ class _Machine:
 
     def run_function(self, fn: IrFunction, args: list) -> int | None:
         env: dict[str, object] = {}
-        for (pid, ty), arg in zip(fn.params, args):
+        for (pid, _ty), arg in zip(fn.params, args):
             env[pid] = arg
 
         def value(op):
@@ -225,13 +225,29 @@ class _Machine:
             block = bmap[target]
 
 
+def check_inputs(module: IrModule, inputs) -> None:
+    """Raise ValueError unless ``inputs`` matches the top function's
+    signature: a list holding an int for each scalar parameter and a list
+    of ``length`` ints for each array.  Bools and floats are not ints."""
+    params = module.top.params
+    if not isinstance(inputs, list) or len(inputs) != len(params):
+        raise ValueError(f"expected a list of {len(params)} inputs, one per "
+                         f"parameter of @{module.top.name}")
+    for (pid, ty), val in zip(params, inputs):
+        if ty.is_array and not (isinstance(val, list) and len(val) == ty.length
+                                and all(type(v) is int for v in val)):
+            raise ValueError(f"%{pid} takes a list of {ty.length} ints")
+        if not ty.is_array and type(val) is not int:
+            raise ValueError(f"%{pid} takes an int, not {val!r}")
+
+
 def interpret(module: IrModule, inputs: list, fuel: int = DEFAULT_FUEL) -> ExecResult:
-    """Run the top function on ``inputs`` (ints for scalars, int lists for arrays)."""
+    """Run the top function on ``inputs``, which ``check_inputs`` accepts
+    (ints for scalars, int lists for arrays)."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
+    check_inputs(module, inputs)
     top = module.top
-    if len(inputs) != len(top.params):
-        raise ValueError(f"expected {len(top.params)} inputs, got {len(inputs)}")
 
     memory = _Memory()
     for g in module.global_arrays:
@@ -240,11 +256,9 @@ def interpret(module: IrModule, inputs: list, fuel: int = DEFAULT_FUEL) -> ExecR
 
     args: list = []
     arg_arrays: list[str] = []
-    for i, ((pid, ty), val) in enumerate(zip(top.params, inputs)):
+    for (pid, ty), val in zip(top.params, inputs):
         if ty.is_array:
             data = [wrap32(int(v)) for v in val]
-            if len(data) != ty.length:
-                raise ValueError(f"input {i} length {len(data)} != {ty.length}")
             name = f"%{pid}"
             memory.arrays[name] = data
             args.append(("array", name))

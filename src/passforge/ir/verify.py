@@ -1,7 +1,9 @@
 """Structural verifier.
 
-Returns a list of violations (empty means ok) and never raises; passes and the
-parser treat a non-empty result as fatal.
+Returns a list of violations (empty means ok) and never raises; the parser
+and the pass driver treat a non-empty result as fatal.  The driver
+(``passes._transform``) is the one caller in the pass layer: it verifies
+each pass's output once, and no pass verifies, or undoes, its own rewrites.
 
 A caller that already holds a function's loop forest may hand it in, and the
 verifier takes its predecessors, reachable blocks, dominator tree and loops
@@ -48,20 +50,13 @@ _PHI, _CALL, _RET, _GEP = (Opcode.PHI, Opcode.CALL, Opcode.RET,
                            Opcode.GETELEMENTPTR)
 
 
-def verify_function(m: IrModule, fn: IrFunction,
-                    forest: LoopForest | None = None) -> list[Violation]:
-    """Violations of one function of ``m``; empty means ok.
-
-    ``forest`` is ``fn``'s loop forest as the module docstring describes;
-    without one, the function's CFG is analysed here."""
-    return _check_function(m, fn, forest)[0]
-
-
 def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
                     ) -> tuple[list[Violation], set[str] | None]:
-    """``verify_function``'s violations, and the names of the functions
+    """Violations of one function of ``m``, and the names of the functions
     ``fn`` calls, collected by the walk over its instructions; ``None``
-    where the checks stopped before that walk finished."""
+    where the checks stopped before that walk finished.  ``forest`` is
+    ``fn``'s loop forest as the module docstring describes; without one,
+    the function's CFG is analysed here."""
     out: list[Violation] = []
     where = fn.name
     labels = [b.label for b in fn.blocks]

@@ -1,18 +1,23 @@
 """Transform pass catalog and sequence application.
 
-Seventeen general passes form the search agent's action space; the two
-pragma-anchored passes run at a fixed pipeline position and are flagged so the
-agent never schedules them.  A pass takes a module that verifies.  One
-whose output equals its input, field for field, changed nothing and returns
-its input module without verifying or printing again; any other output is
+The catalog is the one pass table: each entry names a pass, its
+implementation, its category and its description.  Seventeen general passes
+form the search agent's action space; the two pragma-anchored passes run at
+a fixed pipeline position and are flagged so the agent never schedules them.
+
+A pass only transforms: it neither verifies nor undoes its rewrites, and it
+keeps no loop annotations.  The driver, ``_transform``, does that work once
+per pass.  A pass takes a module that verifies.  One whose output equals
+its input, field for field, changed nothing and returns its input module
+without verifying or printing again; any other output is refreshed,
 re-verified and reports whether it changed by comparing the digest of its
-printed output with the input's.
-No pass keeps loop annotations: they are refreshed after every pass, and a
-loop that a pass deletes takes its unroll and pipeline pragmas along.
+printed output with the input's.  A loop that a pass deletes takes its
+unroll and pipeline pragmas along.
 """
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..ir import (
@@ -74,6 +79,7 @@ class PassId(enum.Enum):
 @dataclass(frozen=True)
 class CatalogEntry:
     pass_id: PassId
+    run: Callable[[IrModule], None]     # rewrites the module in place
     category: str
     description: str
     pragma_anchored: bool = False
@@ -81,63 +87,64 @@ class CatalogEntry:
 
 
 _CATALOG: tuple[CatalogEntry, ...] = (
-    CatalogEntry(PassId.SIMPLIFYCFG, "Control Flow",
+    CatalogEntry(PassId.SIMPLIFYCFG, run_simplifycfg, "Control Flow",
                  "Fold constant branches, merge straight-line blocks, drop "
                  "unreachable and empty forwarding blocks."),
-    CatalogEntry(PassId.JUMP_THREADING, "Control Flow",
+    CatalogEntry(PassId.JUMP_THREADING, run_jump_threading, "Control Flow",
                  "Bypass compare-only blocks along edges whose branch outcome "
                  "is already decided (constant or dominating-compare facts)."),
-    CatalogEntry(PassId.SCCP, "Control Flow",
+    CatalogEntry(PassId.SCCP, run_sccp, "Control Flow",
                  "Sparse conditional constant propagation with executable-edge "
                  "tracking; folds constant values and branches."),
-    CatalogEntry(PassId.INSTCOMBINE, "Instruction",
+    CatalogEntry(PassId.INSTCOMBINE, run_instcombine, "Instruction",
                  "Peephole algebraic rewrites: constant folding and "
                  "canonicalization, mul-to-shift, compare-of-select folds."),
-    CatalogEntry(PassId.INSTSIMPLIFY, "Instruction",
+    CatalogEntry(PassId.INSTSIMPLIFY, run_instsimplify, "Instruction",
                  "Simplifications that only return existing values or "
                  "constants; never creates an instruction."),
-    CatalogEntry(PassId.ADCE, "Instruction",
+    CatalogEntry(PassId.ADCE, run_adce, "Instruction",
                  "Aggressive dead code elimination seeded from stores, calls, "
                  "and terminators.", idempotent=True),
-    CatalogEntry(PassId.EARLY_CSE, "Instruction",
+    CatalogEntry(PassId.EARLY_CSE, run_early_cse, "Instruction",
                  "Dominator-scoped common subexpression elimination plus "
                  "block-local load reuse."),
-    CatalogEntry(PassId.REASSOCIATE, "Instruction",
+    CatalogEntry(PassId.REASSOCIATE, run_reassociate, "Instruction",
                  "Rebalance add/mul chains into canonical order with constants "
                  "folded together."),
-    CatalogEntry(PassId.GVN, "Variable",
+    CatalogEntry(PassId.GVN, run_gvn, "Variable",
                  "Dominator-scoped value numbering with commutative "
                  "canonicalization; no partial redundancy elimination."),
-    CatalogEntry(PassId.LOOP_SIMPLIFY, "Loop",
+    CatalogEntry(PassId.LOOP_SIMPLIFY, run_loop_simplify, "Loop",
                  "Insert dedicated preheaders and merge multiple latches.",
                  idempotent=True),
-    CatalogEntry(PassId.LOOP_ROTATE, "Loop",
+    CatalogEntry(PassId.LOOP_ROTATE, run_loop_rotate, "Loop",
                  "Rotate while-style loops into guarded do-while form, cloning "
                  "the exit test onto the latch."),
-    CatalogEntry(PassId.LICM, "Loop",
+    CatalogEntry(PassId.LICM, run_licm, "Loop",
                  "Hoist pure, non-trapping loop-invariant instructions to the "
                  "preheader (loads and divisions excluded)."),
-    CatalogEntry(PassId.INDVARS, "Loop",
+    CatalogEntry(PassId.INDVARS, run_indvars, "Loop",
                  "Canonicalize loop exit compares toward slt form."),
-    CatalogEntry(PassId.LOOP_DELETION, "Loop",
+    CatalogEntry(PassId.LOOP_DELETION, run_loop_deletion, "Loop",
                  "Delete side-effect-free loops with known finite trips and no "
                  "live-out values."),
-    CatalogEntry(PassId.LOOP_UNROLL_PARTIAL, "Loop",
+    CatalogEntry(PassId.LOOP_UNROLL_PARTIAL, run_loop_unroll_partial, "Loop",
                  "Unroll canonical innermost countable loops by two, peeling a "
                  "leading iteration when the trip count is odd; replica blocks "
                  "are left for simplifycfg to merge."),
-    CatalogEntry(PassId.MEM2REG, "Memory Access",
+    CatalogEntry(PassId.MEM2REG, run_mem2reg, "Memory Access",
                  "Forward stored values to later same-element loads within a "
                  "block.", idempotent=True),
-    CatalogEntry(PassId.DSE, "Memory Access",
+    CatalogEntry(PassId.DSE, run_dse, "Memory Access",
                  "Delete stores overwritten before any same-array read within "
                  "a block.", idempotent=True),
-    CatalogEntry(PassId.APPLY_UNROLL_PRAGMA, "Loop",
+    CatalogEntry(PassId.APPLY_UNROLL_PRAGMA, apply_unroll_pragmas, "Loop",
                  "Expand unroll pragmas: clean replication when the trip "
                  "divides, termination-checked replicas otherwise, full "
                  "unrolling when the factor covers the trip.",
                  pragma_anchored=True),
-    CatalogEntry(PassId.APPLY_INLINE_PRAGMA, "Function/Call",
+    CatalogEntry(PassId.APPLY_INLINE_PRAGMA, apply_inline_pragmas,
+                 "Function/Call",
                  "Inline every call to functions carrying an inline pragma, "
                  "renaming values, labels, and loop ids.",
                  pragma_anchored=True),
@@ -146,27 +153,8 @@ _CATALOG: tuple[CatalogEntry, ...] = (
 TABLE_CATEGORIES = ("Control Flow", "Instruction", "Variable", "Loop",
                     "Function/Call", "Memory Access")
 
-_IMPLS = {
-    PassId.SIMPLIFYCFG: run_simplifycfg,
-    PassId.JUMP_THREADING: run_jump_threading,
-    PassId.SCCP: run_sccp,
-    PassId.INSTCOMBINE: run_instcombine,
-    PassId.INSTSIMPLIFY: run_instsimplify,
-    PassId.ADCE: run_adce,
-    PassId.EARLY_CSE: run_early_cse,
-    PassId.REASSOCIATE: run_reassociate,
-    PassId.GVN: run_gvn,
-    PassId.LOOP_SIMPLIFY: run_loop_simplify,
-    PassId.LOOP_ROTATE: run_loop_rotate,
-    PassId.LICM: run_licm,
-    PassId.INDVARS: run_indvars,
-    PassId.LOOP_DELETION: run_loop_deletion,
-    PassId.LOOP_UNROLL_PARTIAL: run_loop_unroll_partial,
-    PassId.MEM2REG: run_mem2reg,
-    PassId.DSE: run_dse,
-    PassId.APPLY_UNROLL_PRAGMA: apply_unroll_pragmas,
-    PassId.APPLY_INLINE_PRAGMA: apply_inline_pragmas,
-}
+#: The catalog's implementations by id, the one lookup ``_transform`` makes.
+_IMPLS = {e.pass_id: e.run for e in _CATALOG}
 
 
 def pass_catalog() -> list[CatalogEntry]:

@@ -3,13 +3,12 @@ from __future__ import annotations
 
 from ..ir import (
     Const, DomTree, IrBlock, IrFunction, IrModule, LabelRef, Opcode, ValueRef,
-    fold_constant, natural_loops, predecessor_map, refresh_loop_annotations,
+    fold_constant, natural_loops, predecessor_map,
 )
 from ..ir.types import IrInstruction, Operand
-from ..ir.verify import verify_function
 from .rewrite import (
-    PURE_OPS, collapse_trivial_phis, drop_unreachable_blocks,
-    remove_phi_entries, rename_phi_pred, replace_all_uses,
+    PURE_OPS, collapse_trivial_phis, condbr_compare, drop_unreachable_blocks,
+    negate_pred, remove_phi_entries, rename_phi_pred, replace_all_uses,
     retarget_terminator, erase_dead_pure,
 )
 
@@ -63,10 +62,6 @@ def _merge_straight_line(fn: IrFunction) -> bool:
             for succ in s.successors():
                 rename_phi_pred(fn.block_map()[succ], s_label, p.label)
             fn.blocks.remove(s)
-            # The merged block keeps P's identity; if S was annotated and P
-            # was not, inherit S's annotation so loop ids survive merging.
-            if p.loop_info is None and s.loop_info is not None:
-                p.loop_info = s.loop_info
             merged = True
             changed = True
             break
@@ -185,16 +180,11 @@ def _sccp_function(fn: IrFunction) -> None:
     executable_blocks: set[str] = set()
     block_work: list[tuple[str | None, str]] = [(None, fn.entry.label)]
     inst_work: list[str] = []
-    defs = fn.defined_values()
     users: dict[str, list[tuple[str, IrInstruction]]] = {}
     for b in fn.blocks:
         for ins in b.all_instructions():
             for vid in ins.value_uses():
                 users.setdefault(vid, []).append((b.label, ins))
-    containing = {}
-    for b in fn.blocks:
-        for ins in b.all_instructions():
-            containing[id(ins)] = b.label
 
     def value_of(op: Operand):
         if isinstance(op, Const):
@@ -327,65 +317,39 @@ class _Facts:
         self.hi: int | None = None
 
     def add(self, pred: str, k: int, truth: bool):
+        """Record that ``icmp pred x, k`` is ``truth``."""
+        if not truth:
+            pred = negate_pred(pred)
         if pred == "eq":
-            if truth:
-                self.eq = k
-            else:
-                self.ne.add(k)
+            self.eq = k
         elif pred == "ne":
-            if truth:
-                self.ne.add(k)
-            else:
-                self.eq = k
-        elif pred == "slt":
-            if truth:
-                self.hi = min(self.hi, k - 1) if self.hi is not None else k - 1
-            else:
-                self.lo = max(self.lo, k) if self.lo is not None else k
-        elif pred == "sle":
-            if truth:
-                self.hi = min(self.hi, k) if self.hi is not None else k
-            else:
-                self.lo = max(self.lo, k + 1) if self.lo is not None else k + 1
-        elif pred == "sgt":
-            if truth:
-                self.lo = max(self.lo, k + 1) if self.lo is not None else k + 1
-            else:
-                self.hi = min(self.hi, k) if self.hi is not None else k
-        elif pred == "sge":
-            if truth:
-                self.lo = max(self.lo, k) if self.lo is not None else k
-            else:
-                self.hi = min(self.hi, k - 1) if self.hi is not None else k - 1
+            self.ne.add(k)
+        elif pred in ("slt", "sle"):
+            hi = k - 1 if pred == "slt" else k
+            self.hi = hi if self.hi is None else min(self.hi, hi)
+        else:
+            lo = k + 1 if pred == "sgt" else k
+            self.lo = lo if self.lo is None else max(self.lo, lo)
 
     def eval_icmp(self, pred: str, k: int) -> int | None:
+        """``icmp pred x, k`` under these facts, or None when unknown."""
         if self.eq is not None:
             return fold_constant(Opcode.ICMP, [self.eq, k], pred)
+        if pred in ("ne", "sgt", "sge"):
+            r = self.eval_icmp(negate_pred(pred), k)
+            return None if r is None else 1 - r
         lo = self.lo if self.lo is not None else -(2**31)
         hi = self.hi if self.hi is not None else 2**31 - 1
         if pred == "eq":
             if k < lo or k > hi or k in self.ne:
                 return 0
-            if lo == hi == k:
-                return 1
-            return None
-        if pred == "ne":
-            r = self.eval_icmp("eq", k)
-            return None if r is None else 1 - r
-        if pred == "slt":
-            if hi < k:
-                return 1
-            if lo >= k:
-                return 0
-            return None
-        if pred == "sle":
-            return self.eval_icmp("slt", k + 1)
-        if pred == "sgt":
-            r = self.eval_icmp("sle", k)
-            return None if r is None else 1 - r
-        if pred == "sge":
-            r = self.eval_icmp("slt", k)
-            return None if r is None else 1 - r
+            return 1 if lo == hi == k else None
+        if pred == "sle":                   # x <= k is x < k + 1
+            k += 1
+        if hi < k:
+            return 1
+        if lo >= k:
+            return 0
         return None
 
 
@@ -401,13 +365,9 @@ def _edge_facts(fn: IrFunction, dom: DomTree, preds: dict[str, list[str]],
     """
     facts: dict[str, _Facts] = {}
 
-    def add_fact(cond_op: Operand, truth: bool):
-        if not isinstance(cond_op, ValueRef):
-            return
-        src = defs.get(cond_op.id)
-        if (src is None or src.opcode is not Opcode.ICMP
-                or not isinstance(src.operands[1], Const)
-                or not isinstance(src.operands[0], ValueRef)):
+    def add_fact(term: IrInstruction, truth: bool):
+        src = condbr_compare(term, defs)
+        if src is None:
             return
         x = src.operands[0].id
         xb = def_block.get(x)
@@ -416,10 +376,8 @@ def _edge_facts(fn: IrFunction, dom: DomTree, preds: dict[str, list[str]],
         facts.setdefault(x, _Facts()).add(src.pred, src.operands[1].value, truth)  # type: ignore[arg-type]
 
     bmap = fn.block_map()
-    p = bmap[p_label]
-    if (p.terminator is not None and p.terminator.opcode is Opcode.CONDBR
-            and slot_to_b is not None):
-        add_fact(p.terminator.operands[0], truth=(slot_to_b == 1))
+    if slot_to_b is not None:
+        add_fact(bmap[p_label].terminator, truth=(slot_to_b == 1))
 
     # Dominating conditions: D ends condbr g, T, F; if T dominates P and the
     # only preds of T not dominated by T come from D, then g held when the
@@ -434,21 +392,17 @@ def _edge_facts(fn: IrFunction, dom: DomTree, preds: dict[str, list[str]],
             t_lab = term.operands[1].label  # type: ignore[union-attr]
             f_lab = term.operands[2].label  # type: ignore[union-attr]
             for target, truth in ((t_lab, True), (f_lab, False)):
-                if target == cur:
-                    continue
                 if not dom.dominates(target, p_label):
                     continue
                 outside = [q for q in preds[target]
                            if not dom.dominates(target, q)]
                 if outside == [cur]:
-                    add_fact(term.operands[0], truth)
-        nxt = dom.idom.get(cur)
-        cur = None if nxt == cur else nxt
+                    add_fact(term, truth)
+        cur = dom.idom.get(cur)
     return facts
 
 
-def _determine_condition(fn: IrFunction, b: IrBlock, p_label: str,
-                         slot_to_b: int | None, facts: dict[str, _Facts],
+def _determine_condition(b: IrBlock, p_label: str, facts: dict[str, _Facts],
                          defs: dict[str, IrInstruction]) -> int | None:
     """Value B's branch condition will take when entered from P, if provable."""
     term = b.terminator
@@ -493,16 +447,12 @@ def _determine_condition(fn: IrFunction, b: IrBlock, p_label: str,
     cond = term.operands[0]
     if isinstance(cond, Const):
         return cond.value
-    if isinstance(cond, ValueRef):
-        if cond.id in known:
-            return known[cond.id]
-        src = defs.get(cond.id)
-        if (src is not None and src.opcode is Opcode.ICMP
-                and isinstance(src.operands[0], ValueRef)
-                and isinstance(src.operands[1], Const)
-                and src.operands[0].id in facts):
-            return facts[src.operands[0].id].eval_icmp(
-                src.pred, src.operands[1].value)  # type: ignore[arg-type]
+    if isinstance(cond, ValueRef) and cond.id in known:
+        return known[cond.id]
+    src = condbr_compare(term, defs)
+    if src is not None and src.operands[0].id in facts:
+        return facts[src.operands[0].id].eval_icmp(
+            src.pred, src.operands[1].value)  # type: ignore[arg-type]
     return None
 
 
@@ -535,8 +485,8 @@ def _threadable_block(fn: IrFunction, b: IrBlock) -> bool:
     return True
 
 
-def _phi_value_via(fn: IrFunction, succ: IrBlock, b_label: str, p_label: str,
-                   b: IrBlock, dom: DomTree) -> dict[str, Operand] | None:
+def _phi_value_via(succ: IrBlock, b: IrBlock,
+                   p_label: str) -> dict[str, Operand] | None:
     """Values succ's phis should take for a new edge from P that bypasses B.
 
     Returns None when some phi value is defined inside B and is not a phi of B
@@ -546,9 +496,9 @@ def _phi_value_via(fn: IrFunction, succ: IrBlock, b_label: str, p_label: str,
     b_defs = {ins.result for ins in b.all_instructions() if ins.result is not None}
     for phi in succ.phis():
         inc = {lab: v for v, lab in phi.phi_incoming()}
-        if b_label not in inc:
+        if b.label not in inc:
             continue
-        v = inc[b_label]
+        v = inc[b.label]
         if isinstance(v, ValueRef) and v.id in b_defs:
             if v.id in b_phi:
                 pv = {lab: pvv for pvv, lab in b_phi[v.id].phi_incoming()}
@@ -568,22 +518,20 @@ def run_jump_threading(m: IrModule) -> None:
     A block containing only pure, locally-used computations and a conditional
     branch is bypassed for any predecessor edge along which the condition is a
     known constant (from phi-of-constant incoming values or from dominating
-    comparisons on the same value)."""
+    comparisons on the same value).  Legality is checked before anything is
+    written: the new target's phis get values live at the predecessor, and
+    a predecessor that already enters the target must send the same ones."""
     for fn in m.functions:
-        budget = 64
-        blocked: set[tuple[str, int, str]] = set()
-        while budget > 0:
-            budget -= 1
-            outcome = _thread_one(m, fn, blocked)
-            if outcome == "none":
+        for _ in range(64):
+            if not _thread_one(fn):
                 break
         drop_unreachable_blocks(fn)
         collapse_trivial_phis(fn)
         erase_dead_pure(fn)
 
 
-def _thread_one(m: IrModule, fn: IrFunction,
-                blocked: set[tuple[str, int, str]]) -> str:
+def _thread_one(fn: IrFunction) -> bool:
+    """Make the first legal bypass; False when there is none."""
     dom = DomTree(fn)
     preds = predecessor_map(fn)
     defs = fn.defined_values()
@@ -601,27 +549,22 @@ def _thread_one(m: IrModule, fn: IrFunction,
         for p_label in list(preds[b.label]):
             p = bmap[p_label]
             p_term = p.terminator
-            if p_term is None:
-                continue
             slots = [i for i, op in enumerate(p_term.operands)
                      if isinstance(op, LabelRef) and op.label == b.label]
             for slot in slots:
-                if (p_label, slot, b.label) in blocked:
-                    continue
                 slot_kind = None
                 if p_term.opcode is Opcode.CONDBR:
                     slot_kind = slot  # 1 = true edge, 2 = false edge
                 facts = _edge_facts(fn, dom, preds, p_label, slot_kind, defs,
                                     def_block)
-                cval = _determine_condition(fn, b, p_label, slot_kind, facts,
-                                            defs)
+                cval = _determine_condition(b, p_label, facts, defs)
                 if cval is None:
                     continue
                 dest = term.operands[1 if cval else 2].label  # type: ignore[union-attr]
                 if dest == b.label:
                     continue
                 succ = bmap[dest]
-                phi_vals = _phi_value_via(fn, succ, b.label, p_label, b, dom)
+                phi_vals = _phi_value_via(succ, b, p_label)
                 if phi_vals is None:
                     continue
                 # A value flowing into succ's phi must be live at P.
@@ -633,39 +576,29 @@ def _thread_one(m: IrModule, fn: IrFunction,
                             ok = False
                 if not ok:
                     continue
-                if _apply_thread(m, fn, p, slot, b, succ, phi_vals):
-                    return "applied"
-                blocked.add((p_label, slot, b.label))
-                return "reverted"
-    return "none"
+                # An edge P already has into succ must carry the same values.
+                if any(str(v) != str(phi_vals[phi.result])
+                       for phi in succ.phis()
+                       for v, lab in phi.phi_incoming() if lab == p_label):
+                    continue
+                _apply_thread(fn, p, slot, b, succ, phi_vals)
+                return True
+    return False
 
 
-def _apply_thread(m: IrModule, fn: IrFunction, p: IrBlock, slot: int,
-                  b: IrBlock, succ: IrBlock,
-                  phi_vals: dict[str, Operand]) -> bool:
-    snapshot = [blk.clone() for blk in fn.blocks]
-    p.terminator.operands[slot] = LabelRef(succ.label)
-
-    still_pred_of_b = any(
-        isinstance(op, LabelRef) and op.label == b.label
-        for op in p.terminator.operands)
-    if not still_pred_of_b:
-        remove_phi_entries(b, p.label)
-
-    for phi in succ.phis():
-        inc = dict((lab, v) for v, lab in phi.phi_incoming())
-        if p.label in inc:
-            if str(inc[p.label]) != str(phi_vals.get(phi.result, inc[p.label])):
-                fn.blocks = snapshot
-                return False
-            continue
-        if phi.result in phi_vals:
+def _apply_thread(fn: IrFunction, p: IrBlock, slot: int, b: IrBlock,
+                  succ: IrBlock, phi_vals: dict[str, Operand]) -> None:
+    term = p.terminator
+    if succ.label in term.successors():
+        # P's other edge enters succ already, with the same phi values: P
+        # now goes there alone, so each phi keeps one entry per edge.
+        p.terminator = IrInstruction(None, Opcode.BR, [LabelRef(succ.label)],
+                                     term.ir_type)
+    else:
+        term.operands[slot] = LabelRef(succ.label)
+        for phi in succ.phis():
             phi.operands.extend([phi_vals[phi.result], LabelRef(p.label)])
-
+    if b.label not in p.terminator.successors():
+        remove_phi_entries(b, p.label)
     drop_unreachable_blocks(fn)
     collapse_trivial_phis(fn)
-    # The verifier checks the annotations, against the refreshed forest.
-    if verify_function(m, fn, refresh_loop_annotations(fn)):
-        fn.blocks = snapshot
-        return False
-    return True

@@ -12,7 +12,8 @@ from ..ir import (
 )
 from ..ir.types import I1, Operand
 from .rewrite import (
-    FreshNames, PURE_OR_DIV, erase_dead_pure, replace_all_uses,
+    FOLDABLE, FreshNames, PURE_OR_DIV, erase_dead_pure, phi_value,
+    replace_all_uses,
 )
 
 _COMMUTATIVE = {Opcode.ADD, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR}
@@ -38,9 +39,7 @@ def simplify_instruction(ins: IrInstruction) -> Operand | None:
     ca = _as_const(a) if a is not None else None
     cb = _as_const(b) if b is not None else None
 
-    if op in (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.SDIV, Opcode.SREM,
-              Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.ASHR,
-              Opcode.ICMP, Opcode.ZEXT, Opcode.SEXT, Opcode.TRUNC):
+    if op in FOLDABLE:
         consts = [_as_const(o) for o in ins.operands]
         if all(c is not None for c in consts):
             folded = fold_constant(op, consts, ins.pred)  # type: ignore[arg-type]
@@ -111,12 +110,7 @@ def simplify_instruction(ins: IrInstruction) -> Operand | None:
         if _same_value(t, f) or str(t) == str(f):
             return t
     elif op is Opcode.PHI:
-        incoming = ins.phi_incoming()
-        distinct = {str(v) for v, _ in incoming
-                    if not (isinstance(v, ValueRef) and v.id == ins.result)}
-        if len(distinct) == 1:
-            return next(v for v, _ in incoming
-                        if not (isinstance(v, ValueRef) and v.id == ins.result))
+        return phi_value(ins)
     return None
 
 
@@ -145,12 +139,11 @@ def _power_of_two(v: int) -> int | None:
 def run_instcombine(m: IrModule) -> None:
     """instsimplify plus rewrites that may create new (cheaper) instructions."""
     for fn in m.functions:
-        fresh = FreshNames(fn)
         changed = True
         while changed:
             changed = False
             for b in fn.blocks:
-                for idx, ins in enumerate(list(b.instructions)):
+                for ins in list(b.instructions):
                     if ins.result is None:
                         continue
                     repl = simplify_instruction(ins)

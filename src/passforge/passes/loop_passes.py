@@ -19,7 +19,8 @@ from ..ir import (
 )
 from ..ir.types import Operand, VOID
 from .rewrite import (
-    FreshNames, PURE_OPS, clone_with_map, retarget_terminator, subst_operand,
+    FreshNames, PURE_OPS, clone_with_map, condbr_compare, negate_pred,
+    retarget_terminator, subst_operand,
 )
 
 
@@ -98,21 +99,14 @@ def loop_trip_count(fn: IrFunction, loop: Loop):
 
     def exit_compare(block: IrBlock):
         term = block.terminator
-        if term is None or term.opcode is not Opcode.CONDBR:
-            return None
-        cond = term.operands[0]
-        if not isinstance(cond, ValueRef):
-            return None
-        cmp = defs.get(cond.id)
-        if (cmp is None or cmp.opcode is not Opcode.ICMP
-                or not isinstance(cmp.operands[1], Const)
-                or not isinstance(cmp.operands[0], ValueRef)):
+        cmp = condbr_compare(term, defs)
+        if cmp is None:
             return None
         t_in = term.operands[1].label in loop.blocks
         f_in = term.operands[2].label in loop.blocks
         if t_in == f_in:
             return None
-        pred = cmp.pred if t_in else _negate_pred(cmp.pred)
+        pred = cmp.pred if t_in else negate_pred(cmp.pred)
         return cmp.operands[0].id, pred, cmp.operands[1].value
 
     header_cmp = exit_compare(bmap[loop.header])
@@ -129,11 +123,6 @@ def loop_trip_count(fn: IrFunction, loop: Loop):
                     and x == iv.latch_value.id):
                 return _count_trips(s, step, pred, k, bottom_test=True)
     return None
-
-
-def _negate_pred(pred: str) -> str:
-    return {"eq": "ne", "ne": "eq", "slt": "sge", "sge": "slt",
-            "sle": "sgt", "sgt": "sle"}[pred]
 
 
 def _count_trips(s: int, step: int, pred: str, k: int, bottom_test: bool):
@@ -530,15 +519,8 @@ def run_indvars(m: IrModule) -> None:
             for lab in sorted(loop.blocks):
                 b = fn.block_map()[lab]
                 term = b.terminator
-                if term is None or term.opcode is not Opcode.CONDBR:
-                    continue
-                cond = term.operands[0]
-                if not isinstance(cond, ValueRef):
-                    continue
-                cmp = defs.get(cond.id)
-                if (cmp is None or cmp.opcode is not Opcode.ICMP
-                        or not isinstance(cmp.operands[0], ValueRef)
-                        or not isinstance(cmp.operands[1], Const)):
+                cmp = condbr_compare(term, defs)
+                if cmp is None:
                     continue
                 x = cmp.operands[0].id
                 on_phi = x == iv.phi.result
@@ -658,7 +640,7 @@ def unrollable_shape(fn: IrFunction, loop: Loop,
             and cmp.operands[0].id == iv.phi.result
             and isinstance(cmp.operands[1], Const)):
         return None
-    pred = cmp.pred if t.body_first else _negate_pred(cmp.pred)
+    pred = cmp.pred if t.body_first else negate_pred(cmp.pred)
     if pred not in ("slt", "ne"):
         return None
     k = cmp.operands[1].value

@@ -155,7 +155,7 @@ def _inline_one_call(m: IrModule, caller: IrFunction, block: IrBlock,
     cont.terminator = block.terminator
     block.instructions = block.instructions[:at]
     for succ in cont.successors():
-        rename_phi_pred(_must(caller, succ), block.label, cont.label)
+        rename_phi_pred(caller.block_map()[succ], block.label, cont.label)
 
     # Clone the callee body.
     label_map: dict[str, str] = {}
@@ -230,13 +230,6 @@ def _inline_one_call(m: IrModule, caller: IrFunction, block: IrBlock,
             np = p.clone()
             np.target = loop_id_map[p.target]  # type: ignore[assignment]
             caller.pragmas.append(np)
-
-
-def _must(fn: IrFunction, label: str) -> IrBlock:
-    for b in fn.blocks:
-        if b.label == label:
-            return b
-    raise KeyError(label)
 
 
 def apply_inline_pragmas(m: IrModule) -> None:

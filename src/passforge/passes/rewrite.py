@@ -3,11 +3,12 @@ from __future__ import annotations
 
 from ..ir import (
     Const, IrBlock, IrFunction, IrInstruction, IrModule, LabelRef,
-    Opcode, ValueRef, fold_constant,
+    Opcode, ValueRef, fold_constant, reachable_blocks,
 )
 from ..ir.types import Operand
 
-_PURE_FOLDABLE = {
+#: Opcodes that fold to a constant when every operand is one.
+FOLDABLE = {
     Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.SDIV, Opcode.SREM, Opcode.AND,
     Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.ASHR, Opcode.ICMP, Opcode.ZEXT,
     Opcode.SEXT, Opcode.TRUNC,
@@ -64,16 +65,13 @@ def subst_operand(op: Operand, mapping: dict[str, Operand]) -> Operand:
     return op
 
 
-def replace_all_uses(fn: IrFunction, old_id: str, new_op: Operand) -> int:
-    """Rewrite every use of %old_id to new_op; returns the number of uses."""
-    n = 0
+def replace_all_uses(fn: IrFunction, old_id: str, new_op: Operand) -> None:
+    """Rewrite every use of %old_id to new_op."""
     for b in fn.blocks:
         for ins in b.all_instructions():
             for i, op in enumerate(ins.operands):
                 if isinstance(op, ValueRef) and op.id == old_id:
                     ins.operands[i] = new_op
-                    n += 1
-    return n
 
 
 def clone_with_map(ins: IrInstruction, mapping: dict[str, Operand],
@@ -85,7 +83,7 @@ def clone_with_map(ins: IrInstruction, mapping: dict[str, Operand],
     Returns (new_instruction_or_None, result_operand_or_None).
     """
     ops = [subst_operand(op, mapping) for op in ins.operands]
-    if (ins.opcode in _PURE_FOLDABLE
+    if (ins.opcode in FOLDABLE
             and all(isinstance(o, Const) for o in ops)):
         folded = fold_constant(ins.opcode, [o.value for o in ops], ins.pred)
         if folded is not None:
@@ -115,24 +113,38 @@ def rename_phi_pred(block: IrBlock, old_label: str, new_label: str) -> None:
                 ins.operands[i] = LabelRef(new_label)
 
 
-def retarget_terminator(block: IrBlock, old_label: str, new_label: str,
-                        only_slot: int | None = None) -> int:
-    """Point branch targets at a new label; returns number of edges changed."""
+def retarget_terminator(block: IrBlock, old_label: str, new_label: str) -> None:
+    """Point branch targets at a new label."""
     term = block.terminator
     assert term is not None
-    n = 0
     for i, op in enumerate(term.operands):
         if isinstance(op, LabelRef) and op.label == old_label:
-            if only_slot is not None and i != only_slot:
-                continue
             term.operands[i] = LabelRef(new_label)
-            n += 1
-    return n
+
+
+def negate_pred(pred: str) -> str:
+    """The icmp predicate that holds exactly when ``pred`` does not."""
+    return {"eq": "ne", "ne": "eq", "slt": "sge", "sge": "slt",
+            "sle": "sgt", "sgt": "sle"}[pred]
+
+
+def condbr_compare(term: IrInstruction | None,
+                   defs: dict[str, IrInstruction]) -> IrInstruction | None:
+    """The ``icmp %x, C`` that ``term`` branches on, when ``term`` is a
+    ``condbr`` on such a compare; ``defs`` maps value ids to definitions."""
+    if term is None or term.opcode is not Opcode.CONDBR:
+        return None
+    cond = term.operands[0]
+    cmp = defs.get(cond.id) if isinstance(cond, ValueRef) else None
+    if (cmp is None or cmp.opcode is not Opcode.ICMP
+            or not isinstance(cmp.operands[0], ValueRef)
+            or not isinstance(cmp.operands[1], Const)):
+        return None
+    return cmp
 
 
 def drop_unreachable_blocks(fn: IrFunction) -> int:
     """Remove blocks unreachable from entry, fixing phis in survivors."""
-    from ..ir.analysis import reachable_blocks
     reach = reachable_blocks(fn)
     dead = [b for b in fn.blocks if b.label not in reach]
     if not dead:
@@ -147,6 +159,14 @@ def drop_unreachable_blocks(fn: IrFunction) -> int:
     return len(dead)
 
 
+def phi_value(phi: IrInstruction) -> Operand | None:
+    """The one value ``phi`` merges, its own result aside; None when it
+    merges more than one."""
+    vals = [v for v, _ in phi.phi_incoming()
+            if not (isinstance(v, ValueRef) and v.id == phi.result)]
+    return vals[0] if len({str(v) for v in vals}) == 1 else None
+
+
 def collapse_trivial_phis(fn: IrFunction) -> int:
     """Replace single-incoming phis (and all-same-value phis) with the value."""
     n = 0
@@ -155,13 +175,8 @@ def collapse_trivial_phis(fn: IrFunction) -> int:
         changed = False
         for b in fn.blocks:
             for ins in list(b.phis()):
-                incoming = ins.phi_incoming()
-                vals = {str(v) for v, _ in incoming
-                        if not (isinstance(v, ValueRef) and v.id == ins.result)}
-                if len(incoming) >= 1 and len(vals) == 1:
-                    value = next(v for v, _ in incoming
-                                 if not (isinstance(v, ValueRef)
-                                         and v.id == ins.result))
+                value = phi_value(ins)
+                if value is not None:
                     replace_all_uses(fn, ins.result, value)
                     b.instructions.remove(ins)
                     n += 1
@@ -169,9 +184,8 @@ def collapse_trivial_phis(fn: IrFunction) -> int:
     return n
 
 
-def erase_dead_pure(fn: IrFunction) -> int:
+def erase_dead_pure(fn: IrFunction) -> None:
     """Drop pure instructions with unused results (single sweep to fixpoint)."""
-    n = 0
     while True:
         used: set[str] = set()
         for b in fn.blocks:
@@ -187,9 +201,8 @@ def erase_dead_pure(fn: IrFunction) -> int:
                 else:
                     keep.append(ins)
             b.instructions = keep
-        n += removed
         if removed == 0:
-            return n
+            return
 
 
 def instruction_count(m: IrModule) -> int:

@@ -372,6 +372,73 @@ def test_rl_train_rejects_small_obs_dim(stages, tmp_path, obs):
                  "--obs-dim", "8", "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"iterations": -1}, "iterations must be an int >= 1, not -1"),
+    ({"minibatch_size": 2.0}, "minibatch_size must be an int >= 1, not 2.0"),
+    ({"episodes_per_iteration": True},
+     "episodes_per_iteration must be an int >= 1, not True"),
+    ({"hidden": 64}, "hidden must be a pair of ints >= 1, not 64"),
+    ({"hidden": [64, 0]}, "hidden must be a pair of ints >= 1, not [64, 0]"),
+    ({"lr": 0}, "lr must be a finite number > 0, not 0"),
+    ({"clip_eps": float("inf")}, "clip_eps must be a finite number > 0, not inf"),
+    ({"gamma": 1.5}, "gamma must be a number in [0, 1], not 1.5"),
+    ({"gae_lambda": float("nan")}, "gae_lambda must be a number in [0, 1], not nan"),
+    ({"entropy_coef": -0.01},
+     "entropy_coef must be a finite number >= 0, not -0.01"),
+    ({"value_coef": "0.5"}, "value_coef must be a finite number >= 0, not '0.5'"),
+], ids=["count-negative", "count-float", "count-bool", "hidden-int",
+        "hidden-zero", "lr-zero", "clip-inf", "gamma-above-one",
+        "lambda-nan", "entropy-negative", "value-string"])
+def test_bad_ppo_config_values_are_user_errors(stages, tmp_path, capsys, doc,
+                                               message):
+    """Each exits 1 before training, with one error line and no output."""
+    config = tmp_path / "ppo.json"
+    config.write_text(json.dumps({**PPO, **doc}))
+    out = tmp_path / "p.ckpt"
+    assert main(["rl-train", "--corpus", str(stages / "corpus"), "--obs",
+                 "histogram", "--out", str(out), "--config", str(config),
+                 "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad PPO config {config}: {message}\n"
+    assert captured.out == "" and list(tmp_path.iterdir()) == [config]
+
+
+SCALAR_SRC = """
+top func @g(%x: i32, %a: i32[2]) -> i32 {
+block entry:
+  ret i32 %x
+}
+"""
+
+
+@pytest.mark.parametrize("src,doc,message", [
+    ("case1", [[1, 2]], "expected a list of 3 inputs, one per parameter of "
+     "@case1"),
+    ("case1", {"a": 1}, "expected a list of 3 inputs, one per parameter of "
+     "@case1"),
+    ("case1", [[0] * 1482, [0] * 1482, [0] * 3],
+     "%acc takes a list of 1482 ints"),
+    ("case1", [[0] * 1481 + [1.5], [0] * 1482, [0] * 1482],
+     "%a takes a list of 1482 ints"),
+    ("scalar", [True, [1, 2]], "%x takes an int, not True"),
+    ("scalar", [3.0, [1, 2]], "%x takes an int, not 3.0"),
+    ("scalar", [3, 4], "%a takes a list of 2 ints"),
+], ids=["wrong-count", "not-a-list", "short-array", "float-in-array",
+        "bool-scalar", "float-scalar", "int-for-array"])
+def test_bad_interp_inputs_are_user_errors(tmp_path, capsys, src, doc, message):
+    """An inputs file that does not match the top signature exits 1 with
+    one error line."""
+    from passforge.corpus import case1_text
+    design = tmp_path / "design.ir"
+    design.write_text(case1_text() if src == "case1" else SCALAR_SRC)
+    inputs = tmp_path / "inputs.json"
+    inputs.write_text(json.dumps(doc))
+    assert main(["interp", str(design), "--inputs", str(inputs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad inputs file {inputs}: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv,message", [
     (["corpus-gen", "--n", "-3"], "--n must be >= 1, not -3"),
     (["dataset-gen", "--corpus", "{corpus}", "--seqs", "-1"],

@@ -89,6 +89,45 @@ def test_every_top_level_definition_is_read_in_the_package():
     assert unread == []
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_stores(node: ast.AST) -> list[str]:
+    """Names that ``node``'s body binds, outside nested functions and
+    classes; an augmented assignment binds its target without reading it."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _SCOPES):
+            continue
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
+            out.append(child.id)
+        out += _own_stores(child)
+    return out
+
+
+def _write_only_locals(fn: ast.FunctionDef) -> set[str]:
+    """Local names ``fn`` stores and neither it nor a function nested in
+    it reads; ``_``-prefixed names and names declared ``nonlocal`` or
+    ``global`` anywhere in ``fn`` are left out."""
+    read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+            and not isinstance(n.ctx, ast.Store)}
+    declared = {name for n in ast.walk(fn)
+                if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+    return {name for name in _own_stores(fn)
+            if name not in read and name not in declared
+            and not name.startswith("_")}
+
+
+def test_no_function_stores_a_local_it_never_reads():
+    """A value computed only to be dropped is work nothing reads."""
+    found = sorted(f"{path.relative_to(PACKAGE).as_posix()}:{fn.name}.{name}"
+                   for path in PACKAGE.rglob("*.py")
+                   for fn in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for name in _write_only_locals(fn))
+    assert found == []
+
+
 #: Everything a module holds.  The pass driver takes a pass whose output
 #: equals its input for one that changed nothing, and returns the input
 #: without printing or verifying the output: sound only while equality
