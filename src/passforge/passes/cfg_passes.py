@@ -519,8 +519,11 @@ def run_jump_threading(m: IrModule) -> None:
     branch is bypassed for any predecessor edge along which the condition is a
     known constant (from phi-of-constant incoming values or from dominating
     comparisons on the same value).  Legality is checked before anything is
-    written: the new target's phis get values live at the predecessor, and
-    a predecessor that already enters the target must send the same ones."""
+    written: a loop header is never bypassed, the new target's phis get
+    values live at the predecessor, and a predecessor that already enters
+    the target must send the same ones.  So a loop keeps its header and id,
+    or, left with no back edge, stops being a loop, and ``_transform`` drops
+    its pragmas as it does for any loop a pass deletes."""
     for fn in m.functions:
         for _ in range(64):
             if not _thread_one(fn):
@@ -543,7 +546,10 @@ def _thread_one(fn: IrFunction) -> bool:
     bmap = fn.block_map()
 
     for b in fn.blocks:
-        if not _threadable_block(fn, b):
+        # As in LLVM, no loop header is bypassed: that would move the loop's
+        # entry, so the loop would come back under a new id, its pragmas lost.
+        if (any(dom.dominates(b.label, u) for u in preds[b.label])
+                or not _threadable_block(fn, b)):
             continue
         term = b.terminator
         for p_label in list(preds[b.label]):
@@ -552,29 +558,21 @@ def _thread_one(fn: IrFunction) -> bool:
             slots = [i for i, op in enumerate(p_term.operands)
                      if isinstance(op, LabelRef) and op.label == b.label]
             for slot in slots:
-                slot_kind = None
-                if p_term.opcode is Opcode.CONDBR:
-                    slot_kind = slot  # 1 = true edge, 2 = false edge
+                # 1 = true edge, 2 = false edge
+                slot_kind = slot if p_term.opcode is Opcode.CONDBR else None
                 facts = _edge_facts(fn, dom, preds, p_label, slot_kind, defs,
                                     def_block)
                 cval = _determine_condition(b, p_label, facts, defs)
                 if cval is None:
                     continue
-                dest = term.operands[1 if cval else 2].label  # type: ignore[union-attr]
-                if dest == b.label:
-                    continue
-                succ = bmap[dest]
+                succ = bmap[term.operands[1 if cval else 2].label]  # type: ignore[union-attr]
                 phi_vals = _phi_value_via(succ, b, p_label)
                 if phi_vals is None:
                     continue
                 # A value flowing into succ's phi must be live at P.
-                ok = True
-                for v in phi_vals.values():
-                    if isinstance(v, ValueRef):
-                        vb = def_block.get(v.id)
-                        if vb is not None and not dom.dominates(vb, p_label):
-                            ok = False
-                if not ok:
+                if any(isinstance(v, ValueRef) and v.id in def_block
+                       and not dom.dominates(def_block[v.id], p_label)
+                       for v in phi_vals.values()):
                     continue
                 # An edge P already has into succ must carry the same values.
                 if any(str(v) != str(phi_vals[phi.result])

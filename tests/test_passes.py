@@ -406,6 +406,81 @@ def test_jump_threading_into_a_block_the_predecessor_enters(src, threads):
                 interpret(m, [a] + rest).return_value
 
 
+# Entry's edge into hd decides hd's branch (%f is 1 there).  Bypassing hd
+# would make body loop 1's header, and the loop would come back as loop 3.
+_FLAG_LOOP_THEN_SECOND_LOOP = """
+PRAGMA
+top func @f(%a: i32[1], %n: i32) -> i32 {
+block entry:
+  br hd
+block hd loop(1, depth=1, header):
+  %f = phi i1 [1, entry], [%g, body]
+  condbr %f, body, mid
+block body loop(1, depth=1):
+  %p = getelementptr %a, 0
+  %v = load i32 %p
+  %w = add i32 %v, 1
+  store i32 %w, %p
+  %g = icmp slt i32 %w, %n
+  br hd
+block mid:
+  br hd2
+block hd2 loop(2, depth=1, header):
+  %j = phi i32 [0, mid], [%j.next, body2]
+  %c2 = icmp slt i32 %j, %n
+  condbr %c2, body2, out
+block body2 loop(2, depth=1):
+  %j.next = add i32 %j, 1
+  br hd2
+block out:
+  ret i32 %j
+}
+"""
+
+
+@pytest.mark.parametrize("pragma", ["#pragma pipeline(ii=1) loop=1", ""],
+                         ids=["pipelined", "plain"])
+def test_jump_threading_never_bypasses_a_loop_header(pragma):
+    """A bypassed header would move its loop to a new id and strand the
+    loop's pragmas, so, as in LLVM, no header is bypassed."""
+    m = parse_module(_FLAG_LOOP_THEN_SECOND_LOOP.replace("PRAGMA", pragma))
+    r = apply_pass(m, PassId.JUMP_THREADING)
+    assert not r.changed and r.module is m
+
+
+def test_jump_threading_deletes_a_loop_it_leaves_without_a_back_edge():
+    """hd's true edge decides the latch b's branch toward the exit, so the
+    loop can never iterate: the bypass leaves it no back edge, and its
+    pipeline pragma goes with it, as for any loop a pass deletes."""
+    m = parse_module("""
+#pragma pipeline(ii=1) loop=1
+top func @f(%a: i32) -> i32 {
+block entry:
+  br hd
+block hd loop(1, depth=1, header):
+  %i = phi i32 [0, entry], [%i.next, b]
+  %i.next = add i32 %i, 1
+  %c = icmp slt i32 %a, 0
+  condbr %c, b, out
+block b loop(1, depth=1):
+  %d = icmp slt i32 %a, 0
+  condbr %d, neg, hd
+block neg:
+  ret i32 %i.next
+block out:
+  ret i32 %i
+}
+""")
+    r = apply_pass(m, PassId.JUMP_THREADING)
+    assert r.changed
+    assert natural_loops(r.module.top).loops == []
+    assert r.module.top.pragmas == []
+    assert not verify_module(r.module)
+    for a in (-5, 5):
+        assert interpret(r.module, [a]).return_value == \
+            interpret(m, [a]).return_value
+
+
 def test_simplifycfg_merges_unrolled_body(dot_module):
     once = apply_pass(dot_module, PassId.LOOP_UNROLL_PARTIAL).module
     merged = apply_pass(once, PassId.SIMPLIFYCFG)
