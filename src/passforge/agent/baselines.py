@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ir import IrModule
-from ..passes import PassId, apply_sequence, general_passes
+from ..passes import PassId, Transitions, apply_sequence, general_passes
 from ..qor import EstimateError, estimate  # noqa: F401 - perfbench tracer pin
 from .env import Evaluator
 
@@ -46,7 +46,7 @@ class _Sequences:
         self.evaluations = 0
         self.passes_run = 0
         self._seen: dict[tuple, float] = {}
-        self._memo: dict = {}
+        self._memo = Transitions()
 
     def __call__(self, seq: list[PassId]) -> float:
         key = tuple(p.value for p in seq)

@@ -18,7 +18,8 @@ import numpy as np
 from ..graphs import build_het_graph
 from ..ir import IrModule
 from ..passes import (
-    PassId, PassResult, apply_pass, apply_pragma_passes, general_passes,
+    PassId, PassResult, Transitions, apply_pass, apply_pragma_passes,
+    general_passes,
 )
 from ..qor import EstimateError, OpCostTable, estimate
 
@@ -94,7 +95,7 @@ class PassEnv:
         # benchmark wraps it to count estimate errors).
         self._cycles = self.ev.cycles
         self._obs_memo: dict[str, np.ndarray] = {}
-        self._memo: dict = {}           # transition table, see ``apply_pass``
+        self._memo = Transitions()
 
     def _obs(self, module: IrModule, digest: str) -> np.ndarray:
         if digest not in self._obs_memo:

@@ -94,9 +94,6 @@ class EditCostModel:
     def n_del(self, kind: str) -> float:
         return self.node_delete.get(kind, 1.0)
 
-    def n_sub(self, label1, label2) -> float:
-        return 0.0 if label1 == label2 else self.node_sub_mismatch
-
     def e_ins(self, rel: str) -> float:
         return self.edge_insert.get(rel, 1.0)
 

@@ -285,8 +285,8 @@ def refresh_loop_annotations(fn: IrFunction) -> LoopForest:
 
     Header ids are preserved; depths and non-header memberships follow the
     derived forest.  Blocks no longer inside any loop lose their annotation.
-    ``passes._transform`` calls this on every function after every pass, so
-    no pass keeps annotations up to date itself.
+    ``passes._transform`` calls this on every function after every pass
+    that wrote, so no pass keeps annotations up to date itself.
     """
     forest = natural_loops(fn)
     for b in fn.blocks:

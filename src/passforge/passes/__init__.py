@@ -7,12 +7,16 @@ a fixed pipeline position and are flagged so the agent never schedules them.
 
 A pass only transforms: it neither verifies nor undoes its rewrites, and it
 keeps no loop annotations.  The driver, ``_transform``, does that work once
-per pass.  A pass takes a module that verifies.  One whose output equals
-its input, field for field, changed nothing and returns its input module
-without verifying or printing again; any other output is refreshed,
-re-verified and reports whether it changed by comparing the digest of its
-printed output with the input's.  A loop that a pass deletes takes its
-unroll and pipeline pragmas along.
+per pass that writes.  A pass takes a module that verifies and runs on a
+copy of it.  One whose copy still equals its input, field for field,
+changed nothing: the driver returns the input without refreshing,
+verifying or printing, and keeps the untouched copy as the working copy of
+the next pass run on that input, so a run of no-ops on one module clones
+it once.  Any other output is refreshed, re-verified and reports whether
+it changed by comparing the digest of its printed output with the input's.
+A loop that a pass deletes takes its unroll and pipeline pragmas along.
+``apply_pass`` records each pass run in a ``Transitions`` table, which also
+holds that one spare copy.
 """
 from __future__ import annotations
 
@@ -83,7 +87,6 @@ class CatalogEntry:
     category: str
     description: str
     pragma_anchored: bool = False
-    idempotent: bool = False
 
 
 _CATALOG: tuple[CatalogEntry, ...] = (
@@ -104,7 +107,7 @@ _CATALOG: tuple[CatalogEntry, ...] = (
                  "constants; never creates an instruction."),
     CatalogEntry(PassId.ADCE, run_adce, "Instruction",
                  "Aggressive dead code elimination seeded from stores, calls, "
-                 "and terminators.", idempotent=True),
+                 "and terminators."),
     CatalogEntry(PassId.EARLY_CSE, run_early_cse, "Instruction",
                  "Dominator-scoped common subexpression elimination plus "
                  "block-local load reuse."),
@@ -115,8 +118,7 @@ _CATALOG: tuple[CatalogEntry, ...] = (
                  "Dominator-scoped value numbering with commutative "
                  "canonicalization; no partial redundancy elimination."),
     CatalogEntry(PassId.LOOP_SIMPLIFY, run_loop_simplify, "Loop",
-                 "Insert dedicated preheaders and merge multiple latches.",
-                 idempotent=True),
+                 "Insert dedicated preheaders and merge multiple latches."),
     CatalogEntry(PassId.LOOP_ROTATE, run_loop_rotate, "Loop",
                  "Rotate while-style loops into guarded do-while form, cloning "
                  "the exit test onto the latch."),
@@ -134,10 +136,10 @@ _CATALOG: tuple[CatalogEntry, ...] = (
                  "are left for simplifycfg to merge."),
     CatalogEntry(PassId.MEM2REG, run_mem2reg, "Memory Access",
                  "Forward stored values to later same-element loads within a "
-                 "block.", idempotent=True),
+                 "block."),
     CatalogEntry(PassId.DSE, run_dse, "Memory Access",
                  "Delete stores overwritten before any same-array read within "
-                 "a block.", idempotent=True),
+                 "a block."),
     CatalogEntry(PassId.APPLY_UNROLL_PRAGMA, apply_unroll_pragmas, "Loop",
                  "Expand unroll pragmas: clean replication when the trip "
                  "divides, termination-checked replicas otherwise, full "
@@ -149,9 +151,6 @@ _CATALOG: tuple[CatalogEntry, ...] = (
                  "renaming values, labels, and loop ids.",
                  pragma_anchored=True),
 )
-
-TABLE_CATEGORIES = ("Control Flow", "Instruction", "Variable", "Loop",
-                    "Function/Call", "Memory Access")
 
 #: The catalog's implementations by id, the one lookup ``_transform`` makes.
 _IMPLS = {e.pass_id: e.run for e in _CATALOG}
@@ -174,28 +173,42 @@ class PassResult:
     digest: str                 # of the output module, as ``IrModule.digest``
 
 
-def _transform(m: IrModule, p: PassId) -> IrModule:
-    """Run one pass on a copy of ``m``, refresh each function's loop
-    annotations and verify the copy.  Where the pass deleted loops and
-    created none, their unroll and pipeline pragmas go too; a loop that
-    survives under a new id (its header annotation lost) keeps them, and
-    verification reports them.
+class Transitions(dict):
+    """A transition table the caller owns and drops: ``(digest, pass)`` to
+    the pass's result (see ``apply_pass``), so ``len`` counts the passes
+    run.  ``spare`` is not an entry: it is ``(module, copy)`` when the last
+    pass run left its working copy equal to ``module``, else ``None``.  The
+    next pass run takes it, and works on the copy if it runs on ``module``."""
+    spare: tuple[IrModule, IrModule] | None = None
 
-    ``m`` must verify.  A copy that equals ``m`` once refreshed and pruned
-    changed nothing: ``m`` itself is returned, unverified, since the
-    printer and the verifier read only fields that equality compares.  The
-    comparison comes after the refresh because the verifier checks only
-    header annotations, so a module that verifies may still gain body-block
-    annotations from a refresh.
+
+def _transform(m: IrModule, p: PassId, table: Transitions) -> IrModule:
+    """Run one pass on a copy of ``m``, which must verify.  A copy the pass
+    leaves equal to ``m`` changed nothing: ``m`` itself is returned, and the
+    copy, which shares nothing with ``m``, waits in ``table.spare`` to be
+    the working copy of the next pass run on ``m``.  Any other copy has
+    each function's loop annotations refreshed and is verified.  Where the
+    pass deleted loops and created none, their unroll and pipeline pragmas
+    go too; a loop that survives under a new id (its header annotation
+    lost) keeps them, and verification reports them.
+
+    The verdict comes before the refresh, so a pass that writes nothing
+    leaves ``m`` as it is even where a refresh would annotate more of its
+    blocks; for a refresh fixpoint, such as every module this returns as
+    changed, the verdict is the same either way.
 
     Refresh and verify share one CFG analysis per function: the verifier
     checks each function against the forest its refresh returned.  Pruning
     pragmas changes no block, so that forest is still the function's own."""
-    out = m.clone()
+    spare, table.spare = table.spare, None
+    out = spare[1] if spare is not None and spare[0] is m else m.clone()
+    _IMPLS[p](out)
+    if out == m:
+        table.spare = (m, out)
+        return m
     before = {fn.name: {b.loop_info.loop_id for b in fn.blocks
                         if b.loop_info is not None and b.loop_info.is_header}
-              for fn in out.functions}
-    _IMPLS[p](out)
+              for fn in m.functions}
     forests = []
     for fn in out.functions:
         forest = refresh_loop_annotations(fn)
@@ -205,50 +218,39 @@ def _transform(m: IrModule, p: PassId) -> IrModule:
         if gone and ids <= before[fn.name]:
             fn.pragmas = [q for q in fn.pragmas if q.target not in gone or
                           q.kind not in (PragmaKind.UNROLL, PragmaKind.PIPELINE)]
-    if out == m:
-        return m
     violations = verify_module(out, forests)
     if violations:
         raise PassError(p, violations)
     return out
 
 
-def _run_pass(m: IrModule, p: PassId, digest: str) -> PassResult:
-    """Run one pass through ``_transform`` on ``m``, which verifies and
-    whose digest is ``digest``.  A pass that changes nothing returns ``m``
-    itself: at once when ``_transform`` hands back ``m``, after printing
-    the output when it prints as ``m`` does."""
-    out = _transform(m, p)
-    after = digest if out is m else text_digest(print_module(out))
-    if after == digest:
-        return PassResult(module=m, changed=False, pass_id=p, digest=digest)
-    return PassResult(module=out, changed=True, pass_id=p, digest=after)
-
-
-def apply_pass(m: IrModule, p: PassId | str, memo: dict | None = None,
+def apply_pass(m: IrModule, p: PassId | str, memo: Transitions | None = None,
                digest: str | None = None) -> PassResult:
     """Run one pass on a copy of ``m``, which must verify; the result
     verifies too.  A pass that changes nothing returns ``m`` itself, and
-    one whose output equals ``m`` field for field neither re-verifies nor
-    prints it.
+    one whose output equals ``m`` field for field neither refreshes,
+    verifies nor prints it.
 
     ``digest`` is ``m.digest()`` when the caller holds it, which spares
-    printing ``m``.  ``memo`` is a transition table the caller owns and
-    drops: it maps ``(digest, pass)`` to the pass's result, whose module is
-    the child, or ``m`` itself when the pass changed nothing.  A hit
-    returns the stored result without running the pass, for any module
-    that prints as ``m`` does, so no module passed in or returned may be
-    mutated while the memo lives.  A pass that raises stores nothing.
+    printing ``m``.  ``memo`` holds the transitions run so far, a fresh
+    table when the caller passes none: a hit returns the stored result
+    without running the pass, for any module that prints as ``m`` does, so
+    no module passed in or returned may be mutated while the table lives.
+    The stored module is the child, or ``m`` itself when the pass changed
+    nothing; a pass that raises stores nothing and leaves no spare copy.
     """
     if isinstance(p, str):
         p = PassId(p)
     if digest is None:
         digest = text_digest(print_module(m))
     if memo is None:
-        return _run_pass(m, p, digest)
+        memo = Transitions()
     key = (digest, p)
     if key not in memo:
-        memo[key] = _run_pass(m, p, digest)
+        out = _transform(m, p, memo)
+        after = digest if out is m else text_digest(print_module(out))
+        memo[key] = (PassResult(m, False, p, digest) if after == digest
+                     else PassResult(out, True, p, after))
     return memo[key]
 
 
@@ -257,20 +259,23 @@ def apply_pragma_passes(m: IrModule) -> IrModule:
     every other pass; pipeline and array_partition pragmas remain as
     estimator metadata.  A design with nothing to expand comes back as
     itself, not as a copy."""
-    return _transform(_transform(m, PassId.APPLY_INLINE_PRAGMA),
-                      PassId.APPLY_UNROLL_PRAGMA)
+    table = Transitions()
+    return _transform(_transform(m, PassId.APPLY_INLINE_PRAGMA, table),
+                      PassId.APPLY_UNROLL_PRAGMA, table)
 
 
-def apply_sequence(m: IrModule, seq, memo: dict | None = None,
+def apply_sequence(m: IrModule, seq, memo: Transitions | None = None,
                    digest: str | None = None
                    ) -> tuple[IrModule, list[PassResult]]:
     """Left-fold of apply_pass over the sequence; per-step results returned.
 
-    Every step goes through ``apply_pass`` with the same ``memo`` and the
-    digest of its input: ``digest`` (``m``'s, when the caller holds it) for
-    the first step, the previous result's for the others, so each executed
-    pass prints only its output.  A ``PassError`` names the step that raised
-    it."""
+    Every step goes through ``apply_pass`` with the same ``memo`` (a fresh
+    table when the caller passes none) and the digest of its input:
+    ``digest`` (``m``'s, when the caller holds it) for the first step, the
+    previous result's for the others, so each executed pass prints only its
+    output.  A ``PassError`` names the step that raised it."""
+    if memo is None:
+        memo = Transitions()
     results: list[PassResult] = []
     cur = m
     for i, p in enumerate(seq):
@@ -285,7 +290,7 @@ def apply_sequence(m: IrModule, seq, memo: dict | None = None,
 
 __all__ = [
     "CatalogEntry", "PassError", "PassId", "PassResult", "PragmaError",
-    "apply_pass", "apply_pragma_passes", "apply_sequence", "find_basic_iv",
-    "general_passes", "loop_trip_count", "pass_catalog", "unrollable_shape",
-    "TABLE_CATEGORIES",
+    "Transitions", "apply_pass", "apply_pragma_passes", "apply_sequence",
+    "find_basic_iv", "general_passes", "loop_trip_count", "pass_catalog",
+    "unrollable_shape",
 ]

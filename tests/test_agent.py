@@ -15,7 +15,7 @@ from passforge.agent import baselines, env as env_module
 from passforge.corpus import corpus_gen
 from passforge.dataset import dataset_gen
 from passforge.embedder import featurize_baseline
-from passforge.ir import parse_module, print_module
+from passforge.ir import IrModule, parse_module, print_module
 from passforge.passes import PassError, PassId, apply_pass
 from passforge.qor import EstimateError
 
@@ -401,6 +401,32 @@ def test_search_prints_each_executed_pass_once(monkeypatch):
     designs = [parse_module(text) for _name, text in corpus_gen(6, 0)]
     ran = sum(search_greedy(m).passes_run for m in designs)
     assert prints[0] <= ran + len(designs)
+
+
+def test_search_copies_and_refreshes_only_for_passes_that_write(monkeypatch):
+    # Counted with this driver on ``corpus_gen(12, 0)``: greedy runs 1,292
+    # passes, plus two pragma passes per design, and 371 of those outputs
+    # differ from their input.  Only those refresh their loops; a pass that
+    # leaves its copy equal to its input hands it to the next pass on that
+    # input, so 451 copies serve 1,316 passes.  A driver that cloned and
+    # refreshed for every pass counted 1,316 of each.
+    calls = {"clone": 0, "refresh": 0}
+    clone, refresh = IrModule.clone, passes.refresh_loop_annotations
+
+    def counted_clone(m):
+        calls["clone"] += 1
+        return clone(m)
+
+    def counted_refresh(fn):
+        calls["refresh"] += 1
+        return refresh(fn)
+
+    monkeypatch.setattr(IrModule, "clone", counted_clone)
+    monkeypatch.setattr(passes, "refresh_loop_annotations", counted_refresh)
+    ran = sum(search_greedy(parse_module(text)).passes_run
+              for _name, text in corpus_gen(12, 0))
+    assert ran == 1292
+    assert calls == {"clone": 451, "refresh": 371}
 
 
 def test_search_baseline_dispatch(small_corpus):

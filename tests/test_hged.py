@@ -32,8 +32,8 @@ def brute_force_ged(g1: StageGraph, g2: StageGraph,
                 cost = 0.0
                 for i in range(n1):
                     if i in mapping:
-                        cost += costs.n_sub(g1.nodes[i].label,
-                                            g2.nodes[mapping[i]].label)
+                        same = g1.nodes[i].label == g2.nodes[mapping[i]].label
+                        cost += 0.0 if same else costs.node_sub_mismatch
                     else:
                         cost += costs.n_del(g1.nodes[i].kind)
                 mapped2 = set(mapping.values())

@@ -76,16 +76,35 @@ def _names_read(node: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _definitions(tree: ast.Module):
+    """``(label, name, node)`` for each top-level function, class and
+    constant, and each method of a top-level class; dunder names, which
+    Python reads itself, are left out."""
+    for d in tree.body:
+        if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+            yield d.name, d.name, d
+        elif isinstance(d, (ast.Assign, ast.AnnAssign)):
+            targets = d.targets if isinstance(d, ast.Assign) else [d.target]
+            for t in targets:
+                for n in t.elts if isinstance(t, ast.Tuple) else [t]:
+                    if isinstance(n, ast.Name) and not n.id.startswith("__"):
+                        yield n.id, n.id, d
+        if isinstance(d, ast.ClassDef):
+            for f in d.body:
+                if isinstance(f, ast.FunctionDef) and \
+                        not f.name.startswith("__"):
+                    yield f"{d.name}.{f.name}", f.name, f
+
+
 def test_every_top_level_definition_is_read_in_the_package():
-    """A function or class that only tests, demos or ``__all__`` name is
-    code the program does not run."""
+    """A function, class, method or constant that only tests, demos or
+    ``__all__`` name is code the program does not run."""
     trees = {path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text())
              for path in sorted(PACKAGE.rglob("*.py"))}
     read = sum((_names_read(tree) for tree in trees.values()), Counter())
-    unread = [f"{rel}:{d.name}" for rel, tree in trees.items()
-              for d in tree.body
-              if isinstance(d, (ast.FunctionDef, ast.ClassDef))
-              and read[d.name] <= _names_read(d)[d.name]]
+    unread = [f"{rel}:{label}" for rel, tree in trees.items()
+              for label, name, node in _definitions(tree)
+              if read[name] <= _names_read(node)[name]]
     assert unread == []
 
 

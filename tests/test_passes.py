@@ -7,11 +7,12 @@ import pytest
 from passforge import passes
 from passforge.corpus import corpus_gen, random_inputs
 from passforge.ir import (
-    Opcode, PragmaKind, analysis, interpret, natural_loops, parse_module,
-    print_module, refresh_loop_annotations, text_digest, verify_module,
+    IrModule, Opcode, PragmaKind, analysis, interpret, natural_loops,
+    parse_module, print_module, refresh_loop_annotations, text_digest,
+    verify_module,
 )
 from passforge.passes import (
-    PassError, PassId, PragmaError, TABLE_CATEGORIES, apply_pass,
+    PassError, PassId, PragmaError, Transitions, apply_pass,
     apply_pragma_passes, apply_sequence, general_passes, loop_trip_count,
     pass_catalog,
 )
@@ -20,6 +21,11 @@ from passforge.passes import (
 def trip_count(m, fn_name: str, loop_id: int):
     fn = m.function(fn_name)
     return loop_trip_count(fn, natural_loops(fn).by_id(loop_id))
+
+
+#: The paper's six-way pass taxonomy.
+TABLE_CATEGORIES = ("Control Flow", "Instruction", "Variable", "Loop",
+                    "Function/Call", "Memory Access")
 
 
 def test_catalog_shape():
@@ -123,8 +129,8 @@ def test_changed_false_means_structurally_equal(dot_module):
     assert r2.digest == r.digest == r.module.digest()
 
 
-@pytest.mark.parametrize("pass_id", [e.pass_id for e in pass_catalog()
-                                     if e.idempotent])
+@pytest.mark.parametrize("pass_id", [PassId.ADCE, PassId.LOOP_SIMPLIFY,
+                                     PassId.MEM2REG, PassId.DSE])
 def test_idempotent_passes(pass_id, small_corpus):
     for _name, m in small_corpus[:6]:
         once = apply_pass(m, pass_id).module
@@ -797,7 +803,7 @@ def test_memo_replays_match_fresh_runs():
     for _name, text in corpus_gen(6, 0):
         raw = parse_module(text)
         for m in (raw, apply_pragma_passes(raw)):
-            memo: dict = {}
+            memo = Transitions()
             seqs = _prefix_sharing_sequences(rng)
             for seq in seqs:
                 fresh, fresh_steps = apply_sequence(m, seq)
@@ -811,7 +817,7 @@ def test_memo_replays_match_fresh_runs():
 
 def test_memo_hit_runs_no_pass(monkeypatch, dot_module):
     seq = [PassId.LOOP_UNROLL_PARTIAL, PassId.SIMPLIFYCFG, PassId.ADCE]
-    memo: dict = {}
+    memo = Transitions()
     warm, warm_steps = apply_sequence(dot_module, seq, memo)
 
     def broken(_module):
@@ -830,24 +836,33 @@ def test_memo_stores_no_failed_transition(monkeypatch, dot_module):
         module.top.blocks[0].terminator = None
 
     monkeypatch.setitem(passes._IMPLS, PassId.ADCE, corrupting)
-    memo: dict = {}
+    memo = Transitions()
     with pytest.raises(PassError) as err:
         apply_sequence(dot_module, [PassId.LOOP_SIMPLIFY, PassId.ADCE], memo)
     assert err.value.pass_id is PassId.ADCE
     assert err.value.violations[0] == "at step 1"
     assert "no-term" in str(err.value)
     assert [p for _id, p in memo] == [PassId.LOOP_SIMPLIFY]
+    # loop_simplify changed nothing, so adce broke the copy it left; that
+    # copy is gone, and the next pass on the module works on a clean one.
+    assert not memo[(dot_module.digest(), PassId.LOOP_SIMPLIFY)].changed
+    assert memo.spare is None
+    got = apply_pass(dot_module, PassId.SIMPLIFYCFG, memo)
+    fresh = apply_pass(parse_module(print_module(dot_module)),
+                       PassId.SIMPLIFYCFG)
+    assert _step_facts([got]) == _step_facts([fresh])
+    assert print_module(got.module) == print_module(fresh.module)
 
 
 def test_memo_keys_str_and_pass_id_alike(dot_module):
-    memo: dict = {}
+    memo = Transitions()
     by_name = apply_pass(dot_module, "loop_rotate", memo)
     assert apply_pass(dot_module, PassId.LOOP_ROTATE, memo) is by_name
     assert list(memo) == [(dot_module.digest(), PassId.LOOP_ROTATE)]
 
 
 def test_noop_entry_is_the_parent_module(dot_module):
-    memo: dict = {}
+    memo = Transitions()
     parent = apply_pass(dot_module, PassId.LOOP_SIMPLIFY, memo)
     noop = apply_pass(parent.module, PassId.LOOP_SIMPLIFY, memo)
     assert not noop.changed and noop.digest == parent.digest
@@ -855,6 +870,92 @@ def test_noop_entry_is_the_parent_module(dot_module):
     # A module that prints alike hits the same entry.
     twin = parse_module(print_module(parent.module))
     assert apply_pass(twin, PassId.LOOP_SIMPLIFY, memo) is noop
+
+
+def _corpus_starts() -> list[IrModule]:
+    """Each design of ``corpus_gen(12, 0)``, raw and pragma-expanded."""
+    raws = [parse_module(text) for _name, text in corpus_gen(12, 0)]
+    return [m for raw in raws for m in (raw, apply_pragma_passes(raw))]
+
+
+def test_spare_copies_give_what_fresh_copies_give(monkeypatch):
+    """Every general pass in catalog order on one module through one
+    table: each pass after a no-op works on the copy the no-op left, so the
+    table clones once, then once more per pass that changed the module.
+    Each result is the one a tableless run on a fresh parse gives."""
+    starts = _corpus_starts()
+    general = general_passes()
+    fresh = [[apply_pass(parse_module(print_module(m)), p) for p in general]
+             for m in starts]
+    clones = [0]
+    clone = IrModule.clone
+
+    def counted(module):
+        clones[0] += 1
+        return clone(module)
+
+    monkeypatch.setattr(IrModule, "clone", counted)
+    for m, want in zip(starts, fresh):
+        clones[0] = 0
+        table = Transitions()
+        got = [apply_pass(m, p, table) for p in general]
+        assert _step_facts(got) == _step_facts(want)
+        assert [print_module(r.module) for r in got] == \
+            [print_module(r.module) for r in want]
+        assert clones[0] == 1 + sum(r.changed for r in got[:-1])
+
+
+def _mutable_parts(m: IrModule) -> list:
+    """Every function, block, instruction, annotation, pragma, array and
+    list ``m`` holds."""
+    parts = [m.functions, m.global_arrays, *m.global_arrays]
+    parts += [g.init for g in m.global_arrays if g.init is not None]
+    for fn in m.functions:
+        parts += [fn, fn.params, fn.blocks, fn.pragmas, *fn.pragmas]
+        for b in fn.blocks:
+            parts += [b, b.instructions]
+            parts += [b.loop_info] if b.loop_info is not None else []
+            for ins in b.all_instructions():
+                parts += [ins, ins.operands]
+    return parts
+
+
+def test_a_noop_leaves_a_copy_that_equals_its_input_and_shares_nothing():
+    """The spare copy a no-op leaves can stand in for a fresh clone: it
+    equals its input, holds no mutable object of the input's, and holds
+    none of its own twice.  A pass that changed its input leaves none."""
+    spares = 0
+    for m in _corpus_starts():
+        theirs = {id(x) for x in _mutable_parts(m)}
+        for p in general_passes():
+            table = Transitions()
+            r = apply_pass(m, p, table)
+            assert (table.spare is None) == r.changed
+            if table.spare is None:
+                continue
+            spares += 1
+            owner, copy = table.spare
+            assert owner is m and copy == m
+            ours = [id(x) for x in _mutable_parts(copy)]
+            assert len(set(ours)) == len(ours)
+            assert theirs.isdisjoint(ours)
+    assert spares > 0
+
+
+def test_a_pass_that_writes_nothing_leaves_stale_annotations_alone():
+    """The no-op verdict comes before the loop refresh.  A module whose
+    loop body lost its annotation still verifies (the verifier checks
+    headers only); ``dse`` deletes no store in it, so it comes back as
+    itself, unchanged, and is not reported changed for the annotation a
+    refresh would add."""
+    text = dict(corpus_gen(3, 0))["vec_combine_00"]
+    stale = text.replace("block body loop(1, depth=1):", "block body:")
+    assert stale != text
+    m = parse_module(stale)
+    assert verify_module(m) == []
+    r = apply_pass(m, PassId.DSE)
+    assert not r.changed and r.module is m
+    assert "block body:\n" in print_module(m)
 
 
 def test_digest_keys_are_sound():
@@ -910,7 +1011,7 @@ def test_refreshed_forest_is_the_one_a_fresh_analysis_finds(monkeypatch):
         for _name, text in corpus_gen(12, seed):
             raw = parse_module(text)
             for m in (raw, apply_pragma_passes(raw)):
-                memo: dict = {}
+                memo = Transitions()
                 for _ in range(24):
                     seq = [general[i] for i in rng.integers(
                         len(general), size=rng.integers(1, 17))]

@@ -14,7 +14,7 @@ from passforge.ir import (
     FuelExhausted, TrapError, interpret, parse_module, verify_module,
 )
 from passforge.passes import (
-    PassId, apply_pragma_passes, apply_sequence, general_passes,
+    PassId, Transitions, apply_pragma_passes, apply_sequence, general_passes,
 )
 
 #: case1 is left out: one interpreter run of it takes about half a second.
@@ -65,7 +65,7 @@ def test_search_shaped_motifs_preserve_interpreter_semantics(design, expand):
     inputs = random_inputs(design, np.random.default_rng(0))
     expected = _outcome(design, inputs)
     start = apply_pragma_passes(design) if expand else design
-    memo: dict = {}
+    memo = Transitions()
     checked: set[str] = set()
     for seq in MOTIFS:
         out, steps = apply_sequence(start, seq, memo)
