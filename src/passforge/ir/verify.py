@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .analysis import LoopForest, natural_loops, postorder
 from .types import (
-    GlobalRef, IrFunction, IrInstruction, IrModule, Opcode, PragmaKind,
-    TERMINATOR_OPCODES, ValueRef,
+    GlobalRef, IrFunction, IrInstruction, IrModule, LoopInfo, Opcode,
+    PragmaKind, TERMINATOR_OPCODES, ValueRef,
 )
 
 
@@ -48,6 +48,11 @@ _ARITY = {
 # ``Opcode.PHI``-style lookup runs the enum's attribute descriptor.
 _PHI, _CALL, _RET, _GEP = (Opcode.PHI, Opcode.CALL, Opcode.RET,
                            Opcode.GETELEMENTPTR)
+
+
+def _loop_text(info: LoopInfo | None) -> str:
+    return "no loop" if info is None \
+        else f"loop({info.loop_id}, depth={info.depth})"
 
 
 def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
@@ -212,7 +217,9 @@ def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
                                              f"use of %{val.id} not dominated by its "
                                              f"definition", loc))
 
-    # Loop annotations: annotated headers must be real headers with the right depth.
+    # Loop annotations: each header carries its own loop's (unique) id and
+    # depth, every other block its innermost loop's, and a block outside
+    # every loop carries none.
     bmap = fn.block_map()
     ids_seen: dict[int, str] = {}
     for l in forest.loops:
@@ -234,10 +241,20 @@ def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
                                      f"{hdr.loop_info.depth}, derived {l.depth}", where))
     headers = {l.header for l in forest.loops}
     for b in fn.blocks:
-        if b.loop_info is not None and b.loop_info.is_header and b.label not in headers:
+        if b.label in headers:
+            continue
+        if b.loop_info is not None and b.loop_info.is_header:
             out.append(Violation("loop-header",
                                  f"block {b.label!r} annotated as header but has no "
                                  f"back edge", where))
+            continue
+        l = forest.innermost[b.label]
+        want = None if l is None else LoopInfo(l.loop_id, l.depth)
+        if b.loop_info != want:
+            out.append(Violation("loop-member",
+                                 f"block {b.label!r} annotated "
+                                 f"{_loop_text(b.loop_info)}, derived "
+                                 f"{_loop_text(want)}", where))
 
     # Pragma targets.
     loop_ids = {l.loop_id for l in forest.loops}

@@ -10,10 +10,33 @@ HLS pipelines: a guarded inner loop inflates the recurrence bound until passes
 restructure it away.
 
 Each function is modelled once per `estimate` call, and each fact about it
-is worked out once: its loop forest and reverse postorder, one trip count
-per loop, block latencies, each loop's memory access counts and total
-cycles (innermost loops first, so a parent reads its children's), and, the
-first time a caller needs it, the function's memory summary as a callee.
+is worked out once: one walk gives each instruction's latency (from a
+per-opcode table built once per module) and access key, which every later
+step reads; then its loop forest and reverse postorder, one trip count per
+loop, block latencies, each loop's memory access counts and total cycles
+(innermost loops first, so a parent reads its children's), and, the first
+time a caller needs it, the function's memory summary as a callee.
+
+Memory dependences follow one alias rule: two accesses may alias unless
+they touch two different known arrays, or one array at two distinct
+constant indices; an access of unknown provenance (array "?": a pointer
+that is no getelementptr result) may alias any access.  The rule is kept
+as five alias classes.  Each access is filed under some and looks up others,
+and two accesses may alias exactly when one looks up a class the other is
+filed under:
+
+    class                  filed there by        looked up by
+    any array              every access          "?" accesses
+    "?"                    "?" accesses          accesses of known arrays
+    array A                accesses of A         A at an unknown index
+    A at an unknown index  those accesses        A at a constant index
+    (A, constant c)        A at c                A at c
+
+The block schedule keeps, per class, the latest finish of the reads and of
+the writes so far, so an access costs a few lookups, not a scan of every
+earlier access; the recurrence bound keeps, per class, the nodes that write
+there.  Prices are integer max and sum over exactly the dependences a
+pairwise scan finds, so they are exact, and no price moves.
 """
 from __future__ import annotations
 
@@ -24,7 +47,6 @@ from .ir import (
     Const, IrFunction, IrModule, Loop, Opcode, PragmaKind, ValueRef,
     interpret, natural_loops, pointer_target, postorder, reverse_postorder,
 )
-from .ir.types import Operand
 from .passes.loop_passes import loop_trip_count
 
 #: Trip count assumed for non-pipelined loops whose bound is not static.
@@ -113,33 +135,37 @@ class QoRReport:
         return asdict(self)
 
 
-def _access_key(defs, op: Operand) -> tuple[str, str | None]:
-    """(array, constant-index-or-None) of a pointer; the array is '?' when
-    unknown, and a None index may alias anything in the array."""
-    target = pointer_target(defs, op)
+_LOAD, _STORE, _CALL, _PHI = Opcode.LOAD, Opcode.STORE, Opcode.CALL, Opcode.PHI
+
+
+def _access(writes: bool, arr: str, idx: str | None) -> tuple:
+    """(writes, array, classes the access is filed under, classes it looks
+    up) of an access to ``arr`` at constant index ``idx`` (None: unknown),
+    as the module docstring's table of alias classes gives them."""
+    if arr == "?":
+        return writes, arr, (None, "?"), (None,)
+    key = (arr, idx)
+    return (writes, arr, (None, arr, key),
+            ("?", arr) if idx is None else ("?", (arr, None), key))
+
+
+#: A call, as the block schedule sees it: a write that aliases every access.
+_CALL_ACCESS = _access(True, "?", None)
+
+
+def _mem_access(defs, ins) -> tuple | None:
+    """The ``_access`` of a load or store; None for any other op."""
+    if ins.opcode is _LOAD:
+        writes, ptr = False, ins.operands[0]
+    elif ins.opcode is _STORE:
+        writes, ptr = True, ins.operands[1]
+    else:
+        return None
+    target = pointer_target(defs, ptr)
     if target is None:
-        return "?", None
+        return _access(writes, "?", None)
     arr, idx = target
-    return arr, (str(idx.value) if isinstance(idx, Const) else None)
-
-
-def _mem_op(defs, ins) -> tuple[str, tuple[str, str | None]] | None:
-    """('r' or 'w', access key) of a load or store; None for any other op."""
-    if ins.opcode is Opcode.LOAD:
-        return "r", _access_key(defs, ins.operands[0])
-    if ins.opcode is Opcode.STORE:
-        return "w", _access_key(defs, ins.operands[1])
-    return None
-
-
-def _keys_alias(a: tuple[str, str | None], b: tuple[str, str | None]) -> bool:
-    """Accesses may alias unless the analysis is conclusive: different arrays,
-    or the same array at two distinct constant indices."""
-    if a[0] != b[0] and a[0] != "?" and b[0] != "?":
-        return False
-    if a[0] == b[0] and a[1] is not None and b[1] is not None:
-        return a[1] == b[1]
-    return True
+    return _access(writes, arr, str(idx.value) if isinstance(idx, Const) else None)
 
 
 class _FunctionModel:
@@ -149,13 +175,19 @@ class _FunctionModel:
         self.model = model
         self.fn = fn
         self.forest = natural_loops(fn)
-        self.defs = fn.defined_values()
         self.bmap = fn.block_map()
         self.rpo = reverse_postorder(fn)
         self.trip = {l.loop_id: loop_trip_count(fn, l) for l in self.forest.loops}
         self.eff_trip = {lid: DEFAULT_UNKNOWN_TRIP if t is None else t
                          for lid, t in self.trip.items()}
         self.callees: dict[str, _FunctionModel] = {}
+        # Per block, each instruction with its latency, ``_access`` and the
+        # values it reads.
+        defs = fn.defined_values()
+        self.insts = {b.label: [(ins, self._op_latency(ins),
+                                 _mem_access(defs, ins), ins.value_uses())
+                                for ins in b.all_instructions()]
+                      for b in fn.blocks}
         self.block_lat: dict[str, int] = {}
         self.loop_total: dict[int, int] = {}
         self.loop_reports: list[LoopReport] = []
@@ -172,25 +204,23 @@ class _FunctionModel:
         this function; each call it makes adds its callee's summary, weighted
         like the call site.  The call graph is acyclic, so this ends."""
         counts: dict[str, int] = {}
-        for b in self.fn.blocks:
+        for lab, insts in self.insts.items():
             weight = 1
-            l = self.forest.innermost.get(b.label)
+            l = self.forest.innermost.get(lab)
             while l is not None:
                 weight *= self.eff_trip[l.loop_id]
                 l = self.forest.parent(l)
-            for ins in b.all_instructions():
-                access = _mem_op(self.defs, ins)
+            for ins, _lat, access, _uses in insts:
                 if access is not None:
-                    arr = access[1][0]
-                    counts[arr] = counts.get(arr, 0) + weight
-                elif ins.opcode is Opcode.CALL:
+                    counts[access[1]] = counts.get(access[1], 0) + weight
+                elif ins.opcode is _CALL:
                     for arr, n in self.callees[ins.callee].mem_summary.items():
                         counts[arr] = counts.get(arr, 0) + n * weight
         return counts
 
     def _callee(self, name: str) -> "_FunctionModel":
-        """The model of a function this one calls.  Every call is scheduled
-        during the build, so ``callees`` then holds each one for
+        """The model of a function this one calls.  Every call is priced
+        when the model is built, so ``callees`` then holds each one for
         ``mem_summary``, which may run after the module model is dropped."""
         if name not in self.callees:
             self.callees[name] = self.model.fn_model(name)
@@ -199,34 +229,37 @@ class _FunctionModel:
     # -- block scheduling ---------------------------------------------------
 
     def _op_latency(self, ins) -> int:
-        if ins.opcode is Opcode.CALL:
+        if ins.opcode is _CALL:
             return self._callee(ins.callee).latency
-        return self.model.costs.lat(ins.opcode)
+        return self.model.lat[ins.opcode]
 
-    def _schedule_block(self, b) -> int:
-        finish: dict[int, int] = {}
-        by_result: dict[str, int] = {}
-        events: list[tuple[str, tuple[str, str | None], int]] = []
+    def _schedule_block(self, label: str) -> int:
+        """ASAP finish of the block's last operation.  An access starts after
+        the aliasing earlier writes (and, if it writes, reads) finish: the
+        latest finish of earlier reads and of earlier writes is kept per
+        alias class, so each access reads its few classes."""
+        finish: dict[str, int] = {}
+        done: tuple[dict, dict] = ({}, {})   # reads, writes: class -> finish
         latest = 0
-        for idx, ins in enumerate(b.all_instructions()):
+        for ins, lat, access, uses in self.insts[label]:
             start = 0
-            for vid in ins.value_uses():
-                if vid in by_result:
-                    start = max(start, finish[by_result[vid]])
-            access = _mem_op(self.defs, ins)
-            if ins.opcode is Opcode.CALL:
-                access = ("w", ("?", None))  # orders against every access
+            for vid in uses:
+                start = max(start, finish.get(vid, 0))
+            if access is None and ins.opcode is _CALL:
+                access = _CALL_ACCESS
             if access is not None:
-                kind, key = access
-                for ekind, ekey, j in events:
-                    if (ekind == "w" or kind == "w") and _keys_alias(ekey, key):
-                        start = max(start, finish[j])
-                events.append((kind, key, idx))
-            f = start + self._op_latency(ins)
-            finish[idx] = f
+                writes, _arr, files, probes = access
+                for seen in done if writes else done[1:]:
+                    for c in probes:
+                        start = max(start, seen.get(c, 0))
+            f = start + lat
+            if access is not None:
+                seen = done[writes]
+                for c in files:
+                    seen[c] = max(seen.get(c, 0), f)
             latest = max(latest, f)
             if ins.result is not None:
-                by_result[ins.result] = idx
+                finish[ins.result] = f
         return latest
 
     # -- region composition -------------------------------------------------
@@ -264,14 +297,12 @@ class _FunctionModel:
         """Accesses per array in one iteration, child loops weighted by their
         trips; each child's counts are already in ``_mem_counts``."""
         counts: dict[str, int] = {}
-        for lab in sorted(self._own_blocks(loop)):
-            for ins in self.bmap[lab].all_instructions():
-                access = _mem_op(self.defs, ins)
+        for lab in self._own_blocks(loop):
+            for ins, _lat, access, _uses in self.insts[lab]:
                 if access is not None:
-                    arr = access[1][0]
-                    counts[arr] = counts.get(arr, 0) + 1
-                elif ins.opcode is Opcode.CALL:
-                    callee = self._callee(ins.callee).mem_summary
+                    counts[access[1]] = counts.get(access[1], 0) + 1
+                elif ins.opcode is _CALL:
+                    callee = self.callees[ins.callee].mem_summary
                     for arr, n in callee.items():
                         counts[arr] = counts.get(arr, 0) + n
         for c in loop.children:
@@ -295,10 +326,10 @@ class _FunctionModel:
         program order, and carried edges are store->load / store->store pairs
         plus latch-fed header phis, all at conservative distance 1."""
         own = self._own_blocks(loop)
-        nodes: list[tuple] = []           # ("ins", ins) | ("loop", Loop)
+        nodes: list[tuple | None] = []   # ``insts`` entries; None: a macro
         macro_ids: set[int] = set()
         lat: list[int] = []
-        touched: list[list[tuple[str, tuple[str, str | None]]]] = []
+        touched: list[tuple[int, list]] = []   # (node, its ``_access``es)
 
         for lab in self.rpo:
             if lab not in loop.blocks:
@@ -310,88 +341,86 @@ class _FunctionModel:
                     top = up
                 if top.loop_id not in macro_ids:
                     macro_ids.add(top.loop_id)
-                    nodes.append(("loop", top))
-                    lat.append(self.loop_total[top.loop_id])
                     reads, writes = self._loop_arrays(top)
-                    touched.append([("r", (arr, None)) for arr in reads]
-                                   + [("w", (arr, None)) for arr in writes])
+                    touched.append((len(nodes), [
+                        *(_access(False, arr, None) for arr in reads),
+                        *(_access(True, arr, None) for arr in writes)]))
+                    nodes.append(None)
+                    lat.append(self.loop_total[top.loop_id])
                 continue
-            for ins in self.bmap[lab].all_instructions():
-                nodes.append(("ins", ins))
-                lat.append(self._op_latency(ins))
-                access = _mem_op(self.defs, ins)
-                acc = [access] if access is not None else []
-                if ins.opcode is Opcode.CALL:
-                    for arr in self._callee(ins.callee).mem_summary:
-                        acc.append(("r", (arr, None)))
-                        acc.append(("w", (arr, None)))
-                touched.append(acc)
+            for node in self.insts[lab]:
+                ins, ins_lat, access, _uses = node
+                if access is not None:
+                    touched.append((len(nodes), [access]))
+                elif ins.opcode is _CALL:
+                    touched.append((len(nodes), [
+                        acc for arr in self.callees[ins.callee].mem_summary
+                        for acc in (_access(False, arr, None),
+                                    _access(True, arr, None))]))
+                nodes.append(node)
+                lat.append(ins_lat)
 
         n = len(nodes)
         intra: list[set[int]] = [set() for _ in range(n)]
-        carried: list[tuple[int, int]] = []
+        tails: dict[int, list[int]] = {}   # carried edges u -> v, by head v
 
         # SSA edges (def -> use); latch-fed phi inputs become carried edges.
-        result_node: dict[str, int] = {}
-        for i, (kind, obj) in enumerate(nodes):
-            if kind == "ins" and obj.result is not None:
-                result_node[obj.result] = i
-        header_phis = {phi.result: phi for phi in self.bmap[loop.header].phis()}
-        for i, (kind, obj) in enumerate(nodes):
-            if kind != "ins":
+        result_node = {node[0].result: i for i, node in enumerate(nodes)
+                       if node is not None and node[0].result is not None}
+        header_phis = {phi.result for phi in self.bmap[loop.header].phis()}
+        for i, node in enumerate(nodes):
+            if node is None:
                 continue
-            if obj.opcode is Opcode.PHI:
-                if obj.result in header_phis:
-                    for v, lab in obj.phi_incoming():
-                        if lab in loop.blocks and isinstance(v, ValueRef) \
-                                and v.id in result_node:
-                            carried.append((result_node[v.id], i))
-                else:
-                    for v, lab in obj.phi_incoming():
-                        if isinstance(v, ValueRef) and v.id in result_node:
-                            intra[result_node[v.id]].add(i)
+            ins, _lat, _acc, uses = node
+            if ins.opcode is _PHI:
+                carries = ins.result in header_phis
+                for v, lab in ins.phi_incoming():
+                    if not (isinstance(v, ValueRef) and v.id in result_node):
+                        continue
+                    if not carries:
+                        intra[result_node[v.id]].add(i)
+                    elif lab in loop.blocks:
+                        tails.setdefault(i, []).append(result_node[v.id])
                 continue
-            for vid in obj.value_uses():
+            for vid in uses:
                 if vid in result_node:
                     intra[result_node[vid]].add(i)
 
         # Memory edges: a write orders against any aliasing later access
         # (distance 0) and against every aliasing access of the next
-        # iteration (distance 1).  Node index is program order.
-        mem_nodes = [i for i in range(n) if touched[i]]
-        for a_i in mem_nodes:
-            for b_i in mem_nodes:
-                if a_i == b_i:
-                    continue
-                for ka, key_a in touched[a_i]:
-                    if ka != "w":
-                        continue
-                    for _kb, key_b in touched[b_i]:
-                        if not _keys_alias(key_a, key_b):
-                            continue
-                        if a_i < b_i:
-                            intra[a_i].add(b_i)
-                        carried.append((a_i, b_i))
-                        break
+        # iteration (distance 1).  Node index is program order; each write
+        # is filed under its alias classes, and each access looks up the
+        # writers in the classes it may alias.
+        writers: dict = {}
+        for i, acc in touched:
+            for writes, _arr, files, _probes in acc:
+                if writes:
+                    for c in files:
+                        writers.setdefault(c, []).append(i)
+        for b, acc in touched:
+            sources = {a for _w, _arr, _files, probes in acc
+                       for c in probes for a in writers.get(c, ())}
+            sources.discard(b)
+            for a in sources:
+                if a < b:
+                    intra[a].add(b)
+                tails.setdefault(b, []).append(a)
 
         # Longest path in the intra DAG from each carried edge's head back to
-        # its tail: one pass per distinct head.
-        tails: dict[int, list[int]] = {}
-        for u, v in carried:
-            tails.setdefault(v, []).append(u)
+        # its tail: one pass per distinct head, from the head on.
         best = 1
         for v, us in tails.items():
-            dist: list[int | None] = [None] * n
+            dist = [-1] * n     # -1: not reached from v
             dist[v] = lat[v]
-            for i in range(n):
-                if dist[i] is None:
+            for i in range(v, n):
+                d = dist[i]
+                if d < 0:
                     continue
                 for j in intra[i]:
-                    cand = dist[i] + lat[j]
-                    if dist[j] is None or cand > dist[j]:
-                        dist[j] = cand
+                    if d + lat[j] > dist[j]:
+                        dist[j] = d + lat[j]
             for u in us:
-                if dist[u] is not None:
+                if dist[u] >= 0:
                     best = max(best, dist[u])
                 else:
                     best = max(best, lat[v] + lat[u] if u != v else lat[v])
@@ -403,12 +432,11 @@ class _FunctionModel:
         reads: set[str] = set()
         writes: set[str] = set()
         for lab in loop.blocks:
-            for ins in self.bmap[lab].all_instructions():
-                access = _mem_op(self.defs, ins)
+            for ins, _lat, access, _uses in self.insts[lab]:
                 if access is not None:
-                    (reads if access[0] == "r" else writes).add(access[1][0])
-                elif ins.opcode is Opcode.CALL:
-                    callee = self._callee(ins.callee).mem_summary
+                    (writes if access[0] else reads).add(access[1])
+                elif ins.opcode is _CALL:
+                    callee = self.callees[ins.callee].mem_summary
                     reads.update(callee)
                     writes.update(callee)
         return sorted(reads), sorted(writes)
@@ -416,8 +444,8 @@ class _FunctionModel:
     # -- assembly -----------------------------------------------------------
 
     def _build(self) -> None:
-        for b in self.fn.blocks:
-            self.block_lat[b.label] = self._schedule_block(b)
+        for lab in self.insts:
+            self.block_lat[lab] = self._schedule_block(lab)
         pipelined = {p.target: p.target_ii or 1
                      for p in self.fn.pragmas if p.kind is PragmaKind.PIPELINE}
         # Deepest first, so each loop's children are priced before it.
@@ -455,6 +483,7 @@ class _ModuleModel:
     def __init__(self, module: IrModule, costs: OpCostTable):
         self.module = module
         self.costs = costs
+        self.lat = {op: costs.lat(op) for op in Opcode}
         self._fns: dict[str, _FunctionModel] = {}
         self._ports: dict[str, int] = {}
         for fn in module.functions:

@@ -44,6 +44,26 @@ block entry:
     assert "use-before-def" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, annotated", [
+    ("block body:", "no loop"),
+    ("block body loop(7, depth=3):", "loop(7, depth=3)"),
+], ids=["missing", "wrong"])
+def test_verify_rejects_a_wrong_loop_body_annotation(tmp_path, capsys, body,
+                                                     annotated):
+    assert main(["corpus-gen", "--out", str(tmp_path), "--n", "3", "--seed",
+                 "0", "--quiet"]) == 0
+    design = tmp_path / "vec_combine_00.ir"
+    text = design.read_text()
+    assert main(["verify", str(design), "--quiet"]) == 0
+    assert "block body loop(1, depth=1):" in text
+    design.write_text(text.replace("block body loop(1, depth=1):", body))
+    capsys.readouterr()
+    assert main(["verify", str(design)]) == 1
+    assert capsys.readouterr().err == (
+        f"[loop-member] vec_combine_00: block 'body' annotated {annotated}, "
+        f"derived loop(1, depth=1)\n")
+
+
 def test_user_error_exit_code():
     assert main(["parse", "/nonexistent/file.ir"]) == 1
 

@@ -307,6 +307,37 @@ block fin:
 """
 
 
+#: Two nested loops, every block annotated as its CFG says.
+NESTED_LOOPS = """
+top func @f(%a: i32) -> i32 {
+block entry:
+  br hd
+block hd loop(1, depth=1, header):
+  %i = phi i32 [0, entry], [%i.next, latch]
+  %c = icmp slt i32 %i, 4
+  condbr %c, ihd, out
+block ihd loop(2, depth=2, header):
+  %j = phi i32 [0, hd], [%j.next, ibody]
+  %cj = icmp slt i32 %j, 3
+  condbr %cj, ibody, latch
+block ibody loop(2, depth=2):
+  %j.next = add i32 %j, 1
+  br ihd
+block latch loop(1, depth=1):
+  %i.next = add i32 %i, 1
+  br hd
+block out:
+  ret i32 %a
+}
+"""
+
+
+def _nested(old, new):
+    """``NESTED_LOOPS`` with one block's annotation edited."""
+    assert old in NESTED_LOOPS
+    return _parsed(NESTED_LOOPS.replace(old, new))
+
+
 BAD_CFG = """
 top func @f(%a: i32) -> i32 {
 block entry:
@@ -388,6 +419,29 @@ def _bad_target():
         "[entry-preds] f: entry block has predecessors",
         "[unreachable] f: block 'dead' unreachable from entry",
     ]),
+    # A block that is not a header carries its innermost loop's id and
+    # depth, and none outside every loop.
+    (_parsed(NESTED_LOOPS), []),
+    (_nested("block ibody loop(2, depth=2):", "block ibody loop(1, depth=1):"), [
+        "[loop-member] f: block 'ibody' annotated loop(1, depth=1), derived "
+        "loop(2, depth=2)",
+    ]),
+    (_nested("block ibody loop(2, depth=2):", "block ibody:"), [
+        "[loop-member] f: block 'ibody' annotated no loop, derived "
+        "loop(2, depth=2)",
+    ]),
+    (_nested("block latch loop(1, depth=1):", "block latch loop(1, depth=2):"), [
+        "[loop-member] f: block 'latch' annotated loop(1, depth=2), derived "
+        "loop(1, depth=1)",
+    ]),
+    (_nested("block latch loop(1, depth=1):", "block latch loop(3, depth=1):"), [
+        "[loop-member] f: block 'latch' annotated loop(3, depth=1), derived "
+        "loop(1, depth=1)",
+    ]),
+    (_nested("block out:", "block out loop(1, depth=1):"), [
+        "[loop-member] f: block 'out' annotated loop(1, depth=1), derived "
+        "no loop",
+    ]),
     (_no_terminator, [
         "[bad-term] f:dead: terminator is not br/condbr/ret",
         "[no-term] f:out: block has no terminator",
@@ -397,7 +451,9 @@ def _bad_target():
         "[phi-order] f:out: phi after non-phi",
         "[bad-target] f:dead: branch to unknown block 'nowhere'",
     ]),
-], ids=["phis", "ssa", "loops", "cfg", "no-term", "bad-target"])
+], ids=["phis", "ssa", "loops", "cfg", "nested", "member-outer-id",
+        "member-missing", "member-depth", "member-id", "member-outside",
+        "no-term", "bad-target"])
 def test_verifier_reports_every_violation_in_order(make, expected):
     """Pinned before the verifier took its CFG analysis from a loop forest
     and merged its walks: each kind of violation keeps its place.  A forest

@@ -4,8 +4,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from passforge import qor
+from passforge.agent import env as env_module, search_greedy
 from passforge.corpus import corpus_gen, random_inputs
-from passforge.ir import natural_loops, parse_module
+from passforge.ir import (
+    Const, Opcode, PragmaKind, ValueRef, natural_loops, parse_module,
+    pointer_target,
+)
 from passforge.passes import (
     PassId, apply_pass, apply_pragma_passes, apply_sequence, general_passes,
     loop_trip_count,
@@ -465,3 +470,291 @@ def test_estimates_are_pinned():
                             h.update(repr(mii[loop.loop_id]).encode())
     assert {group: h.hexdigest() for group, h in hashes.items()} \
         == PINNED_ESTIMATES
+
+
+# -- reference: the pairwise alias scans that the model's class tables replace
+
+def _ref_key(defs, op):
+    """(array, constant-index-or-None) of a pointer; the array is '?' when
+    unknown, and a None index may alias anything in the array."""
+    target = pointer_target(defs, op)
+    if target is None:
+        return "?", None
+    arr, idx = target
+    return arr, (str(idx.value) if isinstance(idx, Const) else None)
+
+
+def _ref_mem_op(defs, ins):
+    """('r' or 'w', access key) of a load or store; None for any other op."""
+    if ins.opcode is Opcode.LOAD:
+        return "r", _ref_key(defs, ins.operands[0])
+    if ins.opcode is Opcode.STORE:
+        return "w", _ref_key(defs, ins.operands[1])
+    return None
+
+
+def _ref_alias(a, b):
+    """Accesses may alias unless the analysis is conclusive: different
+    arrays, or the same array at two distinct constant indices."""
+    if a[0] != b[0] and a[0] != "?" and b[0] != "?":
+        return False
+    if a[0] == b[0] and a[1] is not None and b[1] is not None:
+        return a[1] == b[1]
+    return True
+
+
+def _ref_touched(fm, defs, ins):
+    """An instruction's accesses for the recurrence bound: its load or
+    store, or a read and a write of each array a called function touches
+    (the callee summaries are the model's own)."""
+    if ins.opcode is Opcode.CALL:
+        return [(k, (arr, None)) for arr in fm.callees[ins.callee].mem_summary
+                for k in "rw"]
+    access = _ref_mem_op(defs, ins)
+    return [] if access is None else [access]
+
+
+def _ref_latency(fm, costs, ins):
+    if ins.opcode is Opcode.CALL:
+        return fm.callees[ins.callee].latency
+    return costs.lat(ins.opcode)
+
+
+def _ref_block_latency(fm, costs, defs, b):
+    """ASAP block schedule; each access scans every earlier access, and a
+    call is a write that aliases everything."""
+    finish, by_result, events, latest = {}, {}, [], 0
+    for idx, ins in enumerate(b.all_instructions()):
+        start = 0
+        for vid in ins.value_uses():
+            if vid in by_result:
+                start = max(start, finish[by_result[vid]])
+        access = _ref_mem_op(defs, ins)
+        if ins.opcode is Opcode.CALL:
+            access = ("w", ("?", None))
+        if access is not None:
+            kind, key = access
+            for ekind, ekey, j in events:
+                if (ekind == "w" or kind == "w") and _ref_alias(ekey, key):
+                    start = max(start, finish[j])
+            events.append((kind, key, idx))
+        finish[idx] = start + _ref_latency(fm, costs, ins)
+        latest = max(latest, finish[idx])
+        if ins.result is not None:
+            by_result[ins.result] = idx
+    return latest
+
+
+def _ref_res_counts(fm, defs, loop):
+    """Accesses per array in one iteration, child loops weighted by trips."""
+    counts = {}
+    for lab in fm._own_blocks(loop):
+        for ins in fm.bmap[lab].all_instructions():
+            access = _ref_mem_op(defs, ins)
+            if access is not None:
+                counts[access[1][0]] = counts.get(access[1][0], 0) + 1
+            elif ins.opcode is Opcode.CALL:
+                for arr, n in fm.callees[ins.callee].mem_summary.items():
+                    counts[arr] = counts.get(arr, 0) + n
+    for c in loop.children:
+        for arr, n in _ref_res_counts(fm, defs, c).items():
+            counts[arr] = counts.get(arr, 0) + n * fm.eff_trip[c.loop_id]
+    return counts
+
+
+def _ref_rec_mii(fm, costs, defs, loop):
+    """Recurrence bound, with the memory edges found over every pair of
+    nodes and a longest-path sweep over all nodes per carried edge."""
+    own = fm._own_blocks(loop)
+    nodes, macro_ids, lat, touched = [], set(), [], []
+    for lab in fm.rpo:
+        if lab not in loop.blocks:
+            continue
+        if lab not in own:
+            top = fm.forest.innermost[lab]
+            while (up := fm.forest.parent(top)) is not None and up is not loop:
+                top = up
+            if top.loop_id not in macro_ids:
+                macro_ids.add(top.loop_id)
+                nodes.append(None)
+                lat.append(fm.loop_total[top.loop_id])
+                touched.append([(k, (key[0], None)) for blk in top.blocks
+                                for ins in fm.bmap[blk].all_instructions()
+                                for k, key in _ref_touched(fm, defs, ins)])
+            continue
+        for ins in fm.bmap[lab].all_instructions():
+            nodes.append(ins)
+            lat.append(_ref_latency(fm, costs, ins))
+            touched.append(_ref_touched(fm, defs, ins))
+    n = len(nodes)
+    intra = [set() for _ in range(n)]
+    carried = []
+    result_node = {ins.result: i for i, ins in enumerate(nodes)
+                   if ins is not None and ins.result is not None}
+    header_phis = {phi.result for phi in fm.bmap[loop.header].phis()}
+    for i, ins in enumerate(nodes):
+        if ins is None:
+            continue
+        if ins.opcode is Opcode.PHI:
+            for v, lab in ins.phi_incoming():
+                if isinstance(v, ValueRef) and v.id in result_node:
+                    if ins.result not in header_phis:
+                        intra[result_node[v.id]].add(i)
+                    elif lab in loop.blocks:
+                        carried.append((result_node[v.id], i))
+            continue
+        for vid in ins.value_uses():
+            if vid in result_node:
+                intra[result_node[vid]].add(i)
+    for a_i in range(n):
+        for b_i in range(n):
+            if a_i != b_i and any(
+                    ka == "w" and _ref_alias(key_a, key_b)
+                    for ka, key_a in touched[a_i]
+                    for _kb, key_b in touched[b_i]):
+                if a_i < b_i:
+                    intra[a_i].add(b_i)
+                carried.append((a_i, b_i))
+    best = 1
+    for u, v in carried:
+        dist = [None] * n
+        dist[v] = lat[v]
+        for i in range(n):
+            if dist[i] is not None:
+                for j in intra[i]:
+                    if dist[j] is None or dist[i] + lat[j] > dist[j]:
+                        dist[j] = dist[i] + lat[j]
+        best = max(best, dist[u] if dist[u] is not None
+                   else lat[v] + lat[u] if u != v else lat[v])
+    return best
+
+
+def _assert_prices_match_reference(m, costs):
+    """Every block latency and every loop's ``(res_mii, rec_mii)``, in each
+    function the estimate models, equal the reference's.  A module whose
+    pipelined loop has no static trip is compared without its pipeline
+    pragmas, which neither price reads."""
+    try:
+        estimate(m, costs)
+    except EstimateError:
+        m = m.clone()
+        for fn in m.functions:
+            fn.pragmas = [p for p in fn.pragmas
+                          if p.kind is not PragmaKind.PIPELINE]
+    mm = _ModuleModel(m, costs)
+    mm.fn_model(m.top.name)
+    for name, fm in mm._fns.items():
+        defs = fm.fn.defined_values()
+        for b in fm.fn.blocks:
+            assert fm.block_lat[b.label] \
+                == _ref_block_latency(fm, costs, defs, b), (name, b.label)
+        loops = {l.loop_id: l for l in fm.forest.loops}
+        for r in fm.loop_reports:
+            loop = loops[r.loop_id]
+            res_mii = max([1, *(-(-n // mm.ports_for(arr)) for arr, n
+                                in _ref_res_counts(fm, defs, loop).items())])
+            assert (r.res_mii, r.rec_mii) \
+                == (res_mii, _ref_rec_mii(fm, costs, defs, loop)), (name, loop)
+
+
+#: One loop whose body holds a store and a later access, or two accesses,
+#: of one alias class; ``%q`` is a pointer of unknown provenance.
+ALIAS_LOOP = """
+func @g(%x: i32) -> i32 {
+block entry:
+  %y = add i32 %x, 1
+  ret i32 %y
+}
+
+top func @f(%a: i32[8], %b: i32[8]) -> i32 {
+block entry:
+  br hd
+block hd loop(1, depth=1, header):
+  %i = phi i32 [0, entry], [%i.next, body]
+  %t = icmp slt i32 %i, 8
+  condbr %t, body, out
+block body loop(1, depth=1):
+  %pa = getelementptr %a, %i
+  %pb = getelementptr %b, %i
+  %pa0 = getelementptr %a, 0
+  %pa1 = getelementptr %a, 1
+BODY
+  %i.next = add i32 %i, 1
+  br hd
+block out:
+  ret i32 0
+}
+"""
+
+
+@pytest.mark.parametrize("body, cycles", [
+    # The store waits 1 for the select; the load of a known array then
+    # waits for the store: 1 + 1 + 2.
+    (["%q = select %t, i32 %pa, %pb", "store i32 %i, %q",
+      "%v = load i32 %pa1"], 4),
+    (["store i32 %i, %pa0", "%v = load i32 %pa1"], 2),
+    (["store i32 %i, %pa0", "%v = load i32 %pa0"], 3),
+    (["store i32 %i, %pa", "%v = load i32 %pa0"], 3),
+    (["%v = load i32 %pa", "store i32 %i, %pa0"], 3),
+    (["store i32 %i, %pa", "%v = load i32 %pb"], 2),
+    (["%v = load i32 %pa0", "%w = load i32 %pa0"], 2),
+    # The call (1 cycle) waits for the store, and the load of another
+    # array for the call.
+    (["store i32 %i, %pa", "%r = call i32 @g(%i)", "%v = load i32 %pb"], 4),
+], ids=["unknown-provenance", "distinct-constant-indices",
+        "same-constant-index", "unknown-index", "write-after-read",
+        "distinct-arrays", "read-after-read", "call"])
+def test_each_alias_class_prices_as_the_pairwise_scan(body, cycles):
+    m = parse_module(ALIAS_LOOP.replace(
+        "BODY", "\n".join("  " + line for line in body)))
+    for costs in (OpCostTable(), OpCostTable(memory_ports=1)):
+        _assert_prices_match_reference(m, costs)
+    fm = _ModuleModel(m, OpCostTable()).fn_model("f")
+    assert fm.block_lat["body"] == cycles
+
+
+def test_prices_match_the_pairwise_scan_on_what_greedy_prices(monkeypatch):
+    """Every module greedy prices over ``corpus_gen(12, 0)``, and
+    ``CALLS_SRC``, whose calls the expanded corpus no longer holds."""
+    priced = {}
+    price = env_module.estimate
+
+    def record(m, costs=None):
+        priced.setdefault(m.digest(), m.clone())
+        return price(m, costs)
+
+    monkeypatch.setattr(env_module, "estimate", record)
+    for _name, text in corpus_gen(12, 0):
+        search_greedy(parse_module(text))
+    assert len(priced) == 319
+    for m in [*priced.values(), parse_module(CALLS_SRC)]:
+        _assert_prices_match_reference(m, OpCostTable())
+    _assert_prices_match_reference(parse_module(CALLS_SRC),
+                                   OpCostTable(memory_ports=1))
+
+
+def test_one_estimate_resolves_each_access_and_latency_once(monkeypatch):
+    """One walk works out each instruction's access key and latency, and
+    the block schedule, the recurrence bound and the access counts all read
+    it.  ``two_func_08`` calls its helper from a loop, so both functions are
+    modelled: 3 loads and stores among 17 instructions."""
+    m = parse_module(dict(corpus_gen(12, 0))["two_func_08"])
+    calls = {"pointer_target": 0, "latency": 0}
+    target, latency = qor.pointer_target, qor._FunctionModel._op_latency
+
+    def counted_target(defs, op):
+        calls["pointer_target"] += 1
+        return target(defs, op)
+
+    def counted_latency(self, ins):
+        calls["latency"] += 1
+        return latency(self, ins)
+
+    monkeypatch.setattr(qor, "pointer_target", counted_target)
+    monkeypatch.setattr(qor._FunctionModel, "_op_latency", counted_latency)
+    estimate(m)
+    insts = [ins for fn in m.functions for b in fn.blocks
+             for ins in b.all_instructions()]
+    accesses = sum(ins.opcode in (Opcode.LOAD, Opcode.STORE) for ins in insts)
+    assert calls == {"pointer_target": accesses, "latency": len(insts)} \
+        == {"pointer_target": 3, "latency": 17}
