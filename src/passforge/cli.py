@@ -631,7 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--costs", default=None,
                    help="edit-cost JSON (EditCostModel fields) overriding "
                         "the unit defaults")
-    p.add_argument("--mode", default="beam:32", help="exact | beam:WIDTH")
+    p.add_argument("--mode", default="beam:32", help="exact | beam:WIDTH; exact "
+                   "searches best-first under a bound that is not admissible, "
+                   "so it can return more than the optimum")
 
     p = command("corpus-gen", cmd_corpus_gen, "generate synthetic kernels",
                 "seed", "quiet")

@@ -12,7 +12,7 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .ir import IrModule, ValueRef, natural_loops
+from .ir import IrModule, ValueRef
 from .ir.types import instr_class_one_hot
 
 SCHEMA_VERSION = "hetgraph_v2"
@@ -71,9 +71,9 @@ def _block_attr(depth: int) -> tuple[float, ...]:
 
 
 def build_het_graph(module: IrModule, fn_name: str | None = None) -> HetGraph:
-    """Construct the typed program graph for one function (default: top)."""
+    """Construct the typed program graph for one function (default: top); a
+    block's depth is its loop annotation's, which ``verify_module`` checks."""
     fn = module.top if fn_name is None else module.function(fn_name)
-    forest = natural_loops(fn)
 
     nodes: list[NodeRecord] = []
     edges: list[EdgeRecord] = []
@@ -92,7 +92,7 @@ def build_het_graph(module: IrModule, fn_name: str | None = None) -> HetGraph:
 
     block_node: dict[str, int] = {}
     for b in fn.blocks:
-        depth = forest.block_depth(b.label)
+        depth = 0 if b.loop_info is None else b.loop_info.depth
         nodes.append(NodeRecord(nid, NodeKind.BLOCK, _block_attr(depth)))
         block_node[b.label] = nid
         nid += 1

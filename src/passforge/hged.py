@@ -12,12 +12,15 @@ the normalized distance divides by the delete-everything-plus-insert-
 everything path so labels land in [0, 1].
 
 Each stage pair is one search over edit paths, best-first (``ged_exact``) or
-a beam (``ged_beam``): level i maps G1's node i to an unused G2 node of its
-kind or deletes it, in a fixed candidate order.  A search state carries what
-its bound needs, besides its cost and mapping: G2's unused nodes counted per
-label and per kind, its unused-to-unused edges counted per relation, and the
-label term of the bound.  A child updates these from per-node label ids and
-incident-edge lists.  Each search tabulates what all children at a level
+a beam (``ged_beam``).  Exact mode is not exact: its best-first search runs
+under a bound that ``ged_exact`` documents as not admissible, so it can
+return more than the optimum; beam mode returns an upper bound.  Level i
+maps G1's node i to an unused G2 node of its kind or deletes it, in a fixed
+candidate order.  A search state carries what its bound needs, besides its
+cost and mapping: G2's unused nodes counted per label and per kind, its
+unused-to-unused edges counted per relation, and the label term of the
+bound.  A child updates these from per-node label ids and incident-edge
+lists.  Each search tabulates what all children at a level
 share: G1's label, kind and relation counts over nodes i.., node i's deletion
 cost, and each adjacency's one-sided edge cost (``_edge_pair_cost`` against no
 edges) on both sides.  A substitution prices only the earlier nodes adjacent
@@ -45,12 +48,12 @@ graph, so it always searches.
 beam width, the affiliation extras and the cost model, with the mapping
 stored by position; a search result is a function of exactly these, so a hit
 returns what a fresh search would.  The memo belongs to its caller:
-``dataset_gen`` makes one per call, whose pairs repeat many block pairs.
+``dataset_gen`` makes one per call, whose pairs repeat many block pairs, and
+a call given none makes its own, which it drops on return.
 The memo also holds each graph's ``_StageView`` (skeleton, per-block
 instruction graphs with their cached keys, data-flow and cross-block edges),
 keyed by the graph's id.  The entry holds the graph, so the id is not reused,
-and the graph must not be mutated, while the memo lives.  Without a memo,
-nothing is cached.
+and the graph must not be mutated, while the memo lives.
 """
 from __future__ import annotations
 
@@ -580,10 +583,10 @@ class _StageView:
 _NO_INSTRS = StageGraph([], [])
 
 
-def _stage_view(g: HetGraph, memo: dict | None = None) -> _StageView:
+def _stage_view(g: HetGraph, memo: dict) -> _StageView:
     """The view of ``g``, built once per memo (see the module docstring)."""
     key = ("view", id(g))
-    if memo is not None and key in memo:
+    if key in memo:
         return memo[key]
     keep = {n.node_id for n in g.nodes
             if n.kind in (NodeKind.BLOCK, NodeKind.FUNC)}
@@ -613,8 +616,7 @@ def _stage_view(g: HetGraph, memo: dict | None = None) -> _StageView:
         g, skeleton, {n.nid for n in skeleton.nodes if n.kind == "block"},
         {b: StageGraph(ns, internal[b]) for b, ns in instrs.items()},
         data, cross)
-    if memo is not None:
-        memo[key] = view
+    memo[key] = view
     return view
 
 
@@ -624,10 +626,14 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
     """Two-stage edit distance between two program graphs.
 
     mode "exact" uses best-first search everywhere and enforces the skeleton
-    and node-count limits; "beam" never errors and yields an upper bound.
-    ``memo``, a dict the caller owns and passes to each call, caches each
-    graph's stage view and beam stage results (see the module docstring)."""
+    and node-count limits.  Its bound is not admissible (see ``ged_exact``),
+    so despite the name it can return more than the optimum.  "beam" never
+    errors and yields an upper bound.  ``memo``, a dict the caller owns and
+    passes to each call, caches each graph's stage view and beam stage
+    results (see the module docstring); without one, the call makes its
+    own."""
     costs = costs or EditCostModel()
+    memo = {} if memo is None else memo
     exact_mode = mode == "exact"
     if mode not in ("exact", "beam"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -640,20 +646,15 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
             f"skeletons have {blocks1}/{blocks2} blocks; exact mode allows "
             f"{EXACT_SKELETON_LIMIT}")
 
-    exact = True
     cost_key = repr(costs)
 
     def run_stage(a: StageGraph, b: StageGraph, del_extra=0.0, ins_extra=0.0):
-        nonlocal exact
         if exact_mode:
             # Inside the staged decomposition the per-pair searches are kept
             # honest by the expansion budget; the standalone node limit would
             # reject identity pairs of larger blocks that search instantly.
             limit = max(EXACT_NODE_LIMIT, len(a.nodes) + len(b.nodes))
             return ged_exact(a, b, costs, limit, del_extra, ins_extra)
-        exact = False
-        if memo is None:
-            return ged_beam(a, b, costs, beam_width, del_extra, ins_extra)
         key = (a.key, b.key, beam_width, del_extra, ins_extra, cost_key)
         if key not in memo:
             cost, mapping = ged_beam(a, b, costs, beam_width, del_extra,
@@ -712,7 +713,7 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
                            + _stage2_denom(v2, costs, False)))
     normalized = 0.0 if denom == 0 else min(1.0, total / denom)
     return HgedResult(stage1_cost, stage2_cost, total, normalized,
-                      block_mapping, exact)
+                      block_mapping, exact_mode)
 
 
 def _stage2_denom(view: _StageView, costs: EditCostModel,

@@ -13,9 +13,9 @@ from .interp import (
     fold_constant, interpret, wrap32,
 )
 from .analysis import (
-    DomTree, Loop, LoopForest, natural_loops, pointer_target, postorder,
-    predecessor_map, preheader_of, reachable_blocks, refresh_loop_annotations,
-    reverse_postorder, successor_map,
+    DomTree, Loop, LoopForest, dedicated_preheader, natural_loops,
+    pointer_target, postorder, predecessor_map, reachable_blocks,
+    refresh_loop_annotations, successor_map,
 )
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "Violation", "verify_module",
     "DEFAULT_FUEL", "ExecResult", "FuelExhausted", "TrapError",
     "check_inputs", "fold_constant", "interpret", "wrap32",
-    "DomTree", "Loop", "LoopForest", "natural_loops", "pointer_target",
-    "postorder", "predecessor_map", "preheader_of", "reachable_blocks",
-    "refresh_loop_annotations", "reverse_postorder", "successor_map",
+    "DomTree", "Loop", "LoopForest", "dedicated_preheader", "natural_loops",
+    "pointer_target", "postorder", "predecessor_map", "reachable_blocks",
+    "refresh_loop_annotations", "successor_map",
 ]

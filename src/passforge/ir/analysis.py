@@ -2,10 +2,10 @@
 
 Everything here is derived from the block structure alone: predecessor and
 successor maps, depth-first postorder, dominators (iterative
-Cooper-Harvey-Kennedy), and the natural loop forest.  Loop identities come
-from the ``loop(id, ...)`` annotations on header blocks; membership and
-nesting are always recomputed from back edges so they stay correct as passes
-rewrite the CFG.  One dataflow helper rides along: `pointer_target` decodes
+Cooper-Harvey-Kennedy), the natural loop forest and each loop's dedicated
+preheader.  Loop identities come from the ``loop(id, ...)`` annotations on
+header blocks; membership and nesting are always recomputed from back edges
+so they stay correct as passes rewrite the CFG.  One dataflow helper rides along: `pointer_target` decodes
 the array and index a pointer addresses.
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .types import (
-    GlobalRef, IrFunction, IrInstruction, LoopInfo, Opcode, Operand,
+    GlobalRef, IrBlock, IrFunction, IrInstruction, LoopInfo, Opcode, Operand,
     ValueRef,
 )
 
@@ -77,7 +77,8 @@ def reverse_postorder(fn: IrFunction) -> list[str]:
 
 
 def dominators(fn: IrFunction) -> dict[str, str | None]:
-    """Immediate-dominator map over reachable blocks; entry maps to None."""
+    """Immediate-dominator map over reachable blocks, in reverse postorder;
+    entry maps to None."""
     rpo = reverse_postorder(fn)
     index = {lab: i for i, lab in enumerate(rpo)}
     preds = predecessor_map(fn)
@@ -116,24 +117,10 @@ class DomTree:
 
     def __init__(self, fn: IrFunction):
         self.idom = dominators(fn)
+        # In reverse postorder each block's immediate dominator comes first.
         self.depth: dict[str, int] = {}
-        for lab in self.idom:
-            self.depth[lab] = self._depth(lab)
-
-    def _depth(self, lab: str) -> int:
-        if lab in self.depth:
-            return self.depth[lab]
-        d = 0
-        cur = lab
-        chain = []
-        while self.idom.get(cur) is not None and cur not in self.depth:
-            chain.append(cur)
-            cur = self.idom[cur]  # type: ignore[assignment]
-        d = self.depth.get(cur, 0)
-        for c in reversed(chain):
-            d += 1
-            self.depth[c] = d
-        return self.depth.get(lab, d)
+        for lab, up in self.idom.items():
+            self.depth[lab] = 0 if up is None else self.depth[up] + 1
 
     def dominates(self, a: str, b: str) -> bool:
         """True when block a dominates block b (reflexive)."""
@@ -171,14 +158,15 @@ class LoopForest:
 
     The CFG analysis the loops were derived from rides along, so a caller
     that holds the forest need not redo it: ``dom``, the dominator tree;
-    ``preds``, the predecessor map; ``reach``, the blocks reachable from the
-    entry."""
+    ``preds``, the predecessor map; ``rpo``, the reachable blocks in reverse
+    postorder; ``reach``, the same blocks as a set."""
     loops: list[Loop]
     by_header: dict[str, Loop]
     innermost: dict[str, Loop | None]
     parents: dict[str, Loop | None]     # by header label
     dom: DomTree
     preds: dict[str, list[str]]
+    rpo: list[str]
     reach: set[str]
 
     def parent(self, loop: Loop) -> Loop | None:
@@ -191,10 +179,6 @@ class LoopForest:
                 return l
         return None
 
-    def block_depth(self, label: str) -> int:
-        l = self.innermost.get(label)
-        return 0 if l is None else l.depth
-
 
 def natural_loops(fn: IrFunction) -> LoopForest:
     """Natural loops from back edges (edge u->h where h dominates u).
@@ -204,7 +188,7 @@ def natural_loops(fn: IrFunction) -> LoopForest:
     """
     dom = DomTree(fn)
     preds = predecessor_map(fn)
-    rpo = reverse_postorder(fn)
+    rpo = list(dom.idom)
     reach = set(rpo)
     bmap = fn.block_map()
 
@@ -267,16 +251,19 @@ def natural_loops(fn: IrFunction) -> LoopForest:
             innermost[lab] = l
 
     return LoopForest(loops, {l.header: l for l in loops}, innermost, parents,
-                      dom, preds, reach)
+                      dom, preds, rpo, reach)
 
 
-def preheader_of(fn: IrFunction, loop: Loop) -> str | None:
-    """The unique out-of-loop predecessor of the header, if there is one."""
-    preds = predecessor_map(fn)
-    outside = [p for p in preds[loop.header] if p not in loop.blocks]
-    if len(outside) == 1:
-        return outside[0]
-    return None
+def dedicated_preheader(fn: IrFunction, loop: Loop) -> IrBlock | None:
+    """The loop's dedicated preheader: the one predecessor of its header
+    outside the loop, when that block branches nowhere else.  None when the
+    loop has none."""
+    outside = [p for p in predecessor_map(fn)[loop.header]
+               if p not in loop.blocks]
+    if len(outside) != 1:
+        return None
+    pre = fn.block_map()[outside[0]]
+    return pre if pre.successors() == [loop.header] else None
 
 
 def refresh_loop_annotations(fn: IrFunction) -> LoopForest:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..ir import (
     Const, IrBlock, IrFunction, IrInstruction, IrModule, LabelRef, Loop,
-    Opcode, ValueRef, natural_loops, predecessor_map, preheader_of,
+    Opcode, ValueRef, dedicated_preheader, natural_loops, predecessor_map,
 )
 from ..ir.types import Operand, VOID
 from .rewrite import (
@@ -213,11 +213,11 @@ def top_test(fn: IrFunction, loop: Loop) -> TopTest | None:
     preds = predecessor_map(fn)
     if preds[body_lab] != [loop.header] or bmap[body_lab].phis():
         return None
-    outside = [p for p in preds[loop.header] if p not in loop.blocks]
-    if len(outside) != 1 or bmap[outside[0]].successors() != [loop.header]:
+    pre = dedicated_preheader(fn, loop)
+    if pre is None:
         return None
-    return TopTest(header, bmap[outside[0]], bmap[body_lab], latch,
-                   exit_label, cmp, body_first)
+    return TopTest(header, pre, bmap[body_lab], latch, exit_label, cmp,
+                   body_first)
 
 
 def edge_values(header: IrBlock, pred: str) -> dict[str, Operand]:
@@ -337,11 +337,10 @@ def _funnel(fn: IrFunction, loop: Loop, preds: list[str], suffix: str,
 def insert_preheader(fn: IrFunction, loop: Loop, fresh: FreshNames) -> bool:
     """Route the edges entering the loop through a new dedicated preheader,
     unless there is one already."""
+    if dedicated_preheader(fn, loop) is not None:
+        return False
     outside = [p for p in predecessor_map(fn)[loop.header]
                if p not in loop.blocks]
-    if len(outside) == 1 and \
-            fn.block_map()[outside[0]].successors() == [loop.header]:
-        return False
     pre = _funnel(fn, loop, outside, "pre", fresh)
     fn.blocks.insert(fn.blocks.index(fn.block_map()[loop.header]), pre)
     return True
@@ -357,22 +356,28 @@ def _merge_latches(fn: IrFunction, loop: Loop, fresh: FreshNames) -> bool:
     return True
 
 
+def _rewrite_loops(fn: IrFunction, order, rewrite) -> None:
+    """Apply ``rewrite(loop)`` to ``fn``'s loops, sorted by ``order``, until
+    one returns True; re-derive the forest and repeat until none does.
+
+    loop_simplify, loop_rotate and loop_deletion run through this.  Each of
+    their rewrites changes one loop for good (it gains its preheader or its
+    single latch, or it is rotated or deleted), so twice the loop count at
+    entry bounds the rounds."""
+    forest = natural_loops(fn)
+    for _ in range(2 * len(forest.loops)):
+        if not any(rewrite(l) for l in sorted(forest.loops, key=order)):
+            return
+        forest = natural_loops(fn)
+
+
 def run_loop_simplify(m: IrModule) -> None:
     """Give every loop a dedicated preheader and a single latch; idempotent."""
     for fn in m.functions:
         fresh = FreshNames(fn)
-        for _ in range(64):
-            forest = natural_loops(fn)
-            changed = False
-            for loop in sorted(forest.loops, key=lambda l: (l.depth, l.header)):
-                if insert_preheader(fn, loop, fresh):
-                    changed = True
-                    break
-                if _merge_latches(fn, loop, fresh):
-                    changed = True
-                    break
-            if not changed:
-                break
+        _rewrite_loops(fn, lambda l: (l.depth, l.header),
+                       lambda l: insert_preheader(fn, l, fresh)
+                       or _merge_latches(fn, l, fresh))
 
 
 # ---------------------------------------------------------------------------
@@ -403,22 +408,14 @@ def run_loop_rotate(m: IrModule) -> None:
     test is cloned into the preheader as an entry guard and onto the latch as
     the back-edge condition, and the old header dissolves into the body."""
     for fn in m.functions:
-        changed = True
-        rounds = 0
-        while changed and rounds < 16:
-            changed = False
-            rounds += 1
-            forest = natural_loops(fn)
-            for loop in sorted(forest.loops, key=lambda l: (l.depth, l.header)):
-                t = _rotatable(fn, loop)
-                if t is None:
-                    continue
-                _rotate(fn, loop, t)
-                changed = True
-                break
+        _rewrite_loops(fn, lambda l: (l.depth, l.header),
+                       lambda l: _rotate(fn, l))
 
 
-def _rotate(fn: IrFunction, loop: Loop, t: TopTest) -> None:
+def _rotate(fn: IrFunction, loop: Loop) -> bool:
+    t = _rotatable(fn, loop)
+    if t is None:
+        return False
     fresh = FreshNames(fn)
     header, latch, pre, body = t.header, t.latch, t.pre, t.body
     exit_blk = fn.block_map()[t.exit_label]
@@ -456,6 +453,7 @@ def _rotate(fn: IrFunction, loop: Loop, t: TopTest) -> None:
 
     fn.blocks.remove(header)
     body.loop_info = header.loop_info
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +468,8 @@ def run_licm(m: IrModule) -> None:
     for fn in m.functions:
         forest = natural_loops(fn)
         for loop in sorted(forest.loops, key=lambda l: (-l.depth, l.header)):
-            pre_label = preheader_of(fn, loop)
-            if pre_label is None:
-                continue
-            pre = fn.block_map()[pre_label]
-            if pre.successors() != [loop.header]:
+            pre = dedicated_preheader(fn, loop)
+            if pre is None:
                 continue
             def_block: dict[str, str] = {}
             for b in fn.blocks:
@@ -563,14 +558,8 @@ def run_loop_deletion(m: IrModule) -> None:
     """Delete side-effect-free loops with a known finite trip count whose
     values are unused outside."""
     for fn in m.functions:
-        changed = True
-        while changed:
-            changed = False
-            forest = natural_loops(fn)
-            for loop in sorted(forest.loops, key=lambda l: (-l.depth, l.header)):
-                if _delete_loop(fn, loop):
-                    changed = True
-                    break
+        _rewrite_loops(fn, lambda l: (-l.depth, l.header),
+                       lambda l: _delete_loop(fn, l))
 
 
 def _delete_loop(fn: IrFunction, loop: Loop) -> bool:

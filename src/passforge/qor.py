@@ -12,10 +12,12 @@ restructure it away.
 Each function is modelled once per `estimate` call, and each fact about it
 is worked out once: one walk gives each instruction's latency (from a
 per-opcode table built once per module) and access key, which every later
-step reads; then its loop forest and reverse postorder, one trip count per
-loop, block latencies, each loop's memory access counts and total cycles
-(innermost loops first, so a parent reads its children's), and, the first
-time a caller needs it, the function's memory summary as a callee.
+step reads; then its loop forest (which carries the reverse postorder), one
+trip count per loop, block latencies, and, innermost loops first so a parent
+reads its children's, each loop's memory tally (accesses per array, arrays
+read, arrays written) and total cycles.  The tally feeds res_mii, the
+child-loop nodes of the recurrence bound and, over the blocks outside every
+loop plus the top-level loops, the function's memory summary as a callee.
 
 Memory dependences follow one alias rule: two accesses may alias unless
 they touch two different known arrays, or one array at two distinct
@@ -41,11 +43,10 @@ pairwise scan finds, so they are exact, and no price moves.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 from .ir import (
     Const, IrFunction, IrModule, Loop, Opcode, PragmaKind, ValueRef,
-    interpret, natural_loops, pointer_target, postorder, reverse_postorder,
+    interpret, natural_loops, pointer_target, postorder,
 )
 from .passes.loop_passes import loop_trip_count
 
@@ -168,6 +169,22 @@ def _mem_access(defs, ins) -> tuple | None:
     return _access(writes, arr, str(idx.value) if isinstance(idx, Const) else None)
 
 
+@dataclass
+class _Tally:
+    """Accesses per array, and the arrays read and written, over a region:
+    one iteration of a loop, or the whole function."""
+    counts: dict[str, int] = field(default_factory=dict)
+    reads: set[str] = field(default_factory=set)
+    writes: set[str] = field(default_factory=set)
+
+    def add(self, other: "_Tally", times: int) -> None:
+        """Add ``other`` run ``times`` times."""
+        for arr, n in other.counts.items():
+            self.counts[arr] = self.counts.get(arr, 0) + n * times
+        self.reads |= other.reads
+        self.writes |= other.writes
+
+
 class _FunctionModel:
     """Schedule model for one function; built lazily per module."""
 
@@ -176,7 +193,6 @@ class _FunctionModel:
         self.fn = fn
         self.forest = natural_loops(fn)
         self.bmap = fn.block_map()
-        self.rpo = reverse_postorder(fn)
         self.trip = {l.loop_id: loop_trip_count(fn, l) for l in self.forest.loops}
         self.eff_trip = {lid: DEFAULT_UNKNOWN_TRIP if t is None else t
                          for lid, t in self.trip.items()}
@@ -191,37 +207,15 @@ class _FunctionModel:
         self.block_lat: dict[str, int] = {}
         self.loop_total: dict[int, int] = {}
         self.loop_reports: list[LoopReport] = []
-        self._mem_counts: dict[int, dict[str, int]] = {}
         self._build()
         # Only the build reads the module model, and keeping it would make a
         # cycle through ``model._fns`` that holds the module until a full
         # collection.
         del self.model
 
-    @cached_property
-    def mem_summary(self) -> dict[str, int]:
-        """Trip-weighted accesses per array, as a caller charges a call to
-        this function; each call it makes adds its callee's summary, weighted
-        like the call site.  The call graph is acyclic, so this ends."""
-        counts: dict[str, int] = {}
-        for lab, insts in self.insts.items():
-            weight = 1
-            l = self.forest.innermost.get(lab)
-            while l is not None:
-                weight *= self.eff_trip[l.loop_id]
-                l = self.forest.parent(l)
-            for ins, _lat, access, _uses in insts:
-                if access is not None:
-                    counts[access[1]] = counts.get(access[1], 0) + weight
-                elif ins.opcode is _CALL:
-                    for arr, n in self.callees[ins.callee].mem_summary.items():
-                        counts[arr] = counts.get(arr, 0) + n * weight
-        return counts
-
     def _callee(self, name: str) -> "_FunctionModel":
         """The model of a function this one calls.  Every call is priced
-        when the model is built, so ``callees`` then holds each one for
-        ``mem_summary``, which may run after the module model is dropped."""
+        when the model is built, so ``callees`` then holds each one."""
         if name not in self.callees:
             self.callees[name] = self.model.fn_model(name)
         return self.callees[name]
@@ -293,22 +287,22 @@ class _FunctionModel:
         """The loop's blocks that no child loop holds."""
         return loop.blocks.difference(*(c.blocks for c in loop.children))
 
-    def _mem_access_counts(self, loop: Loop) -> dict[str, int]:
-        """Accesses per array in one iteration, child loops weighted by their
-        trips; each child's counts are already in ``_mem_counts``."""
-        counts: dict[str, int] = {}
-        for lab in self._own_blocks(loop):
-            for ins, _lat, access, _uses in self.insts[lab]:
+    def _tally_blocks(self) -> dict[int | None, _Tally]:
+        """Each loop's own blocks' ``_Tally`` by loop id, and that of the
+        blocks outside every loop under None.  A call counts its callee's
+        summary and reads and writes every array in it."""
+        tally = {l: _Tally() for l in (None, *self.trip)}
+        for lab, insts in self.insts.items():
+            l = self.forest.innermost[lab]
+            t = tally[None if l is None else l.loop_id]
+            for ins, _lat, access, _uses in insts:
                 if access is not None:
-                    counts[access[1]] = counts.get(access[1], 0) + 1
+                    t.counts[access[1]] = t.counts.get(access[1], 0) + 1
+                    (t.writes if access[0] else t.reads).add(access[1])
                 elif ins.opcode is _CALL:
                     callee = self.callees[ins.callee].mem_summary
-                    for arr, n in callee.items():
-                        counts[arr] = counts.get(arr, 0) + n
-        for c in loop.children:
-            for arr, n in self._mem_counts[c.loop_id].items():
-                counts[arr] = counts.get(arr, 0) + n * self.eff_trip[c.loop_id]
-        return counts
+                    t.add(_Tally(callee, set(callee), set(callee)), 1)
+        return tally
 
     # -- initiation interval ------------------------------------------------
 
@@ -318,7 +312,7 @@ class _FunctionModel:
             worst = max(worst, -(-n // self.model.ports_for(arr)))
         return worst
 
-    def _rec_mii(self, loop: Loop) -> int:
+    def _rec_mii(self, loop: Loop, tally: dict[int | None, _Tally]) -> int:
         """Max over distance-1 dependence cycles of their summed latency.
 
         Nodes are the loop's direct instructions plus child-loop macros, in
@@ -331,7 +325,7 @@ class _FunctionModel:
         lat: list[int] = []
         touched: list[tuple[int, list]] = []   # (node, its ``_access``es)
 
-        for lab in self.rpo:
+        for lab in self.forest.rpo:
             if lab not in loop.blocks:
                 continue
             if lab not in own:
@@ -341,10 +335,10 @@ class _FunctionModel:
                     top = up
                 if top.loop_id not in macro_ids:
                     macro_ids.add(top.loop_id)
-                    reads, writes = self._loop_arrays(top)
+                    t = tally[top.loop_id]
                     touched.append((len(nodes), [
-                        *(_access(False, arr, None) for arr in reads),
-                        *(_access(True, arr, None) for arr in writes)]))
+                        *(_access(False, arr, None) for arr in t.reads),
+                        *(_access(True, arr, None) for arr in t.writes)]))
                     nodes.append(None)
                     lat.append(self.loop_total[top.loop_id])
                 continue
@@ -426,21 +420,6 @@ class _FunctionModel:
                     best = max(best, lat[v] + lat[u] if u != v else lat[v])
         return best
 
-    def _loop_arrays(self, loop: Loop) -> tuple[list[str], list[str]]:
-        """(arrays read, arrays written) anywhere in the loop; a call reads
-        and writes every array its callee accesses."""
-        reads: set[str] = set()
-        writes: set[str] = set()
-        for lab in loop.blocks:
-            for ins, _lat, access, _uses in self.insts[lab]:
-                if access is not None:
-                    (writes if access[0] else reads).add(access[1])
-                elif ins.opcode is _CALL:
-                    callee = self.callees[ins.callee].mem_summary
-                    reads.update(callee)
-                    writes.update(callee)
-        return sorted(reads), sorted(writes)
-
     # -- assembly -----------------------------------------------------------
 
     def _build(self) -> None:
@@ -448,15 +427,18 @@ class _FunctionModel:
             self.block_lat[lab] = self._schedule_block(lab)
         pipelined = {p.target: p.target_ii or 1
                      for p in self.fn.pragmas if p.kind is PragmaKind.PIPELINE}
-        # Deepest first, so each loop's children are priced before it.
+        tally = self._tally_blocks()
+        # Deepest first, so each loop's children are tallied and priced
+        # before it.
         for loop in sorted(self.forest.loops, key=lambda l: -l.depth):
             lid = loop.loop_id
             depth_cycles = self._region_path(loop.blocks, loop.header,
                                              loop.children)
             trip = self.trip[lid]
-            self._mem_counts[lid] = self._mem_access_counts(loop)
-            res_mii = self._res_mii(self._mem_counts[lid])
-            rec_mii = self._rec_mii(loop)
+            for c in loop.children:
+                tally[lid].add(tally[c.loop_id], self.eff_trip[c.loop_id])
+            res_mii = self._res_mii(tally[lid].counts)
+            rec_mii = self._rec_mii(loop, tally)
             if lid in pipelined:
                 if trip is None:
                     raise EstimateError(
@@ -474,6 +456,11 @@ class _FunctionModel:
 
         top_level = [l for l in self.forest.loops
                      if self.forest.parent(l) is None]
+        for l in top_level:
+            tally[None].add(tally[l.loop_id], self.eff_trip[l.loop_id])
+        # Trip-weighted accesses per array, as a caller charges a call to
+        # this function.  The call graph is acyclic, so callees come first.
+        self.mem_summary = tally[None].counts
         all_blocks = {b.label for b in self.fn.blocks}
         self.latency = self._region_path(all_blocks, self.fn.entry.label,
                                          top_level)

@@ -1,8 +1,15 @@
 """Heterogeneous graph construction, serialization, and invariants."""
+import numpy as np
+
+from passforge.corpus import corpus_gen
 from passforge.graphs import (
-    NodeKind, Relation, build_het_graph, homogenize, to_dot, to_json,
+    NodeKind, Relation, _block_attr, build_het_graph, homogenize, to_dot,
+    to_json,
 )
-from passforge.ir import parse_module
+from passforge.ir import natural_loops, parse_module
+from passforge.passes import (
+    Transitions, apply_pass, apply_pragma_passes, general_passes,
+)
 
 
 def _counts(g):
@@ -133,3 +140,37 @@ def test_block_attr_depth_bucket(case1):
     assert (0.0, 0.0, 1.0, 0.0) in depth_buckets
     assert (0.0, 1.0, 0.0, 0.0) in depth_buckets
     assert (1.0, 0.0, 0.0, 0.0) in depth_buckets
+
+
+def _natural_depth_attrs(fn):
+    """Each block's attribute from its innermost natural loop's depth, as
+    the graph derived it before it read the blocks' loop annotations."""
+    forest = natural_loops(fn)
+    return [_block_attr(0 if forest.innermost[b.label] is None
+                        else forest.innermost[b.label].depth)
+            for b in fn.blocks]
+
+
+def test_block_attrs_match_the_natural_loop_depth():
+    """Over two corpus seeds, raw and pragma-expanded, and after each step
+    of random general-pass sequences, every block node carries the depth
+    bucket of its innermost natural loop."""
+    rng = np.random.default_rng(0)
+    general = general_passes()
+    checked = 0
+    for seed in (0, 1):
+        for _name, text in corpus_gen(12, seed):
+            raw = parse_module(text)
+            for start in (raw, apply_pragma_passes(raw)):
+                table = Transitions()
+                for _ in range(3):
+                    m = start
+                    for i in rng.integers(len(general), size=8):
+                        m = apply_pass(m, general[i], table).module
+                        for fn in m.functions:
+                            g = build_het_graph(m, fn.name)
+                            attrs = [n.attr for n in g.nodes
+                                     if n.kind is NodeKind.BLOCK]
+                            assert attrs == _natural_depth_attrs(fn)
+                            checked += 1
+    assert checked >= 24 * 2 * 3 * 8

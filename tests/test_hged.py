@@ -245,7 +245,7 @@ def test_dataset_labels_are_bit_identical_to_pinned():
 
 def _stage_graphs(module) -> list[StageGraph]:
     """The skeleton and every block's instruction graph of a module."""
-    view = hged_module._stage_view(build_het_graph(module))
+    view = hged_module._stage_view(build_het_graph(module), {})
     return [view.skeleton, *view.per_block.values()]
 
 

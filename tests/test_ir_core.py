@@ -5,8 +5,8 @@ import pytest
 from passforge.corpus import case1_text, random_inputs
 from passforge.ir import (
     OPCODE_CLASS, FuelExhausted, IrSyntaxError, LabelRef, Opcode, TrapError,
-    VerifyError, interpret, natural_loops, parse_module, postorder,
-    print_module, verify_module, wrap32,
+    VerifyError, dedicated_preheader, interpret, natural_loops, parse_module,
+    postorder, print_module, verify_module, wrap32,
 )
 
 
@@ -29,6 +29,41 @@ def test_case1_source_has_nested_loops_and_trip_1482():
     assert inner is not None and inner.depth == 2
     from passforge.passes import loop_trip_count
     assert loop_trip_count(m.top, inner) == 1482
+
+
+#: A loop ``hd``/``body`` that the entry's terminator ``entry`` reaches,
+#: possibly through ``blocks``; ``incoming`` are its phi's entering values.
+PREHEADER_SRC = """
+top func @f(%c: i1) -> i32 {{
+block entry:
+  {entry}
+{blocks}block hd loop(1, depth=1, header):
+  %i = phi i32 {incoming}, [%i.next, body]
+  %k = icmp slt i32 %i, 4
+  condbr %k, body, done
+block body loop(1, depth=1):
+  %i.next = add i32 %i, 1
+  br hd
+block done:
+  ret i32 0
+}}
+"""
+
+
+@pytest.mark.parametrize("entry,blocks,incoming,want", [
+    # ``pre`` is the header's one outside predecessor and branches only there.
+    ("br pre", "block pre:\n  br hd\n", "[0, pre]", "pre"),
+    # Two outside predecessors enter the header.
+    ("condbr %c, a, b", "block a:\n  br hd\nblock b:\n  br hd\n",
+     "[0, a], [1, b]", None),
+    # The one outside predecessor also branches past the loop.
+    ("condbr %c, hd, done", "", "[0, entry]", None),
+], ids=["dedicated", "two-entries", "shared-entry"])
+def test_dedicated_preheader(entry, blocks, incoming, want):
+    m = parse_module(PREHEADER_SRC.format(entry=entry, blocks=blocks,
+                                          incoming=incoming))
+    pre = dedicated_preheader(m.top, natural_loops(m.top).loops[0])
+    assert (None if pre is None else pre.label) == want
 
 
 def test_missing_terminator_is_syntax_error():

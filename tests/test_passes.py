@@ -736,6 +736,47 @@ block tail:
             interpret(m, inputs).return_value
 
 
+def _sequential_while_loops(n: int) -> str:
+    """A function of ``n`` while loops one after another, each entered
+    straight from the previous loop's header."""
+    lines = ["top func @f() -> i32 {", "block entry:", "  br h0"]
+    for k in range(n):
+        lines += [f"block h{k} loop({k + 1}, depth=1, header):",
+                  f"  %i{k} = phi i32 [0, {'entry' if k == 0 else f'h{k - 1}'}],"
+                  f" [%j{k}, b{k}]",
+                  f"  %c{k} = icmp slt i32 %i{k}, 3",
+                  f"  condbr %c{k}, b{k}, h{k + 1}",
+                  f"block b{k} loop({k + 1}, depth=1):",
+                  f"  %j{k} = add i32 %i{k}, 1",
+                  f"  br h{k}"]
+    return "\n".join(lines + [f"block h{n}:", "  ret i32 0", "}"]) + "\n"
+
+
+def test_loop_rewrites_finish_in_one_application():
+    """Twenty loops: loop_simplify gives each a preheader, loop_rotate then
+    rotates all twenty and loop_deletion deletes all twenty, each in one
+    application, so a second application of each changes nothing."""
+    raw = parse_module(_sequential_while_loops(20))
+    simplified = apply_pass(raw, PassId.LOOP_SIMPLIFY)
+    assert simplified.changed
+    assert not apply_pass(simplified.module, PassId.LOOP_SIMPLIFY).changed
+    m = simplified.module
+    assert all(len(l.blocks) == 2 for l in natural_loops(m.top).loops)
+
+    rotated = apply_pass(m, PassId.LOOP_ROTATE)
+    loops = natural_loops(rotated.module.top).loops
+    assert len(loops) == 20
+    # A rotated loop is one block, which tests at its end.
+    assert all(len(l.blocks) == 1 for l in loops)
+    assert not apply_pass(rotated.module, PassId.LOOP_ROTATE).changed
+
+    deleted = apply_pass(m, PassId.LOOP_DELETION)
+    assert natural_loops(deleted.module.top).loops == []
+    assert not apply_pass(deleted.module, PassId.LOOP_DELETION).changed
+    for out in (rotated.module, deleted.module):
+        assert interpret(out, []).return_value == 0
+
+
 def _sha(texts) -> str:
     return hashlib.sha256("\n".join(texts).encode()).hexdigest()
 

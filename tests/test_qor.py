@@ -567,7 +567,7 @@ def _ref_rec_mii(fm, costs, defs, loop):
     nodes and a longest-path sweep over all nodes per carried edge."""
     own = fm._own_blocks(loop)
     nodes, macro_ids, lat, touched = [], set(), [], []
-    for lab in fm.rpo:
+    for lab in fm.forest.rpo:
         if lab not in loop.blocks:
             continue
         if lab not in own:
@@ -711,6 +711,69 @@ def test_each_alias_class_prices_as_the_pairwise_scan(body, cycles):
         _assert_prices_match_reference(m, costs)
     fm = _ModuleModel(m, OpCostTable()).fn_model("f")
     assert fm.block_lat["body"] == cycles
+
+
+#: Three nested loops.  The outermost writes ``%a``; only the innermost
+#: reads it, and calls ``@load_h``, which reads ``@h``.  So the middle loop,
+#: a node of the outermost's recurrence bound, touches both arrays only
+#: through its own child.
+NEST_SRC = """
+global @h : i32[8]
+
+func @load_h(%x: i32) -> i32 {
+block entry:
+  %p = getelementptr @h, %x
+  %v = load i32 %p
+  ret i32 %v
+}
+
+top func @f(%a: i32[8]) -> i32 {
+block entry:
+  br h1
+block h1 loop(1, depth=1, header):
+  %i = phi i32 [0, entry], [%i.next, l1]
+  %c1 = icmp slt i32 %i, 4
+  condbr %c1, b1, out
+block b1 loop(1, depth=1):
+  %pa = getelementptr %a, %i
+  store i32 %i, %pa
+  br h2
+block h2 loop(2, depth=2, header):
+  %j = phi i32 [0, b1], [%j.next, l2]
+  %c2 = icmp slt i32 %j, 4
+  condbr %c2, h3, l1
+block h3 loop(3, depth=3, header):
+  %k = phi i32 [0, h2], [%k.next, b3]
+  %c3 = icmp slt i32 %k, 4
+  condbr %c3, b3, l2
+block b3 loop(3, depth=3):
+  %pk = getelementptr %a, %k
+  %v = load i32 %pk
+  %r = call i32 @load_h(%k)
+  %k.next = add i32 %k, 1
+  br h3
+block l2 loop(2, depth=2):
+  %j.next = add i32 %j, 1
+  br h2
+block l1 loop(1, depth=1):
+  %i.next = add i32 %i, 1
+  br h1
+block out:
+  ret i32 0
+}
+"""
+
+
+def test_a_child_loop_node_touches_what_its_descendants_touch():
+    """Each loop's tally folds in its children's, so the middle loop's node
+    in the outermost loop's recurrence bound orders against the store."""
+    m = parse_module(NEST_SRC)
+    for costs in (OpCostTable(), OpCostTable(memory_ports=1)):
+        _assert_prices_match_reference(m, costs)
+    fm = _ModuleModel(m, OpCostTable()).fn_model("f")
+    # One store per outer trip and one access per inner trip: 4 * (1 + 4 * 4)
+    # and 4 * 4 * 4.
+    assert fm.mem_summary == {"%a": 68, "@h": 64}
 
 
 def test_prices_match_the_pairwise_scan_on_what_greedy_prices(monkeypatch):
