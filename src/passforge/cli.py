@@ -69,11 +69,16 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def _read_module(path: str, verify: bool = True):
+def _parse(path: str, text: str, verify: bool = True):
+    """The module ``text``, read from ``path``, holds."""
     try:
-        return parse_module(_read_text(path), verify=verify)
+        return parse_module(text, verify=verify)
     except (IrSyntaxError, VerifyError) as e:
         raise UserError(f"{path}: {e}")
+
+
+def _read_module(path: str, verify: bool = True):
+    return _parse(path, _read_text(path), verify)
 
 
 def _read_graph(path: str, fn: str | None):
@@ -337,19 +342,26 @@ def cmd_corpus_gen(args) -> int:
     return 0
 
 
-def _load_corpus_dir(path: str) -> list[tuple[str, str]]:
+def _load_corpus_dir(path: str) -> list[tuple[str, str, str]]:
+    """(name, file, text) of each design of a corpus directory: those its
+    manifest lists, or else its .ir files."""
     manifest = os.path.join(path, "manifest.json")
     if os.path.exists(manifest):
-        files = [(rec["name"], rec["file"])
-                 for rec in _load_json(manifest, "manifest")["designs"]]
+        doc = _load_json(manifest, "manifest")
+        try:
+            files = [(rec["name"], os.path.join(path, rec["file"]))
+                     for rec in doc["designs"]]
+        except (KeyError, TypeError):
+            raise UserError(f"bad manifest {manifest}: expected a \"designs\" "
+                            f"list of records with a name and a file")
     elif os.path.isdir(path):
-        files = [(f[:-3], f) for f in sorted(os.listdir(path)) if f.endswith(".ir")]
+        files = [(f[:-3], os.path.join(path, f))
+                 for f in sorted(os.listdir(path)) if f.endswith(".ir")]
     else:
         raise UserError(f"{path} is not a corpus directory")
     if not files:
         raise UserError(f"no .ir designs found in {path}")
-    return [(name, _read_text(os.path.join(path, fname)))
-            for name, fname in files]
+    return [(name, file, _read_text(file)) for name, file in files]
 
 
 def cmd_dataset_gen(args) -> int:
@@ -357,7 +369,10 @@ def cmd_dataset_gen(args) -> int:
     pairs_path = os.path.join(args.out, "pairs.json")
     if _up_to_date(args, pairs_path, digest):
         return 0
-    designs = _load_corpus_dir(args.corpus)
+    designs = []
+    for name, file, text in _load_corpus_dir(args.corpus):
+        _parse(file, text)      # names the file on an error; dataset_gen would not
+        designs.append((name, text))
     log = (lambda msg: print(msg, file=sys.stderr)) if not args.quiet else None
     ds = dataset_gen(designs, args.seqs, args.max_len, args.seed,
                      intra_pair_cap=args.intra_cap,
@@ -452,7 +467,14 @@ def cmd_rl_train(args) -> int:
         config = PpoConfig(seed=args.seed, **ppo_doc)
     except (TypeError, ValueError) as e:
         raise UserError(f"bad PPO config {args.config}: {e}")
-    designs = [(n, parse_module(t)) for n, t in _load_corpus_dir(args.corpus)]
+    designs = []
+    for name, file, text in _load_corpus_dir(args.corpus):
+        m = _parse(file, text)
+        try:
+            apply_pragma_passes(m)     # names the file on an error; train would not
+        except PragmaError as e:
+            raise UserError(f"{file}: {e}")
+        designs.append((name, m))
     obs_fn, obs_dim = _obs_fn(args.obs, args.obs_dim, args.embed)
     log = None
     if not args.quiet:
@@ -499,7 +521,10 @@ def cmd_search(args) -> int:
         if obs_dim != cfg["obs_dim"]:
             raise UserError(f"{args.embed} embeds into {obs_dim} dimensions; "
                             f"the policy observes {cfg['obs_dim']}")
-        seq, cycles, best_idx = infer(m, policy, obs_fn, costs)
+        try:
+            seq, cycles, best_idx = infer(m, policy, obs_fn, costs)
+        except PragmaError as e:
+            raise UserError(f"{args.design}: {e}")
         # Each applied pass is one apply + estimate, as a baseline charges.
         result.update(method="rl", sequence=[p.value for p in seq],
                       cycles=cycles[best_idx], baseline_cycles=cycles[0],
@@ -507,8 +532,11 @@ def cmd_search(args) -> int:
     else:
         seed = 0 if args.seed is None else args.seed
         budget = 64 if args.budget is None else args.budget
-        sr = search_baseline(m, args.method, seed=seed, costs=costs,
-                             budget=budget)
+        try:
+            sr = search_baseline(m, args.method, seed=seed, costs=costs,
+                                 budget=budget)
+        except PragmaError as e:
+            raise UserError(f"{args.design}: {e}")
         result.update(method=sr.method,
                       sequence=[p.value for p in sr.sequence],
                       cycles=sr.cycles, baseline_cycles=sr.baseline_cycles,

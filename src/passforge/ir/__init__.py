@@ -2,15 +2,15 @@
 from .types import (
     Const, GlobalArray, GlobalRef, I1, I32, PTR, VOID, InstrClass, IrBlock,
     IrFunction, IrInstruction, IrModule, IrType, LabelRef, LoopInfo, Opcode,
-    OPCODE_CLASS, PragmaDirective, PragmaKind, ValueRef, array_type,
-    text_digest,
+    OPCODE_CLASS, OPCODES, PragmaDirective, PragmaKind, ValueRef, array_type,
+    fold_constant, text_digest, wrap32,
 )
 from .parser import IrSyntaxError, VerifyError, parse_module
 from .printer import print_function, print_instruction, print_module
 from .verify import Violation, verify_module
 from .interp import (
     DEFAULT_FUEL, ExecResult, FuelExhausted, TrapError, check_inputs,
-    fold_constant, interpret, wrap32,
+    interpret,
 )
 from .analysis import (
     DomTree, Loop, LoopForest, dedicated_preheader, natural_loops,
@@ -21,14 +21,14 @@ from .analysis import (
 __all__ = [
     "Const", "GlobalArray", "GlobalRef", "I1", "I32", "PTR", "VOID",
     "InstrClass", "IrBlock", "IrFunction", "IrInstruction", "IrModule",
-    "IrType", "LabelRef", "LoopInfo", "Opcode", "OPCODE_CLASS",
+    "IrType", "LabelRef", "LoopInfo", "Opcode", "OPCODE_CLASS", "OPCODES",
     "PragmaDirective", "PragmaKind", "ValueRef", "array_type",
-    "text_digest",
+    "fold_constant", "text_digest", "wrap32",
     "IrSyntaxError", "VerifyError", "parse_module",
     "print_function", "print_instruction", "print_module",
     "Violation", "verify_module",
     "DEFAULT_FUEL", "ExecResult", "FuelExhausted", "TrapError",
-    "check_inputs", "fold_constant", "interpret", "wrap32",
+    "check_inputs", "interpret",
     "DomTree", "Loop", "LoopForest", "dedicated_preheader", "natural_loops",
     "pointer_target", "postorder", "predecessor_map", "reachable_blocks",
     "refresh_loop_annotations", "successor_map",

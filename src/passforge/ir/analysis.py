@@ -1,12 +1,15 @@
 """CFG utilities shared by the verifier, transform passes, and the QoR model.
 
 Everything here is derived from the block structure alone: predecessor and
-successor maps, depth-first postorder, dominators (iterative
+successor maps, depth-first postorder, the dominator tree (iterative
 Cooper-Harvey-Kennedy), the natural loop forest and each loop's dedicated
-preheader.  Loop identities come from the ``loop(id, ...)`` annotations on
-header blocks; membership and nesting are always recomputed from back edges
-so they stay correct as passes rewrite the CFG.  One dataflow helper rides along: `pointer_target` decodes
-the array and index a pointer addresses.
+preheader.  A dominator tree keeps the predecessor map and reverse postorder
+it was built from, and a loop forest keeps its tree, so a caller holding
+either need not walk the CFG again.  Loop identities come from the
+``loop(id, ...)`` annotations on header blocks; membership and nesting are
+always recomputed from back edges so they stay correct as passes rewrite the
+CFG.  One dataflow helper rides along: `pointer_target` decodes the array and
+index a pointer addresses.
 """
 from __future__ import annotations
 
@@ -72,51 +75,43 @@ def reachable_blocks(fn: IrFunction) -> set[str]:
     return set(postorder(fn.entry.label, successor_map(fn)))
 
 
-def reverse_postorder(fn: IrFunction) -> list[str]:
-    return postorder(fn.entry.label, successor_map(fn))[::-1]
-
-
-def dominators(fn: IrFunction) -> dict[str, str | None]:
-    """Immediate-dominator map over reachable blocks, in reverse postorder;
-    entry maps to None."""
-    rpo = reverse_postorder(fn)
-    index = {lab: i for i, lab in enumerate(rpo)}
-    preds = predecessor_map(fn)
-    entry = fn.entry.label
-    idom: dict[str, str | None] = {entry: entry}
-
-    def intersect(a: str, b: str) -> str:
-        while a != b:
-            while index[a] > index[b]:
-                a = idom[a]  # type: ignore[assignment]
-            while index[b] > index[a]:
-                b = idom[b]  # type: ignore[assignment]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for lab in rpo:
-            if lab == entry:
-                continue
-            new_idom = None
-            for p in preds[lab]:
-                if p in idom:
-                    new_idom = p if new_idom is None else intersect(p, new_idom)
-            if new_idom is not None and idom.get(lab) != new_idom:
-                idom[lab] = new_idom
-                changed = True
-    out: dict[str, str | None] = {}
-    for lab in rpo:
-        out[lab] = None if lab == entry else idom.get(lab)
-    return out
-
-
 class DomTree:
-    """Dominator tree with O(depth) dominance queries."""
+    """Dominator tree (iterative Cooper-Harvey-Kennedy) with O(depth)
+    dominance queries.  ``idom`` maps each reachable block, in reverse
+    postorder, to its immediate dominator (None for entry); ``rpo`` lists
+    the same blocks; ``preds`` is the predecessor map the tree was built
+    from, over every block."""
 
     def __init__(self, fn: IrFunction):
-        self.idom = dominators(fn)
+        self.rpo = rpo = postorder(fn.entry.label, successor_map(fn))[::-1]
+        self.preds = preds = predecessor_map(fn)
+        index = {lab: i for i, lab in enumerate(rpo)}
+        entry = fn.entry.label
+        idom: dict[str, str] = {entry: entry}
+
+        def intersect(a: str, b: str) -> str:
+            while a != b:
+                while index[a] > index[b]:
+                    a = idom[a]
+                while index[b] > index[a]:
+                    b = idom[b]
+            return a
+
+        changed = True
+        while changed:
+            changed = False
+            for lab in rpo:
+                if lab == entry:
+                    continue
+                new_idom = None
+                for p in preds[lab]:
+                    if p in idom:
+                        new_idom = p if new_idom is None else intersect(p, new_idom)
+                if new_idom is not None and idom.get(lab) != new_idom:
+                    idom[lab] = new_idom
+                    changed = True
+        self.idom: dict[str, str | None] = {
+            lab: None if lab == entry else idom.get(lab) for lab in rpo}
         # In reverse postorder each block's immediate dominator comes first.
         self.depth: dict[str, int] = {}
         for lab, up in self.idom.items():
@@ -187,8 +182,7 @@ def natural_loops(fn: IrFunction) -> LoopForest:
     headers get ids above any annotated one (deterministically, in RPO).
     """
     dom = DomTree(fn)
-    preds = predecessor_map(fn)
-    rpo = list(dom.idom)
+    preds, rpo = dom.preds, dom.rpo
     reach = set(rpo)
     bmap = fn.block_map()
 

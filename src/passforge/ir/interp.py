@@ -4,7 +4,10 @@ Semantics are total and deterministic: 32-bit two's-complement arithmetic,
 shift amounts masked to 5 bits, division by zero and the INT_MIN/-1 overflow
 trap, and bounds-checked array access.  Execution is bounded by ``fuel``
 (executed-instruction count) so differential tests terminate even when a buggy
-pass introduces an infinite loop.
+pass introduces an infinite loop.  Arithmetic, compares and casts run their
+row's fold in the opcode table (``types.OPCODES``), the one that sccp and
+instcombine fold constants with, so the interpreter keeps no folding of its
+own and cannot disagree with them.
 """
 from __future__ import annotations
 
@@ -12,18 +15,12 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .types import (
-    Const, GlobalRef, IrFunction, IrModule, Opcode, ValueRef,
+    OPCODES, Const, GlobalRef, IrFunction, IrModule, Opcode, ValueRef, wrap32,
 )
 
 DEFAULT_FUEL = 10**8
 
 _MASK = 0xFFFFFFFF
-_INT_MIN = -(2**31)
-
-
-def wrap32(v: int) -> int:
-    v &= _MASK
-    return v - (1 << 32) if v >= (1 << 31) else v
 
 
 class TrapError(Exception):
@@ -50,65 +47,6 @@ class ExecResult:
 @dataclass
 class _Memory:
     arrays: dict[str, list[int]] = field(default_factory=dict)
-
-
-def _icmp(pred: str, a: int, b: int) -> int:
-    if pred == "eq":
-        return int(a == b)
-    if pred == "ne":
-        return int(a != b)
-    if pred == "slt":
-        return int(a < b)
-    if pred == "sle":
-        return int(a <= b)
-    if pred == "sgt":
-        return int(a > b)
-    return int(a >= b)  # sge
-
-
-def fold_constant(opcode: Opcode, operands: list[int], pred: str | None = None):
-    """Pure constant evaluation used by both the interpreter and sccp/instcombine.
-
-    Returns the wrapped integer result, or None when the operation traps.
-    """
-    if opcode is Opcode.ADD:
-        return wrap32(operands[0] + operands[1])
-    if opcode is Opcode.SUB:
-        return wrap32(operands[0] - operands[1])
-    if opcode is Opcode.MUL:
-        return wrap32(operands[0] * operands[1])
-    if opcode is Opcode.SDIV:
-        a, b = operands
-        if b == 0 or (a == _INT_MIN and b == -1):
-            return None
-        q = abs(a) // abs(b)
-        return wrap32(-q if (a < 0) != (b < 0) else q)
-    if opcode is Opcode.SREM:
-        a, b = operands
-        if b == 0 or (a == _INT_MIN and b == -1):
-            return None
-        q = abs(a) // abs(b)
-        q = -q if (a < 0) != (b < 0) else q
-        return wrap32(a - b * q)
-    if opcode is Opcode.AND:
-        return wrap32(operands[0] & operands[1])
-    if opcode is Opcode.OR:
-        return wrap32(operands[0] | operands[1])
-    if opcode is Opcode.XOR:
-        return wrap32(operands[0] ^ operands[1])
-    if opcode is Opcode.SHL:
-        return wrap32(operands[0] << (operands[1] & 31))
-    if opcode is Opcode.ASHR:
-        return wrap32(operands[0] >> (operands[1] & 31))
-    if opcode is Opcode.ICMP:
-        return _icmp(pred or "eq", operands[0], operands[1])
-    if opcode is Opcode.ZEXT:
-        return operands[0] & 1
-    if opcode is Opcode.SEXT:
-        return -1 if (operands[0] & 1) else 0
-    if opcode is Opcode.TRUNC:
-        return operands[0] & 1
-    raise ValueError(f"not a foldable opcode: {opcode}")
 
 
 class _Machine:
@@ -204,7 +142,7 @@ class _Machine:
                         env[ins.result] = rv
                 else:
                     vals = [value(o) for o in ins.operands]
-                    folded = fold_constant(op, vals, ins.pred)  # type: ignore[arg-type]
+                    folded = OPCODES[op].fold(vals, ins.pred)  # type: ignore[misc]
                     if folded is None:
                         raise TrapError("division", loc)
                     env[ins.result] = folded

@@ -10,8 +10,9 @@ import re
 
 from .types import (
     I1, I32, PTR, VOID, Const, GlobalArray, GlobalRef, IrBlock, IrFunction,
-    IrInstruction, IrModule, IrType, LabelRef, LoopInfo, Opcode,
-    PragmaDirective, PragmaKind, ValueRef, array_type, ICMP_PREDICATES,
+    InstrClass, IrInstruction, IrModule, IrType, LabelRef, LoopInfo, Opcode,
+    OPCODE_CLASS, PragmaDirective, PragmaKind, ValueRef, array_type,
+    ICMP_PREDICATES,
 )
 
 
@@ -158,14 +159,7 @@ def _parse_array_ref(ln: _Line):
                         ln.lineno, col)
 
 
-_BINARY_OPS = {
-    "add": Opcode.ADD, "sub": Opcode.SUB, "mul": Opcode.MUL,
-    "sdiv": Opcode.SDIV, "srem": Opcode.SREM, "and": Opcode.AND,
-    "or": Opcode.OR, "xor": Opcode.XOR, "shl": Opcode.SHL,
-    "ashr": Opcode.ASHR,
-}
-
-_CAST_OPS = {"zext": Opcode.ZEXT, "sext": Opcode.SEXT, "trunc": Opcode.TRUNC}
+_OPCODE_NAMES = {op.value: op for op in Opcode}
 
 
 def _parse_instruction(ln: _Line) -> IrInstruction:
@@ -181,13 +175,17 @@ def _parse_instruction(ln: _Line) -> IrInstruction:
         raise IrSyntaxError(f"expected an opcode, found {val!r}", ln.lineno, col)
     op = val
     ln.next()
+    opcode = _OPCODE_NAMES.get(op)
+    if opcode is None:
+        raise IrSyntaxError(f"unknown opcode {op!r}", ln.lineno, col)
+    cls = OPCODE_CLASS[opcode]
 
-    if op in _BINARY_OPS:
+    if cls is InstrClass.BINARY or cls is InstrClass.BITWISE:
         ty = _parse_type(ln)
         lhs = _parse_value_or_const(ln, ty)
         ln.expect(",")
         rhs = _parse_value_or_const(ln, ty)
-        return IrInstruction(result, _BINARY_OPS[op], [lhs, rhs], ty)
+        return IrInstruction(result, opcode, [lhs, rhs], ty)
 
     if op == "icmp":
         pred = ln.expect_kind("ident")
@@ -241,12 +239,12 @@ def _parse_instruction(ln: _Line) -> IrInstruction:
         idx = _parse_value_or_const(ln)
         return IrInstruction(result, Opcode.GETELEMENTPTR, [arr, idx], PTR)
 
-    if op in _CAST_OPS:
+    if cls is InstrClass.CAST:
         src_ty = _parse_type(ln)
         v = _parse_value_or_const(ln, src_ty)
         ln.expect("to")
         dst_ty = _parse_type(ln)
-        return IrInstruction(result, _CAST_OPS[op], [v], dst_ty)
+        return IrInstruction(result, opcode, [v], dst_ty)
 
     if op == "call":
         ty = _parse_type(ln)
@@ -278,16 +276,14 @@ def _parse_instruction(ln: _Line) -> IrInstruction:
         return IrInstruction(None, Opcode.CONDBR,
                              [cond, LabelRef(t), LabelRef(f)], VOID)
 
-    if op == "ret":
-        k, v, _ = ln.peek()
-        if k == "ident" and v == "void":
-            ln.next()
-            return IrInstruction(None, Opcode.RET, [], VOID)
-        ty = _parse_type(ln)
-        val_op = _parse_value_or_const(ln, ty)
-        return IrInstruction(None, Opcode.RET, [val_op], ty)
-
-    raise IrSyntaxError(f"unknown opcode {op!r}", ln.lineno, col)
+    # ret, the one opcode left
+    k, v, _ = ln.peek()
+    if k == "ident" and v == "void":
+        ln.next()
+        return IrInstruction(None, Opcode.RET, [], VOID)
+    ty = _parse_type(ln)
+    val_op = _parse_value_or_const(ln, ty)
+    return IrInstruction(None, Opcode.RET, [val_op], ty)
 
 
 def _parse_pragma(ln: _Line, lineno: int) -> PragmaDirective:

@@ -10,8 +10,8 @@ compared with the input's, to decide whether the pass changed anything.
 from __future__ import annotations
 
 from .types import (
-    IrBlock, IrFunction, IrInstruction, IrModule, Opcode, PragmaDirective,
-    PragmaKind,
+    OPCODE_CLASS, InstrClass, IrBlock, IrFunction, IrInstruction, IrModule,
+    Opcode, PragmaDirective, PragmaKind,
 )
 
 
@@ -37,7 +37,7 @@ def print_instruction(ins: IrInstruction) -> str:
         return f"store i32 {ins.operands[0]}, {ins.operands[1]}"
     if op is Opcode.GETELEMENTPTR:
         return f"{head}getelementptr {ins.operands[0]}, {ins.operands[1]}"
-    if op in (Opcode.ZEXT, Opcode.SEXT, Opcode.TRUNC):
+    if OPCODE_CLASS[op] is InstrClass.CAST:
         # Supported casts are i1 <-> i32, so the source type follows from the result.
         src = "i1" if str(ins.ir_type) == "i32" else "i32"
         return f"{head}{op.value} {src} {ins.operands[0]} to {ins.ir_type}"

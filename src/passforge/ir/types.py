@@ -5,12 +5,21 @@ instructions in SSA form.  Values are 32-bit (or 1-bit boolean) integers;
 memory is limited to named, flat 1-D arrays addressed through
 ``getelementptr``.  Loop membership is annotated on blocks and cross-checked
 against the CFG by the verifier.
+
+``OPCODES`` is the opcode table: one ``OpInfo`` row per opcode holds its
+feature class, operand count, purity, side effects, commutativity and
+constant fold.  Every per-opcode fact is defined there once; the parser,
+verifier, printer, interpreter and passes read the rows, or the sets
+derived from them below the table, and ``fold_constant`` is a lookup in it.
 """
 from __future__ import annotations
 
 import enum
 import hashlib
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -135,38 +144,92 @@ class InstrClass(enum.Enum):
     CALL = 8
 
 
-#: Total map: every opcode belongs to exactly one class.
-OPCODE_CLASS: dict[Opcode, InstrClass] = {
-    Opcode.ADD: InstrClass.BINARY,
-    Opcode.SUB: InstrClass.BINARY,
-    Opcode.MUL: InstrClass.BINARY,
-    Opcode.SDIV: InstrClass.BINARY,
-    Opcode.SREM: InstrClass.BINARY,
-    Opcode.AND: InstrClass.BITWISE,
-    Opcode.OR: InstrClass.BITWISE,
-    Opcode.XOR: InstrClass.BITWISE,
-    Opcode.SHL: InstrClass.BITWISE,
-    Opcode.ASHR: InstrClass.BITWISE,
-    Opcode.ICMP: InstrClass.COMPARE,
-    Opcode.SELECT: InstrClass.SELECT,
-    Opcode.PHI: InstrClass.PHI,
-    Opcode.LOAD: InstrClass.MEMORY,
-    Opcode.STORE: InstrClass.MEMORY,
-    Opcode.GETELEMENTPTR: InstrClass.MEMORY,
-    Opcode.ZEXT: InstrClass.CAST,
-    Opcode.SEXT: InstrClass.CAST,
-    Opcode.TRUNC: InstrClass.CAST,
-    Opcode.CALL: InstrClass.CALL,
-    Opcode.BR: InstrClass.TERMINATOR,
-    Opcode.CONDBR: InstrClass.TERMINATOR,
-    Opcode.RET: InstrClass.TERMINATOR,
-}
-
 INSTR_CLASS_WIDTH = 9
 
-TERMINATOR_OPCODES = {Opcode.BR, Opcode.CONDBR, Opcode.RET}
 
-ICMP_PREDICATES = ("eq", "ne", "slt", "sle", "sgt", "sge")
+def wrap32(v: int) -> int:
+    v &= 0xFFFFFFFF
+    return v - (1 << 32) if v >= (1 << 31) else v
+
+
+def _sdiv(a: int, b: int, rem: bool) -> int | None:
+    """a / b rounded toward zero, or with ``rem`` its remainder; None when
+    the division traps (b = 0, or INT_MIN / -1)."""
+    if b == 0 or (a == -(2**31) and b == -1):
+        return None
+    q = abs(a) // abs(b) * (-1 if (a < 0) != (b < 0) else 1)
+    return wrap32(a - b * q if rem else q)
+
+
+_ICMP = {"eq": operator.eq, "ne": operator.ne, "slt": operator.lt,
+         "sle": operator.le, "sgt": operator.gt, "sge": operator.ge}
+ICMP_PREDICATES = tuple(_ICMP)
+
+
+class OpInfo(NamedTuple):
+    """What the IR knows about one opcode: its feature class; its operand
+    count, None when variadic; whether it is pure (writes nothing and never
+    traps, so a pass may hoist, clone or skip it), has side effects (writes
+    memory or calls) or commutes; and its constant fold, from the operand
+    values and an icmp predicate to the result (None on a trap), absent
+    when it does not fold."""
+    cls: InstrClass
+    arity: int | None
+    pure: bool = False
+    side_effects: bool = False
+    commutative: bool = False
+    fold: Callable[[list[int], str | None], int | None] | None = None
+
+
+_BIN, _BIT, _CAST = InstrClass.BINARY, InstrClass.BITWISE, InstrClass.CAST
+
+#: One row per opcode: the one place a per-opcode fact is defined.
+OPCODES: dict[Opcode, OpInfo] = {
+    Opcode.ADD: OpInfo(_BIN, 2, True, commutative=True,
+                       fold=lambda v, p: wrap32(v[0] + v[1])),
+    Opcode.SUB: OpInfo(_BIN, 2, True, fold=lambda v, p: wrap32(v[0] - v[1])),
+    Opcode.MUL: OpInfo(_BIN, 2, True, commutative=True,
+                       fold=lambda v, p: wrap32(v[0] * v[1])),
+    Opcode.SDIV: OpInfo(_BIN, 2, fold=lambda v, p: _sdiv(v[0], v[1], False)),
+    Opcode.SREM: OpInfo(_BIN, 2, fold=lambda v, p: _sdiv(v[0], v[1], True)),
+    Opcode.AND: OpInfo(_BIT, 2, True, commutative=True,
+                       fold=lambda v, p: wrap32(v[0] & v[1])),
+    Opcode.OR: OpInfo(_BIT, 2, True, commutative=True,
+                      fold=lambda v, p: wrap32(v[0] | v[1])),
+    Opcode.XOR: OpInfo(_BIT, 2, True, commutative=True,
+                       fold=lambda v, p: wrap32(v[0] ^ v[1])),
+    Opcode.SHL: OpInfo(_BIT, 2, True, fold=lambda v, p: wrap32(v[0] << (v[1] & 31))),
+    Opcode.ASHR: OpInfo(_BIT, 2, True, fold=lambda v, p: wrap32(v[0] >> (v[1] & 31))),
+    Opcode.ICMP: OpInfo(InstrClass.COMPARE, 2, True,
+                        fold=lambda v, p: int(_ICMP[p or "eq"](v[0], v[1]))),
+    Opcode.SELECT: OpInfo(InstrClass.SELECT, 3, True),
+    Opcode.PHI: OpInfo(InstrClass.PHI, None),
+    Opcode.LOAD: OpInfo(InstrClass.MEMORY, 1),
+    Opcode.STORE: OpInfo(InstrClass.MEMORY, 2, side_effects=True),
+    Opcode.GETELEMENTPTR: OpInfo(InstrClass.MEMORY, 2, True),
+    Opcode.ZEXT: OpInfo(_CAST, 1, True, fold=lambda v, p: v[0] & 1),
+    Opcode.SEXT: OpInfo(_CAST, 1, True, fold=lambda v, p: -1 if v[0] & 1 else 0),
+    Opcode.TRUNC: OpInfo(_CAST, 1, True, fold=lambda v, p: v[0] & 1),
+    Opcode.CALL: OpInfo(InstrClass.CALL, None, side_effects=True),
+    Opcode.BR: OpInfo(InstrClass.TERMINATOR, 1),
+    Opcode.CONDBR: OpInfo(InstrClass.TERMINATOR, 3),
+    Opcode.RET: OpInfo(InstrClass.TERMINATOR, None),
+}
+
+OPCODE_CLASS = {op: row.cls for op, row in OPCODES.items()}
+TERMINATOR_OPCODES = {op for op, row in OPCODES.items()
+                      if row.cls is InstrClass.TERMINATOR}
+FOLDABLE = {op for op, row in OPCODES.items() if row.fold is not None}
+PURE_OPS = {op for op, row in OPCODES.items() if row.pure}
+#: Pure or folding, so trapping divisions too: removable when dead, and
+#: equal when their operands are, but not hoistable.
+PURE_OR_DIV = PURE_OPS | FOLDABLE
+
+
+def fold_constant(opcode: Opcode, operands: list[int], pred: str | None = None):
+    """The constant ``opcode`` computes from ``operands`` and an icmp's
+    ``pred``; None when it traps.  Only for opcodes in ``FOLDABLE``."""
+    return OPCODES[opcode].fold(operands, pred)  # type: ignore[misc]
 
 
 def instr_class_one_hot(cls: InstrClass) -> list[float]:

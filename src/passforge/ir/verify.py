@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .analysis import LoopForest, natural_loops, postorder
 from .types import (
-    GlobalRef, IrFunction, IrInstruction, IrModule, LoopInfo, Opcode,
+    OPCODES, GlobalRef, IrFunction, IrInstruction, IrModule, LoopInfo, Opcode,
     PragmaKind, TERMINATOR_OPCODES, ValueRef,
 )
 
@@ -34,15 +34,6 @@ class Violation:
     def __str__(self) -> str:
         return f"[{self.code}] {self.where}: {self.message}"
 
-
-_ARITY = {
-    Opcode.ADD: 2, Opcode.SUB: 2, Opcode.MUL: 2, Opcode.SDIV: 2,
-    Opcode.SREM: 2, Opcode.AND: 2, Opcode.OR: 2, Opcode.XOR: 2,
-    Opcode.SHL: 2, Opcode.ASHR: 2, Opcode.ICMP: 2, Opcode.SELECT: 3,
-    Opcode.LOAD: 1, Opcode.STORE: 2, Opcode.GETELEMENTPTR: 2,
-    Opcode.ZEXT: 1, Opcode.SEXT: 1, Opcode.TRUNC: 1,
-    Opcode.BR: 1, Opcode.CONDBR: 3,
-}
 
 # The walks compare opcodes against these names: on Python 3.11 each
 # ``Opcode.PHI``-style lookup runs the enum's attribute descriptor.
@@ -142,11 +133,9 @@ def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
                 if len(ins.operands) > 1:
                     shapes.append(Violation("ret-shape", "ret takes at most one value",
                                             loc))
-            else:
-                if len(ins.operands) != _ARITY[op]:
-                    shapes.append(Violation("arity",
-                                            f"{op.value} expects {_ARITY[op]} "
-                                            f"operands, got {len(ins.operands)}", loc))
+            elif len(ins.operands) != (arity := OPCODES[op].arity):
+                shapes.append(Violation("arity", f"{op.value} expects {arity} "
+                                        f"operands, got {len(ins.operands)}", loc))
             if op is _GEP and ins.operands:
                 base = ins.operands[0]
                 if isinstance(base, GlobalRef) and base.name not in gmap:

@@ -5,9 +5,9 @@ from ..ir import (
     Const, DomTree, IrBlock, IrFunction, IrModule, LabelRef, Opcode, ValueRef,
     fold_constant, natural_loops, predecessor_map,
 )
-from ..ir.types import IrInstruction, Operand
+from ..ir.types import PURE_OPS, IrInstruction, Operand
 from .rewrite import (
-    PURE_OPS, collapse_trivial_phis, condbr_compare, drop_unreachable_blocks,
+    collapse_trivial_phis, condbr_compare, drop_unreachable_blocks,
     negate_pred, remove_phi_entries, rename_phi_pred, replace_all_uses,
     retarget_terminator, erase_dead_pure,
 )
@@ -76,9 +76,9 @@ def _remove_forwarding_blocks(fn: IrFunction) -> bool:
     that rotation and unrolling expect in canonical form."""
     changed = False
     while True:
-        preds = predecessor_map(fn)
-        bmap = fn.block_map()
         forest = natural_loops(fn)
+        preds = forest.preds
+        bmap = fn.block_map()
         victim = None
         for b in fn.blocks:
             if b is fn.entry or b.instructions:
@@ -536,7 +536,7 @@ def run_jump_threading(m: IrModule) -> None:
 def _thread_one(fn: IrFunction) -> bool:
     """Make the first legal bypass; False when there is none."""
     dom = DomTree(fn)
-    preds = predecessor_map(fn)
+    preds = dom.preds
     defs = fn.defined_values()
     def_block: dict[str, str] = {}
     for blk in fn.blocks:

@@ -7,16 +7,14 @@ pass driver owns cloning, verification, and changed-detection.
 from __future__ import annotations
 
 from ..ir import (
-    Const, DomTree, IrFunction, IrInstruction, IrModule, Opcode, ValueRef,
-    fold_constant, pointer_target,
+    Const, DomTree, IrBlock, IrFunction, IrInstruction, IrModule, Opcode,
+    ValueRef, fold_constant, pointer_target,
 )
-from ..ir.types import I1, Operand
+from ..ir.types import FOLDABLE, I1, OPCODES, PURE_OR_DIV, Operand
 from .rewrite import (
-    FOLDABLE, FreshNames, PURE_OR_DIV, erase_dead_pure, phi_value,
-    replace_all_uses,
+    FreshNames, erase_dead_pure, phi_value, replace_all_uses,
 )
 
-_COMMUTATIVE = {Opcode.ADD, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR}
 _ICMP_SWAP = {"eq": "eq", "ne": "ne", "slt": "sgt", "sgt": "slt",
               "sle": "sge", "sge": "sle"}
 _ICMP_SELF = {"eq": 1, "ne": 0, "slt": 0, "sle": 1, "sgt": 0, "sge": 1}
@@ -114,6 +112,18 @@ def simplify_instruction(ins: IrInstruction) -> Operand | None:
     return None
 
 
+def _simplify_away(fn: IrFunction, b: IrBlock, ins: IrInstruction) -> bool:
+    """Replace the uses of ``ins``, an instruction of ``b`` with a result,
+    by the value it simplifies to, and drop it; False when it does not
+    simplify."""
+    repl = simplify_instruction(ins)
+    if repl is None:
+        return False
+    replace_all_uses(fn, ins.result, repl)
+    b.instructions.remove(ins)
+    return True
+
+
 def run_instsimplify(m: IrModule) -> None:
     for fn in m.functions:
         changed = True
@@ -121,12 +131,7 @@ def run_instsimplify(m: IrModule) -> None:
             changed = False
             for b in fn.blocks:
                 for ins in list(b.instructions):
-                    if ins.result is None:
-                        continue
-                    repl = simplify_instruction(ins)
-                    if repl is not None:
-                        replace_all_uses(fn, ins.result, repl)
-                        b.instructions.remove(ins)
+                    if ins.result is not None and _simplify_away(fn, b, ins):
                         changed = True
 
 
@@ -146,17 +151,14 @@ def run_instcombine(m: IrModule) -> None:
                 for ins in list(b.instructions):
                     if ins.result is None:
                         continue
-                    repl = simplify_instruction(ins)
-                    if repl is not None:
-                        replace_all_uses(fn, ins.result, repl)
-                        b.instructions.remove(ins)
+                    if _simplify_away(fn, b, ins):
                         changed = True
                         continue
                     op = ins.opcode
                     a = ins.operands[0] if ins.operands else None
                     bop = ins.operands[1] if len(ins.operands) > 1 else None
                     # Canonicalize constants to the right of commutative ops.
-                    if (op in _COMMUTATIVE and isinstance(a, Const)
+                    if (OPCODES[op].commutative and isinstance(a, Const)
                             and not isinstance(bop, Const)):
                         ins.operands = [bop, a]
                         changed = True
@@ -257,8 +259,7 @@ def run_adce(m: IrModule) -> None:
 
         for b in fn.blocks:
             for ins in b.all_instructions():
-                if (ins.is_terminator or ins.opcode is Opcode.STORE
-                        or ins.opcode is Opcode.CALL):
+                if ins.is_terminator or OPCODES[ins.opcode].side_effects:
                     mark(ins)
         while work:
             vid = work.pop()
@@ -267,7 +268,7 @@ def run_adce(m: IrModule) -> None:
         for b in fn.blocks:
             b.instructions = [
                 ins for ins in b.instructions
-                if ins.opcode in (Opcode.STORE, Opcode.CALL)
+                if OPCODES[ins.opcode].side_effects
                 or (ins.result is not None and ins.result in live)
             ]
 
@@ -285,11 +286,9 @@ def _expr_key(ins: IrInstruction, canon: dict[str, str],
 
     ops = [rep(o) for o in ins.operands]
     pred = ins.pred
-    if commutative_sort:
-        if ins.opcode in _COMMUTATIVE:
-            ops = sorted(ops)
-        elif ins.opcode is Opcode.ICMP and pred in ("eq", "ne"):
-            ops = sorted(ops)
+    if commutative_sort and (OPCODES[ins.opcode].commutative or (
+            ins.opcode is Opcode.ICMP and pred in ("eq", "ne"))):
+        ops = sorted(ops)
     return (ins.opcode.value, pred, str(ins.ir_type), *ops)
 
 

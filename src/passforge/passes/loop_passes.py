@@ -17,9 +17,9 @@ from ..ir import (
     Const, IrBlock, IrFunction, IrInstruction, IrModule, LabelRef, Loop,
     Opcode, ValueRef, dedicated_preheader, natural_loops, predecessor_map,
 )
-from ..ir.types import Operand, VOID
+from ..ir.types import OPCODES, PURE_OPS, Operand, VOID
 from .rewrite import (
-    FreshNames, PURE_OPS, clone_with_map, condbr_compare, negate_pred,
+    FreshNames, clone_with_map, condbr_compare, negate_pred,
     retarget_terminator, subst_operand,
 )
 
@@ -482,7 +482,7 @@ def run_licm(m: IrModule) -> None:
                 for lab in sorted(loop.blocks):
                     b = fn.block_map()[lab]
                     for ins in list(b.instructions):
-                        if ins.opcode not in PURE_OPS or ins.opcode is Opcode.PHI:
+                        if ins.opcode not in PURE_OPS:
                             continue
                         if ins.result is None:
                             continue
@@ -566,7 +566,7 @@ def _delete_loop(fn: IrFunction, loop: Loop) -> bool:
     bmap = fn.block_map()
     for lab in loop.blocks:
         for ins in bmap[lab].all_instructions():
-            if ins.opcode in (Opcode.STORE, Opcode.CALL):
+            if OPCODES[ins.opcode].side_effects:
                 return False
     if loop_trip_count(fn, loop) is None:
         return False

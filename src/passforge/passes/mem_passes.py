@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from ..ir import IrModule, Opcode, pointer_target
 from ..ir.types import Operand
+from .rewrite import replace_all_uses
 
 
 def _ptr_key(fn_defs, op: Operand) -> tuple[str, str] | None:
@@ -39,7 +40,6 @@ def run_mem2reg(m: IrModule) -> None:
                 elif op is Opcode.LOAD:
                     key = _ptr_key(defs, ins.operands[0])
                     if key is not None and key in avail:
-                        from .rewrite import replace_all_uses
                         replace_all_uses(fn, ins.result, avail[key])
                         b.instructions.remove(ins)
 

@@ -1,28 +1,16 @@
-"""Shared SSA rewriting helpers used by the transform passes."""
+"""Shared SSA rewriting helpers used by the transform passes.
+
+Which opcodes fold, and which may be cloned, hoisted or dropped when dead,
+is read from the opcode table in ``ir.types`` and the sets derived from it
+there; no pass keeps an opcode list of its own.
+"""
 from __future__ import annotations
 
 from ..ir import (
     Const, IrBlock, IrFunction, IrInstruction, IrModule, LabelRef,
     Opcode, ValueRef, fold_constant, reachable_blocks,
 )
-from ..ir.types import Operand
-
-#: Opcodes that fold to a constant when every operand is one.
-FOLDABLE = {
-    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.SDIV, Opcode.SREM, Opcode.AND,
-    Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.ASHR, Opcode.ICMP, Opcode.ZEXT,
-    Opcode.SEXT, Opcode.TRUNC,
-}
-
-#: Pure, non-trapping opcodes: safe to clone, hoist, or skip on a path.
-PURE_OPS = {
-    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR,
-    Opcode.SHL, Opcode.ASHR, Opcode.ICMP, Opcode.SELECT, Opcode.ZEXT,
-    Opcode.SEXT, Opcode.TRUNC, Opcode.GETELEMENTPTR,
-}
-
-#: Pure including the trapping divisions (removable when dead, not hoistable).
-PURE_OR_DIV = PURE_OPS | {Opcode.SDIV, Opcode.SREM}
+from ..ir.types import FOLDABLE, PURE_OR_DIV, Operand
 
 
 class FreshNames:

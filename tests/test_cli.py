@@ -111,11 +111,8 @@ block entry:
          "instructions_added": 0, "blocks_removed": 0}]
 
 
-def test_run_pragma_failure_is_a_user_error(tmp_path, capsys):
-    """An unroll pragma on a loop whose bound is loaded is the input's
-    fault, for ``run`` as for ``estimate``."""
-    design = tmp_path / "loaded.ir"
-    design.write_text("""
+#: An unroll pragma on a loop whose bound is loaded: it cannot expand.
+LOADED_BOUND_IR = """
 global @n : i32[1]
 #pragma unroll(factor=2) loop=1
 top func @f(%a: i32[64]) -> i32 {
@@ -133,13 +130,59 @@ block body loop(1, depth=1):
 block out:
   ret i32 0
 }
-""")
+"""
+
+
+def test_run_pragma_failure_is_a_user_error(tmp_path, capsys):
+    """An unroll pragma on a loop whose bound is loaded is the input's
+    fault, for ``run`` as for ``estimate``."""
+    design = tmp_path / "loaded.ir"
+    design.write_text(LOADED_BOUND_IR)
     for argv in (["run", str(design), "-p", "apply_unroll_pragma"],
                  ["estimate", str(design)]):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: loop 1 in @f is not in canonical "
                               "countable form")
+
+
+#: One faulty file per case, by name, with its text.
+BAD_CORPUS_FILES = {
+    "pragma": ("loaded.ir", LOADED_BOUND_IR),
+    "empty-manifest": ("manifest.json", "{}"),
+    "syntax": ("bad.ir", "top func @f() -> i32 {\nblock entry:\n"
+                         "  %x = frob i32 1\n  ret i32 %x\n}\n"),
+}
+
+
+@pytest.mark.parametrize("command,case", [
+    ("search", "pragma"), ("rl-train", "pragma"),
+    ("dataset-gen", "empty-manifest"), ("rl-train", "empty-manifest"),
+    ("dataset-gen", "syntax"), ("rl-train", "syntax"),
+])
+def test_bad_designs_and_manifests_are_user_errors(tmp_path, capsys, command,
+                                                   case):
+    """A design whose pragma cannot expand, a manifest without designs and
+    a design that does not parse exit 1 with one error line that names the
+    file, and leave nothing behind."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    name, text = BAD_CORPUS_FILES[case]
+    bad = corpus / name
+    bad.write_text(text)
+    argv = {"search": ["search", "--method", "greedy", "--design", str(bad)],
+            "dataset-gen": ["dataset-gen", "--corpus", str(corpus),
+                            "--out", str(tmp_path / "ds"), "--quiet"],
+            "rl-train": ["rl-train", "--corpus", str(corpus), "--obs",
+                         "histogram", "--out", str(tmp_path / "p.ckpt"),
+                         "--quiet"]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(bad) in captured.err
+    assert captured.err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["corpus"]
+    assert os.listdir(corpus) == [name]
 
 
 def test_estimate_json(workdir, capsys):

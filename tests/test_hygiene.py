@@ -2,7 +2,8 @@
 bug and must propagate.  The CLI's internal-error boundary is the exception.
 No process-lifetime cache and no reference cycle keeps a caller's state
 alive.  Equality of IR objects compares every field.  No scatter goes
-through a ufunc's ``at``.  Nothing is defined that the package never reads."""
+through a ufunc's ``at``.  Nothing is defined that the package never reads.
+Every per-opcode fact lives in the opcode table of ``ir/types.py``."""
 import ast
 import dataclasses
 import gc
@@ -240,6 +241,41 @@ def test_ufunc_at_detector_sees_each_spelling():
     assert [len(_ufunc_at_uses(ast.parse(s))) for s in sources] == [1, 1, 1]
     assert _ufunc_at_uses(ast.parse(
         "import numpy as np\nnp.bincount(i, w)\nx.at(0)")) == []
+
+
+def _opcode_tables(tree: ast.AST) -> list[ast.AST]:
+    """Set and dict displays holding two or more ``Opcode`` members, as
+    elements, keys or values."""
+    def members(nodes) -> int:
+        return sum(isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                   and n.value.id == "Opcode" for n in nodes)
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Set) and members(node.elts) >= 2
+            or isinstance(node, ast.Dict)
+            and members([*node.keys, *node.values]) >= 2]
+
+
+def test_no_opcode_table_outside_the_opcode_table():
+    """A per-opcode fact is a column of ``ir.types.OPCODES``; a set or map
+    of opcodes anywhere else would be a second definition of it."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        if rel != "ir/types.py":
+            found += [f"{rel}:{node.lineno}"
+                      for node in _opcode_tables(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_opcode_table_detector_sees_each_spelling():
+    sources = ["S = {Opcode.ADD, Opcode.MUL}",
+               "A = {Opcode.ADD: 2, Opcode.SELECT: 3}",
+               "P = {'add': Opcode.ADD, 'sub': Opcode.SUB}",
+               "U = PURE | {Opcode.SDIV, Opcode.SREM}"]
+    assert [len(_opcode_tables(ast.parse(s))) for s in sources] == [1, 1, 1, 1]
+    assert _opcode_tables(ast.parse(
+        "S = {Opcode.ADD}\nT = (Opcode.BR, Opcode.RET)\n"
+        "C = {op: row.cls for op, row in OPCODES.items()}")) == []
 
 
 def _unreachable(kinds: tuple[type, ...]) -> list[str]:

@@ -4,9 +4,14 @@ import pytest
 
 from passforge.corpus import case1_text, random_inputs
 from passforge.ir import (
-    OPCODE_CLASS, FuelExhausted, IrSyntaxError, LabelRef, Opcode, TrapError,
-    VerifyError, dedicated_preheader, interpret, natural_loops, parse_module,
-    postorder, print_module, verify_module, wrap32,
+    OPCODE_CLASS, OPCODES, FuelExhausted, InstrClass, IrSyntaxError, LabelRef,
+    Opcode, TrapError, VerifyError, dedicated_preheader, fold_constant,
+    interpret, natural_loops, parse_module, postorder, print_module,
+    verify_module, wrap32,
+)
+from passforge.ir.types import (
+    FOLDABLE, ICMP_PREDICATES, PURE_OPS, PURE_OR_DIV, TERMINATOR_OPCODES,
+    OpInfo,
 )
 
 
@@ -520,6 +525,151 @@ block out:
 
 
 def test_every_opcode_has_a_class():
-    """The verifier relies on ``OPCODE_CLASS`` being total, and no longer
-    looks each instruction up in it."""
+    """The opcode table is total: every opcode has one row, and each row
+    a class; the verifier and the readers of ``OPCODE_CLASS`` rely on it."""
+    assert list(OPCODES) == list(Opcode)
+    assert all(type(row) is OpInfo and type(row.cls) is InstrClass
+               for row in OPCODES.values())
     assert set(OPCODE_CLASS) == set(Opcode)
+
+
+O = Opcode
+
+#: The per-opcode tables the opcode table replaced, with their contents as
+#: they were written before it (classes grouped by class).
+OLD_CLASSES = {
+    InstrClass.BINARY: {O.ADD, O.SUB, O.MUL, O.SDIV, O.SREM},
+    InstrClass.BITWISE: {O.AND, O.OR, O.XOR, O.SHL, O.ASHR},
+    InstrClass.COMPARE: {O.ICMP}, InstrClass.SELECT: {O.SELECT},
+    InstrClass.PHI: {O.PHI},
+    InstrClass.MEMORY: {O.LOAD, O.STORE, O.GETELEMENTPTR},
+    InstrClass.CAST: {O.ZEXT, O.SEXT, O.TRUNC}, InstrClass.CALL: {O.CALL},
+    InstrClass.TERMINATOR: {O.BR, O.CONDBR, O.RET},
+}
+OLD_TERMINATOR_OPCODES = {O.BR, O.CONDBR, O.RET}
+OLD_FOLDABLE = {O.ADD, O.SUB, O.MUL, O.SDIV, O.SREM, O.AND, O.OR, O.XOR,
+                O.SHL, O.ASHR, O.ICMP, O.ZEXT, O.SEXT, O.TRUNC}
+OLD_PURE_OPS = {O.ADD, O.SUB, O.MUL, O.AND, O.OR, O.XOR, O.SHL, O.ASHR,
+                O.ICMP, O.SELECT, O.ZEXT, O.SEXT, O.TRUNC, O.GETELEMENTPTR}
+OLD_PURE_OR_DIV = OLD_PURE_OPS | {O.SDIV, O.SREM}
+OLD_ARITY = {
+    O.ADD: 2, O.SUB: 2, O.MUL: 2, O.SDIV: 2, O.SREM: 2, O.AND: 2, O.OR: 2,
+    O.XOR: 2, O.SHL: 2, O.ASHR: 2, O.ICMP: 2, O.SELECT: 3, O.LOAD: 1,
+    O.STORE: 2, O.GETELEMENTPTR: 2, O.ZEXT: 1, O.SEXT: 1, O.TRUNC: 1,
+    O.BR: 1, O.CONDBR: 3,
+}
+OLD_COMMUTATIVE = {O.ADD, O.MUL, O.AND, O.OR, O.XOR}
+OLD_SIDE_EFFECTS = {O.STORE, O.CALL}
+
+
+def test_derived_sets_equal_the_tables_they_replace():
+    assert OPCODE_CLASS == {op: cls for cls, ops in OLD_CLASSES.items()
+                            for op in ops}
+    assert TERMINATOR_OPCODES == OLD_TERMINATOR_OPCODES
+    assert FOLDABLE == OLD_FOLDABLE
+    assert PURE_OPS == OLD_PURE_OPS
+    assert PURE_OR_DIV == OLD_PURE_OR_DIV
+    # Phi, call and ret take any number of operands.
+    assert {op: row.arity for op, row in OPCODES.items()} == {
+        **OLD_ARITY, O.PHI: None, O.CALL: None, O.RET: None}
+    assert {op for op, row in OPCODES.items() if row.commutative} \
+        == OLD_COMMUTATIVE
+    assert {op for op, row in OPCODES.items() if row.side_effects} \
+        == OLD_SIDE_EFFECTS
+    # The parser reads binary and cast opcodes off their classes.
+    assert {op.value for op in OLD_CLASSES[InstrClass.BINARY]
+            | OLD_CLASSES[InstrClass.BITWISE]} == {
+        "add", "sub", "mul", "sdiv", "srem", "and", "or", "xor", "shl", "ashr"}
+    assert {op.value for op in OLD_CLASSES[InstrClass.CAST]} == {
+        "zext", "sext", "trunc"}
+
+
+_INT_MIN = -(2**31)
+
+
+def _ref_icmp(pred, a, b):
+    if pred == "eq":
+        return int(a == b)
+    if pred == "ne":
+        return int(a != b)
+    if pred == "slt":
+        return int(a < b)
+    if pred == "sle":
+        return int(a <= b)
+    if pred == "sgt":
+        return int(a > b)
+    return int(a >= b)  # sge
+
+
+def _ref_fold(opcode, operands, pred=None):
+    """``fold_constant`` as a chain of opcode tests, as it was written
+    before the opcode table; the reference for the table's folds."""
+    if opcode is Opcode.ADD:
+        return wrap32(operands[0] + operands[1])
+    if opcode is Opcode.SUB:
+        return wrap32(operands[0] - operands[1])
+    if opcode is Opcode.MUL:
+        return wrap32(operands[0] * operands[1])
+    if opcode is Opcode.SDIV:
+        a, b = operands
+        if b == 0 or (a == _INT_MIN and b == -1):
+            return None
+        q = abs(a) // abs(b)
+        return wrap32(-q if (a < 0) != (b < 0) else q)
+    if opcode is Opcode.SREM:
+        a, b = operands
+        if b == 0 or (a == _INT_MIN and b == -1):
+            return None
+        q = abs(a) // abs(b)
+        q = -q if (a < 0) != (b < 0) else q
+        return wrap32(a - b * q)
+    if opcode is Opcode.AND:
+        return wrap32(operands[0] & operands[1])
+    if opcode is Opcode.OR:
+        return wrap32(operands[0] | operands[1])
+    if opcode is Opcode.XOR:
+        return wrap32(operands[0] ^ operands[1])
+    if opcode is Opcode.SHL:
+        return wrap32(operands[0] << (operands[1] & 31))
+    if opcode is Opcode.ASHR:
+        return wrap32(operands[0] >> (operands[1] & 31))
+    if opcode is Opcode.ICMP:
+        return _ref_icmp(pred or "eq", operands[0], operands[1])
+    if opcode is Opcode.ZEXT:
+        return operands[0] & 1
+    if opcode is Opcode.SEXT:
+        return -1 if (operands[0] & 1) else 0
+    if opcode is Opcode.TRUNC:
+        return operands[0] & 1
+    raise ValueError(f"not a foldable opcode: {opcode}")
+
+
+def _outcome(fold, *args):
+    """(value, its type) of a fold, or "raises" when it raised."""
+    try:
+        v = fold(*args)
+    except (TypeError, ValueError):
+        return "raises"
+    return v, type(v)
+
+
+#: Both ends of the 32-bit range and their neighbours, small values, shift
+#: amounts around the 5-bit mask, and two values outside the range.
+FOLD_GRID = [_INT_MIN, _INT_MIN + 1, -7, -2, -1, 0, 1, 2, 3, 7, 31, 32, 33,
+             2**31 - 1, 2**31, -(2**32) + 5]
+
+
+def test_table_folds_equal_the_opcode_chain():
+    """Every opcode, under every icmp predicate and none, on every pair of
+    grid values: the table's fold gives the old chain's value and type,
+    None on the same traps, and an error on an opcode that does not fold."""
+    n = 0
+    for op in Opcode:
+        for pred in (*ICMP_PREDICATES, None):
+            for a in FOLD_GRID:
+                for b in FOLD_GRID:
+                    got = _outcome(fold_constant, op, [a, b], pred)
+                    assert got == _outcome(_ref_fold, op, [a, b], pred), \
+                        (op, pred, a, b)
+                    n += 1
+    assert n == len(Opcode) * 7 * len(FOLD_GRID) ** 2 == 41_216

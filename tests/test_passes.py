@@ -1092,19 +1092,26 @@ block out:
 @pytest.mark.parametrize("p", [PassId.ADCE, PassId.DSE, PassId.INSTSIMPLIFY])
 def test_executed_pass_builds_one_dominator_tree_per_function(monkeypatch, p):
     """Refresh and verify share one analysis; the pass itself needs
-    none."""
+    none.  The loop forest reads the predecessor map its dominator tree
+    built, so each function's map is built once too."""
     m = parse_module(DOM_COUNT_SRC)
-    calls = []
-    dominators = analysis.dominators
+    trees, pred_maps = [], []
+    init, predecessor_map = analysis.DomTree.__init__, analysis.predecessor_map
 
-    def counting(fn):
-        calls.append(fn.name)
-        return dominators(fn)
+    def counting_init(self, fn):
+        trees.append(fn.name)
+        init(self, fn)
 
-    monkeypatch.setattr(analysis, "dominators", counting)
+    def counting_preds(fn):
+        pred_maps.append(fn.name)
+        return predecessor_map(fn)
+
+    monkeypatch.setattr(analysis.DomTree, "__init__", counting_init)
+    monkeypatch.setattr(analysis, "predecessor_map", counting_preds)
     r = apply_pass(m, p)
     assert r.changed
-    assert sorted(calls) == ["f", "inc"]
+    assert sorted(trees) == ["f", "inc"]
+    assert sorted(pred_maps) == ["f", "inc"]
 
 
 def _step_without_shortcut(m, p):
