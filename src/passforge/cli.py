@@ -224,7 +224,7 @@ def cmd_run(args) -> int:
     try:
         out, results = apply_sequence(m, seq)
     except PragmaError as e:
-        raise UserError(str(e))
+        raise UserError(f"{args.file}: {e}")
     except PassError as e:
         print(f"pass failure: {e}", file=sys.stderr)
         return 2
@@ -255,7 +255,7 @@ def cmd_estimate(args) -> int:
             m = apply_pragma_passes(m)
         rep = estimate(m, costs)
     except (PragmaError, EstimateError) as e:
-        raise UserError(str(e))
+        raise UserError(f"{args.file}: {e}")
     doc = rep.to_dict()
     if args.json_out:
         _write(args.json_out, _json_text(doc))

@@ -5,6 +5,11 @@ deduplicated, and embedded in the similarity dataset: intra-design pairs (up
 to a cap) plus cross-design pairs, labeled with the normalized heterogeneous
 edit distance.  Splits are assigned per base design so no pair straddles a
 split boundary.
+
+A design's sequences share one ``Transitions`` table and start from the
+design's digest, so the design is printed once and a transition that two of
+its sequences share runs once.  Each variant is deduplicated by the digest
+of the last pass result; an empty sequence keeps the design's digest.
 """
 from __future__ import annotations
 
@@ -16,9 +21,10 @@ import numpy as np
 
 from .graphs import HetGraph, build_het_graph
 from .hged import EditCostModel, hged
-from .ir import parse_module, print_module
+from .ir import parse_module, print_module, text_digest
 from .passes import (
-    PragmaError, apply_pragma_passes, apply_sequence, general_passes,
+    PragmaError, Transitions, apply_pragma_passes, apply_sequence,
+    general_passes,
 )
 from .embedder import TrainPair
 
@@ -73,23 +79,29 @@ def dataset_gen(designs: list[tuple[str, str]], k_sequences: int,
     for d_idx, (name, text) in enumerate(designs):
         split = split_of(d_idx)
         base = parse_module(text)
-        seen = {base.digest()}
-        variants.append(Variant(name, f"{name}__0", print_module(base),
+        base_text = print_module(base)
+        base_digest = text_digest(base_text)
+        seen = {base_digest}
+        variants.append(Variant(name, f"{name}__0", base_text,
                                 build_het_graph(base), split))
-        candidates = []
+        candidates = []     # (module, digest)
         try:
-            candidates.append(apply_pragma_passes(base))
+            expanded = apply_pragma_passes(base)
+            candidates.append((expanded, base_digest if expanded is base
+                               else expanded.digest()))
         except PragmaError as e:
             skipped += 1
             if log_fn:
                 log_fn(f"skip {name} pragma expansion: {e}")
+        table = Transitions()     # this design's sequences share it
         for _ in range(k_sequences - 1):
             length = int(rng.integers(min(2, max_len), max_len + 1))
             seq = [catalog[int(rng.integers(0, len(catalog)))]
                    for _ in range(length)]
-            candidates.append(apply_sequence(base, seq)[0])
-        for out in candidates:
-            digest = out.digest()
+            out, results = apply_sequence(base, seq, table, base_digest)
+            candidates.append((out, results[-1].digest if results
+                               else base_digest))
+        for out, digest in candidates:
             if digest in seen:
                 continue
             seen.add(digest)

@@ -344,21 +344,28 @@ def embed(g: HetGraph | GraphData, params: dict[str, np.ndarray],
 
 def pair_loss(params: dict[str, np.ndarray], config: RgcnConfig,
               graph_datas: list[GraphData],
-              pairs: list[tuple[int, int, float]]) -> float:
+              pairs: list[tuple[int, int, float]],
+              unions: dict | None = None) -> float:
     loss, _ = pair_loss_grad(params, config, graph_datas, pairs,
-                             want_grads=False)
+                             want_grads=False, unions=unions)
     return loss
 
 
 def pair_loss_grad(params: dict[str, np.ndarray], config: RgcnConfig,
                    graph_datas: list[GraphData],
                    pairs: list[tuple[int, int, float]],
-                   want_grads: bool = True):
+                   want_grads: bool = True, unions: dict | None = None):
     """Mean over pairs of ((1 - cos)/2 - label)^2 and its exact gradient.
 
-    The graphs the pairs name run as one union, in index order."""
+    The graphs the pairs name run as one union, in index order.  ``unions``,
+    a dict the caller owns, keeps each union by those indices, for calls
+    whose pairs name the same graphs again; a union is only read."""
     needed = sorted({i for i, _, _ in pairs} | {j for _, j, _ in pairs})
-    union = graph_union([graph_datas[gi] for gi in needed])
+    unions = {} if unions is None else unions
+    key = tuple(needed)
+    if key not in unions:
+        unions[key] = graph_union([graph_datas[gi] for gi in needed])
+    union = unions[key]
     out_list, cache = forward(union, params, config)
     outs = dict(zip(needed, out_list))
 

@@ -64,6 +64,12 @@ def pretrain(graphs: list[HetGraph] | list[GraphData],
     best_params = {k: v.copy() for k, v in params.items()}
     log: list[TrainLogEntry] = []
     stale = 0
+    # The validation pairs name the same graphs every epoch, and so do the
+    # training pairs when one batch holds them all; shuffled batches of a
+    # larger set do not repeat, so their unions are not kept.
+    unions: dict = {}
+    batch_unions = unions if len(train_pairs) <= train_config.batch_size \
+        else None
 
     for epoch in range(train_config.max_epochs):
         order = rng.permutation(len(train_pairs))
@@ -71,14 +77,16 @@ def pretrain(graphs: list[HetGraph] | list[GraphData],
         batches = 0
         for start in range(0, len(order), train_config.batch_size):
             batch = [train_pairs[k] for k in order[start:start + train_config.batch_size]]
-            loss, grads = pair_loss_grad(params, model_config, gds, batch)
+            loss, grads = pair_loss_grad(params, model_config, gds, batch,
+                                         unions=batch_unions)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             opt.step(params, grads)
             epoch_loss += loss
             batches += 1
         train_loss = epoch_loss / max(1, batches)
-        val_loss = pair_loss(params, model_config, gds, val_pairs)
+        val_loss = pair_loss(params, model_config, gds, val_pairs,
+                             unions=unions)
         if not np.isfinite(val_loss):
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
         log.append(TrainLogEntry(epoch, train_loss, val_loss))

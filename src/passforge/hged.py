@@ -36,6 +36,19 @@ the operands and order of the plain definition, so every cost keeps its bits:
   only when both operands are), so ``g + cost`` has the same bits;
 * the bound terms are ints.
 
+``ged_beam`` keeps each level's ``width`` children of lowest f, the earliest
+generated on ties, and prices a child only while it can still make that cut
+(bounded top-k selection over the beam of Neuhaus, Riesen and Bunke, SSPR
+2006).  The cutoff is the ``width``-th smallest f among the level's children
+generated so far; a child is dropped once f, or a floor under it, reaches
+it.  A substitution's floor leaves out its edge costs, and on the last level
+every floor leaves out the insertion of G2's rest.  Those terms are finite
+and non-negative and float addition is monotone, so a floor never exceeds f;
+a dropped child has ``width`` earlier children at or below its f, which the
+stable sort puts first.  So the beam keeps the children, order and bits the
+unpruned sort keeps.  The cutoff needs costs that ``EditCostModel.bad_costs``
+accepts; ``ged_exact`` prices every child.
+
 ``ged_beam`` answers a pair of stage graphs that are equal up to node ids
 (``StageGraph.key``) at once: cost 0 and the positional identity, which is
 exactly what the search returns when no cost is negative or non-finite and
@@ -52,8 +65,9 @@ returns what a fresh search would.  The memo belongs to its caller:
 a call given none makes its own, which it drops on return.
 The memo also holds each graph's ``_StageView`` (skeleton, per-block
 instruction graphs with their cached keys, data-flow and cross-block edges),
-keyed by the graph's id.  The entry holds the graph, so the id is not reused,
-and the graph must not be mutated, while the memo lives.
+keyed by the graph's id, and the view's share of the normalizing
+denominator, per side and cost model.  The view holds the graph, so the id
+is not reused, and the graph must not be mutated, while the memo lives.
 """
 from __future__ import annotations
 
@@ -384,7 +398,8 @@ class _Search:
             return [i, None] + [j for j in same if inv[j] is None and j != i]
         return [None] + [j for j in same if inv[j] is None]
 
-    def expand(self, state: tuple, i: int) -> list[tuple]:
+    def expand(self, state: tuple, i: int, top: list | None = None,
+               width: int = 0) -> list[tuple]:
         """Children of ``state`` at level i, in candidate order, as ``(f, g,
         state, cand, lab, e2)``; ``settle`` makes one a state.
 
@@ -396,7 +411,12 @@ class _Search:
         mismatch over remaining-to-remaining edges, both updated from the
         parent's counts; on the last level, the exact cost of inserting what
         is left of G2.  ``lab`` is the child's own label term, over G1's
-        nodes i+1.."""
+        nodes i+1..
+
+        ``top``, when given, is a max-heap (of -f) of the ``width`` smallest
+        f among the level's children emitted so far.  A child whose f, or a
+        floor under it, reaches the largest of a full heap is not emitted
+        (see the module docstring); an emitted child enters the heap."""
         g, mapping, inv, r2, t2, e2, lab = state
         costs = self.costs
         last = i + 1 == self.n1
@@ -413,12 +433,37 @@ class _Search:
         surplus, deficit = _edge_excess(edges1, e2)
         bound = max(surplus, deficit)
         near1 = self.near1[i]
+        # A NaN cutoff fails every ``>=`` test: without a heap, nothing is cut.
+        cutoff = math.nan if top is None else (
+            -top[0] if len(top) == width else math.inf)
         out = []
         for cand in self.candidates(i, inv):
+            ne2 = e2
             if cand is None:
                 ng = g + self.del_cost[i]
+                h, nlab = lab + bound, nlab_del
             else:
                 cost = 0.0 if a == self.lid2[cand] else costs.node_sub_mismatch
+                h = nlab = 0
+                if not last:
+                    b = self.lid2[cand]
+                    hlab = hlab_sub + (r2[b] <= rest1[b])
+                    nlab = hlab + nlab_sub + (ra <= r2[a] - (a == b))
+                    # Each G2 edge it uses up moves one relation count by one.
+                    more, fewer = surplus, deficit
+                    for t, r in self.inc2[cand]:
+                        if inv[t] is None:
+                            if ne2 is e2:
+                                ne2 = e2.copy()
+                            if edges1[r] >= ne2[r]:
+                                more += 1
+                            else:
+                                fewer -= 1
+                            ne2[r] -= 1
+                    h = hlab + (more if more > fewer else fewer)
+                # Edges only add to the node cost.
+                if (g + cost) + h >= cutoff:
+                    continue
                 near2 = self.near2[cand]
                 order = [j for t in near2 if (j := inv[t]) is not None
                          and j not in near1]
@@ -446,27 +491,22 @@ class _Search:
                             cost += ins_in if in2 else del_in
                 ng = g + cost
             if last:
-                out.append((ng + self.finish_cost(inv, cand), ng, state, cand,
-                            0, e2))
-            elif cand is None:
-                out.append((ng + (lab + bound), ng, state, None, nlab_del, e2))
+                # Inserting what is left of G2 only adds to g.
+                if ng >= cutoff:
+                    continue
+                f, nlab = ng + self.finish_cost(inv, cand), 0
             else:
-                b = self.lid2[cand]
-                hlab = hlab_sub + (r2[b] <= rest1[b])
-                nlab = hlab + nlab_sub + (ra <= r2[a] - (a == b))
-                # Each G2 edge it uses up moves one relation count by one.
-                ne2, more, fewer = e2, surplus, deficit
-                for t, r in self.inc2[cand]:
-                    if inv[t] is None:
-                        if ne2 is e2:
-                            ne2 = e2.copy()
-                        if edges1[r] >= ne2[r]:
-                            more += 1
-                        else:
-                            fewer -= 1
-                        ne2[r] -= 1
-                out.append((ng + (hlab + (more if more > fewer else fewer)),
-                            ng, state, cand, nlab, ne2))
+                f = ng + h
+            if f >= cutoff:
+                continue
+            out.append((f, ng, state, cand, nlab, ne2))
+            if top is not None:
+                if len(top) < width:
+                    heapq.heappush(top, -f)
+                else:
+                    heapq.heapreplace(top, -f)
+                if len(top) == width:
+                    cutoff = -top[0]
         return out
 
     def settle(self, child: tuple, i: int) -> tuple:
@@ -553,9 +593,12 @@ def ged_beam(g1: StageGraph, g2: StageGraph, costs: EditCostModel,
                                                  ins_extra):
         return 0.0, {a.nid: b.nid for a, b in zip(g1.nodes, g2.nodes)}
     search = _Search(g1, g2, costs, del_extra, ins_extra)
+    prune = not costs.bad_costs()
     level = [search.start()]
     for i in range(search.n1):
-        children = [c for state in level for c in search.expand(state, i)]
+        top = [] if prune else None
+        children = [c for state in level
+                    for c in search.expand(state, i, top, width)]
         children.sort(key=itemgetter(0))
         level = [search.settle(c, i) for c in children[:width]]
     # The sort is stable and f is the full cost on the last level, so the
@@ -709,15 +752,20 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
 
     total = costs.w1 * stage1_cost + costs.w2 * stage2_cost
     denom = (costs.w1 * (_delete_all_cost(sk1, costs) + _insert_all_cost(sk2, costs))
-             + costs.w2 * (_stage2_denom(v1, costs, True)
-                           + _stage2_denom(v2, costs, False)))
+             + costs.w2 * (_stage2_denom(v1, costs, True, memo, cost_key)
+                           + _stage2_denom(v2, costs, False, memo, cost_key)))
     normalized = 0.0 if denom == 0 else min(1.0, total / denom)
     return HgedResult(stage1_cost, stage2_cost, total, normalized,
                       block_mapping, exact_mode)
 
 
-def _stage2_denom(view: _StageView, costs: EditCostModel,
-                  deleting: bool) -> float:
+def _stage2_denom(view: _StageView, costs: EditCostModel, deleting: bool,
+                  memo: dict, cost_key: str) -> float:
+    """Deleting (or inserting) ``view``'s instructions and their edges;
+    memoized per view, side and cost model."""
+    key = ("denom", id(view.graph), deleting, cost_key)
+    if key in memo:
+        return memo[key]
     affil = Relation.AFFIL_INSTR_BLOCK.value
     c = 0.0
     for sub in view.per_block.values():
@@ -728,4 +776,5 @@ def _stage2_denom(view: _StageView, costs: EditCostModel,
                 c += costs.n_ins(n.kind) + costs.e_ins(affil)
     for e in view.data:
         c += costs.e_del(e.relation.value) if deleting else costs.e_ins(e.relation.value)
+    memo[key] = c
     return c

@@ -172,23 +172,25 @@ class OpInfo(NamedTuple):
     traps, so a pass may hoist, clone or skip it), has side effects (writes
     memory or calls) or commutes; and its constant fold, from the operand
     values and an icmp predicate to the result (None on a trap), absent
-    when it does not fold."""
+    when it does not fold; and, for the chains that reassociate rebalances,
+    the identity it folds their constants from."""
     cls: InstrClass
     arity: int | None
     pure: bool = False
     side_effects: bool = False
     commutative: bool = False
     fold: Callable[[list[int], str | None], int | None] | None = None
+    chain_identity: int | None = None
 
 
 _BIN, _BIT, _CAST = InstrClass.BINARY, InstrClass.BITWISE, InstrClass.CAST
 
 #: One row per opcode: the one place a per-opcode fact is defined.
 OPCODES: dict[Opcode, OpInfo] = {
-    Opcode.ADD: OpInfo(_BIN, 2, True, commutative=True,
+    Opcode.ADD: OpInfo(_BIN, 2, True, commutative=True, chain_identity=0,
                        fold=lambda v, p: wrap32(v[0] + v[1])),
     Opcode.SUB: OpInfo(_BIN, 2, True, fold=lambda v, p: wrap32(v[0] - v[1])),
-    Opcode.MUL: OpInfo(_BIN, 2, True, commutative=True,
+    Opcode.MUL: OpInfo(_BIN, 2, True, commutative=True, chain_identity=1,
                        fold=lambda v, p: wrap32(v[0] * v[1])),
     Opcode.SDIV: OpInfo(_BIN, 2, fold=lambda v, p: _sdiv(v[0], v[1], False)),
     Opcode.SREM: OpInfo(_BIN, 2, fold=lambda v, p: _sdiv(v[0], v[1], True)),
@@ -221,6 +223,9 @@ TERMINATOR_OPCODES = {op for op, row in OPCODES.items()
                       if row.cls is InstrClass.TERMINATOR}
 FOLDABLE = {op for op, row in OPCODES.items() if row.fold is not None}
 PURE_OPS = {op for op, row in OPCODES.items() if row.pure}
+#: shl and ashr: the bitwise opcodes that do not commute.
+SHIFTS = {op for op, row in OPCODES.items()
+          if row.cls is _BIT and not row.commutative}
 #: Pure or folding, so trapping divisions too: removable when dead, and
 #: equal when their operands are, but not hoistable.
 PURE_OR_DIV = PURE_OPS | FOLDABLE

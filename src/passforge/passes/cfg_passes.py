@@ -5,7 +5,7 @@ from ..ir import (
     Const, DomTree, IrBlock, IrFunction, IrModule, LabelRef, Opcode, ValueRef,
     fold_constant, natural_loops, predecessor_map,
 )
-from ..ir.types import PURE_OPS, IrInstruction, Operand
+from ..ir.types import FOLDABLE, PURE_OPS, IrInstruction, Operand
 from .rewrite import (
     collapse_trivial_phis, condbr_compare, drop_unreachable_blocks,
     negate_pred, remove_phi_entries, rename_phi_pred, replace_all_uses,
@@ -225,9 +225,6 @@ def _sccp_function(fn: IrFunction) -> None:
             return
         if ins.result is None:
             return
-        if ins.opcode in (Opcode.LOAD, Opcode.CALL, Opcode.GETELEMENTPTR):
-            set_value(ins.result, _BOT)
-            return
         if ins.opcode is Opcode.SELECT:
             c = value_of(ins.operands[0])
             if c == _TOP:
@@ -240,6 +237,9 @@ def _sccp_function(fn: IrFunction) -> None:
                 v = value_of(ins.operands[1] if c else ins.operands[2])
                 if v != _TOP:
                     set_value(ins.result, v)
+            return
+        if ins.opcode not in FOLDABLE:
+            set_value(ins.result, _BOT)
             return
         vals = [value_of(o) for o in ins.operands]
         if any(v == _BOT for v in vals):

@@ -10,7 +10,7 @@ from ..ir import (
     Const, DomTree, IrBlock, IrFunction, IrInstruction, IrModule, Opcode,
     ValueRef, fold_constant, pointer_target,
 )
-from ..ir.types import FOLDABLE, I1, OPCODES, PURE_OR_DIV, Operand
+from ..ir.types import FOLDABLE, I1, OPCODES, PURE_OR_DIV, SHIFTS, Operand
 from .rewrite import (
     FreshNames, erase_dead_pure, phi_value, replace_all_uses,
 )
@@ -92,7 +92,7 @@ def simplify_instruction(ins: IrInstruction) -> Operand | None:
             return a
         if ca == 0:
             return b
-    elif op in (Opcode.SHL, Opcode.ASHR):
+    elif op in SHIFTS:
         if cb == 0:
             return a
         if ca == 0:
@@ -393,7 +393,8 @@ def run_reassociate(m: IrModule) -> None:
         for b in fn.blocks:
             pos = {id(ins): i for i, ins in enumerate(b.instructions)}
             for ins in list(b.instructions):
-                if ins.opcode not in (Opcode.ADD, Opcode.MUL):
+                identity = OPCODES[ins.opcode].chain_identity
+                if identity is None:
                     continue
                 if id(ins) not in pos:
                     continue
@@ -418,7 +419,7 @@ def run_reassociate(m: IrModule) -> None:
                         leaves.append(op)
                 if len(leaves) < 3:
                     continue
-                const_val = 0 if opcode is Opcode.ADD else 1
+                const_val = identity
                 rest: list[Operand] = []
                 for leaf in leaves:
                     if isinstance(leaf, Const):
@@ -427,7 +428,6 @@ def run_reassociate(m: IrModule) -> None:
                     else:
                         rest.append(leaf)
                 rest.sort(key=str)
-                identity = 0 if opcode is Opcode.ADD else 1
                 target: list[Operand] = list(rest)
                 if const_val != identity or not target:
                     target.append(Const(const_val, ins.ir_type))

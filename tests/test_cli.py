@@ -142,8 +142,8 @@ def test_run_pragma_failure_is_a_user_error(tmp_path, capsys):
                  ["estimate", str(design)]):
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: loop 1 in @f is not in canonical "
-                              "countable form")
+        assert err.startswith(f"error: {design}: loop 1 in @f is not in "
+                              "canonical countable form")
 
 
 #: One faulty file per case, by name, with its text.

@@ -8,8 +8,11 @@ from passforge.corpus import (
     CASE1_INNER_TRIP, CASE1_UNROLL_FACTOR, corpus_gen, random_inputs,
 )
 from passforge.dataset import dataset_gen, load_dataset, save_dataset, split_of
-from passforge.ir import interpret, natural_loops, parse_module, verify_module
-from passforge.passes import loop_trip_count
+from passforge import passes as passes_module
+from passforge.ir import (
+    interpret, natural_loops, parse_module, print_module, verify_module,
+)
+from passforge.passes import apply_pragma_passes, loop_trip_count
 
 
 def test_case1_fixture_parameters(case1):
@@ -70,6 +73,40 @@ def test_dataset_gen_zero_length_variants_label_zero():
         vi, vj = ds.variants[p.i], ds.variants[p.j]
         if vi.design == vj.design and vi.text == vj.text:
             assert p.label == 0.0
+
+
+def test_zero_length_sequences_add_no_variant():
+    """With ``max_len`` 0 every sequence is empty: its result is the design
+    itself, under the design's digest, so only the design and its pragma
+    expansion (where that changes it) become variants."""
+    designs = corpus_gen(4, seed=2, include_cases=False)
+    ds = dataset_gen(designs, k_sequences=3, max_len=0, seed=0,
+                     intra_pair_cap=5, cross_pairs=4)
+    expected = []
+    for name, text in designs:
+        base = parse_module(text)
+        expanded = apply_pragma_passes(base)
+        texts = [print_module(base)]
+        if print_module(expanded) != texts[0]:
+            texts.append(print_module(expanded))
+        expected += [(name, f"{name}__{k}", t) for k, t in enumerate(texts)]
+    assert [(v.design, v.name, v.text) for v in ds.variants] == expected
+
+
+def test_a_designs_sequences_run_each_transition_once(monkeypatch):
+    """The sequences of one design share one transition table, so a pass
+    runs once on each module that sequences reach."""
+    runs = []
+    transform = passes_module._transform
+
+    def counting(m, p, table):
+        runs.append((m.digest(), p))
+        return transform(m, p, table)
+    monkeypatch.setattr(passes_module, "_transform", counting)
+    dataset_gen(corpus_gen(3, seed=11, include_cases=False), k_sequences=12,
+                max_len=3, seed=3, intra_pair_cap=3, cross_pairs=0)
+    general = [r for r in runs if not r[1].value.startswith("apply_")]
+    assert len(general) == len(set(general)) > 0
 
 
 def test_dataset_pairs_never_straddle_splits():

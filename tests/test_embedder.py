@@ -12,6 +12,7 @@ from passforge.embedder import (
     pair_loss, pair_loss_grad, pretrain, save_checkpoint, load_checkpoint,
     zero_grads,
 )
+from passforge.embedder import model as model_module, train as train_module
 from passforge.graphs import build_het_graph, homogenize
 from passforge.ir import parse_module
 from passforge.passes import apply_pragma_passes
@@ -160,6 +161,30 @@ def test_pretrain_is_pinned():
         h.update(np.ascontiguousarray(params[k]).tobytes())
     h.update(repr([(e.epoch, e.train_loss, e.val_loss) for e in log]).encode())
     assert h.hexdigest() == PINNED_PRETRAIN
+
+
+def test_pretrain_builds_a_repeated_union_once(monkeypatch):
+    """One batch holds every training pair, so each epoch's batch and
+    validation pass run over the two unions built in the first epoch, and
+    training ends as it does with a union built for every call."""
+    ds = dataset_gen(corpus_gen(4, 0), 3, 3, 0, intra_pair_cap=6,
+                     cross_pairs=8)
+    config = PretrainConfig(seed=0, max_epochs=4, patience=4)
+    assert len(ds.pairs) <= config.batch_size
+    built = []
+    monkeypatch.setattr(model_module, "graph_union",
+                        lambda gds: built.append(len(gds)) or graph_union(gds))
+    kept = pretrain(ds.graphs(), ds.pairs, RgcnConfig(), config)
+    assert len(built) == 2
+
+    def fresh(fn):
+        return lambda *args, unions=None, **kw: fn(*args, **kw)
+    monkeypatch.setattr(train_module, "pair_loss_grad", fresh(pair_loss_grad))
+    monkeypatch.setattr(train_module, "pair_loss", fresh(pair_loss))
+    rebuilt = pretrain(ds.graphs(), ds.pairs, RgcnConfig(), config)
+    assert len(built) == 2 + 2 * config.max_epochs
+    assert kept[1] == rebuilt[1]
+    assert all(np.array_equal(kept[0][k], rebuilt[0][k]) for k in kept[0])
 
 
 def test_gradient_zero_at_matched_labels(fixtures):

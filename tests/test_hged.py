@@ -2,6 +2,7 @@
 import gc
 import hashlib
 import itertools
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -349,6 +350,87 @@ def test_identity_shortcut_needs_deletions_of_at_least_one():
     costs = EditCostModel(node_delete={"block": 0.0})
     assert ged_beam(g, g, costs, width=1) == (1.0, {1: 1})
     assert ged_beam(g, g, EditCostModel(), width=1) == (0.0, {0: 0, 1: 1})
+
+
+def _unpruned_beam(g1: StageGraph, g2: StageGraph, costs: EditCostModel,
+                   width: int, del_extra: float = 0.0, ins_extra: float = 0.0,
+                   ties: list | None = None) -> tuple[float, dict[int, int]]:
+    """``ged_beam`` before its cutoff, the differential reference: every
+    child of a level is priced, the level is sorted stably by f and its
+    first ``width`` children are kept.  ``ties`` collects the levels whose
+    kept and dropped children share an f at the cut."""
+    if g1.key == g2.key and hged_module._beam_keeps_identity(
+            g1, costs, del_extra, ins_extra):
+        return 0.0, {a.nid: b.nid for a, b in zip(g1.nodes, g2.nodes)}
+    search = hged_module._Search(g1, g2, costs, del_extra, ins_extra)
+    level = [search.start()]
+    for i in range(search.n1):
+        children = [c for state in level for c in search.expand(state, i)]
+        children.sort(key=itemgetter(0))
+        if ties is not None and len(children) > width and \
+                children[width - 1][0] == children[width][0]:
+            ties.append(i)
+        level = [search.settle(c, i) for c in children[:width]]
+    return search.total(level[0])
+
+
+def _random_costs(rng, low: float = 0.05) -> EditCostModel:
+    """Fractional costs from [low, 2), a quarter of them zero, so that ties
+    are common."""
+    def cost() -> float:
+        return 0.0 if rng.random() < 0.25 else float(rng.uniform(low, 2.0))
+    return EditCostModel(
+        node_insert={k: cost() for k in ("instr", "block", "func")},
+        node_delete={k: cost() for k in ("instr", "block", "func")},
+        node_sub_mismatch=cost(),
+        edge_insert={"data": cost(), "control": cost()},
+        edge_delete={"data": cost(), "control": cost()},
+        edge_sub_mismatch=cost())
+
+
+def test_pruned_beam_equals_the_unpruned_reference(monkeypatch):
+    """The cutoff keeps every cost bit and mapping, over random mixed
+    graphs, random costs, three widths and both affiliation extras; and it
+    does cut children.  Under costs with negative values a floor need not
+    bound f, so nothing may be cut."""
+    emitted = {"pruned": 0, "all": 0}
+    expand = hged_module._Search.expand
+
+    def counting(self, state, i, top=None, width=0):
+        out = expand(self, state, i, top, width)
+        emitted["all" if top is None else "pruned"] += len(out)
+        return out
+    monkeypatch.setattr(hged_module._Search, "expand", counting)
+    rng = np.random.default_rng(2206)
+    for trial in range(80):
+        costs = _random_costs(rng, -1.0 if trial % 4 == 3 else 0.05)
+        g1 = _random_mixed_graph(rng, int(rng.integers(1, 8)))
+        g2 = _random_mixed_graph(rng, int(rng.integers(1, 8)))
+        extras = ((0.0, 0.0), (float(rng.uniform(0.0, 1.0)),
+                               float(rng.uniform(0.0, 1.0))))
+        for width in (1, 2, 16):
+            for extra in extras:
+                cost, mapping = ged_beam(g1, g2, costs, width, *extra)
+                ref_cost, ref_mapping = _unpruned_beam(g1, g2, costs, width,
+                                                       *extra)
+                assert (cost.hex(), mapping) == (ref_cost.hex(), ref_mapping)
+    assert 0 < emitted["pruned"] < emitted["all"]
+
+
+def test_ties_at_the_cutoff_keep_the_earlier_child():
+    """Unit costs on a symmetric graph: children tie on f at the cut of a
+    level, and the pruned beam keeps the ones generated first, as the
+    stable sort does."""
+    ring = [StageEdge(k, (k + 1) % 4, "control") for k in range(4)]
+    g1 = StageGraph([StageNode(k, "block", (1.0,)) for k in range(4)], ring)
+    g2 = StageGraph([StageNode(k, "block", (1.0,) if k else (2.0,))
+                     for k in range(4)], ring)
+    costs = EditCostModel()
+    for width in (1, 2):
+        ties: list = []
+        expected = _unpruned_beam(g1, g2, costs, width, ties=ties)
+        assert ties, width
+        assert ged_beam(g1, g2, costs, width) == expected
 
 
 def _renumbered_het(g: HetGraph) -> HetGraph:

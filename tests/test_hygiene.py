@@ -244,20 +244,25 @@ def test_ufunc_at_detector_sees_each_spelling():
 
 
 def _opcode_tables(tree: ast.AST) -> list[ast.AST]:
-    """Set and dict displays holding two or more ``Opcode`` members, as
-    elements, keys or values."""
+    """Set, tuple and dict displays holding two or more ``Opcode`` members,
+    as elements, keys or values.  A tuple unpacked into as many names binds
+    each name to one opcode, which is no table."""
     def members(nodes) -> int:
         return sum(isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
                    and n.value.id == "Opcode" for n in nodes)
+    unpacked = {id(node.value) for node in ast.walk(tree)
+                if isinstance(node, ast.Assign) and all(
+                    isinstance(t, ast.Tuple) for t in node.targets)}
     return [node for node in ast.walk(tree)
-            if isinstance(node, ast.Set) and members(node.elts) >= 2
+            if isinstance(node, (ast.Set, ast.Tuple))
+            and members(node.elts) >= 2 and id(node) not in unpacked
             or isinstance(node, ast.Dict)
             and members([*node.keys, *node.values]) >= 2]
 
 
 def test_no_opcode_table_outside_the_opcode_table():
-    """A per-opcode fact is a column of ``ir.types.OPCODES``; a set or map
-    of opcodes anywhere else would be a second definition of it."""
+    """A per-opcode fact is a column of ``ir.types.OPCODES``; a set, tuple
+    or map of opcodes anywhere else would be a second definition of it."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         rel = path.relative_to(PACKAGE).as_posix()
@@ -271,10 +276,13 @@ def test_opcode_table_detector_sees_each_spelling():
     sources = ["S = {Opcode.ADD, Opcode.MUL}",
                "A = {Opcode.ADD: 2, Opcode.SELECT: 3}",
                "P = {'add': Opcode.ADD, 'sub': Opcode.SUB}",
-               "U = PURE | {Opcode.SDIV, Opcode.SREM}"]
-    assert [len(_opcode_tables(ast.parse(s))) for s in sources] == [1, 1, 1, 1]
+               "U = PURE | {Opcode.SDIV, Opcode.SREM}",
+               "T = (Opcode.BR, Opcode.RET)",
+               "if op in (Opcode.ADD, Opcode.MUL):\n    pass"]
+    assert [len(_opcode_tables(ast.parse(s))) for s in sources] == [1] * 6
     assert _opcode_tables(ast.parse(
-        "S = {Opcode.ADD}\nT = (Opcode.BR, Opcode.RET)\n"
+        "S = {Opcode.ADD}\nif op in (Opcode.ADD, x):\n    pass\n"
+        "_BR, _RET = Opcode.BR, Opcode.RET\n"
         "C = {op: row.cls for op, row in OPCODES.items()}")) == []
 
 

@@ -10,8 +10,8 @@ from passforge.ir import (
     verify_module, wrap32,
 )
 from passforge.ir.types import (
-    FOLDABLE, ICMP_PREDICATES, PURE_OPS, PURE_OR_DIV, TERMINATOR_OPCODES,
-    OpInfo,
+    FOLDABLE, ICMP_PREDICATES, PURE_OPS, PURE_OR_DIV, SHIFTS,
+    TERMINATOR_OPCODES, OpInfo,
 )
 
 
@@ -576,6 +576,14 @@ def test_derived_sets_equal_the_tables_they_replace():
         == OLD_COMMUTATIVE
     assert {op for op, row in OPCODES.items() if row.side_effects} \
         == OLD_SIDE_EFFECTS
+    # The tuples simplify_instruction, reassociate and sccp spelled out.
+    assert SHIFTS == {O.SHL, O.ASHR}
+    assert {op: row.chain_identity for op, row in OPCODES.items()
+            if row.chain_identity is not None} == {O.ADD: 0, O.MUL: 1}
+    assert {op for op, row in OPCODES.items()
+            if row.fold is None and row.cls not in (
+                InstrClass.TERMINATOR, InstrClass.PHI, InstrClass.SELECT)
+            and op is not O.STORE} == {O.LOAD, O.GETELEMENTPTR, O.CALL}
     # The parser reads binary and cast opcodes off their classes.
     assert {op.value for op in OLD_CLASSES[InstrClass.BINARY]
             | OLD_CLASSES[InstrClass.BITWISE]} == {
