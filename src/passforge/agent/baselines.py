@@ -4,9 +4,9 @@ All of them charge one unit of budget per pass evaluation (an apply +
 estimate), so comparisons against the policy can hold evaluation counts
 equal.  The budget counts every pass of every sequence evaluated; the work
 actually done is smaller (``SearchResult.passes_run``), because a search
-keeps one ``(digest, pass)`` transition table for its whole call and runs
-each transition once, and its ``Evaluator`` (shared with ``PassEnv``) prices
-each distinct module once.
+runs every sequence through one ``Evaluator`` (shared with ``PassEnv``),
+whose transition table runs each transition once and whose memo prices each
+distinct module once.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ir import IrModule
-from ..passes import PassId, Transitions, apply_sequence, general_passes
+from ..passes import PassId, apply_sequence, general_passes
 from ..qor import EstimateError, estimate  # noqa: F401 - perfbench tracer pin
 from .env import Evaluator
 
@@ -38,23 +38,19 @@ class _Sequences:
     """Cycles of pass sequences run on an ``Evaluator``'s base module; a
     module the model cannot price costs ``inf``.  ``evaluations`` is the
     budget: ``len(seq)`` per new sequence, one ``passes.apply_pass`` call per
-    pass.  ``passes_run`` is the work: one pass per entry of the transition
-    table, which lives as long as this object."""
+    pass.  The work is one pass per entry of ``ev.table``."""
 
     def __init__(self, ev: Evaluator):
         self.ev = ev
         self.evaluations = 0
-        self.passes_run = 0
         self._seen: dict[tuple, float] = {}
-        self._memo = Transitions()
 
     def __call__(self, seq: list[PassId]) -> float:
         key = tuple(p.value for p in seq)
         if key not in self._seen:
             self.evaluations += len(seq)
-            _out, results = apply_sequence(self.ev.base, seq, self._memo,
+            _out, results = apply_sequence(self.ev.base, seq, self.ev.table,
                                            self.ev.base_digest)
-            self.passes_run = len(self._memo)
             try:
                 self._seen[key] = self.ev.cycles(results[-1])
             except EstimateError:
@@ -77,7 +73,7 @@ def search_random(design: IrModule, budget_sequences: int, seed: int,
         if cycles < best:
             best, best_seq = cycles, seq
     return SearchResult(best_seq, best, run.ev.baseline, run.evaluations,
-                        "random", run.passes_run)
+                        "random", len(run.ev.table))
 
 
 def search_greedy(design: IrModule, max_len: int = 16, costs=None) -> SearchResult:
@@ -94,7 +90,7 @@ def search_greedy(design: IrModule, max_len: int = 16, costs=None) -> SearchResu
         seq.append(catalog[i])
         current = cycles
     return SearchResult(seq, current, run.ev.baseline, run.evaluations,
-                        "greedy", run.passes_run)
+                        "greedy", len(run.ev.table))
 
 
 def search_genetic(design: IrModule, population: int = 12, generations: int = 8,
@@ -135,7 +131,7 @@ def search_genetic(design: IrModule, population: int = 12, generations: int = 8,
     baseline = run.ev.baseline
     seq = [catalog[g] for g in best_genome] if best_fit < baseline else []
     return SearchResult(seq, min(best_fit, baseline), baseline,
-                        run.evaluations, "genetic", run.passes_run)
+                        run.evaluations, "genetic", len(run.ev.table))
 
 
 def search_baseline(design: IrModule, method: str, seed: int = 0,

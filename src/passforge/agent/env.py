@@ -1,13 +1,13 @@
 """Pass-ordering environment, and the evaluator it shares with search.
 
-An ``Evaluator`` expands one design's pragmas once and prices its modules
-with the analytical QoR model, memoized by digest; ``PassEnv`` and the search
-baselines both price through it.  One environment wraps one design: the
-observation is the (frozen) embedding of the current program graph, actions
-are the general passes plus an explicit Stop, and the reward is the latency
-improvement normalized by the running best.  Each state carries its module's
-digest, and the environment keeps one ``(digest, pass)`` transition table
-for its lifetime, so a step seen before runs no pass.
+An ``Evaluator`` expands one design's pragmas once, owns the design's
+``(digest, pass)`` transition table, and prices its modules with the
+analytical QoR model, memoized by digest; ``PassEnv`` and the search
+baselines both apply passes and price through it, so a transition seen
+before runs no pass.  One environment wraps one design: the observation is
+the (frozen) embedding of the current program graph, actions are the general
+passes plus an explicit Stop, and the reward is the latency improvement
+normalized by the running best.  Each state carries its module's digest.
 """
 from __future__ import annotations
 
@@ -35,14 +35,16 @@ def reward(l_prev: float, l_new: float, l_best: float) -> float:
 
 class Evaluator:
     """Estimated cycles of one design's modules.  ``base`` is the design with
-    its pragmas expanded, ``baseline`` its cycles.  Cycles are memoized by
-    module digest; a digest the model cannot price keeps its
+    its pragmas expanded, ``baseline`` its cycles, and ``table`` the
+    transitions run from it, which live as long as the evaluator.  Cycles
+    are memoized by module digest; a digest the model cannot price keeps its
     ``EstimateError``, and every call on it raises a copy of that error."""
 
     def __init__(self, design: IrModule, costs: OpCostTable | None = None):
         self.base = apply_pragma_passes(design)
         self.base_digest = self.base.digest()
         self.costs = costs or OpCostTable()
+        self.table = Transitions()
         self._memo: dict[str, float | EstimateError] = {}
         self.baseline = self._price(self.base, self.base_digest)
 
@@ -85,7 +87,7 @@ class PassEnv:
     design_name: str
     base_module: IrModule
     obs_fn: object                      # HetGraph -> np.ndarray
-    costs: OpCostTable = field(default_factory=OpCostTable)
+    costs: OpCostTable | None = None    # the default table when None
     max_steps: int = 16
     incidents: list[str] = field(default_factory=list)
 
@@ -95,7 +97,6 @@ class PassEnv:
         # benchmark wraps it to count estimate errors).
         self._cycles = self.ev.cycles
         self._obs_memo: dict[str, np.ndarray] = {}
-        self._memo = Transitions()
 
     def _obs(self, module: IrModule, digest: str) -> np.ndarray:
         if digest not in self._obs_memo:
@@ -113,7 +114,7 @@ class PassEnv:
         if action == STOP_ACTION or state.t >= self.max_steps:
             return state, 0.0, True
         pass_id = ACTIONS[action]
-        result = apply_pass(state.module, pass_id, self._memo, state.digest)
+        result = apply_pass(state.module, pass_id, self.ev.table, state.digest)
         try:
             l_new = self._cycles(result)
         except EstimateError as e:

@@ -115,11 +115,11 @@ def value(params: dict[str, np.ndarray], obs: np.ndarray) -> float | np.ndarray:
 
 
 def ppo_loss_grad(params: dict[str, np.ndarray], batch: dict,
-                  config: PpoConfig, want_grads: bool = True):
+                  config: PpoConfig):
     """Clipped-surrogate policy loss + value regression - entropy bonus.
 
     batch: obs (B,D), actions (B,), old_logp (B,), advantages (B,),
-    returns (B,).  Returns (loss, grads_or_None)."""
+    returns (B,).  Returns (loss, grads)."""
     obs = batch["obs"]
     actions = batch["actions"].astype(int)
     old_logp = batch["old_logp"]
@@ -149,8 +149,6 @@ def ppo_loss_grad(params: dict[str, np.ndarray], batch: dict,
     entropy = -(probs * logp).sum(axis=1).mean()
     loss = policy_loss + config.value_coef * value_loss \
         - config.entropy_coef * entropy
-    if not want_grads:
-        return loss, None
 
     grads = {k: np.zeros_like(vv) for k, vv in params.items()}
 

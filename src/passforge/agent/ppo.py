@@ -7,7 +7,6 @@ import numpy as np
 
 from ..ir import IrModule
 from ..optim import Adam, DivergenceError
-from ..qor import OpCostTable
 from .env import ACTIONS, N_ACTIONS, PassEnv
 from .nets import (
     PpoConfig, init_actor_critic, policy_probs, ppo_loss_grad, value,
@@ -16,17 +15,22 @@ from .nets import (
 
 @dataclass
 class Trajectory:
+    """One episode's steps; ``trace`` holds the cycles of each module it
+    reached, the expanded design's first."""
     obs: list[np.ndarray] = field(default_factory=list)
     actions: list[int] = field(default_factory=list)
     rewards: list[float] = field(default_factory=list)
     values: list[float] = field(default_factory=list)
     log_probs: list[float] = field(default_factory=list)
-    design: str = ""
-    cycles_ratio: float = 1.0
+    trace: list[float] = field(default_factory=list)
 
     @property
     def total_return(self) -> float:
         return float(sum(self.rewards))
+
+    @property
+    def cycles_ratio(self) -> float:
+        return min(self.trace) / self.trace[0] if self.trace[0] > 0 else 1.0
 
 
 def gae_advantages(rewards: list[float], values: list[float], gamma: float,
@@ -46,14 +50,16 @@ def gae_advantages(rewards: list[float], values: list[float], gamma: float,
 
 
 def rollout_episode(env: PassEnv, params: dict,
-                    rng: np.random.Generator) -> Trajectory:
-    traj = Trajectory(design=env.design_name)
+                    rng: np.random.Generator | None = None) -> Trajectory:
+    """One episode of the policy from ``env.reset()``: each action is drawn
+    from ``rng``, or is the most probable one when ``rng`` is None."""
+    traj = Trajectory()
     state = env.reset()
-    l0 = state.cycles_history[0]
     done = False
     while not done:
         probs = policy_probs(params, state.obs)
-        action = int(rng.choice(len(probs), p=probs))
+        action = int(np.argmax(probs) if rng is None
+                     else rng.choice(len(probs), p=probs))
         v = value(params, state.obs)
         traj.obs.append(state.obs)
         traj.actions.append(action)
@@ -61,7 +67,7 @@ def rollout_episode(env: PassEnv, params: dict,
         traj.log_probs.append(float(np.log(max(probs[action], 1e-300))))
         state, r, done = env.step(state, action)
         traj.rewards.append(r)
-    traj.cycles_ratio = state.best_cycles / l0 if l0 > 0 else 1.0
+    traj.trace = state.cycles_history
     return traj
 
 
@@ -114,8 +120,7 @@ def train(designs: list[tuple[str, IrModule]], obs_fn, config: PpoConfig,
           log_fn=None) -> tuple[dict, list[CurvePoint]]:
     """Round-robin PPO across the design environments; deterministic per seed."""
     rng = np.random.default_rng(seed)
-    envs = [PassEnv(name, module, obs_fn,
-                    costs=costs if costs is not None else OpCostTable(),
+    envs = [PassEnv(name, module, obs_fn, costs=costs,
                     max_steps=config.max_episode_len)
             for name, module in designs]
     params = init_actor_critic(obs_dim, N_ACTIONS, config.hidden, seed)
@@ -140,19 +145,10 @@ def train(designs: list[tuple[str, IrModule]], obs_fn, config: PpoConfig,
 
 
 def infer(design: IrModule, params: dict, obs_fn, costs=None):
-    """Greedy rollout; returns the best-prefix pass sequence and the cycle
-    trace, so the caller never receives a regressing suffix."""
-    env = PassEnv("infer", design, obs_fn,
-                  costs=costs if costs is not None else OpCostTable())
-    state = env.reset()
-    applied = []
-    done = False
-    while not done:
-        action = int(np.argmax(policy_probs(params, state.obs)))
-        prev_t = state.t
-        state, _r, done = env.step(state, action)
-        if state.t == prev_t + 1:  # the pass actually applied
-            applied.append(ACTIONS[action])
-    cycles = state.cycles_history
-    best_idx = int(np.argmin(cycles))
-    return applied[:best_idx], cycles, best_idx
+    """Argmax rollout; returns the best prefix of its passes, so never a
+    regressing suffix, with the cycle trace and the best entry's index.
+    Entry ``t`` of the trace follows the first ``t`` actions."""
+    env = PassEnv("infer", design, obs_fn, costs=costs)
+    traj = rollout_episode(env, params)
+    best = int(np.argmin(traj.trace))
+    return [ACTIONS[a] for a in traj.actions[:best]], traj.trace, best

@@ -728,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: takes it.
 _MINIMUMS = {"n": 1, "seqs": 1, "max_len": 1, "intra_cap": 0, "cross_pairs": 0,
              "epochs": 1, "patience": 0, "hidden": 1, "embed_dim": 1,
-             "fuel": 1, "budget": 1}
+             "obs_dim": 1, "fuel": 1, "budget": 1, "seed": 0}
 
 
 def _check_minimums(args) -> None:

@@ -460,17 +460,14 @@ _FAMILIES = [
 ]
 
 
-def corpus_gen(n_designs: int, seed: int,
-               include_cases: bool = True) -> list[tuple[str, str]]:
+def corpus_gen(n_designs: int, seed: int) -> list[tuple[str, str]]:
     """Deterministic list of (name, ir_text) designs.
 
-    The two case-study fixtures lead the corpus when ``include_cases`` is set;
-    the rest cycles through the kernel families with randomized shapes."""
+    The two case-study fixtures lead the corpus; the rest cycles through the
+    kernel families with randomized shapes, which draw nothing for the
+    cases, so ``corpus_gen(n + 2, seed)[2:]`` is the corpus without them."""
     rng = np.random.default_rng(seed)
-    out: list[tuple[str, str]] = []
-    if include_cases:
-        out.append(("case1", case1_text()))
-        out.append(("case2", case2_text()))
+    out = [("case1", case1_text()), ("case2", case2_text())]
     i = 0
     while len(out) < n_designs:
         fam_name, fam = _FAMILIES[i % len(_FAMILIES)]
@@ -480,14 +477,13 @@ def corpus_gen(n_designs: int, seed: int,
     return out[:n_designs]
 
 
-def random_inputs(module: IrModule, rng: np.random.Generator,
-                  lo: int = -64, hi: int = 64) -> list:
-    """Inputs matching the top function's signature; values small enough that
-    generated kernels stay trap-free."""
+def random_inputs(module: IrModule, rng: np.random.Generator) -> list:
+    """Inputs matching the top function's signature, drawn from [-64, 64):
+    small enough that generated kernels stay trap-free."""
     inputs = []
     for _pid, ty in module.top.params:
         if ty.is_array:
-            inputs.append([int(v) for v in rng.integers(lo, hi, size=ty.length)])
+            inputs.append([int(v) for v in rng.integers(-64, 64, size=ty.length)])
         else:
-            inputs.append(int(rng.integers(lo, hi)))
+            inputs.append(int(rng.integers(-64, 64)))
     return inputs

@@ -329,11 +329,10 @@ def backward(u: GraphUnion, params: dict[str, np.ndarray],
             dh = _scatter(index, weights, n, width)
 
 
-def embed(g: HetGraph | GraphData, params: dict[str, np.ndarray],
+def embed(g: HetGraph, params: dict[str, np.ndarray],
           config: RgcnConfig | None = None) -> np.ndarray:
     config = config or RgcnConfig()
-    gd = g if isinstance(g, GraphData) else graph_data(g, config)
-    outs, _ = forward(graph_union([gd]), params, config)
+    outs, _ = forward(graph_union([graph_data(g, config)]), params, config)
     return outs[0]
 
 

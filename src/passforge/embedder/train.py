@@ -9,7 +9,7 @@ import numpy as np
 from ..graphs import HetGraph
 from ..optim import Adam, DivergenceError
 from .model import (
-    GraphData, RgcnConfig, graph_data, init_params, pair_loss, pair_loss_grad,
+    RgcnConfig, graph_data, init_params, pair_loss, pair_loss_grad,
 )
 
 
@@ -37,8 +37,7 @@ class TrainLogEntry:
     val_loss: float
 
 
-def pretrain(graphs: list[HetGraph] | list[GraphData],
-             pairs: list[TrainPair],
+def pretrain(graphs: list[HetGraph], pairs: list[TrainPair],
              model_config: RgcnConfig | None = None,
              train_config: PretrainConfig | None = None,
              log_fn=None):
@@ -49,8 +48,7 @@ def pretrain(graphs: list[HetGraph] | list[GraphData],
     train_config = train_config or PretrainConfig()
     rng = np.random.default_rng(train_config.seed)
 
-    gds = [g if isinstance(g, GraphData) else graph_data(g, model_config)
-           for g in graphs]
+    gds = [graph_data(g, model_config) for g in graphs]
     train_pairs = [(p.i, p.j, p.label) for p in pairs if p.split == "train"]
     val_pairs = [(p.i, p.j, p.label) for p in pairs if p.split == "val"]
     if not train_pairs:

@@ -74,8 +74,6 @@ class _Machine:
                 return op.value
             if isinstance(op, ValueRef):
                 return env[op.id]
-            if isinstance(op, GlobalRef):
-                return ("array", op.name)
             raise TypeError(op)
 
         bmap = fn.block_map()
@@ -108,11 +106,8 @@ class _Machine:
                 if op is Opcode.GETELEMENTPTR:
                     base = ins.operands[0]
                     idx = value(ins.operands[1])
-                    if isinstance(base, GlobalRef):
-                        name = base.name
-                    else:
-                        ref = env[base.id]
-                        name = ref[1]  # type: ignore[index]
+                    name = (base.name if isinstance(base, GlobalRef)
+                            else env[base.id][1])  # type: ignore[index]
                     env[ins.result] = ("elem", name, idx)
                 elif op is Opcode.LOAD:
                     _, name, idx = value(ins.operands[0])  # type: ignore[misc]
@@ -133,11 +128,8 @@ class _Machine:
                         ins.operands[2])
                 elif op is Opcode.CALL:
                     callee = self.module.function(ins.callee)
-                    call_args = []
-                    for a in ins.operands:
-                        v = value(a)
-                        call_args.append(v)
-                    rv = self.run_function(callee, call_args)
+                    rv = self.run_function(callee,
+                                           [value(a) for a in ins.operands])
                     if ins.result is not None:
                         env[ins.result] = rv
                 else:

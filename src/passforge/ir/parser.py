@@ -253,11 +253,7 @@ def _parse_instruction(ln: _Line) -> IrInstruction:
         args = []
         if not ln.accept(")"):
             while True:
-                k, _, _ = ln.peek()
-                if k == "global":
-                    args.append(GlobalRef(ln.next()[1][1:]))
-                else:
-                    args.append(_parse_value_or_const(ln))
+                args.append(_parse_value_or_const(ln))
                 if ln.accept(")"):
                     break
                 ln.expect(",")
@@ -322,6 +318,8 @@ def _parse_pragma(ln: _Line, lineno: int) -> PragmaDirective:
         ln.expect("array")
         ln.expect("=")
         arr = ln.expect_kind("global")[1:]
+        if factor < 1:
+            raise IrSyntaxError("array_partition factor must be >= 1", lineno, 1)
         return PragmaDirective(PragmaKind.ARRAY_PARTITION, arr, factor=factor)
     if kind == "inline":
         # Bare form applies to the function that follows the pragma block.
@@ -395,7 +393,7 @@ def parse_module(text: str, verify: bool = True) -> IrModule:
                             break
                         ln.expect(",")
             ln.require_done()
-            module.global_arrays.append(GlobalArray(name, 32, ty.length, init))
+            module.global_arrays.append(GlobalArray(name, ty.length, init))
             continue
 
         if kind == "ident" and val in ("func", "top"):

@@ -172,8 +172,9 @@ class OpInfo(NamedTuple):
     traps, so a pass may hoist, clone or skip it), has side effects (writes
     memory or calls) or commutes; and its constant fold, from the operand
     values and an icmp predicate to the result (None on a trap), absent
-    when it does not fold; and, for the chains that reassociate rebalances,
-    the identity it folds their constants from."""
+    when it does not fold; for the chains that reassociate rebalances, the
+    identity it folds their constants from; and its default latency in
+    cycles, which ``qor.OpCostTable`` starts from."""
     cls: InstrClass
     arity: int | None
     pure: bool = False
@@ -181,6 +182,7 @@ class OpInfo(NamedTuple):
     commutative: bool = False
     fold: Callable[[list[int], str | None], int | None] | None = None
     chain_identity: int | None = None
+    latency: int = 1
 
 
 _BIN, _BIT, _CAST = InstrClass.BINARY, InstrClass.BITWISE, InstrClass.CAST
@@ -191,9 +193,11 @@ OPCODES: dict[Opcode, OpInfo] = {
                        fold=lambda v, p: wrap32(v[0] + v[1])),
     Opcode.SUB: OpInfo(_BIN, 2, True, fold=lambda v, p: wrap32(v[0] - v[1])),
     Opcode.MUL: OpInfo(_BIN, 2, True, commutative=True, chain_identity=1,
-                       fold=lambda v, p: wrap32(v[0] * v[1])),
-    Opcode.SDIV: OpInfo(_BIN, 2, fold=lambda v, p: _sdiv(v[0], v[1], False)),
-    Opcode.SREM: OpInfo(_BIN, 2, fold=lambda v, p: _sdiv(v[0], v[1], True)),
+                       fold=lambda v, p: wrap32(v[0] * v[1]), latency=3),
+    Opcode.SDIV: OpInfo(_BIN, 2, fold=lambda v, p: _sdiv(v[0], v[1], False),
+                        latency=16),
+    Opcode.SREM: OpInfo(_BIN, 2, fold=lambda v, p: _sdiv(v[0], v[1], True),
+                        latency=16),
     Opcode.AND: OpInfo(_BIT, 2, True, commutative=True,
                        fold=lambda v, p: wrap32(v[0] & v[1])),
     Opcode.OR: OpInfo(_BIT, 2, True, commutative=True,
@@ -206,16 +210,17 @@ OPCODES: dict[Opcode, OpInfo] = {
                         fold=lambda v, p: int(_ICMP[p or "eq"](v[0], v[1]))),
     Opcode.SELECT: OpInfo(InstrClass.SELECT, 3, True),
     Opcode.PHI: OpInfo(InstrClass.PHI, None),
-    Opcode.LOAD: OpInfo(InstrClass.MEMORY, 1),
+    Opcode.LOAD: OpInfo(InstrClass.MEMORY, 1, latency=2),
     Opcode.STORE: OpInfo(InstrClass.MEMORY, 2, side_effects=True),
-    Opcode.GETELEMENTPTR: OpInfo(InstrClass.MEMORY, 2, True),
-    Opcode.ZEXT: OpInfo(_CAST, 1, True, fold=lambda v, p: v[0] & 1),
-    Opcode.SEXT: OpInfo(_CAST, 1, True, fold=lambda v, p: -1 if v[0] & 1 else 0),
-    Opcode.TRUNC: OpInfo(_CAST, 1, True, fold=lambda v, p: v[0] & 1),
-    Opcode.CALL: OpInfo(InstrClass.CALL, None, side_effects=True),
-    Opcode.BR: OpInfo(InstrClass.TERMINATOR, 1),
-    Opcode.CONDBR: OpInfo(InstrClass.TERMINATOR, 3),
-    Opcode.RET: OpInfo(InstrClass.TERMINATOR, None),
+    Opcode.GETELEMENTPTR: OpInfo(InstrClass.MEMORY, 2, True, latency=0),
+    Opcode.ZEXT: OpInfo(_CAST, 1, True, fold=lambda v, p: v[0] & 1, latency=0),
+    Opcode.SEXT: OpInfo(_CAST, 1, True, fold=lambda v, p: -1 if v[0] & 1 else 0,
+                        latency=0),
+    Opcode.TRUNC: OpInfo(_CAST, 1, True, fold=lambda v, p: v[0] & 1, latency=0),
+    Opcode.CALL: OpInfo(InstrClass.CALL, None, side_effects=True, latency=0),
+    Opcode.BR: OpInfo(InstrClass.TERMINATOR, 1, latency=0),
+    Opcode.CONDBR: OpInfo(InstrClass.TERMINATOR, 3, latency=0),
+    Opcode.RET: OpInfo(InstrClass.TERMINATOR, None, latency=0),
 }
 
 OPCODE_CLASS = {op: row.cls for op, row in OPCODES.items()}
@@ -402,12 +407,11 @@ class IrFunction:
 @dataclass
 class GlobalArray:
     name: str
-    elem_bits: int
     length: int
     init: list[int] | None = None
 
     def clone(self) -> "GlobalArray":
-        return GlobalArray(self.name, self.elem_bits, self.length,
+        return GlobalArray(self.name, self.length,
                            list(self.init) if self.init is not None else None)
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .analysis import LoopForest, natural_loops, postorder
 from .types import (
-    OPCODES, GlobalRef, IrFunction, IrInstruction, IrModule, LoopInfo, Opcode,
-    PragmaKind, TERMINATOR_OPCODES, ValueRef,
+    OPCODES, PTR, Const, GlobalRef, IrFunction, IrInstruction, IrModule,
+    LoopInfo, Opcode, PragmaKind, TERMINATOR_OPCODES, ValueRef,
 )
 
 
@@ -77,6 +77,7 @@ def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
     insts: dict[str, list[IrInstruction]] = {}
     defs: dict[str, tuple[str, int]] = {}
     calls: set[str] = set()
+    bound: list[tuple[str, IrInstruction, IrFunction]] = []
     redefs: list[Violation] = []
     shapes: list[Violation] = []
     for b in fn.blocks:
@@ -129,6 +130,8 @@ def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
                                                 f"call to @{ins.callee} has "
                                                 f"{len(ins.operands)} args, expected "
                                                 f"{len(callee.params)}", loc))
+                    else:
+                        bound.append((loc, ins, callee))
             elif op is _RET:
                 if len(ins.operands) > 1:
                     shapes.append(Violation("ret-shape", "ret takes at most one value",
@@ -148,6 +151,31 @@ def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
                         shapes.append(Violation("bad-array",
                                                 f"gep base %{base.id} is not an array",
                                                 loc))
+
+    # Call arguments, once every result is defined.  Passes and qor take
+    # distinct array names for distinct arrays: an array parameter takes one
+    # of the caller's, none twice; a scalar one takes a constant, a scalar
+    # parameter or a result that is not a pointer.
+    for loc, ins, callee in bound:
+        arrays = [a for a, (_pid, ty) in zip(ins.operands, callee.params)
+                  if ty.is_array]
+        if len(set(arrays)) != len(arrays):
+            shapes.append(Violation("call-arg", f"call to @{callee.name} "
+                                    f"passes one array twice", loc))
+        for arg, (pid, ty) in zip(ins.operands, callee.params):
+            if isinstance(arg, ValueRef) and arg.id in params:
+                ok = params[arg.id].is_array == ty.is_array
+            elif isinstance(arg, ValueRef) and arg.id in defs:
+                label, i = defs[arg.id]
+                ok = not ty.is_array and insts[label][i].ir_type != PTR
+            elif isinstance(arg, ValueRef):
+                continue                # reported as use-before-def
+            else:
+                ok = isinstance(arg, Const) and not ty.is_array
+            if not ok:
+                shapes.append(Violation("call-arg", f"%{pid}: {ty} of "
+                                        f"@{callee.name} cannot take {arg}",
+                                        loc))
 
     # Branch targets exist.
     for b in fn.blocks:

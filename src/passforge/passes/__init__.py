@@ -224,7 +224,7 @@ def _transform(m: IrModule, p: PassId, table: Transitions) -> IrModule:
     return out
 
 
-def apply_pass(m: IrModule, p: PassId | str, memo: Transitions | None = None,
+def apply_pass(m: IrModule, p: PassId, memo: Transitions | None = None,
                digest: str | None = None) -> PassResult:
     """Run one pass on a copy of ``m``, which must verify; the result
     verifies too.  A pass that changes nothing returns ``m`` itself, and
@@ -239,8 +239,6 @@ def apply_pass(m: IrModule, p: PassId | str, memo: Transitions | None = None,
     The stored module is the child, or ``m`` itself when the pass changed
     nothing; a pass that raises stores nothing and leaves no spare copy.
     """
-    if isinstance(p, str):
-        p = PassId(p)
     if digest is None:
         digest = text_digest(print_module(m))
     if memo is None:

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from .ir import (
-    Const, IrFunction, IrModule, Loop, Opcode, PragmaKind, ValueRef,
+    OPCODES, Const, IrFunction, IrModule, Loop, Opcode, PragmaKind, ValueRef,
     interpret, natural_loops, pointer_target, postorder,
 )
 from .passes.loop_passes import loop_trip_count
@@ -61,25 +61,16 @@ class EstimateError(Exception):
         self.message = message
 
 
-_DEFAULT_LATENCY = {
-    "add": 1, "sub": 1, "mul": 3, "sdiv": 16, "srem": 16,
-    "and": 1, "or": 1, "xor": 1, "shl": 1, "ashr": 1,
-    "icmp": 1, "select": 1, "phi": 1,
-    "load": 2, "store": 1, "getelementptr": 0,
-    "zext": 0, "sext": 0, "trunc": 0,
-    "call": 0, "br": 0, "condbr": 0, "ret": 0,
-}
-
-_OPCODES = {op.value for op in Opcode}
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass
 class OpCostTable:
-    latency: dict[str, int] = field(default_factory=lambda: dict(_DEFAULT_LATENCY))
+    """Latency per opcode name, from the opcode table's ``latency`` column
+    unless overridden, and memory ports per array."""
+    latency: dict[str, int] = field(default_factory=lambda: {
+        op.value: row.latency for op, row in OPCODES.items()})
     memory_ports: int = 2
 
     def lat(self, op: Opcode) -> int:
@@ -102,7 +93,7 @@ class OpCostTable:
                 if not isinstance(value, dict):
                     raise ValueError("latency must be an object of costs")
                 for op, cost in value.items():
-                    if op not in _OPCODES:
+                    if op not in t.latency:     # every opcode, by default
                         raise ValueError(f"unknown opcode {op!r} in latency")
                     if not _is_int(cost) or cost < 0:
                         raise ValueError(f"latency of {op} must be a "
@@ -479,7 +470,7 @@ class _ModuleModel:
                     for key in ("@" + str(p.target), "%" + str(p.target)):
                         self._ports[key] = max(
                             self._ports.get(key, 0),
-                            self.costs.memory_ports * (p.factor or 1))
+                            self.costs.memory_ports * p.factor)
 
     def ports_for(self, arr: str) -> int:
         return self._ports.get(arr, self.costs.memory_ports)

@@ -19,7 +19,7 @@ def case2():
 def small_corpus():
     """Twelve quick designs (cases excluded) for unit-level sweeps."""
     return [(name, parse_module(text))
-            for name, text in corpus_gen(12, seed=7, include_cases=False)]
+            for name, text in corpus_gen(14, seed=7)[2:]]
 
 
 DOT_SRC = """

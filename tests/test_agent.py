@@ -154,9 +154,9 @@ def test_ppo_gradient_unclipped_matches_policy_gradient():
     idx = 5
     old = flat[idx]
     flat[idx] = old + h
-    lp, _ = ppo_loss_grad(params, batch, cfg, want_grads=False)
+    lp, _ = ppo_loss_grad(params, batch, cfg)
     flat[idx] = old - h
-    lm, _ = ppo_loss_grad(params, batch, cfg, want_grads=False)
+    lm, _ = ppo_loss_grad(params, batch, cfg)
     flat[idx] = old
     assert abs(gflat[idx] - (lp - lm) / (2 * h)) < 1e-6
 

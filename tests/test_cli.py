@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, reproducibility stamps."""
+import argparse
 import csv
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from passforge.cli import main
+from passforge.cli import _MINIMUMS, build_parser, main
 from passforge.ir import parse_module
 from passforge.reporting import geomean
 
@@ -525,8 +526,24 @@ def test_bad_interp_inputs_are_user_errors(tmp_path, capsys, src, doc, message):
     (["pretrain", "--corpus", "{ds}", "--hidden", "-1"],
      "--hidden must be >= 1, not -1"),
     (["interp", "{design}", "--fuel", "-5"], "--fuel must be >= 1, not -5"),
+    (["rl-train", "--corpus", "{corpus}", "--obs", "zero", "--obs-dim", "0"],
+     "--obs-dim must be >= 1, not 0"),
+    (["corpus-gen", "--seed", "-1"], "--seed must be >= 0, not -1"),
+    (["dataset-gen", "--corpus", "{corpus}", "--seed", "-1"],
+     "--seed must be >= 0, not -1"),
+    (["pretrain", "--corpus", "{ds}", "--seed", "-1"],
+     "--seed must be >= 0, not -1"),
+    (["rl-train", "--corpus", "{corpus}", "--obs", "histogram", "--seed",
+      "-1"], "--seed must be >= 0, not -1"),
+    (["interp", "{design}", "--seed", "-1"], "--seed must be >= 0, not -1"),
+    (["search", "--method", "random", "--design", "{design}", "--seed", "-1"],
+     "--seed must be >= 0, not -1"),
+    (["search", "--method", "genetic", "--design", "{design}", "--seed",
+      "-1"], "--seed must be >= 0, not -1"),
 ], ids=["n", "seqs", "max-len", "intra-cap", "cross-pairs", "budget", "epochs",
-        "patience", "embed-dim", "hidden-0", "hidden-negative", "fuel"])
+        "patience", "embed-dim", "hidden-0", "hidden-negative", "fuel",
+        "obs-dim", "seed-corpus-gen", "seed-dataset-gen", "seed-pretrain",
+        "seed-rl-train", "seed-interp", "seed-random", "seed-genetic"])
 def test_bad_counts_and_sizes_are_user_errors(stages, tmp_path, capsys, argv,
                                               message):
     """Each exits 1 before it runs: no output file, no traceback."""
@@ -540,6 +557,39 @@ def test_bad_counts_and_sizes_are_user_errors(stages, tmp_path, capsys, argv,
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == "" and not out.exists()
+
+
+def test_interp_of_a_scalar_passed_as_an_array_is_a_user_error(tmp_path,
+                                                                capsys):
+    """The interpreter once died on it with a TypeError (exit 2)."""
+    design = tmp_path / "call.ir"
+    design.write_text("""
+top func @g(%i: i32) -> i32 {
+block entry:
+  %r = call i32 @f(%i)
+  ret i32 %r
+}
+func @f(%x: i32[4]) -> i32 {
+block entry:
+  %p = getelementptr %x, 0
+  %v = load i32 %p
+  ret i32 %v
+}
+""")
+    assert main(["interp", str(design)]) == 1
+    assert "[call-arg] g:entry: %x: i32[4] of @f cannot take %i" in \
+        capsys.readouterr().err
+
+
+def test_every_int_option_has_a_floor():
+    """An int option below its floor would reach numpy or a loop bound and
+    die with a traceback, so every one has a floor in ``_MINIMUMS``."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    unchecked = [f"{name} --{a.dest}" for name, p in commands.items()
+                 for a in p._actions
+                 if a.type is int and a.dest not in _MINIMUMS]
+    assert unchecked == []
 
 
 def test_bad_input_files_are_user_errors(stages, tmp_path):

@@ -64,7 +64,7 @@ def test_split_assignment_partitions():
 
 
 def test_dataset_gen_zero_length_variants_label_zero():
-    designs = corpus_gen(4, seed=2, include_cases=False)
+    designs = corpus_gen(6, seed=2)[2:]
     ds = dataset_gen(designs, k_sequences=1, max_len=0, seed=0,
                      intra_pair_cap=5, cross_pairs=4)
     # k=1 with max length 0 keeps only originals (plus pragma expansions when
@@ -79,7 +79,7 @@ def test_zero_length_sequences_add_no_variant():
     """With ``max_len`` 0 every sequence is empty: its result is the design
     itself, under the design's digest, so only the design and its pragma
     expansion (where that changes it) become variants."""
-    designs = corpus_gen(4, seed=2, include_cases=False)
+    designs = corpus_gen(6, seed=2)[2:]
     ds = dataset_gen(designs, k_sequences=3, max_len=0, seed=0,
                      intra_pair_cap=5, cross_pairs=4)
     expected = []
@@ -103,14 +103,14 @@ def test_a_designs_sequences_run_each_transition_once(monkeypatch):
         runs.append((m.digest(), p))
         return transform(m, p, table)
     monkeypatch.setattr(passes_module, "_transform", counting)
-    dataset_gen(corpus_gen(3, seed=11, include_cases=False), k_sequences=12,
+    dataset_gen(corpus_gen(5, seed=11)[2:], k_sequences=12,
                 max_len=3, seed=3, intra_pair_cap=3, cross_pairs=0)
     general = [r for r in runs if not r[1].value.startswith("apply_")]
     assert len(general) == len(set(general)) > 0
 
 
 def test_dataset_pairs_never_straddle_splits():
-    designs = corpus_gen(12, seed=3, include_cases=False)
+    designs = corpus_gen(14, seed=3)[2:]
     ds = dataset_gen(designs, k_sequences=4, max_len=4, seed=1,
                      intra_pair_cap=6, cross_pairs=30)
     for p in ds.pairs:
@@ -120,7 +120,7 @@ def test_dataset_pairs_never_straddle_splits():
 
 
 def test_dataset_deterministic_and_roundtrips(tmp_path):
-    designs = corpus_gen(5, seed=9, include_cases=False)
+    designs = corpus_gen(7, seed=9)[2:]
     ds1 = dataset_gen(designs, k_sequences=3, max_len=3, seed=7,
                       intra_pair_cap=4, cross_pairs=6)
     ds2 = dataset_gen(designs, k_sequences=3, max_len=3, seed=7,
@@ -142,7 +142,7 @@ def test_dataset_deterministic_and_roundtrips(tmp_path):
 
 
 def test_dedup_removes_identical_variants():
-    designs = corpus_gen(3, seed=11, include_cases=False)
+    designs = corpus_gen(5, seed=11)[2:]
     ds = dataset_gen(designs, k_sequences=6, max_len=2, seed=3,
                      intra_pair_cap=3, cross_pairs=0)
     texts = {}

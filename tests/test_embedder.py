@@ -79,13 +79,13 @@ def _fd_check(params, cfg, gds, pairs, h=1e-5, tol=1e-4):
 
 
 def test_gradients_match_finite_differences(fixtures):
-    cfg, _g1, _g2, gds = fixtures
+    cfg, g1, g2, gds = fixtures
     params = init_params(cfg, seed=4)
     # Labels sit near the model's predictions so the loss value (whose
     # floating-point rounding bounds the finite-difference noise) stays small
     # relative to the gradients under test.
-    e0 = embed(gds[0], params, cfg)
-    e1 = embed(gds[1], params, cfg)
+    e0 = embed(g1, params, cfg)
+    e1 = embed(g2, params, cfg)
     pred = float((1 - e0 @ e1) / 2)
     pairs = [(0, 1, pred + 0.05), (0, 1, pred - 0.05), (1, 0, pred + 0.03)]
     worst = _fd_check(params, cfg, gds, pairs)
@@ -110,14 +110,14 @@ block body2 loop(2, depth=1):
   br hd2
 block out:
   ret i32 %t"""))
-    gds = [graph_data(g, cfg) for g in
-           (build_het_graph(two_loops), build_het_graph(parse_module(TINY)),
-            g2)]
+    graphs = (build_het_graph(two_loops), build_het_graph(parse_module(TINY)),
+              g2)
+    gds = [graph_data(g, cfg) for g in graphs]
     sizes = [gd.num_nodes for gd in gds]
     assert len(set(sizes)) == 3, sizes
     assert len(gds[1].rel_edges["control:fwd"][0]) == 0
     params = init_params(cfg, seed=6)
-    es = [embed(gd, params, cfg) for gd in gds]
+    es = [embed(g, params, cfg) for g in graphs]
     pairs = [(i, j, float((1 - es[i] @ es[j]) / 2) + d)
              for i, j, d in ((0, 1, 0.04), (1, 2, -0.03), (2, 0, 0.05),
                              (1, 1, 0.02))]
@@ -130,15 +130,15 @@ def test_union_forward_matches_each_graph_alone():
     on its own."""
     cfg = RgcnConfig()
     params = init_params(cfg, seed=11)
-    gds = []
+    graphs = []
     for _name, text in corpus_gen(12, 0):
         m = parse_module(text)
-        gds += [graph_data(build_het_graph(m), cfg),
-                graph_data(build_het_graph(apply_pragma_passes(m)), cfg)]
-    outs, _cache = forward(graph_union(gds), params, cfg)
-    assert len(outs) == len(gds) == 24
-    for gd, out in zip(gds, outs):
-        assert np.array_equal(embed(gd, params, cfg), out)
+        graphs += [build_het_graph(m), build_het_graph(apply_pragma_passes(m))]
+    outs, _cache = forward(graph_union([graph_data(g, cfg) for g in graphs]),
+                           params, cfg)
+    assert len(outs) == len(graphs) == 24
+    for g, out in zip(graphs, outs):
+        assert np.array_equal(embed(g, params, cfg), out)
 
 
 #: sha256 of ``pretrain``'s parameters and loss log on a small dataset over
@@ -188,10 +188,10 @@ def test_pretrain_builds_a_repeated_union_once(monkeypatch):
 
 
 def test_gradient_zero_at_matched_labels(fixtures):
-    cfg, _g1, _g2, gds = fixtures
+    cfg, g1, g2, gds = fixtures
     params = init_params(cfg, seed=1)
-    e0 = embed(gds[0], params, cfg)
-    e1 = embed(gds[1], params, cfg)
+    e0 = embed(g1, params, cfg)
+    e1 = embed(g2, params, cfg)
     label = float((1 - e0 @ e1) / 2)
     loss, grads = pair_loss_grad(params, cfg, gds, [(0, 1, label)])
     assert loss < 1e-20
@@ -215,10 +215,10 @@ def test_unused_relation_gradient_exactly_zero(fixtures):
 
 
 def test_all_zero_params_give_constant_embedding(fixtures):
-    cfg, _g1, _g2, gds = fixtures
+    cfg, g1, g2, _gds = fixtures
     params = {k: np.zeros_like(v) for k, v in init_params(cfg, 0).items()}
-    e0 = embed(gds[0], params, cfg)
-    e1 = embed(gds[1], params, cfg)
+    e0 = embed(g1, params, cfg)
+    e1 = embed(g2, params, cfg)
     assert np.array_equal(e0, e1)
     # zero-handled: either exactly zero or unit norm
     n = np.linalg.norm(e0)
@@ -226,29 +226,29 @@ def test_all_zero_params_give_constant_embedding(fixtures):
 
 
 def test_embedding_is_normalized(fixtures):
-    cfg, _g1, _g2, gds = fixtures
+    cfg, g1, g2, _gds = fixtures
     params = init_params(cfg, seed=7)
-    for gd in gds:
-        assert abs(np.linalg.norm(embed(gd, params, cfg)) - 1.0) < 1e-12
+    for g in (g1, g2):
+        assert abs(np.linalg.norm(embed(g, params, cfg)) - 1.0) < 1e-12
 
 
 def test_node_permutation_invariance(fixtures):
     # Renaming values/labels leaves the structural node order unchanged, so
     # the embedding must be bitwise equal.
-    cfg, g1, _g2, gds = fixtures
+    cfg, g1, _g2, _gds = fixtures
     renamed = parse_module(SRC_A.replace("%i", "%zz").replace("%s", "%qq")
                            .replace("body", "blk").replace("hd", "top_of"))
     g_renamed = build_het_graph(renamed)
     params = init_params(cfg, seed=3)
-    a = embed(graph_data(g1, cfg), params, cfg)
-    b = embed(graph_data(g_renamed, cfg), params, cfg)
+    a = embed(g1, params, cfg)
+    b = embed(g_renamed, params, cfg)
     assert np.array_equal(a, b)
 
 
 def test_relation_sensitivity(fixtures):
     cfg, g1, _g2, _gds = fixtures
     params = init_params(cfg, seed=5)
-    base = embed(graph_data(g1, cfg), params, cfg)
+    base = embed(g1, params, cfg)
     from passforge.graphs import EdgeRecord, HetGraph, Relation
     flipped_edges = []
     flipped_one = False
@@ -259,17 +259,17 @@ def test_relation_sensitivity(fixtures):
         else:
             flipped_edges.append(e)
     g_flip = HetGraph(list(g1.nodes), flipped_edges, g1.function)
-    other = embed(graph_data(g_flip, cfg), params, cfg)
+    other = embed(g_flip, params, cfg)
     assert not np.array_equal(base, other)
 
 
 def test_loss_matches_independent_formula(fixtures):
-    cfg, _g1, _g2, gds = fixtures
+    cfg, g1, g2, gds = fixtures
     params = init_params(cfg, seed=2)
     pairs = [(0, 1, 0.25), (1, 0, 0.7), (0, 0, 0.0)]
     loss = pair_loss(params, cfg, gds, pairs)
     # independent evaluation
-    es = [embed(gd, params, cfg) for gd in gds]
+    es = [embed(g, params, cfg) for g in (g1, g2)]
     expected = 0.0
     for i, j, y in pairs:
         cos = float(np.dot(es[i], es[j]))

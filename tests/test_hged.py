@@ -140,7 +140,7 @@ def test_beam_wide_equals_exact_on_small_stage_graphs(rng):
 
 
 def _corpus_graphs() -> list:
-    designs = corpus_gen(6, seed=3, include_cases=False)
+    designs = corpus_gen(8, seed=3)[2:]
     return [build_het_graph(parse_module(t)) for _n, t in designs]
 
 
@@ -210,7 +210,7 @@ def test_triangle_inequality_on_skeletons(rng):
 
 
 def test_normalized_in_unit_interval():
-    designs = corpus_gen(8, seed=9, include_cases=False)
+    designs = corpus_gen(10, seed=9)[2:]
     graphs = [build_het_graph(parse_module(t)) for _n, t in designs]
     rng = np.random.default_rng(0)
     for _ in range(12):
@@ -239,7 +239,7 @@ PINNED_LABELS = [
 
 
 def test_dataset_labels_are_bit_identical_to_pinned():
-    ds = dataset_gen(corpus_gen(3, 0, include_cases=False), 3, 3, 0,
+    ds = dataset_gen(corpus_gen(5, 0)[2:], 3, 3, 0,
                      cross_pairs=6)
     assert [p.label.hex() for p in ds.pairs] == PINNED_LABELS
 
@@ -290,7 +290,7 @@ def _fractional_results():
     pairs, ``ged_exact`` costs and mappings under FRACTIONAL_COSTS, then the
     beam ``hged`` costs of corpus graph pairs."""
     costs = FRACTIONAL_COSTS
-    designs = corpus_gen(6, 3, include_cases=False)
+    designs = corpus_gen(8, 3)[2:]
     stage = [_stage_graphs(parse_module(t)) for _n, t in designs]
     pairs = [(a[0], b[0]) for a, b in zip(stage, stage[1:])]
     blocks = [g for graphs in stage for g in graphs[1:]]
@@ -325,7 +325,7 @@ def test_beam_returns_identity_on_renumbered_copy(monkeypatch):
     """Equal up to node ids: cost 0 and the positional identity, at once and
     also when the search runs in full."""
     costs = EditCostModel()
-    graphs = [g for _n, t in corpus_gen(6, 3, include_cases=False)
+    graphs = [g for _n, t in corpus_gen(8, 3)[2:]
               for g in _stage_graphs(parse_module(t))]
     expected = []
     for g in graphs:
@@ -442,7 +442,7 @@ def _renumbered_het(g: HetGraph) -> HetGraph:
 
 
 def test_memo_hit_returns_the_fresh_result(monkeypatch):
-    designs = corpus_gen(4, seed=3, include_cases=False)
+    designs = corpus_gen(6, seed=3)[2:]
     a, b = (build_het_graph(parse_module(t)) for _n, t in designs[:2])
     a2 = _renumbered_het(a)
     fresh, fresh2 = (hged(x, b, mode="beam", beam_width=8) for x in (a, a2))
@@ -460,7 +460,7 @@ def test_memo_hit_returns_the_fresh_result(monkeypatch):
 def test_memo_views_return_the_memoless_result():
     """Pairs that share graphs with earlier pairs of one memo, renumbered
     copies among them, answer what memo-less calls answer."""
-    designs = corpus_gen(4, seed=3, include_cases=False)
+    designs = corpus_gen(6, seed=3)[2:]
     a, b, c = (build_het_graph(parse_module(t)) for _n, t in designs[:3])
     a2 = _renumbered_het(a)
     pairs = [(a, b), (a, c), (c, a), (a2, b), (b, a2), (a2, a), (a, a)]
@@ -476,7 +476,7 @@ def test_memo_views_return_the_memoless_result():
 
 
 def test_memoless_hged_caches_nothing(monkeypatch):
-    designs = corpus_gen(4, seed=3, include_cases=False)
+    designs = corpus_gen(6, seed=3)[2:]
     a, b = (build_het_graph(parse_module(t)) for _n, t in designs[:2])
     built = []
     view = hged_module._stage_view

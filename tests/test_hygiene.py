@@ -23,11 +23,12 @@ from passforge.graphs import HetGraph
 from passforge.hged import StageGraph, _Search, _StageView
 from passforge.ir import (
     Const, GlobalArray, GlobalRef, IrBlock, IrFunction, IrInstruction,
-    IrModule, IrType, LabelRef, Loop, LoopInfo, PragmaDirective, ValueRef,
-    print_module,
+    IrModule, IrType, LabelRef, Loop, LoopInfo, Opcode, PragmaDirective,
+    ValueRef, print_module,
 )
 
 PACKAGE = Path(passforge.__file__).resolve().parent
+OPCODE_NAMES = {op.value for op in Opcode}
 ALLOWED = {("cli.py", "main")}
 
 
@@ -245,11 +246,17 @@ def test_ufunc_at_detector_sees_each_spelling():
 
 def _opcode_tables(tree: ast.AST) -> list[ast.AST]:
     """Set, tuple and dict displays holding two or more ``Opcode`` members,
-    as elements, keys or values.  A tuple unpacked into as many names binds
-    each name to one opcode, which is no table."""
+    as elements, keys or values, and dict displays keyed by two or more
+    opcode names.  A tuple unpacked into as many names binds each name to
+    one opcode, which is no table."""
     def members(nodes) -> int:
         return sum(isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
                    and n.value.id == "Opcode" for n in nodes)
+
+    def names(nodes) -> int:
+        return sum(isinstance(n, ast.Constant) and n.value in OPCODE_NAMES
+                   for n in nodes)
+
     unpacked = {id(node.value) for node in ast.walk(tree)
                 if isinstance(node, ast.Assign) and all(
                     isinstance(t, ast.Tuple) for t in node.targets)}
@@ -257,7 +264,8 @@ def _opcode_tables(tree: ast.AST) -> list[ast.AST]:
             if isinstance(node, (ast.Set, ast.Tuple))
             and members(node.elts) >= 2 and id(node) not in unpacked
             or isinstance(node, ast.Dict)
-            and members([*node.keys, *node.values]) >= 2]
+            and (members([*node.keys, *node.values]) >= 2
+                 or names(node.keys) >= 2)]
 
 
 def test_no_opcode_table_outside_the_opcode_table():
@@ -278,10 +286,12 @@ def test_opcode_table_detector_sees_each_spelling():
                "P = {'add': Opcode.ADD, 'sub': Opcode.SUB}",
                "U = PURE | {Opcode.SDIV, Opcode.SREM}",
                "T = (Opcode.BR, Opcode.RET)",
-               "if op in (Opcode.ADD, Opcode.MUL):\n    pass"]
-    assert [len(_opcode_tables(ast.parse(s))) for s in sources] == [1] * 6
+               "if op in (Opcode.ADD, Opcode.MUL):\n    pass",
+               "L = {'add': 1, 'mul': 3, 'x': 0}"]
+    assert [len(_opcode_tables(ast.parse(s))) for s in sources] == [1] * 7
     assert _opcode_tables(ast.parse(
         "S = {Opcode.ADD}\nif op in (Opcode.ADD, x):\n    pass\n"
+        "K = {'add': 1, 'x': 2}\nV = {'a': 'add', 'b': 'mul'}\n"
         "_BR, _RET = Opcode.BR, Opcode.RET\n"
         "C = {op: row.cls for op, row in OPCODES.items()}")) == []
 

@@ -131,6 +131,122 @@ block out:
         parse_module(bad)
 
 
+@pytest.mark.parametrize("factor", [-2, 0])
+def test_array_partition_factor_below_one_is_a_syntax_error(factor):
+    """A negative factor once parsed and then divided by zero in ``qor``, and
+    a zero one silently meant one."""
+    text = f"""
+#pragma array_partition(factor={factor}) array=@a
+top func @f(%a: i32[4]) -> i32 {{
+block entry:
+  ret i32 0
+}}
+"""
+    with pytest.raises(IrSyntaxError, match="factor must be >= 1"):
+        parse_module(text)
+
+
+#: ``@g`` passes its array ``%a`` as both arrays of ``@f``.
+ALIASING_CALL = """
+top func @g(%a: i32[4]) -> i32 {
+block entry:
+  %r = call i32 @f(%a, %a)
+  ret i32 %r
+}
+func @f(%x: i32[4], %y: i32[4]) -> i32 {
+block entry:
+  %px = getelementptr %x, 0
+  %py = getelementptr %y, 0
+"""
+
+
+@pytest.mark.parametrize("pass_ids, body, before, after", [
+    (["mem2reg"], """  store i32 1, %px
+  store i32 2, %py
+  %v = load i32 %px
+  ret i32 %v
+""", 2, 1),
+    (["early_cse", "gvn"], """  store i32 0, %px
+  %v1 = load i32 %px
+  store i32 5, %py
+  %v2 = load i32 %px
+  %v = sub i32 %v2, %v1
+  ret i32 %v
+""", 5, 0),
+    (["dse"], """  store i32 1, %px
+  %v = load i32 %py
+  store i32 2, %px
+  ret i32 %v
+""", 1, 0),
+], ids=["mem2reg", "cse", "dse"])
+def test_one_array_passed_twice_is_rejected(pass_ids, body, before, after):
+    """These passes take distinct array names for distinct arrays, so each
+    changes what ``@f`` returns when one array is both; the verifier
+    rejects the call."""
+    from passforge.passes import PassId, _IMPLS
+    m = parse_module(ALIASING_CALL + body + "}\n", verify=False)
+    assert [str(v) for v in verify_module(m)] == [
+        "[call-arg] g:entry: call to @f passes one array twice"]
+    zeros = [[0, 0, 0, 0]]
+    assert interpret(m, zeros).return_value == before
+    for p in pass_ids:
+        out = m.clone()
+        _IMPLS[PassId(p)](out)
+        assert interpret(out, zeros).return_value == after
+
+
+#: ``@g`` calls ``@f`` as ``caller`` says.
+TYPED_CALL = """
+top func @g(%a: i32[4], %i: i32) -> i32 {{
+block entry:
+  {caller}
+  ret i32 %r
+}}
+func @f(%x: i32[4], %s: i32) -> i32 {{
+block entry:
+  %p = getelementptr %x, %s
+  %v = load i32 %p
+  ret i32 %v
+}}
+"""
+
+
+@pytest.mark.parametrize("caller, wrong", [
+    ("%r = call i32 @f(%i, %i)", ["%x: i32[4] of @f cannot take %i"]),
+    ("%r = call i32 @f(%a, %a)", ["%s: i32 of @f cannot take %a"]),
+    ("%p = getelementptr %a, 0\n  %r = call i32 @f(%a, %p)",
+     ["%s: i32 of @f cannot take %p"]),
+    ("%r = call i32 @f(0, 1)", ["%x: i32[4] of @f cannot take 0"]),
+    ("%v = add i32 %i, 1\n  %r = call i32 @f(%a, %v)", []),
+    ("%r = call i32 @f(%a, 7)", []),
+    ("%r = call i32 @f(%a, %nope)", []),
+], ids=["scalar-to-array", "array-to-scalar", "pointer", "constant-array",
+        "result", "constant", "undefined"])
+def test_call_arguments_are_typed(caller, wrong):
+    """An undefined argument is reported once, as a use before its
+    definition."""
+    m = parse_module(TYPED_CALL.format(caller=caller), verify=False)
+    assert [str(v) for v in verify_module(m) if v.code == "call-arg"] == [
+        f"[call-arg] g:entry: {w}" for w in wrong]
+
+
+def test_a_global_array_is_no_call_argument():
+    text = """
+global @t : i32[4]
+top func @g(%a: i32[4]) -> i32 {
+block entry:
+  %r = call i32 @f(@t)
+  ret i32 %r
+}
+func @f(%x: i32[4]) -> i32 {
+block entry:
+  ret i32 0
+}
+"""
+    with pytest.raises(IrSyntaxError, match="expected value or constant"):
+        parse_module(text)
+
+
 def test_interpret_add_constant():
     m = parse_module("""
 top func @f() -> i32 {

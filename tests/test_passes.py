@@ -895,13 +895,6 @@ def test_memo_stores_no_failed_transition(monkeypatch, dot_module):
     assert print_module(got.module) == print_module(fresh.module)
 
 
-def test_memo_keys_str_and_pass_id_alike(dot_module):
-    memo = Transitions()
-    by_name = apply_pass(dot_module, "loop_rotate", memo)
-    assert apply_pass(dot_module, PassId.LOOP_ROTATE, memo) is by_name
-    assert list(memo) == [(dot_module.digest(), PassId.LOOP_ROTATE)]
-
-
 def test_noop_entry_is_the_parent_module(dot_module):
     memo = Transitions()
     parent = apply_pass(dot_module, PassId.LOOP_SIMPLIFY, memo)
