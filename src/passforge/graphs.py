@@ -8,12 +8,11 @@ similarity and learning code consumes.
 """
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
 
 from .ir import IrModule, ValueRef
-from .ir.types import instr_class_one_hot
+from .ir.types import PlainEnum, instr_class_one_hot
 
 SCHEMA_VERSION = "hetgraph_v2"
 
@@ -22,13 +21,13 @@ BLOCK_DEPTH_BUCKETS = 4
 FUNC_ATTR_WIDTH = 1
 
 
-class NodeKind(enum.Enum):
+class NodeKind(PlainEnum):
     INSTR = "instr"
     BLOCK = "block"
     FUNC = "func"
 
 
-class Relation(enum.Enum):
+class Relation(PlainEnum):
     DATA_FLOW = "data"
     CONTROL_FLOW = "control"
     AFFIL_INSTR_BLOCK = "affil_ib"

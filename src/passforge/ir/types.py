@@ -14,7 +14,6 @@ derived from them below the table, and ``fold_constant`` is a lookup in it.
 """
 from __future__ import annotations
 
-import enum
 import hashlib
 import operator
 from collections.abc import Callable
@@ -26,7 +25,82 @@ from typing import NamedTuple
 # Types
 # ---------------------------------------------------------------------------
 
-class IrTypeKind(enum.Enum):
+class _EnumType(type):
+    """Turns each public class attribute of a ``PlainEnum`` subclass into a
+    member: an instance of the subclass holding the attribute's ``name``
+    and ``value``.  It defines no ``__getattr__``, so ``Opcode.PHI`` is a
+    plain class attribute read."""
+
+    def __new__(mcs, name, bases, ns):
+        body = {k: v for k, v in ns.items() if k.startswith("_")}
+        cls = super().__new__(mcs, name, bases, {"__slots__": (), **body})
+        members = []
+        for key, value in ns.items():
+            if key in body:
+                continue
+            m = object.__new__(cls)
+            object.__setattr__(m, "name", key)
+            object.__setattr__(m, "value", value)
+            setattr(cls, key, m)
+            members.append(m)
+        cls._members = tuple(members)
+        cls._by_value = {m.value: m for m in members}
+        if len(cls._by_value) != len(members):
+            raise TypeError(f"two members of {name} share a value")
+        return cls
+
+    def __call__(cls, value):
+        """The member whose value is ``value``, as ``enum.Enum`` looks it up."""
+        if type(value) is cls:
+            return value
+        try:
+            return cls._by_value[value]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"{value!r} is not a valid {cls.__qualname__}") from None
+
+    def __iter__(cls):
+        return iter(cls._members)
+
+    def __len__(cls):
+        return len(cls._members)
+
+    def __setattr__(cls, name, value):
+        if isinstance(cls.__dict__.get(name), cls):
+            raise AttributeError(f"cannot reassign member {name!r}")
+        super().__setattr__(name, value)
+
+    def __delattr__(cls, name):
+        if isinstance(cls.__dict__.get(name), cls):
+            raise AttributeError(f"cannot delete member {name!r}")
+        super().__delattr__(name)
+
+
+class PlainEnum(metaclass=_EnumType):
+    """An enumeration whose members are immutable, hash and compare by
+    identity, and print, copy and pickle as ``enum.Enum`` members do; the
+    class iterates over them in definition order."""
+    __slots__ = ("name", "value")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{self} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce_ex__(self, protocol):
+        return type(self), (self.value,)
+
+    def __repr__(self) -> str:
+        return f"<{self}: {self.value!r}>"
+
+    def __str__(self) -> str:
+        return f"{type(self).__name__}.{self.name}"
+
+    def __format__(self, spec: str) -> str:
+        return format(str(self), spec)
+
+
+class IrTypeKind(PlainEnum):
     I1 = "i1"
     I32 = "i32"
     PTR = "ptr"
@@ -106,7 +180,7 @@ Operand = ValueRef | Const | GlobalRef | LabelRef
 # Opcodes and instruction classes
 # ---------------------------------------------------------------------------
 
-class Opcode(enum.Enum):
+class Opcode(PlainEnum):
     ADD = "add"
     SUB = "sub"
     MUL = "mul"
@@ -132,7 +206,7 @@ class Opcode(enum.Enum):
     RET = "ret"
 
 
-class InstrClass(enum.Enum):
+class InstrClass(PlainEnum):
     TERMINATOR = 0
     BINARY = 1
     BITWISE = 2
@@ -353,7 +427,7 @@ class IrBlock:
                        self.terminator.clone() if self.terminator else None, li)
 
 
-class PragmaKind(enum.Enum):
+class PragmaKind(PlainEnum):
     UNROLL = "unroll"
     PIPELINE = "pipeline"
     INLINE = "inline"

@@ -35,12 +35,6 @@ class Violation:
         return f"[{self.code}] {self.where}: {self.message}"
 
 
-# The walks compare opcodes against these names: on Python 3.11 each
-# ``Opcode.PHI``-style lookup runs the enum's attribute descriptor.
-_PHI, _CALL, _RET, _GEP = (Opcode.PHI, Opcode.CALL, Opcode.RET,
-                           Opcode.GETELEMENTPTR)
-
-
 def _loop_text(info: LoopInfo | None) -> str:
     return "no loop" if info is None \
         else f"loop({info.loop_id}, depth={info.depth})"
@@ -96,7 +90,7 @@ def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
                 if op in TERMINATOR_OPCODES:
                     out.append(Violation("term-mid", "terminator before block end",
                                          loc))
-                if op is _PHI:
+                if op is Opcode.PHI:
                     if seen_non_phi:
                         out.append(Violation("phi-order", "phi after non-phi", loc))
                 else:
@@ -107,7 +101,7 @@ def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
                                             f"value %{ins.result} defined twice",
                                             loc))
                 defs[ins.result] = (b.label, i)
-            if op is _PHI:
+            if op is Opcode.PHI:
                 if len(ins.operands) < 2 or len(ins.operands) % 2 != 0:
                     shapes.append(Violation("phi-shape", "malformed phi operands", loc))
                     continue
@@ -117,7 +111,7 @@ def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
                         "phi-preds",
                         f"phi %{ins.result} incoming {sorted(in_labels)} != "
                         f"predecessors {sorted(preds[b.label])}", loc))
-            elif op is _CALL:
+            elif op is Opcode.CALL:
                 calls.add(ins.callee)
                 if ins.callee not in fnames:
                     shapes.append(Violation("bad-callee",
@@ -132,14 +126,14 @@ def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
                                                 f"{len(callee.params)}", loc))
                     else:
                         bound.append((loc, ins, callee))
-            elif op is _RET:
+            elif op is Opcode.RET:
                 if len(ins.operands) > 1:
                     shapes.append(Violation("ret-shape", "ret takes at most one value",
                                             loc))
             elif len(ins.operands) != (arity := OPCODES[op].arity):
                 shapes.append(Violation("arity", f"{op.value} expects {arity} "
                                         f"operands, got {len(ins.operands)}", loc))
-            if op is _GEP and ins.operands:
+            if op is Opcode.GETELEMENTPTR and ins.operands:
                 base = ins.operands[0]
                 if isinstance(base, GlobalRef) and base.name not in gmap:
                     shapes.append(Violation("bad-array",
@@ -207,7 +201,7 @@ def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
     for b in fn.blocks:
         loc = f"{where}:{b.label}"
         for i, ins in enumerate(insts[b.label]):
-            if ins.opcode is _PHI:
+            if ins.opcode is Opcode.PHI:
                 for val, label in ins.phi_incoming():
                     if not isinstance(val, ValueRef) or val.id in params:
                         continue
@@ -330,7 +324,7 @@ def verify_module(m: IrModule,
         out += found
         if calls is None:
             calls = {ins.callee for b in fn.blocks
-                     for ins in b.all_instructions() if ins.opcode is _CALL}
+                     for ins in b.all_instructions() if ins.opcode is Opcode.CALL}
         edges[fn.name] |= calls & edges.keys()
 
     # Call graph must be acyclic.

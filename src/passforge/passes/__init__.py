@@ -20,7 +20,6 @@ holds that one spare copy.
 """
 from __future__ import annotations
 
-import enum
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -28,6 +27,7 @@ from ..ir import (
     IrModule, PragmaKind, print_module, refresh_loop_annotations, text_digest,
     verify_module,
 )
+from ..ir.types import PlainEnum
 from .cfg_passes import run_jump_threading, run_sccp, run_simplifycfg
 from .inst_passes import (
     run_adce, run_early_cse, run_gvn, run_instcombine, run_instsimplify,
@@ -58,7 +58,7 @@ class PassError(Exception):
         return PassError(self.pass_id, [f"at step {i}"] + list(self.violations))
 
 
-class PassId(enum.Enum):
+class PassId(PlainEnum):
     SIMPLIFYCFG = "simplifycfg"
     JUMP_THREADING = "jump_threading"
     SCCP = "sccp"

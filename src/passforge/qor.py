@@ -127,9 +127,6 @@ class QoRReport:
         return asdict(self)
 
 
-_LOAD, _STORE, _CALL, _PHI = Opcode.LOAD, Opcode.STORE, Opcode.CALL, Opcode.PHI
-
-
 def _access(writes: bool, arr: str, idx: str | None) -> tuple:
     """(writes, array, classes the access is filed under, classes it looks
     up) of an access to ``arr`` at constant index ``idx`` (None: unknown),
@@ -147,9 +144,9 @@ _CALL_ACCESS = _access(True, "?", None)
 
 def _mem_access(defs, ins) -> tuple | None:
     """The ``_access`` of a load or store; None for any other op."""
-    if ins.opcode is _LOAD:
+    if ins.opcode is Opcode.LOAD:
         writes, ptr = False, ins.operands[0]
-    elif ins.opcode is _STORE:
+    elif ins.opcode is Opcode.STORE:
         writes, ptr = True, ins.operands[1]
     else:
         return None
@@ -214,7 +211,7 @@ class _FunctionModel:
     # -- block scheduling ---------------------------------------------------
 
     def _op_latency(self, ins) -> int:
-        if ins.opcode is _CALL:
+        if ins.opcode is Opcode.CALL:
             return self._callee(ins.callee).latency
         return self.model.lat[ins.opcode]
 
@@ -230,7 +227,7 @@ class _FunctionModel:
             start = 0
             for vid in uses:
                 start = max(start, finish.get(vid, 0))
-            if access is None and ins.opcode is _CALL:
+            if access is None and ins.opcode is Opcode.CALL:
                 access = _CALL_ACCESS
             if access is not None:
                 writes, _arr, files, probes = access
@@ -290,7 +287,7 @@ class _FunctionModel:
                 if access is not None:
                     t.counts[access[1]] = t.counts.get(access[1], 0) + 1
                     (t.writes if access[0] else t.reads).add(access[1])
-                elif ins.opcode is _CALL:
+                elif ins.opcode is Opcode.CALL:
                     callee = self.callees[ins.callee].mem_summary
                     t.add(_Tally(callee, set(callee), set(callee)), 1)
         return tally
@@ -337,7 +334,7 @@ class _FunctionModel:
                 ins, ins_lat, access, _uses = node
                 if access is not None:
                     touched.append((len(nodes), [access]))
-                elif ins.opcode is _CALL:
+                elif ins.opcode is Opcode.CALL:
                     touched.append((len(nodes), [
                         acc for arr in self.callees[ins.callee].mem_summary
                         for acc in (_access(False, arr, None),
@@ -357,7 +354,7 @@ class _FunctionModel:
             if node is None:
                 continue
             ins, _lat, _acc, uses = node
-            if ins.opcode is _PHI:
+            if ins.opcode is Opcode.PHI:
                 carries = ins.result in header_phis
                 for v, lab in ins.phi_incoming():
                     if not (isinstance(v, ValueRef) and v.id in result_node):

@@ -147,6 +147,16 @@ def test_run_pragma_failure_is_a_user_error(tmp_path, capsys):
                               "canonical countable form")
 
 
+def test_run_unknown_pass_is_a_user_error(workdir, capsys):
+    """The message is the pass lookup's own ``ValueError`` text."""
+    design = str(workdir / "corpus" / "dot_01.ir")
+    assert main(["run", design, "--passes", "adce,bogus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: unknown pass: 'bogus' is not a valid "
+                            "PassId\n")
+
+
 #: One faulty file per case, by name, with its text.
 BAD_CORPUS_FILES = {
     "pragma": ("loaded.ir", LOADED_BOUND_IR),

@@ -3,10 +3,13 @@ bug and must propagate.  The CLI's internal-error boundary is the exception.
 No process-lifetime cache and no reference cycle keeps a caller's state
 alive.  Equality of IR objects compares every field.  No scatter goes
 through a ufunc's ``at``.  Nothing is defined that the package never reads.
-Every per-opcode fact lives in the opcode table of ``ir/types.py``."""
+Every per-opcode fact lives in the opcode table of ``ir/types.py``.  No
+enumeration is an ``enum.Enum``."""
 import ast
 import dataclasses
+import enum
 import gc
+import importlib
 import inspect
 from collections import Counter
 from pathlib import Path
@@ -247,8 +250,7 @@ def test_ufunc_at_detector_sees_each_spelling():
 def _opcode_tables(tree: ast.AST) -> list[ast.AST]:
     """Set, tuple and dict displays holding two or more ``Opcode`` members,
     as elements, keys or values, and dict displays keyed by two or more
-    opcode names.  A tuple unpacked into as many names binds each name to
-    one opcode, which is no table."""
+    opcode names."""
     def members(nodes) -> int:
         return sum(isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
                    and n.value.id == "Opcode" for n in nodes)
@@ -257,12 +259,9 @@ def _opcode_tables(tree: ast.AST) -> list[ast.AST]:
         return sum(isinstance(n, ast.Constant) and n.value in OPCODE_NAMES
                    for n in nodes)
 
-    unpacked = {id(node.value) for node in ast.walk(tree)
-                if isinstance(node, ast.Assign) and all(
-                    isinstance(t, ast.Tuple) for t in node.targets)}
     return [node for node in ast.walk(tree)
             if isinstance(node, (ast.Set, ast.Tuple))
-            and members(node.elts) >= 2 and id(node) not in unpacked
+            and members(node.elts) >= 2
             or isinstance(node, ast.Dict)
             and (members([*node.keys, *node.values]) >= 2
                  or names(node.keys) >= 2)]
@@ -287,13 +286,50 @@ def test_opcode_table_detector_sees_each_spelling():
                "U = PURE | {Opcode.SDIV, Opcode.SREM}",
                "T = (Opcode.BR, Opcode.RET)",
                "if op in (Opcode.ADD, Opcode.MUL):\n    pass",
-               "L = {'add': 1, 'mul': 3, 'x': 0}"]
-    assert [len(_opcode_tables(ast.parse(s))) for s in sources] == [1] * 7
+               "L = {'add': 1, 'mul': 3, 'x': 0}",
+               "_BR, _RET = Opcode.BR, Opcode.RET"]
+    assert [len(_opcode_tables(ast.parse(s))) for s in sources] == [1] * 8
     assert _opcode_tables(ast.parse(
         "S = {Opcode.ADD}\nif op in (Opcode.ADD, x):\n    pass\n"
         "K = {'add': 1, 'x': 2}\nV = {'a': 'add', 'b': 'mul'}\n"
-        "_BR, _RET = Opcode.BR, Opcode.RET\n"
         "C = {op: row.cls for op, row in OPCODES.items()}")) == []
+
+
+def _enum_imports(tree: ast.AST) -> list[ast.AST]:
+    """Imports of the standard ``enum`` module, under any spelling."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(a.name == "enum" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "enum"]
+
+
+def test_no_stdlib_enum():
+    """Every enumeration has ``ir.types.PlainEnum`` for its base: on the
+    ``enum.Enum`` class a member read, ``.value`` and ``hash`` run Python
+    code, and the passes, verifier, printer and cost model do all three in
+    their inner loops."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        found += [f"{rel}:{node.lineno}"
+                  for node in _enum_imports(ast.parse(path.read_text()))]
+        parts = path.relative_to(PACKAGE).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        module = importlib.import_module(".".join(("passforge", *parts)))
+        found += [f"{rel}:{name}" for name, obj in vars(module).items()
+                  if inspect.isclass(obj) and issubclass(obj, enum.Enum)
+                  and obj.__module__ == module.__name__]
+    assert found == []
+
+
+def test_enum_import_detector_sees_each_spelling():
+    sources = ["import enum", "import enum as e", "import os, enum",
+               "from enum import Enum", "from enum import IntEnum, auto"]
+    assert [len(_enum_imports(ast.parse(s))) for s in sources] == [1] * 5
+    assert _enum_imports(ast.parse(
+        "from .ir.types import PlainEnum\nimport enumerate\n"
+        "from passforge import enum_table\nx = enumerate(y)")) == []
 
 
 def _unreachable(kinds: tuple[type, ...]) -> list[str]:

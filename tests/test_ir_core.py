@@ -1,18 +1,27 @@
-"""Parser, printer, verifier, and interpreter."""
+"""Parser, printer, verifier, interpreter, and the package's enumerations."""
+import ast
+import copy
+import enum
+import inspect
+import pickle
+import textwrap
+
 import numpy as np
 import pytest
 
 from passforge.corpus import case1_text, random_inputs
+from passforge.graphs import NodeKind, Relation
 from passforge.ir import (
     OPCODE_CLASS, OPCODES, FuelExhausted, InstrClass, IrSyntaxError, LabelRef,
-    Opcode, TrapError, VerifyError, dedicated_preheader, fold_constant,
-    interpret, natural_loops, parse_module, postorder, print_module,
-    verify_module, wrap32,
+    Opcode, PragmaKind, TrapError, VerifyError, dedicated_preheader,
+    fold_constant, interpret, natural_loops, parse_module, postorder,
+    print_module, verify_module, wrap32,
 )
 from passforge.ir.types import (
     FOLDABLE, ICMP_PREDICATES, PURE_OPS, PURE_OR_DIV, SHIFTS,
-    TERMINATOR_OPCODES, OpInfo,
+    TERMINATOR_OPCODES, IrTypeKind, OpInfo, PlainEnum,
 )
+from passforge.passes import PassId
 
 
 def test_minimal_identity_function():
@@ -797,3 +806,62 @@ def test_table_folds_equal_the_opcode_chain():
                         (op, pred, a, b)
                     n += 1
     assert n == len(Opcode) * 7 * len(FOLD_GRID) ** 2 == 41_216
+
+
+ENUMS = [IrTypeKind, Opcode, InstrClass, PragmaKind, PassId, NodeKind,
+         Relation]
+
+
+def test_every_enum_has_the_plain_base():
+    assert set(PlainEnum.__subclasses__()) == set(ENUMS)
+
+
+def _written(cls) -> list[tuple[str, object]]:
+    """(name, value) of each member, in the order the class body writes
+    them."""
+    body = ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0].body
+    return [(a.targets[0].id, ast.literal_eval(a.value)) for a in body
+            if isinstance(a, ast.Assign)]
+
+
+@pytest.mark.parametrize("cls", ENUMS, ids=lambda c: c.__name__)
+def test_plain_enum_behaves_as_the_stdlib_enum(cls):
+    """Each enumeration iterates, looks up, prints, hashes, copies and
+    pickles as an ``enum.Enum`` with the same members did, except that a
+    member hashes by identity."""
+    written = _written(cls)
+    std = enum.Enum(cls.__name__, written)
+    assert [(m.name, m.value) for m in cls] == written
+    assert [(m.name, m.value) for m in std] == written
+    assert len(cls) == len(written)
+    for m, s in zip(cls, std):
+        assert getattr(cls, m.name) is m and type(m) is cls
+        assert cls(m.value) is m and cls(m) is m
+        assert (repr(m), str(m), f"{m}", f"{m:>40}") == \
+            (repr(s), str(s), f"{s}", f"{s:>40}")
+        assert hash(m) == object.__hash__(m)
+        assert copy.copy(m) is m and copy.deepcopy(m) is m
+        assert all(pickle.loads(pickle.dumps(m, protocol)) is m
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
+    for bad in ("bogus", 99, None, []):
+        with pytest.raises(ValueError) as ours:
+            cls(bad)
+        with pytest.raises(ValueError) as theirs:
+            std(bad)
+        assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("cls", ENUMS, ids=lambda c: c.__name__)
+def test_plain_enum_members_are_immutable(cls):
+    m = next(iter(cls))
+    with pytest.raises(AttributeError):
+        setattr(cls, m.name, None)
+    with pytest.raises(AttributeError):
+        delattr(cls, m.name)
+    for attr in ("name", "value", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(m, attr)
+    assert getattr(cls, m.name) is m and list(cls)[0] is m
+    assert cls(m.value) is m and (m.name, m.value) == _written(cls)[0]

@@ -130,7 +130,7 @@ def test_changed_false_means_structurally_equal(dot_module):
 
 
 @pytest.mark.parametrize("pass_id", [PassId.ADCE, PassId.LOOP_SIMPLIFY,
-                                     PassId.MEM2REG, PassId.DSE])
+                                     PassId.MEM2REG, PassId.DSE], ids=str)
 def test_idempotent_passes(pass_id, small_corpus):
     for _name, m in small_corpus[:6]:
         once = apply_pass(m, pass_id).module
@@ -1082,7 +1082,8 @@ block out:
 """
 
 
-@pytest.mark.parametrize("p", [PassId.ADCE, PassId.DSE, PassId.INSTSIMPLIFY])
+@pytest.mark.parametrize("p", [PassId.ADCE, PassId.DSE, PassId.INSTSIMPLIFY],
+                         ids=str)
 def test_executed_pass_builds_one_dominator_tree_per_function(monkeypatch, p):
     """Refresh and verify share one analysis; the pass itself needs
     none.  The loop forest reads the predecessor map its dominator tree
