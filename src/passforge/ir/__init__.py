@@ -14,8 +14,8 @@ from .interp import (
 )
 from .analysis import (
     DomTree, Loop, LoopForest, dedicated_preheader, natural_loops,
-    pointer_target, postorder, predecessor_map, reachable_blocks,
-    refresh_loop_annotations, successor_map,
+    pointer_target, postorder, predecessor_map, refresh_loop_annotations,
+    successor_map,
 )
 
 __all__ = [
@@ -30,6 +30,6 @@ __all__ = [
     "DEFAULT_FUEL", "ExecResult", "FuelExhausted", "TrapError",
     "check_inputs", "interpret",
     "DomTree", "Loop", "LoopForest", "dedicated_preheader", "natural_loops",
-    "pointer_target", "postorder", "predecessor_map", "reachable_blocks",
+    "pointer_target", "postorder", "predecessor_map",
     "refresh_loop_annotations", "successor_map",
 ]

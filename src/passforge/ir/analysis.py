@@ -8,7 +8,10 @@ it was built from, and a loop forest keeps its tree, so a caller holding
 either need not walk the CFG again.  Loop identities come from the
 ``loop(id, ...)`` annotations on header blocks; membership and nesting are
 always recomputed from back edges so they stay correct as passes rewrite the
-CFG.  One dataflow helper rides along: `pointer_target` decodes the array and
+CFG.  `natural_loops` memoizes its forest in ``fn.loop_memo`` under the CFG
+shape it reads (per block in order: label, successors, header loop id), so
+the memo cannot go stale; clones share it, so no caller mutates a forest.
+One dataflow helper rides along: `pointer_target` decodes the array and
 index a pointer addresses.
 """
 from __future__ import annotations
@@ -69,10 +72,6 @@ def postorder(root: Hashable, succs: Mapping[Hashable, Iterable]) -> list:
             order.append(node)
             stack.pop()
     return order
-
-
-def reachable_blocks(fn: IrFunction) -> set[str]:
-    return set(postorder(fn.entry.label, successor_map(fn)))
 
 
 class DomTree:
@@ -175,42 +174,46 @@ class LoopForest:
         return None
 
 
+def _cfg_shape(fn: IrFunction) -> tuple:
+    """All that `natural_loops` reads of ``fn``."""
+    return tuple((b.label, tuple(b.successors()),
+                  b.loop_info.loop_id if b.loop_info is not None
+                  and b.loop_info.is_header else None) for b in fn.blocks)
+
+
 def natural_loops(fn: IrFunction) -> LoopForest:
     """Natural loops from back edges (edge u->h where h dominates u).
 
     Loop ids are taken from header annotations when present; unannotated
     headers get ids above any annotated one (deterministically, in RPO).
+    Memoized on ``fn`` (see the module docstring).
     """
+    shape = _cfg_shape(fn)
+    if fn.loop_memo is not None and fn.loop_memo[0] == shape:
+        return fn.loop_memo[1]
     dom = DomTree(fn)
     preds, rpo = dom.preds, dom.rpo
     reach = set(rpo)
-    bmap = fn.block_map()
 
     back_edges: dict[str, list[str]] = {}
-    for b in fn.blocks:
-        if b.label not in reach:
+    for lab, succs, _ in shape:
+        if lab not in reach:
             continue
-        for s in b.successors():
-            if s in reach and dom.dominates(s, b.label):
-                back_edges.setdefault(s, []).append(b.label)
+        for s in succs:
+            if s in reach and dom.dominates(s, lab):
+                back_edges.setdefault(s, []).append(lab)
 
-    used_ids = set()
-    for lab in back_edges:
-        blk = bmap[lab]
-        if blk.loop_info is not None and blk.loop_info.is_header:
-            used_ids.add(blk.loop_info.loop_id)
-    next_id = max(used_ids, default=0) + 1
+    header_ids = {lab: lid for lab, _, lid in shape if lid is not None}
+    next_id = max((header_ids[h] for h in back_edges if h in header_ids),
+                  default=0) + 1
 
     loops: list[Loop] = []
     for header in rpo:
         if header not in back_edges:
             continue
-        blk = bmap[header]
-        if blk.loop_info is not None and blk.loop_info.is_header:
-            lid = blk.loop_info.loop_id
-        else:
-            lid = next_id
-            next_id += 1
+        lid = header_ids.get(header)
+        if lid is None:
+            lid, next_id = next_id, next_id + 1
         loop = Loop(lid, header, {header}, sorted(back_edges[header]))
         worklist = list(loop.latches)
         while worklist:
@@ -244,8 +247,9 @@ def natural_loops(fn: IrFunction) -> LoopForest:
         for lab in l.blocks:
             innermost[lab] = l
 
-    return LoopForest(loops, {l.header: l for l in loops}, innermost, parents,
-                      dom, preds, rpo, reach)
+    fn.loop_memo = shape, LoopForest(loops, {l.header: l for l in loops},
+                                     innermost, parents, dom, preds, rpo, reach)
+    return fn.loop_memo[1]
 
 
 def dedicated_preheader(fn: IrFunction, loop: Loop) -> IrBlock | None:
@@ -267,7 +271,8 @@ def refresh_loop_annotations(fn: IrFunction) -> LoopForest:
     Header ids are preserved; depths and non-header memberships follow the
     derived forest.  Blocks no longer inside any loop lose their annotation.
     ``passes._transform`` calls this on every function after every pass
-    that wrote, so no pass keeps annotations up to date itself.
+    that wrote, so no pass keeps annotations up to date itself.  The
+    forest stays memoized: a new derivation would read back the same ids.
     """
     forest = natural_loops(fn)
     for b in fn.blocks:
@@ -276,4 +281,5 @@ def refresh_loop_annotations(fn: IrFunction) -> LoopForest:
             b.loop_info = None
         else:
             b.loop_info = LoopInfo(l.loop_id, l.depth, b.label == l.header)
+    fn.loop_memo = (_cfg_shape(fn), forest)
     return forest

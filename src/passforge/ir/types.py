@@ -453,6 +453,9 @@ class IrFunction:
     blocks: list[IrBlock] = field(default_factory=list)
     pragmas: list[PragmaDirective] = field(default_factory=list)
     is_top: bool = False
+    #: ``(shape, forest)`` memoized by ``ir.analysis.natural_loops``.  Not a
+    #: field, so equality, ``repr`` and the printed form ignore it.
+    loop_memo = None
 
     def block_map(self) -> dict[str, IrBlock]:
         return {b.label: b for b in self.blocks}
@@ -473,9 +476,11 @@ class IrFunction:
         return out
 
     def clone(self) -> "IrFunction":
-        return IrFunction(self.name, list(self.params), self.return_type,
-                          [b.clone() for b in self.blocks],
-                          [p.clone() for p in self.pragmas], self.is_top)
+        out = IrFunction(self.name, list(self.params), self.return_type,
+                         [b.clone() for b in self.blocks],
+                         [p.clone() for p in self.pragmas], self.is_top)
+        out.loop_memo = self.loop_memo
+        return out
 
 
 @dataclass

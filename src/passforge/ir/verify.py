@@ -5,20 +5,16 @@ and the pass driver treat a non-empty result as fatal.  The driver
 (``passes._transform``) is the one caller in the pass layer: it verifies
 each pass's output once, and no pass verifies, or undoes, its own rewrites.
 
-A caller that already holds a function's loop forest may hand it in, and the
-verifier takes its predecessors, reachable blocks, dominator tree and loops
-from it instead of analysing the CFG again.  The forest must be one of
-``fn``'s current CFG, taken after its loop annotations were refreshed: the
-forest ``refresh_loop_annotations(fn)`` returns, with neither the blocks nor
-the annotations changed since.  It then equals what ``natural_loops(fn)``
-would return, because the refresh writes back the ids, depths and header
-flags it read.  Without a forest, the verifier computes one itself.
+Each function's predecessors, reachable blocks, dominator tree and loops
+come from ``natural_loops(fn)``, memoized on the function under its CFG
+shape (see ``ir.analysis``), so after the driver's refresh the verifier
+does not analyse a CFG again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import LoopForest, natural_loops, postorder
+from .analysis import natural_loops, postorder
 from .types import (
     OPCODES, PTR, Const, GlobalRef, IrFunction, IrInstruction, IrModule,
     LoopInfo, Opcode, PragmaKind, TERMINATOR_OPCODES, ValueRef,
@@ -40,13 +36,11 @@ def _loop_text(info: LoopInfo | None) -> str:
         else f"loop({info.loop_id}, depth={info.depth})"
 
 
-def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
+def _check_function(m: IrModule, fn: IrFunction
                     ) -> tuple[list[Violation], set[str] | None]:
     """Violations of one function of ``m``, and the names of the functions
     ``fn`` calls, collected by the walk over its instructions; ``None``
-    where the checks stopped before that walk finished.  ``forest`` is
-    ``fn``'s loop forest as the module docstring describes; without one,
-    the function's CFG is analysed here."""
+    where the checks stopped before that walk finished."""
     out: list[Violation] = []
     where = fn.name
     labels = [b.label for b in fn.blocks]
@@ -57,8 +51,7 @@ def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
         out.append(Violation("empty-fn", "function has no blocks", where))
         return out, set()
 
-    if forest is None:
-        forest = natural_loops(fn)
+    forest = natural_loops(fn)
     preds = forest.preds
     params = dict(fn.params)
     gmap = m.global_map()
@@ -289,10 +282,8 @@ def _check_function(m: IrModule, fn: IrFunction, forest: LoopForest | None
     return out, calls
 
 
-def verify_module(m: IrModule,
-                  forests: list[LoopForest] | None = None) -> list[Violation]:
-    """Violations of ``m``; empty means ok.  ``forests``, when given, holds
-    one forest per function of ``m``, in the order of ``m.functions``."""
+def verify_module(m: IrModule) -> list[Violation]:
+    """Violations of ``m``; empty means ok."""
     out: list[Violation] = []
     names = [f.name for f in m.functions]
     if len(set(names)) != len(names):
@@ -314,13 +305,11 @@ def verify_module(m: IrModule,
                                  f"array @{g.name} initializer length mismatch",
                                  "module"))
 
-    if forests is None:
-        forests = [None] * len(m.functions)
     # The call graph, from the calls each function's checks walked past; a
     # function whose checks stopped early is walked here.
     edges: dict[str, set[str]] = {f.name: set() for f in m.functions}
-    for fn, forest in zip(m.functions, forests, strict=True):
-        found, calls = _check_function(m, fn, forest)
+    for fn in m.functions:
+        found, calls = _check_function(m, fn)
         out += found
         if calls is None:
             calls = {ins.callee for b in fn.blocks

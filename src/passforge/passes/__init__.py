@@ -197,9 +197,9 @@ def _transform(m: IrModule, p: PassId, table: Transitions) -> IrModule:
     blocks; for a refresh fixpoint, such as every module this returns as
     changed, the verdict is the same either way.
 
-    Refresh and verify share one CFG analysis per function: the verifier
-    checks each function against the forest its refresh returned.  Pruning
-    pragmas changes no block, so that forest is still the function's own."""
+    Refresh and verify share one CFG analysis per function: the refresh
+    leaves each function's loop forest memoized on it, and the verifier
+    reads it there (see ``ir.analysis.natural_loops``)."""
     spare, table.spare = table.spare, None
     out = spare[1] if spare is not None and spare[0] is m else m.clone()
     _IMPLS[p](out)
@@ -209,16 +209,13 @@ def _transform(m: IrModule, p: PassId, table: Transitions) -> IrModule:
     before = {fn.name: {b.loop_info.loop_id for b in fn.blocks
                         if b.loop_info is not None and b.loop_info.is_header}
               for fn in m.functions}
-    forests = []
     for fn in out.functions:
-        forest = refresh_loop_annotations(fn)
-        forests.append(forest)
-        ids = {l.loop_id for l in forest.loops}
+        ids = {l.loop_id for l in refresh_loop_annotations(fn).loops}
         gone = before[fn.name] - ids
         if gone and ids <= before[fn.name]:
             fn.pragmas = [q for q in fn.pragmas if q.target not in gone or
                           q.kind not in (PragmaKind.UNROLL, PragmaKind.PIPELINE)]
-    violations = verify_module(out, forests)
+    violations = verify_module(out)
     if violations:
         raise PassError(p, violations)
     return out

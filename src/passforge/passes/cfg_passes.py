@@ -535,7 +535,7 @@ def run_jump_threading(m: IrModule) -> None:
 
 def _thread_one(fn: IrFunction) -> bool:
     """Make the first legal bypass; False when there is none."""
-    dom = DomTree(fn)
+    dom = natural_loops(fn).dom
     preds = dom.preds
     defs = fn.defined_values()
     def_block: dict[str, str] = {}

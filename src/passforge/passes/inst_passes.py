@@ -7,8 +7,8 @@ pass driver owns cloning, verification, and changed-detection.
 from __future__ import annotations
 
 from ..ir import (
-    Const, DomTree, IrBlock, IrFunction, IrInstruction, IrModule, Opcode,
-    ValueRef, fold_constant, pointer_target,
+    Const, IrBlock, IrFunction, IrInstruction, IrModule, Opcode, ValueRef,
+    fold_constant, natural_loops, pointer_target,
 )
 from ..ir.types import FOLDABLE, I1, OPCODES, PURE_OR_DIV, SHIFTS, Operand
 from .rewrite import (
@@ -295,7 +295,7 @@ def _expr_key(ins: IrInstruction, canon: dict[str, str],
 def _scoped_value_numbering(fn: IrFunction, commutative_sort: bool) -> None:
     """Dominator-scoped redundancy elimination for pure instructions, plus
     block-local load reuse (killed by stores to the same array and by calls)."""
-    dom = DomTree(fn)
+    dom = natural_loops(fn).dom
     children: dict[str, list[str]] = {b.label: [] for b in fn.blocks}
     root = fn.entry.label
     for lab, parent in dom.idom.items():

@@ -36,13 +36,14 @@ class IvInfo:
     latch_value: Operand      # incoming value along the back edge
 
 
-def find_basic_iv(fn: IrFunction, loop: Loop) -> IvInfo | None:
-    """The unique header phi whose back-edge value is phi plus a constant."""
+def find_basic_iv(loop: Loop, defs: dict[str, IrInstruction],
+                  bmap: dict[str, IrBlock]) -> IvInfo | None:
+    """The unique header phi whose back-edge value is phi plus a constant;
+    ``defs`` and ``bmap`` are the function's defined values and blocks."""
     if len(loop.latches) != 1:
         return None
     latch = loop.latches[0]
-    header = fn.block_map()[loop.header]
-    defs = fn.defined_values()
+    header = bmap[loop.header]
     found: IvInfo | None = None
     for phi in header.phis():
         inc = {lab: v for v, lab in phi.phi_incoming()}
@@ -84,18 +85,17 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def loop_trip_count(fn: IrFunction, loop: Loop):
+def loop_trip_count(loop: Loop, defs: dict[str, IrInstruction],
+                    bmap: dict[str, IrBlock]):
     """Exact constant trip count, or None when not statically known.
 
     Handles the two canonical countable shapes: the test in the header on the
     phi value (while-style), and the test in the latch on the incremented
     value (rotated/do-while-style)."""
-    iv = find_basic_iv(fn, loop)
+    iv = find_basic_iv(loop, defs, bmap)
     if iv is None or not isinstance(iv.start, Const):
         return None
     s, step = iv.start.value, iv.step
-    bmap = fn.block_map()
-    defs = fn.defined_values()
 
     def exit_compare(block: IrBlock):
         term = block.terminator
@@ -467,6 +467,7 @@ def run_licm(m: IrModule) -> None:
     out-of-bounds access on a path that never executed them."""
     for fn in m.functions:
         forest = natural_loops(fn)
+        bmap = fn.block_map()
         for loop in sorted(forest.loops, key=lambda l: (-l.depth, l.header)):
             pre = dedicated_preheader(fn, loop)
             if pre is None:
@@ -480,7 +481,7 @@ def run_licm(m: IrModule) -> None:
             while moved:
                 moved = False
                 for lab in sorted(loop.blocks):
-                    b = fn.block_map()[lab]
+                    b = bmap[lab]
                     for ins in list(b.instructions):
                         if ins.opcode not in PURE_OPS:
                             continue
@@ -507,12 +508,13 @@ def run_indvars(m: IrModule) -> None:
     for fn in m.functions:
         forest = natural_loops(fn)
         defs = fn.defined_values()
+        bmap = fn.block_map()
         for loop in forest.loops:
-            iv = find_basic_iv(fn, loop)
+            iv = find_basic_iv(loop, defs, bmap)
             if iv is None:
                 continue
             for lab in sorted(loop.blocks):
-                b = fn.block_map()[lab]
+                b = bmap[lab]
                 term = b.terminator
                 cmp = condbr_compare(term, defs)
                 if cmp is None:
@@ -568,7 +570,7 @@ def _delete_loop(fn: IrFunction, loop: Loop) -> bool:
         for ins in bmap[lab].all_instructions():
             if OPCODES[ins.opcode].side_effects:
                 return False
-    if loop_trip_count(fn, loop) is None:
+    if loop_trip_count(loop, fn.defined_values(), bmap) is None:
         return False
     exits = loop.exits(fn)
     targets = {t for _, t in exits}
@@ -621,7 +623,7 @@ def unrollable_shape(fn: IrFunction, loop: Loop,
     t = top_test(fn, loop)
     if t is None:
         return None
-    iv = find_basic_iv(fn, loop)
+    iv = find_basic_iv(loop, fn.defined_values(), fn.block_map())
     if iv is None or not isinstance(iv.start, Const) or iv.step <= 0:
         return None
     cmp = t.cmp

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from ..ir import (
     Const, IrBlock, IrFunction, IrInstruction, IrModule, LabelRef,
-    Opcode, ValueRef, fold_constant, reachable_blocks,
+    Opcode, ValueRef, fold_constant, natural_loops,
 )
 from ..ir.types import FOLDABLE, PURE_OR_DIV, Operand
 
@@ -133,7 +133,7 @@ def condbr_compare(term: IrInstruction | None,
 
 def drop_unreachable_blocks(fn: IrFunction) -> int:
     """Remove blocks unreachable from entry, fixing phis in survivors."""
-    reach = reachable_blocks(fn)
+    reach = natural_loops(fn).reach
     dead = [b for b in fn.blocks if b.label not in reach]
     if not dead:
         return 0

@@ -181,13 +181,14 @@ class _FunctionModel:
         self.fn = fn
         self.forest = natural_loops(fn)
         self.bmap = fn.block_map()
-        self.trip = {l.loop_id: loop_trip_count(fn, l) for l in self.forest.loops}
+        defs = fn.defined_values()
+        self.trip = {l.loop_id: loop_trip_count(l, defs, self.bmap)
+                     for l in self.forest.loops}
         self.eff_trip = {lid: DEFAULT_UNKNOWN_TRIP if t is None else t
                          for lid, t in self.trip.items()}
         self.callees: dict[str, _FunctionModel] = {}
         # Per block, each instruction with its latency, ``_access`` and the
         # values it reads.
-        defs = fn.defined_values()
         self.insts = {b.label: [(ins, self._op_latency(ins),
                                  _mem_access(defs, ins), ins.value_uses())
                                 for ins in b.all_instructions()]

@@ -18,7 +18,9 @@ from passforge.passes import apply_pragma_passes, loop_trip_count
 def test_case1_fixture_parameters(case1):
     assert CASE1_INNER_TRIP == 1482
     assert CASE1_UNROLL_FACTOR == 4
-    assert loop_trip_count(case1.top, natural_loops(case1.top).by_id(2)) == 1482
+    fn = case1.top
+    assert loop_trip_count(natural_loops(fn).by_id(2), fn.defined_values(),
+                           fn.block_map()) == 1482
     from passforge.ir import PragmaKind
     pragmas = case1.top.pragmas
     assert any(p.kind is PragmaKind.UNROLL and p.factor == 4 and p.target == 2

@@ -42,7 +42,8 @@ def test_case1_source_has_nested_loops_and_trip_1482():
     inner = forest.by_id(2)
     assert inner is not None and inner.depth == 2
     from passforge.passes import loop_trip_count
-    assert loop_trip_count(m.top, inner) == 1482
+    assert loop_trip_count(inner, m.top.defined_values(),
+                           m.top.block_map()) == 1482
 
 
 #: A loop ``hd``/``body`` that the entry's terminator ``entry`` reaches,
@@ -621,12 +622,11 @@ def _bad_target():
         "no-term", "bad-target"])
 def test_verifier_reports_every_violation_in_order(make, expected):
     """Pinned before the verifier took its CFG analysis from a loop forest
-    and merged its walks: each kind of violation keeps its place.  A forest
-    handed in gives the verdict the verifier reaches on its own."""
+    and merged its walks: each kind of violation keeps its place.  The
+    forests the first verify left memoized give the same verdict."""
     m = make()
     assert [str(v) for v in verify_module(m)] == expected
-    forests = [natural_loops(fn) for fn in m.functions]
-    assert [str(v) for v in verify_module(m, forests)] == expected
+    assert [str(v) for v in verify_module(m)] == expected
 
 
 def test_verifier_reports_phi_from_a_missing_block():

@@ -1,5 +1,6 @@
 """Per-pass behavior, idempotence, and the catalog contract."""
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from passforge import passes
 from passforge.corpus import corpus_gen, random_inputs
 from passforge.ir import (
-    IrModule, Opcode, PragmaKind, analysis, interpret, natural_loops,
-    parse_module, print_module, refresh_loop_annotations, text_digest,
-    verify_module,
+    IrModule, LabelRef, Opcode, PragmaKind, analysis, interpret,
+    natural_loops, parse_module, print_module, refresh_loop_annotations,
+    text_digest, verify_module,
 )
 from passforge.passes import (
     PassError, PassId, PragmaError, Transitions, apply_pass,
@@ -20,7 +21,8 @@ from passforge.passes import (
 
 def trip_count(m, fn_name: str, loop_id: int):
     fn = m.function(fn_name)
-    return loop_trip_count(fn, natural_loops(fn).by_id(loop_id))
+    return loop_trip_count(natural_loops(fn).by_id(loop_id),
+                           fn.defined_values(), fn.block_map())
 
 
 #: The paper's six-way pass taxonomy.
@@ -1023,21 +1025,43 @@ def _forest_facts(forest):
             forest.dom.idom, forest.preds, forest.reach)
 
 
-def test_refreshed_forest_is_the_one_a_fresh_analysis_finds(monkeypatch):
-    """Each forest ``_transform`` hands the verifier equals
-    ``natural_loops`` of the verified function, and gives the same
-    verdict.  Only passes that change the module verify, so the sweep runs
-    24 sequences per start over four corpus seeds."""
+def _fresh_forest(fn):
+    """``fn``'s loop forest derived anew, from a copy with no memo."""
+    bare = fn.clone()
+    bare.loop_memo = None
+    return natural_loops(bare)
+
+
+def test_memoized_forest_is_the_one_a_fresh_analysis_finds(monkeypatch):
+    """Every forest ``natural_loops`` returns to a pass, the refresh or the
+    verifier, memo hit or not, equals a derivation from scratch, and
+    verifying with the memo gives the verdict verifying without it gives.
+    Only passes that change the module verify, so the sweep runs 24
+    sequences per start over four corpus seeds."""
+    real = analysis.natural_loops
     checked = []
 
-    def checking_verify_module(m, forests):
-        for fn, forest in zip(m.functions, forests, strict=True):
-            assert _forest_facts(forest) == _forest_facts(natural_loops(fn))
-            checked.append(fn.name)
-        found = verify_module(m, forests)
-        assert found == verify_module(m)
+    def checking_natural_loops(fn):
+        forest = real(fn)
+        assert _forest_facts(forest) == _forest_facts(_fresh_forest(fn))
+        checked.append(fn.name)
+        return forest
+
+    def checking_verify_module(m):
+        found = verify_module(m)
+        cold = m.clone()
+        for fn in cold.functions:
+            fn.loop_memo = None
+        assert found == verify_module(cold)
         return found
 
+    users = [mod for name, mod in sys.modules.items()
+             if name.startswith("passforge")
+             and getattr(mod, "natural_loops", None) is real]
+    assert {"passforge.ir.analysis", "passforge.ir.verify",
+            "passforge.passes.loop_passes"} <= {u.__name__ for u in users}
+    for mod in users:
+        monkeypatch.setattr(mod, "natural_loops", checking_natural_loops)
     monkeypatch.setattr(passes, "verify_module", checking_verify_module)
     rng = np.random.default_rng(12)
     general = general_passes()
@@ -1050,7 +1074,51 @@ def test_refreshed_forest_is_the_one_a_fresh_analysis_finds(monkeypatch):
                     seq = [general[i] for i in rng.integers(
                         len(general), size=rng.integers(1, 17))]
                     apply_sequence(m, seq, memo)
-    assert len(checked) > 1500
+    assert len(checked) > 10000
+
+
+def test_memoized_forests_are_shared_read_only():
+    """A clone inherits each function's memoized forest, and no pass, no
+    refresh, verify or estimate on the clone changes it.  The memo is no
+    field: equality, ``repr`` and the printed form ignore it.  A CFG
+    changed by hand gets a forest of its own."""
+    from copy import deepcopy
+
+    from passforge.qor import EstimateError, estimate
+    for _name, text in corpus_gen(12, 0):
+        raw = parse_module(text)
+        for m in (raw, apply_pragma_passes(raw)):
+            memos = [fn.loop_memo for fn in m.functions]
+            assert None not in memos
+            facts = deepcopy([(shape, _forest_facts(forest))
+                              for shape, forest in memos])
+            for p in general_passes():
+                twin = m.clone()
+                assert [fn.loop_memo for fn in twin.functions] == memos
+                passes._IMPLS[p](twin)
+                try:
+                    estimate(apply_pass(m, p).module)
+                except EstimateError:
+                    pass        # a pipelined loop that lost its trip count
+            assert [fn.loop_memo for fn in m.functions] == memos
+            assert [(shape, _forest_facts(forest))
+                    for shape, forest in memos] == facts
+
+    m = parse_module(DOM_COUNT_SRC)
+    bare = parse_module(DOM_COUNT_SRC, verify=False)
+    assert m.top.loop_memo is not None and bare.top.loop_memo is None
+    assert m == bare and repr(m) == repr(bare)
+    assert print_module(m) == print_module(bare) and m.digest() == bare.digest()
+
+    fn = m.top
+    forest = natural_loops(fn)
+    assert natural_loops(fn) is forest
+    fn.block_map()["hd"].loop_info.loop_id = 7
+    renamed = natural_loops(fn)
+    assert renamed is not forest and [l.loop_id for l in renamed.loops] == [7]
+    fn.block_map()["body"].terminator.operands = [LabelRef("out")]
+    assert natural_loops(fn).loops == []
+    assert _forest_facts(forest) == _forest_facts(_fresh_forest(bare.top))
 
 
 DOM_COUNT_SRC = """
@@ -1082,13 +1150,9 @@ block out:
 """
 
 
-@pytest.mark.parametrize("p", [PassId.ADCE, PassId.DSE, PassId.INSTSIMPLIFY],
-                         ids=str)
-def test_executed_pass_builds_one_dominator_tree_per_function(monkeypatch, p):
-    """Refresh and verify share one analysis; the pass itself needs
-    none.  The loop forest reads the predecessor map its dominator tree
-    built, so each function's map is built once too."""
-    m = parse_module(DOM_COUNT_SRC)
+def _count_trees(monkeypatch):
+    """The names of the functions each dominator tree and predecessor map
+    built from here on was built for."""
     trees, pred_maps = [], []
     init, predecessor_map = analysis.DomTree.__init__, analysis.predecessor_map
 
@@ -1102,10 +1166,48 @@ def test_executed_pass_builds_one_dominator_tree_per_function(monkeypatch, p):
 
     monkeypatch.setattr(analysis.DomTree, "__init__", counting_init)
     monkeypatch.setattr(analysis, "predecessor_map", counting_preds)
-    r = apply_pass(m, p)
-    assert r.changed
-    assert sorted(trees) == ["f", "inc"]
-    assert sorted(pred_maps) == ["f", "inc"]
+    return trees, pred_maps
+
+
+@pytest.mark.parametrize("p", [PassId.ADCE, PassId.DSE, PassId.INSTSIMPLIFY],
+                         ids=str)
+def test_executed_pass_builds_one_dominator_tree_per_function(monkeypatch, p):
+    """Pass, refresh and verify share one analysis per function, memoized
+    on it.  These passes keep every CFG: on a parsed module, whose verify
+    left each forest memoized for the copy to inherit, the run builds no
+    tree; on a module parsed without verifying, one per function.  The
+    loop forest reads the predecessor map its dominator tree built, so
+    each function's map is built once too."""
+    warm = parse_module(DOM_COUNT_SRC)
+    cold = parse_module(DOM_COUNT_SRC, verify=False)
+    trees, pred_maps = _count_trees(monkeypatch)
+    assert apply_pass(warm, p).changed
+    assert trees == pred_maps == []
+    assert apply_pass(cold, p).changed
+    assert sorted(trees) == sorted(pred_maps) == ["f", "inc"]
+
+
+@pytest.mark.parametrize("p", [PassId.LOOP_ROTATE, PassId.LOOP_UNROLL_PARTIAL],
+                         ids=str)
+def test_a_pass_that_changes_a_cfg_builds_one_tree_for_it(monkeypatch, p):
+    """Only ``@f`` has a loop to rewrite: its new CFG is analysed once, by
+    the pass or by the refresh, and ``@inc``'s memo carries over."""
+    m = parse_module(DOM_COUNT_SRC)
+    trees, _pred_maps = _count_trees(monkeypatch)
+    assert apply_pass(m, p).changed
+    assert trees == ["f"]
+
+
+def test_greedy_builds_a_dominator_tree_per_new_cfg(monkeypatch):
+    """Greedy over ``corpus_gen(12, 0)`` builds 205 dominator trees, one
+    per CFG shape a forest is derived for; without the memo it built
+    1,605, one per consumer call."""
+    from passforge.agent import search_greedy
+    designs = [parse_module(text) for _name, text in corpus_gen(12, 0)]
+    trees, _pred_maps = _count_trees(monkeypatch)
+    for m in designs:
+        search_greedy(m)
+    assert len(trees) == 205
 
 
 def _step_without_shortcut(m, p):
@@ -1117,16 +1219,13 @@ def _step_without_shortcut(m, p):
                         if b.loop_info is not None and b.loop_info.is_header}
               for fn in out.functions}
     passes._IMPLS[p](out)
-    forests = []
     for fn in out.functions:
-        forest = refresh_loop_annotations(fn)
-        forests.append(forest)
-        ids = {l.loop_id for l in forest.loops}
+        ids = {l.loop_id for l in refresh_loop_annotations(fn).loops}
         gone = before[fn.name] - ids
         if gone and ids <= before[fn.name]:
             fn.pragmas = [q for q in fn.pragmas if q.target not in gone or
                           q.kind not in (PragmaKind.UNROLL, PragmaKind.PIPELINE)]
-    return out, verify_module(out, forests), print_module(out)
+    return out, verify_module(out), print_module(out)
 
 
 def test_equality_shortcut_matches_verify_and_print():

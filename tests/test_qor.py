@@ -213,7 +213,8 @@ block out:
   ret i32 0
 }
 """)
-    assert loop_trip_count(m.top, natural_loops(m.top).by_id(1)) is None
+    assert loop_trip_count(natural_loops(m.top).by_id(1),
+                           m.top.defined_values(), m.top.block_map()) is None
     # non-pipelined unknown trips fall back to the documented default
     rep = estimate(m)
     assert rep.loops[0].trip is None
