@@ -34,7 +34,9 @@ from . import __version__
 from .corpus import corpus_gen, random_inputs
 from .dataset import dataset_gen, load_dataset, parse_pairs, save_dataset
 from .graphs import build_het_graph, to_dot, to_json
-from .hged import DEFAULT_BEAM_WIDTH, EditCostModel, SizeError, hged
+from .hged import (
+    DEFAULT_BEAM_WIDTH, EXACT_PATH_LIMIT, EditCostModel, SizeError, hged,
+)
 from .ir import (
     FuelExhausted, InstrClass, IrSyntaxError, TrapError, VerifyError,
     check_inputs, interpret, parse_module, print_module, verify_module,
@@ -293,11 +295,11 @@ def cmd_interp(args) -> int:
 def cmd_hged(args) -> int:
     g1 = _read_graph(args.file_a, args.fn)
     g2 = _read_graph(args.file_b, args.fn)
-    mode, width = args.mode, DEFAULT_BEAM_WIDTH
-    if mode.startswith("beam:"):
-        digits = mode[len("beam:"):]
-        mode, width = "beam", int(digits) if digits.isdigit() else 0
-    if mode not in ("exact", "beam") or width < 1:
+    width = {"exact": None, "beam": DEFAULT_BEAM_WIDTH}.get(args.mode, 0)
+    if args.mode.startswith("beam:"):
+        digits = args.mode[len("beam:"):]
+        width = int(digits) if digits.isdigit() else 0
+    if width == 0:
         raise UserError(f"bad --mode {args.mode!r}: use exact or beam:WIDTH")
     costs = EditCostModel()
     if args.costs:
@@ -307,7 +309,7 @@ def cmd_hged(args) -> int:
         except ValueError as e:
             raise UserError(f"bad edit costs {args.costs}: {e}")
     try:
-        result = hged(g1, g2, costs, mode=mode, beam_width=width)
+        result = hged(g1, g2, costs, width)
     except SizeError as e:
         raise UserError(f"{e}; use --mode beam:N for graphs this large")
     doc = {"stage1_cost": result.stage1_cost, "stage2_cost": result.stage2_cost,
@@ -660,8 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="edit-cost JSON (EditCostModel fields) overriding "
                         "the unit defaults")
     p.add_argument("--mode", default="beam:32", help="exact | beam:WIDTH; exact "
-                   "searches best-first under a bound that is not admissible, "
-                   "so it can return more than the optimum")
+                   "searches every edit path, and refuses a stage pair of more "
+                   f"than {EXACT_PATH_LIMIT:,} paths")
 
     p = command("corpus-gen", cmd_corpus_gen, "generate synthetic kernels",
                 "seed", "quiet")

@@ -150,7 +150,7 @@ def dataset_gen(designs: list[tuple[str, str]], k_sequences: int,
     memo: dict = {}     # stage results, shared by this call's pairs only
     for (i, j) in pair_keys:
         result = hged(variants[i].graph, variants[j].graph, costs,
-                      mode="beam", beam_width=LABEL_BEAM_WIDTH, memo=memo)
+                      LABEL_BEAM_WIDTH, memo)
         pairs.append(TrainPair(i, j, result.normalized, variants[i].split))
 
     return Dataset(variants, pairs, seed,

@@ -9,14 +9,18 @@ crossing block pairs are priced under the composed instruction mapping.
 
 Substitutions never cross node kinds, all costs are symmetric by default, and
 the normalized distance divides by the delete-everything-plus-insert-
-everything path so labels land in [0, 1].
+everything path so labels land in [0, 1].  ``hged`` searches the graph of the
+smaller key first (``_StageView.key``), under reversed costs when it was
+given second, so ``hged(a, b, costs)`` and ``hged(b, a, costs.reversed())``
+agree, and under symmetric costs a result does not depend on argument order.
 
-Each stage pair is one search over edit paths, best-first (``ged_exact``) or
-a beam (``ged_beam``).  Exact mode is not exact: its best-first search runs
-under a bound that ``ged_exact`` documents as not admissible, so it can
-return more than the optimum; beam mode returns an upper bound.  Level i
-maps G1's node i to an unused G2 node of its kind or deletes it, in a fixed
-candidate order.  A search state carries what its bound needs, besides its
+Each stage pair is one search over edit paths (``ged_beam``).  A width
+returns an upper bound; ``width=None`` keeps every child, so the search is
+exhaustive and exact, and it refuses a pair of more than
+``EXACT_PATH_LIMIT`` complete paths.  Level i maps G1's node i to an unused
+G2 node of its kind or deletes it, in a fixed candidate order.  A
+substitution also reconciles the two nodes' self-loops, and a deletion
+deletes them.  A search state carries what its bound needs, besides its
 cost and mapping: G2's unused nodes counted per label and per kind, its
 unused-to-unused edges counted per relation, and the label term of the
 bound.  A child updates these from per-node label ids and incident-edge
@@ -47,18 +51,17 @@ and non-negative and float addition is monotone, so a floor never exceeds f;
 a dropped child has ``width`` earlier children at or below its f, which the
 stable sort puts first.  So the beam keeps the children, order and bits the
 unpruned sort keeps.  The cutoff needs costs that ``EditCostModel.bad_costs``
-accepts; ``ged_exact`` prices every child.
+accepts; exhaustion prices every child.
 
 ``ged_beam`` answers a pair of stage graphs that are equal up to node ids
 (``StageGraph.key``) at once: cost 0 and the positional identity, which is
-exactly what the search returns when no cost is negative or non-finite and
-every deletion costs at least 1 (``_beam_keeps_identity``; the default costs
-qualify, ``EditCostModel.from_dict`` rejects negative ones).  ``ged_exact``
-pops newest-first and may end on another zero-cost mapping of an automorphic
-graph, so it always searches.
+exactly what the search returns, at any width, when no cost is negative or
+non-finite and every deletion costs at least 1 (``_beam_keeps_identity``;
+the default costs qualify, ``EditCostModel.from_dict`` rejects negative
+ones).
 
-``hged(..., memo=dict)`` caches beam stage results by both stage keys, the
-beam width, the affiliation extras and the cost model, with the mapping
+``hged(..., memo=dict)`` caches stage results by both stage keys, the
+width, the affiliation extras and the cost model, with the mapping
 stored by position; a search result is a function of exactly these, so a hit
 returns what a fresh search would.  The memo belongs to its caller:
 ``dataset_gen`` makes one per call, whose pairs repeat many block pairs, and
@@ -72,18 +75,20 @@ is not reused, and the graph must not be mutated, while the memo lives.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
 
 from .graphs import EdgeRecord, HetGraph, NodeKind, Relation
 
 DEFAULT_BEAM_WIDTH = 32
-EXACT_NODE_LIMIT = 24      # combined node count per ged_exact call
-EXACT_SKELETON_LIMIT = 12  # blocks per graph in exact mode
+#: Complete edit paths an exhaustive search may enumerate (``_path_count``).
+#: Time and memory grow about linearly in it: 130,922 paths (one kind, 7+7
+#: nodes, a ring of edges each) take ~1.9 s and ~115 MB peak RSS under
+#: CPython 3.11 on one core of a 2-vCPU x86 host.
+EXACT_PATH_LIMIT = 100_000
 
 
 class SizeError(Exception):
@@ -116,6 +121,13 @@ class EditCostModel:
 
     def e_del(self, rel: str) -> float:
         return self.edge_delete.get(rel, 1.0)
+
+    def reversed(self) -> "EditCostModel":
+        """The costs of the reverse edit path: insertions and deletions
+        trade places."""
+        return replace(
+            self, node_insert=self.node_delete, node_delete=self.node_insert,
+            edge_insert=self.edge_delete, edge_delete=self.edge_insert)
 
     def to_dict(self) -> dict:
         return {"node_insert": self.node_insert, "node_delete": self.node_delete,
@@ -284,7 +296,7 @@ def _neighbours(g: StageGraph, one_sided) -> list[dict[int, tuple]]:
 
 
 class _Search:
-    """Shared machinery for exact (A*) and beam searches over edit paths.
+    """The edit-path space ``ged_beam`` searches, level by level.
 
     Level i decides G1's node i.  A state is ``(g, mapping, inv, r2, t2, e2,
     lab)``: the path cost; the G2 position (or None) of each decided G1 node;
@@ -328,13 +340,17 @@ class _Search:
                               zip(self.edges1[i], self.edges1[i + 1])]
 
         # Edge pricing: G1's earlier neighbours of each node, in ascending
-        # order, and G2's neighbours, each with its one-sided costs.  A G1
-        # self-loop is never priced by an assignment.
+        # order, and G2's neighbours, each with its one-sided costs; and the
+        # sorted relations of each node's self-loops.
         self.near1 = [{j: adj for j, adj in sorted(near.items()) if j < i}
                       for i, near in enumerate(_neighbours(
                           g1, lambda rels: _edge_pair_cost(rels, (), costs)))]
         self.near2 = _neighbours(
             g2, lambda rels: _edge_pair_cost((), rels, costs))
+        self.loops1 = [tuple(g1.between.get((n.nid, n.nid), ()))
+                       for n in g1.nodes]
+        self.loops2 = [tuple(g2.between.get((n.nid, n.nid), ()))
+                       for n in g2.nodes]
         self.rel2 = [rels[e.rel] for e in g2.edges]
         self.inc2: list[list[tuple[int, int]]] = [[] for _ in range(n2)]
         for e, r in zip(g2.edges, self.rel2):
@@ -347,10 +363,13 @@ class _Search:
             self.by_kind2[k].append(j)
 
         # Fixed costs, each summed in the same order on every path: deleting
-        # node i with its edges to earlier nodes, and inserting G2's rest.
+        # node i with its self-loops and its edges to earlier nodes, and
+        # inserting G2's rest.
         self.del_cost = []
-        for n, near in zip(g1.nodes, self.near1):
+        for n, loops, near in zip(g1.nodes, self.loops1, self.near1):
             cost = costs.n_del(n.kind) + del_extra
+            for rel in loops:
+                cost += costs.e_del(rel)
             for out, into, _, _ in near.values():
                 for rel in out + into:
                     cost += costs.e_del(rel)
@@ -404,14 +423,14 @@ class _Search:
         state, cand, lab, e2)``; ``settle`` makes one a state.
 
         g adds the cost of deciding node i: deleting it, or substituting it
-        and reconciling the edges to every earlier node adjacent to it or
-        whose image is adjacent to its own, in ascending order.  f adds a
-        bound to g: label-multiset mismatch between G1's nodes i.. (the node
-        just decided included) and G2's unused nodes, plus relation-count
-        mismatch over remaining-to-remaining edges, both updated from the
-        parent's counts; on the last level, the exact cost of inserting what
-        is left of G2.  ``lab`` is the child's own label term, over G1's
-        nodes i+1..
+        and reconciling its self-loops and the edges to every earlier node
+        adjacent to it or whose image is adjacent to its own, in ascending
+        order.  f adds a bound to g: label-multiset mismatch between G1's
+        nodes i.. (the node just decided included) and G2's unused nodes,
+        plus relation-count mismatch over remaining-to-remaining edges, both
+        updated from the parent's counts; on the last level, the exact cost
+        of inserting what is left of G2.  ``lab`` is the child's own label
+        term, over G1's nodes i+1..
 
         ``top``, when given, is a max-heap (of -f) of the ``width`` smallest
         f among the level's children emitted so far.  A child whose f, or a
@@ -432,7 +451,7 @@ class _Search:
         edges1 = self.edges1[i + 1]
         surplus, deficit = _edge_excess(edges1, e2)
         bound = max(surplus, deficit)
-        near1 = self.near1[i]
+        near1, loops = self.near1[i], self.loops1[i]
         # A NaN cutoff fails every ``>=`` test: without a heap, nothing is cut.
         cutoff = math.nan if top is None else (
             -top[0] if len(top) == width else math.inf)
@@ -444,6 +463,8 @@ class _Search:
                 h, nlab = lab + bound, nlab_del
             else:
                 cost = 0.0 if a == self.lid2[cand] else costs.node_sub_mismatch
+                if loops != self.loops2[cand]:
+                    cost += _edge_pair_cost(loops, self.loops2[cand], costs)
                 h = nlab = 0
                 if not last:
                     b = self.lid2[cand]
@@ -529,41 +550,15 @@ class _Search:
             if t is not None}
 
 
-#: Ceiling on best-first expansions; A*-GED is exponential in the worst case
-#: and the exact mode's contract is small graphs only.
-EXACT_EXPANSION_BUDGET = 400_000
-
-
-def ged_exact(g1: StageGraph, g2: StageGraph, costs: EditCostModel,
-              node_limit: int = EXACT_NODE_LIMIT, del_extra: float = 0.0,
-              ins_extra: float = 0.0) -> tuple[float, dict[int, int]]:
-    """Edit distance via best-first search.  The bound's label term counts
-    the node just decided, so it is not admissible and the result can exceed
-    the optimum: [A, B] against [A], no edges, unit costs, returns 2, not 1."""
-    if len(g1.nodes) + len(g2.nodes) > node_limit:
-        raise SizeError(
-            f"{len(g1.nodes)}+{len(g2.nodes)} nodes exceeds the exact-mode "
-            f"limit of {node_limit}")
-    search = _Search(g1, g2, costs, del_extra, ins_extra)
-    counter = itertools.count()
-    # Ties on f pop newest-first (depth-first), so a zero-cost identity path
-    # dives straight to the goal instead of flooding the frontier.
-    heap = [(0.0, -next(counter), search.start())]
-    expansions = 0
-    while heap:
-        expansions += 1
-        if expansions > EXACT_EXPANSION_BUDGET:
-            raise SizeError(
-                f"exact search exceeded {EXACT_EXPANSION_BUDGET} expansions")
-        _f, _, state = heapq.heappop(heap)
-        i = len(state[1])
-        if i == search.n1:
-            # f is the full cost of a complete state.
-            return search.total(state)
-        for child in search.expand(state, i):
-            heapq.heappush(heap, (child[0], -next(counter),
-                                  search.settle(child, i)))
-    raise RuntimeError("search exhausted without a complete edit path")
+def _path_count(g1: StageGraph, g2: StageGraph) -> int:
+    """The complete edit paths of the search: per node kind, each k of G1's
+    a nodes map one-to-one onto k of G2's b, so the product over kinds of
+    the sum over k of C(a, k) * C(b, k) * k!."""
+    a = Counter(n.kind for n in g1.nodes)
+    b = Counter(n.kind for n in g2.nodes)
+    return math.prod(sum(math.comb(a[kind], k) * math.perm(b[kind], k)
+                         for k in range(min(a[kind], b[kind]) + 1))
+                     for kind in a.keys() & b.keys())
 
 
 def _beam_keeps_identity(g: StageGraph, costs: EditCostModel,
@@ -582,18 +577,25 @@ def _beam_keeps_identity(g: StageGraph, costs: EditCostModel,
 
 
 def ged_beam(g1: StageGraph, g2: StageGraph, costs: EditCostModel,
-             width: int = DEFAULT_BEAM_WIDTH, del_extra: float = 0.0,
+             width: int | None = DEFAULT_BEAM_WIDTH, del_extra: float = 0.0,
              ins_extra: float = 0.0) -> tuple[float, dict[int, int]]:
-    """Beam search over the same state space; returns a valid (upper-bound)
-    edit path cost and its mapping.  Graphs equal up to node ids return 0
-    and the positional identity at once (see the module docstring)."""
-    if width < 1:
+    """Beam search over edit paths; returns a valid (upper-bound) edit path
+    cost and its mapping.  ``width=None`` keeps every child, so the result
+    is the cheapest path; it raises SizeError, before searching, on a pair
+    of more than ``EXACT_PATH_LIMIT`` paths.  Graphs equal up to node ids
+    return 0 and the positional identity at once (see the module
+    docstring)."""
+    if width is not None and width < 1:
         raise ValueError("beam width must be >= 1")
     if g1.key == g2.key and _beam_keeps_identity(g1, costs, del_extra,
                                                  ins_extra):
         return 0.0, {a.nid: b.nid for a, b in zip(g1.nodes, g2.nodes)}
+    if width is None and (paths := _path_count(g1, g2)) > EXACT_PATH_LIMIT:
+        raise SizeError(
+            f"{len(g1.nodes)}+{len(g2.nodes)} nodes have {paths:,} edit "
+            f"paths; exact mode allows {EXACT_PATH_LIMIT:,}")
     search = _Search(g1, g2, costs, del_extra, ins_extra)
-    prune = not costs.bad_costs()
+    prune = width is not None and not costs.bad_costs()
     level = [search.start()]
     for i in range(search.n1):
         top = [] if prune else None
@@ -614,8 +616,10 @@ def ged_beam(g1: StageGraph, g2: StageGraph, costs: EditCostModel,
 class _StageView:
     """What ``hged`` reads of one graph: its skeleton and block node ids,
     each block's instruction graph (by block node id, in node order), its
-    data-flow edges, and those between blocks as (src, dst, relation)."""
+    data-flow edges, and those between blocks as (src, dst, relation).
+    ``key`` is the whole graph up to node ids, as ``StageGraph.key``."""
     graph: HetGraph
+    key: tuple
     skeleton: StageGraph
     blocks: set[int]
     per_block: dict[int, StageGraph]
@@ -655,8 +659,11 @@ def _stage_view(g: HetGraph, memo: dict) -> _StageView:
             cross.add((e.src, e.dst, e.relation.value))
         elif b in internal:
             internal[b].append(StageEdge(e.src, e.dst, e.relation.value))
+    pos = {n.node_id: i for i, n in enumerate(g.nodes)}
     view = _StageView(
-        g, skeleton, {n.nid for n in skeleton.nodes if n.kind == "block"},
+        g, (tuple((n.kind.value, n.attr) for n in g.nodes),
+            tuple((pos[e.src], pos[e.dst], e.relation.value) for e in g.edges)),
+        skeleton, {n.nid for n in skeleton.nodes if n.kind == "block"},
         {b: StageGraph(ns, internal[b]) for b, ns in instrs.items()},
         data, cross)
     memo[key] = view
@@ -664,44 +671,29 @@ def _stage_view(g: HetGraph, memo: dict) -> _StageView:
 
 
 def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
-         mode: str = "exact", beam_width: int = DEFAULT_BEAM_WIDTH,
+         width: int | None = DEFAULT_BEAM_WIDTH,
          memo: dict | None = None) -> HgedResult:
-    """Two-stage edit distance between two program graphs.
-
-    mode "exact" uses best-first search everywhere and enforces the skeleton
-    and node-count limits.  Its bound is not admissible (see ``ged_exact``),
-    so despite the name it can return more than the optimum.  "beam" never
-    errors and yields an upper bound.  ``memo``, a dict the caller owns and
-    passes to each call, caches each graph's stage view and beam stage
-    results (see the module docstring); without one, the call makes its
-    own."""
+    """Two-stage edit distance between two program graphs, each stage pair
+    searched by ``ged_beam`` at ``width``.  A width yields an upper bound
+    and never errors; None is exact mode, which raises SizeError on a stage
+    pair of more than ``EXACT_PATH_LIMIT`` paths.  Swapping the arguments
+    and reversing the costs inverts the block mapping and keeps the rest
+    (see the module docstring).  ``memo``, a dict the caller owns and passes
+    to each call, caches each graph's stage view and stage results (see the
+    module docstring); without one, the call makes its own."""
     costs = costs or EditCostModel()
     memo = {} if memo is None else memo
-    exact_mode = mode == "exact"
-    if mode not in ("exact", "beam"):
-        raise ValueError(f"unknown mode {mode!r}")
-
     v1, v2 = _stage_view(g1, memo), _stage_view(g2, memo)
+    swapped = v2.key < v1.key
+    if swapped:
+        v1, v2, costs = v2, v1, costs.reversed()
     sk1, sk2 = v1.skeleton, v2.skeleton
-    blocks1, blocks2 = len(v1.blocks), len(v2.blocks)
-    if exact_mode and max(blocks1, blocks2) > EXACT_SKELETON_LIMIT:
-        raise SizeError(
-            f"skeletons have {blocks1}/{blocks2} blocks; exact mode allows "
-            f"{EXACT_SKELETON_LIMIT}")
-
     cost_key = repr(costs)
 
     def run_stage(a: StageGraph, b: StageGraph, del_extra=0.0, ins_extra=0.0):
-        if exact_mode:
-            # Inside the staged decomposition the per-pair searches are kept
-            # honest by the expansion budget; the standalone node limit would
-            # reject identity pairs of larger blocks that search instantly.
-            limit = max(EXACT_NODE_LIMIT, len(a.nodes) + len(b.nodes))
-            return ged_exact(a, b, costs, limit, del_extra, ins_extra)
-        key = (a.key, b.key, beam_width, del_extra, ins_extra, cost_key)
+        key = (a.key, b.key, width, del_extra, ins_extra, cost_key)
         if key not in memo:
-            cost, mapping = ged_beam(a, b, costs, beam_width, del_extra,
-                                     ins_extra)
+            cost, mapping = ged_beam(a, b, costs, width, del_extra, ins_extra)
             pos = {n.nid: j for j, n in enumerate(b.nodes)}
             memo[key] = (cost, [pos.get(mapping.get(n.nid)) for n in a.nodes])
         cost, targets = memo[key]
@@ -755,8 +747,10 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
              + costs.w2 * (_stage2_denom(v1, costs, True, memo, cost_key)
                            + _stage2_denom(v2, costs, False, memo, cost_key)))
     normalized = 0.0 if denom == 0 else min(1.0, total / denom)
+    if swapped:
+        block_mapping = {b2: b1 for b1, b2 in block_mapping.items()}
     return HgedResult(stage1_cost, stage2_cost, total, normalized,
-                      block_mapping, exact_mode)
+                      block_mapping, width is None)
 
 
 def _stage2_denom(view: _StageView, costs: EditCostModel, deleting: bool,

@@ -240,14 +240,17 @@ def test_hged_cli(workdir, capsys):
 
 
 def test_hged_cli_user_errors(workdir, tmp_path, capsys):
-    blocks = "\n".join(f"block b{i}:\n  br b{i + 1}" for i in range(14))
-    big = tmp_path / "big.ir"
-    big.write_text(f"top func @f(%a: i32) -> i32 {{\n{blocks}\n"
-                   f"block b14:\n  ret i32 %a\n}}\n")
-    assert main(["hged", str(big), str(big), "--mode", "exact"]) == 1
+    chains = []
+    for n in (14, 13):
+        blocks = "\n".join(f"block b{i}:\n  br b{i + 1}" for i in range(n - 1))
+        chains.append(tmp_path / f"chain{n}.ir")
+        chains[-1].write_text(f"top func @f(%a: i32) -> i32 {{\n{blocks}\n"
+                              f"block b{n - 1}:\n  ret i32 %a\n}}\n")
+    big, smaller = map(str, chains)
+    assert main(["hged", big, smaller, "--mode", "exact"]) == 1
     assert "--mode beam:N" in capsys.readouterr().err
-    assert main(["hged", str(big), str(big), "--mode", "beam:4"]) == 0
-    assert json.loads(capsys.readouterr().out)["total"] == 0.0
+    assert main(["hged", big, smaller, "--mode", "beam:4"]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] > 0.0
     design = str(workdir / "corpus" / "dot_01.ir")
     for mode in ("beam:x", "beam:0", "greedy"):
         assert main(["hged", design, design, "--mode", mode]) == 1
@@ -279,6 +282,7 @@ def test_hged_help_describes_its_own_options(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "--costs COSTS edit-cost JSON (EditCostModel fields)" in text
     assert "--fn FN function compared in both files" in text
+    assert "refuses a stage pair of more than 100,000 paths" in text
 
 
 def test_corpus_gen_resumable(workdir, capsys):

@@ -2,6 +2,7 @@
 import gc
 import hashlib
 import itertools
+import math
 from operator import itemgetter
 
 import numpy as np
@@ -12,61 +13,63 @@ from passforge.corpus import corpus_gen
 from passforge.dataset import dataset_gen
 from passforge.graphs import EdgeRecord, HetGraph, NodeRecord, build_het_graph
 from passforge.hged import (
-    EditCostModel, SizeError, StageEdge, StageGraph, StageNode, ged_beam,
-    ged_exact, hged,
+    EXACT_PATH_LIMIT, EditCostModel, SizeError, StageEdge, StageGraph,
+    StageNode, ged_beam, hged,
 )
 from passforge.ir import parse_module
 
 
+def _cheapest_edge_edit(rels1, rels2, costs: EditCostModel) -> float:
+    """Turning one multiset of parallel edges into another, at the cheapest
+    of every matching between them."""
+    best = math.inf
+    for k in range(min(len(rels1), len(rels2)) + 1):
+        for sub1 in itertools.combinations(range(len(rels1)), k):
+            for sub2 in itertools.permutations(range(len(rels2)), k):
+                cost = 0.0
+                for a, b in zip(sub1, sub2):
+                    if rels1[a] != rels2[b]:
+                        cost += costs.edge_sub_mismatch
+                for a, rel in enumerate(rels1):
+                    if a not in sub1:
+                        cost += costs.e_del(rel)
+                for b, rel in enumerate(rels2):
+                    if b not in sub2:
+                        cost += costs.e_ins(rel)
+                best = min(best, cost)
+    return best
+
+
 def brute_force_ged(g1: StageGraph, g2: StageGraph,
                     costs: EditCostModel) -> float:
-    """Enumerate every injective partial mapping; the independent oracle."""
-    n1, n2 = len(g1.nodes), len(g2.nodes)
-    best = None
-    for k in range(min(n1, n2) + 1):
-        for sub1 in itertools.permutations(range(n1), k):
-            for sub2 in itertools.permutations(range(n2), k):
-                mapping = dict(zip(sub1, sub2))
-                if any(g1.nodes[i].kind != g2.nodes[j].kind
-                       for i, j in mapping.items()):
+    """Enumerate every injective partial mapping between nodes of one kind,
+    and edit the parallel edges of each node pair at their cheapest; the
+    independent oracle."""
+    best = math.inf
+    for k in range(min(len(g1.nodes), len(g2.nodes)) + 1):
+        for sub1 in itertools.combinations(g1.nodes, k):
+            for sub2 in itertools.permutations(g2.nodes, k):
+                if any(a.kind != b.kind for a, b in zip(sub1, sub2)):
                     continue
                 cost = 0.0
-                for i in range(n1):
-                    if i in mapping:
-                        same = g1.nodes[i].label == g2.nodes[mapping[i]].label
-                        cost += 0.0 if same else costs.node_sub_mismatch
-                    else:
-                        cost += costs.n_del(g1.nodes[i].kind)
-                mapped2 = set(mapping.values())
-                for j in range(n2):
-                    if j not in mapped2:
-                        cost += costs.n_ins(g2.nodes[j].kind)
-                id1 = {n.nid: i for i, n in enumerate(g1.nodes)}
-                id2 = {n.nid: j for j, n in enumerate(g2.nodes)}
-                nid_map = {g1.nodes[i].nid: g2.nodes[j].nid
-                           for i, j in mapping.items()}
-                used2 = set()
-                for e in g1.edges:
-                    t = (nid_map.get(e.src), nid_map.get(e.dst))
-                    hit = None
-                    if t[0] is not None and t[1] is not None:
-                        for k2, e2 in enumerate(g2.edges):
-                            if k2 in used2:
-                                continue
-                            if (e2.src, e2.dst) == t:
-                                hit = k2
-                                break
-                    if hit is None:
-                        cost += costs.e_del(e.rel)
-                    else:
-                        used2.add(hit)
-                        if g2.edges[hit].rel != e.rel:
-                            cost += costs.edge_sub_mismatch
-                for k2, e2 in enumerate(g2.edges):
-                    if k2 not in used2:
-                        cost += costs.e_ins(e2.rel)
-                if best is None or cost < best:
-                    best = cost
+                for a, b in zip(sub1, sub2):
+                    if a.label != b.label:
+                        cost += costs.node_sub_mismatch
+                for n in g1.nodes:
+                    if n not in sub1:
+                        cost += costs.n_del(n.kind)
+                for n in g2.nodes:
+                    if n not in sub2:
+                        cost += costs.n_ins(n.kind)
+                image = {a.nid: b.nid for a, b in zip(sub1, sub2)}
+                rest2 = dict(g2.between)
+                for (src, dst), rels in g1.between.items():
+                    cost += _cheapest_edge_edit(
+                        rels, rest2.pop((image.get(src), image.get(dst)), []),
+                        costs)
+                for rels in rest2.values():
+                    cost += _cheapest_edge_edit([], rels, costs)
+                best = min(best, cost)
     return best
 
 
@@ -82,30 +85,83 @@ def _random_stage_graph(rng, n, kinds=("block",), labels=((1.0,), (2.0,))):
     return StageGraph(nodes, edges)
 
 
+def _with_self_loops(rng, g: StageGraph) -> StageGraph:
+    """``g`` with self-loops of either relation on some nodes, drawn after
+    ``g`` so that its own draws stay as they are."""
+    loops = [StageEdge(n.nid, n.nid, rel) for n in g.nodes
+             for rel in ("data", "control") if rng.random() < 0.2]
+    return StageGraph(g.nodes, g.edges + loops)
+
+
 def test_exact_matches_brute_force_on_random_pairs(rng):
+    """Exhaustion is exact at unit costs, on graphs of two kinds with
+    parallel edges of mixed relations and self-loops."""
     costs = EditCostModel()
-    for trial in range(12):
-        g1 = _random_stage_graph(rng, int(rng.integers(1, 4)))
-        g2 = _random_stage_graph(rng, int(rng.integers(1, 4)))
-        expected = brute_force_ged(g1, g2, costs)
-        got, _ = ged_exact(g1, g2, costs)
-        assert got == pytest.approx(expected), f"trial {trial}"
+    for trial in range(300):
+        g1, g2 = (_with_self_loops(rng, _random_mixed_graph(
+            rng, int(rng.integers(1, 5)))) for _ in range(2))
+        assert ged_beam(g1, g2, costs, None)[0] == \
+            brute_force_ged(g1, g2, costs), f"trial {trial}"
 
 
 def test_exact_empty_cases():
     costs = EditCostModel()
     empty = StageGraph([], [])
-    assert ged_exact(empty, empty, costs)[0] == 0.0
+    assert ged_beam(empty, empty, costs, None)[0] == 0.0
     g = _random_stage_graph(np.random.default_rng(1), 3)
     insert_all = len(g.nodes) + len(g.edges)
-    assert ged_exact(empty, g, costs)[0] == insert_all
+    assert ged_beam(empty, g, costs, None)[0] == insert_all
 
 
 def test_exact_size_limit():
-    rng = np.random.default_rng(2)
-    g = _random_stage_graph(rng, 20)
+    """A pair equal up to node ids is answered at once, at any size; any
+    other pair of too many paths is refused."""
+    g = _random_stage_graph(np.random.default_rng(2), 20)
+    part = StageGraph(g.nodes[:19], [e for e in g.edges
+                                     if max(e.src, e.dst) < 19])
+    assert ged_beam(g, g, EditCostModel(), None)[0] == 0.0
     with pytest.raises(SizeError):
-        ged_exact(g, g, EditCostModel())
+        ged_beam(g, part, EditCostModel(), None)
+
+
+def test_path_count_is_the_number_of_complete_paths(monkeypatch, rng):
+    """The last level of an exhaustive search holds one child per complete
+    edit path, as many as ``_path_count`` counts."""
+    last_level = []
+    expand = hged_module._Search.expand
+
+    def counting(self, state, i, top=None, width=0):
+        out = expand(self, state, i, top, width)
+        if i == self.n1 - 1:
+            last_level.extend(out)
+        return out
+    monkeypatch.setattr(hged_module._Search, "expand", counting)
+    monkeypatch.setattr(hged_module, "_beam_keeps_identity",
+                        lambda *_args: False)
+    for _ in range(40):
+        g1, g2 = (_random_mixed_graph(rng, int(rng.integers(1, 6)))
+                  for _ in range(2))
+        last_level.clear()
+        ged_beam(g1, g2, EditCostModel(), None)
+        assert len(last_level) == hged_module._path_count(g1, g2)
+
+
+def test_exact_refuses_before_building_a_search(monkeypatch):
+    """One kind, 7+7 nodes: 130,922 paths, over the limit, refused before a
+    search is built; 7+6 nodes have 37,633 paths and are searched."""
+    g7 = StageGraph([StageNode(k, "block", (float(k),)) for k in range(7)],
+                    [])
+    reversed7, g6 = StageGraph(g7.nodes[::-1], []), StageGraph(g7.nodes[:6], [])
+    assert hged_module._path_count(g7, g6) <= EXACT_PATH_LIMIT < \
+        hged_module._path_count(g7, reversed7)
+
+    def no_search(*_args):
+        raise AssertionError("search built")
+    monkeypatch.setattr(hged_module, "_Search", no_search)
+    with pytest.raises(SizeError, match="130,922 edit paths"):
+        ged_beam(g7, reversed7, EditCostModel(), None)
+    with pytest.raises(AssertionError, match="search built"):
+        ged_beam(g7, g6, EditCostModel(), None)
 
 
 def test_beam_upper_bounds_exact(rng):
@@ -113,7 +169,7 @@ def test_beam_upper_bounds_exact(rng):
     for _ in range(10):
         g1 = _random_stage_graph(rng, int(rng.integers(2, 5)))
         g2 = _random_stage_graph(rng, int(rng.integers(2, 5)))
-        exact, _ = ged_exact(g1, g2, costs)
+        exact, _ = ged_beam(g1, g2, costs, None)
         for width in (1, 4, 16):
             beam, _ = ged_beam(g1, g2, costs, width=width)
             assert beam >= exact - 1e-9
@@ -122,7 +178,7 @@ def test_beam_upper_bounds_exact(rng):
 def test_beam_identity_any_width(dot_module):
     g = build_het_graph(dot_module)
     for width in (1, 2, 64):
-        r = hged(g, g, mode="beam", beam_width=width)
+        r = hged(g, g, width=width)
         assert r.total == 0.0
         assert r.normalized == 0.0
 
@@ -134,7 +190,7 @@ def test_beam_wide_equals_exact_on_small_stage_graphs(rng):
         g2 = _random_stage_graph(rng, int(rng.integers(1, 5)))
         if len(g1.nodes) + len(g2.nodes) > 8:
             continue
-        exact, _ = ged_exact(g1, g2, costs)
+        exact, _ = ged_beam(g1, g2, costs, None)
         beam, _ = ged_beam(g1, g2, costs, width=16)
         assert beam == pytest.approx(exact)
 
@@ -147,23 +203,24 @@ def _corpus_graphs() -> list:
 def test_hged_identity_and_symmetry_on_corpus():
     graphs = _corpus_graphs()
     for g in graphs:
-        assert hged(g, g, mode="exact").total == 0.0
-    # Each pair is of two different designs, in either orientation.  Beam
-    # totals may differ by orientation; see the xfail below.
+        assert hged(g, g, width=None).total == 0.0
+    # Each pair is of two different designs, in either orientation.
     for a, b in itertools.combinations(graphs[:4], 2):
         for x, y in ((a, b), (b, a)):
-            r = hged(x, y, mode="beam", beam_width=16)
+            r = hged(x, y, width=16)
             assert 0.0 < r.normalized <= 1.0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: beam HGED depends "
-                   "on orientation, so a label depends on variant order")
 def test_beam_hged_is_symmetric_on_corpus():
+    """Under the default costs, and under asymmetric costs reversed with the
+    arguments."""
     graphs = _corpus_graphs()
-    for a, b in itertools.combinations(graphs[:4], 2):
-        ab = hged(a, b, mode="beam", beam_width=16).total
-        ba = hged(b, a, mode="beam", beam_width=16).total
-        assert ab == ba
+    for costs in (EditCostModel(), FRACTIONAL_COSTS):
+        for a, b in itertools.combinations(graphs[:4], 2):
+            ab, ba = hged(a, b, costs, 16), hged(b, a, costs.reversed(), 16)
+            assert (ab.total, ab.normalized) == (ba.total, ba.normalized)
+            assert ab.block_mapping == \
+                {v: k for k, v in ba.block_mapping.items()}
 
 
 def test_hged_single_instruction_class_difference():
@@ -176,26 +233,26 @@ block entry:
 """
     g1 = build_het_graph(parse_module(src))
     g2 = build_het_graph(parse_module(src.replace("add i32 %a", "and i32 %a")))
-    r = hged(g1, g2, mode="exact")
+    r = hged(g1, g2, width=None)
     assert r.stage1_cost == 0.0
     assert r.stage2_cost == 1.0
     assert r.total == 1.0
 
 
+def _chain(n: int) -> HetGraph:
+    """A function of ``n`` blocks, each branching to the next."""
+    blocks = "\n".join(f"block b{i}:\n  br b{i + 1}" for i in range(n - 1))
+    return build_het_graph(parse_module(
+        f"top func @f(%a: i32) -> i32 {{\n{blocks}\n"
+        f"block b{n - 1}:\n  ret i32 %a\n}}\n"))
+
+
 def test_hged_exact_mode_skeleton_limit():
-    blocks = "\n".join(
-        f"block b{i}:\n  br b{i + 1}" for i in range(14))
-    src = f"""
-top func @f(%a: i32) -> i32 {{
-{blocks}
-block b14:
-  ret i32 %a
-}}
-"""
-    g = build_het_graph(parse_module(src))
+    g, h = _chain(14), _chain(13)
     with pytest.raises(SizeError):
-        hged(g, g, mode="exact")
-    assert hged(g, g, mode="beam").total == 0.0
+        hged(g, h, width=None)
+    assert hged(g, g, width=None).total == 0.0
+    assert hged(g, h).total > 0.0
 
 
 def test_triangle_inequality_on_skeletons(rng):
@@ -203,9 +260,9 @@ def test_triangle_inequality_on_skeletons(rng):
     graphs = [_random_stage_graph(rng, int(rng.integers(1, 4)))
               for _ in range(9)]
     for a, b, c in itertools.combinations(range(9), 3):
-        ab = ged_exact(graphs[a], graphs[b], costs)[0]
-        bc = ged_exact(graphs[b], graphs[c], costs)[0]
-        ac = ged_exact(graphs[a], graphs[c], costs)[0]
+        ab = ged_beam(graphs[a], graphs[b], costs, None)[0]
+        bc = ged_beam(graphs[b], graphs[c], costs, None)[0]
+        ac = ged_beam(graphs[a], graphs[c], costs, None)[0]
         assert ac <= ab + bc + 1e-9
 
 
@@ -215,26 +272,27 @@ def test_normalized_in_unit_interval():
     rng = np.random.default_rng(0)
     for _ in range(12):
         i, j = rng.integers(0, len(graphs), size=2)
-        r = hged(graphs[int(i)], graphs[int(j)], mode="beam", beam_width=8)
+        r = hged(graphs[int(i)], graphs[int(j)], width=8)
         assert 0.0 <= r.normalized <= 1.0
 
 
 def test_block_mapping_comes_from_stage1(dot_module):
     g = build_het_graph(dot_module)
-    r = hged(g, g, mode="exact")
+    r = hged(g, g, width=None)
     # identity mapping over the block nodes
     assert all(k == v for k, v in r.block_mapping.items())
     assert len(r.block_mapping) == len(dot_module.top.blocks)
 
 
-#: ``float.hex`` of every label of a small ``dataset_gen`` call, pinned from
-#: the earlier search that rebuilt its bound for every child.  The incremental
-#: bound, the identity short-circuit and the memo must leave each bit as is.
+#: ``float.hex`` of every label of a small ``dataset_gen`` call, pinned when
+#: self-loops were first priced and each pair first searched in key order.
+#: The incremental bound, the identity short-circuit, the memo and the beam
+#: cutoff keep each bit.
 PINNED_LABELS = [
-    "0x1.19d5b98a919d6p-1", "0x1.3a8fe53a8fe54p-1", "0x1.2323232323232p-1",
-    "0x1.267bd1267bd12p-4", "0x1.231188c462312p-1", "0x1.1000000000000p-2",
-    "0x1.3400000000000p-1", "0x1.2138abf82ee6ap-2", "0x1.1e9131abf0b76p-1",
-    "0x1.1111111111111p-3", "0x1.1f81f81f81f82p-1",
+    "0x1.19d5b98a919d6p-1", "0x1.1fca751fca752p-2", "0x1.267bd1267bd12p-1",
+    "0x1.267bd1267bd12p-3", "0x1.269349a4d2693p-1", "0x1.3000000000000p-2",
+    "0x1.4000000000000p-1", "0x1.2138abf82ee6ap-2", "0x1.226357e16ece5p-1",
+    "0x1.1111111111111p-3", "0x1.2372372372372p-1",
 ]
 
 
@@ -267,8 +325,10 @@ FRACTIONAL_COSTS = EditCostModel(
     edge_sub_mismatch=0.35, w1=0.6, w2=1.3)
 
 #: sha256 of ``_fractional_results``, pinned before the search tabulated
-#: its per-child costs: every cost and mapping must keep each bit.
-PINNED_FRACTIONAL = "14bd047a420d2d71410dccae6ecee78439363054d6f11aba1ad701270087f37d"
+#: its per-child costs, and again when exhaustion replaced best-first search
+#: and ``hged`` began to search each pair in key order: every cost and
+#: mapping must keep each bit.
+PINNED_FRACTIONAL = "390134ff69d925d19fc2433f52f7ce50aa7a5255dae922b58bda9900b92edce6"
 
 
 def _random_mixed_graph(rng, n: int) -> StageGraph:
@@ -286,9 +346,9 @@ def _random_mixed_graph(rng, n: int) -> StageGraph:
 
 
 def _fractional_results():
-    """Yields a line per result: ``ged_beam`` (widths 1 and 16) and, on small
-    pairs, ``ged_exact`` costs and mappings under FRACTIONAL_COSTS, then the
-    beam ``hged`` costs of corpus graph pairs."""
+    """Yields a line per result: ``ged_beam`` (widths 1 and 16, and None on
+    small pairs) costs and mappings under FRACTIONAL_COSTS, then the beam
+    ``hged`` costs of corpus graph pairs."""
     costs = FRACTIONAL_COSTS
     designs = corpus_gen(8, 3)[2:]
     stage = [_stage_graphs(parse_module(t)) for _n, t in designs]
@@ -305,11 +365,11 @@ def _fractional_results():
                 cost, mapping = ged_beam(g1, g2, costs, width, *extras)
                 yield f"beam {cost.hex()} {sorted(mapping.items())}"
         if len(g1.nodes) + len(g2.nodes) <= 8:
-            cost, mapping = ged_exact(g1, g2, costs)
+            cost, mapping = ged_beam(g1, g2, costs, None)
             yield f"exact {cost.hex()} {sorted(mapping.items())}"
     graphs = [build_het_graph(parse_module(t)) for _n, t in designs]
     for a, b in zip(graphs, graphs[1:] + graphs[:1]):
-        r = hged(a, b, costs, mode="beam", beam_width=8)
+        r = hged(a, b, costs, 8)
         yield " ".join(x.hex() for x in (r.stage1_cost, r.stage2_cost,
                                           r.total, r.normalized))
 
@@ -323,7 +383,7 @@ def test_fractional_costs_are_bit_identical_to_pinned():
 
 def test_beam_returns_identity_on_renumbered_copy(monkeypatch):
     """Equal up to node ids: cost 0 and the positional identity, at once and
-    also when the search runs in full."""
+    also when the search runs in full, exhaustively where it may."""
     costs = EditCostModel()
     graphs = [g for _n, t in corpus_gen(8, 3)[2:]
               for g in _stage_graphs(parse_module(t))]
@@ -331,13 +391,15 @@ def test_beam_returns_identity_on_renumbered_copy(monkeypatch):
     for g in graphs:
         h = _renumbered(g)
         identity = {a.nid: b.nid for a, b in zip(g.nodes, h.nodes)}
-        expected.append((g, h, identity))
-        for width in (1, 16):
+        small = hged_module._path_count(g, h) <= EXACT_PATH_LIMIT
+        expected.append((g, h, identity, (1, 16, None) if small else (1, 16)))
+        for width in (1, 16, None):
             assert ged_beam(g, h, costs, width, 1.0, 1.0) == (0.0, identity)
     monkeypatch.setattr(hged_module, "_beam_keeps_identity",
                         lambda *_args: False)
-    for g, h, identity in expected:
-        for width in (1, 16):
+    assert any(None in widths for *_graphs, widths in expected)
+    for g, h, identity, widths in expected:
+        for width in widths:
             assert ged_beam(g, h, costs, width, 1.0, 1.0) == (0.0, identity)
 
 
@@ -445,16 +507,16 @@ def test_memo_hit_returns_the_fresh_result(monkeypatch):
     designs = corpus_gen(6, seed=3)[2:]
     a, b = (build_het_graph(parse_module(t)) for _n, t in designs[:2])
     a2 = _renumbered_het(a)
-    fresh, fresh2 = (hged(x, b, mode="beam", beam_width=8) for x in (a, a2))
+    fresh, fresh2 = (hged(x, b, width=8) for x in (a, a2))
     memo: dict = {}
-    assert hged(a, b, mode="beam", beam_width=8, memo=memo) == fresh
+    assert hged(a, b, width=8, memo=memo) == fresh
     assert memo
 
     def no_search(*_args):
         raise AssertionError("a memo hit must not search")
     monkeypatch.setattr(hged_module, "ged_beam", no_search)
-    assert hged(a2, b, mode="beam", beam_width=8, memo=memo) == fresh2
-    assert hged(a, b, mode="beam", beam_width=8, memo=memo) == fresh
+    assert hged(a2, b, width=8, memo=memo) == fresh2
+    assert hged(a, b, width=8, memo=memo) == fresh
 
 
 def test_memo_views_return_the_memoless_result():
@@ -467,8 +529,8 @@ def test_memo_views_return_the_memoless_result():
     for costs in (EditCostModel(), FRACTIONAL_COSTS):
         memo: dict = {}
         for x, y in pairs:
-            got = hged(x, y, costs, mode="beam", beam_width=8, memo=memo)
-            assert got == hged(x, y, costs, mode="beam", beam_width=8)
+            got = hged(x, y, costs, 8, memo)
+            assert got == hged(x, y, costs, 8)
         views = [v for v in memo.values()
                  if isinstance(v, hged_module._StageView)]
         assert sorted(id(v.graph) for v in views) == \
@@ -482,8 +544,8 @@ def test_memoless_hged_caches_nothing(monkeypatch):
     view = hged_module._stage_view
     monkeypatch.setattr(hged_module, "_stage_view",
                         lambda g, memo=None: built.append(g) or view(g, memo))
-    first = hged(a, b, mode="beam", beam_width=8)
-    assert hged(a, b, mode="beam", beam_width=8) == first
+    first = hged(a, b, width=8)
+    assert hged(a, b, width=8) == first
     assert built == [a, b, a, b]
     gc.collect()
     assert not [o for o in gc.get_objects()
@@ -491,18 +553,14 @@ def test_memoless_hged_caches_nothing(monkeypatch):
                 and (o.graph is a or o.graph is b)]
 
 
-#: Known HGED defects (ROADMAP item 5).  A fix moves labels, and shows here
-#: as an XPASS.
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the label bound "
-                   "counts the node just decided, so it is not admissible")
 def test_exact_finds_the_single_deletion():
+    """The label bound counts the node just decided, so a best-first search
+    under it returned 2 here; exhaustion does not rely on the bound."""
     a, b = StageNode(0, "block", (1.0,)), StageNode(1, "block", (2.0,))
-    assert ged_exact(StageGraph([a, b], []), StageGraph([a], []),
-                     EditCostModel())[0] == 1.0
+    assert ged_beam(StageGraph([a, b], []), StageGraph([a], []),
+                    EditCostModel(), None)[0] == 1.0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: self-loops go "
-                   "unpriced")
 @pytest.mark.parametrize("search", ["exact", "beam"])
 @pytest.mark.parametrize("looped_first", [True, False])
 def test_a_self_loop_costs_its_edge(search, looped_first):
@@ -511,8 +569,8 @@ def test_a_self_loop_costs_its_edge(search, looped_first):
               StageGraph([node], [])]
     if not looped_first:
         graphs.reverse()
-    run = ged_exact if search == "exact" else ged_beam
-    assert run(*graphs, EditCostModel())[0] == 1.0
+    width = None if search == "exact" else 1
+    assert ged_beam(*graphs, EditCostModel(), width)[0] == 1.0
 
 
 @pytest.mark.parametrize("doc", [
