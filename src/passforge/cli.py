@@ -662,7 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="edit-cost JSON (EditCostModel fields) overriding "
                         "the unit defaults")
     p.add_argument("--mode", default="beam:32", help="exact | beam:WIDTH; exact "
-                   "searches every edit path, and refuses a stage pair of more "
+                   "searches every edit path of each stage, so the total is the "
+                   "cheapest stage 2 under the block mapping stage 1 returns, "
+                   "not the two-stage optimum, and refuses a stage pair of more "
                    f"than {EXACT_PATH_LIMIT:,} paths")
 
     p = command("corpus-gen", cmd_corpus_gen, "generate synthetic kernels",

@@ -81,16 +81,19 @@ class RgcnConfig:
 
 
 @dataclass
-class GraphData:
-    """Dense arrays extracted once per graph."""
+class GraphUnion:
+    """Disjoint union of graphs: stacked rows and offset node ids."""
     x: np.ndarray                                  # (N, input_dim)
     rel_edges: dict[str, tuple[np.ndarray, np.ndarray]]  # rel -> (src, dst)
     rel_deg: dict[str, np.ndarray]                 # rel -> per-dst in-degree
-    group_nodes: dict[str, np.ndarray]             # group -> member node ids
+    rel_ranges: dict[str, list[tuple[int, int]]]   # rel -> per-graph edges
+    group_nodes: list[dict[str, np.ndarray]]       # per graph: group -> ids
+    rows: list[tuple[int, int]]                    # per-graph row range
     num_nodes: int
 
 
-def graph_data(g: HetGraph, config: RgcnConfig | None = None) -> GraphData:
+def graph_data(g: HetGraph, config: RgcnConfig | None = None) -> GraphUnion:
+    """The dense arrays of ``g``, as a union of one graph."""
     config = config or RgcnConfig()
     n = g.num_nodes
     x = np.zeros((n, config.input_dim))
@@ -117,52 +120,44 @@ def graph_data(g: HetGraph, config: RgcnConfig | None = None) -> GraphData:
         group_members[gname].add(e.src)
         group_members[gname].add(e.dst)
 
-    rel_edges = {}
-    rel_deg = {}
+    rel_edges, rel_deg, rel_ranges = {}, {}, {}
     for rel in config.relations:
         src, dst = by_rel.get(rel, ([], []))
         src_a = np.asarray(src, dtype=np.int64)
         dst_a = np.asarray(dst, dtype=np.int64)
         rel_edges[rel] = (src_a, dst_a)
         rel_deg[rel] = np.maximum(np.bincount(dst_a, minlength=n), 1.0)
+        rel_ranges[rel] = [(0, len(src))]
 
     groups = {gname: np.asarray(sorted(members), dtype=np.int64)
               for gname, members in group_members.items()}
-    return GraphData(x, rel_edges, rel_deg, groups, n)
+    return GraphUnion(x, rel_edges, rel_deg, rel_ranges, [groups], [(0, n)], n)
 
 
-@dataclass
-class GraphUnion:
-    """Disjoint union of graphs: stacked rows and offset node ids."""
-    x: np.ndarray                                  # (N, input_dim)
-    rel_edges: dict[str, tuple[np.ndarray, np.ndarray]]  # rel -> (src, dst)
-    rel_deg: dict[str, np.ndarray]                 # rel -> per-dst in-degree
-    rel_ranges: dict[str, list[tuple[int, int]]]   # rel -> per-graph edges
-    group_nodes: list[dict[str, np.ndarray]]       # per graph: group -> ids
-    rows: list[tuple[int, int]]                    # per-graph row range
-    num_nodes: int
+def _join(ranges: list[list[tuple[int, int]]],
+          sizes: list[int]) -> list[tuple[int, int]]:
+    """Each part's ranges, in order, shifted past the parts before it."""
+    starts = np.cumsum([0] + sizes).tolist()
+    return [(a + s, b + s) for part, s in zip(ranges, starts) for a, b in part]
 
 
-def _ranges(sizes: list[int]) -> list[tuple[int, int]]:
-    ends = np.cumsum([0] + sizes).tolist()
-    return list(zip(ends[:-1], ends[1:]))
-
-
-def graph_union(gds: list[GraphData]) -> GraphUnion:
-    """The graphs of ``gds``, in order, as one graph."""
-    rows = _ranges([gd.num_nodes for gd in gds])
-    starts = [start for start, _ in rows]
+def graph_union(parts: list[GraphUnion]) -> GraphUnion:
+    """The graphs of ``parts``, in order, as one union."""
+    sizes = [u.num_nodes for u in parts]
+    starts = np.cumsum([0] + sizes).tolist()
     rel_edges, rel_deg, rel_ranges = {}, {}, {}
-    for rel in gds[0].rel_edges:
-        srcs = [gd.rel_edges[rel][0] + s for gd, s in zip(gds, starts)]
-        dsts = [gd.rel_edges[rel][1] + s for gd, s in zip(gds, starts)]
+    for rel in parts[0].rel_edges:
+        srcs = [u.rel_edges[rel][0] + s for u, s in zip(parts, starts)]
+        dsts = [u.rel_edges[rel][1] + s for u, s in zip(parts, starts)]
         rel_edges[rel] = (np.concatenate(srcs), np.concatenate(dsts))
-        rel_deg[rel] = np.concatenate([gd.rel_deg[rel] for gd in gds])
-        rel_ranges[rel] = _ranges([len(src) for src in srcs])
-    groups = [{gname: members + s for gname, members in gd.group_nodes.items()}
-              for gd, s in zip(gds, starts)]
-    return GraphUnion(np.concatenate([gd.x for gd in gds]), rel_edges,
-                      rel_deg, rel_ranges, groups, rows, rows[-1][1])
+        rel_deg[rel] = np.concatenate([u.rel_deg[rel] for u in parts])
+        rel_ranges[rel] = _join([u.rel_ranges[rel] for u in parts],
+                                [len(src) for src in srcs])
+    groups = [{gname: members + s for gname, members in members_of.items()}
+              for u, s in zip(parts, starts) for members_of in u.group_nodes]
+    return GraphUnion(np.concatenate([u.x for u in parts]), rel_edges,
+                      rel_deg, rel_ranges, groups,
+                      _join([u.rows for u in parts], sizes), starts[-1])
 
 
 def _flat(rows: np.ndarray, width: int) -> np.ndarray:
@@ -332,7 +327,7 @@ def backward(u: GraphUnion, params: dict[str, np.ndarray],
 def embed(g: HetGraph, params: dict[str, np.ndarray],
           config: RgcnConfig | None = None) -> np.ndarray:
     config = config or RgcnConfig()
-    outs, _ = forward(graph_union([graph_data(g, config)]), params, config)
+    outs, _ = forward(graph_data(g, config), params, config)
     return outs[0]
 
 
@@ -342,7 +337,7 @@ def embed(g: HetGraph, params: dict[str, np.ndarray],
 # ---------------------------------------------------------------------------
 
 def pair_loss(params: dict[str, np.ndarray], config: RgcnConfig,
-              graph_datas: list[GraphData],
+              graph_datas: list[GraphUnion],
               pairs: list[tuple[int, int, float]],
               unions: dict | None = None) -> float:
     loss, _ = pair_loss_grad(params, config, graph_datas, pairs,
@@ -351,7 +346,7 @@ def pair_loss(params: dict[str, np.ndarray], config: RgcnConfig,
 
 
 def pair_loss_grad(params: dict[str, np.ndarray], config: RgcnConfig,
-                   graph_datas: list[GraphData],
+                   graph_datas: list[GraphUnion],
                    pairs: list[tuple[int, int, float]],
                    want_grads: bool = True, unions: dict | None = None):
     """Mean over pairs of ((1 - cos)/2 - label)^2 and its exact gradient.

@@ -13,6 +13,9 @@ from .model import (
 )
 
 
+LR = 1e-3  # Adam's step size
+
+
 @dataclass
 class TrainPair:
     i: int
@@ -23,7 +26,6 @@ class TrainPair:
 
 @dataclass
 class PretrainConfig:
-    lr: float = 1e-3
     batch_size: int = 64
     max_epochs: int = 200
     patience: int = 20
@@ -57,7 +59,7 @@ def pretrain(graphs: list[HetGraph], pairs: list[TrainPair],
         val_pairs = train_pairs
 
     params = init_params(model_config, train_config.seed)
-    opt = Adam(params, train_config.lr)
+    opt = Adam(params, LR)
     best_val = float("inf")
     best_params = {k: v.copy() for k, v in params.items()}
     log: list[TrainLogEntry] = []

@@ -17,14 +17,17 @@ agree, and under symmetric costs a result does not depend on argument order.
 Each stage pair is one search over edit paths (``ged_beam``).  A width
 returns an upper bound; ``width=None`` keeps every child, so the search is
 exhaustive and exact, and it refuses a pair of more than
-``EXACT_PATH_LIMIT`` complete paths.  Level i maps G1's node i to an unused
-G2 node of its kind or deletes it, in a fixed candidate order.  A
-substitution also reconciles the two nodes' self-loops, and a deletion
-deletes them.  A search state carries what its bound needs, besides its
-cost and mapping: G2's unused nodes counted per label and per kind, its
-unused-to-unused edges counted per relation, and the label term of the
-bound.  A child updates these from per-node label ids and incident-edge
-lists.  Each search tabulates what all children at a level
+``EXACT_PATH_LIMIT`` complete paths.  Exact mode is exact per stage: its
+total is the cheapest stage 2 under the block mapping stage 1 returns, not
+the two-stage optimum (``corpus_gen(12, 0)``'s ``nested2_03`` against
+``two_func_08`` totals 74, and 61 under another tied mapping).  Level i
+maps G1's node i to an unused G2 node of its kind or deletes it, in a fixed
+candidate order.  A substitution also reconciles the two nodes' self-loops,
+and a deletion deletes them.  A search state carries what its bound
+needs, besides its cost and mapping: G2's unused nodes counted per label
+and per kind, its unused-to-unused edges counted per relation, and the
+label term of the bound.  A child updates these from per-node label ids
+and incident-edge lists.  Each search tabulates what all children at a level
 share: G1's label, kind and relation counts over nodes i.., node i's deletion
 cost, and each adjacency's one-sided edge cost (``_edge_pair_cost`` against no
 edges) on both sides.  A substitution prices only the earlier nodes adjacent
@@ -68,9 +71,10 @@ returns what a fresh search would.  The memo belongs to its caller:
 a call given none makes its own, which it drops on return.
 The memo also holds each graph's ``_StageView`` (skeleton, per-block
 instruction graphs with their cached keys, data-flow and cross-block edges),
-keyed by the graph's id, and the view's share of the normalizing
-denominator, per side and cost model.  The view holds the graph, so the id
-is not reused, and the graph must not be mutated, while the memo lives.
+keyed by the graph's id, and what deleting or inserting the whole graph
+costs, its share of the normalizing denominator, per side and cost model.
+The view holds the graph, so the id is not reused, and the graph must not
+be mutated, while the memo lives.
 """
 from __future__ import annotations
 
@@ -215,7 +219,7 @@ class HgedResult:
     total: float
     normalized: float
     block_mapping: dict[int, int]
-    exact: bool
+    exact: bool   # per stage, not the two-stage optimum (see ``hged``)
 
 
 def _edge_pair_cost(rels1: tuple, rels2: tuple, costs: EditCostModel) -> float:
@@ -242,25 +246,6 @@ def _edge_pair_cost(rels1: tuple, rels2: tuple, costs: EditCostModel) -> float:
     for rel in extra2[subs:]:
         cost += costs.e_ins(rel)
     return cost
-
-
-def _serial_sum(values) -> float:
-    """Left-to-right float sum.  The builtin ``sum`` compensates rounding
-    from Python 3.12 on, which would make labels depend on the version."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
-def _delete_all_cost(g: StageGraph, costs: EditCostModel) -> float:
-    return (_serial_sum(costs.n_del(n.kind) for n in g.nodes)
-            + _serial_sum(costs.e_del(e.rel) for e in g.edges))
-
-
-def _insert_all_cost(g: StageGraph, costs: EditCostModel) -> float:
-    return (_serial_sum(costs.n_ins(n.kind) for n in g.nodes)
-            + _serial_sum(costs.e_ins(e.rel) for e in g.edges))
 
 
 _NO_EDGES = ((), ())
@@ -602,9 +587,10 @@ def ged_beam(g1: StageGraph, g2: StageGraph, costs: EditCostModel,
         children = [c for state in level
                     for c in search.expand(state, i, top, width)]
         children.sort(key=itemgetter(0))
-        level = [search.settle(c, i) for c in children[:width]]
-    # The sort is stable and f is the full cost on the last level, so the
-    # first state is the cheapest path, the earliest one on ties.
+        # The sort is stable and f is the full cost on the last level, so
+        # its first child is the cheapest path, the earliest one on ties.
+        keep = width if i + 1 < search.n1 else 1
+        level = [search.settle(c, i) for c in children[:keep]]
     return search.total(level[0])
 
 
@@ -675,19 +661,20 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
          memo: dict | None = None) -> HgedResult:
     """Two-stage edit distance between two program graphs, each stage pair
     searched by ``ged_beam`` at ``width``.  A width yields an upper bound
-    and never errors; None is exact mode, which raises SizeError on a stage
-    pair of more than ``EXACT_PATH_LIMIT`` paths.  Swapping the arguments
-    and reversing the costs inverts the block mapping and keeps the rest
-    (see the module docstring).  ``memo``, a dict the caller owns and passes
-    to each call, caches each graph's stage view and stage results (see the
-    module docstring); without one, the call makes its own."""
+    and never errors; None is exact mode, whose total is the cheapest stage
+    2 under the block mapping stage 1 returns, not the two-stage optimum;
+    it raises SizeError on a stage pair of more than ``EXACT_PATH_LIMIT``
+    paths.  Swapping the arguments and reversing the costs inverts the
+    block mapping and keeps the rest (see the module docstring).
+    ``memo``, a dict the caller owns and passes to each call, caches each
+    graph's stage view and stage results (see the module docstring);
+    without one, the call makes its own."""
     costs = costs or EditCostModel()
     memo = {} if memo is None else memo
     v1, v2 = _stage_view(g1, memo), _stage_view(g2, memo)
     swapped = v2.key < v1.key
     if swapped:
         v1, v2, costs = v2, v1, costs.reversed()
-    sk1, sk2 = v1.skeleton, v2.skeleton
     cost_key = repr(costs)
 
     def run_stage(a: StageGraph, b: StageGraph, del_extra=0.0, ins_extra=0.0):
@@ -700,7 +687,7 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
         return cost, {n.nid: b.nodes[t].nid for n, t in zip(a.nodes, targets)
                       if t is not None}
 
-    stage1_cost, sk_mapping = run_stage(sk1, sk2)
+    stage1_cost, sk_mapping = run_stage(v1.skeleton, v2.skeleton)
     block_mapping = {src: dst for src, dst in sk_mapping.items()
                      if src in v1.blocks}
 
@@ -743,9 +730,10 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
             stage2_cost += costs.e_ins(rel)
 
     total = costs.w1 * stage1_cost + costs.w2 * stage2_cost
-    denom = (costs.w1 * (_delete_all_cost(sk1, costs) + _insert_all_cost(sk2, costs))
-             + costs.w2 * (_stage2_denom(v1, costs, True, memo, cost_key)
-                           + _stage2_denom(v2, costs, False, memo, cost_key)))
+    sk_del, instrs_del = _whole_cost(v1, costs, True, memo, cost_key)
+    sk_ins, instrs_ins = _whole_cost(v2, costs, False, memo, cost_key)
+    denom = (costs.w1 * (sk_del + sk_ins)
+             + costs.w2 * (instrs_del + instrs_ins))
     normalized = 0.0 if denom == 0 else min(1.0, total / denom)
     if swapped:
         block_mapping = {b2: b1 for b1, b2 in block_mapping.items()}
@@ -753,22 +741,26 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
                       block_mapping, width is None)
 
 
-def _stage2_denom(view: _StageView, costs: EditCostModel, deleting: bool,
-                  memo: dict, cost_key: str) -> float:
-    """Deleting (or inserting) ``view``'s instructions and their edges;
-    memoized per view, side and cost model."""
-    key = ("denom", id(view.graph), deleting, cost_key)
-    if key in memo:
-        return memo[key]
-    affil = Relation.AFFIL_INSTR_BLOCK.value
-    c = 0.0
-    for sub in view.per_block.values():
-        for n in sub.nodes:
-            if deleting:
-                c += costs.n_del(n.kind) + costs.e_del(affil)
-            else:
-                c += costs.n_ins(n.kind) + costs.e_ins(affil)
-    for e in view.data:
-        c += costs.e_del(e.relation.value) if deleting else costs.e_ins(e.relation.value)
-    memo[key] = c
-    return c
+def _whole_cost(view: _StageView, costs: EditCostModel, deleting: bool,
+                memo: dict, cost_key: str) -> tuple[float, float]:
+    """The skeleton cost and the instruction cost of deleting (or inserting)
+    all of ``view``'s graph; memoized per view, side and cost model.  Each
+    is a left-to-right float sum: the builtin ``sum`` compensates rounding
+    from Python 3.12 on, which would make labels depend on the version."""
+    key = ("whole", id(view.graph), deleting, cost_key)
+    if key not in memo:
+        node, edge = ((costs.n_del, costs.e_del) if deleting
+                      else (costs.n_ins, costs.e_ins))
+        nodes = edges = instrs = 0.0
+        for n in view.skeleton.nodes:
+            nodes += node(n.kind)
+        for e in view.skeleton.edges:
+            edges += edge(e.rel)
+        affil = Relation.AFFIL_INSTR_BLOCK.value
+        for sub in view.per_block.values():
+            for n in sub.nodes:
+                instrs += node(n.kind) + edge(affil)
+        for e in view.data:
+            instrs += edge(e.relation.value)
+        memo[key] = (nodes + edges, instrs)
+    return memo[key]

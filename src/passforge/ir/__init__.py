@@ -15,7 +15,6 @@ from .interp import (
 from .analysis import (
     DomTree, Loop, LoopForest, dedicated_preheader, natural_loops,
     pointer_target, postorder, predecessor_map, refresh_loop_annotations,
-    successor_map,
 )
 
 __all__ = [
@@ -31,5 +30,5 @@ __all__ = [
     "check_inputs", "interpret",
     "DomTree", "Loop", "LoopForest", "dedicated_preheader", "natural_loops",
     "pointer_target", "postorder", "predecessor_map",
-    "refresh_loop_annotations", "successor_map",
+    "refresh_loop_annotations",
 ]

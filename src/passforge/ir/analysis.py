@@ -39,10 +39,6 @@ def pointer_target(defs: dict[str, IrInstruction],
     return None
 
 
-def successor_map(fn: IrFunction) -> dict[str, list[str]]:
-    return {b.label: b.successors() for b in fn.blocks}
-
-
 def predecessor_map(fn: IrFunction) -> dict[str, list[str]]:
     preds: dict[str, list[str]] = {b.label: [] for b in fn.blocks}
     for b in fn.blocks:
@@ -82,7 +78,8 @@ class DomTree:
     from, over every block."""
 
     def __init__(self, fn: IrFunction):
-        self.rpo = rpo = postorder(fn.entry.label, successor_map(fn))[::-1]
+        succs = {b.label: b.successors() for b in fn.blocks}
+        self.rpo = rpo = postorder(fn.entry.label, succs)[::-1]
         self.preds = preds = predecessor_map(fn)
         index = {lab: i for i, lab in enumerate(rpo)}
         entry = fn.entry.label

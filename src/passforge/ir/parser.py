@@ -110,11 +110,6 @@ class _Line:
                                 self.lineno, col)
 
 
-def _strip_comment(text: str) -> str:
-    i = text.find(";")
-    return text if i < 0 else text[:i]
-
-
 def _parse_type(ln: _Line, allow_array: bool = False) -> IrType:
     kind, val, col = ln.peek()
     if kind != "ident":
@@ -135,14 +130,14 @@ def _parse_type(ln: _Line, allow_array: bool = False) -> IrType:
     raise IrSyntaxError(f"unknown type {val!r}", ln.lineno, col)
 
 
-def _parse_value_or_const(ln: _Line, ty: IrType = I32):
+def _parse_value_or_const(ln: _Line):
     kind, val, col = ln.peek()
     if kind == "value":
         ln.next()
         return ValueRef(val[1:])
     if kind == "number":
         ln.next()
-        return Const(int(val), ty)
+        return Const(int(val))
     raise IrSyntaxError(f"expected value or constant, found {val!r}",
                         ln.lineno, col)
 
@@ -182,9 +177,9 @@ def _parse_instruction(ln: _Line) -> IrInstruction:
 
     if cls is InstrClass.BINARY or cls is InstrClass.BITWISE:
         ty = _parse_type(ln)
-        lhs = _parse_value_or_const(ln, ty)
+        lhs = _parse_value_or_const(ln)
         ln.expect(",")
-        rhs = _parse_value_or_const(ln, ty)
+        rhs = _parse_value_or_const(ln)
         return IrInstruction(result, opcode, [lhs, rhs], ty)
 
     if op == "icmp":
@@ -192,19 +187,19 @@ def _parse_instruction(ln: _Line) -> IrInstruction:
         if pred not in ICMP_PREDICATES:
             raise IrSyntaxError(f"unknown icmp predicate {pred!r}",
                                 ln.lineno, col)
-        ty = _parse_type(ln)
-        lhs = _parse_value_or_const(ln, ty)
+        _parse_type(ln)
+        lhs = _parse_value_or_const(ln)
         ln.expect(",")
-        rhs = _parse_value_or_const(ln, ty)
+        rhs = _parse_value_or_const(ln)
         return IrInstruction(result, Opcode.ICMP, [lhs, rhs], I1, pred=pred)
 
     if op == "select":
-        cond = _parse_value_or_const(ln, I1)
+        cond = _parse_value_or_const(ln)
         ln.expect(",")
         ty = _parse_type(ln)
-        tv = _parse_value_or_const(ln, ty)
+        tv = _parse_value_or_const(ln)
         ln.expect(",")
-        fv = _parse_value_or_const(ln, ty)
+        fv = _parse_value_or_const(ln)
         return IrInstruction(result, Opcode.SELECT, [cond, tv, fv], ty)
 
     if op == "phi":
@@ -212,7 +207,7 @@ def _parse_instruction(ln: _Line) -> IrInstruction:
         operands = []
         while True:
             ln.expect("[")
-            v = _parse_value_or_const(ln, ty)
+            v = _parse_value_or_const(ln)
             ln.expect(",")
             label = ln.expect_kind("ident")
             ln.expect("]")
@@ -227,8 +222,8 @@ def _parse_instruction(ln: _Line) -> IrInstruction:
         return IrInstruction(result, Opcode.LOAD, [ptr], ty)
 
     if op == "store":
-        ty = _parse_type(ln)
-        v = _parse_value_or_const(ln, ty)
+        _parse_type(ln)
+        v = _parse_value_or_const(ln)
         ln.expect(",")
         ptr = _parse_value_or_const(ln)
         return IrInstruction(None, Opcode.STORE, [v, ptr], VOID)
@@ -240,8 +235,8 @@ def _parse_instruction(ln: _Line) -> IrInstruction:
         return IrInstruction(result, Opcode.GETELEMENTPTR, [arr, idx], PTR)
 
     if cls is InstrClass.CAST:
-        src_ty = _parse_type(ln)
-        v = _parse_value_or_const(ln, src_ty)
+        _parse_type(ln)
+        v = _parse_value_or_const(ln)
         ln.expect("to")
         dst_ty = _parse_type(ln)
         return IrInstruction(result, opcode, [v], dst_ty)
@@ -264,7 +259,7 @@ def _parse_instruction(ln: _Line) -> IrInstruction:
         return IrInstruction(None, Opcode.BR, [LabelRef(label)], VOID)
 
     if op == "condbr":
-        cond = _parse_value_or_const(ln, I1)
+        cond = _parse_value_or_const(ln)
         ln.expect(",")
         t = ln.expect_kind("ident")
         ln.expect(",")
@@ -278,7 +273,7 @@ def _parse_instruction(ln: _Line) -> IrInstruction:
         ln.next()
         return IrInstruction(None, Opcode.RET, [], VOID)
     ty = _parse_type(ln)
-    val_op = _parse_value_or_const(ln, ty)
+    val_op = _parse_value_or_const(ln)
     return IrInstruction(None, Opcode.RET, [val_op], ty)
 
 
@@ -361,7 +356,7 @@ def parse_module(text: str, verify: bool = True) -> IrModule:
     explicit_top = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = _strip_comment(raw).strip()
+        stripped = raw.partition(";")[0].strip()
         if not stripped:
             continue
         if stripped.startswith("#pragma"):

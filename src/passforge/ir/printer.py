@@ -15,10 +15,6 @@ from .types import (
 )
 
 
-def _operand(op) -> str:
-    return str(op)
-
-
 def print_instruction(ins: IrInstruction) -> str:
     op = ins.opcode
     head = f"%{ins.result} = " if ins.result is not None else ""
@@ -42,7 +38,7 @@ def print_instruction(ins: IrInstruction) -> str:
         src = "i1" if str(ins.ir_type) == "i32" else "i32"
         return f"{head}{op.value} {src} {ins.operands[0]} to {ins.ir_type}"
     if op is Opcode.CALL:
-        args = ", ".join(_operand(a) for a in ins.operands)
+        args = ", ".join(str(a) for a in ins.operands)
         return f"{head}call {ins.ir_type} @{ins.callee}({args})"
     if op is Opcode.BR:
         return f"br {ins.operands[0]}"

@@ -149,7 +149,6 @@ class ValueRef:
 @dataclass(frozen=True)
 class Const:
     value: int
-    type: IrType = I32
 
     def __str__(self) -> str:
         return str(self.value)

@@ -34,9 +34,8 @@ from .inst_passes import (
     run_reassociate,
 )
 from .loop_passes import (
-    find_basic_iv, loop_trip_count, run_indvars, run_licm, run_loop_deletion,
+    loop_trip_count, run_indvars, run_licm, run_loop_deletion,
     run_loop_rotate, run_loop_simplify, run_loop_unroll_partial,
-    unrollable_shape,
 )
 from .mem_passes import run_dse, run_mem2reg
 from .pragma_passes import (
@@ -286,6 +285,5 @@ def apply_sequence(m: IrModule, seq, memo: Transitions | None = None,
 __all__ = [
     "CatalogEntry", "PassError", "PassId", "PassResult", "PragmaError",
     "Transitions", "apply_pass", "apply_pragma_passes", "apply_sequence",
-    "find_basic_iv", "general_passes", "loop_trip_count", "pass_catalog",
-    "unrollable_shape",
+    "general_passes", "loop_trip_count", "pass_catalog",
 ]

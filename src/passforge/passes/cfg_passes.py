@@ -283,7 +283,7 @@ def _sccp_function(fn: IrFunction) -> None:
                 continue
             val = lattice.get(ins.result, _TOP)
             if val not in (_TOP, _BOT):
-                replace_all_uses(fn, ins.result, Const(val, ins.ir_type))  # type: ignore[arg-type]
+                replace_all_uses(fn, ins.result, Const(val))  # type: ignore[arg-type]
                 if ins.opcode in PURE_OPS or ins.opcode is Opcode.PHI:
                     b.instructions.remove(ins)
         term = b.terminator

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from ..ir import (
     Const, IrBlock, IrFunction, IrInstruction, IrModule, Opcode, ValueRef,
-    fold_constant, natural_loops, pointer_target,
+    fold_constant, natural_loops, pointer_target, wrap32,
 )
 from ..ir.types import FOLDABLE, I1, OPCODES, PURE_OR_DIV, SHIFTS, Operand
 from .rewrite import (
@@ -17,7 +17,6 @@ from .rewrite import (
 
 _ICMP_SWAP = {"eq": "eq", "ne": "ne", "slt": "sgt", "sgt": "slt",
               "sle": "sge", "sge": "sle"}
-_ICMP_SELF = {"eq": 1, "ne": 0, "slt": 0, "sle": 1, "sgt": 0, "sge": 1}
 
 
 def _as_const(op: Operand) -> int | None:
@@ -42,7 +41,7 @@ def simplify_instruction(ins: IrInstruction) -> Operand | None:
         if all(c is not None for c in consts):
             folded = fold_constant(op, consts, ins.pred)  # type: ignore[arg-type]
             if folded is not None:
-                return Const(folded, ins.ir_type)
+                return Const(folded)
 
     if op is Opcode.ADD:
         if cb == 0:
@@ -53,25 +52,25 @@ def simplify_instruction(ins: IrInstruction) -> Operand | None:
         if cb == 0:
             return a
         if _same_value(a, b):
-            return Const(0, ins.ir_type)
+            return Const(0)
     elif op is Opcode.MUL:
         if cb == 1:
             return a
         if ca == 1:
             return b
         if cb == 0 or ca == 0:
-            return Const(0, ins.ir_type)
+            return Const(0)
     elif op is Opcode.SDIV:
         if cb == 1:
             return a
     elif op is Opcode.SREM:
         if cb == 1:
-            return Const(0, ins.ir_type)
+            return Const(0)
     elif op is Opcode.AND:
         if _same_value(a, b):
             return a
         if cb == 0 or ca == 0:
-            return Const(0, ins.ir_type)
+            return Const(0)
         if cb == -1:
             return a
         if ca == -1:
@@ -84,10 +83,10 @@ def simplify_instruction(ins: IrInstruction) -> Operand | None:
         if ca == 0:
             return b
         if cb == -1 or ca == -1:
-            return Const(-1, ins.ir_type)
+            return Const(-1)
     elif op is Opcode.XOR:
         if _same_value(a, b):
-            return Const(0, ins.ir_type)
+            return Const(0)
         if cb == 0:
             return a
         if ca == 0:
@@ -96,10 +95,10 @@ def simplify_instruction(ins: IrInstruction) -> Operand | None:
         if cb == 0:
             return a
         if ca == 0:
-            return Const(0, ins.ir_type)
+            return Const(0)
     elif op is Opcode.ICMP:
         if _same_value(a, b):
-            return Const(_ICMP_SELF[ins.pred], I1)  # type: ignore[index]
+            return Const(fold_constant(op, [0, 0], ins.pred))
     elif op is Opcode.SELECT:
         c, t, f = ins.operands
         cc = _as_const(c)
@@ -173,7 +172,7 @@ def run_instcombine(m: IrModule) -> None:
                     if (op is Opcode.SUB and isinstance(bop, Const)
                             and bop.value != 0):
                         ins.opcode = Opcode.ADD
-                        ins.operands = [a, Const(-bop.value, ins.ir_type)]
+                        ins.operands = [a, Const(wrap32(-bop.value))]
                         changed = True
                         continue
                     # mul x, 2^k -> shl x, k
@@ -181,13 +180,13 @@ def run_instcombine(m: IrModule) -> None:
                         k = _power_of_two(bop.value)
                         if k is not None:
                             ins.opcode = Opcode.SHL
-                            ins.operands = [a, Const(k, ins.ir_type)]
+                            ins.operands = [a, Const(k)]
                             changed = True
                             continue
                     # add x, x -> shl x, 1
                     if op is Opcode.ADD and _same_value(a, bop):
                         ins.opcode = Opcode.SHL
-                        ins.operands = [a, Const(1, ins.ir_type)]
+                        ins.operands = [a, Const(1)]
                         changed = True
                         continue
                     # add (add x, C1), C2 -> add x, C1+C2  (single-use chain)
@@ -196,9 +195,8 @@ def run_instcombine(m: IrModule) -> None:
                         src = fn.defined_values().get(a.id)
                         if (src is not None and src.opcode is Opcode.ADD
                                 and isinstance(src.operands[1], Const)):
-                            ins.operands = [src.operands[0],
-                                            Const(src.operands[1].value + bop.value,
-                                                  ins.ir_type)]
+                            c = wrap32(src.operands[1].value + bop.value)
+                            ins.operands = [src.operands[0], Const(c)]
                             changed = True
                             continue
                     # icmp of select-of-two-constants folds to the flag.
@@ -222,7 +220,7 @@ def run_instcombine(m: IrModule) -> None:
                                 ins.opcode = Opcode.XOR
                                 ins.pred = None
                                 ins.ir_type = I1
-                                ins.operands = [cond, Const(1, I1)]
+                                ins.operands = [cond, Const(1)]
                                 changed = True
                                 continue
                 # condbr (xor c, 1), T, F -> condbr c, F, T
@@ -430,7 +428,7 @@ def run_reassociate(m: IrModule) -> None:
                 rest.sort(key=str)
                 target: list[Operand] = list(rest)
                 if const_val != identity or not target:
-                    target.append(Const(const_val, ins.ir_type))
+                    target.append(Const(const_val))
                 # Already canonical?
                 current = [str(l) for l in leaves]
                 if current == [str(t) for t in target]:

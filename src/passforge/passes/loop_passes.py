@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from ..ir import (
     Const, IrBlock, IrFunction, IrInstruction, IrModule, LabelRef, Loop,
     Opcode, ValueRef, dedicated_preheader, natural_loops, predecessor_map,
+    wrap32,
 )
 from ..ir.types import OPCODES, PURE_OPS, Operand, VOID
 from .rewrite import (
@@ -66,10 +67,10 @@ def find_basic_iv(loop: Loop, defs: dict[str, IrInstruction],
                 break
             a, b = src.operands
             if isinstance(b, Const) and isinstance(a, ValueRef):
-                step += b.value
+                step = wrap32(step + b.value)
                 cur = a
             elif isinstance(a, Const) and isinstance(b, ValueRef):
-                step += a.value
+                step = wrap32(step + a.value)
                 cur = b
             else:
                 cur = None
@@ -148,13 +149,13 @@ def _count_trips(s: int, step: int, pred: str, k: int, bottom_test: bool):
             return None
     else:
         return None
-    if bottom_test:
-        # The first test happens after one execution of the body; an `ne`
-        # bound already passed on entry never terminates.
-        if pred == "ne" and n < 1:
-            return None
-        return max(1, n)
-    return max(0, n)
+    # A bottom test first runs after one execution of the body; an `ne`
+    # bound already passed on entry never terminates.
+    if bottom_test and pred == "ne" and n < 1:
+        return None
+    n = max(1 if bottom_test else 0, n)
+    # Past i32, the first value to fail the test wraps and the loop goes on.
+    return n if wrap32(s + n * step) == s + n * step else None
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +608,6 @@ class UnrollShape(TopTest):
     """Canonical countable loop: top-test header plus one body block, which
     is the latch."""
     loop: Loop
-    iv: IvInfo
     trip: int
 
 
@@ -644,7 +644,7 @@ def unrollable_shape(fn: IrFunction, loop: Loop,
     trip = _count_trips(s, iv.step, pred, k, bottom_test=False)
     if trip is None:
         return None
-    return UnrollShape(**vars(t), loop=loop, iv=iv, trip=trip)
+    return UnrollShape(**vars(t), loop=loop, trip=trip)
 
 
 def peel_iterations(shape: UnrollShape, count: int,

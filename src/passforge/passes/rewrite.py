@@ -75,7 +75,7 @@ def clone_with_map(ins: IrInstruction, mapping: dict[str, Operand],
             and all(isinstance(o, Const) for o in ops)):
         folded = fold_constant(ins.opcode, [o.value for o in ops], ins.pred)
         if folded is not None:
-            return None, Const(folded, ins.ir_type)
+            return None, Const(folded)
     if ins.opcode is Opcode.SELECT and isinstance(ops[0], Const):
         return None, ops[1] if ops[0].value else ops[2]
     new = IrInstruction(None, ins.opcode, ops, ins.ir_type, ins.pred, ins.callee)

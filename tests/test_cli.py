@@ -283,6 +283,7 @@ def test_hged_help_describes_its_own_options(capsys):
     assert "--costs COSTS edit-cost JSON (EditCostModel fields)" in text
     assert "--fn FN function compared in both files" in text
     assert "refuses a stage pair of more than 100,000 paths" in text
+    assert "block mapping stage 1 returns, not the two-stage optimum" in text
 
 
 def test_corpus_gen_resumable(workdir, capsys):

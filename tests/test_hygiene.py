@@ -2,7 +2,8 @@
 bug and must propagate.  The CLI's internal-error boundary is the exception.
 No process-lifetime cache and no reference cycle keeps a caller's state
 alive.  Equality of IR objects compares every field.  No scatter goes
-through a ufunc's ``at``.  Nothing is defined that the package never reads.
+through a ufunc's ``at``.  Nothing is defined that the package never reads,
+and no dataclass has a field that the package never loads.
 Every per-opcode fact lives in the opcode table of ``ir/types.py``.  No
 enumeration is an ``enum.Enum``."""
 import ast
@@ -111,6 +112,49 @@ def test_every_top_level_definition_is_read_in_the_package():
               for label, name, node in _definitions(tree)
               if read[name] <= _names_read(node)[name]]
     assert unread == []
+
+
+#: Dataclasses that ``asdict`` writes out whole: ``QoRReport`` and
+#: ``OpCostTable`` through their ``to_dict``, and ``LoopReport`` as the
+#: items of ``QoRReport.loops``.
+SERIALIZED_WHOLE = {"QoRReport", "OpCostTable", "LoopReport"}
+
+
+def _dataclass_fields(tree: ast.AST) -> list[tuple[str, str]]:
+    """``(class, field)`` for each field of each class that a ``dataclass``
+    decorator, under any spelling, turns into a dataclass."""
+    return [(cls.name, a.target.id) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+            for a in cls.body if isinstance(a, ast.AnnAssign)
+            and isinstance(a.target, ast.Name)
+            and "ClassVar" not in ast.unparse(a.annotation)]
+
+
+def _attributes_loaded(tree: ast.AST) -> set[str]:
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    """A field that nothing loads is data written for no reader."""
+    trees = {path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text())
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    loaded = set().union(*map(_attributes_loaded, trees.values()))
+    unread = [f"{rel}:{cls}.{name}" for rel, tree in trees.items()
+              for cls, name in _dataclass_fields(tree)
+              if cls not in SERIALIZED_WHOLE and name not in loaded]
+    assert unread == []
+
+
+def test_dataclass_field_detector_sees_each_spelling():
+    source = ("@dataclass\nclass A:\n    x: int\n    k: ClassVar[int] = 0\n"
+              "@dataclasses.dataclass(frozen=True)\nclass B(A):\n"
+              "    y: int = 0\n    def f(self):\n        return self.y\n"
+              "class C:\n    z: int\n")
+    assert _dataclass_fields(ast.parse(source)) == [("A", "x"), ("B", "y")]
+    assert _attributes_loaded(ast.parse(
+        "a.x = 1\nb.y += 1\ndel c.z\nprint(d.u.v)")) == {"u", "v"}
 
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)

@@ -1,5 +1,7 @@
 """Per-pass behavior, idempotence, and the catalog contract."""
 import hashlib
+import itertools
+import operator
 import sys
 
 import numpy as np
@@ -8,15 +10,18 @@ import pytest
 from passforge import passes
 from passforge.corpus import corpus_gen, random_inputs
 from passforge.ir import (
-    IrModule, LabelRef, Opcode, PragmaKind, analysis, interpret,
-    natural_loops, parse_module, print_module, refresh_loop_annotations,
-    text_digest, verify_module,
+    Const, FuelExhausted, IrModule, LabelRef, Opcode, PragmaKind, analysis,
+    interpret, natural_loops, parse_module, print_module,
+    refresh_loop_annotations, text_digest, verify_module, wrap32,
 )
+from passforge.ir.types import ICMP_PREDICATES
 from passforge.passes import (
     PassError, PassId, PragmaError, Transitions, apply_pass,
     apply_pragma_passes, apply_sequence, general_passes, loop_trip_count,
     pass_catalog,
 )
+from passforge.passes.loop_passes import _count_trips
+from passforge.qor import estimate
 
 
 def trip_count(m, fn_name: str, loop_id: int):
@@ -299,6 +304,90 @@ block out:
     assert r.changed
     assert len(r.module.top.blocks) <= 2
     assert interpret(r.module, [9]).return_value == 9
+
+
+def _loop_from_zero(test: str, step: str) -> str:
+    """A loop of ``%i`` from 0, whose values are unused, then ``ret i32 7``."""
+    return f"""
+top func @f(%a: i32) -> i32 {{
+block entry:
+  br hd
+block hd loop(1, depth=1, header):
+  %i = phi i32 [0, entry], [%i.next, body]
+  %c = icmp {test}
+  condbr %c, body, out
+block body loop(1, depth=1):
+{step}
+  br hd
+block out:
+  ret i32 7
+}}
+"""
+
+
+#: Two adds of INT_MAX: a step of -2 in i32.
+MINUS_TWO = "  %t = add i32 %i, 2147483647\n  %i.next = add i32 %t, 2147483647"
+
+
+@pytest.mark.parametrize("text", [
+    _loop_from_zero("sle i32 %i, 2147483647", "  %i.next = add i32 %i, 1"),
+    _loop_from_zero("slt i32 %i, 10", MINUS_TWO),
+    _loop_from_zero("slt i32 %i, 10", "  %i.next = sub i32 %i, -2147483648"),
+], ids=["sle-int-max", "net-step-minus-two", "sub-int-min"])
+def test_loop_deletion_keeps_a_loop_that_wraps(text):
+    """Each loop wraps in i32 and never exits, so it runs until its fuel is
+    out; instcombine builds only i32 constants, and neither it nor
+    loop_deletion counts the loop's trips or deletes it."""
+    m = parse_module(text)
+    out, _ = apply_sequence(m, [PassId.INSTCOMBINE, PassId.LOOP_DELETION])
+    assert all(wrap32(op.value) == op.value for b in out.top.blocks
+               for ins in b.all_instructions() for op in ins.operands
+               if isinstance(op, Const))
+    for mod in (m, out):
+        assert trip_count(mod, "f", 1) is None
+        with pytest.raises(FuelExhausted):
+            interpret(mod, [0], fuel=10**5)
+    assert estimate(m).loops[0].trip is None
+
+
+def test_trip_count_sums_the_step_in_i32():
+    """0, -2, ..., -8 pass the test, and -10 fails it."""
+    m = parse_module(_loop_from_zero("sgt i32 %i, -10", MINUS_TWO))
+    assert trip_count(m, "f", 1) == 5
+
+
+def _simulated_trips(s, step, pred, k, bottom_test, cap):
+    """Body executions of a loop that goes on while (v PRED k), v starting
+    at s and stepping by step in i32, tested before each execution or after
+    it; None when it runs past ``cap``."""
+    test = {"eq": operator.eq, "ne": operator.ne, "slt": operator.lt,
+            "sle": operator.le, "sgt": operator.gt, "sge": operator.ge}[pred]
+    v, n = s, 0
+    while bottom_test or test(v, k):
+        n += 1
+        v = wrap32(v + step)
+        if n > cap:
+            return None
+        if bottom_test and not test(v, k):
+            break
+    return n
+
+
+def test_count_trips_matches_a_wrapping_simulation():
+    """Where the loop exits within the cap, a count is exact; where it
+    does not, the count is None or past the cap."""
+    cap = 2**12
+    edges = [-2**31, -2**31 + 1, -2**31 + 2, -1, 0, 1, 2**31 - 3,
+             2**31 - 2, 2**31 - 1]
+    steps = [1, -1, 2, -2, 2**30, -2**31]
+    for s, k, step, pred, bottom in itertools.product(
+            edges, edges, steps, ICMP_PREDICATES, (False, True)):
+        got = _count_trips(s, step, pred, k, bottom)
+        want = _simulated_trips(s, step, pred, k, bottom, cap)
+        if want is None:
+            assert got is None or got > cap, (s, k, step, pred, bottom, got)
+        else:
+            assert got in (None, want), (s, k, step, pred, bottom, got, want)
 
 
 def test_loop_rotate_moves_test_to_latch(dot_module):

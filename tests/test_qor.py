@@ -296,10 +296,10 @@ def test_adding_instruction_never_reduces_cycles(dot_module):
     from passforge.ir import Const, IrInstruction, Opcode, ValueRef, I32
     body.instructions.insert(
         5, IrInstruction("extra", Opcode.MUL,
-                         [ValueRef("m"), Const(7, I32)], I32))
+                         [ValueRef("m"), Const(7)], I32))
     body.instructions.insert(
         6, IrInstruction("extra2", Opcode.MUL,
-                         [ValueRef("extra"), Const(9, I32)], I32))
+                         [ValueRef("extra"), Const(9)], I32))
     # keep it live through a store so adce semantics are irrelevant here
     after = estimate(m2)
     assert after.cycles >= before.cycles
