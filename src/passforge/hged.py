@@ -43,18 +43,18 @@ the operands and order of the plain definition, so every cost keeps its bits:
   only when both operands are), so ``g + cost`` has the same bits;
 * the bound terms are ints.
 
-``ged_beam`` keeps each level's ``width`` children of lowest f, the earliest
-generated on ties, and prices a child only while it can still make that cut
-(bounded top-k selection over the beam of Neuhaus, Riesen and Bunke, SSPR
-2006).  The cutoff is the ``width``-th smallest f among the level's children
-generated so far; a child is dropped once f, or a floor under it, reaches
-it.  A substitution's floor leaves out its edge costs, and on the last level
-every floor leaves out the insertion of G2's rest.  Those terms are finite
-and non-negative and float addition is monotone, so a floor never exceeds f;
-a dropped child has ``width`` earlier children at or below its f, which the
-stable sort puts first.  So the beam keeps the children, order and bits the
-unpruned sort keeps.  The cutoff needs costs that ``EditCostModel.bad_costs``
-accepts; exhaustion prices every child.
+``ged_beam`` keeps the k children of lowest f of each level, k = ``width``
+and 1 on the last, the earliest generated on ties, and prices a child only
+while it can still make that cut (bounded top-k selection over the beam of
+Neuhaus, Riesen and Bunke, SSPR 2006).  The cutoff is the k-th smallest f
+among the level's children generated so far; a child is dropped once f, or a
+floor under it, reaches it.  A substitution's floor leaves out its edge
+costs, and on the last level every floor leaves out the insertion of G2's
+rest.  Those terms are finite and non-negative and float addition is
+monotone, so a floor never exceeds f; a dropped child has k earlier children
+at or below its f, which the stable sort puts first.  So the beam keeps the
+children, order and bits the unpruned sort keeps.  The cutoff needs costs
+that ``EditCostModel.bad_costs`` accepts; exhaustion prices every child.
 
 ``ged_beam`` answers a pair of stage graphs that are equal up to node ids
 (``StageGraph.key``) at once: cost 0 and the positional identity, which is
@@ -584,12 +584,12 @@ def ged_beam(g1: StageGraph, g2: StageGraph, costs: EditCostModel,
     level = [search.start()]
     for i in range(search.n1):
         top = [] if prune else None
-        children = [c for state in level
-                    for c in search.expand(state, i, top, width)]
-        children.sort(key=itemgetter(0))
-        # The sort is stable and f is the full cost on the last level, so
-        # its first child is the cheapest path, the earliest one on ties.
+        # f is the full cost on the last level and the sort is stable, so
+        # there the first child is the cheapest path, the only one kept.
         keep = width if i + 1 < search.n1 else 1
+        children = [c for state in level
+                    for c in search.expand(state, i, top, keep)]
+        children.sort(key=itemgetter(0))
         level = [search.settle(c, i) for c in children[:keep]]
     return search.total(level[0])
 

@@ -14,7 +14,7 @@ from .interp import (
 )
 from .analysis import (
     DomTree, Loop, LoopForest, dedicated_preheader, natural_loops,
-    pointer_target, postorder, predecessor_map, refresh_loop_annotations,
+    pointer_target, postorder, refresh_loop_annotations,
 )
 
 __all__ = [
@@ -29,6 +29,5 @@ __all__ = [
     "DEFAULT_FUEL", "ExecResult", "FuelExhausted", "TrapError",
     "check_inputs", "interpret",
     "DomTree", "Loop", "LoopForest", "dedicated_preheader", "natural_loops",
-    "pointer_target", "postorder", "predecessor_map",
-    "refresh_loop_annotations",
+    "pointer_target", "postorder", "refresh_loop_annotations",
 ]

@@ -39,15 +39,6 @@ def pointer_target(defs: dict[str, IrInstruction],
     return None
 
 
-def predecessor_map(fn: IrFunction) -> dict[str, list[str]]:
-    preds: dict[str, list[str]] = {b.label: [] for b in fn.blocks}
-    for b in fn.blocks:
-        for s in b.successors():
-            if s in preds:
-                preds[s].append(b.label)
-    return preds
-
-
 def postorder(root: Hashable, succs: Mapping[Hashable, Iterable]) -> list:
     """Depth-first postorder of the nodes reachable from ``root``.
 
@@ -80,7 +71,11 @@ class DomTree:
     def __init__(self, fn: IrFunction):
         succs = {b.label: b.successors() for b in fn.blocks}
         self.rpo = rpo = postorder(fn.entry.label, succs)[::-1]
-        self.preds = preds = predecessor_map(fn)
+        self.preds = preds = {lab: [] for lab in succs}
+        for lab, out in succs.items():
+            for s in out:
+                if s in preds:
+                    preds[s].append(lab)
         index = {lab: i for i, lab in enumerate(rpo)}
         entry = fn.entry.label
         idom: dict[str, str] = {entry: entry}
@@ -253,7 +248,7 @@ def dedicated_preheader(fn: IrFunction, loop: Loop) -> IrBlock | None:
     """The loop's dedicated preheader: the one predecessor of its header
     outside the loop, when that block branches nowhere else.  None when the
     loop has none."""
-    outside = [p for p in predecessor_map(fn)[loop.header]
+    outside = [p for p in natural_loops(fn).preds[loop.header]
                if p not in loop.blocks]
     if len(outside) != 1:
         return None

@@ -91,6 +91,14 @@ class _Line:
                                 self.lineno, col)
         self.idx += 1
 
+    def i32(self) -> int:
+        """The next token, an integer literal, which must lie in i32."""
+        col, v = self.peek()[2], int(self.expect_kind("number"))
+        if not -2**31 <= v < 2**31:
+            raise IrSyntaxError(f"literal {v} is outside i32's "
+                                "[-2^31, 2^31-1]", self.lineno, col)
+        return v
+
     def expect_kind(self, kind: str) -> str:
         k, val, col = self.peek()
         if k != kind:
@@ -136,8 +144,7 @@ def _parse_value_or_const(ln: _Line):
         ln.next()
         return ValueRef(val[1:])
     if kind == "number":
-        ln.next()
-        return Const(int(val))
+        return Const(ln.i32())
     raise IrSyntaxError(f"expected value or constant, found {val!r}",
                         ln.lineno, col)
 
@@ -383,7 +390,7 @@ def parse_module(text: str, verify: bool = True) -> IrModule:
                 init = []
                 if not ln.accept("}"):
                     while True:
-                        init.append(int(ln.expect_kind("number")))
+                        init.append(ln.i32())
                         if ln.accept("}"):
                             break
                         ln.expect(",")

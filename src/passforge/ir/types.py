@@ -7,10 +7,11 @@ memory is limited to named, flat 1-D arrays addressed through
 against the CFG by the verifier.
 
 ``OPCODES`` is the opcode table: one ``OpInfo`` row per opcode holds its
-feature class, operand count, purity, side effects, commutativity and
-constant fold.  Every per-opcode fact is defined there once; the parser,
-verifier, printer, interpreter and passes read the rows, or the sets
-derived from them below the table, and ``fold_constant`` is a lookup in it.
+feature class, operand count, purity, side effects, commutativity, constant
+fold and algebra.  Every per-opcode fact is defined there once; the parser,
+verifier, printer, interpreter and passes read the rows, or the sets derived
+from them below the table, and ``fold_constant`` is a lookup in it.
+``PREDICATES`` is icmp's: each predicate's test, negation and swap.
 """
 from __future__ import annotations
 
@@ -234,9 +235,24 @@ def _sdiv(a: int, b: int, rem: bool) -> int | None:
     return wrap32(a - b * q if rem else q)
 
 
-_ICMP = {"eq": operator.eq, "ne": operator.ne, "slt": operator.lt,
-         "sle": operator.le, "sgt": operator.gt, "sge": operator.ge}
-ICMP_PREDICATES = tuple(_ICMP)
+class PredInfo(NamedTuple):
+    """An icmp predicate's test; ``negation``, the predicate that holds when
+    it does not; ``swap``, the one that holds on the operands exchanged."""
+    test: Callable[[int, int], bool]
+    negation: str
+    swap: str
+
+
+#: One row per icmp predicate: the one place a predicate fact is defined.
+PREDICATES: dict[str, PredInfo] = {
+    "eq": PredInfo(operator.eq, "ne", "eq"),
+    "ne": PredInfo(operator.ne, "eq", "ne"),
+    "slt": PredInfo(operator.lt, "sge", "sgt"),
+    "sle": PredInfo(operator.le, "sgt", "sge"),
+    "sgt": PredInfo(operator.gt, "sle", "slt"),
+    "sge": PredInfo(operator.ge, "slt", "sle"),
+}
+ICMP_PREDICATES = tuple(PREDICATES)
 
 
 class OpInfo(NamedTuple):
@@ -245,42 +261,53 @@ class OpInfo(NamedTuple):
     traps, so a pass may hoist, clone or skip it), has side effects (writes
     memory or calls) or commutes; and its constant fold, from the operand
     values and an icmp predicate to the result (None on a trap), absent
-    when it does not fold; for the chains that reassociate rebalances, the
-    identity it folds their constants from; and its default latency in
-    cycles, which ``qor.OpCostTable`` starts from."""
+    when it does not fold; its default latency in cycles, which
+    ``qor.OpCostTable`` starts from; and its algebra: ``identity`` e with
+    ``x op e = x``, ``absorber`` z with ``z op x = z`` (each on both sides
+    when it commutes; no division has an absorber, as ``0 / 0`` traps);
+    ``idempotent``: ``x op x = x``; ``self_fold``: ``x op x = 0 op 0``."""
     cls: InstrClass
     arity: int | None
     pure: bool = False
     side_effects: bool = False
     commutative: bool = False
     fold: Callable[[list[int], str | None], int | None] | None = None
-    chain_identity: int | None = None
     latency: int = 1
+    identity: int | None = None
+    absorber: int | None = None
+    idempotent: bool = False
+    self_fold: bool = False
 
 
 _BIN, _BIT, _CAST = InstrClass.BINARY, InstrClass.BITWISE, InstrClass.CAST
 
 #: One row per opcode: the one place a per-opcode fact is defined.
 OPCODES: dict[Opcode, OpInfo] = {
-    Opcode.ADD: OpInfo(_BIN, 2, True, commutative=True, chain_identity=0,
+    Opcode.ADD: OpInfo(_BIN, 2, True, commutative=True, identity=0,
                        fold=lambda v, p: wrap32(v[0] + v[1])),
-    Opcode.SUB: OpInfo(_BIN, 2, True, fold=lambda v, p: wrap32(v[0] - v[1])),
-    Opcode.MUL: OpInfo(_BIN, 2, True, commutative=True, chain_identity=1,
-                       fold=lambda v, p: wrap32(v[0] * v[1]), latency=3),
+    Opcode.SUB: OpInfo(_BIN, 2, True, identity=0, self_fold=True,
+                       fold=lambda v, p: wrap32(v[0] - v[1])),
+    Opcode.MUL: OpInfo(_BIN, 2, True, commutative=True, identity=1,
+                       absorber=0, latency=3,
+                       fold=lambda v, p: wrap32(v[0] * v[1])),
     Opcode.SDIV: OpInfo(_BIN, 2, fold=lambda v, p: _sdiv(v[0], v[1], False),
-                        latency=16),
+                        latency=16, identity=1),
     Opcode.SREM: OpInfo(_BIN, 2, fold=lambda v, p: _sdiv(v[0], v[1], True),
                         latency=16),
-    Opcode.AND: OpInfo(_BIT, 2, True, commutative=True,
+    Opcode.AND: OpInfo(_BIT, 2, True, commutative=True, identity=-1,
+                       absorber=0, idempotent=True,
                        fold=lambda v, p: wrap32(v[0] & v[1])),
-    Opcode.OR: OpInfo(_BIT, 2, True, commutative=True,
+    Opcode.OR: OpInfo(_BIT, 2, True, commutative=True, identity=0,
+                      absorber=-1, idempotent=True,
                       fold=lambda v, p: wrap32(v[0] | v[1])),
-    Opcode.XOR: OpInfo(_BIT, 2, True, commutative=True,
-                       fold=lambda v, p: wrap32(v[0] ^ v[1])),
-    Opcode.SHL: OpInfo(_BIT, 2, True, fold=lambda v, p: wrap32(v[0] << (v[1] & 31))),
-    Opcode.ASHR: OpInfo(_BIT, 2, True, fold=lambda v, p: wrap32(v[0] >> (v[1] & 31))),
-    Opcode.ICMP: OpInfo(InstrClass.COMPARE, 2, True,
-                        fold=lambda v, p: int(_ICMP[p or "eq"](v[0], v[1]))),
+    Opcode.XOR: OpInfo(_BIT, 2, True, commutative=True, identity=0,
+                       self_fold=True, fold=lambda v, p: wrap32(v[0] ^ v[1])),
+    Opcode.SHL: OpInfo(_BIT, 2, True, identity=0, absorber=0,
+                       fold=lambda v, p: wrap32(v[0] << (v[1] & 31))),
+    Opcode.ASHR: OpInfo(_BIT, 2, True, identity=0, absorber=0,
+                        fold=lambda v, p: wrap32(v[0] >> (v[1] & 31))),
+    Opcode.ICMP: OpInfo(InstrClass.COMPARE, 2, True, self_fold=True, fold=(
+        lambda v, p: int(PREDICATES[p or "eq"].test(v[0], v[1])))),
     Opcode.SELECT: OpInfo(InstrClass.SELECT, 3, True),
     Opcode.PHI: OpInfo(InstrClass.PHI, None),
     Opcode.LOAD: OpInfo(InstrClass.MEMORY, 1, latency=2),
@@ -301,9 +328,6 @@ TERMINATOR_OPCODES = {op for op, row in OPCODES.items()
                       if row.cls is InstrClass.TERMINATOR}
 FOLDABLE = {op for op, row in OPCODES.items() if row.fold is not None}
 PURE_OPS = {op for op, row in OPCODES.items() if row.pure}
-#: shl and ashr: the bitwise opcodes that do not commute.
-SHIFTS = {op for op, row in OPCODES.items()
-          if row.cls is _BIT and not row.commutative}
 #: Pure or folding, so trapping divisions too: removable when dead, and
 #: equal when their operands are, but not hoistable.
 PURE_OR_DIV = PURE_OPS | FOLDABLE

@@ -3,12 +3,12 @@ from __future__ import annotations
 
 from ..ir import (
     Const, DomTree, IrBlock, IrFunction, IrModule, LabelRef, Opcode, ValueRef,
-    fold_constant, natural_loops, predecessor_map,
+    fold_constant, natural_loops,
 )
-from ..ir.types import FOLDABLE, PURE_OPS, IrInstruction, Operand
+from ..ir.types import FOLDABLE, PREDICATES, PURE_OPS, IrInstruction, Operand
 from .rewrite import (
     collapse_trivial_phis, condbr_compare, drop_unreachable_blocks,
-    negate_pred, remove_phi_entries, rename_phi_pred, replace_all_uses,
+    remove_phi_entries, rename_phi_pred, replace_all_uses,
     retarget_terminator, erase_dead_pure,
 )
 
@@ -35,10 +35,11 @@ def _fold_constant_terminators(fn: IrFunction) -> bool:
 
 def _merge_straight_line(fn: IrFunction) -> bool:
     """Merge S into P when P->S is the only edge between them in either
-    direction (P single successor, S single predecessor)."""
+    direction (P single successor, S single predecessor).  It patches a
+    copy of the shared forest's predecessor map, P taking S's place."""
+    preds = {lab: list(ps) for lab, ps in natural_loops(fn).preds.items()}
     changed = False
     while True:
-        preds = predecessor_map(fn)
         merged = False
         for p in fn.blocks:
             term = p.terminator
@@ -61,6 +62,8 @@ def _merge_straight_line(fn: IrFunction) -> bool:
             p.terminator = s.terminator
             for succ in s.successors():
                 rename_phi_pred(fn.block_map()[succ], s_label, p.label)
+                preds[succ] = [p.label if q == s_label else q
+                               for q in preds[succ]]
             fn.blocks.remove(s)
             merged = True
             changed = True
@@ -319,7 +322,7 @@ class _Facts:
     def add(self, pred: str, k: int, truth: bool):
         """Record that ``icmp pred x, k`` is ``truth``."""
         if not truth:
-            pred = negate_pred(pred)
+            pred = PREDICATES[pred].negation
         if pred == "eq":
             self.eq = k
         elif pred == "ne":
@@ -336,7 +339,7 @@ class _Facts:
         if self.eq is not None:
             return fold_constant(Opcode.ICMP, [self.eq, k], pred)
         if pred in ("ne", "sgt", "sge"):
-            r = self.eval_icmp(negate_pred(pred), k)
+            r = self.eval_icmp(PREDICATES[pred].negation, k)
             return None if r is None else 1 - r
         lo = self.lo if self.lo is not None else -(2**31)
         hi = self.hi if self.hi is not None else 2**31 - 1

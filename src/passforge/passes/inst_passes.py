@@ -7,16 +7,11 @@ pass driver owns cloning, verification, and changed-detection.
 from __future__ import annotations
 
 from ..ir import (
-    Const, IrBlock, IrFunction, IrInstruction, IrModule, Opcode, ValueRef,
-    fold_constant, natural_loops, pointer_target, wrap32,
+    Const, InstrClass, IrBlock, IrFunction, IrInstruction, IrModule, Opcode,
+    ValueRef, fold_constant, natural_loops, pointer_target, wrap32,
 )
-from ..ir.types import FOLDABLE, I1, OPCODES, PURE_OR_DIV, SHIFTS, Operand
-from .rewrite import (
-    FreshNames, erase_dead_pure, phi_value, replace_all_uses,
-)
-
-_ICMP_SWAP = {"eq": "eq", "ne": "ne", "slt": "sgt", "sgt": "slt",
-              "sle": "sge", "sge": "sle"}
+from ..ir.types import FOLDABLE, I1, OPCODES, PREDICATES, PURE_OR_DIV, Operand
+from .rewrite import FreshNames, erase_dead_pure, phi_value, replace_all_uses
 
 
 def _as_const(op: Operand) -> int | None:
@@ -29,85 +24,44 @@ def _same_value(a: Operand, b: Operand) -> bool:
 
 def simplify_instruction(ins: IrInstruction) -> Operand | None:
     """Value the instruction already has, if it reduces to an existing
-    operand or a constant; None when no simplification applies."""
-    op = ins.opcode
-    a = ins.operands[0] if ins.operands else None
-    b = ins.operands[1] if len(ins.operands) > 1 else None
-    ca = _as_const(a) if a is not None else None
-    cb = _as_const(b) if b is not None else None
-
+    operand or a constant; None when no simplification applies.  Past
+    phis, folds and selects, the rules are the opcode row's algebra."""
+    op, operands = ins.opcode, ins.operands
+    if op is Opcode.PHI:
+        return phi_value(ins)
     if op in FOLDABLE:
-        consts = [_as_const(o) for o in ins.operands]
-        if all(c is not None for c in consts):
+        consts = [_as_const(o) for o in operands]
+        if None not in consts:
             folded = fold_constant(op, consts, ins.pred)  # type: ignore[arg-type]
             if folded is not None:
                 return Const(folded)
-
-    if op is Opcode.ADD:
-        if cb == 0:
+    if op is Opcode.SELECT:
+        c, t, f = operands
+        if isinstance(c, Const):
+            return t if c.value else f
+        return t if str(t) == str(f) else None
+    if len(operands) != 2:
+        return None
+    a, b = operands
+    row = OPCODES[op]
+    if _same_value(a, b):
+        if row.idempotent:
             return a
-        if ca == 0:
-            return b
-    elif op is Opcode.SUB:
-        if cb == 0:
-            return a
-        if _same_value(a, b):
-            return Const(0)
-    elif op is Opcode.MUL:
-        if cb == 1:
-            return a
-        if ca == 1:
-            return b
-        if cb == 0 or ca == 0:
-            return Const(0)
-    elif op is Opcode.SDIV:
-        if cb == 1:
-            return a
-    elif op is Opcode.SREM:
-        if cb == 1:
-            return Const(0)
-    elif op is Opcode.AND:
-        if _same_value(a, b):
-            return a
-        if cb == 0 or ca == 0:
-            return Const(0)
-        if cb == -1:
-            return a
-        if ca == -1:
-            return b
-    elif op is Opcode.OR:
-        if _same_value(a, b):
-            return a
-        if cb == 0:
-            return a
-        if ca == 0:
-            return b
-        if cb == -1 or ca == -1:
-            return Const(-1)
-    elif op is Opcode.XOR:
-        if _same_value(a, b):
-            return Const(0)
-        if cb == 0:
-            return a
-        if ca == 0:
-            return b
-    elif op in SHIFTS:
-        if cb == 0:
-            return a
-        if ca == 0:
-            return Const(0)
-    elif op is Opcode.ICMP:
-        if _same_value(a, b):
+        if row.self_fold:
             return Const(fold_constant(op, [0, 0], ins.pred))
-    elif op is Opcode.SELECT:
-        c, t, f = ins.operands
-        cc = _as_const(c)
-        if cc is not None:
-            return t if cc else f
-        if _same_value(t, f) or str(t) == str(f):
-            return t
-    elif op is Opcode.PHI:
-        return phi_value(ins)
+    ca, cb = _as_const(a), _as_const(b)
+    if cb is not None:
+        if cb == row.identity:
+            return a
+        if row.commutative and cb == row.absorber:
+            return b
+        if op is Opcode.SREM and cb == 1:
+            return Const(0)
+    if ca is not None:
+        if ca == row.absorber:
+            return a
+        if row.commutative and ca == row.identity:
+            return b
     return None
 
 
@@ -140,101 +94,95 @@ def _power_of_two(v: int) -> int | None:
     return None
 
 
+def _combine(fn: IrFunction, b: IrBlock, ins: IrInstruction,
+             defs: dict[str, IrInstruction]) -> bool:
+    """Rewrite ``ins``, an instruction of ``b`` with a result, into a
+    cheaper or canonical form; False when no rewrite applies."""
+    op = ins.opcode
+    a = ins.operands[0] if ins.operands else None
+    bop = ins.operands[1] if len(ins.operands) > 1 else None
+    # Constants go right of a commutative op, and of an icmp, swapping it.
+    if ((OPCODES[op].commutative or op is Opcode.ICMP)
+            and isinstance(a, Const) and not isinstance(bop, Const)):
+        ins.operands = [bop, a]
+        if op is Opcode.ICMP:
+            ins.pred = PREDICATES[ins.pred].swap  # type: ignore[index]
+        return True
+    # sub x, C -> add x, -C
+    if op is Opcode.SUB and isinstance(bop, Const) and bop.value != 0:
+        ins.opcode = Opcode.ADD
+        ins.operands = [a, Const(wrap32(-bop.value))]
+        return True
+    # mul x, 2^k -> shl x, k
+    if op is Opcode.MUL and isinstance(bop, Const):
+        k = _power_of_two(bop.value)
+        if k is not None:
+            ins.opcode = Opcode.SHL
+            ins.operands = [a, Const(k)]
+            return True
+    # add x, x -> shl x, 1
+    if op is Opcode.ADD and _same_value(a, bop):
+        ins.opcode = Opcode.SHL
+        ins.operands = [a, Const(1)]
+        return True
+    src = defs.get(a.id) if isinstance(a, ValueRef) else None
+    if src is None or not isinstance(bop, Const):
+        return False
+    # add (add x, C1), C2 -> add x, C1+C2  (single-use chain)
+    if (op is Opcode.ADD and src.opcode is Opcode.ADD
+            and isinstance(src.operands[1], Const)):
+        c = wrap32(src.operands[1].value + bop.value)
+        ins.operands = [src.operands[0], Const(c)]
+        return True
+    # icmp of select-of-two-constants folds to the flag.
+    if (op is Opcode.ICMP and ins.pred in ("eq", "ne")
+            and src.opcode is Opcode.SELECT
+            and isinstance(src.operands[1], Const)
+            and isinstance(src.operands[2], Const)):
+        tv, fv = src.operands[1].value, src.operands[2].value
+        tm = fold_constant(Opcode.ICMP, [tv, bop.value], ins.pred)
+        fm = fold_constant(Opcode.ICMP, [fv, bop.value], ins.pred)
+        cond = src.operands[0]
+        if tm == 1 and fm == 0:
+            replace_all_uses(fn, ins.result, cond)
+            b.instructions.remove(ins)
+            return True
+        if tm == 0 and fm == 1:
+            ins.opcode = Opcode.XOR
+            ins.pred = None
+            ins.ir_type = I1
+            ins.operands = [cond, Const(1)]
+            return True
+    return False
+
+
 def run_instcombine(m: IrModule) -> None:
-    """instsimplify plus rewrites that may create new (cheaper) instructions."""
+    """instsimplify plus rewrites that may create new (cheaper) instructions.
+
+    One def map per function serves every lookup: a rewrite keeps each
+    definition's object, and a removed result has no use left to look up."""
     for fn in m.functions:
+        defs = fn.defined_values()
         changed = True
         while changed:
             changed = False
             for b in fn.blocks:
                 for ins in list(b.instructions):
-                    if ins.result is None:
-                        continue
-                    if _simplify_away(fn, b, ins):
+                    if ins.result is not None and (
+                            _simplify_away(fn, b, ins)
+                            or _combine(fn, b, ins, defs)):
                         changed = True
-                        continue
-                    op = ins.opcode
-                    a = ins.operands[0] if ins.operands else None
-                    bop = ins.operands[1] if len(ins.operands) > 1 else None
-                    # Canonicalize constants to the right of commutative ops.
-                    if (OPCODES[op].commutative and isinstance(a, Const)
-                            and not isinstance(bop, Const)):
-                        ins.operands = [bop, a]
-                        changed = True
-                        continue
-                    if (op is Opcode.ICMP and isinstance(a, Const)
-                            and not isinstance(bop, Const)):
-                        ins.operands = [bop, a]
-                        ins.pred = _ICMP_SWAP[ins.pred]  # type: ignore[index]
-                        changed = True
-                        continue
-                    # sub x, C -> add x, -C
-                    if (op is Opcode.SUB and isinstance(bop, Const)
-                            and bop.value != 0):
-                        ins.opcode = Opcode.ADD
-                        ins.operands = [a, Const(wrap32(-bop.value))]
-                        changed = True
-                        continue
-                    # mul x, 2^k -> shl x, k
-                    if op is Opcode.MUL and isinstance(bop, Const):
-                        k = _power_of_two(bop.value)
-                        if k is not None:
-                            ins.opcode = Opcode.SHL
-                            ins.operands = [a, Const(k)]
-                            changed = True
-                            continue
-                    # add x, x -> shl x, 1
-                    if op is Opcode.ADD and _same_value(a, bop):
-                        ins.opcode = Opcode.SHL
-                        ins.operands = [a, Const(1)]
-                        changed = True
-                        continue
-                    # add (add x, C1), C2 -> add x, C1+C2  (single-use chain)
-                    if (op is Opcode.ADD and isinstance(bop, Const)
-                            and isinstance(a, ValueRef)):
-                        src = fn.defined_values().get(a.id)
-                        if (src is not None and src.opcode is Opcode.ADD
-                                and isinstance(src.operands[1], Const)):
-                            c = wrap32(src.operands[1].value + bop.value)
-                            ins.operands = [src.operands[0], Const(c)]
-                            changed = True
-                            continue
-                    # icmp of select-of-two-constants folds to the flag.
-                    if (op is Opcode.ICMP and isinstance(a, ValueRef)
-                            and isinstance(bop, Const)
-                            and ins.pred in ("eq", "ne")):
-                        src = fn.defined_values().get(a.id)
-                        if (src is not None and src.opcode is Opcode.SELECT
-                                and isinstance(src.operands[1], Const)
-                                and isinstance(src.operands[2], Const)):
-                            tv, fv = src.operands[1].value, src.operands[2].value
-                            tm = fold_constant(Opcode.ICMP, [tv, bop.value], ins.pred)
-                            fm = fold_constant(Opcode.ICMP, [fv, bop.value], ins.pred)
-                            cond = src.operands[0]
-                            if tm == 1 and fm == 0:
-                                replace_all_uses(fn, ins.result, cond)
-                                b.instructions.remove(ins)
-                                changed = True
-                                continue
-                            if tm == 0 and fm == 1:
-                                ins.opcode = Opcode.XOR
-                                ins.pred = None
-                                ins.ir_type = I1
-                                ins.operands = [cond, Const(1)]
-                                changed = True
-                                continue
                 # condbr (xor c, 1), T, F -> condbr c, F, T
                 term = b.terminator
                 if term is not None and term.opcode is Opcode.CONDBR:
                     c = term.operands[0]
-                    if isinstance(c, ValueRef):
-                        src = fn.defined_values().get(c.id)
-                        if (src is not None and src.opcode is Opcode.XOR
-                                and isinstance(src.operands[1], Const)
-                                and src.operands[1].value == 1):
-                            term.operands = [src.operands[0],
-                                             term.operands[2], term.operands[1]]
-                            changed = True
+                    src = defs.get(c.id) if isinstance(c, ValueRef) else None
+                    if (src is not None and src.opcode is Opcode.XOR
+                            and isinstance(src.operands[1], Const)
+                            and src.operands[1].value == 1):
+                        term.operands = [src.operands[0],
+                                         term.operands[2], term.operands[1]]
+                        changed = True
         erase_dead_pure(fn)
 
 
@@ -285,7 +233,7 @@ def _expr_key(ins: IrInstruction, canon: dict[str, str],
     ops = [rep(o) for o in ins.operands]
     pred = ins.pred
     if commutative_sort and (OPCODES[ins.opcode].commutative or (
-            ins.opcode is Opcode.ICMP and pred in ("eq", "ne"))):
+            ins.opcode is Opcode.ICMP and PREDICATES[pred].swap == pred)):
         ops = sorted(ops)
     return (ins.opcode.value, pred, str(ins.ir_type), *ops)
 
@@ -391,8 +339,8 @@ def run_reassociate(m: IrModule) -> None:
         for b in fn.blocks:
             pos = {id(ins): i for i, ins in enumerate(b.instructions)}
             for ins in list(b.instructions):
-                identity = OPCODES[ins.opcode].chain_identity
-                if identity is None:
+                row = OPCODES[ins.opcode]
+                if not (row.commutative and row.cls is InstrClass.BINARY):
                     continue
                 if id(ins) not in pos:
                     continue
@@ -417,7 +365,7 @@ def run_reassociate(m: IrModule) -> None:
                         leaves.append(op)
                 if len(leaves) < 3:
                     continue
-                const_val = identity
+                const_val = row.identity
                 rest: list[Operand] = []
                 for leaf in leaves:
                     if isinstance(leaf, Const):
@@ -427,7 +375,7 @@ def run_reassociate(m: IrModule) -> None:
                         rest.append(leaf)
                 rest.sort(key=str)
                 target: list[Operand] = list(rest)
-                if const_val != identity or not target:
+                if const_val != row.identity or not target:
                     target.append(Const(const_val))
                 # Already canonical?
                 current = [str(l) for l in leaves]

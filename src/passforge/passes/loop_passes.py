@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 from ..ir import (
     Const, IrBlock, IrFunction, IrInstruction, IrModule, LabelRef, Loop,
-    Opcode, ValueRef, dedicated_preheader, natural_loops, predecessor_map,
-    wrap32,
+    Opcode, ValueRef, dedicated_preheader, natural_loops, wrap32,
 )
-from ..ir.types import OPCODES, PURE_OPS, Operand, VOID
+from ..ir.types import OPCODES, PREDICATES, PURE_OPS, Operand, VOID
 from .rewrite import (
-    FreshNames, clone_with_map, condbr_compare, negate_pred,
-    retarget_terminator, subst_operand,
+    FreshNames, clone_with_map, condbr_compare, retarget_terminator,
+    subst_operand,
 )
 
 
@@ -107,7 +106,7 @@ def loop_trip_count(loop: Loop, defs: dict[str, IrInstruction],
         f_in = term.operands[2].label in loop.blocks
         if t_in == f_in:
             return None
-        pred = cmp.pred if t_in else negate_pred(cmp.pred)
+        pred = cmp.pred if t_in else PREDICATES[cmp.pred].negation
         return cmp.operands[0].id, pred, cmp.operands[1].value
 
     header_cmp = exit_compare(bmap[loop.header])
@@ -211,8 +210,8 @@ def top_test(fn: IrFunction, loop: Loop) -> TopTest | None:
     body_lab, exit_label = (t_lab, f_lab) if body_first else (f_lab, t_lab)
     # The header also has a predecessor outside the loop, so this rules out
     # a header that is its own body.
-    preds = predecessor_map(fn)
-    if preds[body_lab] != [loop.header] or bmap[body_lab].phis():
+    if (natural_loops(fn).preds[body_lab] != [loop.header]
+            or bmap[body_lab].phis()):
         return None
     pre = dedicated_preheader(fn, loop)
     if pre is None:
@@ -340,7 +339,7 @@ def insert_preheader(fn: IrFunction, loop: Loop, fresh: FreshNames) -> bool:
     unless there is one already."""
     if dedicated_preheader(fn, loop) is not None:
         return False
-    outside = [p for p in predecessor_map(fn)[loop.header]
+    outside = [p for p in natural_loops(fn).preds[loop.header]
                if p not in loop.blocks]
     pre = _funnel(fn, loop, outside, "pre", fresh)
     fn.blocks.insert(fn.blocks.index(fn.block_map()[loop.header]), pre)
@@ -389,7 +388,7 @@ def _rotatable(fn: IrFunction, loop: Loop) -> TopTest | None:
     t = top_test(fn, loop)
     if t is None:
         return None
-    if any(p != loop.header for p in predecessor_map(fn)[t.exit_label]):
+    if any(p != loop.header for p in natural_loops(fn).preds[t.exit_label]):
         return None
     if loop.exits(fn) != [(loop.header, t.exit_label)]:
         return None  # header must be the only exiting block
@@ -580,7 +579,7 @@ def _delete_loop(fn: IrFunction, loop: Loop) -> bool:
     exit_lab = targets.pop()
     if bmap[exit_lab].phis():
         return False
-    preds = predecessor_map(fn)
+    preds = natural_loops(fn).preds
     if any(p not in loop.blocks for p in preds[exit_lab]):
         return False
     defined = {ins.result for lab in loop.blocks
@@ -631,7 +630,7 @@ def unrollable_shape(fn: IrFunction, loop: Loop,
             and cmp.operands[0].id == iv.phi.result
             and isinstance(cmp.operands[1], Const)):
         return None
-    pred = cmp.pred if t.body_first else negate_pred(cmp.pred)
+    pred = cmp.pred if t.body_first else PREDICATES[cmp.pred].negation
     if pred not in ("slt", "ne"):
         return None
     k = cmp.operands[1].value

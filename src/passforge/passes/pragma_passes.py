@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from ..ir import (
     IrBlock, IrFunction, IrInstruction, IrModule, LabelRef, LoopInfo, Opcode,
-    PragmaKind, ValueRef, natural_loops, predecessor_map,
+    PragmaKind, ValueRef, natural_loops,
 )
 from ..ir.types import Operand, VOID
 from .loop_passes import (
@@ -80,8 +80,8 @@ def _checked_unroll(fn: IrFunction, shape: UnrollShape, factor: int,
     classic fragmented lowering with a termination-check block per replica."""
     header, body = shape.header, shape.body
     exit_blk = fn.block_map()[shape.exit_label]
-    preds = predecessor_map(fn)
-    if exit_blk.phis() or preds[shape.exit_label] != [header.label]:
+    if (exit_blk.phis()
+            or natural_loops(fn).preds[shape.exit_label] != [header.label]):
         raise PragmaError(
             f"loop {shape.loop.loop_id}: unsupported exit shape for a "
             f"remainder-checked unroll")

@@ -110,12 +110,6 @@ def retarget_terminator(block: IrBlock, old_label: str, new_label: str) -> None:
             term.operands[i] = LabelRef(new_label)
 
 
-def negate_pred(pred: str) -> str:
-    """The icmp predicate that holds exactly when ``pred`` does not."""
-    return {"eq": "ne", "ne": "eq", "slt": "sge", "sge": "slt",
-            "sle": "sgt", "sgt": "sle"}[pred]
-
-
 def condbr_compare(term: IrInstruction | None,
                    defs: dict[str, IrInstruction]) -> IrInstruction | None:
     """The ``icmp %x, C`` that ``term`` branches on, when ``term`` is a

@@ -196,6 +196,18 @@ def test_bad_designs_and_manifests_are_user_errors(tmp_path, capsys, command,
     assert os.listdir(corpus) == [name]
 
 
+def test_a_literal_outside_i32_exits_1(tmp_path, capsys):
+    bad = tmp_path / "wide.ir"
+    bad.write_text("func @f(%a: i32) -> i1 {\nblock entry:\n"
+                   "%c = icmp slt i32 %a, 4294967296\nret i1 %c\n}\n")
+    for argv in (["parse", str(bad)], ["interp", str(bad), "--inputs", "5"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {bad}: line 3:23: literal 4294967296 "
+                                "is outside i32's [-2^31, 2^31-1]\n")
+
+
 def test_estimate_json(workdir, capsys):
     design = str(workdir / "corpus" / "case2.ir")
     assert main(["estimate", design, "--quiet"]) == 0

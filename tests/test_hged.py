@@ -495,6 +495,26 @@ def test_ties_at_the_cutoff_keep_the_earlier_child():
         assert ged_beam(g1, g2, costs, width) == expected
 
 
+def test_last_level_emits_only_children_that_can_come_first(monkeypatch):
+    """The last level keeps one child, so its cutoff is the best f so far:
+    over the 66 pairs of ``corpus_gen(12, 0)`` at width 32, with one memo,
+    it emits 208 children, where a cutoff of ``width`` emitted 3,113."""
+    emitted = [0]
+    expand = hged_module._Search.expand
+
+    def counting(self, state, i, top=None, width=0):
+        out = expand(self, state, i, top, width)
+        if i == self.n1 - 1:
+            emitted[0] += len(out)
+        return out
+    monkeypatch.setattr(hged_module._Search, "expand", counting)
+    graphs = [build_het_graph(parse_module(t)) for _n, t in corpus_gen(12, 0)]
+    memo: dict = {}
+    for g1, g2 in itertools.combinations(graphs, 2):
+        hged(g1, g2, width=32, memo=memo)
+    assert emitted == [208]
+
+
 def _renumbered_het(g: HetGraph) -> HetGraph:
     """Node ids moved but kept in order, so blocks are visited alike."""
     return HetGraph([NodeRecord(1000 + 3 * n.node_id, n.kind, n.attr)

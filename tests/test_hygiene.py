@@ -4,8 +4,9 @@ No process-lifetime cache and no reference cycle keeps a caller's state
 alive.  Equality of IR objects compares every field.  No scatter goes
 through a ufunc's ``at``.  Nothing is defined that the package never reads,
 and no dataclass has a field that the package never loads.
-Every per-opcode fact lives in the opcode table of ``ir/types.py``.  No
-enumeration is an ``enum.Enum``."""
+Every per-opcode fact lives in the opcode table of ``ir/types.py``, and every
+icmp predicate fact in its predicate table.  No enumeration is an
+``enum.Enum``."""
 import ast
 import dataclasses
 import enum
@@ -30,9 +31,11 @@ from passforge.ir import (
     IrModule, IrType, LabelRef, Loop, LoopInfo, Opcode, PragmaDirective,
     ValueRef, print_module,
 )
+from passforge.ir.types import ICMP_PREDICATES
 
 PACKAGE = Path(passforge.__file__).resolve().parent
 OPCODE_NAMES = {op.value for op in Opcode}
+PREDICATE_NAMES = set(ICMP_PREDICATES)
 ALLOWED = {("cli.py", "main")}
 
 
@@ -337,6 +340,45 @@ def test_opcode_table_detector_sees_each_spelling():
         "S = {Opcode.ADD}\nif op in (Opcode.ADD, x):\n    pass\n"
         "K = {'add': 1, 'x': 2}\nV = {'a': 'add', 'b': 'mul'}\n"
         "C = {op: row.cls for op, row in OPCODES.items()}")) == []
+
+
+def _predicate_tables(tree: ast.AST) -> list[ast.AST]:
+    """Dict displays and ``dict(...)`` calls keyed by three or more icmp
+    predicate names."""
+    def names(keys) -> int:
+        return sum(isinstance(k, ast.Constant) and k.value in PREDICATE_NAMES
+                   for k in keys)
+
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Dict) and names(node.keys) >= 3
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "dict" and names(
+                ast.Constant(k.arg) for k in node.keywords) >= 3]
+
+
+def test_no_predicate_table_outside_the_predicate_table():
+    """An icmp predicate's test, negation and swap are a row of
+    ``ir.types.PREDICATES``; a map keyed by predicates anywhere else would
+    be a second definition of one of them."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        if rel != "ir/types.py":
+            found += [f"{rel}:{node.lineno}" for node
+                      in _predicate_tables(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_predicate_table_detector_sees_each_spelling():
+    sources = ["S = {'eq': 'eq', 'ne': 'ne', 'slt': 'sgt', 'sgt': 'slt'}",
+               "def f(p):\n    return {'eq': 'ne', 'ne': 'eq', 'slt': 'sge'}[p]",
+               "T = {'sle': operator.le, 'x': 1, 'sgt': operator.gt, 'sge': 0}",
+               "D = dict(eq=1, ne=2, slt=3)"]
+    assert [len(_predicate_tables(ast.parse(s))) for s in sources] == [1] * 4
+    assert _predicate_tables(ast.parse(
+        "P = ('eq', 'ne', 'slt')\nif pred in ('eq', 'ne'):\n    pass\n"
+        "K = {'eq': 1, 'ne': 2, 'x': 3}\nV = {'a': 'eq', 'b': 'ne', 'c': 'slt'}\n"
+        "C = dict(eq=1, ne=2)\nR = {**PREDICATES, 'eq': 0}")) == []
 
 
 def _enum_imports(tree: ast.AST) -> list[ast.AST]:

@@ -18,7 +18,7 @@ from passforge.ir import (
     print_module, verify_module, wrap32,
 )
 from passforge.ir.types import (
-    FOLDABLE, ICMP_PREDICATES, PURE_OPS, PURE_OR_DIV, SHIFTS,
+    FOLDABLE, ICMP_PREDICATES, PREDICATES, PURE_OPS, PURE_OR_DIV,
     TERMINATOR_OPCODES, IrTypeKind, OpInfo, PlainEnum,
 )
 from passforge.passes import PassId
@@ -255,6 +255,44 @@ block entry:
 """
     with pytest.raises(IrSyntaxError, match="expected value or constant"):
         parse_module(text)
+
+
+@pytest.mark.parametrize("line, col", [
+    ("%c = icmp slt i32 %a, 4294967296", 23),
+    ("%c = icmp slt i32 4294967296, 1", 19),
+    ("%c = icmp sgt i32 %a, -2147483649", 23),
+    ("%c = icmp eq i32 %a, 2147483648", 22),
+])
+def test_literal_outside_i32_is_a_syntax_error(line, col):
+    """Arithmetic would wrap such a literal and icmp would compare it
+    unwrapped, so the parser refuses it, at its line and column."""
+    text = f"func @f(%a: i32) -> i1 {{\nblock entry:\n{line}\n  ret i1 %c\n}}"
+    with pytest.raises(IrSyntaxError, match="outside i32") as e:
+        parse_module(text)
+    assert (e.value.line, e.value.col) == (3, col)
+
+
+def test_global_initializer_outside_i32_is_a_syntax_error():
+    text = ("global @t: i32[2] = {0, 4294967296}\n"
+            "func @f() -> i32 {\nblock entry:\n  ret i32 0\n}")
+    with pytest.raises(IrSyntaxError, match="outside i32") as e:
+        parse_module(text)
+    assert (e.value.line, e.value.col) == (1, 25)
+
+
+def test_both_ends_of_i32_parse():
+    m = parse_module("""
+global @t: i32[2] = {-2147483648, 2147483647}
+func @f(%a: i32) -> i32 {
+block entry:
+  %c = icmp slt i32 %a, -2147483648
+  %x = select %c, i32 2147483647, -2147483648
+  ret i32 %x
+}
+""")
+    assert m.global_arrays[0].init == [-(2**31), 2**31 - 1]
+    assert parse_module(print_module(m)) == m
+    assert interpret(m, [5]).return_value == -(2**31)
 
 
 def test_interpret_add_constant():
@@ -701,10 +739,24 @@ def test_derived_sets_equal_the_tables_they_replace():
         == OLD_COMMUTATIVE
     assert {op for op, row in OPCODES.items() if row.side_effects} \
         == OLD_SIDE_EFFECTS
-    # The tuples simplify_instruction, reassociate and sccp spelled out.
-    assert SHIFTS == {O.SHL, O.ASHR}
-    assert {op: row.chain_identity for op, row in OPCODES.items()
-            if row.chain_identity is not None} == {O.ADD: 0, O.MUL: 1}
+    # The tuples simplify_instruction, reassociate and sccp spelled out:
+    # the shifts, which have an identity and an absorber on one side only;
+    # reassociate's chains with the identity it folds their constants from.
+    assert {op for op, row in OPCODES.items() if not row.commutative
+            and None not in (row.identity, row.absorber)} == {O.SHL, O.ASHR}
+    assert {op: row.identity for op, row in OPCODES.items()
+            if row.commutative and row.cls is InstrClass.BINARY} \
+        == {O.ADD: 0, O.MUL: 1}
+    # The icmp predicate literals that negate_pred and instcombine's swap
+    # table spelled out.
+    assert {p: row.negation for p, row in PREDICATES.items()} == {
+        "eq": "ne", "ne": "eq", "slt": "sge", "sge": "slt",
+        "sle": "sgt", "sgt": "sle"}
+    assert {p: row.swap for p, row in PREDICATES.items()} == {
+        "eq": "eq", "ne": "ne", "slt": "sgt", "sgt": "slt",
+        "sle": "sge", "sge": "sle"}
+    assert ICMP_PREDICATES == tuple(PREDICATES) == (
+        "eq", "ne", "slt", "sle", "sgt", "sge")
     assert {op for op, row in OPCODES.items()
             if row.fold is None and row.cls not in (
                 InstrClass.TERMINATOR, InstrClass.PHI, InstrClass.SELECT)

@@ -10,17 +10,20 @@ import pytest
 from passforge import passes
 from passforge.corpus import corpus_gen, random_inputs
 from passforge.ir import (
-    Const, FuelExhausted, IrModule, LabelRef, Opcode, PragmaKind, analysis,
-    interpret, natural_loops, parse_module, print_module,
-    refresh_loop_annotations, text_digest, verify_module, wrap32,
+    I32, OPCODES, Const, FuelExhausted, IrInstruction, IrModule, LabelRef,
+    Opcode, PragmaKind, ValueRef, analysis, fold_constant, interpret,
+    natural_loops, parse_module, print_module, refresh_loop_annotations,
+    text_digest, verify_module, wrap32,
 )
-from passforge.ir.types import ICMP_PREDICATES
+from passforge.ir.types import FOLDABLE, ICMP_PREDICATES
 from passforge.passes import (
     PassError, PassId, PragmaError, Transitions, apply_pass,
     apply_pragma_passes, apply_sequence, general_passes, loop_trip_count,
     pass_catalog,
 )
+from passforge.passes.inst_passes import simplify_instruction
 from passforge.passes.loop_passes import _count_trips
+from passforge.passes.rewrite import phi_value
 from passforge.qor import estimate
 
 
@@ -120,6 +123,133 @@ block entry:
     assert r.changed
     assert len(r.module.top.blocks[0].instructions) == 0
     assert interpret(r.module, [7]).return_value == 7
+
+
+def _ref_simplify(ins):
+    """``simplify_instruction`` as a chain of opcode tests, as it was
+    written before the opcode table held the algebra; the reference for
+    the table's rules."""
+    op = ins.opcode
+    a = ins.operands[0] if ins.operands else None
+    b = ins.operands[1] if len(ins.operands) > 1 else None
+    ca = a.value if isinstance(a, Const) else None
+    cb = b.value if isinstance(b, Const) else None
+    same = (isinstance(a, ValueRef) and isinstance(b, ValueRef)
+            and a.id == b.id)
+
+    if op in FOLDABLE:
+        consts = [o.value if isinstance(o, Const) else None
+                  for o in ins.operands]
+        if all(c is not None for c in consts):
+            folded = fold_constant(op, consts, ins.pred)
+            if folded is not None:
+                return Const(folded)
+
+    if op is Opcode.ADD:
+        if cb == 0:
+            return a
+        if ca == 0:
+            return b
+    elif op is Opcode.SUB:
+        if cb == 0:
+            return a
+        if same:
+            return Const(0)
+    elif op is Opcode.MUL:
+        if cb == 1:
+            return a
+        if ca == 1:
+            return b
+        if cb == 0 or ca == 0:
+            return Const(0)
+    elif op is Opcode.SDIV:
+        if cb == 1:
+            return a
+    elif op is Opcode.SREM:
+        if cb == 1:
+            return Const(0)
+    elif op is Opcode.AND:
+        if same:
+            return a
+        if cb == 0 or ca == 0:
+            return Const(0)
+        if cb == -1:
+            return a
+        if ca == -1:
+            return b
+    elif op is Opcode.OR:
+        if same:
+            return a
+        if cb == 0:
+            return a
+        if ca == 0:
+            return b
+        if cb == -1 or ca == -1:
+            return Const(-1)
+    elif op is Opcode.XOR:
+        if same:
+            return Const(0)
+        if cb == 0:
+            return a
+        if ca == 0:
+            return b
+    elif op in (Opcode.SHL, Opcode.ASHR):
+        if cb == 0:
+            return a
+        if ca == 0:
+            return Const(0)
+    elif op is Opcode.ICMP:
+        if same:
+            return Const(fold_constant(op, [0, 0], ins.pred))
+    elif op is Opcode.SELECT:
+        c, t, f = ins.operands
+        if isinstance(c, Const):
+            return t if c.value else f
+        if (isinstance(t, ValueRef) and isinstance(f, ValueRef)
+                and t.id == f.id) or str(t) == str(f):
+            return t
+    elif op is Opcode.PHI:
+        return phi_value(ins)
+    return None
+
+
+#: Both ends of i32, the algebra's constants and their neighbours, and two
+#: distinct values.
+SIMPLIFY_GRID = [Const(v) for v in (-(2**31), -2, -1, 0, 1, 2, 3, 2**31 - 1)] \
+    + [ValueRef("x"), ValueRef("y")]
+
+
+def _simplify_sweep():
+    """Each opcode on every operand tuple of its arity from the grid (two
+    for the variadic ones), under every icmp predicate; phis of one and two
+    entries, the phi's own result among the values."""
+    for op in Opcode:
+        arity = OPCODES[op].arity
+        if op is Opcode.PHI:
+            values = SIMPLIFY_GRID + [ValueRef("r")]
+            for n in (1, 2):
+                for vals in itertools.product(values, repeat=n):
+                    ops = [x for k, v in enumerate(vals)
+                           for x in (v, LabelRef(f"b{k}"))]
+                    yield IrInstruction("r", op, ops, I32)
+            continue
+        for ops in itertools.product(SIMPLIFY_GRID, repeat=arity or 2):
+            for pred in ICMP_PREDICATES if op is Opcode.ICMP else (None,):
+                yield IrInstruction("r", op, list(ops), I32, pred)
+
+
+def test_simplify_matches_the_opcode_chain():
+    """The row-driven rules give what the per-opcode chain gave, value and
+    type, on every case of the sweep."""
+    n = 0
+    for ins in _simplify_sweep():
+        got, want = simplify_instruction(ins), _ref_simplify(ins)
+        assert repr(got) == repr(want), (ins, got, want)
+        n += 1
+    # 14 two-operand opcodes, icmp under six predicates, select and condbr
+    # on triples, five one-operand opcodes, and 11 + 11^2 phis.
+    assert n == 14 * 10**2 + 6 * 10**2 + 2 * 10**3 + 5 * 10 + 11 + 11**2 \
+        == 4_182
 
 
 def test_empty_sequence_is_identity(dot_module):
@@ -1239,23 +1369,39 @@ block out:
 """
 
 
+def test_pass_outputs_parse_back():
+    """Every literal a pass writes lies in i32, which the parser requires:
+    each module that random general-pass sequences reach from the corpus,
+    pragmas expanded or not, prints to text that parses back to it."""
+    rng = np.random.default_rng(28)
+    general = general_passes()
+    n = 0
+    for _name, text in corpus_gen(12, 0):
+        design = parse_module(text)
+        for start in (design, apply_pragma_passes(design)):
+            for _ in range(4):
+                m = start
+                for k in rng.integers(len(general), size=12):
+                    m = apply_pass(m, general[k]).module
+                    printed = print_module(m)
+                    assert print_module(parse_module(printed)) == printed
+                    n += 1
+    assert n == 12 * 2 * 4 * 12
+
+
 def _count_trees(monkeypatch):
-    """The names of the functions each dominator tree and predecessor map
-    built from here on was built for."""
-    trees, pred_maps = [], []
-    init, predecessor_map = analysis.DomTree.__init__, analysis.predecessor_map
+    """The names of the functions each dominator tree built from here on
+    was built for; a tree builds its function's predecessor map, the only
+    one the package builds."""
+    trees = []
+    init = analysis.DomTree.__init__
 
     def counting_init(self, fn):
         trees.append(fn.name)
         init(self, fn)
 
-    def counting_preds(fn):
-        pred_maps.append(fn.name)
-        return predecessor_map(fn)
-
     monkeypatch.setattr(analysis.DomTree, "__init__", counting_init)
-    monkeypatch.setattr(analysis, "predecessor_map", counting_preds)
-    return trees, pred_maps
+    return trees
 
 
 @pytest.mark.parametrize("p", [PassId.ADCE, PassId.DSE, PassId.INSTSIMPLIFY],
@@ -1264,16 +1410,14 @@ def test_executed_pass_builds_one_dominator_tree_per_function(monkeypatch, p):
     """Pass, refresh and verify share one analysis per function, memoized
     on it.  These passes keep every CFG: on a parsed module, whose verify
     left each forest memoized for the copy to inherit, the run builds no
-    tree; on a module parsed without verifying, one per function.  The
-    loop forest reads the predecessor map its dominator tree built, so
-    each function's map is built once too."""
+    tree; on a module parsed without verifying, one per function."""
     warm = parse_module(DOM_COUNT_SRC)
     cold = parse_module(DOM_COUNT_SRC, verify=False)
-    trees, pred_maps = _count_trees(monkeypatch)
+    trees = _count_trees(monkeypatch)
     assert apply_pass(warm, p).changed
-    assert trees == pred_maps == []
+    assert trees == []
     assert apply_pass(cold, p).changed
-    assert sorted(trees) == sorted(pred_maps) == ["f", "inc"]
+    assert sorted(trees) == ["f", "inc"]
 
 
 @pytest.mark.parametrize("p", [PassId.LOOP_ROTATE, PassId.LOOP_UNROLL_PARTIAL],
@@ -1282,7 +1426,7 @@ def test_a_pass_that_changes_a_cfg_builds_one_tree_for_it(monkeypatch, p):
     """Only ``@f`` has a loop to rewrite: its new CFG is analysed once, by
     the pass or by the refresh, and ``@inc``'s memo carries over."""
     m = parse_module(DOM_COUNT_SRC)
-    trees, _pred_maps = _count_trees(monkeypatch)
+    trees = _count_trees(monkeypatch)
     assert apply_pass(m, p).changed
     assert trees == ["f"]
 
@@ -1293,7 +1437,7 @@ def test_greedy_builds_a_dominator_tree_per_new_cfg(monkeypatch):
     1,605, one per consumer call."""
     from passforge.agent import search_greedy
     designs = [parse_module(text) for _name, text in corpus_gen(12, 0)]
-    trees, _pred_maps = _count_trees(monkeypatch)
+    trees = _count_trees(monkeypatch)
     for m in designs:
         search_greedy(m)
     assert len(trees) == 205
