@@ -82,6 +82,7 @@ def pretrain(graphs: list[HetGraph], pairs: list[TrainPair],
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             opt.step(params, grads)
+            del grads       # not alive through the next batch's backward
             epoch_loss += loss
             batches += 1
         train_loss = epoch_loss / max(1, batches)

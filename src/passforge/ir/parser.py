@@ -48,12 +48,12 @@ _TOKEN_RE = re.compile(
 
 
 class _Line:
-    """Token cursor over a single source line."""
+    """Token cursor over one source line from ``start``, columns 1-based."""
 
-    def __init__(self, text: str, lineno: int):
+    def __init__(self, text: str, lineno: int, start: int = 0):
         self.lineno = lineno
         self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
+        pos = start
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if m is None:
@@ -363,18 +363,18 @@ def parse_module(text: str, verify: bool = True) -> IrModule:
     explicit_top = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.partition(";")[0].strip()
-        if not stripped:
+        code = raw.partition(";")[0]
+        if not code.strip():
             continue
-        if stripped.startswith("#pragma"):
-            ln = _Line(stripped[1:], lineno)
+        if code.lstrip().startswith("#pragma"):
+            ln = _Line(code, lineno, code.index("#") + 1)
             if current_fn is not None:
                 raise IrSyntaxError("pragmas must precede the function",
                                     lineno, 1)
             pending_pragmas.append(_parse_pragma(ln, lineno))
             continue
 
-        ln = _Line(stripped, lineno)
+        ln = _Line(code, lineno)
         kind, val, col = ln.peek()
 
         if kind == "ident" and val == "global" and current_fn is None:

@@ -272,6 +272,22 @@ def test_literal_outside_i32_is_a_syntax_error(line, col):
     assert (e.value.line, e.value.col) == (3, col)
 
 
+@pytest.mark.parametrize("text, col", [
+    ("func @f(%a: i32) -> i1 {\nblock entry:\n"
+     "  %c = icmp slt i32 %a, 4294967296\n  ret i1 %c\n}", 25),
+    ("\t#pragma unroll(factor=x) loop=1\n"
+     "func @f() -> i32 {\nblock entry:\n  ret i32 0\n}", 24),
+    ("   #pragma pipeline(ii=) loop=1\n"
+     "func @f() -> i32 {\nblock entry:\n  ret i32 0\n}", 24),
+])
+def test_syntax_error_columns_count_from_the_start_of_the_line(text, col):
+    """An indented instruction or ``#pragma`` line reports the column of
+    the offending token in the raw line, indentation and ``#`` included."""
+    with pytest.raises(IrSyntaxError) as e:
+        parse_module(text)
+    assert e.value.col == col
+
+
 def test_global_initializer_outside_i32_is_a_syntax_error():
     text = ("global @t: i32[2] = {0, 4294967296}\n"
             "func @f() -> i32 {\nblock entry:\n  ret i32 0\n}")
