@@ -132,7 +132,7 @@ def dataset_gen(designs: list[tuple[str, str]], k_sequences: int,
     seen_cross: set[tuple[int, int]] = set()
     while cross_budget > 0 and attempts < cross_pairs * 20:
         attempts += 1
-        split = ("train", "val", "test")[int(rng.integers(0, 3))]
+        split = SPLITS[int(rng.integers(0, len(SPLITS)))]
         names = split_groups.get(split, [])
         if len(names) < 2:
             continue

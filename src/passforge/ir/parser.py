@@ -1,18 +1,21 @@
 """Parser for the textual IR dialect.
 
 The grammar is line oriented; the normative EBNF ships in docs/ir_grammar.ebnf.
-``parse_module`` verifies the result before returning it, so a successfully
-parsed module is always structurally valid.
+An instruction's syntax after its opcode is its ``ir.types.OPCODES`` row's
+``text``, which ``_match`` reads slot by slot (the slot letters are listed in
+``ir.types``); a pragma's is its ``PRAGMA_FORMS`` row.  ``parse_module``
+verifies the result before returning it, so a successfully parsed module is
+always structurally valid.
 """
 from __future__ import annotations
 
 import re
 
 from .types import (
-    I1, I32, PTR, VOID, Const, GlobalArray, GlobalRef, IrBlock, IrFunction,
-    InstrClass, IrInstruction, IrModule, IrType, LabelRef, LoopInfo, Opcode,
-    OPCODE_CLASS, PragmaDirective, PragmaKind, ValueRef, array_type,
-    ICMP_PREDICATES,
+    I1, I32, ICMP_PREDICATES, OPCODES, PRAGMA_FORMS, PTR, VOID, Const,
+    GlobalArray, GlobalRef, IrBlock, IrFunction, IrInstruction, IrModule,
+    IrType, LabelRef, LoopInfo, Opcode, PragmaDirective, PragmaKind, ValueRef,
+    array_type,
 )
 
 
@@ -118,50 +121,94 @@ class _Line:
                                 self.lineno, col)
 
 
-def _parse_type(ln: _Line, allow_array: bool = False) -> IrType:
+_SCALAR_TYPES = {"i32": I32, "i1": I1}
+_TYPES = {**_SCALAR_TYPES, "void": VOID, "ptr": PTR}
+
+
+def _parse_type(ln: _Line, types: dict[str, IrType] = _SCALAR_TYPES,
+                allow_array: bool = False) -> IrType:
+    """One of ``types``, by name, or with ``allow_array`` also ``i32[N]``."""
     kind, val, col = ln.peek()
-    if kind != "ident":
-        raise IrSyntaxError(f"expected a type, found {val!r}", ln.lineno, col)
+    if kind != "ident" or val not in types:
+        raise IrSyntaxError(f"expected a type ({', '.join(types)}), "
+                            f"found {val!r}", ln.lineno, col)
     ln.next()
-    if val == "i32":
-        if allow_array and ln.accept("["):
-            length = int(ln.expect_kind("number"))
-            ln.expect("]")
-            return array_type(length)
-        return I32
-    if val == "i1":
-        return I1
-    if val == "void":
-        return VOID
-    if val == "ptr":
-        return PTR
-    raise IrSyntaxError(f"unknown type {val!r}", ln.lineno, col)
+    if allow_array and val == "i32" and ln.accept("["):
+        length = int(ln.expect_kind("number"))
+        ln.expect("]")
+        return array_type(length)
+    return types[val]
 
 
-def _parse_value_or_const(ln: _Line):
+def _items(ln: _Line, close: str, read) -> list:
+    """What ``read`` reads from each item of a comma-separated list, maybe
+    empty, that the token ``close`` ends."""
+    out = []
+    while not ln.accept(close):
+        if out:
+            ln.expect(",")
+        out.append(read())
+    return out
+
+
+def _parse_param(ln: _Line) -> tuple[str, IrType]:
+    pid = ln.expect_kind("value")[1:]
+    ln.expect(":")
+    return pid, _parse_type(ln, allow_array=True)
+
+
+def _parse_operand(ln: _Line, array: bool = False):
+    """A ``%value``, or else an i32 literal, or with ``array`` a ``@global``."""
     kind, val, col = ln.peek()
-    if kind == "value":
+    if kind == "value" or array and kind == "global":
         ln.next()
-        return ValueRef(val[1:])
-    if kind == "number":
+        return (ValueRef if kind == "value" else GlobalRef)(val[1:])
+    if kind == "number" and not array:
         return Const(ln.i32())
-    raise IrSyntaxError(f"expected value or constant, found {val!r}",
-                        ln.lineno, col)
+    wanted = "array reference" if array else "value or constant"
+    raise IrSyntaxError(f"expected {wanted}, found {val!r}", ln.lineno, col)
 
 
-def _parse_array_ref(ln: _Line):
-    kind, val, col = ln.peek()
-    if kind == "global":
-        ln.next()
-        return GlobalRef(val[1:])
-    if kind == "value":
-        ln.next()
-        return ValueRef(val[1:])
-    raise IrSyntaxError(f"expected array reference, found {val!r}",
-                        ln.lineno, col)
+def _match(ln: _Line, slots: list[str], ins: IrInstruction) -> None:
+    """Reads ``slots``, one form of an ``OPCODES`` row's ``text``, into
+    ``ins``; the slot letters are ``ir.types``'."""
+    i = 0
+    while i < len(slots):
+        s = slots[i]
+        if s == "V" or s == "A":
+            ins.operands.append(_parse_operand(ln, s == "A"))
+        elif s == ",":
+            ln.expect(",")
+        elif s == "T" or s == "Y":
+            ins.ir_type = _parse_type(ln, _SCALAR_TYPES if s == "T" else _TYPES)
+        elif s == "{":
+            end = slots.index("}", i)
+            item, after = slots[i + 1:end], slots[end + 1:end + 2]
+            # A list is empty only where the token after it comes next.
+            if not after or ln.peek()[1] != after[0]:
+                _match(ln, item, ins)
+                while ln.accept(","):
+                    _match(ln, item, ins)
+            i = end
+        elif s == "L":
+            ins.operands.append(LabelRef(ln.expect_kind("ident")))
+        elif s == "P":
+            col = ln.peek()[2]
+            ins.pred = ln.expect_kind("ident")
+            if ins.pred not in ICMP_PREDICATES:
+                raise IrSyntaxError(f"unknown icmp predicate {ins.pred!r}",
+                                    ln.lineno, col)
+        elif s == "F":
+            ins.callee = ln.expect_kind("global")[1:]
+        else:
+            ln.expect(s)
+        i += 1
 
 
 _OPCODE_NAMES = {op.value: op for op in Opcode}
+#: Each opcode's alternative forms, each a list of slots.
+_FORMS = {op: [form.split() for form in row.text.split("|")]
+          for op, row in OPCODES.items()}
 
 
 def _parse_instruction(ln: _Line) -> IrInstruction:
@@ -175,162 +222,56 @@ def _parse_instruction(ln: _Line) -> IrInstruction:
 
     if kind != "ident":
         raise IrSyntaxError(f"expected an opcode, found {val!r}", ln.lineno, col)
-    op = val
     ln.next()
-    opcode = _OPCODE_NAMES.get(op)
+    opcode = _OPCODE_NAMES.get(val)
     if opcode is None:
-        raise IrSyntaxError(f"unknown opcode {op!r}", ln.lineno, col)
-    cls = OPCODE_CLASS[opcode]
-
-    if cls is InstrClass.BINARY or cls is InstrClass.BITWISE:
-        ty = _parse_type(ln)
-        lhs = _parse_value_or_const(ln)
-        ln.expect(",")
-        rhs = _parse_value_or_const(ln)
-        return IrInstruction(result, opcode, [lhs, rhs], ty)
-
-    if op == "icmp":
-        pred = ln.expect_kind("ident")
-        if pred not in ICMP_PREDICATES:
-            raise IrSyntaxError(f"unknown icmp predicate {pred!r}",
-                                ln.lineno, col)
-        _parse_type(ln)
-        lhs = _parse_value_or_const(ln)
-        ln.expect(",")
-        rhs = _parse_value_or_const(ln)
-        return IrInstruction(result, Opcode.ICMP, [lhs, rhs], I1, pred=pred)
-
-    if op == "select":
-        cond = _parse_value_or_const(ln)
-        ln.expect(",")
-        ty = _parse_type(ln)
-        tv = _parse_value_or_const(ln)
-        ln.expect(",")
-        fv = _parse_value_or_const(ln)
-        return IrInstruction(result, Opcode.SELECT, [cond, tv, fv], ty)
-
-    if op == "phi":
-        ty = _parse_type(ln)
-        operands = []
-        while True:
-            ln.expect("[")
-            v = _parse_value_or_const(ln)
-            ln.expect(",")
-            label = ln.expect_kind("ident")
-            ln.expect("]")
-            operands.extend([v, LabelRef(label)])
-            if not ln.accept(","):
-                break
-        return IrInstruction(result, Opcode.PHI, operands, ty)
-
-    if op == "load":
-        ty = _parse_type(ln)
-        ptr = _parse_value_or_const(ln)
-        return IrInstruction(result, Opcode.LOAD, [ptr], ty)
-
-    if op == "store":
-        _parse_type(ln)
-        v = _parse_value_or_const(ln)
-        ln.expect(",")
-        ptr = _parse_value_or_const(ln)
-        return IrInstruction(None, Opcode.STORE, [v, ptr], VOID)
-
-    if op == "getelementptr":
-        arr = _parse_array_ref(ln)
-        ln.expect(",")
-        idx = _parse_value_or_const(ln)
-        return IrInstruction(result, Opcode.GETELEMENTPTR, [arr, idx], PTR)
-
-    if cls is InstrClass.CAST:
-        _parse_type(ln)
-        v = _parse_value_or_const(ln)
-        ln.expect("to")
-        dst_ty = _parse_type(ln)
-        return IrInstruction(result, opcode, [v], dst_ty)
-
-    if op == "call":
-        ty = _parse_type(ln)
-        callee = ln.expect_kind("global")[1:]
-        ln.expect("(")
-        args = []
-        if not ln.accept(")"):
-            while True:
-                args.append(_parse_value_or_const(ln))
-                if ln.accept(")"):
-                    break
-                ln.expect(",")
-        return IrInstruction(result, Opcode.CALL, args, ty, callee=callee)
-
-    if op == "br":
-        label = ln.expect_kind("ident")
-        return IrInstruction(None, Opcode.BR, [LabelRef(label)], VOID)
-
-    if op == "condbr":
-        cond = _parse_value_or_const(ln)
-        ln.expect(",")
-        t = ln.expect_kind("ident")
-        ln.expect(",")
-        f = ln.expect_kind("ident")
-        return IrInstruction(None, Opcode.CONDBR,
-                             [cond, LabelRef(t), LabelRef(f)], VOID)
-
-    # ret, the one opcode left
-    k, v, _ = ln.peek()
-    if k == "ident" and v == "void":
-        ln.next()
-        return IrInstruction(None, Opcode.RET, [], VOID)
-    ty = _parse_type(ln)
-    val_op = _parse_value_or_const(ln)
-    return IrInstruction(None, Opcode.RET, [val_op], ty)
+        raise IrSyntaxError(f"unknown opcode {val!r}", ln.lineno, col)
+    row, forms, start = OPCODES[opcode], _FORMS[opcode], ln.idx
+    if row.result is VOID:
+        result = None
+    # The first form that matches wins; the last one's error stands.
+    for n, slots in enumerate(forms, 1):
+        ins = IrInstruction(result, opcode, [], row.result)
+        try:
+            _match(ln, slots, ins)
+            return ins
+        except IrSyntaxError:
+            if n == len(forms):
+                raise
+            ln.idx = start
 
 
-def _parse_pragma(ln: _Line, lineno: int) -> PragmaDirective:
+_PRAGMA_KINDS = {kind.value: kind for kind in PragmaKind}
+
+
+def _parse_pragma(ln: _Line) -> PragmaDirective:
+    """A pragma line, read by its kind's ``PRAGMA_FORMS`` row."""
     ln.expect("pragma")
-    kind = ln.expect_kind("ident")
-    if kind == "unroll":
+    _, name, col = ln.peek()
+    kind = _PRAGMA_KINDS.get(ln.expect_kind("ident"))
+    if kind is None:
+        raise IrSyntaxError(f"unknown pragma kind {name!r}", ln.lineno, col)
+    form = PRAGMA_FORMS[kind]
+    pragma = PragmaDirective(kind, "")
+    if form.param is not None:
         ln.expect("(")
-        ln.expect("factor")
+        ln.expect(form.param)
         ln.expect("=")
-        factor = int(ln.expect_kind("number"))
+        col = ln.peek()[2]
+        value = int(ln.expect_kind("number"))
+        if value < form.least:
+            raise IrSyntaxError(f"{name} {form.param} must be >= {form.least}",
+                                ln.lineno, col)
         ln.expect(")")
-        ln.expect("loop")
+        setattr(pragma, form.param, value)
+    # A bare pragma's target is set by the function that follows it.
+    if form.param is not None or not ln.done:
+        ln.expect(form.key)
         ln.expect("=")
-        loop_id = int(ln.expect_kind("number"))
-        if factor < 2:
-            raise IrSyntaxError("unroll factor must be >= 2", lineno, 1)
-        return PragmaDirective(PragmaKind.UNROLL, loop_id, factor=factor)
-    if kind == "pipeline":
-        ln.expect("(")
-        ln.expect("ii")
-        ln.expect("=")
-        ii = int(ln.expect_kind("number"))
-        ln.expect(")")
-        ln.expect("loop")
-        ln.expect("=")
-        loop_id = int(ln.expect_kind("number"))
-        if ii < 1:
-            raise IrSyntaxError("pipeline target ii must be >= 1", lineno, 1)
-        return PragmaDirective(PragmaKind.PIPELINE, loop_id, target_ii=ii)
-    if kind == "array_partition":
-        ln.expect("(")
-        ln.expect("factor")
-        ln.expect("=")
-        factor = int(ln.expect_kind("number"))
-        ln.expect(")")
-        ln.expect("array")
-        ln.expect("=")
-        arr = ln.expect_kind("global")[1:]
-        if factor < 1:
-            raise IrSyntaxError("array_partition factor must be >= 1", lineno, 1)
-        return PragmaDirective(PragmaKind.ARRAY_PARTITION, arr, factor=factor)
-    if kind == "inline":
-        # Bare form applies to the function that follows the pragma block.
-        if ln.accept("function"):
-            ln.expect("=")
-            name = ln.expect_kind("global")[1:]
-            return PragmaDirective(PragmaKind.INLINE, name)
-        return PragmaDirective(PragmaKind.INLINE, "")
-    raise IrSyntaxError(f"unknown pragma kind {kind!r}", lineno, 1)
+        pragma.target = int(ln.expect_kind("number")) if form.key == "loop" \
+            else ln.expect_kind("global")[1:]
+    ln.require_done()
+    return pragma
 
 
 def _parse_block_header(ln: _Line) -> IrBlock:
@@ -371,7 +312,7 @@ def parse_module(text: str, verify: bool = True) -> IrModule:
             if current_fn is not None:
                 raise IrSyntaxError("pragmas must precede the function",
                                     lineno, 1)
-            pending_pragmas.append(_parse_pragma(ln, lineno))
+            pending_pragmas.append(_parse_pragma(ln))
             continue
 
         ln = _Line(code, lineno)
@@ -387,13 +328,7 @@ def parse_module(text: str, verify: bool = True) -> IrModule:
             init = None
             if ln.accept("="):
                 ln.expect("{")
-                init = []
-                if not ln.accept("}"):
-                    while True:
-                        init.append(ln.i32())
-                        if ln.accept("}"):
-                            break
-                        ln.expect(",")
+                init = _items(ln, "}", ln.i32)
             ln.require_done()
             module.global_arrays.append(GlobalArray(name, ty.length, init))
             continue
@@ -409,18 +344,9 @@ def parse_module(text: str, verify: bool = True) -> IrModule:
             ln.expect("func")
             name = ln.expect_kind("global")[1:]
             ln.expect("(")
-            params: list[tuple[str, IrType]] = []
-            if not ln.accept(")"):
-                while True:
-                    pid = ln.expect_kind("value")[1:]
-                    ln.expect(":")
-                    pty = _parse_type(ln, allow_array=True)
-                    params.append((pid, pty))
-                    if ln.accept(")"):
-                        break
-                    ln.expect(",")
+            params = _items(ln, ")", lambda: _parse_param(ln))
             ln.expect("->")
-            ret_ty = _parse_type(ln)
+            ret_ty = _parse_type(ln, _TYPES)
             ln.expect("{")
             ln.require_done()
             current_fn = IrFunction(name, params, ret_ty, [],

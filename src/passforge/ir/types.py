@@ -8,10 +8,22 @@ against the CFG by the verifier.
 
 ``OPCODES`` is the opcode table: one ``OpInfo`` row per opcode holds its
 feature class, operand count, purity, side effects, commutativity, constant
-fold and algebra.  Every per-opcode fact is defined there once; the parser,
-verifier, printer, interpreter and passes read the rows, or the sets derived
-from them below the table, and ``fold_constant`` is a lookup in it.
+fold, algebra and text.  Every per-opcode fact is defined there once; the
+parser, verifier, printer, interpreter and passes read the rows, or the sets
+derived from them below the table, and ``fold_constant`` is a lookup in it.
 ``PREDICATES`` is icmp's: each predicate's test, negation and swap.
+``PRAGMA_FORMS`` is the pragmas': each kind's parameter and target.
+
+The rows' texts are the one statement of the IR's syntax, which
+docs/ir_grammar.ebnf restates as a grammar; ``ir.parser`` matches them and
+``ir.printer`` compiles them.  A ``text`` spells what follows the opcode
+name as slots split by spaces: ``T`` a scalar type (i32, i1) and ``Y`` any
+type, either the instruction's; ``V`` an operand, a %value or an i32
+literal; ``L`` a label; ``A`` an array, a @global or a %parameter; ``P``
+icmp's predicate; ``F`` the @callee; ``{ ... }`` a comma-separated list of
+the enclosed slots, which takes the remaining operands and is empty only
+where the token after it comes next; ``|`` between forms tried in order;
+any other slot, a token as written.
 """
 from __future__ import annotations
 
@@ -265,7 +277,9 @@ class OpInfo(NamedTuple):
     ``qor.OpCostTable`` starts from; and its algebra: ``identity`` e with
     ``x op e = x``, ``absorber`` z with ``z op x = z`` (each on both sides
     when it commutes; no division has an absorber, as ``0 / 0`` traps);
-    ``idempotent``: ``x op x = x``; ``self_fold``: ``x op x = 0 op 0``."""
+    ``idempotent``: ``x op x = x``; ``self_fold``: ``x op x = 0 op 0``;
+    its ``text`` (by default a binary operator's); and ``result``, its type
+    where the text has no type slot, ``VOID`` where it defines no value."""
     cls: InstrClass
     arity: int | None
     pure: bool = False
@@ -277,9 +291,12 @@ class OpInfo(NamedTuple):
     absorber: int | None = None
     idempotent: bool = False
     self_fold: bool = False
+    text: str = "T V , V"
+    result: IrType | None = None
 
 
 _BIN, _BIT, _CAST = InstrClass.BINARY, InstrClass.BITWISE, InstrClass.CAST
+_MEM, _TERM = InstrClass.MEMORY, InstrClass.TERMINATOR
 
 #: One row per opcode: the one place a per-opcode fact is defined.
 OPCODES: dict[Opcode, OpInfo] = {
@@ -307,20 +324,26 @@ OPCODES: dict[Opcode, OpInfo] = {
     Opcode.ASHR: OpInfo(_BIT, 2, True, identity=0, absorber=0,
                         fold=lambda v, p: wrap32(v[0] >> (v[1] & 31))),
     Opcode.ICMP: OpInfo(InstrClass.COMPARE, 2, True, self_fold=True, fold=(
-        lambda v, p: int(PREDICATES[p or "eq"].test(v[0], v[1])))),
-    Opcode.SELECT: OpInfo(InstrClass.SELECT, 3, True),
-    Opcode.PHI: OpInfo(InstrClass.PHI, None),
-    Opcode.LOAD: OpInfo(InstrClass.MEMORY, 1, latency=2),
-    Opcode.STORE: OpInfo(InstrClass.MEMORY, 2, side_effects=True),
-    Opcode.GETELEMENTPTR: OpInfo(InstrClass.MEMORY, 2, True, latency=0),
-    Opcode.ZEXT: OpInfo(_CAST, 1, True, fold=lambda v, p: v[0] & 1, latency=0),
+        lambda v, p: int(PREDICATES[p or "eq"].test(v[0], v[1]))),
+        text="P i32 V , V", result=I1),
+    Opcode.SELECT: OpInfo(InstrClass.SELECT, 3, True, text="V , T V , V"),
+    Opcode.PHI: OpInfo(InstrClass.PHI, None, text="T { [ V , L ] }"),
+    Opcode.LOAD: OpInfo(_MEM, 1, latency=2, text="T V"),
+    Opcode.STORE: OpInfo(_MEM, 2, side_effects=True, text="i32 V , V",
+                         result=VOID),
+    Opcode.GETELEMENTPTR: OpInfo(_MEM, 2, True, latency=0, text="A , V",
+                                 result=PTR),
+    Opcode.ZEXT: OpInfo(_CAST, 1, True, fold=lambda v, p: v[0] & 1, latency=0,
+                        text="i1 V to i32", result=I32),
     Opcode.SEXT: OpInfo(_CAST, 1, True, fold=lambda v, p: -1 if v[0] & 1 else 0,
-                        latency=0),
-    Opcode.TRUNC: OpInfo(_CAST, 1, True, fold=lambda v, p: v[0] & 1, latency=0),
-    Opcode.CALL: OpInfo(InstrClass.CALL, None, side_effects=True, latency=0),
-    Opcode.BR: OpInfo(InstrClass.TERMINATOR, 1, latency=0),
-    Opcode.CONDBR: OpInfo(InstrClass.TERMINATOR, 3, latency=0),
-    Opcode.RET: OpInfo(InstrClass.TERMINATOR, None, latency=0),
+                        latency=0, text="i1 V to i32", result=I32),
+    Opcode.TRUNC: OpInfo(_CAST, 1, True, fold=lambda v, p: v[0] & 1, latency=0,
+                         text="i32 V to i1", result=I1),
+    Opcode.CALL: OpInfo(InstrClass.CALL, None, side_effects=True, latency=0,
+                        text="Y F ( { V } )"),
+    Opcode.BR: OpInfo(_TERM, 1, latency=0, text="L", result=VOID),
+    Opcode.CONDBR: OpInfo(_TERM, 3, latency=0, text="V , L , L", result=VOID),
+    Opcode.RET: OpInfo(_TERM, None, latency=0, text="void | Y V", result=VOID),
 }
 
 OPCODE_CLASS = {op: row.cls for op, row in OPCODES.items()}
@@ -351,22 +374,11 @@ def instr_class_one_hot(cls: InstrClass) -> list[float]:
 
 @dataclass
 class IrInstruction:
-    """One SSA instruction.
-
-    ``operands`` layout per opcode:
-      binary/bitwise   [lhs, rhs]
-      icmp             [lhs, rhs] with ``pred`` set
-      select           [cond, true_val, false_val]
-      phi              [val0, label0, val1, label1, ...]
-      load             [ptr]
-      store            [value, ptr]
-      getelementptr    [array, index]
-      zext/sext/trunc  [value]
-      call             args only, callee in ``callee``
-      br               [label]
-      condbr           [cond, true_label, false_label]
-      ret              [value] or [] for void
-    """
+    """One SSA instruction.  ``operands`` follow the operand slots of its
+    opcode's ``text``: select's are [cond, true, false], store's [value,
+    ptr], getelementptr's [array, index], condbr's [cond, true label, false
+    label] and phi's value, label pairs; ``pred`` holds icmp's predicate and
+    ``callee`` call's function."""
     result: str | None
     opcode: Opcode
     operands: list[Operand]
@@ -457,15 +469,35 @@ class PragmaKind(PlainEnum):
     ARRAY_PARTITION = "array_partition"
 
 
+class PragmaForm(NamedTuple):
+    """A pragma's text: ``#pragma kind(param=value) key=target``, with no
+    parentheses when ``param`` is None.  ``param`` names the
+    ``PragmaDirective`` field of the value, which is at least ``least``; a
+    ``loop`` target is a loop id, any other an ``@name``."""
+    param: str | None
+    least: int
+    key: str
+
+
+#: One row per pragma kind.  A bare ``inline``, with no target, names the
+#: function that follows it.
+PRAGMA_FORMS: dict[PragmaKind, PragmaForm] = {
+    PragmaKind.UNROLL: PragmaForm("factor", 2, "loop"),
+    PragmaKind.PIPELINE: PragmaForm("ii", 1, "loop"),
+    PragmaKind.INLINE: PragmaForm(None, 0, "function"),
+    PragmaKind.ARRAY_PARTITION: PragmaForm("factor", 1, "array"),
+}
+
+
 @dataclass
 class PragmaDirective:
     kind: PragmaKind
     target: int | str  # loop id, array name, or function name
     factor: int | None = None
-    target_ii: int | None = None
+    ii: int | None = None
 
     def clone(self) -> "PragmaDirective":
-        return PragmaDirective(self.kind, self.target, self.factor, self.target_ii)
+        return PragmaDirective(self.kind, self.target, self.factor, self.ii)
 
 
 @dataclass

@@ -43,6 +43,10 @@ def _check_function(m: IrModule, fn: IrFunction
     where the checks stopped before that walk finished."""
     out: list[Violation] = []
     where = fn.name
+    for pid, ty in fn.params:
+        if ty.is_array and ty.length < 1:
+            out.append(Violation("array-len",
+                                 f"array %{pid} has length {ty.length}", where))
     labels = [b.label for b in fn.blocks]
     if len(set(labels)) != len(labels):
         out.append(Violation("dup-label", "duplicate block labels", where))

@@ -414,7 +414,7 @@ class _FunctionModel:
     def _build(self) -> None:
         for lab in self.insts:
             self.block_lat[lab] = self._schedule_block(lab)
-        pipelined = {p.target: p.target_ii or 1
+        pipelined = {p.target: p.ii or 1
                      for p in self.fn.pragmas if p.kind is PragmaKind.PIPELINE}
         tally = self._tally_blocks()
         # Deepest first, so each loop's children are tallied and priced

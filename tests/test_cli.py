@@ -208,6 +208,20 @@ def test_a_literal_outside_i32_exits_1(tmp_path, capsys):
                                 "is outside i32's [-2^31, 2^31-1]\n")
 
 
+def test_an_array_parameter_shorter_than_one_exits_1(tmp_path, capsys):
+    """The interpreter once died on it in numpy (exit 2), though a global
+    of that length already failed to verify."""
+    bad = tmp_path / "neg.ir"
+    bad.write_text("func @f(%a: i32[-5]) -> i32 {\nblock entry:\n"
+                   "  ret i32 0\n}\n")
+    for argv in (["parse", str(bad)], ["interp", str(bad)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {bad}: [array-len] f: array %a "
+                                "has length -5\n")
+
+
 def test_estimate_json(workdir, capsys):
     design = str(workdir / "corpus" / "case2.ir")
     assert main(["estimate", design, "--quiet"]) == 0

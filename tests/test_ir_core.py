@@ -4,7 +4,9 @@ import copy
 import enum
 import inspect
 import pickle
+import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,13 +281,187 @@ def test_literal_outside_i32_is_a_syntax_error(line, col):
      "func @f() -> i32 {\nblock entry:\n  ret i32 0\n}", 24),
     ("   #pragma pipeline(ii=) loop=1\n"
      "func @f() -> i32 {\nblock entry:\n  ret i32 0\n}", 24),
+    ("#pragma unroll(factor=1) loop=1\n"
+     "func @f() -> i32 {\nblock entry:\n  ret i32 0\n}", 23),
+    ("  #pragma pipeline(ii=0) loop=1\n"
+     "func @f() -> i32 {\nblock entry:\n  ret i32 0\n}", 23),
+    ("#pragma array_partition(factor=0) array=@g\n"
+     "func @f() -> i32 {\nblock entry:\n  ret i32 0\n}", 32),
+    ("\t#pragma frobnicate loop=1\n"
+     "func @f() -> i32 {\nblock entry:\n  ret i32 0\n}", 10),
 ])
 def test_syntax_error_columns_count_from_the_start_of_the_line(text, col):
     """An indented instruction or ``#pragma`` line reports the column of
-    the offending token in the raw line, indentation and ``#`` included."""
+    the offending token in the raw line, indentation and ``#`` included; a
+    pragma's value out of range and an unknown pragma kind too."""
     with pytest.raises(IrSyntaxError) as e:
         parse_module(text)
     assert e.value.col == col
+
+
+#: One instruction per opcode, a cast of each kind, ``ret void``, a call of
+#: a void function with no arguments and a two-arm phi, as the printer
+#: writes them.
+EVERY_OPCODE = """\
+global @g : i32[4] = {1, 2, 3, 4}
+
+#pragma unroll(factor=2) loop=1
+#pragma pipeline(ii=1) loop=1
+#pragma array_partition(factor=2) array=@g
+#pragma inline function=@h
+top func @f(%a: i32, %b: i1, %p: i32[4]) -> i32 {
+block entry:
+  %s = add i32 %a, 1
+  %t = sub i32 %s, %a
+  %u = mul i32 %t, 3
+  %v = sdiv i32 %u, 2
+  %w = srem i32 %v, 5
+  %x = and i32 %w, 7
+  %y = or i32 %x, 8
+  %z = xor i32 %y, -1
+  %sh = shl i32 %z, 2
+  %as = ashr i32 %sh, 1
+  %c = icmp slt i32 %as, 10
+  %se = select %c, i32 %as, 0
+  %ze = zext i1 %c to i32
+  %sx = sext i1 %b to i32
+  %tr = trunc i32 %ze to i1
+  %q = getelementptr @g, 1
+  store i32 %se, %q
+  %l = load i32 %q
+  %r = call i32 @h(%l, %sx)
+  %n = call void @k()
+  %e = getelementptr %p, 0
+  br head
+block head loop(1, depth=1, header):
+  %i = phi i32 [0, entry], [%i2, head]
+  %i2 = add i32 %i, 1
+  %cc = icmp ne i32 %i2, 4
+  condbr %cc, head, out
+block out:
+  ret i32 %i2
+}
+
+func @h(%x: i32, %y: i32) -> i32 {
+block entry:
+  ret i32 %x
+}
+
+func @k() -> void {
+block entry:
+  ret void
+}
+"""
+
+
+def test_every_opcode_round_trips_both_ways():
+    m = parse_module(EVERY_OPCODE)
+    assert print_module(m) == EVERY_OPCODE
+    assert parse_module(print_module(m)) == m
+    ins = [i for f in m.functions for b in f.blocks
+           for i in b.all_instructions()]
+    assert {i.opcode for i in ins} == set(Opcode)
+    assert {len(i.operands) for i in ins if i.opcode is Opcode.CALL} == {0, 2}
+    assert {len(i.operands) for i in ins if i.opcode is Opcode.RET} == {0, 1}
+    assert [len(i.operands) for i in ins if i.opcode is Opcode.PHI] == [4]
+
+
+def test_each_brace_free_text_has_one_operand_slot_per_operand():
+    """A list takes any number of operands; ret's two forms take none or
+    one, as the verifier requires."""
+    for op, row in OPCODES.items():
+        counts = {sum(s in ("V", "L", "A") for s in form.split())
+                  for form in row.text.split("|")}
+        if "{" in row.text:
+            assert row.arity is None, op
+        else:
+            assert counts == ({0, 1} if op is Opcode.RET else {row.arity}), op
+
+
+_OFF_GRAMMAR_BODY = ("func @f(%a: i32, %b: i1, %q: i32[4]) -> i32 {{\n"
+                     "block entry:\n  %p = getelementptr %q, 0\n{line}\n"
+                     "  ret i32 0\n}}")
+_EMPTY_FN = "func @f() -> i32 {\nblock entry:\n  ret i32 0\n}"
+
+
+@pytest.mark.parametrize("text, line, col", [
+    (_OFF_GRAMMAR_BODY.format(line="  %x = add void %a, 1"), 4, 12),
+    (_OFF_GRAMMAR_BODY.format(line="  %x = mul ptr %a, 1"), 4, 12),
+    (_OFF_GRAMMAR_BODY.format(line="  %x = load void %p"), 4, 13),
+    (_OFF_GRAMMAR_BODY.format(line="  %x = select %b, ptr %a, 0"), 4, 19),
+    (_OFF_GRAMMAR_BODY.format(line="  %x = phi ptr [0, entry]"), 4, 12),
+    (_OFF_GRAMMAR_BODY.format(line="  %c = icmp slt i1 %b, 1"), 4, 17),
+    (_OFF_GRAMMAR_BODY.format(line="  store i1 1, %p"), 4, 9),
+    (_OFF_GRAMMAR_BODY.format(line="  %z = zext i32 %a to i32"), 4, 13),
+    (_OFF_GRAMMAR_BODY.format(line="  %z = sext i1 %b to i1"), 4, 22),
+    (_OFF_GRAMMAR_BODY.format(line="  %t = trunc i1 %b to i1"), 4, 14),
+    (_OFF_GRAMMAR_BODY.format(line="  %t = trunc i32 %a to i32"), 4, 24),
+    ("func @f(%a: void) -> i32 {\nblock entry:\n  ret i32 0\n}", 1, 13),
+    ("func @f(%a: i32, %b: ptr) -> i32 {\nblock entry:\n  ret i32 0\n}",
+     1, 22),
+    ("#pragma unroll(factor=2) loop=1 junk\n" + _EMPTY_FN, 1, 33),
+    ("#pragma pipeline(ii=1) loop=1 extra\n" + _EMPTY_FN, 1, 31),
+    ("#pragma array_partition(factor=2) array=@g x\n"
+     "global @g : i32[4]\n" + _EMPTY_FN, 1, 44),
+    ("#pragma inline junk\n" + _EMPTY_FN, 1, 16),
+    ("#pragma inline function=@f extra\n" + _EMPTY_FN, 1, 28),
+], ids=["add-void", "mul-ptr", "load-void", "select-ptr", "phi-ptr",
+        "icmp-i1", "store-i1", "zext-from-i32", "sext-to-i1",
+        "trunc-from-i1", "trunc-to-i32", "param-void", "param-ptr",
+        "unroll-trailing", "pipeline-trailing", "partition-trailing",
+        "inline-trailing", "inline-function-trailing"])
+def test_off_grammar_forms_are_syntax_errors(text, line, col):
+    """Each parsed before, and some printed back as other text; each is
+    now refused at the offending token."""
+    with pytest.raises(IrSyntaxError) as e:
+        parse_module(text)
+    assert (e.value.line, e.value.col) == (line, col)
+
+
+GRAMMAR = Path(__file__).resolve().parents[1] / "docs" / "ir_grammar.ebnf"
+
+
+def _alternatives(tokens: list[str]) -> list[list[str]]:
+    """``tokens`` split at each ``|`` outside brackets."""
+    out, depth = [[]], 0
+    for t in tokens:
+        depth += (t in ("(", "[", "{")) - (t in (")", "]", "}"))
+        if t == "|" and depth == 0:
+            out.append([])
+        else:
+            out[-1].append(t)
+    return out
+
+
+def _first(rules: dict[str, list[str]], tokens: list[str]) -> set[str]:
+    """The terminals that can start ``tokens``, a rule body."""
+    out = set()
+    for alt in _alternatives(tokens):
+        if alt[0] == "(":
+            depth = 0
+            for end, t in enumerate(alt):
+                depth += (t == "(") - (t == ")")
+                if depth == 0:
+                    break
+            out |= _first(rules, alt[1:end])
+        elif alt[0].startswith('"'):
+            out.add(alt[0].strip('"'))
+        else:
+            out |= _first(rules, rules[alt[0]])
+    return out
+
+
+def test_the_grammar_names_every_opcode_and_predicate():
+    """The EBNF is normative; the tables are what the program runs.  The
+    opcodes are the terminals that start an instruction, a producer or a
+    terminator."""
+    text = re.sub(r"\(\*.*?\*\)", "", GRAMMAR.read_text(), flags=re.S)
+    rules = {name: re.findall(r'"[^"]*"|\w+|[()\[\]{}|]', body)
+             for name, body in re.findall(r"(\w+)\s*=(.*?);", text, re.S)}
+    starts = set().union(*(_first(rules, rules[name]) for name in
+                           ("instruction", "producer", "terminator")))
+    assert starts - {"%"} == {op.value for op in Opcode}
+    assert _first(rules, rules["predicate"]) == set(PREDICATES)
 
 
 def test_global_initializer_outside_i32_is_a_syntax_error():
