@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .types import (
-    OPCODES, Const, GlobalRef, IrFunction, IrModule, Opcode, ValueRef, wrap32,
+    OPCODES, Const, GlobalRef, IrFunction, IrModule, Opcode, wrap32,
 )
 
 DEFAULT_FUEL = 10**8
@@ -69,12 +69,8 @@ class _Machine:
         for (pid, _ty), arg in zip(fn.params, args):
             env[pid] = arg
 
-        def value(op):
-            if isinstance(op, Const):
-                return op.value
-            if isinstance(op, ValueRef):
-                return env[op.id]
-            raise TypeError(op)
+        def value(op):      # a verified value slot holds nothing else
+            return op.value if isinstance(op, Const) else env[op.id]
 
         bmap = fn.block_map()
         block = fn.entry

@@ -12,10 +12,10 @@ from __future__ import annotations
 import re
 
 from .types import (
-    I1, I32, ICMP_PREDICATES, OPCODES, PRAGMA_FORMS, PTR, VOID, Const,
-    GlobalArray, GlobalRef, IrBlock, IrFunction, IrInstruction, IrModule,
-    IrType, LabelRef, LoopInfo, Opcode, PragmaDirective, PragmaKind, ValueRef,
-    array_type,
+    ICMP_PREDICATES, NAMED_TYPES, OPCODES, PRAGMA_FORMS, SCALAR_TYPES, VOID,
+    Const, GlobalArray, GlobalRef, IrBlock, IrFunction, IrInstruction,
+    IrModule, IrType, LabelRef, LoopInfo, Opcode, PragmaDirective, PragmaKind,
+    ValueRef, array_type,
 )
 
 
@@ -121,11 +121,7 @@ class _Line:
                                 self.lineno, col)
 
 
-_SCALAR_TYPES = {"i32": I32, "i1": I1}
-_TYPES = {**_SCALAR_TYPES, "void": VOID, "ptr": PTR}
-
-
-def _parse_type(ln: _Line, types: dict[str, IrType] = _SCALAR_TYPES,
+def _parse_type(ln: _Line, types: dict[str, IrType] = SCALAR_TYPES,
                 allow_array: bool = False) -> IrType:
     """One of ``types``, by name, or with ``allow_array`` also ``i32[N]``."""
     kind, val, col = ln.peek()
@@ -180,7 +176,8 @@ def _match(ln: _Line, slots: list[str], ins: IrInstruction) -> None:
         elif s == ",":
             ln.expect(",")
         elif s == "T" or s == "Y":
-            ins.ir_type = _parse_type(ln, _SCALAR_TYPES if s == "T" else _TYPES)
+            ins.ir_type = _parse_type(ln, SCALAR_TYPES if s == "T"
+                                      else NAMED_TYPES)
         elif s == "{":
             end = slots.index("}", i)
             item, after = slots[i + 1:end], slots[end + 1:end + 2]
@@ -207,13 +204,14 @@ def _match(ln: _Line, slots: list[str], ins: IrInstruction) -> None:
 
 _OPCODE_NAMES = {op.value: op for op in Opcode}
 #: Each opcode's alternative forms, each a list of slots.
-_FORMS = {op: [form.split() for form in row.text.split("|")]
-          for op, row in OPCODES.items()}
+_FORMS = {op: row.forms() for op, row in OPCODES.items()}
 
 
 def _parse_instruction(ln: _Line) -> IrInstruction:
+    """One instruction: ``%x = `` and then a producer, or a store or
+    terminator alone, as the row's ``result`` says."""
     kind, val, col = ln.peek()
-    result = None
+    result, first = None, col
     if kind == "value":
         result = val[1:]
         ln.next()
@@ -227,8 +225,10 @@ def _parse_instruction(ln: _Line) -> IrInstruction:
     if opcode is None:
         raise IrSyntaxError(f"unknown opcode {val!r}", ln.lineno, col)
     row, forms, start = OPCODES[opcode], _FORMS[opcode], ln.idx
-    if row.result is VOID:
-        result = None
+    if (row.result is VOID) != (result is None):    # at the line's start
+        raise IrSyntaxError(f"{val} defines no value, so takes no '%{result} ='"
+                            if result else f"{val} defines a value, so needs "
+                            "'%name ='", ln.lineno, first)
     # The first form that matches wins; the last one's error stands.
     for n, slots in enumerate(forms, 1):
         ins = IrInstruction(result, opcode, [], row.result)
@@ -346,7 +346,7 @@ def parse_module(text: str, verify: bool = True) -> IrModule:
             ln.expect("(")
             params = _items(ln, ")", lambda: _parse_param(ln))
             ln.expect("->")
-            ret_ty = _parse_type(ln, _TYPES)
+            ret_ty = _parse_type(ln, NAMED_TYPES)
             ln.expect("{")
             ln.require_done()
             current_fn = IrFunction(name, params, ret_ty, [],

@@ -56,8 +56,7 @@ def _compile(opcode: Opcode, row: OpInfo) -> Callable[[IrInstruction], str]:
     head = "" if row.result is VOID else \
         "{'' if ins.result is None else f'%{ins.result} = '}"
     body, setup = "", ""
-    for slots in reversed(row.text.split("|")):
-        slots = slots.split()
+    for slots in reversed(row.forms()):
         if "{" in slots:      # a list takes the rest, a tuple per item
             i, end = slots.index("{"), slots.index("}")
             item, width = slots[i + 1:end], _operands(slots[i + 1:end])

@@ -24,6 +24,14 @@ icmp's predicate; ``F`` the @callee; ``{ ... }`` a comma-separated list of
 the enclosed slots, which takes the remaining operands and is empty only
 where the token after it comes next; ``|`` between forms tried in order;
 any other slot, a token as written.
+
+A typed slot ``X:t`` reads as ``X`` to the parser and printer, and the
+verifier checks its type ``t``: ``V:i1`` is an i1 operand, and ``Y:ret``
+or ``void:ret`` a type that must be the function's return type.  An
+untyped ``V`` has the nearest type before it: ``T`` or ``Y``, the
+instruction's; a type token, as ``i32`` in ``P i32 V , V``; or after
+``F``, the callee's parameter's.  A literal fits any scalar ``V``, and an
+``A`` is a declared @global or an array %parameter.
 """
 from __future__ import annotations
 
@@ -140,6 +148,9 @@ I1 = IrType(IrTypeKind.I1)
 I32 = IrType(IrTypeKind.I32)
 PTR = IrType(IrTypeKind.PTR)
 VOID = IrType(IrTypeKind.VOID)
+#: The types a text may name, by name; a ``T`` slot takes the scalar ones.
+SCALAR_TYPES = {"i32": I32, "i1": I1}
+NAMED_TYPES = {**SCALAR_TYPES, "void": VOID, "ptr": PTR}
 
 
 def array_type(length: int) -> IrType:
@@ -294,6 +305,11 @@ class OpInfo(NamedTuple):
     text: str = "T V , V"
     result: IrType | None = None
 
+    def forms(self, typed: bool = False) -> list[list[str]]:
+        """Each form of ``text`` as its slots, ``X:t`` as ``X`` unless typed."""
+        return [[s if typed else s.partition(":")[0] for s in form.split()]
+                for form in self.text.split("|")]
+
 
 _BIN, _BIT, _CAST = InstrClass.BINARY, InstrClass.BITWISE, InstrClass.CAST
 _MEM, _TERM = InstrClass.MEMORY, InstrClass.TERMINATOR
@@ -326,12 +342,12 @@ OPCODES: dict[Opcode, OpInfo] = {
     Opcode.ICMP: OpInfo(InstrClass.COMPARE, 2, True, self_fold=True, fold=(
         lambda v, p: int(PREDICATES[p or "eq"].test(v[0], v[1]))),
         text="P i32 V , V", result=I1),
-    Opcode.SELECT: OpInfo(InstrClass.SELECT, 3, True, text="V , T V , V"),
+    Opcode.SELECT: OpInfo(InstrClass.SELECT, 3, True, text="V:i1 , T V , V"),
     Opcode.PHI: OpInfo(InstrClass.PHI, None, text="T { [ V , L ] }"),
-    Opcode.LOAD: OpInfo(_MEM, 1, latency=2, text="T V"),
-    Opcode.STORE: OpInfo(_MEM, 2, side_effects=True, text="i32 V , V",
+    Opcode.LOAD: OpInfo(_MEM, 1, latency=2, text="T V:ptr"),
+    Opcode.STORE: OpInfo(_MEM, 2, side_effects=True, text="i32 V , V:ptr",
                          result=VOID),
-    Opcode.GETELEMENTPTR: OpInfo(_MEM, 2, True, latency=0, text="A , V",
+    Opcode.GETELEMENTPTR: OpInfo(_MEM, 2, True, latency=0, text="A , V:i32",
                                  result=PTR),
     Opcode.ZEXT: OpInfo(_CAST, 1, True, fold=lambda v, p: v[0] & 1, latency=0,
                         text="i1 V to i32", result=I32),
@@ -342,8 +358,9 @@ OPCODES: dict[Opcode, OpInfo] = {
     Opcode.CALL: OpInfo(InstrClass.CALL, None, side_effects=True, latency=0,
                         text="Y F ( { V } )"),
     Opcode.BR: OpInfo(_TERM, 1, latency=0, text="L", result=VOID),
-    Opcode.CONDBR: OpInfo(_TERM, 3, latency=0, text="V , L , L", result=VOID),
-    Opcode.RET: OpInfo(_TERM, None, latency=0, text="void | Y V", result=VOID),
+    Opcode.CONDBR: OpInfo(_TERM, 3, latency=0, text="V:i1 , L , L", result=VOID),
+    Opcode.RET: OpInfo(_TERM, None, latency=0, text="void:ret | Y:ret V",
+                       result=VOID),
 }
 
 OPCODE_CLASS = {op: row.cls for op, row in OPCODES.items()}
@@ -400,12 +417,9 @@ class IrInstruction:
 
     def phi_incoming(self) -> list[tuple[Operand, str]]:
         assert self.opcode is Opcode.PHI
-        pairs = []
-        for i in range(0, len(self.operands), 2):
-            label = self.operands[i + 1]
-            assert isinstance(label, LabelRef)
-            pairs.append((self.operands[i], label.label))
-        return pairs
+        ops = self.operands
+        return [(ops[i], ops[i + 1].label)  # type: ignore[union-attr]
+                for i in range(0, len(ops), 2)]
 
     def successors(self) -> list[str]:
         if self.opcode is Opcode.BR:
@@ -454,12 +468,10 @@ class IrBlock:
         return [] if self.terminator is None else self.terminator.successors()
 
     def clone(self) -> "IrBlock":
-        li = None
-        if self.loop_info is not None:
-            li = LoopInfo(self.loop_info.loop_id, self.loop_info.depth,
-                          self.loop_info.is_header)
+        li = self.loop_info
         return IrBlock(self.label, [i.clone() for i in self.instructions],
-                       self.terminator.clone() if self.terminator else None, li)
+                       self.terminator.clone() if self.terminator else None,
+                       li and LoopInfo(li.loop_id, li.depth, li.is_header))
 
 
 class PragmaKind(PlainEnum):
@@ -523,12 +535,8 @@ class IrFunction:
         return {p for p, _ in self.params}
 
     def defined_values(self) -> dict[str, IrInstruction]:
-        out: dict[str, IrInstruction] = {}
-        for b in self.blocks:
-            for ins in b.all_instructions():
-                if ins.result is not None:
-                    out[ins.result] = ins
-        return out
+        return {ins.result: ins for b in self.blocks
+                for ins in b.all_instructions() if ins.result is not None}
 
     def clone(self) -> "IrFunction":
         out = IrFunction(self.name, list(self.params), self.return_type,

@@ -144,9 +144,6 @@ def _inline_one_call(m: IrModule, caller: IrFunction, block: IrBlock,
                      call: IrInstruction) -> None:
     callee = m.function(call.callee)
     fresh = FreshNames(caller)
-    arg_map: dict[str, Operand] = {}
-    for (pid, _ty), arg in zip(callee.params, call.operands):
-        arg_map[pid] = arg
 
     # Split the call block: instructions after the call move to a new block.
     at = block.instructions.index(call)
@@ -159,7 +156,8 @@ def _inline_one_call(m: IrModule, caller: IrFunction, block: IrBlock,
 
     # Clone the callee body.
     label_map: dict[str, str] = {}
-    value_map: dict[str, Operand] = dict(arg_map)
+    value_map: dict[str, Operand] = {
+        pid: arg for (pid, _ty), arg in zip(callee.params, call.operands)}
     loop_id_map: dict[int, int] = {}
     next_loop_id = 1 + max((b.loop_info.loop_id for b in caller.blocks
                             if b.loop_info is not None), default=0)

@@ -222,6 +222,34 @@ def test_an_array_parameter_shorter_than_one_exits_1(tmp_path, capsys):
                                 "has length -5\n")
 
 
+@pytest.mark.parametrize("ret, params, body, message", [
+    ("i32", "", "  ret void", "[type] f:entry: ret is void, expected the "
+     "function's i32"),
+    ("void", "", "  ret i32 3", "[type] f:entry: ret is i32, expected the "
+     "function's void"),
+    ("i32", "%c: i1", "  %x = add i32 %c, 1\n  ret i32 %x",
+     "[type] f:entry: add operand %c is i1, expected i32"),
+    ("i32", "%a: i32", "  %d = load i32 %a\n  ret i32 %d",
+     "[type] f:entry: load operand %a is i32, expected ptr"),
+    ("i32", "%a: i32", "  condbr %a, l, l\nblock l:\n  ret i32 0",
+     "[type] f:entry: condbr operand %a is i32, expected i1"),
+], ids=["ret-void-in-i32", "ret-i32-in-void", "add-on-i1", "load-of-i32",
+        "condbr-on-i32"])
+def test_a_mistyped_design_exits_1(tmp_path, capsys, ret, params, body,
+                                   message):
+    """Each once verified: ``interp`` ran the others, returning None and 3
+    on the ret mismatches, and died on the load with a TypeError (exit 2)."""
+    bad = tmp_path / "typed.ir"
+    bad.write_text(f"func @f({params}) -> {ret} {{\nblock entry:\n{body}\n}}\n")
+    for argv in (["parse", str(bad)], ["interp", str(bad)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: {message}\n"
+    assert main(["verify", str(bad)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_estimate_json(workdir, capsys):
     design = str(workdir / "corpus" / "case2.ir")
     assert main(["estimate", design, "--quiet"]) == 0
@@ -618,7 +646,7 @@ block entry:
 }
 """)
     assert main(["interp", str(design)]) == 1
-    assert "[call-arg] g:entry: %x: i32[4] of @f cannot take %i" in \
+    assert "[type] g:entry: call operand %i is i32, expected i32[4]" in \
         capsys.readouterr().err
 
 

@@ -21,7 +21,7 @@ from passforge.ir import (
 )
 from passforge.ir.types import (
     FOLDABLE, ICMP_PREDICATES, PREDICATES, PURE_OPS, PURE_OR_DIV,
-    TERMINATOR_OPCODES, IrTypeKind, OpInfo, PlainEnum,
+    TERMINATOR_OPCODES, VOID, IrTypeKind, OpInfo, PlainEnum,
 )
 from passforge.passes import PassId
 
@@ -224,22 +224,23 @@ block entry:
 
 
 @pytest.mark.parametrize("caller, wrong", [
-    ("%r = call i32 @f(%i, %i)", ["%x: i32[4] of @f cannot take %i"]),
-    ("%r = call i32 @f(%a, %a)", ["%s: i32 of @f cannot take %a"]),
+    ("%r = call i32 @f(%i, %i)", ["call operand %i is i32, expected i32[4]"]),
+    ("%r = call i32 @f(%a, %a)", ["call operand %a is i32[4], expected i32"]),
     ("%p = getelementptr %a, 0\n  %r = call i32 @f(%a, %p)",
-     ["%s: i32 of @f cannot take %p"]),
-    ("%r = call i32 @f(0, 1)", ["%x: i32[4] of @f cannot take 0"]),
+     ["call operand %p is ptr, expected i32"]),
+    ("%r = call i32 @f(0, 1)",
+     ["call operand 0 is a literal, expected i32[4]"]),
     ("%v = add i32 %i, 1\n  %r = call i32 @f(%a, %v)", []),
     ("%r = call i32 @f(%a, 7)", []),
     ("%r = call i32 @f(%a, %nope)", []),
 ], ids=["scalar-to-array", "array-to-scalar", "pointer", "constant-array",
         "result", "constant", "undefined"])
 def test_call_arguments_are_typed(caller, wrong):
-    """An undefined argument is reported once, as a use before its
-    definition."""
+    """Each argument must have its parameter's type.  An undefined one is
+    reported once, as a use before its definition."""
     m = parse_module(TYPED_CALL.format(caller=caller), verify=False)
-    assert [str(v) for v in verify_module(m) if v.code == "call-arg"] == [
-        f"[call-arg] g:entry: {w}" for w in wrong]
+    assert [str(v) for v in verify_module(m) if v.code == "type"] == [
+        f"[type] g:entry: {w}" for w in wrong]
 
 
 def test_a_global_array_is_no_call_argument():
@@ -370,12 +371,88 @@ def test_each_brace_free_text_has_one_operand_slot_per_operand():
     """A list takes any number of operands; ret's two forms take none or
     one, as the verifier requires."""
     for op, row in OPCODES.items():
-        counts = {sum(s in ("V", "L", "A") for s in form.split())
-                  for form in row.text.split("|")}
+        counts = {sum(s in ("V", "L", "A") for s in form)
+                  for form in row.forms()}
         if "{" in row.text:
             assert row.arity is None, op
         else:
             assert counts == ({0, 1} if op is Opcode.RET else {row.arity}), op
+
+
+#: Where a row-driven instance sits: ``body`` holds it, ``%i``, ``%b``,
+#: ``%p`` and ``%a`` are an i32, an i1, a ptr and an array, and ``@h``
+#: takes an i32.
+TYPED_SITE = """
+func @h(%x: i32) -> i32 {{
+block entry:
+  ret i32 %x
+}}
+top func @f(%i: i32, %b: i1, %a: i32[4]) -> {ret} {{
+block entry:
+  %p = getelementptr %a, 0
+  condbr %b, body, done
+block body:
+  {body}
+block done:
+  ret {value}
+}}
+"""
+#: An operand of each type a slot may want, and one of another type.
+TYPED_OPERANDS = {"i32": ("%i", "%b"), "i1": ("%b", "%i"), "ptr": ("%p", "%i"),
+                  "A": ("%a", "%i")}
+
+
+def _instances(op: Opcode) -> list[tuple[str, list[tuple[str, str]]]]:
+    """For each form of ``op``'s row, a well-typed instance at
+    ``TYPED_SITE``, and for each of its ``V`` and ``A`` slots, the instance
+    with an operand of another type there, and that operand.  The
+    instance's type is i32, as is ``@h``'s parameter; an untyped ``V`` has
+    the nearest type before it."""
+    row, out = OPCODES[op], []
+    label = "done" if row.result is VOID else "entry"   # a branch's or phi's
+    for form in row.forms(typed=True):
+        tokens, wants, ty = [], [], None
+        for slot in (s for s in form if s not in ("{", "}")):
+            s, _, typed = slot.partition(":")
+            if s in ("T", "Y", "F", "i32", "i1", "void"):
+                ty = "i32" if s in ("T", "Y", "F") else s
+            if s in ("V", "A"):
+                wants.append((len(tokens), "A" if s == "A" else
+                              typed if typed in TYPED_OPERANDS else ty))
+            tokens.append({"T": "i32", "Y": "i32", "P": "slt", "F": "@h",
+                           "L": label}.get(s, s))
+        for k, want in wants:
+            tokens[k] = TYPED_OPERANDS[want][0]
+        result = "" if row.result is VOID else "%r = "
+        text = result + " ".join([op.value] + tokens)
+        wrong = []
+        for k, want in wants:
+            bad = list(tokens)
+            bad[k] = TYPED_OPERANDS[want][1]
+            wrong.append((result + " ".join([op.value] + bad), bad[k]))
+        out.append((text, wrong))
+    return out
+
+
+def _at_site(op: Opcode, instance: str) -> str:
+    body = instance if op in TERMINATOR_OPCODES else instance + "\n  br done"
+    ret = "void" if instance == "ret void" else "i32"
+    return TYPED_SITE.format(ret=ret, body=body,
+                             value="void" if ret == "void" else "i32 0")
+
+
+@pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.value)
+def test_each_row_types_each_operand_slot(op):
+    """A well-typed instance of each form of each row verifies; giving any
+    one of its value or array slots an operand of another type is one
+    ``type`` violation, at the block, naming that operand."""
+    for text, wrong in _instances(op):
+        assert verify_module(parse_module(_at_site(op, text))) == []
+        for bad, operand in wrong:
+            found = verify_module(parse_module(_at_site(op, bad),
+                                               verify=False))
+            assert [(v.code, v.where) for v in found] == [("type", "f:body")]
+            assert f" operand {operand} is " in found[0].message
 
 
 _OFF_GRAMMAR_BODY = ("func @f(%a: i32, %b: i1, %q: i32[4]) -> i32 {{\n"
@@ -416,6 +493,24 @@ def test_off_grammar_forms_are_syntax_errors(text, line, col):
     with pytest.raises(IrSyntaxError) as e:
         parse_module(text)
     assert (e.value.line, e.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("line, col, message", [
+    ("  %x = store i32 1, %p", 3, "store defines no value, so takes no '%x ='"),
+    ("  %x = br entry", 3, "br defines no value, so takes no '%x ='"),
+    ("  %x = condbr %b, entry, entry", 3,
+     "condbr defines no value, so takes no '%x ='"),
+    ("\t%x = ret i32 0", 2, "ret defines no value, so takes no '%x ='"),
+    ("  add i32 1, 2", 3, "add defines a value, so needs '%name ='"),
+    ("    call void @f()", 5, "call defines a value, so needs '%name ='"),
+], ids=["store", "br", "condbr", "ret", "add", "call"])
+def test_a_result_is_named_exactly_where_the_row_defines_one(line, col,
+                                                             message):
+    """The grammar's ``instruction`` rule.  A name on a store or a
+    terminator was once dropped, and a producer without one parsed."""
+    with pytest.raises(IrSyntaxError, match=re.escape(message)) as e:
+        parse_module(_OFF_GRAMMAR_BODY.format(line=line))
+    assert (e.value.line, e.value.col) == (4, col)
 
 
 GRAMMAR = Path(__file__).resolve().parents[1] / "docs" / "ir_grammar.ebnf"
@@ -779,23 +874,24 @@ def _bad_target():
         "[phi-order] f:join: phi after non-phi",
         "[phi-order] f:join: phi after non-phi",
         "[dup-param] f: duplicate parameter ids",
-        "[bad-array] f:l: gep of undeclared array @nope",
-        "[bad-array] f:r: gep base %a is not an array",
         "[bad-callee] f:r: call to unknown function @missing",
+        "[type] f:l: getelementptr operand @nope is undeclared, expected an "
+        "array",
+        "[type] f:r: getelementptr operand %a is i32, expected an array",
         "[phi-preds] f:join: phi %p incoming ['entry', 'l'] != "
         "predecessors ['l', 'r']",
         "[use-before-def] f:join: use of undefined value %u",
     ]),
     (_parsed(BAD_SSA), [
         "[redef] f:r: value %z defined twice",
-        "[call-arity] f:entry: call to @g has 0 args, expected 1",
-        "[call-arity] f:join: call to @g has 2 args, expected 1",
+        "[operands] f:entry: call @g cannot take 0 operands",
         "[dominance] f:entry: use of %y not dominated by its definition",
         "[use-before-def] f:r: use of undefined value %nope",
         "[dominance] f:join: phi incoming %z does not dominate edge from l",
         "[dominance] f:join: phi incoming %t does not dominate edge from r",
         "[dominance] f:join: use of %w not dominated by its definition",
         "[dominance] f:join: use of %t not dominated by its definition",
+        "[operands] f:join: call @g cannot take 2 operands",
     ]),
     (_parsed(BAD_LOOPS), [
         "[loop-depth] f: header 'hd' annotated depth 2, derived 1",

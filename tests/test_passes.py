@@ -1093,6 +1093,23 @@ def test_memo_hit_runs_no_pass(monkeypatch, dot_module):
     assert len(memo) == len(seq)
 
 
+def test_a_pass_that_mistypes_raises(monkeypatch):
+    """Each pass output's types are verified too: a pass that makes an
+    ``add i32`` read an ``i1`` raises."""
+    m = parse_module("func @f(%a: i32) -> i32 {\nblock entry:\n"
+                     "  %c = icmp slt i32 %a, 4\n  %x = add i32 %a, 1\n"
+                     "  ret i32 %x\n}\n")
+
+    def mistyping(module):
+        module.top.blocks[0].instructions[1].operands[0] = ValueRef("c")
+
+    monkeypatch.setitem(passes._IMPLS, PassId.INSTCOMBINE, mistyping)
+    with pytest.raises(PassError) as err:
+        apply_pass(m, PassId.INSTCOMBINE)
+    assert [str(v) for v in err.value.violations] == [
+        "[type] f:entry: add operand %c is i1, expected i32"]
+
+
 def test_memo_stores_no_failed_transition(monkeypatch, dot_module):
     def corrupting(module):
         module.top.blocks[0].terminator = None
