@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ir import IrModule, ValueRef
 from .ir.types import PlainEnum, instr_class_one_hot
@@ -38,15 +39,13 @@ class Relation(PlainEnum):
 HOMOGENEOUS_RELATION = Relation.DATA_FLOW
 
 
-@dataclass(frozen=True)
-class NodeRecord:
+class NodeRecord(NamedTuple):
     node_id: int
     kind: NodeKind
     attr: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     src: int
     dst: int
     relation: Relation

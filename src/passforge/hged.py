@@ -34,13 +34,19 @@ edges) on both sides.  A substitution prices only the earlier nodes adjacent
 to the pair, in ascending order: an equal edge multiset adds nothing, a
 one-sided mismatch adds its tabulated value, and only a two-sided one calls
 ``_edge_pair_cost``.  The bound's edge surplus and deficit are counted once
-per parent and moved by one per G2 edge a child uses up.  Each float sum keeps
-the operands and order of the plain definition, so every cost keeps its bits:
+per parent and moved by one per G2 edge a child uses up.  On the last level,
+a parent lists the terms of inserting G2's rest once (``insertions``): its
+unused nodes, then each edge with an unused end, tagged with the one node a
+child could use up to drop it.  Each float sum keeps the operands and order
+of the plain definition, so every cost keeps its bits:
 
 * a tabulated value comes from the same function on the same inputs;
 * a skipped term adds +0.0 to a sum that starts at +0.0 or at
   ``node_sub_mismatch``, and the path cost g is never -0.0 (a sum is -0.0
   only when both operands are), so ``g + cost`` has the same bits;
+* a child's insertion sum adds its parent's list less the terms tagged with
+  the node it uses, left to right from +0.0: the terms, and the order, of
+  summing over G2's nodes and then its edges;
 * the bound terms are ints.
 
 ``ged_beam`` keeps the k children of lowest f of each level, k = ``width``
@@ -52,9 +58,13 @@ floor under it, reaches it.  A substitution's floor leaves out its edge
 costs, and on the last level every floor leaves out the insertion of G2's
 rest.  Those terms are finite and non-negative and float addition is
 monotone, so a floor never exceeds f; a dropped child has k earlier children
-at or below its f, which the stable sort puts first.  So the beam keeps the
-children, order and bits the unpruned sort keeps.  The cutoff needs costs
-that ``EditCostModel.bad_costs`` accepts; exhaustion prices every child.
+at or below its f, which the stable sort puts first.  A parent emits no
+child at all when its deletion child's f and the floor under each of its
+substitutions, g plus the least label term and edge surplus one can have
+(g alone on the last level), already reach the cutoff, which only falls as
+the level goes on.  So the beam keeps the children, order and bits the
+unpruned sort keeps.  The cutoff needs costs that
+``EditCostModel.bad_costs`` accepts; exhaustion prices every child.
 
 ``ged_beam`` answers a pair of stage graphs that are equal up to node ids
 (``StageGraph.key``) at once: cost 0 and the positional identity, which is
@@ -73,8 +83,13 @@ The memo also holds each graph's ``_StageView`` (skeleton, per-block
 instruction graphs with their cached keys, data-flow and cross-block edges),
 keyed by the graph's id, and what deleting or inserting the whole graph
 costs, its share of the normalizing denominator, per side and cost model.
-The view holds the graph, so the id is not reused, and the graph must not
-be mutated, while the memo lives.
+Per cost model, it holds each stage graph's neighbour table (``_neighbours``)
+on each side it was searched from: the adjacent positions with their edges'
+relations and one-sided costs, and each node's self-loops, which a search
+reads and does not change; so a stage graph in many pairs builds its table
+once.  ``ged_beam`` given no ``tables`` builds them for its one search.
+The views hold the graphs, and the tables their stage graphs, so no id is
+reused, and no graph may be mutated, while the memo lives.
 """
 from __future__ import annotations
 
@@ -84,6 +99,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple
 
 from .graphs import EdgeRecord, HetGraph, NodeKind, Relation
 
@@ -176,15 +192,13 @@ class EditCostModel:
         return m
 
 
-@dataclass(frozen=True)
-class StageNode:
+class StageNode(NamedTuple):
     nid: int
     kind: str
     label: tuple
 
 
-@dataclass(frozen=True)
-class StageEdge:
+class StageEdge(NamedTuple):
     src: int
     dst: int
     rel: str
@@ -194,13 +208,6 @@ class StageEdge:
 class StageGraph:
     nodes: list[StageNode]
     edges: list[StageEdge]
-
-    def __post_init__(self):
-        self.between: dict[tuple[int, int], list[str]] = {}
-        for e in self.edges:
-            self.between.setdefault((e.src, e.dst), []).append(e.rel)
-        for rels in self.between.values():
-            rels.sort()
 
     @cached_property
     def key(self) -> tuple:
@@ -265,19 +272,67 @@ def _edge_excess(e1: list[int], e2: list[int]) -> tuple[int, int]:
     return surplus, deficit
 
 
-def _neighbours(g: StageGraph, one_sided) -> list[dict[int, tuple]]:
-    """For each node position, every other node position adjacent to it,
+def _neighbours(g: StageGraph, costs: EditCostModel, deleting: bool,
+                entries: dict) -> tuple[list[dict[int, tuple]], list[tuple]]:
+    """For each node position, the other node positions adjacent to it,
     with the sorted relations of the edges (from it, to it) and what each
-    of the two costs against no edges, ``one_sided(rels)``."""
+    costs against no edges: deleted on G1's side (``deleting``), inserted
+    on G2's; and the sorted relations of each node's self-loops.  G1's side
+    keeps only the earlier positions, in ascending order, as a substitution
+    prices its edges to the nodes decided before it.  ``entries`` holds one
+    copy of each distinct entry, shared across graphs."""
     pos = {n.nid: i for i, n in enumerate(g.nodes)}
+    between: dict[tuple[int, int], list[str]] = {}
+    for e in g.edges:
+        between.setdefault((pos[e.src], pos[e.dst]), []).append(e.rel)
     near: list[dict[int, tuple]] = [{} for _ in g.nodes]
-    for (src, dst), rels in g.between.items():
-        i, j = pos[src], pos[dst]
-        if i != j:
-            near[i][j] = (tuple(rels), near[i].get(j, _NO_EDGES)[1])
-            near[j][i] = (near[j].get(i, _NO_EDGES)[0], tuple(rels))
-    return [{j: (out, into, one_sided(out), one_sided(into))
-             for j, (out, into) in adjacent.items()} for adjacent in near]
+    loops: list[tuple] = [()] * len(g.nodes)
+    for (i, j), rels in between.items():
+        rels = tuple(sorted(rels))
+        if i == j:
+            loops[i] = rels
+        else:
+            near[i][j] = (rels, near[i].get(j, _NO_EDGES)[1])
+            near[j][i] = (near[j].get(i, _NO_EDGES)[0], rels)
+    if deleting:
+        near = [{j: adj for j, adj in sorted(adjacent.items()) if j < i}
+                for i, adjacent in enumerate(near)]
+
+    def one_sided(rels: tuple) -> float:
+        return _edge_pair_cost(rels, (), costs) if deleting \
+            else _edge_pair_cost((), rels, costs)
+
+    def entry(adj: tuple) -> tuple:
+        if adj not in entries:
+            out, into = adj
+            entries[adj] = (out, into, one_sided(out), one_sided(into))
+        return entries[adj]
+    return [{j: entry(adj) for j, adj in adjacent.items()}
+            for adjacent in near], loops
+
+
+def _neighbour_table(g: StageGraph, costs: EditCostModel, deleting: bool,
+                     tables: dict) -> tuple[list[dict], list[tuple]]:
+    """``_neighbours`` of ``g`` on one side, built once per ``tables``,
+    which holds one cost model's tables and, per side, their entries.  A
+    table holds its graph, so the id it is keyed by is not reused while
+    ``tables`` lives."""
+    key = (id(g), deleting)
+    if key not in tables:
+        tables[key] = (g, *_neighbours(g, costs, deleting,
+                                       tables.setdefault(deleting, {})))
+    return tables[key][1:]
+
+
+def _rest_cost(terms: list[tuple[int, float]], cand: int | None = None
+               ) -> float:
+    """The sum of ``_Search.insertions``' terms not tagged ``cand``, left to
+    right from +0.0."""
+    cost = 0.0
+    for tag, c in terms:
+        if tag != cand:
+            cost += c
+    return cost
 
 
 class _Search:
@@ -292,7 +347,8 @@ class _Search:
     are never mutated."""
 
     def __init__(self, g1: StageGraph, g2: StageGraph, costs: EditCostModel,
-                 del_extra: float = 0.0, ins_extra: float = 0.0):
+                 del_extra: float = 0.0, ins_extra: float = 0.0,
+                 tables: dict | None = None):
         self.costs = costs
         self.n1, self.n2 = n1, n2 = len(g1.nodes), len(g2.nodes)
         labels: dict[tuple, int] = {}
@@ -327,15 +383,9 @@ class _Search:
         # Edge pricing: G1's earlier neighbours of each node, in ascending
         # order, and G2's neighbours, each with its one-sided costs; and the
         # sorted relations of each node's self-loops.
-        self.near1 = [{j: adj for j, adj in sorted(near.items()) if j < i}
-                      for i, near in enumerate(_neighbours(
-                          g1, lambda rels: _edge_pair_cost(rels, (), costs)))]
-        self.near2 = _neighbours(
-            g2, lambda rels: _edge_pair_cost((), rels, costs))
-        self.loops1 = [tuple(g1.between.get((n.nid, n.nid), ()))
-                       for n in g1.nodes]
-        self.loops2 = [tuple(g2.between.get((n.nid, n.nid), ()))
-                       for n in g2.nodes]
+        tables = {} if tables is None else tables
+        self.near1, self.loops1 = _neighbour_table(g1, costs, True, tables)
+        self.near2, self.loops2 = _neighbour_table(g2, costs, False, tables)
         self.rel2 = [rels[e.rel] for e in g2.edges]
         self.inc2: list[list[tuple[int, int]]] = [[] for _ in range(n2)]
         for e, r in zip(g2.edges, self.rel2):
@@ -382,17 +432,20 @@ class _Search:
         lab -= sum(min(x, y) for x, y in zip(self.labels1[0], r2))
         return (0.0, (), [None] * self.n2, r2, t2, e2, lab)
 
-    def finish_cost(self, inv: list, also_used: int | None = None) -> float:
-        """Insert every unused G2 node and all its incident edges."""
-        cost = 0.0
-        for j, c in enumerate(self.ins_node):
-            if inv[j] is None and j != also_used:
-                cost += c
+    def insertions(self, inv: list) -> list[tuple[int, float]]:
+        """The terms of inserting G2's unused nodes and every edge with an
+        unused end, in summing order: each unused node, tagged with itself,
+        then each such edge, tagged with its one unused end (a self-loop's
+        node), or -1 when both are.  A child that uses G2's node t inserts
+        the terms not tagged t (``_rest_cost``)."""
+        terms = [(j, c) for j, c in enumerate(self.ins_node) if inv[j] is None]
         for src, dst, c in self.ins_edges:
-            if (inv[src] is None and src != also_used) or \
-                    (inv[dst] is None and dst != also_used):
-                cost += c
-        return cost
+            if inv[src] is None:
+                terms.append(
+                    (-1 if inv[dst] is None and dst != src else src, c))
+            elif inv[dst] is None:
+                terms.append((dst, c))
+        return terms
 
     def candidates(self, i: int, inv: list) -> list[int | None]:
         """Unused G2 nodes of node i's kind, in identity-friendly tie order:
@@ -419,11 +472,19 @@ class _Search:
 
         ``top``, when given, is a max-heap (of -f) of the ``width`` smallest
         f among the level's children emitted so far.  A child whose f, or a
-        floor under it, reaches the largest of a full heap is not emitted
-        (see the module docstring); an emitted child enters the heap."""
+        floor under it, reaches the largest of a full heap is not emitted,
+        and no child is when each one's floor reaches it (see the module
+        docstring); an emitted child enters the heap."""
         g, mapping, inv, r2, t2, e2, lab = state
         costs = self.costs
         last = i + 1 == self.n1
+        # A NaN cutoff fails every ``>=`` test: without a heap, nothing is cut.
+        cutoff = math.nan if top is None else (
+            -top[0] if len(top) == width else math.inf)
+        # A parent emits nothing when no child can make the cut: on the last
+        # level, each child's floor is at least g.
+        if last and g >= cutoff:
+            return []
         a, k = self.lid1[i], self.kid1[i]
         rest1 = self.labels1[i]
         t1k, t2k, ra = self.kinds1[i][k], t2[k], rest1[a]
@@ -437,9 +498,12 @@ class _Search:
         surplus, deficit = _edge_excess(edges1, e2)
         bound = max(surplus, deficit)
         near1, loops = self.near1[i], self.loops1[i]
-        # A NaN cutoff fails every ``>=`` test: without a heap, nothing is cut.
-        cutoff = math.nan if top is None else (
-            -top[0] if len(top) == width else math.inf)
+        # Before it, when the deletion child's f and each substitution's
+        # floor, g plus its least label term and edge surplus, reach the cut.
+        if not last and (g + self.del_cost[i]) + (lab + bound) >= cutoff \
+                and g + (hlab_sub + surplus) >= cutoff:
+            return []
+        terms = None    # the last level's, listed when a child needs them
         out = []
         for cand in self.candidates(i, inv):
             ne2 = e2
@@ -500,7 +564,9 @@ class _Search:
                 # Inserting what is left of G2 only adds to g.
                 if ng >= cutoff:
                     continue
-                f, nlab = ng + self.finish_cost(inv, cand), 0
+                if terms is None:
+                    terms = self.insertions(inv)
+                f, nlab = ng + _rest_cost(terms, cand), 0
             else:
                 f = ng + h
             if f >= cutoff:
@@ -530,7 +596,7 @@ class _Search:
     def total(self, state: tuple) -> tuple[float, dict[int, int]]:
         """Cost and node-id mapping of a complete state."""
         g, mapping, inv = state[:3]
-        return g + self.finish_cost(inv), {
+        return g + _rest_cost(self.insertions(inv)), {
             self.nid1[k]: self.nid2[t] for k, t in enumerate(mapping)
             if t is not None}
 
@@ -563,13 +629,16 @@ def _beam_keeps_identity(g: StageGraph, costs: EditCostModel,
 
 def ged_beam(g1: StageGraph, g2: StageGraph, costs: EditCostModel,
              width: int | None = DEFAULT_BEAM_WIDTH, del_extra: float = 0.0,
-             ins_extra: float = 0.0) -> tuple[float, dict[int, int]]:
+             ins_extra: float = 0.0, tables: dict | None = None
+             ) -> tuple[float, dict[int, int]]:
     """Beam search over edit paths; returns a valid (upper-bound) edit path
     cost and its mapping.  ``width=None`` keeps every child, so the result
     is the cheapest path; it raises SizeError, before searching, on a pair
     of more than ``EXACT_PATH_LIMIT`` paths.  Graphs equal up to node ids
     return 0 and the positional identity at once (see the module
-    docstring)."""
+    docstring).  ``tables``, a dict the caller keeps for ``costs`` alone,
+    holds each graph's neighbour tables across calls; without it, the
+    search builds its own."""
     if width is not None and width < 1:
         raise ValueError("beam width must be >= 1")
     if g1.key == g2.key and _beam_keeps_identity(g1, costs, del_extra,
@@ -579,7 +648,7 @@ def ged_beam(g1: StageGraph, g2: StageGraph, costs: EditCostModel,
         raise SizeError(
             f"{len(g1.nodes)}+{len(g2.nodes)} nodes have {paths:,} edit "
             f"paths; exact mode allows {EXACT_PATH_LIMIT:,}")
-    search = _Search(g1, g2, costs, del_extra, ins_extra)
+    search = _Search(g1, g2, costs, del_extra, ins_extra, tables)
     prune = width is not None and not costs.bad_costs()
     level = [search.start()]
     for i in range(search.n1):
@@ -676,11 +745,13 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
     if swapped:
         v1, v2, costs = v2, v1, costs.reversed()
     cost_key = repr(costs)
+    tables = memo.setdefault(("tables", cost_key), {})
 
     def run_stage(a: StageGraph, b: StageGraph, del_extra=0.0, ins_extra=0.0):
         key = (a.key, b.key, width, del_extra, ins_extra, cost_key)
         if key not in memo:
-            cost, mapping = ged_beam(a, b, costs, width, del_extra, ins_extra)
+            cost, mapping = ged_beam(a, b, costs, width, del_extra, ins_extra,
+                                     tables=tables)
             pos = {n.nid: j for j, n in enumerate(b.nodes)}
             memo[key] = (cost, [pos.get(mapping.get(n.nid)) for n in a.nodes])
         cost, targets = memo[key]

@@ -7,7 +7,7 @@ from .types import (
 )
 from .parser import IrSyntaxError, VerifyError, parse_module
 from .printer import print_function, print_instruction, print_module
-from .verify import Violation, verify_module
+from .verify import Violation, branch_violations, verify_module
 from .interp import (
     DEFAULT_FUEL, ExecResult, FuelExhausted, TrapError, check_inputs,
     interpret,
@@ -25,7 +25,7 @@ __all__ = [
     "fold_constant", "text_digest", "wrap32",
     "IrSyntaxError", "VerifyError", "parse_module",
     "print_function", "print_instruction", "print_module",
-    "Violation", "verify_module",
+    "Violation", "branch_violations", "verify_module",
     "DEFAULT_FUEL", "ExecResult", "FuelExhausted", "TrapError",
     "check_inputs", "interpret",
     "DomTree", "Loop", "LoopForest", "dedicated_preheader", "natural_loops",

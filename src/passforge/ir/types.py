@@ -7,10 +7,11 @@ memory is limited to named, flat 1-D arrays addressed through
 against the CFG by the verifier.
 
 ``OPCODES`` is the opcode table: one ``OpInfo`` row per opcode holds its
-feature class, operand count, purity, side effects, commutativity, constant
-fold, algebra and text.  Every per-opcode fact is defined there once; the
-parser, verifier, printer, interpreter and passes read the rows, or the sets
-derived from them below the table, and ``fold_constant`` is a lookup in it.
+feature class, purity, side effects, commutativity, constant fold, algebra
+and text, whose slots give its operands' number and types.  Every
+per-opcode fact is defined there once; the parser, verifier, printer,
+interpreter and passes read the rows, or the sets derived from them below
+the table, and ``fold_constant`` is a lookup in it.
 ``PREDICATES`` is icmp's: each predicate's test, negation and swap.
 ``PRAGMA_FORMS`` is the pragmas': each kind's parameter and target.
 
@@ -279,20 +280,19 @@ ICMP_PREDICATES = tuple(PREDICATES)
 
 
 class OpInfo(NamedTuple):
-    """What the IR knows about one opcode: its feature class; its operand
-    count, None when variadic; whether it is pure (writes nothing and never
-    traps, so a pass may hoist, clone or skip it), has side effects (writes
-    memory or calls) or commutes; and its constant fold, from the operand
-    values and an icmp predicate to the result (None on a trap), absent
-    when it does not fold; its default latency in cycles, which
-    ``qor.OpCostTable`` starts from; and its algebra: ``identity`` e with
-    ``x op e = x``, ``absorber`` z with ``z op x = z`` (each on both sides
-    when it commutes; no division has an absorber, as ``0 / 0`` traps);
-    ``idempotent``: ``x op x = x``; ``self_fold``: ``x op x = 0 op 0``;
-    its ``text`` (by default a binary operator's); and ``result``, its type
+    """What the IR knows about one opcode: its feature class; whether it
+    is pure (writes nothing and never traps, so a pass may hoist, clone or
+    skip it), has side effects (writes memory or calls) or commutes; and
+    its constant fold, from the operand values and an icmp predicate to
+    the result (None on a trap), absent when it does not fold; its default
+    latency in cycles, which ``qor.OpCostTable`` starts from; and its
+    algebra: ``identity`` e with ``x op e = x``, ``absorber`` z with
+    ``z op x = z`` (each on both sides when it commutes; no division has
+    an absorber, as ``0 / 0`` traps); ``idempotent``: ``x op x = x``;
+    ``self_fold``: ``x op x = 0 op 0``; its ``text`` (by default a binary
+    operator's), whose slots give its operands; and ``result``, its type
     where the text has no type slot, ``VOID`` where it defines no value."""
     cls: InstrClass
-    arity: int | None
     pure: bool = False
     side_effects: bool = False
     commutative: bool = False
@@ -316,50 +316,50 @@ _MEM, _TERM = InstrClass.MEMORY, InstrClass.TERMINATOR
 
 #: One row per opcode: the one place a per-opcode fact is defined.
 OPCODES: dict[Opcode, OpInfo] = {
-    Opcode.ADD: OpInfo(_BIN, 2, True, commutative=True, identity=0,
+    Opcode.ADD: OpInfo(_BIN, True, commutative=True, identity=0,
                        fold=lambda v, p: wrap32(v[0] + v[1])),
-    Opcode.SUB: OpInfo(_BIN, 2, True, identity=0, self_fold=True,
+    Opcode.SUB: OpInfo(_BIN, True, identity=0, self_fold=True,
                        fold=lambda v, p: wrap32(v[0] - v[1])),
-    Opcode.MUL: OpInfo(_BIN, 2, True, commutative=True, identity=1,
+    Opcode.MUL: OpInfo(_BIN, True, commutative=True, identity=1,
                        absorber=0, latency=3,
                        fold=lambda v, p: wrap32(v[0] * v[1])),
-    Opcode.SDIV: OpInfo(_BIN, 2, fold=lambda v, p: _sdiv(v[0], v[1], False),
+    Opcode.SDIV: OpInfo(_BIN, fold=lambda v, p: _sdiv(v[0], v[1], False),
                         latency=16, identity=1),
-    Opcode.SREM: OpInfo(_BIN, 2, fold=lambda v, p: _sdiv(v[0], v[1], True),
+    Opcode.SREM: OpInfo(_BIN, fold=lambda v, p: _sdiv(v[0], v[1], True),
                         latency=16),
-    Opcode.AND: OpInfo(_BIT, 2, True, commutative=True, identity=-1,
+    Opcode.AND: OpInfo(_BIT, True, commutative=True, identity=-1,
                        absorber=0, idempotent=True,
                        fold=lambda v, p: wrap32(v[0] & v[1])),
-    Opcode.OR: OpInfo(_BIT, 2, True, commutative=True, identity=0,
+    Opcode.OR: OpInfo(_BIT, True, commutative=True, identity=0,
                       absorber=-1, idempotent=True,
                       fold=lambda v, p: wrap32(v[0] | v[1])),
-    Opcode.XOR: OpInfo(_BIT, 2, True, commutative=True, identity=0,
+    Opcode.XOR: OpInfo(_BIT, True, commutative=True, identity=0,
                        self_fold=True, fold=lambda v, p: wrap32(v[0] ^ v[1])),
-    Opcode.SHL: OpInfo(_BIT, 2, True, identity=0, absorber=0,
+    Opcode.SHL: OpInfo(_BIT, True, identity=0, absorber=0,
                        fold=lambda v, p: wrap32(v[0] << (v[1] & 31))),
-    Opcode.ASHR: OpInfo(_BIT, 2, True, identity=0, absorber=0,
+    Opcode.ASHR: OpInfo(_BIT, True, identity=0, absorber=0,
                         fold=lambda v, p: wrap32(v[0] >> (v[1] & 31))),
-    Opcode.ICMP: OpInfo(InstrClass.COMPARE, 2, True, self_fold=True, fold=(
+    Opcode.ICMP: OpInfo(InstrClass.COMPARE, True, self_fold=True, fold=(
         lambda v, p: int(PREDICATES[p or "eq"].test(v[0], v[1]))),
         text="P i32 V , V", result=I1),
-    Opcode.SELECT: OpInfo(InstrClass.SELECT, 3, True, text="V:i1 , T V , V"),
-    Opcode.PHI: OpInfo(InstrClass.PHI, None, text="T { [ V , L ] }"),
-    Opcode.LOAD: OpInfo(_MEM, 1, latency=2, text="T V:ptr"),
-    Opcode.STORE: OpInfo(_MEM, 2, side_effects=True, text="i32 V , V:ptr",
+    Opcode.SELECT: OpInfo(InstrClass.SELECT, True, text="V:i1 , T V , V"),
+    Opcode.PHI: OpInfo(InstrClass.PHI, text="T { [ V , L ] }"),
+    Opcode.LOAD: OpInfo(_MEM, latency=2, text="T V:ptr"),
+    Opcode.STORE: OpInfo(_MEM, side_effects=True, text="i32 V , V:ptr",
                          result=VOID),
-    Opcode.GETELEMENTPTR: OpInfo(_MEM, 2, True, latency=0, text="A , V:i32",
+    Opcode.GETELEMENTPTR: OpInfo(_MEM, True, latency=0, text="A , V:i32",
                                  result=PTR),
-    Opcode.ZEXT: OpInfo(_CAST, 1, True, fold=lambda v, p: v[0] & 1, latency=0,
+    Opcode.ZEXT: OpInfo(_CAST, True, fold=lambda v, p: v[0] & 1, latency=0,
                         text="i1 V to i32", result=I32),
-    Opcode.SEXT: OpInfo(_CAST, 1, True, fold=lambda v, p: -1 if v[0] & 1 else 0,
+    Opcode.SEXT: OpInfo(_CAST, True, fold=lambda v, p: -1 if v[0] & 1 else 0,
                         latency=0, text="i1 V to i32", result=I32),
-    Opcode.TRUNC: OpInfo(_CAST, 1, True, fold=lambda v, p: v[0] & 1, latency=0,
+    Opcode.TRUNC: OpInfo(_CAST, True, fold=lambda v, p: v[0] & 1, latency=0,
                          text="i32 V to i1", result=I1),
-    Opcode.CALL: OpInfo(InstrClass.CALL, None, side_effects=True, latency=0,
+    Opcode.CALL: OpInfo(InstrClass.CALL, side_effects=True, latency=0,
                         text="Y F ( { V } )"),
-    Opcode.BR: OpInfo(_TERM, 1, latency=0, text="L", result=VOID),
-    Opcode.CONDBR: OpInfo(_TERM, 3, latency=0, text="V:i1 , L , L", result=VOID),
-    Opcode.RET: OpInfo(_TERM, None, latency=0, text="void:ret | Y:ret V",
+    Opcode.BR: OpInfo(_TERM, latency=0, text="L", result=VOID),
+    Opcode.CONDBR: OpInfo(_TERM, latency=0, text="V:i1 , L , L", result=VOID),
+    Opcode.RET: OpInfo(_TERM, latency=0, text="void:ret | Y:ret V",
                        result=VOID),
 }
 

@@ -11,7 +11,8 @@ parameter's, or its instruction's ``ir_type``.
 Each function's predecessors, reachable blocks, dominator tree and loops
 come from ``natural_loops(fn)``, memoized on the function under its CFG
 shape (see ``ir.analysis``), so after the driver's refresh the verifier
-does not analyse a CFG again.
+does not analyse a CFG again.  That shape is read from the branches' label
+slots, so ``branch_violations`` checks them first.
 """
 from __future__ import annotations
 
@@ -90,6 +91,35 @@ def _wants(ins: IrInstruction, fn: IrFunction, fmap: dict[str, IrFunction],
     return None
 
 
+#: The operand count and label slots of each row whose labels are its
+#: block's successors: br's and condbr's.
+_BRANCHES = {op: (len(wants), [k for k, w in enumerate(wants) if w is _LABEL])
+             for op, wants in _FIXED.items()
+             if any(w is _LABEL for w in wants)}
+
+
+def branch_violations(fn: IrFunction) -> list[Violation]:
+    """What keeps ``fn``'s CFG from being read from its branches' label
+    slots, as ``natural_loops`` reads it: a branch with a number of operands
+    its row does not take, or a label slot that holds no label."""
+    out = []
+    for b in fn.blocks:
+        t = b.terminator
+        shape = t and _BRANCHES.get(t.opcode)
+        if not shape:
+            continue
+        (n, slots), ops, name = shape, t.operands, t.opcode.value
+        if len(ops) != n:
+            out.append(Violation("operands", f"{name} cannot take {len(ops)} "
+                                 "operands", f"{fn.name}:{b.label}"))
+            continue
+        for k in slots:
+            if ops[k].__class__ is not LabelRef:
+                out.append(Violation("type", f"{name} operand {ops[k]} is "
+                                     "not a label", f"{fn.name}:{b.label}"))
+    return out
+
+
 def _check_function(m: IrModule, fn: IrFunction, fmap: dict[str, IrFunction]
                     ) -> tuple[list[Violation], set[str] | None]:
     """Violations of ``fn``, and the names of the functions it calls, or
@@ -107,8 +137,6 @@ def _check_function(m: IrModule, fn: IrFunction, fmap: dict[str, IrFunction]
         out.append(Violation("empty-fn", "function has no blocks", where))
         return out, set()
 
-    forest = natural_loops(fn)
-    preds, dom = forest.preds, forest.dom
     params = dict(fn.params)
     gmap = m.global_map()
     phi_op = Opcode.PHI
@@ -159,6 +187,13 @@ def _check_function(m: IrModule, fn: IrFunction, fmap: dict[str, IrFunction]
                 if len(set(arrays)) != len(arrays):
                     later.append(Violation("call-arg", f"call to @{callee.name} "
                                            f"passes one array twice", loc))
+
+    # The CFG is read from the branches' label slots, so they come first.
+    bad = branch_violations(fn)
+    if bad:
+        return out + bad, calls
+    forest = natural_loops(fn)
+    preds, dom = forest.preds, forest.dom
 
     # Branch targets exist; ``natural_loops``' memo lists each block's.
     bad = [Violation("bad-target", f"branch to unknown block {s!r}",

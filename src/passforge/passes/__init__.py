@@ -24,8 +24,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..ir import (
-    IrModule, PragmaKind, print_module, refresh_loop_annotations, text_digest,
-    verify_module,
+    IrModule, PragmaKind, branch_violations, print_module,
+    refresh_loop_annotations, text_digest, verify_module,
 )
 from ..ir.types import PlainEnum
 from .cfg_passes import run_jump_threading, run_sccp, run_simplifycfg
@@ -189,7 +189,9 @@ def _transform(m: IrModule, p: PassId, table: Transitions) -> IrModule:
     each function's loop annotations refreshed and is verified.  Where the
     pass deleted loops and created none, their unroll and pipeline pragmas
     go too; a loop that survives under a new id (its header annotation
-    lost) keeps them, and verification reports them.
+    lost) keeps them, and verification reports them.  A function whose CFG
+    cannot be read from its branches (``branch_violations``) is not
+    refreshed; verification reports it.
 
     The verdict comes before the refresh, so a pass that writes nothing
     leaves ``m`` as it is even where a refresh would annotate more of its
@@ -209,6 +211,8 @@ def _transform(m: IrModule, p: PassId, table: Transitions) -> IrModule:
                         if b.loop_info is not None and b.loop_info.is_header}
               for fn in m.functions}
     for fn in out.functions:
+        if branch_violations(fn):
+            continue    # no CFG to refresh; the verifier reports why
         ids = {l.loop_id for l in refresh_loop_annotations(fn).loops}
         gone = before[fn.name] - ids
         if gone and ids <= before[fn.name]:

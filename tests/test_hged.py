@@ -40,6 +40,14 @@ def _cheapest_edge_edit(rels1, rels2, costs: EditCostModel) -> float:
     return best
 
 
+def _parallel_edges(g: StageGraph) -> dict[tuple[int, int], list[str]]:
+    """The relations of the edges from each node to each other."""
+    between: dict[tuple[int, int], list[str]] = {}
+    for e in g.edges:
+        between.setdefault((e.src, e.dst), []).append(e.rel)
+    return between
+
+
 def brute_force_ged(g1: StageGraph, g2: StageGraph,
                     costs: EditCostModel) -> float:
     """Enumerate every injective partial mapping between nodes of one kind,
@@ -62,8 +70,8 @@ def brute_force_ged(g1: StageGraph, g2: StageGraph,
                     if n not in sub2:
                         cost += costs.n_ins(n.kind)
                 image = {a.nid: b.nid for a, b in zip(sub1, sub2)}
-                rest2 = dict(g2.between)
-                for (src, dst), rels in g1.between.items():
+                rest2 = _parallel_edges(g2)
+                for (src, dst), rels in _parallel_edges(g1).items():
                     cost += _cheapest_edge_edit(
                         rels, rest2.pop((image.get(src), image.get(dst)), []),
                         costs)
@@ -571,6 +579,95 @@ def test_memoless_hged_caches_nothing(monkeypatch):
     assert not [o for o in gc.get_objects()
                 if isinstance(o, hged_module._StageView)
                 and (o.graph is a or o.graph is b)]
+
+
+def _bits(r) -> tuple:
+    return (r.stage1_cost.hex(), r.stage2_cost.hex(), r.total.hex(),
+            r.normalized.hex(), r.block_mapping)
+
+
+def test_one_memo_keeps_each_cost_model_to_its_own_tables():
+    """A memo shared by calls under the default costs, under fractional
+    costs and under one cost object mutated between calls answers what a
+    fresh memo answers for each; and a pair under costs agrees with the
+    swapped pair under reversed costs, in the same memo."""
+    designs = corpus_gen(6, seed=3)[2:]
+    a, b, c = (build_het_graph(parse_module(t)) for _n, t in designs[:3])
+    pairs = [(a, b), (b, c), (c, a)]
+    mutated = EditCostModel()
+    memo: dict = {}
+    seen = {}
+    for step, costs in enumerate((EditCostModel(), FRACTIONAL_COSTS, mutated,
+                                  mutated)):
+        if step == 3:
+            mutated.edge_insert["data"] = 0.3
+            mutated.node_delete["instr"] = 0.7
+        for x, y in pairs:
+            got = hged(x, y, costs, 8, memo)
+            assert _bits(got) == _bits(hged(x, y, costs, 8, {}))
+            back = hged(y, x, costs.reversed(), 8, memo)
+            assert _bits(back)[:4] == _bits(got)[:4]
+            assert back.block_mapping == {
+                b2: b1 for b1, b2 in got.block_mapping.items()}
+            seen.setdefault(step, []).append(_bits(got))
+    assert seen[2] != seen[3]
+    assert len([k for k in memo if k[0] == "tables"]) >= 4
+
+
+def test_label_searches_build_each_table_once(monkeypatch):
+    """Over one ``dataset_gen`` call of the label benchmark's shape: one
+    neighbour table per distinct stage graph, side, extra cost and cost
+    model; and on the last level one listing of insertion terms per parent
+    at most, made when a child first needs them, not one per child."""
+    built, sides, graphs = [0], set(), []
+    neighbours = hged_module._neighbours
+
+    def building(g, costs, deleting, entries):
+        built[0] += 1
+        return neighbours(g, costs, deleting, entries)
+    init = hged_module._Search.__init__
+
+    def recording(self, g1, g2, costs, del_extra=0.0, ins_extra=0.0,
+                  tables=None):
+        graphs.extend((g1, g2))     # alive, so no id is reused
+        sides.update({(id(g1), True, del_extra, repr(costs)),
+                      (id(g2), False, ins_extra, repr(costs))})
+        init(self, g1, g2, costs, del_extra, ins_extra, tables)
+    counts = {"listed": 0, "summed": 0}
+    insertions = hged_module._Search.insertions
+    rest_cost = hged_module._rest_cost
+
+    def listing(self, inv):
+        counts["listed"] += 1
+        return insertions(self, inv)
+
+    def summing(terms, cand=None):
+        counts["summed"] += 1
+        return rest_cost(terms, cand)
+    parents = []
+    expand = hged_module._Search.expand
+
+    def last_level(self, state, i, top=None, width=0):
+        if i + 1 < self.n1:
+            return expand(self, state, i, top, width)
+        before = dict(counts)
+        out = expand(self, state, i, top, width)
+        parents.append((counts["listed"] - before["listed"],
+                        counts["summed"] - before["summed"], len(out)))
+        return out
+    monkeypatch.setattr(hged_module, "_neighbours", building)
+    monkeypatch.setattr(hged_module, "_rest_cost", summing)
+    for name, fn in (("__init__", recording), ("insertions", listing),
+                     ("expand", last_level)):
+        monkeypatch.setattr(hged_module._Search, name, fn)
+    dataset_gen(corpus_gen(12, 0), 6, 6, 0, intra_pair_cap=10,
+                cross_pairs=40)
+    assert built[0] == len(sides) < len(graphs)
+    assert all(listed <= 1 for listed, _summed, _out in parents)
+    assert all(listed == 1 for listed, summed, _out in parents if summed)
+    assert any(listed == 0 for listed, _summed, _out in parents)
+    assert sum(listed for listed, *_ in parents) \
+        < sum(summed for _l, summed, _o in parents)
 
 
 def test_exact_finds_the_single_deletion():

@@ -3,7 +3,7 @@ bug and must propagate.  The CLI's internal-error boundary is the exception.
 No process-lifetime cache and no reference cycle keeps a caller's state
 alive.  Equality of IR objects compares every field.  No scatter goes
 through a ufunc's ``at``.  Nothing is defined that the package never reads,
-and no dataclass has a field that the package never loads.
+and no dataclass or named tuple has a field that the package never loads.
 Every per-opcode fact lives in the opcode table of ``ir/types.py``, and every
 icmp predicate fact in its predicate table.  No enumeration is an
 ``enum.Enum``."""
@@ -125,10 +125,13 @@ SERIALIZED_WHOLE = {"QoRReport", "OpCostTable", "LoopReport"}
 
 def _dataclass_fields(tree: ast.AST) -> list[tuple[str, str]]:
     """``(class, field)`` for each field of each class that a ``dataclass``
-    decorator, under any spelling, turns into a dataclass."""
+    decorator, under any spelling, turns into a dataclass, and of each
+    ``NamedTuple``: a table's column (``OpInfo``'s, say) is such a field."""
     return [(cls.name, a.target.id) for cls in ast.walk(tree)
             if isinstance(cls, ast.ClassDef)
-            and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+            and (any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+                 or any(ast.unparse(b).split(".")[-1] == "NamedTuple"
+                        for b in cls.bases))
             for a in cls.body if isinstance(a, ast.AnnAssign)
             and isinstance(a.target, ast.Name)
             and "ClassVar" not in ast.unparse(a.annotation)]
@@ -140,7 +143,8 @@ def _attributes_loaded(tree: ast.AST) -> set[str]:
 
 
 def test_every_dataclass_field_is_read_in_the_package():
-    """A field that nothing loads is data written for no reader."""
+    """A field or table column that nothing loads is data written for no
+    reader."""
     trees = {path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text())
              for path in sorted(PACKAGE.rglob("*.py"))}
     loaded = set().union(*map(_attributes_loaded, trees.values()))
@@ -154,8 +158,12 @@ def test_dataclass_field_detector_sees_each_spelling():
     source = ("@dataclass\nclass A:\n    x: int\n    k: ClassVar[int] = 0\n"
               "@dataclasses.dataclass(frozen=True)\nclass B(A):\n"
               "    y: int = 0\n    def f(self):\n        return self.y\n"
-              "class C:\n    z: int\n")
-    assert _dataclass_fields(ast.parse(source)) == [("A", "x"), ("B", "y")]
+              "class C:\n    z: int\n"
+              "class D(NamedTuple):\n    w: int\n"
+              "class E(typing.NamedTuple):\n    v: int = 0\n"
+              "class F(tuple):\n    u: int\n")
+    assert _dataclass_fields(ast.parse(source)) == [
+        ("A", "x"), ("B", "y"), ("D", "w"), ("E", "v")]
     assert _attributes_loaded(ast.parse(
         "a.x = 1\nb.y += 1\ndel c.z\nprint(d.u.v)")) == {"u", "v"}
 

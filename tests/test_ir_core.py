@@ -14,10 +14,10 @@ import pytest
 from passforge.corpus import case1_text, random_inputs
 from passforge.graphs import NodeKind, Relation
 from passforge.ir import (
-    OPCODE_CLASS, OPCODES, FuelExhausted, InstrClass, IrSyntaxError, LabelRef,
-    Opcode, PragmaKind, TrapError, VerifyError, dedicated_preheader,
-    fold_constant, interpret, natural_loops, parse_module, postorder,
-    print_module, verify_module, wrap32,
+    OPCODE_CLASS, OPCODES, Const, FuelExhausted, InstrClass, IrSyntaxError,
+    LabelRef, Opcode, PragmaKind, TrapError, ValueRef, VerifyError,
+    dedicated_preheader, fold_constant, interpret, natural_loops, parse_module,
+    postorder, print_module, verify_module, wrap32,
 )
 from passforge.ir.types import (
     FOLDABLE, ICMP_PREDICATES, PREDICATES, PURE_OPS, PURE_OR_DIV,
@@ -367,6 +367,13 @@ def test_every_opcode_round_trips_both_ways():
     assert [len(i.operands) for i in ins if i.opcode is Opcode.PHI] == [4]
 
 
+def _fixed_arity(row: OpInfo) -> int | None:
+    """The operand count of a row whose one form has no list, from its
+    operand slots; None for a row that takes more than one count."""
+    counts = {sum(s in ("V", "L", "A") for s in form) for form in row.forms()}
+    return counts.pop() if len(counts) == 1 and "{" not in row.text else None
+
+
 def test_each_brace_free_text_has_one_operand_slot_per_operand():
     """A list takes any number of operands; ret's two forms take none or
     one, as the verifier requires."""
@@ -374,9 +381,10 @@ def test_each_brace_free_text_has_one_operand_slot_per_operand():
         counts = {sum(s in ("V", "L", "A") for s in form)
                   for form in row.forms()}
         if "{" in row.text:
-            assert row.arity is None, op
+            assert op in (Opcode.PHI, Opcode.CALL), op
         else:
-            assert counts == ({0, 1} if op is Opcode.RET else {row.arity}), op
+            assert counts == ({0, 1} if op is Opcode.RET
+                              else {OLD_ARITY[op]}), op
 
 
 #: Where a row-driven instance sits: ``body`` holds it, ``%i``, ``%b``,
@@ -869,6 +877,29 @@ def _bad_target():
     return m
 
 
+#: A branch whose label slot a pass may fill with something else.
+BRANCHES = """
+func @f(%a: i32) -> i32 {
+block entry:
+  %c = icmp slt i32 %a, 4
+  condbr %c, mid, out
+block mid:
+  br out
+block out:
+  ret i32 %a
+}
+"""
+
+
+def _relabelled(block: int, *operands):
+    """``BRANCHES`` with block ``block``'s terminator given ``operands``."""
+    def make():
+        m = parse_module(BRANCHES)
+        m.top.blocks[block].terminator.operands = list(operands)
+        return m
+    return make
+
+
 @pytest.mark.parametrize("make, expected", [
     (_parsed(BAD_PHIS), [
         "[phi-order] f:join: phi after non-phi",
@@ -943,9 +974,18 @@ def _bad_target():
         "[phi-order] f:out: phi after non-phi",
         "[bad-target] f:dead: branch to unknown block 'nowhere'",
     ]),
+    # The CFG is read from the branches' label slots: one that holds
+    # anything but a label is reported before the CFG checks, not raised.
+    (_relabelled(1, ValueRef("a")), [
+        "[type] f:mid: br operand %a is not a label",
+    ]),
+    (_relabelled(0, ValueRef("c"), LabelRef("mid"), Const(2)), [
+        "[type] f:entry: condbr operand 2 is not a label",
+    ]),
+    (_relabelled(1), ["[operands] f:mid: br cannot take 0 operands"]),
 ], ids=["phis", "ssa", "loops", "cfg", "nested", "member-outer-id",
         "member-missing", "member-depth", "member-id", "member-outside",
-        "no-term", "bad-target"])
+        "no-term", "bad-target", "br-value", "condbr-literal", "br-empty"])
 def test_verifier_reports_every_violation_in_order(make, expected):
     """Pinned before the verifier took its CFG analysis from a loop forest
     and merged its walks: each kind of violation keeps its place.  The
@@ -1021,7 +1061,7 @@ def test_derived_sets_equal_the_tables_they_replace():
     assert PURE_OPS == OLD_PURE_OPS
     assert PURE_OR_DIV == OLD_PURE_OR_DIV
     # Phi, call and ret take any number of operands.
-    assert {op: row.arity for op, row in OPCODES.items()} == {
+    assert {op: _fixed_arity(row) for op, row in OPCODES.items()} == {
         **OLD_ARITY, O.PHI: None, O.CALL: None, O.RET: None}
     assert {op for op, row in OPCODES.items() if row.commutative} \
         == OLD_COMMUTATIVE

@@ -224,7 +224,11 @@ def _simplify_sweep():
     for the variadic ones), under every icmp predicate; phis of one and two
     entries, the phi's own result among the values."""
     for op in Opcode:
-        arity = OPCODES[op].arity
+        row = OPCODES[op]
+        counts = {sum(s in ("V", "L", "A") for s in form)
+                  for form in row.forms()}
+        arity = counts.pop() if len(counts) == 1 and "{" not in row.text \
+            else None
         if op is Opcode.PHI:
             values = SIMPLIFY_GRID + [ValueRef("r")]
             for n in (1, 2):
@@ -1108,6 +1112,22 @@ def test_a_pass_that_mistypes_raises(monkeypatch):
         apply_pass(m, PassId.INSTCOMBINE)
     assert [str(v) for v in err.value.violations] == [
         "[type] f:entry: add operand %c is i1, expected i32"]
+
+
+def test_a_pass_that_branches_to_a_value_raises(monkeypatch):
+    """A pass that writes ``br %a`` raises ``PassError`` with the verifier's
+    ``[type]`` line: the CFG analysis does not read the value as a label."""
+    m = parse_module("func @f(%a: i32) -> i32 {\nblock entry:\n  br out\n"
+                     "block out:\n  ret i32 %a\n}\n")
+
+    def branching(module):
+        module.top.blocks[0].terminator.operands[0] = ValueRef("a")
+
+    monkeypatch.setitem(passes._IMPLS, PassId.SIMPLIFYCFG, branching)
+    with pytest.raises(PassError) as err:
+        apply_pass(m, PassId.SIMPLIFYCFG)
+    assert [str(v) for v in err.value.violations] == [
+        "[type] f:entry: br operand %a is not a label"]
 
 
 def test_memo_stores_no_failed_transition(monkeypatch, dot_module):
