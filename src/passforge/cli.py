@@ -298,7 +298,7 @@ def cmd_hged(args) -> int:
     width = {"exact": None, "beam": DEFAULT_BEAM_WIDTH}.get(args.mode, 0)
     if args.mode.startswith("beam:"):
         digits = args.mode[len("beam:"):]
-        width = int(digits) if digits.isdigit() else 0
+        width = int(digits) if digits.isascii() and digits.isdigit() else 0
     if width == 0:
         raise UserError(f"bad --mode {args.mode!r}: use exact or beam:WIDTH")
     costs = EditCostModel()

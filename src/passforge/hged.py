@@ -87,7 +87,8 @@ Per cost model, it holds each stage graph's neighbour table (``_neighbours``)
 on each side it was searched from: the adjacent positions with their edges'
 relations and one-sided costs, and each node's self-loops, which a search
 reads and does not change; so a stage graph in many pairs builds its table
-once.  ``ged_beam`` given no ``tables`` builds them for its one search.
+once; they also hold ``bad_costs``' verdict on the model.  ``ged_beam``
+given no ``tables`` builds them for its one search.
 The views hold the graphs, and the tables their stage graphs, so no id is
 reused, and no graph may be mutated, while the memo lives.
 """
@@ -311,6 +312,16 @@ def _neighbours(g: StageGraph, costs: EditCostModel, deleting: bool,
             for adjacent in near], loops
 
 
+class _CostTables(dict):
+    """One cost model's neighbour tables (``_neighbour_table``), kept by the
+    caller across searches.  ``sound`` is whether ``bad_costs`` finds none,
+    which decides pruning and the identity shortcut: worked out once."""
+
+    def __init__(self, costs: EditCostModel):
+        super().__init__()
+        self.sound = not costs.bad_costs()
+
+
 def _neighbour_table(g: StageGraph, costs: EditCostModel, deleting: bool,
                      tables: dict) -> tuple[list[dict], list[tuple]]:
     """``_neighbours`` of ``g`` on one side, built once per ``tables``,
@@ -347,8 +358,7 @@ class _Search:
     are never mutated."""
 
     def __init__(self, g1: StageGraph, g2: StageGraph, costs: EditCostModel,
-                 del_extra: float = 0.0, ins_extra: float = 0.0,
-                 tables: dict | None = None):
+                 del_extra: float, ins_extra: float, tables: dict):
         self.costs = costs
         self.n1, self.n2 = n1, n2 = len(g1.nodes), len(g2.nodes)
         labels: dict[tuple, int] = {}
@@ -383,7 +393,6 @@ class _Search:
         # Edge pricing: G1's earlier neighbours of each node, in ascending
         # order, and G2's neighbours, each with its one-sided costs; and the
         # sorted relations of each node's self-loops.
-        tables = {} if tables is None else tables
         self.near1, self.loops1 = _neighbour_table(g1, costs, True, tables)
         self.near2, self.loops2 = _neighbour_table(g2, costs, False, tables)
         self.rel2 = [rels[e.rel] for e in g2.edges]
@@ -612,44 +621,45 @@ def _path_count(g1: StageGraph, g2: StageGraph) -> int:
                      for kind in a.keys() & b.keys())
 
 
-def _beam_keeps_identity(g: StageGraph, costs: EditCostModel,
-                         del_extra: float, ins_extra: float) -> bool:
+def _beam_keeps_identity(g: StageGraph, costs: EditCostModel, del_extra: float,
+                         ins_extra: float, sound: bool) -> bool:
     """Whether beam search of ``g`` against a copy equal up to node ids
     returns the positional identity at cost 0.
 
     The identity child is generated first at every level, with f = 1 (the
     label bound still counts the node just decided) and f = 0 on the last.
     No child is cheaper, so the stable sort keeps it first, when no cost is
-    negative or non-finite and every deletion costs at least 1: a path with
-    a deletion has g >= 1, and one without has a label bound >= 1."""
-    return not costs.bad_costs() and all(
+    negative or non-finite (``sound``) and every deletion costs at least 1:
+    a path with a deletion has g >= 1, and one without a label bound >= 1."""
+    return sound and all(
         costs.n_del(kind) + del_extra >= 1 and costs.n_ins(kind) + ins_extra >= 0
         for kind in {n.kind for n in g.nodes})
 
 
 def ged_beam(g1: StageGraph, g2: StageGraph, costs: EditCostModel,
              width: int | None = DEFAULT_BEAM_WIDTH, del_extra: float = 0.0,
-             ins_extra: float = 0.0, tables: dict | None = None
+             ins_extra: float = 0.0, tables: _CostTables | None = None
              ) -> tuple[float, dict[int, int]]:
     """Beam search over edit paths; returns a valid (upper-bound) edit path
     cost and its mapping.  ``width=None`` keeps every child, so the result
     is the cheapest path; it raises SizeError, before searching, on a pair
     of more than ``EXACT_PATH_LIMIT`` paths.  Graphs equal up to node ids
     return 0 and the positional identity at once (see the module
-    docstring).  ``tables``, a dict the caller keeps for ``costs`` alone,
-    holds each graph's neighbour tables across calls; without it, the
-    search builds its own."""
+    docstring).  ``tables``, which the caller keeps for ``costs`` alone,
+    holds each graph's neighbour tables and the costs' verdict across
+    calls; without it, the search builds its own."""
     if width is not None and width < 1:
         raise ValueError("beam width must be >= 1")
+    tables = _CostTables(costs) if tables is None else tables
     if g1.key == g2.key and _beam_keeps_identity(g1, costs, del_extra,
-                                                 ins_extra):
+                                                 ins_extra, tables.sound):
         return 0.0, {a.nid: b.nid for a, b in zip(g1.nodes, g2.nodes)}
     if width is None and (paths := _path_count(g1, g2)) > EXACT_PATH_LIMIT:
         raise SizeError(
             f"{len(g1.nodes)}+{len(g2.nodes)} nodes have {paths:,} edit "
             f"paths; exact mode allows {EXACT_PATH_LIMIT:,}")
     search = _Search(g1, g2, costs, del_extra, ins_extra, tables)
-    prune = width is not None and not costs.bad_costs()
+    prune = width is not None and tables.sound
     level = [search.start()]
     for i in range(search.n1):
         top = [] if prune else None
@@ -745,7 +755,9 @@ def hged(g1: HetGraph, g2: HetGraph, costs: EditCostModel | None = None,
     if swapped:
         v1, v2, costs = v2, v1, costs.reversed()
     cost_key = repr(costs)
-    tables = memo.setdefault(("tables", cost_key), {})
+    tables = memo.get(("tables", cost_key))
+    if tables is None:
+        tables = memo[("tables", cost_key)] = _CostTables(costs)
 
     def run_stage(a: StageGraph, b: StageGraph, del_extra=0.0, ins_extra=0.0):
         key = (a.key, b.key, width, del_extra, ins_extra, cost_key)

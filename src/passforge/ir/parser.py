@@ -41,7 +41,7 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+)
   | (?P<value>%[A-Za-z0-9_.]+)
   | (?P<global>@[A-Za-z0-9_.]+)
-  | (?P<number>-?\d+)
+  | (?P<number>-?[0-9]+)
   | (?P<arrow>->)
   | (?P<punct>[(){}\[\],:=])
   | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)

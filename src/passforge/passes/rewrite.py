@@ -6,6 +6,8 @@ there; no pass keeps an opcode list of its own.
 """
 from __future__ import annotations
 
+from collections import Counter
+
 from ..ir import (
     Const, IrBlock, IrFunction, IrInstruction, IrModule, LabelRef,
     Opcode, ValueRef, fold_constant, natural_loops,
@@ -167,24 +169,27 @@ def collapse_trivial_phis(fn: IrFunction) -> int:
 
 
 def erase_dead_pure(fn: IrFunction) -> None:
-    """Drop pure instructions with unused results (single sweep to fixpoint)."""
-    while True:
-        used: set[str] = set()
-        for b in fn.blocks:
-            for ins in b.all_instructions():
-                used.update(ins.value_uses())
-        removed = 0
-        for b in fn.blocks:
-            keep = []
-            for ins in b.instructions:
-                if (ins.result is not None and ins.result not in used
-                        and ins.opcode in PURE_OR_DIV):
-                    removed += 1
-                else:
-                    keep.append(ins)
-            b.instructions = keep
-        if removed == 0:
-            return
+    """Drop pure instructions with unused results, then those only dropped
+    ones used: one walk counts each value's uses, and a worklist drops the
+    dead, so a dead cycle (a phi that feeds itself) keeps its uses."""
+    uses = Counter([op.id for b in fn.blocks for ins in b.all_instructions()
+                    for op in ins.operands if isinstance(op, ValueRef)])
+    dead = [ins for b in fn.blocks for ins in b.instructions
+            if ins.result not in uses and ins.result is not None
+            and ins.opcode in PURE_OR_DIV]
+    if not dead:
+        return
+    defs = fn.defined_values()
+    for ins in dead:    # grows as it goes
+        for v in ins.value_uses():
+            uses[v] -= 1
+            if not uses[v] and defs.get(v) is not None \
+                    and defs[v].opcode in PURE_OR_DIV:
+                dead.append(defs[v])
+    gone = {ins.result for ins in dead}
+    for b in fn.blocks:
+        b.instructions = [ins for ins in b.instructions
+                          if ins.result not in gone]
 
 
 def instruction_count(m: IrModule) -> int:

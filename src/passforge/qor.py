@@ -10,14 +10,17 @@ HLS pipelines: a guarded inner loop inflates the recurrence bound until passes
 restructure it away.
 
 Each function is modelled once per `estimate` call, and each fact about it
-is worked out once: one walk gives each instruction's latency (from a
-per-opcode table built once per module) and access key, which every later
-step reads; then its loop forest (which carries the reverse postorder), one
-trip count per loop, block latencies, and, innermost loops first so a parent
-reads its children's, each loop's memory tally (accesses per array, arrays
-read, arrays written) and total cycles.  The tally feeds res_mii, the
-child-loop nodes of the recurrence bound and, over the blocks outside every
-loop plus the top-level loops, the function's memory summary as a callee.
+is worked out once: one walk gives the successor map and each row (an
+instruction's latency, from a per-opcode table built once per module; a
+load's or store's access key; the values read), which later steps read;
+then its loop forest (whose reverse postorder orders region paths and the
+recurrence bound's nodes, so each longest-path pass stops at its head's last
+tail), one trip count per loop, block latencies, and, innermost loops first
+so a parent reads its children's, each loop's memory tally (accesses per
+array, arrays read, arrays written) and total cycles.  The tally feeds
+res_mii, the child-loop nodes of the recurrence bound and, over the blocks
+outside every loop plus the top-level loops, the function's memory summary
+as a callee.
 
 Memory dependences follow one alias rule: two accesses may alias unless
 they touch two different known arrays, or one array at two distinct
@@ -46,7 +49,7 @@ from dataclasses import asdict, dataclass, field
 
 from .ir import (
     OPCODES, Const, IrFunction, IrModule, Loop, Opcode, PragmaKind, ValueRef,
-    interpret, natural_loops, pointer_target, postorder,
+    interpret, natural_loops, pointer_target,
 )
 from .passes.loop_passes import loop_trip_count
 
@@ -142,15 +145,10 @@ def _access(writes: bool, arr: str, idx: str | None) -> tuple:
 _CALL_ACCESS = _access(True, "?", None)
 
 
-def _mem_access(defs, ins) -> tuple | None:
-    """The ``_access`` of a load or store; None for any other op."""
-    if ins.opcode is Opcode.LOAD:
-        writes, ptr = False, ins.operands[0]
-    elif ins.opcode is Opcode.STORE:
-        writes, ptr = True, ins.operands[1]
-    else:
-        return None
-    target = pointer_target(defs, ptr)
+def _mem_access(defs, ins) -> tuple:
+    """The ``_access`` of a load or store."""
+    writes = ins.opcode is Opcode.STORE
+    target = pointer_target(defs, ins.operands[1 if writes else 0])
     if target is None:
         return _access(writes, "?", None)
     arr, idx = target
@@ -187,12 +185,17 @@ class _FunctionModel:
         self.eff_trip = {lid: DEFAULT_UNKNOWN_TRIP if t is None else t
                          for lid, t in self.trip.items()}
         self.callees: dict[str, _FunctionModel] = {}
-        # Per block, each instruction with its latency, ``_access`` and the
-        # values it reads.
-        self.insts = {b.label: [(ins, self._op_latency(ins),
-                                 _mem_access(defs, ins), ins.value_uses())
-                                for ins in b.all_instructions()]
-                      for b in fn.blocks}
+        # One walk: each block's successors, and each instruction's latency,
+        # ``_access`` (None but for a load or store) and the values it reads.
+        self.succ, self.insts = {}, {}
+        for b in fn.blocks:
+            self.succ[b.label] = b.successors()
+            self.insts[b.label] = [
+                (ins, self._op_latency(ins), _mem_access(defs, ins)
+                 if ins.opcode is Opcode.LOAD or ins.opcode is Opcode.STORE
+                 else None,
+                 [op.id for op in ins.operands if isinstance(op, ValueRef)])
+                for ins in b.all_instructions()]
         self.block_lat: dict[str, int] = {}
         self.loop_total: dict[int, int] = {}
         self.loop_reports: list[LoopReport] = []
@@ -202,19 +205,15 @@ class _FunctionModel:
         # collection.
         del self.model
 
-    def _callee(self, name: str) -> "_FunctionModel":
-        """The model of a function this one calls.  Every call is priced
-        when the model is built, so ``callees`` then holds each one."""
-        if name not in self.callees:
-            self.callees[name] = self.model.fn_model(name)
-        return self.callees[name]
+    def _op_latency(self, ins) -> int:
+        """An instruction's latency: a call's is its callee's, whose model
+        goes into ``callees``, so that once built it holds every callee."""
+        if ins.opcode is Opcode.CALL:
+            callee = self.callees[ins.callee] = self.model.fn_model(ins.callee)
+            return callee.latency
+        return self.model.lat[ins.opcode]
 
     # -- block scheduling ---------------------------------------------------
-
-    def _op_latency(self, ins) -> int:
-        if ins.opcode is Opcode.CALL:
-            return self._callee(ins.callee).latency
-        return self.model.lat[ins.opcode]
 
     def _schedule_block(self, label: str) -> int:
         """ASAP finish of the block's last operation.  An access starts after
@@ -227,20 +226,26 @@ class _FunctionModel:
         for ins, lat, access, uses in self.insts[label]:
             start = 0
             for vid in uses:
-                start = max(start, finish.get(vid, 0))
+                f = finish.get(vid, 0)
+                if f > start:
+                    start = f
             if access is None and ins.opcode is Opcode.CALL:
                 access = _CALL_ACCESS
             if access is not None:
                 writes, _arr, files, probes = access
                 for seen in done if writes else done[1:]:
                     for c in probes:
-                        start = max(start, seen.get(c, 0))
+                        f = seen.get(c, 0)
+                        if f > start:
+                            start = f
             f = start + lat
             if access is not None:
                 seen = done[writes]
                 for c in files:
-                    seen[c] = max(seen.get(c, 0), f)
-            latest = max(latest, f)
+                    if f > seen.get(c, 0):
+                        seen[c] = f
+            if f > latest:
+                latest = f
             if ins.result is not None:
                 finish[ins.result] = f
         return latest
@@ -249,27 +254,25 @@ class _FunctionModel:
 
     def _region_path(self, blocks: set[str], entry: str,
                      loops: list[Loop]) -> int:
-        """Longest node-weighted path through the acyclic region DAG formed by
-        the given blocks with the given loops collapsed to macro nodes."""
-        macro_of = {lab: ("loop", l.loop_id) for l in loops for lab in l.blocks}
-
-        def node_of(label: str) -> tuple:
-            return macro_of.get(label, ("block", label))
-
-        edges: dict[tuple, set] = {node_of(label): set() for label in blocks}
-        for label in blocks:
-            n = node_of(label)
-            for s in self.bmap[label].successors():
-                if s in blocks and node_of(s) != n:
-                    edges[n].add(node_of(s))
-        # Longest path over the DAG (back edges already collapsed into macros).
-        dist: dict[tuple, int] = {}
-        entry_node = node_of(entry)
-        for n in postorder(entry_node, {n: sorted(e) for n, e in edges.items()}):
-            weight = self.loop_total[n[1]] if n[0] == "loop" \
-                else self.block_lat[n[1]]
-            dist[n] = weight + max([0, *(dist.get(s, 0) for s in edges[n])])
-        return dist[entry_node]
+        """Longest node-weighted path from ``entry`` through ``blocks``, each
+        of ``loops`` one node under its header's label, priced in postorder:
+        the one cycle, an edge back into ``entry``, adds 0."""
+        macro = {lab: l for l in loops for lab in l.blocks}
+        dist: dict[str, int] = {}
+        for lab in reversed(self.forest.rpo):
+            if lab not in blocks:
+                continue
+            l = macro.get(lab)
+            if l is None:
+                weight, outs = self.block_lat[lab], self.succ[lab]
+            elif lab == l.header:
+                weight = self.loop_total[l.loop_id]
+                outs = [s for b in l.blocks for s in self.succ[b]
+                        if s not in l.blocks]
+            else:
+                continue
+            dist[lab] = weight + max([dist.get(s, 0) for s in outs], default=0)
+        return dist[entry]
 
     @staticmethod
     def _own_blocks(loop: Loop) -> set[str]:
@@ -307,7 +310,13 @@ class _FunctionModel:
         Nodes are the loop's direct instructions plus child-loop macros, in
         reverse postorder; the intra-iteration DAG uses SSA and same-array
         program order, and carried edges are store->load / store->store pairs
-        plus latch-fed header phis, all at conservative distance 1."""
+        plus latch-fed header phis, all at conservative distance 1.  Each
+        carried u -> v closes over the longest intra path from v to u, else
+        the two nodes alone.  Intra edges run forward, so the pass from v
+        stops at its last tail, and a v whose tails all precede it takes the
+        fallback at once.  Only a phi arm in a loop body entered at two
+        blocks (irreducible; no pass makes one) can run backward or onto its
+        phi, and then every pass runs on to the last node."""
         own = self._own_blocks(loop)
         nodes: list[tuple | None] = []   # ``insts`` entries; None: a macro
         macro_ids: set[int] = set()
@@ -345,7 +354,8 @@ class _FunctionModel:
 
         n = len(nodes)
         intra: list[set[int]] = [set() for _ in range(n)]
-        tails: dict[int, list[int]] = {}   # carried edges u -> v, by head v
+        tails: dict[int, list | set] = {}   # carried edges u -> v, by head v
+        backward = False    # an intra edge to an earlier node or itself
 
         # SSA edges (def -> use); latch-fed phi inputs become carried edges.
         result_node = {node[0].result: i for i, node in enumerate(nodes)
@@ -360,14 +370,17 @@ class _FunctionModel:
                 for v, lab in ins.phi_incoming():
                     if not (isinstance(v, ValueRef) and v.id in result_node):
                         continue
+                    u = result_node[v.id]
                     if not carries:
-                        intra[result_node[v.id]].add(i)
+                        intra[u].add(i)
+                        backward = backward or u >= i
                     elif lab in loop.blocks:
-                        tails.setdefault(i, []).append(result_node[v.id])
+                        tails.setdefault(i, []).append(u)
                 continue
             for vid in uses:
-                if vid in result_node:
-                    intra[result_node[vid]].add(i)
+                u = result_node.get(vid)
+                if u is not None:
+                    intra[u].add(i)
 
         # Memory edges: a write orders against any aliasing later access
         # (distance 0) and against every aliasing access of the next
@@ -384,29 +397,29 @@ class _FunctionModel:
             sources = {a for _w, _arr, _files, probes in acc
                        for c in probes for a in writers.get(c, ())}
             sources.discard(b)
-            for a in sources:
-                if a < b:
-                    intra[a].add(b)
-                tails.setdefault(b, []).append(a)
+            if sources:     # no phi is an access, so ``b`` has no tails yet
+                tails[b] = sources
+                for a in sources:
+                    if a < b:
+                        intra[a].add(b)
 
         # Longest path in the intra DAG from each carried edge's head back to
-        # its tail: one pass per distinct head, from the head on.
+        # its tail: one pass per distinct head, from the head up to its last
+        # tail, whose own edges reach no tail (see the docstring).
         best = 1
         for v, us in tails.items():
             dist = [-1] * n     # -1: not reached from v
             dist[v] = lat[v]
-            for i in range(v, n):
+            for i in range(v, n if backward else max(us)):
                 d = dist[i]
                 if d < 0:
                     continue
                 for j in intra[i]:
-                    if d + lat[j] > dist[j]:
-                        dist[j] = d + lat[j]
-            for u in us:
-                if dist[u] >= 0:
-                    best = max(best, dist[u])
-                else:
-                    best = max(best, lat[v] + lat[u] if u != v else lat[v])
+                    dj = d + lat[j]
+                    if dj > dist[j]:
+                        dist[j] = dj
+            best = max(best, *(dist[u] if dist[u] >= 0 else lat[v] + lat[u]
+                               if u != v else lat[v] for u in us))
         return best
 
     # -- assembly -----------------------------------------------------------
@@ -450,9 +463,8 @@ class _FunctionModel:
         # Trip-weighted accesses per array, as a caller charges a call to
         # this function.  The call graph is acyclic, so callees come first.
         self.mem_summary = tally[None].counts
-        all_blocks = {b.label for b in self.fn.blocks}
-        self.latency = self._region_path(all_blocks, self.fn.entry.label,
-                                         top_level)
+        self.latency = self._region_path(self.forest.reach,
+                                         self.fn.entry.label, top_level)
 
 
 class _ModuleModel:

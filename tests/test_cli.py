@@ -208,6 +208,24 @@ def test_a_literal_outside_i32_exits_1(tmp_path, capsys):
                                 "is outside i32's [-2^31, 2^31-1]\n")
 
 
+@pytest.mark.parametrize("text, where", [
+    ("func @f(%a: i32) -> i32 {\nblock entry:\n  %b = add i32 %a, \u0663\n"
+     "  ret i32 %b\n}\n", "line 3:20"),
+    ("global @g : i32[\u0663]\n"
+     "func @f() -> i32 {\nblock entry:\n  ret i32 0\n}\n", "line 1:17"),
+], ids=["operand", "array-length"])
+def test_a_non_ascii_digit_exits_1(tmp_path, capsys, text, where):
+    """Both once parsed, a regex's \\d reading the Arabic-Indic digit
+    U+0663 as 3, and printed back as 3."""
+    bad = tmp_path / "digit.ir"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["parse", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {bad}: {where}: unexpected character "
+                            "'\u0663'\n")
+
+
 def test_an_array_parameter_shorter_than_one_exits_1(tmp_path, capsys):
     """The interpreter once died on it in numpy (exit 2), though a global
     of that length already failed to verify."""
@@ -308,6 +326,13 @@ def test_hged_cli_user_errors(workdir, tmp_path, capsys):
     design = str(workdir / "corpus" / "dot_01.ir")
     for mode in ("beam:x", "beam:0", "greedy"):
         assert main(["hged", design, design, "--mode", mode]) == 1
+    capsys.readouterr()
+    # str.isdigit takes both for digits: int() then raised on the first
+    # (exit 2), and the second ran at width 3.
+    for mode in ("beam:\u00b2", "beam:\u0663"):
+        assert main(["hged", design, design, "--mode", mode]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad --mode {mode!r}: use exact or beam:WIDTH\n")
     costs = tmp_path / "costs.json"
     for doc in ({"node_insertt": {"instr": 2.0}}, {"w1": -1.0}, [1]):
         costs.write_text(json.dumps(doc))

@@ -430,9 +430,9 @@ def _unpruned_beam(g1: StageGraph, g2: StageGraph, costs: EditCostModel,
     first ``width`` children are kept.  ``ties`` collects the levels whose
     kept and dropped children share an f at the cut."""
     if g1.key == g2.key and hged_module._beam_keeps_identity(
-            g1, costs, del_extra, ins_extra):
+            g1, costs, del_extra, ins_extra, not costs.bad_costs()):
         return 0.0, {a.nid: b.nid for a, b in zip(g1.nodes, g2.nodes)}
-    search = hged_module._Search(g1, g2, costs, del_extra, ins_extra)
+    search = hged_module._Search(g1, g2, costs, del_extra, ins_extra, {})
     level = [search.start()]
     for i in range(search.n1):
         children = [c for state in level for c in search.expand(state, i)]
@@ -668,6 +668,29 @@ def test_label_searches_build_each_table_once(monkeypatch):
     assert any(listed == 0 for listed, _summed, _out in parents)
     assert sum(listed for listed, *_ in parents) \
         < sum(summed for _l, summed, _o in parents)
+
+
+def test_label_searches_check_each_cost_model_once(monkeypatch):
+    """Over one ``dataset_gen`` call of the label benchmark's shape, every
+    search reads whether it may prune and take the identity shortcut, and
+    ``bad_costs`` decides that once per cost model the searches run under."""
+    checks, models, searches = [0], set(), [0]
+    bad_costs, beam = EditCostModel.bad_costs, hged_module.ged_beam
+
+    def counted(self):
+        checks[0] += 1
+        return bad_costs(self)
+
+    def searching(g1, g2, costs, *args, **kwargs):
+        searches[0] += 1
+        models.add(repr(costs))
+        return beam(g1, g2, costs, *args, **kwargs)
+    monkeypatch.setattr(EditCostModel, "bad_costs", counted)
+    monkeypatch.setattr(hged_module, "ged_beam", searching)
+    dataset_gen(corpus_gen(12, 0), 6, 6, 0, intra_pair_cap=10,
+                cross_pairs=40)
+    assert checks[0] == len(models) == 1
+    assert searches[0] > 100
 
 
 def test_exact_finds_the_single_deletion():

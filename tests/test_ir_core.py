@@ -5,6 +5,7 @@ import enum
 import inspect
 import pickle
 import re
+import string
 import textwrap
 from pathlib import Path
 
@@ -490,11 +491,15 @@ _EMPTY_FN = "func @f() -> i32 {\nblock entry:\n  ret i32 0\n}"
      "global @g : i32[4]\n" + _EMPTY_FN, 1, 44),
     ("#pragma inline junk\n" + _EMPTY_FN, 1, 16),
     ("#pragma inline function=@f extra\n" + _EMPTY_FN, 1, 28),
+    # A regex's \d matches Arabic-Indic digits; integers are ASCII only.
+    (_OFF_GRAMMAR_BODY.format(line="  %x = add i32 %a, \u0663"), 4, 20),
+    ("global @g : i32[\u0663]\n" + _EMPTY_FN, 1, 17),
 ], ids=["add-void", "mul-ptr", "load-void", "select-ptr", "phi-ptr",
         "icmp-i1", "store-i1", "zext-from-i32", "sext-to-i1",
         "trunc-from-i1", "trunc-to-i32", "param-void", "param-ptr",
         "unroll-trailing", "pipeline-trailing", "partition-trailing",
-        "inline-trailing", "inline-function-trailing"])
+        "inline-trailing", "inline-function-trailing", "arabic-indic-operand",
+        "arabic-indic-length"])
 def test_off_grammar_forms_are_syntax_errors(text, line, col):
     """Each parsed before, and some printed back as other text; each is
     now refused at the offending token."""
@@ -557,10 +562,15 @@ def _first(rules: dict[str, list[str]], tokens: list[str]) -> set[str]:
 def test_the_grammar_names_every_opcode_and_predicate():
     """The EBNF is normative; the tables are what the program runs.  The
     opcodes are the terminals that start an instruction, a producer or a
-    terminator."""
+    terminator.  Every nonterminal a rule uses is defined, and a letter or
+    digit is an ASCII one, as the tokenizer reads them."""
     text = re.sub(r"\(\*.*?\*\)", "", GRAMMAR.read_text(), flags=re.S)
     rules = {name: re.findall(r'"[^"]*"|\w+|[()\[\]{}|]', body)
              for name, body in re.findall(r"(\w+)\s*=(.*?);", text, re.S)}
+    used = {t for body in rules.values() for t in body if t[0].isalpha()}
+    assert used - rules.keys() == set()
+    assert _first(rules, rules["letter"]) == set(string.ascii_letters)
+    assert _first(rules, rules["digit"]) == set(string.digits)
     starts = set().union(*(_first(rules, rules[name]) for name in
                            ("instruction", "producer", "terminator")))
     assert starts - {"%"} == {op.value for op in Opcode}

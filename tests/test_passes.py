@@ -15,15 +15,16 @@ from passforge.ir import (
     natural_loops, parse_module, print_module, refresh_loop_annotations,
     text_digest, verify_module, wrap32,
 )
-from passforge.ir.types import FOLDABLE, ICMP_PREDICATES
+from passforge.ir.types import FOLDABLE, ICMP_PREDICATES, PURE_OR_DIV
 from passforge.passes import (
     PassError, PassId, PragmaError, Transitions, apply_pass,
     apply_pragma_passes, apply_sequence, general_passes, loop_trip_count,
     pass_catalog,
 )
+from passforge.passes import cfg_passes, inst_passes
 from passforge.passes.inst_passes import simplify_instruction
 from passforge.passes.loop_passes import _count_trips
-from passforge.passes.rewrite import phi_value
+from passforge.passes.rewrite import erase_dead_pure, phi_value
 from passforge.qor import estimate
 
 
@@ -1555,3 +1556,107 @@ block entry:
     r = apply_pass(m, p, digest=m.digest())
     assert r.changed == bool(calls)
     assert counts == {"verify_module": calls, "print_module": calls}
+
+
+# -- reference: the fixpoint sweep that ``erase_dead_pure``'s worklist replaced
+
+def _ref_erase_dead_pure(fn) -> None:
+    """Drop pure instructions with unused results, sweeping every
+    instruction again until a sweep drops nothing."""
+    while True:
+        used: set[str] = set()
+        for b in fn.blocks:
+            for ins in b.all_instructions():
+                used.update(ins.value_uses())
+        removed = 0
+        for b in fn.blocks:
+            keep = []
+            for ins in b.instructions:
+                if (ins.result is not None and ins.result not in used
+                        and ins.opcode in PURE_OR_DIV):
+                    removed += 1
+                else:
+                    keep.append(ins)
+            b.instructions = keep
+        if removed == 0:
+            return
+
+
+def _assert_erases_as_the_sweep(fn) -> int:
+    """``erase_dead_pure`` on ``fn`` leaves what the sweep leaves on a
+    copy; returns how many instructions it dropped."""
+    ref, before = fn.clone(), sum(len(b.instructions) for b in fn.blocks)
+    _ref_erase_dead_pure(ref)
+    erase_dead_pure(fn)
+    assert fn.blocks == ref.blocks, fn.name
+    return before - sum(len(b.instructions) for b in fn.blocks)
+
+
+def test_dead_code_erasure_matches_the_fixpoint_sweep(monkeypatch):
+    """Every function a pass hands ``erase_dead_pure`` over seeded random
+    sequences on ``corpus_gen(12, 0)``, and each output function again with
+    its stores dropped and its return value replaced by 0, so that chains
+    which fed only those die."""
+    calls = [0]
+
+    def checked(fn):
+        calls[0] += 1
+        _assert_erases_as_the_sweep(fn)
+    for module in (inst_passes, cfg_passes):
+        monkeypatch.setattr(module, "erase_dead_pure", checked)
+    pool, rng, dropped = general_passes(), np.random.default_rng(0), []
+    for _name, text in corpus_gen(12, 0):
+        for _ in range(6):
+            seq = [pool[i] for i in rng.integers(len(pool), size=8)]
+            m, _ = apply_sequence(parse_module(text), seq)
+            for fn in m.clone().functions:
+                for b in fn.blocks:
+                    b.instructions = [i for i in b.instructions
+                                      if i.opcode is not Opcode.STORE]
+                    if b.terminator.opcode is Opcode.RET \
+                            and b.terminator.operands:
+                        b.terminator.operands = [Const(0)]
+                dropped.append(_assert_erases_as_the_sweep(fn))
+    assert calls[0] > 100
+    assert sum(n > 1 for n in dropped) > 50
+
+
+@pytest.mark.parametrize("body, dropped", [
+    # A chain: %c uses %b and %a, %b uses %a; none reaches the return.
+    (["%a = add i32 %x, 1", "%b = mul i32 %a, 2", "%c = sub i32 %b, %a"], 3),
+    # A division by zero traps, but an unused one is dropped.
+    (["%d = sdiv i32 %x, 0"], 1),
+    (["%d = sdiv i32 %x, 0", "%e = icmp eq i32 %d, 0",
+      "%f = zext i1 %e to i32"], 3),
+], ids=["chain", "sdiv", "sdiv-chain"])
+def test_dead_code_erasure_drops_dead_chains(body, dropped):
+    m = parse_module("top func @f(%x: i32) -> i32 {\nblock entry:\n"
+                     + "".join(f"  {line}\n" for line in body)
+                     + "  ret i32 %x\n}")
+    assert _assert_erases_as_the_sweep(m.functions[0]) == dropped
+    assert [str(i) for i in m.functions[0].blocks[0].instructions] == []
+
+
+def test_dead_code_erasure_keeps_a_dead_phi_cycle():
+    """``%p`` and ``%q`` feed only each other, but the phi is not pure, so
+    both stay; ``%r`` reads ``%q`` and nothing reads it, so it goes."""
+    m = parse_module("""
+top func @f(%n: i32) -> i32 {
+block entry:
+  br hd
+block hd loop(1, depth=1, header):
+  %i = phi i32 [0, entry], [%i.next, hd]
+  %p = phi i32 [0, entry], [%q, hd]
+  %q = add i32 %p, 1
+  %r = mul i32 %q, 3
+  %i.next = add i32 %i, 1
+  %c = icmp slt i32 %i.next, %n
+  condbr %c, hd, out
+block out:
+  ret i32 %i
+}
+""")
+    fn = m.functions[0]
+    assert _assert_erases_as_the_sweep(fn) == 1
+    assert [i.result for i in fn.block_map()["hd"].instructions] == \
+        ["i", "p", "q", "i.next", "c"]

@@ -782,6 +782,85 @@ def test_a_child_loop_node_touches_what_its_descendants_touch():
     assert fm.mem_summary == {"%a": 68, "@h": 64}
 
 
+#: A one-block loop without phis.  Its one carried head is the load, whose
+#: one tail, the store, comes before it; nothing runs from the load back to
+#: the store.
+STORE_THEN_LOAD_LOOP = """
+top func @f(%a: i32[8]) -> i32 {
+block entry:
+  %p = getelementptr %a, 0
+  br hd
+block hd loop(1, depth=1, header):
+  store i32 7, %p
+  %v = load i32 %p
+  %c = icmp slt i32 %v, 5
+  condbr %c, hd, out
+block out:
+  ret i32 %v
+}
+"""
+
+
+def test_a_head_whose_tails_all_come_before_it_takes_the_fallback():
+    """No intra path closes the store -> load edge, so its cycle is the two
+    nodes alone: the store's 1 cycle and the load's 2."""
+    m = parse_module(STORE_THEN_LOAD_LOOP)
+    for costs in (OpCostTable(), OpCostTable(memory_ports=1)):
+        _assert_prices_match_reference(m, costs)
+    assert estimate(m).loops[0].rec_mii == 1 + 2
+
+
+#: A loop body entered at two blocks, X and Y, that branch to each other:
+#: an irreducible CFG, which the verifier accepts and no pass makes.  In
+#: node order X comes first, so its phi's arm from Y's ``%q`` is an intra
+#: edge to an earlier node, and the carried ``%s`` comes back through it.
+#: The unused ``%n`` gives the latch a latency of 1.
+IRREDUCIBLE_LOOP = """
+top func @f(%a: i32) -> i32 {
+block entry:
+  br hd
+block hd loop(1, depth=1, header):
+  %s = phi i32 [0, entry], [%p, latch]
+  %c = icmp slt i32 %s, 8
+  condbr %c, split, out
+block split loop(1, depth=1):
+  %e = icmp eq i32 %s, %a
+  condbr %e, X, Y
+block X loop(1, depth=1):
+  %p = phi i32 [%s, split], [%q, Y]
+  %d = icmp slt i32 %p, 3
+  condbr %d, Y, latch
+block Y loop(1, depth=1):
+  %r = phi i32 [%s, split], [%p, X]
+  %q = mul i32 %r, 3
+  br X
+block latch loop(1, depth=1):
+  %n = add i32 %p, 1
+  br hd
+block out:
+  ret i32 %s
+}
+"""
+
+
+def test_an_irreducible_loop_body_prices_as_the_pairwise_scan():
+    """The pass from ``%s`` reaches ``%p``, then ``%r`` and ``%q``, past
+    ``%p`` in node order, and ``%p`` again: 1 + 1 + 1 + 3 + 1 cycles.  The
+    loop's depth reads the blocks' order in the CFG, not their names: 9
+    cycles, ``hd``, ``split``, ``X`` and then ``Y``.  Taking successors by
+    name, the region path once gave 10 with ``X`` renamed ``zx``, where
+    ``Y``, ``zx`` and the latch follow ``split`` in turn."""
+    reports = []
+    for x in ("x", "zx"):
+        m = parse_module(IRREDUCIBLE_LOOP.replace("X", x).replace("Y", "y"))
+        assert verify_module(m) == []
+        _assert_prices_match_reference(m, OpCostTable())
+        reports.append(estimate(m))
+    assert reports[0].loops[0].rec_mii == 1 + 1 + 1 + 3 + 1
+    assert reports[0].loops[0].depth_cycles == 2 + 1 + 2 + 4
+    assert reports[0] == reports[1]
+
+
 def test_prices_match_the_pairwise_scan_on_what_greedy_prices(monkeypatch):
     """Every module greedy prices over ``corpus_gen(12, 0)``, and
     ``CALLS_SRC``, whose calls the expanded corpus no longer holds."""
