@@ -11,8 +11,7 @@ from .ppo import (
     rollout_episode, train,
 )
 from .baselines import (
-    SearchResult, search_baseline, search_genetic, search_greedy,
-    search_random,
+    SearchResult, search_genetic, search_greedy, search_random,
 )
 
 __all__ = [
@@ -22,6 +21,5 @@ __all__ = [
     "ppo_loss_grad", "value",
     "CurvePoint", "Trajectory", "gae_advantages", "infer", "ppo_update",
     "rollout_episode", "train",
-    "SearchResult", "search_baseline", "search_genetic", "search_greedy",
-    "search_random",
+    "SearchResult", "search_genetic", "search_greedy", "search_random",
 ]

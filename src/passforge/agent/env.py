@@ -4,10 +4,11 @@ An ``Evaluator`` expands one design's pragmas once, owns the design's
 ``(digest, pass)`` transition table, and prices its modules with the
 analytical QoR model, memoized by digest; ``PassEnv`` and the search
 baselines both apply passes and price through it, so a transition seen
-before runs no pass.  One environment wraps one design: the observation is
-the (frozen) embedding of the current program graph, actions are the general
-passes plus an explicit Stop, and the reward is the latency improvement
-normalized by the running best.  Each state carries its module's digest.
+before runs no pass, and the table's size is the number of passes run.
+One environment wraps one design: the observation is the (frozen) embedding
+of the current program graph, actions are the general passes plus an
+explicit Stop, and the reward is the latency improvement normalized by the
+running best.  Each state carries its module's digest.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from ..graphs import build_het_graph
 from ..ir import IrModule
 from ..passes import (
     PassId, PassResult, Transitions, apply_pass, apply_pragma_passes,
-    general_passes,
+    apply_sequence, general_passes,
 )
 from ..qor import EstimateError, OpCostTable, estimate
 
@@ -34,11 +35,13 @@ def reward(l_prev: float, l_new: float, l_best: float) -> float:
 
 
 class Evaluator:
-    """Estimated cycles of one design's modules.  ``base`` is the design with
-    its pragmas expanded, ``baseline`` its cycles, and ``table`` the
-    transitions run from it, which live as long as the evaluator.  Cycles
-    are memoized by module digest; a digest the model cannot price keeps its
-    ``EstimateError``, and every call on it raises a copy of that error."""
+    """Passes applied to one design's modules, and their estimated cycles.
+    ``base`` is the design with its pragmas expanded, ``baseline`` its
+    cycles, and ``table`` the transitions run from it, which live as long
+    as the evaluator, so ``len(table)`` is the number of passes run.
+    Cycles are memoized by module digest; a digest the model cannot price
+    keeps its ``EstimateError``, and every ``cycles`` call on it raises a
+    copy of that error."""
 
     def __init__(self, design: IrModule, costs: OpCostTable | None = None):
         self.base = apply_pragma_passes(design)
@@ -48,9 +51,29 @@ class Evaluator:
         self._memo: dict[str, float | EstimateError] = {}
         self.baseline = self._price(self.base, self.base_digest)
 
+    def step(self, module: IrModule, digest: str,
+             pass_id: PassId) -> PassResult:
+        """``pass_id`` applied to ``module``, whose digest is ``digest``,
+        through the table: a transition seen before runs no pass."""
+        return apply_pass(module, pass_id, self.table, digest)
+
+    def run(self, seq: list[PassId]) -> float:
+        """Cycles of ``seq`` applied to ``base``, or ``inf`` where the model
+        cannot price the result; a ``PassError`` names its step."""
+        _out, results = apply_sequence(self.base, seq, self.table,
+                                       self.base_digest)
+        return self.price(results[-1]) if results else self.baseline
+
     def cycles(self, result: PassResult) -> float:
         """Cycles of a pass's output module; raises ``EstimateError``."""
         return self._price(result.module, result.digest)
+
+    def price(self, result: PassResult) -> float:
+        """``cycles``, or ``inf`` where the model cannot price the module."""
+        try:
+            return self.cycles(result)
+        except EstimateError:
+            return float("inf")
 
     def _price(self, module: IrModule, digest: str) -> float:
         if digest not in self._memo:
@@ -114,7 +137,7 @@ class PassEnv:
         if action == STOP_ACTION or state.t >= self.max_steps:
             return state, 0.0, True
         pass_id = ACTIONS[action]
-        result = apply_pass(state.module, pass_id, self.ev.table, state.digest)
+        result = self.ev.step(state.module, state.digest, pass_id)
         try:
             l_new = self._cycles(result)
         except EstimateError as e:

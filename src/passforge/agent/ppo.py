@@ -73,20 +73,13 @@ def rollout_episode(env: PassEnv, params: dict,
 
 def ppo_update(params: dict, trajectories: list[Trajectory],
                config: PpoConfig, opt: Adam) -> float:
-    obs, actions, old_logp, advs, rets = [], [], [], [], []
-    for traj in trajectories:
-        a, r = gae_advantages(traj.rewards, traj.values, config.gamma,
-                              config.gae_lambda)
-        obs.extend(traj.obs)
-        actions.extend(traj.actions)
-        old_logp.extend(traj.log_probs)
-        advs.extend(a.tolist())
-        rets.extend(r.tolist())
-    obs_a = np.asarray(obs)
-    act_a = np.asarray(actions)
-    logp_a = np.asarray(old_logp)
-    adv_a = np.asarray(advs)
-    ret_a = np.asarray(rets)
+    gae = [gae_advantages(t.rewards, t.values, config.gamma, config.gae_lambda)
+           for t in trajectories]
+    obs_a = np.asarray([o for t in trajectories for o in t.obs])
+    act_a = np.asarray([a for t in trajectories for a in t.actions])
+    logp_a = np.asarray([lp for t in trajectories for lp in t.log_probs])
+    adv_a = np.concatenate([adv for adv, _ret in gae])
+    ret_a = np.concatenate([ret for _adv, ret in gae])
     if adv_a.std() > 1e-8:
         adv_a = (adv_a - adv_a.mean()) / adv_a.std()
 

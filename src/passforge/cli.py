@@ -504,7 +504,7 @@ _METHOD_OPTIONS = {"policy": ("rl",), "embed": ("rl",), "budget": ("random",),
 
 
 def cmd_search(args) -> int:
-    from .agent import infer, search_baseline
+    from .agent import infer, search_genetic, search_greedy, search_random
 
     unread = [f"--{opt}" for opt, methods in _METHOD_OPTIONS.items()
               if getattr(args, opt) is not None and args.method not in methods]
@@ -527,22 +527,26 @@ def cmd_search(args) -> int:
             seq, cycles, best_idx = infer(m, policy, obs_fn, costs)
         except PragmaError as e:
             raise UserError(f"{args.design}: {e}")
-        # Each applied pass is one apply + estimate, as a baseline charges.
+        # One evaluation per priced step of the episode.
         result.update(method="rl", sequence=[p.value for p in seq],
                       cycles=cycles[best_idx], baseline_cycles=cycles[0],
                       evaluations=len(cycles) - 1, trace=cycles)
     else:
         seed = 0 if args.seed is None else args.seed
         budget = 64 if args.budget is None else args.budget
+        search = {
+            "random": lambda: search_random(m, budget, seed, costs=costs),
+            "greedy": lambda: search_greedy(m, costs=costs),
+            "genetic": lambda: search_genetic(m, seed=seed, costs=costs),
+        }[args.method]
         try:
-            sr = search_baseline(m, args.method, seed=seed, costs=costs,
-                                 budget=budget)
+            sr = search()
         except PragmaError as e:
             raise UserError(f"{args.design}: {e}")
         result.update(method=sr.method,
                       sequence=[p.value for p in sr.sequence],
                       cycles=sr.cycles, baseline_cycles=sr.baseline_cycles,
-                      evaluations=sr.evaluations, passes_run=sr.passes_run)
+                      evaluations=sr.evaluations)
         if args.method in _METHOD_OPTIONS["seed"]:
             result["seed"] = seed
     if args.out:

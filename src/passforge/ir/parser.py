@@ -38,13 +38,13 @@ class VerifyError(Exception):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<value>%[A-Za-z0-9_.]+)
-  | (?P<global>@[A-Za-z0-9_.]+)
+    (?P<ws>[ \t]+)
+  | (?P<value>%[A-Za-z][A-Za-z0-9_.]*)
+  | (?P<global>@[A-Za-z][A-Za-z0-9_.]*)
   | (?P<number>-?[0-9]+)
   | (?P<arrow>->)
   | (?P<punct>[(){}\[\],:=])
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
+  | (?P<ident>[A-Za-z][A-Za-z0-9_.]*)
     """,
     re.VERBOSE,
 )
@@ -303,11 +303,13 @@ def parse_module(text: str, verify: bool = True) -> IrModule:
     current_block: IrBlock | None = None
     explicit_top = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n", or "\r\n"; no other character breaks a line.
+    lines = text.replace("\r\n", "\n").removesuffix("\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         code = raw.partition(";")[0]
-        if not code.strip():
+        if not code.strip(" \t"):
             continue
-        if code.lstrip().startswith("#pragma"):
+        if code.lstrip(" \t").startswith("#pragma"):
             ln = _Line(code, lineno, code.index("#") + 1)
             if current_fn is not None:
                 raise IrSyntaxError("pragmas must precede the function",
@@ -398,10 +400,10 @@ def parse_module(text: str, verify: bool = True) -> IrModule:
 
     if current_fn is not None:
         raise IrSyntaxError("unterminated function (missing '}')",
-                            len(text.splitlines()) or 1, 1)
+                            len(lines), 1)
     if pending_pragmas:
         raise IrSyntaxError("pragmas with no following function",
-                            len(text.splitlines()) or 1, 1)
+                            len(lines), 1)
 
     if not explicit_top and len(module.functions) == 1:
         module.functions[0].is_top = True

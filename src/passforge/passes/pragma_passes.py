@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from ..ir import (
     IrBlock, IrFunction, IrInstruction, IrModule, LabelRef, LoopInfo, Opcode,
-    PragmaKind, ValueRef, natural_loops,
+    PragmaKind, ValueRef, natural_loops, postorder,
 )
 from ..ir.types import Operand, VOID
 from .loop_passes import (
@@ -28,15 +28,18 @@ class PragmaError(Exception):
     pass
 
 
+def _within_budget(what: str, projected: int) -> None:
+    """The one instruction budget of both pragma passes."""
+    if projected > UNROLL_INSTRUCTION_BUDGET:
+        raise PragmaError(f"{what} would create ~{projected} instructions "
+                          f"(budget {UNROLL_INSTRUCTION_BUDGET})")
+
+
 def _apply_unroll(fn: IrFunction, shape: UnrollShape, factor: int) -> None:
     trip = shape.trip
     fresh = FreshNames(fn)
-    body_size = len(shape.body.instructions)
-    projected = body_size * (trip if factor >= trip else factor)
-    if projected > UNROLL_INSTRUCTION_BUDGET:
-        raise PragmaError(
-            f"unrolling loop {shape.loop.loop_id} would create ~{projected} "
-            f"instructions (budget {UNROLL_INSTRUCTION_BUDGET})")
+    _within_budget(f"unrolling loop {shape.loop.loop_id}",
+                   len(shape.body.instructions) * min(trip, factor))
 
     if factor >= trip:
         _full_unroll(fn, shape, fresh)
@@ -162,11 +165,16 @@ def _inline_one_call(m: IrModule, caller: IrFunction, block: IrBlock,
     next_loop_id = 1 + max((b.loop_info.loop_id for b in caller.blocks
                             if b.loop_info is not None), default=0)
 
+    # Every label and result is named before any instruction is cloned: a
+    # phi may read a value that a later block defines.
     for b in callee.blocks:
         label_map[b.label] = fresh.label(f"{callee.name}.{b.label}")
         if b.loop_info is not None and b.loop_info.loop_id not in loop_id_map:
             loop_id_map[b.loop_info.loop_id] = next_loop_id
             next_loop_id += 1
+        for ins in b.all_instructions():
+            if ins.result is not None:
+                value_map[ins.result] = ValueRef(fresh.value(f"{ins.result}.i"))
 
     new_blocks: list[IrBlock] = []
     ret_edges: list[tuple[str, Operand | None]] = []
@@ -176,17 +184,13 @@ def _inline_one_call(m: IrModule, caller: IrFunction, block: IrBlock,
             nb.loop_info = LoopInfo(loop_id_map[b.loop_info.loop_id],
                                     b.loop_info.depth, b.loop_info.is_header)
         for ins in b.all_instructions():
-            mapped_ops: list[Operand] = []
-            for op in ins.operands:
-                if isinstance(op, LabelRef):
-                    mapped_ops.append(LabelRef(label_map[op.label]))
-                else:
-                    mapped_ops.append(subst_operand(op, value_map))
-            new = IrInstruction(None, ins.opcode, mapped_ops, ins.ir_type,
+            mapped_ops = [LabelRef(label_map[op.label])
+                          if isinstance(op, LabelRef)
+                          else subst_operand(op, value_map)
+                          for op in ins.operands]
+            result = value_map[ins.result].id if ins.result is not None else None
+            new = IrInstruction(result, ins.opcode, mapped_ops, ins.ir_type,
                                 ins.pred, ins.callee)
-            if ins.result is not None:
-                new.result = fresh.value(f"{ins.result}.i")
-                value_map[ins.result] = ValueRef(new.result)
             if new.opcode is Opcode.RET:
                 rv = new.operands[0] if new.operands else None
                 ret_edges.append((nb.label, rv))
@@ -230,6 +234,22 @@ def _inline_one_call(m: IrModule, caller: IrFunction, block: IrBlock,
             caller.pragmas.append(np)
 
 
+def _check_inline_budget(m: IrModule, targets: set[str]) -> None:
+    """Refuse, before any call is inlined, to create more than the budget
+    of instructions in one function.  A callee brings its own calls to
+    targets inlined; calls form a DAG, so callees are sized first."""
+    calls = {fn.name: [ins.callee for b in fn.blocks
+                       for ins in b.all_instructions()
+                       if ins.opcode is Opcode.CALL and ins.callee in targets]
+             for fn in m.functions}
+    size: dict[str, int] = {}
+    for name in postorder(None, {None: list(calls), **calls})[:-1]:
+        created = sum(size[c] for c in calls[name])
+        _within_budget(f"inlining into @{name}", created)
+        size[name] = created + sum(len(b.all_instructions())
+                                   for b in m.function(name).blocks)
+
+
 def apply_inline_pragmas(m: IrModule) -> None:
     targets = []
     for fn in m.functions:
@@ -237,28 +257,18 @@ def apply_inline_pragmas(m: IrModule) -> None:
             if p.kind is PragmaKind.INLINE:
                 targets.append(p.target)
                 fn.pragmas.remove(p)
+    _check_inline_budget(m, set(targets))
     for target in targets:
-        for caller in m.functions:
-            if caller.name == target:
-                continue
-            progress = True
-            while progress:
-                progress = False
-                for b in caller.blocks:
-                    for ins in b.instructions:
-                        if ins.opcode is Opcode.CALL and ins.callee == target:
-                            _inline_one_call(m, caller, b, ins)
-                            progress = True
-                            break
-                    if progress:
-                        break
+        for caller in [f for f in m.functions if f.name != target]:
+            # Each inlined call restarts the scan at the caller's first block.
+            while site := next(((b, ins) for b in caller.blocks
+                                for ins in b.instructions
+                                if ins.opcode is Opcode.CALL
+                                and ins.callee == target), None):
+                _inline_one_call(m, caller, *site)
     # Fully-inlined callees with no remaining callers are dropped.
-    for target in set(targets):
-        still_called = any(
-            ins.opcode is Opcode.CALL and ins.callee == target
-            for f in m.functions for b in f.blocks
-            for ins in b.all_instructions())
-        fn = m.function(target)
-        if not still_called and not fn.is_top:
-            m.functions.remove(fn)
+    called = {ins.callee for f in m.functions for b in f.blocks
+              for ins in b.instructions if ins.opcode is Opcode.CALL}
+    m.functions = [f for f in m.functions
+                   if f.is_top or f.name not in targets or f.name in called]
 

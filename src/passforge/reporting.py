@@ -25,7 +25,8 @@ def report(results: list[dict]) -> tuple[str, str]:
     """(csv_text, human_summary) of search records: one row per record, with
     its seed (empty for a method that takes none), then per method the
     geometric mean of the cycles ratio against the no-pass baseline and the
-    summed evaluations."""
+    summed evaluations: the passes a search baseline ran, or rl's priced
+    steps."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["design", "method", "seed", "cycles", "baseline_cycles",

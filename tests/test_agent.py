@@ -8,8 +8,8 @@ from passforge import passes
 from passforge.agent import (
     ACTIONS, Evaluator, N_ACTIONS, PassEnv, PpoConfig, STOP_ACTION,
     gae_advantages, infer, init_actor_critic, policy_probs, ppo_loss_grad,
-    reward, rollout_episode, search_baseline, search_genetic, search_greedy,
-    search_random, train,
+    reward, rollout_episode, search_genetic, search_greedy, search_random,
+    train,
 )
 from passforge.agent import baselines, env as env_module
 from passforge.corpus import corpus_gen
@@ -303,12 +303,14 @@ def test_genetic_elitism_monotone(small_corpus):
 
 
 #: sha256 of (sequence, cycles, baseline_cycles, evaluations) per design of
-#: ``corpus_gen(6, 0)``, taken before searches reused shared prefixes; a
-#: search may save work, never change what it finds or what it charges.
+#: ``corpus_gen(6, 0)``.  The triples were taken before searches reused
+#: shared prefixes, and the counts are the passes each search ran when each
+#: was charged per pass of every sequence it evaluated; a search may save
+#: work, never change what it finds.
 PINNED_SEARCH = {
-    "random": "408678aeb09f5270428dae021573f61602f7df91e2e6965c33c51b3acb922f25",
-    "greedy": "a1880faae7722c1f763dd55d73b36d9e80f466d8ea59fe999db4a09645759790",
-    "genetic": "3b195adcab7df28110747c450ba1449979e83d0e6b9b1d28c9db993b57ebafaf",
+    "random": "5ac0d9ca9744a1f4a52e52d274cd332f4075595f9076460f85d6f33423c1bd08",
+    "greedy": "a69b6da32a84ab8ab7a93f12c26027c327e0bf3c6fa7d055d5f66961d4aec0aa",
+    "genetic": "0a6b721b92d7e0df46ec1ad0aea551388e7dc7ea56292e5053c851df1429b39d",
 }
 SEARCHES = {
     "random": lambda m: search_random(m, budget_sequences=8, seed=0),
@@ -318,73 +320,128 @@ SEARCHES = {
 }
 
 
-@pytest.fixture(scope="module")
-def corpus_searches():
-    """method -> [(SearchResult, apply_pass calls it made)] over
-    ``corpus_gen(6, 0)``."""
+def _searched(searches: dict, corpus) -> dict:
+    """method -> [(SearchResult, apply_pass calls it made, its evaluator)]
+    over ``corpus``, counting calls through both ``apply_pass`` bindings:
+    ``Evaluator.step`` calls the one ``agent.env`` imports, and
+    ``apply_sequence`` the one ``passes`` defines."""
     calls = [0]
-    apply_pass = passes.apply_pass
+    evaluators = []
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return apply_pass(*args, **kwargs)
+    def counted(apply_pass):
+        def call(*args, **kwargs):
+            calls[0] += 1
+            return apply_pass(*args, **kwargs)
+        return call
 
-    designs = [parse_module(text) for _name, text in corpus_gen(6, 0)]
+    def recorded(*args, **kwargs):
+        evaluators.append(Evaluator(*args, **kwargs))
+        return evaluators[-1]
+
+    designs = [parse_module(text) for _name, text in corpus]
     out = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(passes, "apply_pass", counted)
-        for method, search in SEARCHES.items():
+        for owner in (passes, env_module):
+            mp.setattr(owner, "apply_pass", counted(owner.apply_pass))
+        mp.setattr(baselines, "Evaluator", recorded)
+        for method, search in searches.items():
             out[method] = []
             for m in designs:
                 calls[0] = 0
-                out[method].append((search(m), calls[0]))
+                evaluators.clear()
+                r = search(m)
+                (ev,) = evaluators
+                out[method].append((r, calls[0], ev))
     return out
+
+
+@pytest.fixture(scope="module")
+def corpus_searches():
+    return _searched(SEARCHES, corpus_gen(6, 0))
 
 
 @pytest.mark.parametrize("method", SEARCHES)
 def test_search_results_are_pinned(corpus_searches, method):
     h = hashlib.sha256()
-    for r, _calls in corpus_searches[method]:
+    for r, _calls, _ev in corpus_searches[method]:
         h.update(repr(([p.value for p in r.sequence], r.cycles,
                        r.baseline_cycles, r.evaluations)).encode())
     assert h.hexdigest() == PINNED_SEARCH[method]
 
 
 @pytest.mark.parametrize("method", SEARCHES)
-def test_search_budget_counts_every_pass_application(corpus_searches, method):
-    # One ``apply_pass`` call per pass of each sequence evaluated, memo hits
-    # included, is what the budget charges; the passes really run are fewer.
-    for r, calls in corpus_searches[method]:
-        assert calls == r.evaluations
-        assert 0 < r.passes_run <= r.evaluations
-    if method == "greedy":
-        assert sum(r.passes_run for r, _ in corpus_searches[method]) < \
-            sum(r.evaluations for r, _ in corpus_searches[method]) / 2
+def test_search_evaluations_are_the_passes_run(corpus_searches, method):
+    # A search is charged one evaluation per pass it ran, an entry of its
+    # evaluator's table.  Greedy steps from the module it holds, so each of
+    # its ``apply_pass`` calls runs a pass; random and genetic replay the
+    # prefixes their sequences share through the table.
+    for r, calls, ev in corpus_searches[method]:
+        assert 0 < r.evaluations == len(ev.table)
+        assert calls == r.evaluations if method == "greedy" else \
+            calls >= r.evaluations
+
+
+#: sha256 of (sequence, cycles, baseline_cycles, evaluations) per design of
+#: ``corpus_gen(12, 0)``, the benchmark's corpus, with each method's
+#: defaults.  The triples were taken when greedy replayed each candidate's
+#: prefix from the base and every search kept a per-sequence memo; the
+#: counts are the passes each search ran then.
+PINNED_DEFAULT_SEARCH = {
+    "random": "17421384a0352a5e90f62c9a86878604b5e21ced0f977f9dd63af3b3c19e820b",
+    "greedy": "fc2809e68a6bbc884da649f0825fe967c9461e52beef6df4959c2539d3d3401a",
+    "genetic": "a403391cdce5d8ef387b7b9455374c3544d3797d34830d104ebe8c12e4f09c29",
+}
+DEFAULT_SEARCHES = {
+    "random": lambda m: search_random(m, budget_sequences=64, seed=0),
+    "greedy": search_greedy,
+    "genetic": lambda m: search_genetic(m, seed=0),
+}
+
+
+def test_default_searches_are_pinned_on_the_benchmark_corpus():
+    searched = _searched(DEFAULT_SEARCHES, corpus_gen(12, 0))
+    ran = {}
+    for method, runs in searched.items():
+        h = hashlib.sha256()
+        for r, calls, ev in runs:
+            h.update(repr(([p.value for p in r.sequence], r.cycles,
+                           r.baseline_cycles, r.evaluations)).encode())
+            assert r.evaluations == len(ev.table)
+            if method == "greedy":
+                assert calls == r.evaluations
+        assert h.hexdigest() == PINNED_DEFAULT_SEARCH[method], method
+        ran[method] = sum(r.evaluations for r, _calls, _ev in runs)
+    assert ran == {"random": 2427, "greedy": 1292, "genetic": 2225}
 
 
 def test_search_table_holds_one_entry_per_pass_run(monkeypatch,
                                                    small_corpus):
-    # Each search call runs every sequence against one transition table that
-    # starts empty and ends with one entry per pass run, fewer than charged.
-    calls = []
-    run = baselines.apply_sequence
+    # Each search call runs every sequence against a transition table of its
+    # own, which starts empty and ends with one entry per pass body run.
+    runs = [0]
 
-    def recorded(module, seq, memo, digest):
-        calls.append((memo, len(memo)))
-        return run(module, seq, memo, digest)
+    def counted(impl):
+        def run(module):
+            runs[0] += 1
+            impl(module)
+        return run
 
-    monkeypatch.setattr(baselines, "apply_sequence", recorded)
-    tables = []
+    for p in ACTIONS:
+        monkeypatch.setitem(passes._IMPLS, p, counted(passes._IMPLS[p]))
+    evaluators = []
+
+    def recorded(*args, **kwargs):
+        evaluators.append(Evaluator(*args, **kwargs))
+        assert len(evaluators[-1].table) == 0
+        return evaluators[-1]
+
+    monkeypatch.setattr(baselines, "Evaluator", recorded)
     for _ in range(2):
-        calls.clear()
+        runs[0] = 0
         r = search_random(small_corpus[0][1], budget_sequences=30, seed=0,
                           max_len=4)
-        table = calls[0][0]
-        assert calls[0][1] == 0
-        assert all(memo is table for memo, _size in calls)
-        assert len(table) == r.passes_run < r.evaluations
-        tables.append(table)
-    assert tables[0] is not tables[1]
+        assert len(evaluators[-1].table) == runs[0] == r.evaluations > 0
+    assert evaluators[0].table is not evaluators[1].table
 
 
 def test_search_prints_each_executed_pass_once(monkeypatch):
@@ -399,7 +456,7 @@ def test_search_prints_each_executed_pass_once(monkeypatch):
 
     monkeypatch.setattr(passes, "print_module", counted)
     designs = [parse_module(text) for _name, text in corpus_gen(6, 0)]
-    ran = sum(search_greedy(m).passes_run for m in designs)
+    ran = sum(search_greedy(m).evaluations for m in designs)
     assert prints[0] <= ran + len(designs)
 
 
@@ -423,18 +480,10 @@ def test_search_copies_and_refreshes_only_for_passes_that_write(monkeypatch):
 
     monkeypatch.setattr(IrModule, "clone", counted_clone)
     monkeypatch.setattr(passes, "refresh_loop_annotations", counted_refresh)
-    ran = sum(search_greedy(parse_module(text)).passes_run
+    ran = sum(search_greedy(parse_module(text)).evaluations
               for _name, text in corpus_gen(12, 0))
     assert ran == 1292
     assert calls == {"clone": 451, "refresh": 371}
-
-
-def test_search_baseline_dispatch(small_corpus):
-    _name, m = small_corpus[2]
-    for method in ("random", "greedy", "genetic"):
-        r = search_baseline(m, method, seed=1, budget=4)
-        assert r.method == method
-        assert r.cycles <= r.baseline_cycles
 
 
 def _scripted(script):

@@ -6,11 +6,13 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from passforge.agent import search_greedy
 from passforge.cli import _MINIMUMS, build_parser, main
 from passforge.ir import parse_module
 from passforge.reporting import geomean
@@ -226,6 +228,66 @@ def test_a_non_ascii_digit_exits_1(tmp_path, capsys, text, where):
                             "'\u0663'\n")
 
 
+_BODY = "func @f(%a: i32) -> i32 {{\nblock entry:\n{line}\n  ret i32 0\n}}\n"
+
+
+@pytest.mark.parametrize("text, where, char", [
+    (_BODY.format(line="  %0 = add i32 %a, 1"), "line 3:3", "%"),
+    (_BODY.format(line="  %_b = add i32 %a, 1"), "line 3:3", "%"),
+    (_BODY.format(line="  %x = add i32 %.a, 1"), "line 3:16", "%"),
+    ("func @.f() -> i32 {\nblock entry:\n  ret i32 0\n}\n", "line 1:6", "@"),
+    ("func @f() -> i32 {\nblock _e:\n  ret i32 0\n}\n", "line 2:7", "_"),
+    (_BODY.format(line="  %x = add\u00a0i32 %a, 1"), "line 3:11", "\xa0"),
+    (_BODY.format(line="  %x = add i32 %a, 1\u2028  %y = add i32 %x, 1"),
+     "line 3:21", "\u2028"),
+    (_BODY.format(line="  %x = add i32 %a, 1\f  %y = add i32 %x, 1"),
+     "line 3:21", "\x0c"),
+], ids=["value-digit", "value-underscore", "value-dot", "global-dot",
+        "label-underscore", "no-break-space", "line-separator", "form-feed"])
+def test_an_off_grammar_name_or_break_exits_1(tmp_path, capsys, text, where,
+                                               char):
+    """Each once parsed; the spaces and breaks printed back rewritten."""
+    bad = tmp_path / "names.ir"
+    bad.write_bytes(text.encode("utf-8"))
+    assert main(["parse", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {bad}: {where}: unexpected character "
+                            f"{char!r}\n")
+
+
+def _inline_chain(depth: int) -> str:
+    """``@g1`` .. ``@g<depth>``, each inlined and calling the next twice, so
+    full inlining doubles the code at each level."""
+    fns = [f"#pragma inline\nfunc @g{d}(%x: i32) -> i32 {{\nblock entry:\n"
+           f"  %a = call i32 @g{d + 1}(%x)\n  %b = call i32 @g{d + 1}(%a)\n"
+           f"  ret i32 %b\n}}\n" for d in range(1, depth)]
+    fns.append(f"#pragma inline\nfunc @g{depth}(%x: i32) -> i32 {{\n"
+               "block entry:\n  %a = add i32 %x, 1\n  ret i32 %a\n}\n")
+    fns.append("top func @f(%x: i32) -> i32 {\nblock entry:\n"
+               "  %r = call i32 @g1(%x)\n  ret i32 %r\n}\n")
+    return "\n".join(fns)
+
+
+def test_an_inline_expansion_past_the_budget_exits_1(tmp_path, capsys):
+    """A 20-deep chain would inline about 2.6 million instructions; the
+    inliner refuses it before inlining any call, as unroll refuses a loop
+    past the same budget."""
+    design = tmp_path / "chain.ir"
+    design.write_text(_inline_chain(20))
+    for argv in (["estimate", str(design)],
+                 ["search", "--method", "greedy", "--design", str(design)],
+                 ["run", str(design), "-p", "apply_inline_pragma"]):
+        t = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - t < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {design}: inlining into @g")
+        assert captured.err.endswith(" instructions (budget 50000)\n")
+        assert captured.err.count("\n") == 1
+
+
 def test_an_array_parameter_shorter_than_one_exits_1(tmp_path, capsys):
     """The interpreter once died on it in numpy (exit 2), though a global
     of that length already failed to verify."""
@@ -277,10 +339,13 @@ def test_estimate_json(workdir, capsys):
 
 
 def test_search_reports_budget_and_passes_run(workdir, capsys):
+    # The record's one count, its evaluations, is the passes greedy ran.
     design = str(workdir / "corpus" / "dot_01.ir")
     assert main(["search", "--method", "greedy", "--design", design]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert 0 < doc["passes_run"] < doc["evaluations"]
+    ran = search_greedy(parse_module(Path(design).read_text())).evaluations
+    assert doc["evaluations"] == ran > 0
+    assert "passes_run" not in doc
 
 
 def test_interp_with_inputs_file(workdir, tmp_path, capsys):

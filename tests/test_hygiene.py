@@ -20,7 +20,8 @@ import pytest
 
 import passforge
 from passforge.agent import (
-    Evaluator, PassEnv, PpoConfig, search_baseline, train,
+    Evaluator, PassEnv, PpoConfig, search_genetic, search_greedy,
+    search_random, train,
 )
 from passforge.dataset import dataset_gen
 from passforge.embedder import featurize_baseline
@@ -456,8 +457,9 @@ def test_no_reference_cycle_keeps_environments_alive(small_corpus, case2):
     try:
         train(designs, lambda g: featurize_baseline(g, "opcode_histogram", 16),
               config, seed=0, obs_dim=16)
-        for method in ("random", "greedy", "genetic"):
-            search_baseline(case2, method, budget=8)
+        search_random(case2, 8, 0)
+        search_greedy(case2)
+        search_genetic(case2)
         dataset_gen([(name, print_module(m)) for name, m in designs], 3, 3,
                     seed=0, intra_pair_cap=2, cross_pairs=2)
         found = _unreachable((PassEnv, Evaluator, IrModule, IrFunction,

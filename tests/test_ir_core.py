@@ -494,18 +494,40 @@ _EMPTY_FN = "func @f() -> i32 {\nblock entry:\n  ret i32 0\n}"
     # A regex's \d matches Arabic-Indic digits; integers are ASCII only.
     (_OFF_GRAMMAR_BODY.format(line="  %x = add i32 %a, \u0663"), 4, 20),
     ("global @g : i32[\u0663]\n" + _EMPTY_FN, 1, 17),
+    # A value, global or label name begins with an ASCII letter.
+    (_OFF_GRAMMAR_BODY.format(line="  %0 = add i32 %a, 1"), 4, 3),
+    (_OFF_GRAMMAR_BODY.format(line="  %_b = add i32 %a, 1"), 4, 3),
+    (_OFF_GRAMMAR_BODY.format(line="  %x = add i32 %.a, 1"), 4, 16),
+    (_EMPTY_FN.replace("@f", "@.f"), 1, 6),
+    (_EMPTY_FN.replace("entry", "_e"), 2, 7),
+    # Whitespace is spaces and tabs; only "\n" (or "\r\n") ends a line.
+    (_OFF_GRAMMAR_BODY.format(line="  %x = add\u00a0i32 %a, 1"), 4, 11),
+    (_OFF_GRAMMAR_BODY.format(line="\u00a0"), 4, 1),
+    (_OFF_GRAMMAR_BODY.format(line="  %x = add i32 %a, 1\u2028  %y = add "
+                              "i32 %x, 1"), 4, 21),
+    (_OFF_GRAMMAR_BODY.format(line="  %x = add i32 %a, 1\f  %y = add "
+                              "i32 %x, 1"), 4, 21),
+    (_OFF_GRAMMAR_BODY.format(line="  %x = add i32 %a, 1\r  %y = add "
+                              "i32 %x, 1"), 4, 21),
 ], ids=["add-void", "mul-ptr", "load-void", "select-ptr", "phi-ptr",
         "icmp-i1", "store-i1", "zext-from-i32", "sext-to-i1",
         "trunc-from-i1", "trunc-to-i32", "param-void", "param-ptr",
         "unroll-trailing", "pipeline-trailing", "partition-trailing",
         "inline-trailing", "inline-function-trailing", "arabic-indic-operand",
-        "arabic-indic-length"])
+        "arabic-indic-length", "value-digit", "value-underscore", "value-dot",
+        "global-dot", "label-underscore", "no-break-space",
+        "no-break-space-line", "line-separator", "form-feed", "bare-cr"])
 def test_off_grammar_forms_are_syntax_errors(text, line, col):
     """Each parsed before, and some printed back as other text; each is
     now refused at the offending token."""
     with pytest.raises(IrSyntaxError) as e:
         parse_module(text)
     assert (e.value.line, e.value.col) == (line, col)
+
+
+def test_crlf_line_ends_parse_as_newlines(dot_module):
+    text = print_module(dot_module)
+    assert print_module(parse_module(text.replace("\n", "\r\n"))) == text
 
 
 @pytest.mark.parametrize("line, col, message", [

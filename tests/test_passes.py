@@ -792,6 +792,68 @@ block entry:
     assert interpret(out, [5]).return_value == 16
 
 
+#: A callee with a loop whose header reads values its latch defines later
+#: in block order, and two returns; ``{pragma}`` targets the loop.
+LOOPING_CALLEE = """
+#pragma inline
+{pragma}
+func @g(%a: i32[8], %n: i32) -> i32 {{
+block entry:
+  %neg = icmp slt i32 %n, 0
+  condbr %neg, early, hd
+block early:
+  ret i32 0
+block hd loop(1, depth=1, header):
+  %i = phi i32 [0, entry], [%i.next, body]
+  %s = phi i32 [0, entry], [%s.next, body]
+  %c = icmp slt i32 %i, 8
+  condbr %c, body, done
+block body loop(1, depth=1):
+  %p = getelementptr %a, %i
+  %v = load i32 %p
+  %m = mul i32 %v, %n
+  %s.next = add i32 %s, %m
+  %i.next = add i32 %i, 1
+  br hd
+block done:
+  ret i32 %s
+}}
+
+top func @f(%a: i32[8], %n: i32) -> i32 {{
+block entry:
+  %r = call i32 @g(%a, %n)
+  %t = add i32 %r, 1
+  ret i32 %t
+}}
+"""
+
+
+@pytest.mark.parametrize("pragma", ["#pragma pipeline(ii=1) loop=1",
+                                    "#pragma unroll(factor=2) loop=1"],
+                         ids=["pipeline", "unroll"])
+def test_inline_pragma_on_a_looping_callee(pragma, rng):
+    # Inlining once renamed results in block order, so the header's phis
+    # kept the callee's %i.next and %s.next and failed to verify.
+    m = parse_module(LOOPING_CALLEE.format(pragma=pragma))
+    out = apply_pragma_passes(m)
+    assert verify_module(out) == []
+    assert [f.name for f in out.functions] == ["f"]
+    assert not any(i.opcode is Opcode.CALL
+                   for b in out.top.blocks for i in b.all_instructions())
+    # The callee's loop pragma follows its loop: the pipeline pragma stays
+    # as estimator metadata, and the unroll pragma is expanded.
+    headers = [b.loop_info.loop_id for b in out.top.blocks
+               if b.loop_info is not None and b.loop_info.is_header]
+    assert [(q.kind, q.target) for q in out.top.pragmas] == (
+        [(PragmaKind.PIPELINE, headers[0])] if "pipeline" in pragma else [])
+    assert len(headers) == 1 and estimate(out).cycles > 0
+    for _ in range(8):
+        inputs = random_inputs(m, rng)
+        want, got = interpret(m, inputs), interpret(out, inputs)
+        assert (got.return_value, got.memory_digest) == \
+            (want.return_value, want.memory_digest)
+
+
 #: Three unrolls cover dot_11's trip of 8; sccp then proves the back edge
 #: dead and deletes loop 1, which carries the design's pipeline pragma.
 DOT_11_LOOP_DELETION = [

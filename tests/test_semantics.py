@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from passforge.agent import PassEnv, search_greedy
 from passforge.corpus import corpus_gen, random_inputs
 from passforge.ir import (
-    FuelExhausted, TrapError, interpret, parse_module, verify_module,
+    FuelExhausted, TrapError, interpret, parse_module, print_module,
+    verify_module,
 )
 from passforge.passes import (
     PassId, Transitions, apply_pragma_passes, apply_sequence, general_passes,
@@ -165,3 +166,104 @@ def test_memory_pass_alias_rules(pass_id, i, j):
     inputs = [[0, 1, 2, 3], i, j]
     out, _ = apply_sequence(design, [pass_id])
     assert _outcome(out, inputs) == _outcome(design, inputs)
+
+
+#: One hand-written module per pass rule that no corpus design reaches, with
+#: the pass that applies it and text the rule leaves in that pass's output.
+RULE_CASES = {
+    # instcombine: constants move right of an add and of an icmp, swapping
+    # its predicate; an eq compare of a two-constant select folds to the
+    # select's flag or to its negation, and a branch on the negation swaps
+    # its targets.
+    "instcombine": (PassId.INSTCOMBINE, """
+top func @f(%a: i32, %k: i32) -> i32 {
+block entry:
+  %x = add i32 3, %a
+  %c = icmp slt i32 5, %x
+  %b = icmp slt i32 %a, %k
+  %s = select %b, i32 3, 7
+  %e = icmp eq i32 %s, 3
+  %n = icmp eq i32 %s, 7
+  %z = zext i1 %e to i32
+  %y = add i32 %z, %x
+  condbr %n, yes, no
+block yes:
+  %r = select %c, i32 %y, 1
+  ret i32 %r
+block no:
+  ret i32 %k
+}
+""", ["%c = icmp sgt i32 %x, 5", "%z = zext i1 %b to i32",
+      "condbr %b, no, yes"]),
+    # reassociate: chains whose constants cancel collapse to one operand.
+    "reassociate": (PassId.REASSOCIATE, """
+top func @f(%a: i32, %b: i32) -> i32 {
+block entry:
+  %t1 = add i32 %a, 3
+  %t2 = add i32 %t1, -1
+  %t3 = add i32 %t2, -2
+  %m1 = mul i32 %b, 1
+  %m2 = mul i32 %m1, 1
+  %m3 = mul i32 %m2, 1
+  %r = sub i32 %t3, %m3
+  ret i32 %r
+}
+""", ["%r = sub i32 %a, %b"]),
+    # sccp: a select on an unknown flag between equal constants is that
+    # constant, and one on a known flag is the arm it picks.
+    "sccp": (PassId.SCCP, """
+top func @f(%a: i32, %b: i1) -> i32 {
+block entry:
+  %s = select %b, i32 4, 4
+  %k = icmp slt i32 1, 2
+  %t = select %k, i32 %a, 9
+  %u = select %k, i32 %s, %a
+  %r = add i32 %t, %u
+  ret i32 %r
+}
+""", ["%r = add i32 %t, 4"]),
+    # indvars: an sgt exit test becomes slt against the next bound, with the
+    # branch targets swapped.
+    "indvars": (PassId.INDVARS, """
+top func @f(%a: i32[8], %k: i32) -> i32 {
+block entry:
+  br hd
+block hd loop(1, depth=1, header):
+  %i = phi i32 [0, entry], [%i.next, body]
+  %s = phi i32 [%k, entry], [%s.next, body]
+  %c = icmp sgt i32 %i, 6
+  condbr %c, done, body
+block body loop(1, depth=1):
+  %p = getelementptr %a, %i
+  %v = load i32 %p
+  %s.next = add i32 %s, %v
+  %i.next = add i32 %i, 1
+  br hd
+block done:
+  ret i32 %s
+}
+""", ["%c = icmp slt i32 %i, 7", "condbr %c, body, done"]),
+}
+SINGLES_AND_PAIRS = [[p] for p in general_passes()] + [
+    list(pair) for pair in itertools.product(general_passes(), repeat=2)]
+
+
+@pytest.mark.parametrize("case", list(RULE_CASES))
+def test_rule_cases_preserve_interpreter_semantics(case):
+    """Each case's module under every pass and every ordered pair of passes
+    leaves the interpreter's outcome on 30 seeded inputs unchanged."""
+    pass_id, text, rewritten = RULE_CASES[case]
+    design = parse_module(text)
+    rng = np.random.default_rng(0)
+    inputs = [random_inputs(design, rng) for _ in range(30)]
+    expected = [_outcome(design, i) for i in inputs]
+    out, _ = apply_sequence(design, [pass_id])
+    assert all(line in print_module(out) for line in rewritten)
+    memo = Transitions()
+    checked: set[str] = set()
+    for seq in SINGLES_AND_PAIRS:
+        out, steps = apply_sequence(design, seq, memo)
+        if steps[-1].digest not in checked:
+            checked.add(steps[-1].digest)
+            assert [_outcome(out, i) for i in inputs] == expected, \
+                [p.value for p in seq]
