@@ -41,7 +41,9 @@ class Evaluator:
     as the evaluator, so ``len(table)`` is the number of passes run.
     Cycles are memoized by module digest; a digest the model cannot price
     keeps its ``EstimateError``, and every ``cycles`` call on it raises a
-    copy of that error."""
+    copy of that error.  A price reads the report's ``cycles`` only, so
+    the recurrence bound of a loop that is not pipelined is never worked
+    out."""
 
     def __init__(self, design: IrModule, costs: OpCostTable | None = None):
         self.base = apply_pragma_passes(design)

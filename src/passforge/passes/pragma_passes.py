@@ -143,95 +143,162 @@ def apply_unroll_pragmas(m: IrModule) -> None:
 # Inlining
 # ---------------------------------------------------------------------------
 
-def _inline_one_call(m: IrModule, caller: IrFunction, block: IrBlock,
-                     call: IrInstruction) -> None:
-    callee = m.function(call.callee)
-    fresh = FreshNames(caller)
+class _Caller:
+    """A function whose calls to ``target`` are inlined, and what each
+    inlined call would otherwise work out over the whole function again:
+    fresh names (restarted at each call, as a new ``FreshNames`` would be),
+    blocks by label, the next loop id, and the instructions that read each
+    result of a call still to inline.  An inlined callee reads one of those
+    results only through an argument."""
 
-    # Split the call block: instructions after the call move to a new block.
-    at = block.instructions.index(call)
-    cont = IrBlock(fresh.label(f"{block.label}.split"))
-    cont.instructions = block.instructions[at + 1:]
-    cont.terminator = block.terminator
-    block.instructions = block.instructions[:at]
-    for succ in cont.successors():
-        rename_phi_pred(caller.block_map()[succ], block.label, cont.label)
+    def __init__(self, fn: IrFunction, target: str):
+        self.fn = fn
+        self.fresh = FreshNames(fn)
+        self.blocks = fn.block_map()
+        self.readers: dict[str, list[IrInstruction]] = {
+            ins.result: [] for b in fn.blocks for ins in b.instructions
+            if ins.opcode is Opcode.CALL and ins.callee == target
+            and ins.result is not None}
+        for b in fn.blocks:
+            for ins in b.all_instructions():
+                self._note_uses(ins)
+        self.next_loop_id = 1 + max((b.loop_info.loop_id for b in fn.blocks
+                                     if b.loop_info is not None), default=0)
 
-    # Clone the callee body.
-    label_map: dict[str, str] = {}
-    value_map: dict[str, Operand] = {
-        pid: arg for (pid, _ty), arg in zip(callee.params, call.operands)}
-    loop_id_map: dict[int, int] = {}
-    next_loop_id = 1 + max((b.loop_info.loop_id for b in caller.blocks
-                            if b.loop_info is not None), default=0)
+    def _note_uses(self, ins: IrInstruction) -> IrInstruction:
+        for vid in ins.value_uses():
+            if vid in self.readers:
+                self.readers[vid].append(ins)
+        return ins
 
-    # Every label and result is named before any instruction is cloned: a
-    # phi may read a value that a later block defines.
-    for b in callee.blocks:
-        label_map[b.label] = fresh.label(f"{callee.name}.{b.label}")
-        if b.loop_info is not None and b.loop_info.loop_id not in loop_id_map:
-            loop_id_map[b.loop_info.loop_id] = next_loop_id
-            next_loop_id += 1
-        for ins in b.all_instructions():
-            if ins.result is not None:
-                value_map[ins.result] = ValueRef(fresh.value(f"{ins.result}.i"))
+    def _replace_all_uses(self, old_id: str, new_op: Operand) -> None:
+        """``replace_all_uses`` over the instructions that read ``old_id``."""
+        readers = self.readers.pop(old_id, [])
+        for ins in readers:
+            for i, op in enumerate(ins.operands):
+                if isinstance(op, ValueRef) and op.id == old_id:
+                    ins.operands[i] = new_op
+        if isinstance(new_op, ValueRef) and new_op.id in self.readers:
+            self.readers[new_op.id].extend(readers)
 
-    new_blocks: list[IrBlock] = []
-    ret_edges: list[tuple[str, Operand | None]] = []
-    for b in callee.blocks:
-        nb = IrBlock(label_map[b.label])
-        if b.loop_info is not None:
-            nb.loop_info = LoopInfo(loop_id_map[b.loop_info.loop_id],
-                                    b.loop_info.depth, b.loop_info.is_header)
-        for ins in b.all_instructions():
-            mapped_ops = [LabelRef(label_map[op.label])
-                          if isinstance(op, LabelRef)
-                          else subst_operand(op, value_map)
-                          for op in ins.operands]
-            result = value_map[ins.result].id if ins.result is not None else None
-            new = IrInstruction(result, ins.opcode, mapped_ops, ins.ir_type,
-                                ins.pred, ins.callee)
-            if new.opcode is Opcode.RET:
-                rv = new.operands[0] if new.operands else None
-                ret_edges.append((nb.label, rv))
-                nb.terminator = IrInstruction(None, Opcode.BR,
-                                              [LabelRef(cont.label)], VOID)
-            elif new.is_terminator:
-                nb.terminator = new
-            else:
-                nb.instructions.append(new)
-        new_blocks.append(nb)
+    def inline(self, callee: IrFunction, block: IrBlock,
+               call: IrInstruction) -> tuple[list[IrBlock], IrBlock]:
+        """Inline ``call``, which ``block`` holds: the callee's blocks, to
+        follow ``block``, and the block that continues after the call."""
+        caller, fresh = self.fn, self.fresh
+        fresh.restart()
 
-    block.terminator = IrInstruction(
-        None, Opcode.BR, [LabelRef(label_map[callee.entry.label])], VOID)
+        # Split the call block: instructions after the call move to a new
+        # block.
+        at = block.instructions.index(call)
+        cont = IrBlock(fresh.label(f"{block.label}.split"))
+        cont.instructions = block.instructions[at + 1:]
+        cont.terminator = block.terminator
+        block.instructions = block.instructions[:at]
+        for succ in cont.successors():
+            rename_phi_pred(self.blocks[succ], block.label, cont.label)
 
-    idx = caller.blocks.index(block)
-    caller.blocks[idx + 1:idx + 1] = new_blocks + [cont]
+        # Clone the callee body.
+        label_map: dict[str, str] = {}
+        value_map: dict[str, Operand] = {
+            pid: arg for (pid, _ty), arg in zip(callee.params, call.operands)}
+        reads_results = any(isinstance(arg, ValueRef)
+                            and arg.id in self.readers for arg in call.operands)
+        loop_id_map: dict[int, int] = {}
 
-    # Wire up the return value (after the new blocks join the function so
-    # every use is visible to the rewrite).
-    if call.result is not None:
-        if len(ret_edges) == 1:
-            rv = ret_edges[0][1]
-            assert rv is not None
-            replace_all_uses(caller, call.result, rv)
-        else:
-            phi_ops: list = []
-            for lab, rv in ret_edges:
+        # Every label and result is named before any instruction is cloned:
+        # a phi may read a value that a later block defines.
+        for b in callee.blocks:
+            label_map[b.label] = fresh.label(f"{callee.name}.{b.label}")
+            if b.loop_info is not None \
+                    and b.loop_info.loop_id not in loop_id_map:
+                loop_id_map[b.loop_info.loop_id] = self.next_loop_id
+                self.next_loop_id += 1
+            for ins in b.all_instructions():
+                if ins.result is not None:
+                    value_map[ins.result] = ValueRef(
+                        fresh.value(f"{ins.result}.i"))
+
+        new_blocks: list[IrBlock] = []
+        ret_edges: list[tuple[str, Operand | None]] = []
+        for b in callee.blocks:
+            nb = IrBlock(label_map[b.label])
+            if b.loop_info is not None:
+                nb.loop_info = LoopInfo(loop_id_map[b.loop_info.loop_id],
+                                        b.loop_info.depth,
+                                        b.loop_info.is_header)
+            for ins in b.all_instructions():
+                mapped_ops = [LabelRef(label_map[op.label])
+                              if isinstance(op, LabelRef)
+                              else subst_operand(op, value_map)
+                              for op in ins.operands]
+                result = (value_map[ins.result].id
+                          if ins.result is not None else None)
+                new = IrInstruction(result, ins.opcode, mapped_ops,
+                                    ins.ir_type, ins.pred, ins.callee)
+                if reads_results:
+                    self._note_uses(new)
+                if new.opcode is Opcode.RET:
+                    rv = new.operands[0] if new.operands else None
+                    ret_edges.append((nb.label, rv))
+                    nb.terminator = IrInstruction(None, Opcode.BR,
+                                                  [LabelRef(cont.label)], VOID)
+                elif new.is_terminator:
+                    nb.terminator = new
+                else:
+                    nb.instructions.append(new)
+            new_blocks.append(nb)
+
+        block.terminator = IrInstruction(
+            None, Opcode.BR, [LabelRef(label_map[callee.entry.label])], VOID)
+        self.blocks.update((b.label, b) for b in new_blocks + [cont])
+
+        # Wire up the return value, through a phi where the callee returns
+        # in two places.
+        if call.result is not None:
+            if len(ret_edges) == 1:
+                rv = ret_edges[0][1]
                 assert rv is not None
-                phi_ops.extend([rv, LabelRef(lab)])
-            ret_phi = IrInstruction(fresh.value(call.result), Opcode.PHI,
-                                    phi_ops, call.ir_type)
-            cont.instructions.insert(0, ret_phi)
-            replace_all_uses(caller, call.result, ValueRef(ret_phi.result))
+                self._replace_all_uses(call.result, rv)
+            else:
+                phi_ops: list = []
+                for lab, rv in ret_edges:
+                    assert rv is not None
+                    phi_ops.extend([rv, LabelRef(lab)])
+                ret_phi = self._note_uses(IrInstruction(
+                    fresh.value(call.result), Opcode.PHI, phi_ops,
+                    call.ir_type))
+                cont.instructions.insert(0, ret_phi)
+                self._replace_all_uses(call.result, ValueRef(ret_phi.result))
+            fresh.release(call.result)     # the call has left the caller
 
-    # Callee loop pragmas follow their loops into the caller.
-    for p in callee.pragmas:
-        if p.kind in (PragmaKind.UNROLL, PragmaKind.PIPELINE) \
-                and p.target in loop_id_map:
-            np = p.clone()
-            np.target = loop_id_map[p.target]  # type: ignore[assignment]
-            caller.pragmas.append(np)
+        # Callee loop pragmas follow their loops into the caller.
+        for p in callee.pragmas:
+            if p.kind in (PragmaKind.UNROLL, PragmaKind.PIPELINE) \
+                    and p.target in loop_id_map:
+                np = p.clone()
+                np.target = loop_id_map[p.target]  # type: ignore[assignment]
+                caller.pragmas.append(np)
+        return new_blocks, cont
+
+
+def _inline_calls(m: IrModule, fn: IrFunction, target: str) -> None:
+    """Inline each call to ``target`` in ``fn``, in block order.  The scan
+    goes on in each call's continuation block, as the inlined blocks cannot
+    call ``target``, and the blocks are laid out anew once, so each of
+    ``fn``'s instructions is read a fixed number of times, not once per
+    call."""
+    callee, caller, blocks = m.function(target), None, []
+    for block in fn.blocks:
+        while call := next((ins for ins in block.instructions
+                            if ins.opcode is Opcode.CALL
+                            and ins.callee == target), None):
+            caller = caller or _Caller(fn, target)
+            inlined, cont = caller.inline(callee, block, call)
+            blocks += [block, *inlined]
+            block = cont
+        blocks.append(block)
+    fn.blocks = blocks
 
 
 def _check_inline_budget(m: IrModule, targets: set[str]) -> None:
@@ -260,12 +327,7 @@ def apply_inline_pragmas(m: IrModule) -> None:
     _check_inline_budget(m, set(targets))
     for target in targets:
         for caller in [f for f in m.functions if f.name != target]:
-            # Each inlined call restarts the scan at the caller's first block.
-            while site := next(((b, ins) for b in caller.blocks
-                                for ins in b.instructions
-                                if ins.opcode is Opcode.CALL
-                                and ins.callee == target), None):
-                _inline_one_call(m, caller, *site)
+            _inline_calls(m, caller, target)
     # Fully-inlined callees with no remaining callers are dropped.
     called = {ins.callee for f in m.functions for b in f.blocks
               for ins in b.instructions if ins.opcode is Opcode.CALL}

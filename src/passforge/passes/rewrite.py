@@ -6,6 +6,7 @@ there; no pass keeps an opcode list of its own.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter
 
 from ..ir import (
@@ -16,7 +17,11 @@ from ..ir.types import FOLDABLE, PURE_OR_DIV, Operand
 
 
 class FreshNames:
-    """Fresh SSA value ids and block labels for one function."""
+    """Fresh SSA value ids and block labels for one function: a value is
+    ``base.uN`` for the least free ``N`` from a counter up, and a label is
+    ``base``, or else ``base.i`` for the least free ``i``.  What a search
+    finds taken is kept per base, so taking one base again and again does
+    not walk the names taken before."""
 
     def __init__(self, fn: IrFunction):
         self.taken = set(fn.param_ids())
@@ -26,27 +31,60 @@ class FreshNames:
                 if ins.result is not None:
                     self.taken.add(ins.result)
         self._counter = 0
+        self._values: dict[str, tuple[dict[int, int], list[int]]] = {}
+        self._labels: dict[str, int] = {}
+
+    def restart(self) -> None:
+        """Number values from 0 again, as a new instance would."""
+        self._counter = 0
+
+    def release(self, value: str) -> None:
+        """Free ``value``, which has left the function."""
+        base, _, n = value.partition(".u")
+        if value in self.taken and base in self._values and n.isdecimal() \
+                and value == f"{base}.u{int(n)}":
+            insort(self._values[base][1], int(n))
+        self.taken.discard(value)
 
     def value(self, base: str) -> str:
         base = base.split(".u")[0]
-        while True:
-            cand = f"{base}.u{self._counter}"
-            self._counter += 1
-            if cand not in self.taken:
-                self.taken.add(cand)
-                return cand
+        n = self._counter
+        if f"{base}.u{n}" in self.taken:
+            n = self._least_free(base, n)
+        self._counter = n + 1
+        self.taken.add(f"{base}.u{n}")
+        return f"{base}.u{n}"
+
+    def _least_free(self, base: str, n: int) -> int:
+        """The least ``N`` from ``n`` up with ``base.uN`` free.  Each number
+        from ``k`` up to ``run[k]`` has been taken, and is still taken
+        unless ``freed``, the released numbers, holds it; ``freed`` may
+        also hold numbers taken again since."""
+        run, freed = self._values.setdefault(base, ({}, []))
+        start, path = n, []
+        while n in run or f"{base}.u{n}" in self.taken:
+            path.append(n)
+            n = run.get(n, n + 1)
+        end, i = n + 1, bisect_left(freed, start)
+        while i < len(freed) and freed[i] < n:
+            if f"{base}.u{freed[i]}" not in self.taken:
+                n, end = freed.pop(i), n
+                break
+            freed.pop(i)
+        for k in path:
+            run[k] = end
+        return n
 
     def label(self, base: str) -> str:
         if base not in self.labels:
             self.labels.add(base)
             return base
-        i = 0
-        while True:
-            cand = f"{base}.{i}"
+        i = self._labels.get(base, 0)
+        while f"{base}.{i}" in self.labels:
             i += 1
-            if cand not in self.labels:
-                self.labels.add(cand)
-                return cand
+        self._labels[base] = i + 1
+        self.labels.add(f"{base}.{i}")
+        return f"{base}.{i}"
 
 
 def subst_operand(op: Operand, mapping: dict[str, Operand]) -> Operand:

@@ -20,7 +20,8 @@ so a parent reads its children's, each loop's memory tally (accesses per
 array, arrays read, arrays written) and total cycles.  The tally feeds
 res_mii, the child-loop nodes of the recurrence bound and, over the blocks
 outside every loop plus the top-level loops, the function's memory summary
-as a callee.
+as a callee.  A loop that is not pipelined prices without its recurrence
+bound, which is worked out on the first read of ``QoRReport.loops``.
 
 Memory dependences follow one alias rule: two accesses may alias unless
 they touch two different known arrays, or one array at two distinct
@@ -121,13 +122,23 @@ class LoopReport:
     total_cycles: int
 
 
-@dataclass
+@dataclass(eq=False)
 class QoRReport:
+    """The top function's cycles, and its ``loops``, whose first read works
+    out each sequential loop's ``rec_mii``: do not mutate the module before
+    then (a ``Transitions`` table's modules are never mutated)."""
     cycles: int
-    loops: list[LoopReport]
+    _model: "_FunctionModel" = field(repr=False)
+
+    @property
+    def loops(self) -> list[LoopReport]:
+        return self._model.reports()
+
+    def __eq__(self, o) -> bool:
+        return isinstance(o, QoRReport) and self.to_dict() == o.to_dict()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"cycles": self.cycles, "loops": list(map(asdict, self.loops))}
 
 
 def _access(writes: bool, arr: str, idx: str | None) -> tuple:
@@ -196,9 +207,9 @@ class _FunctionModel:
                  else None,
                  [op.id for op in ins.operands if isinstance(op, ValueRef)])
                 for ins in b.all_instructions()]
-        self.block_lat: dict[str, int] = {}
         self.loop_total: dict[int, int] = {}
         self.loop_reports: list[LoopReport] = []
+        self.pending: list[tuple[LoopReport, Loop]] = []   # rec_mii unknown
         self._build()
         # Only the build reads the module model, and keeping it would make a
         # cycle through ``model._fns`` that holds the module until a full
@@ -299,10 +310,8 @@ class _FunctionModel:
     # -- initiation interval ------------------------------------------------
 
     def _res_mii(self, counts: dict[str, int]) -> int:
-        worst = 1
-        for arr, n in counts.items():
-            worst = max(worst, -(-n // self.model.ports_for(arr)))
-        return worst
+        return max([1, *(-(-n // self.model.ports_for(arr))
+                         for arr, n in counts.items())])
 
     def _rec_mii(self, loop: Loop, tally: dict[int | None, _Tally]) -> int:
         """Max over distance-1 dependence cycles of their summed latency.
@@ -425,11 +434,10 @@ class _FunctionModel:
     # -- assembly -----------------------------------------------------------
 
     def _build(self) -> None:
-        for lab in self.insts:
-            self.block_lat[lab] = self._schedule_block(lab)
+        self.block_lat = {lab: self._schedule_block(lab) for lab in self.insts}
         pipelined = {p.target: p.ii or 1
                      for p in self.fn.pragmas if p.kind is PragmaKind.PIPELINE}
-        tally = self._tally_blocks()
+        tally = self.tally = self._tally_blocks()
         # Deepest first, so each loop's children are tallied and priced
         # before it.
         for loop in sorted(self.forest.loops, key=lambda l: -l.depth):
@@ -440,21 +448,23 @@ class _FunctionModel:
             for c in loop.children:
                 tally[lid].add(tally[c.loop_id], self.eff_trip[c.loop_id])
             res_mii = self._res_mii(tally[lid].counts)
-            rec_mii = self._rec_mii(loop, tally)
             if lid in pipelined:
                 if trip is None:
                     raise EstimateError(
                         "UnknownTrip",
                         f"pipelined loop {lid} in @{self.fn.name} "
                         f"has no static trip count")
+                rec_mii = self._rec_mii(loop, tally)
                 ii = max(res_mii, rec_mii, pipelined[lid])
                 total = ii * (trip - 1) + max(depth_cycles, 1)
             else:
-                ii = None
+                ii = rec_mii = None
                 total = self.eff_trip[lid] * (depth_cycles + 1)
             self.loop_total[lid] = total
             self.loop_reports.append(LoopReport(
                 lid, trip, depth_cycles, ii, res_mii, rec_mii, total))
+            if ii is None:
+                self.pending.append((self.loop_reports[-1], loop))
 
         top_level = [l for l in self.forest.loops
                      if self.forest.parent(l) is None]
@@ -465,6 +475,13 @@ class _FunctionModel:
         self.mem_summary = tally[None].counts
         self.latency = self._region_path(self.forest.reach,
                                          self.fn.entry.label, top_level)
+
+    def reports(self) -> list[LoopReport]:
+        """``loop_reports``, each pending ``rec_mii`` worked out."""
+        for report, loop in self.pending:
+            report.rec_mii = self._rec_mii(loop, self.tally)
+        self.pending.clear()
+        return self.loop_reports
 
 
 class _ModuleModel:
@@ -496,18 +513,15 @@ def estimate(module: IrModule, costs: OpCostTable | None = None) -> QoRReport:
 
     Pragma passes (inline/unroll expansion) are expected to have run already;
     pipeline and array_partition pragmas are consumed here as metadata."""
-    costs = costs or OpCostTable()
-    fm = _ModuleModel(module, costs).fn_model(module.top.name)
-    return QoRReport(max(1, fm.latency), list(fm.loop_reports))
+    model = _ModuleModel(module, costs or OpCostTable())
+    fm = model.fn_model(module.top.name)
+    return QoRReport(max(1, fm.latency), fm)
 
 
 def dynamic_cycle_oracle(module: IrModule, inputs, costs: OpCostTable | None = None,
                          fuel: int = 10**8) -> int:
     """Schedule-free dynamic cost: executed instructions weighted by their
     per-op latency.  Used to rank-validate `estimate`, never to train."""
-    costs = costs or OpCostTable()
-    result = interpret(module, inputs, fuel)
-    total = 0
-    for op, count in result.dynamic_op_counts.items():
-        total += costs.latency.get(op, 1) * count
-    return total
+    latency = (costs or OpCostTable()).latency
+    counts = interpret(module, inputs, fuel).dynamic_op_counts
+    return sum(latency.get(op, 1) * n for op, n in counts.items())

@@ -14,6 +14,7 @@ import pytest
 
 from passforge.agent import search_greedy
 from passforge.cli import _MINIMUMS, build_parser, main
+from passforge.corpus import corpus_gen
 from passforge.ir import parse_module
 from passforge.reporting import geomean
 
@@ -256,25 +257,13 @@ def test_an_off_grammar_name_or_break_exits_1(tmp_path, capsys, text, where,
                             f"{char!r}\n")
 
 
-def _inline_chain(depth: int) -> str:
-    """``@g1`` .. ``@g<depth>``, each inlined and calling the next twice, so
-    full inlining doubles the code at each level."""
-    fns = [f"#pragma inline\nfunc @g{d}(%x: i32) -> i32 {{\nblock entry:\n"
-           f"  %a = call i32 @g{d + 1}(%x)\n  %b = call i32 @g{d + 1}(%a)\n"
-           f"  ret i32 %b\n}}\n" for d in range(1, depth)]
-    fns.append(f"#pragma inline\nfunc @g{depth}(%x: i32) -> i32 {{\n"
-               "block entry:\n  %a = add i32 %x, 1\n  ret i32 %a\n}\n")
-    fns.append("top func @f(%x: i32) -> i32 {\nblock entry:\n"
-               "  %r = call i32 @g1(%x)\n  ret i32 %r\n}\n")
-    return "\n".join(fns)
-
-
-def test_an_inline_expansion_past_the_budget_exits_1(tmp_path, capsys):
+def test_an_inline_expansion_past_the_budget_exits_1(tmp_path, capsys,
+                                                     inline_chain):
     """A 20-deep chain would inline about 2.6 million instructions; the
     inliner refuses it before inlining any call, as unroll refuses a loop
     past the same budget."""
     design = tmp_path / "chain.ir"
-    design.write_text(_inline_chain(20))
+    design.write_text(inline_chain(20))
     for argv in (["estimate", str(design)],
                  ["search", "--method", "greedy", "--design", str(design)],
                  ["run", str(design), "-p", "apply_inline_pragma"]):
@@ -336,6 +325,40 @@ def test_estimate_json(workdir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["cycles"] >= 1
     assert any(l["achieved_ii"] is not None for l in doc["loops"])
+
+
+#: ``estimate``'s JSON as the model printed it when it worked out every
+#: loop's recurrence bound while pricing: ``nested2_03``'s two sequential
+#: loops, ``two_func_08``'s loop with its call inlined and, under
+#: ``--raw``, not, and ``case2``'s pipelined loop around a sequential one.
+PINNED_ESTIMATE_JSON = {
+    ("nested2_03", False):
+        '{"cycles": 230, "loops": [{"achieved_ii": null, "depth_cycles": 9, '
+        '"loop_id": 2, "rec_mii": 2, "res_mii": 1, "total_cycles": 50, '
+        '"trip": 5}, {"achieved_ii": null, "depth_cycles": 56, "loop_id": 1, '
+        '"rec_mii": 2, "res_mii": 3, "total_cycles": 228, "trip": 4}]}',
+    ("two_func_08", False):
+        '{"cycles": 92, "loops": [{"achieved_ii": null, "depth_cycles": 9, '
+        '"loop_id": 1, "rec_mii": 2, "res_mii": 1, "total_cycles": 90, '
+        '"trip": 9}]}',
+    ("case2", False):
+        '{"cycles": 11608, "loops": [{"achieved_ii": null, "depth_cycles": 6, '
+        '"loop_id": 3, "rec_mii": 4, "res_mii": 1, "total_cycles": 112, '
+        '"trip": 16}, {"achieved_ii": 116, "depth_cycles": 122, "loop_id": 1, '
+        '"rec_mii": 116, "res_mii": 18, "total_cycles": 11606, "trip": 100}]}',
+}
+PINNED_ESTIMATE_JSON["two_func_08", True] = \
+    PINNED_ESTIMATE_JSON["two_func_08", False]
+
+
+@pytest.mark.parametrize("name, raw", list(PINNED_ESTIMATE_JSON),
+                         ids=[f"{n}-raw" if r else n
+                              for n, r in PINNED_ESTIMATE_JSON])
+def test_estimate_json_is_pinned(tmp_path, capsys, name, raw):
+    design = tmp_path / f"{name}.ir"
+    design.write_text(dict(corpus_gen(12, 0))[name])
+    assert main(["estimate", str(design), *(["--raw"] if raw else [])]) == 0
+    assert capsys.readouterr().out == PINNED_ESTIMATE_JSON[name, raw] + "\n"
 
 
 def test_search_reports_budget_and_passes_run(workdir, capsys):

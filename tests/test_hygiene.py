@@ -19,10 +19,12 @@ from pathlib import Path
 import pytest
 
 import passforge
+from passforge import qor
 from passforge.agent import (
     Evaluator, PassEnv, PpoConfig, search_genetic, search_greedy,
     search_random, train,
 )
+from passforge.corpus import corpus_gen
 from passforge.dataset import dataset_gen
 from passforge.embedder import featurize_baseline
 from passforge.graphs import HetGraph
@@ -30,7 +32,7 @@ from passforge.hged import StageGraph, _Search, _StageView
 from passforge.ir import (
     Const, GlobalArray, GlobalRef, IrBlock, IrFunction, IrInstruction,
     IrModule, IrType, LabelRef, Loop, LoopInfo, Opcode, PragmaDirective,
-    ValueRef, print_module,
+    ValueRef, parse_module, print_module,
 )
 from passforge.ir.types import ICMP_PREDICATES
 
@@ -118,10 +120,10 @@ def test_every_top_level_definition_is_read_in_the_package():
     assert unread == []
 
 
-#: Dataclasses that ``asdict`` writes out whole: ``QoRReport`` and
-#: ``OpCostTable`` through their ``to_dict``, and ``LoopReport`` as the
-#: items of ``QoRReport.loops``.
-SERIALIZED_WHOLE = {"QoRReport", "OpCostTable", "LoopReport"}
+#: Dataclasses that ``asdict`` writes out whole: ``OpCostTable`` through
+#: its ``to_dict``, and ``LoopReport`` as the items of ``QoRReport.loops``
+#: in ``QoRReport.to_dict``.
+SERIALIZED_WHOLE = {"OpCostTable", "LoopReport"}
 
 
 def _dataclass_fields(tree: ast.AST) -> list[tuple[str, str]]:
@@ -465,6 +467,27 @@ def test_no_reference_cycle_keeps_environments_alive(small_corpus, case2):
         found = _unreachable((PassEnv, Evaluator, IrModule, IrFunction,
                               IrBlock, IrInstruction, Loop, HetGraph,
                               StageGraph, _StageView, _Search))
+    finally:
+        gc.enable()
+    assert found == []
+
+
+def test_a_dropped_report_leaves_no_garbage():
+    """A report holds its top function's model, which works out pending
+    recurrence bounds when ``loops`` is read; read or not, the report and
+    both models of ``two_func_08`` (its call left uninlined) die with it."""
+    text = dict(corpus_gen(12, 0))["two_func_08"]
+    gc.collect()
+    gc.disable()
+    try:
+        for read in (False, True):
+            report = qor.estimate(parse_module(text))
+            assert len(report._model.callees) == 1
+            if read:
+                assert report.loops[0].rec_mii == 2
+            del report
+        found = _unreachable((qor.QoRReport, qor._FunctionModel,
+                              qor._ModuleModel, IrModule, IrFunction))
     finally:
         gc.enable()
     assert found == []

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import operator
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from passforge.passes import (
 from passforge.passes import cfg_passes, inst_passes
 from passforge.passes.inst_passes import simplify_instruction
 from passforge.passes.loop_passes import _count_trips
-from passforge.passes.rewrite import erase_dead_pure, phi_value
+from passforge.passes.rewrite import FreshNames, erase_dead_pure, phi_value
 from passforge.qor import estimate
 
 
@@ -852,6 +853,167 @@ def test_inline_pragma_on_a_looping_callee(pragma, rng):
         want, got = interpret(m, inputs), interpret(out, inputs)
         assert (got.return_value, got.memory_digest) == \
             (want.return_value, want.memory_digest)
+
+
+class _PlainNames:
+    """``FreshNames`` as a plain search: each name tries ``base.u0``,
+    ``base.u1``, ... from the counter, and each label ``base.0``, ...
+    from 0."""
+
+    def __init__(self, fn):
+        self.taken = set(fn.param_ids()) | {
+            ins.result for b in fn.blocks for ins in b.all_instructions()
+            if ins.result is not None}
+        self.labels = {b.label for b in fn.blocks}
+        self.counter = 0
+
+    def value(self, base):
+        base = base.split(".u")[0]
+        while f"{base}.u{self.counter}" in self.taken:
+            self.counter += 1
+        self.counter += 1
+        self.taken.add(f"{base}.u{self.counter - 1}")
+        return f"{base}.u{self.counter - 1}"
+
+    def label(self, base):
+        if base not in self.labels:
+            self.labels.add(base)
+            return base
+        i = 0
+        while f"{base}.{i}" in self.labels:
+            i += 1
+        self.labels.add(f"{base}.{i}")
+        return f"{base}.{i}"
+
+
+def test_fresh_names_match_the_plain_search(rng):
+    """Values, labels, releases and restarts in a seeded random order name
+    as the plain search does, over a function that already holds some of
+    the names, under an odd one (``a.u01``) and ones that are no base's."""
+    fn = parse_module("""
+func @f(%a.u1: i32) -> i32 {
+block entry:
+  %a.u0 = add i32 %a.u1, 1
+  %a.u3 = add i32 %a.u0, 1
+  %a.u01 = add i32 %a.u3, 1
+  %b.u2 = add i32 %a.u01, 1
+  %a.u1.u2 = add i32 %b.u2, 1
+  br x
+block x:
+  br x.1
+block x.1:
+  ret i32 %a.u1.u2
+}
+""").top
+    for _ in range(20):
+        fast, plain = FreshNames(fn), _PlainNames(fn)
+        for _ in range(200):
+            op = rng.integers(5)
+            base = ["a", "b", "a.u7", "c"][rng.integers(4)]
+            if op == 0:
+                label = ["x", "x.1", "y"][rng.integers(3)]
+                assert fast.label(label) == plain.label(label)
+            elif op == 1:
+                fast.restart()
+                plain.counter = 0
+            elif op == 2 and plain.taken:
+                name = sorted(plain.taken)[rng.integers(len(plain.taken))]
+                fast.release(name)
+                plain.taken.discard(name)
+            else:
+                assert fast.value(base) == plain.value(base)
+        assert (fast.taken, fast.labels) == (plain.taken, plain.labels)
+
+
+#: sha256 of the expanded chain's digest at depths 1-8, by ``(branchy,
+#: callers_first)``, as the inliner printed them when it named each call
+#: with a new ``FreshNames`` and rewrote a call's result over its whole
+#: caller.
+PINNED_INLINE_CHAINS = {
+    (False, True):
+        "add2025e2d87831c1525663f3cdddd9a02461c2547181053a0142319261e5bdd",
+    (False, False):
+        "980dde7bda6bc2b55d624e1cd1c6518765b47711e45304492184f74df4b1bec8",
+    (True, True):
+        "45c7a3fee2bc428673df065d1b69be4bcdad87611c676341b4dbbf0be6a56f12",
+    (True, False):
+        "49a5407013ad7f07f69095bfe0f2be04ee0811010df269849304c7e5f923c657",
+}
+
+
+@pytest.mark.parametrize("branchy, callers_first", list(PINNED_INLINE_CHAINS),
+                         ids=["straight", "straight-callees-first", "branchy",
+                              "branchy-callees-first"])
+def test_inlined_chains_are_pinned(inline_chain, branchy, callers_first):
+    """Callers first, each callee is inlined into callers that already hold
+    many calls to it, and a freed call result's name is taken again; the
+    shallow chains also interpret as the calls do."""
+    h = hashlib.sha256()
+    for depth in range(1, 9):
+        m = parse_module(inline_chain(depth, branchy, callers_first))
+        out = apply_pragma_passes(m)
+        assert [f.name for f in out.functions] == ["f"]
+        h.update(out.digest().encode())
+        for x in ([-3, 0, 4, 9] if depth <= 4 else []):
+            assert interpret(out, [x]).return_value \
+                == interpret(m, [x]).return_value
+    assert h.hexdigest() == PINNED_INLINE_CHAINS[branchy, callers_first]
+
+
+#: ``@f``'s block ``first`` calls ``@t`` on ``%q``, which a call in a block
+#: laid out after it defines: the callee cloned into ``first``, and the phi
+#: of its two returns, read a call result that is replaced only later.
+LATE_DEF_CALLS = """
+#pragma inline
+func @t(%x: i32) -> i32 {
+block entry:
+  %y = add i32 %x, 1
+  %c = icmp sgt i32 %y, 3
+  condbr %c, big, small
+block big:
+  ret i32 %y
+block small:
+  ret i32 %x
+}
+
+top func @f(%a: i32) -> i32 {
+block entry:
+  br second
+block first:
+  %r = call i32 @t(%q)
+  %s = add i32 %r, %q
+  ret i32 %s
+block second:
+  %q = call i32 @t(%a)
+  br first
+}
+"""
+
+
+def test_inlining_a_call_on_a_result_defined_later_in_the_layout():
+    """The digest is the one that rewriting the whole caller at each call
+    gave."""
+    m = parse_module(LATE_DEF_CALLS)
+    out = apply_pragma_passes(m)
+    assert verify_module(out) == []
+    assert out.digest() == "953a73a6d1e2c2bc"
+    for x in (-2, 0, 3, 7):
+        assert interpret(out, [x]).return_value \
+            == interpret(m, [x]).return_value
+
+
+def test_inlining_is_linear_in_the_callers_size(inline_chain):
+    """A chain 12 deep inlines 4,095 calls into ``@f`` alone, 12,261 in
+    all, and leaves ``@f`` with 10,239 instructions; rescanning and
+    rewriting each caller whole at each call took about 50 s.  The digest
+    is the one that rescanning gave."""
+    m = parse_module(inline_chain(12))
+    t = time.perf_counter()
+    out = apply_pragma_passes(m)
+    assert time.perf_counter() - t < 2
+    assert out.digest() == "01cd631a27d4122a"
+    assert [f.name for f in out.functions] == ["f"]
+    assert sum(len(b.all_instructions()) for b in out.top.blocks) == 10239
 
 
 #: Three unrolls cover dot_11's trip of 8; sccp then proves the back edge

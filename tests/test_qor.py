@@ -16,7 +16,8 @@ from passforge.passes import (
     loop_trip_count,
 )
 from passforge.qor import (
-    EstimateError, OpCostTable, _ModuleModel, dynamic_cycle_oracle, estimate,
+    EstimateError, LoopReport, OpCostTable, QoRReport, _ModuleModel,
+    dynamic_cycle_oracle, estimate,
 )
 
 
@@ -463,7 +464,7 @@ def test_estimates_are_pinned():
                         try:
                             mii = {r.loop_id: (r.res_mii, r.rec_mii) for r in
                                    _ModuleModel(m, costs).fn_model(fn.name)
-                                   .loop_reports}
+                                   .reports()}
                         except EstimateError as e:
                             h.update(f"EstimateError {e}".encode() * len(loops))
                             continue
@@ -650,7 +651,7 @@ def _assert_prices_match_reference(m, costs):
             assert fm.block_lat[b.label] \
                 == _ref_block_latency(fm, costs, defs, b), (name, b.label)
         loops = {l.loop_id: l for l in fm.forest.loops}
-        for r in fm.loop_reports:
+        for r in fm.reports():
             loop = loops[r.loop_id]
             res_mii = max([1, *(-(-n // mm.ports_for(arr)) for arr, n
                                 in _ref_res_counts(fm, defs, loop).items())])
@@ -906,3 +907,89 @@ def test_one_estimate_resolves_each_access_and_latency_once(monkeypatch):
     accesses = sum(ins.opcode in (Opcode.LOAD, Opcode.STORE) for ins in insts)
     assert calls == {"pointer_target": accesses, "latency": len(insts)} \
         == {"pointer_target": 3, "latency": 17}
+
+
+def _count_rec_mii(monkeypatch) -> list[tuple[str, int, bool]]:
+    """``(function, loop id, pipelined)`` of each recurrence bound worked
+    out from here on."""
+    calls = []
+    rec_mii = qor._FunctionModel._rec_mii
+
+    def counted(self, loop, tally):
+        calls.append((self.fn.name, loop.loop_id, loop.loop_id in {
+            p.target for p in self.fn.pragmas
+            if p.kind is PragmaKind.PIPELINE}))
+        return rec_mii(self, loop, tally)
+
+    monkeypatch.setattr(qor._FunctionModel, "_rec_mii", counted)
+    return calls
+
+
+def test_pricing_bounds_the_recurrence_of_pipelined_loops_only(monkeypatch):
+    """A sequential loop's cycles do not read its recurrence bound, so
+    greedy over ``corpus_gen(12, 0)`` works out only those of pipelined
+    loops with a static trip: 68 of the 463 that pricing every loop would
+    (4 more are pipelined loops whose unknown trip the model refuses)."""
+    calls = _count_rec_mii(monkeypatch)
+    for _name, text in corpus_gen(12, 0):
+        search_greedy(parse_module(text))
+    assert len(calls) == 68
+    assert all(pipelined for _fn, _lid, pipelined in calls)
+
+
+#: ``two_func_08``'s one loop, a sequential one that calls its helper
+#: (left uninlined), and ``CALLS_SRC``'s pipelined loop 1 around its
+#: sequential loop 2, under two ports and one, as the model reported them
+#: when it worked out every recurrence bound while pricing.
+LAZY_CASES = [
+    (dict(corpus_gen(12, 0))["two_func_08"], OpCostTable(), 92,
+     [LoopReport(1, 9, 9, None, 1, 2, 90)]),
+    (CALLS_SRC, OpCostTable(), 496,
+     [LoopReport(2, 3, 6, None, 1, 2, 21),
+      LoopReport(1, 8, 67, 61, 7, 61, 494)]),
+    (CALLS_SRC, OpCostTable(memory_ports=1), 496,
+     [LoopReport(2, 3, 6, None, 2, 2, 21),
+      LoopReport(1, 8, 67, 61, 14, 61, 494)]),
+]
+
+
+@pytest.mark.parametrize("text, costs, cycles, loops", LAZY_CASES,
+                         ids=["call-in-a-sequential-loop", "calls-two-ports",
+                              "calls-one-port"])
+def test_a_sequential_loops_bound_is_worked_out_when_its_report_is_read(
+        monkeypatch, text, costs, cycles, loops):
+    """Pricing leaves each sequential loop's ``rec_mii`` pending; the first
+    read of ``loops``, after other modules are priced, works it out as the
+    pairwise reference does, and no later read works anything out again."""
+    calls = _count_rec_mii(monkeypatch)
+    m = parse_module(text)
+    rep = estimate(m, costs)
+    assert calls == [(m.top.name, r.loop_id, True) for r in loops
+                     if r.achieved_ii is not None]
+    for _name, other in corpus_gen(4, 1):
+        estimate(parse_module(other))
+    del calls[:]
+    assert rep.cycles == cycles and rep.loops == loops
+    assert calls == [(m.top.name, r.loop_id, False) for r in loops
+                     if r.achieved_ii is None]
+    fm, defs = rep._model, m.top.defined_values()
+    forest = {l.loop_id: l for l in fm.forest.loops}
+    assert [r.rec_mii for r in loops] == [
+        _ref_rec_mii(fm, costs, defs, forest[r.loop_id]) for r in loops]
+    del calls[:]
+    assert rep.to_dict() == {"cycles": cycles,
+                             "loops": [vars(r) for r in loops]}
+    assert rep.loops is rep.loops and calls == []
+
+
+def test_reports_are_equal_when_their_cycles_and_loops_are():
+    """The loop renumbered 2 prices the same cycles; a report built on the
+    same model with other cycles differs too."""
+    rep = estimate(parse_module(STORE_THEN_LOAD_LOOP))
+    renumbered = estimate(parse_module(
+        STORE_THEN_LOAD_LOOP.replace("loop(1,", "loop(2,")))
+    assert rep == estimate(parse_module(STORE_THEN_LOAD_LOOP))
+    assert rep.cycles == renumbered.cycles == 320
+    assert rep != renumbered
+    assert QoRReport(321, rep._model) != rep == QoRReport(320, rep._model)
+    assert rep != rep.to_dict()
